@@ -63,15 +63,14 @@ from .harness import (
     run_experiment,
     simulate_trials,
 )
-from .localsgd import DEFAULT_THETA0_STD, local_pass, sgd_step
+from .localsgd import DEFAULT_THETA0_STD, local_pass
 from .objectives import (
-    GradientOracle,
     ProbeBall,
-    RidgeObjective,
     estimate_constants,
     global_grad,
     global_loss,
     hessian,
+    quadratic_gap,
     ridge_grad,
     ridge_loss,
     solve_optimum,
@@ -100,6 +99,6 @@ from .trainer import (
     step_final_model,
     weighted_average_model,
 )
-from .types import ProblemConstants, RegressionSample, UserShard, as_model_vector
+from .types import ProblemConstants, RegressionSample, ShardBlock, UserShard, as_model_vector
 
 __version__ = "0.1.0"

@@ -72,20 +72,24 @@ class FadingRealization:
         return self.magnitudes.shape[0]
 
 
-def _stack_inputs(inputs: Sequence[np.ndarray]) -> np.ndarray:
-    stacked = np.stack([np.ascontiguousarray(x, dtype=np.float64) for x in inputs])
+def _stack_inputs(inputs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Inputs as a (K, d) float64 block; such a block passes through uncopied."""
+    stacked = np.ascontiguousarray(inputs, dtype=np.float64)
     if stacked.ndim != 2:
         raise ValueError("channel inputs must be 1-D vectors of equal length")
     return stacked
 
 
 def awgn_mac(
-    inputs: Sequence[np.ndarray],
+    inputs: Sequence[np.ndarray] | np.ndarray,
     sigma_w2: float,
     rng: np.random.Generator,
     dim: int | None = None,
 ) -> np.ndarray:
-    """Superposition of all inputs plus i.i.d. Gaussian noise per coordinate."""
+    """Superposition of all inputs plus i.i.d. Gaussian noise per coordinate.
+
+    inputs is a list of 1-D vectors or a (K, d) block with one input per row.
+    """
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be non-negative")
     if len(inputs) == 0:
@@ -103,7 +107,7 @@ def awgn_mac(
 
 
 def fading_mac(
-    inputs: Sequence[np.ndarray],
+    inputs: Sequence[np.ndarray] | np.ndarray,
     fades: FadingRealization,
     sigma_w2: float,
     rng: np.random.Generator,

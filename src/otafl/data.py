@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import RegressionSample, UserShard
+from .types import RegressionSample, ShardBlock
 
 logger = logging.getLogger(__name__)
 
@@ -136,11 +136,12 @@ def standardize(dataset: Dataset) -> Dataset:
 
 def partition(
     dataset: Dataset, spec: PartitionSpec, rng: np.random.Generator
-) -> list[UserShard]:
+) -> ShardBlock:
     """Split the dataset into disjoint, equal-size user shards.
 
     Samples beyond the largest multiple of n_users are dropped (logged), so
-    every user holds the same number of samples.
+    every user holds the same number of samples. The shards are gathered
+    into one (N, D_n, d) block.
     """
     total = len(dataset)
     if spec.n_users > total:
@@ -172,11 +173,4 @@ def partition(
             [np.concatenate([own[n], pool[n * fill : (n + 1) * fill]]) for n in range(spec.n_users)]
         )
 
-    return [
-        UserShard(
-            user_id=n + 1,
-            features=dataset.features[blocks[n]],
-            targets=dataset.targets[blocks[n]],
-        )
-        for n in range(spec.n_users)
-    ]
+    return ShardBlock(dataset.features[blocks], dataset.targets[blocks])

@@ -36,7 +36,7 @@ from .objectives import ProbeBall, estimate_constants, hessian, solve_optimum
 from .precoding import AlphaSchedule, FadingPolicy, alpha_upper_bound_schedule, estimate_alpha_mc
 from .rng import stream_generator
 from .trainer import SCHEMES, StepSchedule, TrainerConfig, TrialStreams, run_training
-from .types import ProblemConstants, UserShard
+from .types import ProblemConstants, ShardBlock, UserShard
 
 POWER = 1.0
 
@@ -327,16 +327,15 @@ def _resolve_schedule(
 
 
 def _subsample_shards(
-    shards: Sequence[UserShard], fraction: float, rng: np.random.Generator
-) -> list[UserShard]:
+    shards: ShardBlock, fraction: float, rng: np.random.Generator
+) -> ShardBlock:
     if fraction >= 1.0:
-        return list(shards)
-    out = []
-    for shard in shards:
-        k = max(1, int(round(fraction * len(shard))))
-        idx = rng.choice(len(shard), size=k, replace=False)
-        out.append(UserShard(shard.user_id, shard.features[idx], shard.targets[idx]))
-    return out
+        return shards
+    n_users, shard_size, _ = shards.features.shape
+    k = max(1, int(round(fraction * shard_size)))
+    picks = np.stack([rng.choice(shard_size, size=k, replace=False) for _ in range(n_users)])
+    users = np.arange(n_users)[:, None]
+    return ShardBlock(shards.features[users, picks], shards.targets[users, picks])
 
 
 def _resolve_alpha(
@@ -522,7 +521,8 @@ def simulate_trials(
             config.partition_spec,
             stream_generator(config.seed, f"trial{trial}/partition"),
         )
-        theta_star, f_star = solve_optimum(shards, trainer.ridge_lambda)
+        hess = hessian(shards, trainer.ridge_lambda)
+        theta_star, _ = solve_optimum(shards, trainer.ridge_lambda, hess)
         theta0 = initial_model_for_trial(config, trial, dataset.feature_dim)
         diff = theta0 - theta_star
         theta0_dist2[trial] = diff @ diff
@@ -535,7 +535,7 @@ def simulate_trials(
                     resolved.alpha_schedule,
                     _channel_for_scheme(resolved, scheme),
                     trial_streams(config, trial, scheme),
-                    f_star,
+                    (theta_star, hess),
                 )
             except Exception as exc:
                 raise RuntimeError(f"trial {trial}, scheme {scheme}: {exc}") from exc

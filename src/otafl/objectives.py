@@ -10,51 +10,30 @@ curvature estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .types import ProblemConstants, RegressionSample, UserShard, as_model_vector
 
 
-class GradientOracle(Protocol):
-    """Per-sample loss/gradient pair; the trainer works against this surface."""
-
-    def loss(self, theta: np.ndarray, features: np.ndarray, target: float) -> float: ...
-
-    def grad(self, theta: np.ndarray, features: np.ndarray, target: float) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class RidgeObjective:
-    """Regularized linear least-squares loss with weight lam >= 0."""
-
-    lam: float
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("regularization weight must be non-negative")
-        object.__setattr__(self, "lam", float(self.lam))
-
-    def loss(self, theta: np.ndarray, features: np.ndarray, target: float) -> float:
-        residual = features @ theta - target
-        return 0.5 * residual * residual + 0.5 * self.lam * (theta @ theta)
-
-    def grad(self, theta: np.ndarray, features: np.ndarray, target: float) -> np.ndarray:
-        residual = features @ theta - target
-        return residual * features + self.lam * theta
+def _sample_residual(theta, sample: RegressionSample, lam: float):
+    if lam < 0:
+        raise ValueError("regularization weight must be non-negative")
+    theta = as_model_vector(theta, dim=sample.features.shape[0])
+    return theta, sample.features @ theta - sample.target
 
 
 def ridge_loss(theta, sample: RegressionSample, lam: float) -> float:
     """Per-sample loss 0.5*(s_s.theta - s_y)^2 + (lam/2)*||theta||^2."""
-    theta = as_model_vector(theta, dim=sample.features.shape[0])
-    return float(RidgeObjective(lam).loss(theta, sample.features, sample.target))
+    theta, residual = _sample_residual(theta, sample, lam)
+    return float(0.5 * residual * residual + 0.5 * lam * (theta @ theta))
 
 
 def ridge_grad(theta, sample: RegressionSample, lam: float) -> np.ndarray:
     """Gradient of ridge_loss: (s_s.theta - s_y)*s_s + lam*theta."""
-    theta = as_model_vector(theta, dim=sample.features.shape[0])
-    return RidgeObjective(lam).grad(theta, sample.features, sample.target)
+    theta, residual = _sample_residual(theta, sample, lam)
+    return residual * sample.features + lam * theta
 
 
 def _shard_loss(theta: np.ndarray, shard: UserShard, lam: float) -> float:
@@ -100,13 +79,17 @@ def _normal_equations(features: np.ndarray, targets: np.ndarray, lam: float) -> 
     return np.linalg.solve(gram, rhs)
 
 
-def solve_optimum(shards: Sequence[UserShard], lam: float) -> tuple[np.ndarray, float]:
+def solve_optimum(
+    shards: Sequence[UserShard], lam: float, hess: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """Exact minimizer of the global objective and its loss value.
 
     Solves the normal equations of the averaged objective. With lam = 0 the
-    averaged Gram matrix must be full rank.
+    averaged Gram matrix must be full rank. A caller that already holds
+    hessian(shards, lam) passes it as hess.
     """
-    hess = hessian(shards, lam)
+    if hess is None:
+        hess = hessian(shards, lam)
     if lam == 0:
         eigs = np.linalg.eigvalsh(hess)
         if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
@@ -116,6 +99,17 @@ def solve_optimum(shards: Sequence[UserShard], lam: float) -> tuple[np.ndarray, 
     )
     theta_star = np.linalg.solve(hess, rhs)
     return theta_star, global_loss(theta_star, shards, lam)
+
+
+def quadratic_gap(theta: np.ndarray, theta_star: np.ndarray, hess: np.ndarray) -> float:
+    """Optimality gap F(theta) - F* of the quadratic objective, exactly.
+
+    F is quadratic, so the gap is 0.5 (theta - theta*)^T H (theta - theta*):
+    non-negative for the positive semi-definite Hessian H, and free of the
+    cancellation that subtracting F* from F(theta) suffers near the optimum.
+    """
+    diff = theta - theta_star
+    return 0.5 * float(diff @ hess @ diff)
 
 
 @dataclass(frozen=True)
@@ -208,7 +202,7 @@ def estimate_constants(
             g2 = max(g2, second_moment)
             mn2[n] = max(mn2[n], variance)
 
-    _, f_star = solve_optimum(shards, lam)
+    _, f_star = solve_optimum(shards, lam, hess)
     local_minima = []
     for shard in shards:
         theta_n = _normal_equations(shard.features, shard.targets, lam)

@@ -23,8 +23,7 @@ import numpy as np
 
 from .channel import FadingRealization
 from .localsgd import DEFAULT_THETA0_STD, StepFn, local_pass
-from .objectives import RidgeObjective
-from .types import UserShard
+from .types import ShardBlock, UserShard
 
 
 @dataclass(frozen=True)
@@ -170,6 +169,7 @@ def estimate_alpha_mc(
     Runs noise-free local SGD on the pilot shards for pilot_trials trials
     (fresh Gaussian initialization each trial) and sets, per round,
     alpha_r = power / max over users of the trial-mean squared update norm.
+    The shards must be of equal size, as partition makes them.
     """
     if pilot_trials < 1:
         raise ValueError("pilot_trials must be >= 1")
@@ -180,21 +180,23 @@ def estimate_alpha_mc(
     if len(pilot_shards) == 0:
         raise ValueError("need at least one pilot shard")
 
-    objective = RidgeObjective(lam)
-    dim = pilot_shards[0].feature_dim
-    sums = np.zeros((rounds, len(pilot_shards)))
+    block = ShardBlock.of(pilot_shards)
+    n_users, shard_size, dim = block.features.shape
+    etas = [
+        [step_fn((r - 1) * local_steps + j) for j in range(local_steps)]
+        for r in range(1, rounds + 1)
+    ]
+    sums = np.zeros((rounds, n_users))
     for _ in range(pilot_trials):
         theta = rng.normal(0.0, theta0_std, dim)
-        for r in range(1, rounds + 1):
-            t0 = (r - 1) * local_steps
-            etas = [step_fn(t0 + j) for j in range(local_steps)]
-            local_models = [
-                local_pass(theta, shard, objective, etas, rng) for shard in pilot_shards
-            ]
-            for n, model in enumerate(local_models):
-                diff = model - theta
-                sums[r - 1, n] += diff @ diff
-            theta = np.mean(local_models, axis=0)
+        # one draw in round -> user -> step order, as step-by-step sampling takes them
+        draws = rng.integers(shard_size, size=rounds * n_users * local_steps)
+        draws = draws.reshape(rounds, n_users, local_steps)
+        for r in range(rounds):
+            local_models = local_pass(theta, block.features, block.targets, etas[r], draws[r], lam)
+            diff = local_models - theta
+            sums[r] += np.einsum("nd,nd->n", diff, diff)
+            theta = local_models.mean(axis=0)
 
     max_mean = sums.max(axis=1) / pilot_trials
     zero_rounds = np.flatnonzero(max_mean == 0)

@@ -25,8 +25,9 @@ from .channel import (
     orthogonal_noiseless,
     sample_rayleigh,
 )
-from .localsgd import DEFAULT_THETA0_STD, local_pass, sgd_step  # noqa: F401 (sgd_step re-exported)
-from .objectives import RidgeObjective, global_loss
+from .localsgd import DEFAULT_THETA0_STD, local_pass
+from .objectives import global_loss  # noqa: F401  (perfbench/spans.py times trainer.global_loss)
+from .objectives import quadratic_gap
 from .precoding import (
     AlphaSchedule,
     FadingPolicy,
@@ -36,7 +37,7 @@ from .precoding import (
     precode,
     select_participants,
 )
-from .types import UserShard
+from .types import ShardBlock, UserShard
 
 SCHEMES = ("cotaf", "cotaf_fading", "non_precoded_ota", "noise_free_local_sgd")
 
@@ -154,8 +155,19 @@ class RoundTrace:
     wait_count: int = 0
 
 
-def _transmit_powers(signals: Sequence[np.ndarray]) -> np.ndarray:
-    return np.asarray([float(x @ x) for x in signals])
+def _transmit_powers(signals: np.ndarray) -> np.ndarray:
+    """Energy of each row of a (K, d) block of channel inputs."""
+    return np.einsum("kd,kd->k", signals, signals)
+
+
+def _draw_indices(users: Sequence[np.random.Generator], shard_size: int, count: int) -> np.ndarray:
+    """(N, count) sample indices, row n from user n's stream.
+
+    One sized draw per user gives the same values as count scalar draws, so
+    drawing a whole run up front consumes each stream as step-by-step
+    sampling would.
+    """
+    return np.stack([rng.integers(shard_size, size=count) for rng in users])
 
 
 def run_round(
@@ -166,23 +178,27 @@ def run_round(
     channel: ChannelKind,
     streams: TrialStreams,
     round_index: int,
-    f_star: float,
+    optimum: tuple[np.ndarray, np.ndarray],
+    indices: np.ndarray,
 ) -> tuple[np.ndarray, RoundTrace]:
-    """One communication round: broadcast, H local steps per user, aggregate."""
-    n_users = len(shards)
-    if len(streams.users) != n_users:
-        raise ValueError(f"need {n_users} user streams, got {len(streams.users)}")
+    """One communication round: broadcast, H local steps per user, aggregate.
+
+    optimum is the pair (theta*, Hessian) the gap is measured against.
+    indices holds the round's (N, H) sample indices, user n taking
+    indices[n, j] at local step j; run_training slices them from the draws
+    it makes for the whole run.
+    """
+    block = ShardBlock.of(shards)
+    n_users = len(block)
     h = config.local_steps
     t0 = (round_index - 1) * h
     etas = [config.step.eta(t0 + j) for j in range(h)]
-    objective = RidgeObjective(config.ridge_lambda)
 
     # Every user starts the round from the broadcast global model.
-    local_models = [
-        local_pass(global_theta, shards[n], objective, etas, streams.users[n])
-        for n in range(n_users)
-    ]
-    deltas = [model - global_theta for model in local_models]
+    local_models = local_pass(
+        global_theta, block.features, block.targets, etas, indices, config.ridge_lambda
+    )
+    deltas = local_models - global_theta
 
     participants: tuple[int, ...] | None = None
     wait_count = 0
@@ -196,7 +212,7 @@ def run_round(
             raise ValueError("cotaf runs over an AwgnMac channel")
         if alpha is None:
             raise ValueError("cotaf needs an alpha coefficient")
-        signals = [precode(delta, alpha) for delta in deltas]
+        signals = precode(deltas, alpha)
         y = awgn_mac(signals, channel.sigma_w2, streams.noise, dim=global_theta.shape[0])
         new_theta = decode(y, n_users, alpha, global_theta)
         powers = _transmit_powers(signals)
@@ -204,7 +220,7 @@ def run_round(
         if not isinstance(channel, AwgnMac):
             raise ValueError("non_precoded_ota runs over an AwgnMac channel")
         gain = config.gain
-        signals = [gain * delta for delta in deltas]
+        signals = gain * deltas
         y = awgn_mac(signals, channel.sigma_w2, streams.noise, dim=global_theta.shape[0])
         new_theta = y / (n_users * gain) + global_theta
         powers = _transmit_powers(signals)
@@ -235,6 +251,7 @@ def run_round(
             )
             assert signal is not None  # selected users all exceed h_min
             signals.append(signal)
+        signals = np.stack(signals)
         idx = [uid - 1 for uid in participants]
         sub_fades = FadingRealization(fades.magnitudes[idx], fades.phases[idx])
         y = fading_mac(signals, sub_fades, channel.sigma_w2, streams.noise)
@@ -245,7 +262,7 @@ def run_round(
     else:  # pragma: no cover - guarded by TrainerConfig
         raise ValueError(f"unknown scheme {config.scheme!r}")
 
-    gap = global_loss(new_theta, shards, config.ridge_lambda) - f_star
+    gap = quadratic_gap(new_theta, *optimum)
     trace = RoundTrace(
         round=round_index,
         theta_global=new_theta,
@@ -264,9 +281,13 @@ def run_training(
     alpha_schedule: AlphaSchedule | None,
     channel: ChannelKind,
     streams: TrialStreams,
-    f_star: float,
+    optimum: tuple[np.ndarray, np.ndarray],
 ) -> list[RoundTrace]:
-    """Full training run: Gaussian initial model, then `rounds` communication rounds."""
+    """Full training run: Gaussian initial model, then `rounds` communication rounds.
+
+    optimum is the pair (theta*, Hessian) of the global objective on shards,
+    against which each round's gap is measured.
+    """
     needs_alpha = config.scheme in ("cotaf", "cotaf_fading")
     if needs_alpha:
         if alpha_schedule is None:
@@ -280,14 +301,20 @@ def run_training(
     ):
         raise ValueError("noise_free_local_sgd expects an orthogonal noiseless channel")
 
-    dim = shards[0].feature_dim
+    block = ShardBlock.of(shards)
+    n_users, shard_size, dim = block.features.shape
+    if len(streams.users) != n_users:
+        raise ValueError(f"need {n_users} user streams, got {len(streams.users)}")
+    h = config.local_steps
     theta = streams.init.normal(0.0, config.theta0_std, dim)
+    indices = _draw_indices(streams.users, shard_size, config.rounds * h)
     traces: list[RoundTrace] = []
     for r in range(1, config.rounds + 1):
         alpha = alpha_schedule.alpha_for_round(r) if needs_alpha else None
         try:
             theta, trace = run_round(
-                theta, shards, config, alpha, channel, streams, r, f_star
+                theta, block, config, alpha, channel, streams, r, optimum,
+                indices[:, (r - 1) * h : r * h],
             )
         except Exception as exc:
             raise RuntimeError(f"round {r}: {exc}") from exc

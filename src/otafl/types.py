@@ -8,7 +8,8 @@ to share across concurrent trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +72,58 @@ class UserShard:
 
     def sample(self, index: int) -> RegressionSample:
         return RegressionSample(self.features[index], self.targets[index])
+
+
+@dataclass(frozen=True, eq=False)
+class ShardBlock(Sequence[UserShard]):
+    """Equal-size user shards held as one block, the layout local SGD runs on.
+
+    features is (N, D_n, d) and targets (N, D_n). Shard n (user id n + 1) is
+    a row view of both, so the block takes no memory beyond its shards.
+    """
+
+    features: np.ndarray
+    targets: np.ndarray
+    shards: tuple[UserShard, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        features = np.ascontiguousarray(self.features, dtype=np.float64)
+        targets = np.ascontiguousarray(self.targets, dtype=np.float64)
+        if features.ndim != 3 or targets.shape != features.shape[:2]:
+            raise ValueError(
+                f"need (N, D_n, d) features and (N, D_n) targets, got {features.shape} "
+                f"and {targets.shape}"
+            )
+        if features.shape[0] == 0:
+            raise ValueError("need at least one user shard")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "targets", targets)
+        shards = tuple(UserShard(n + 1, features[n], targets[n]) for n in range(features.shape[0]))
+        object.__setattr__(self, "shards", shards)
+
+    @classmethod
+    def of(cls, shards: Sequence[UserShard]) -> "ShardBlock":
+        """The shards as a block: itself if it is one, else a stacked copy."""
+        if isinstance(shards, cls):
+            return shards
+        sizes = [len(shard) for shard in shards]
+        if len(set(sizes)) > 1:
+            raise ValueError(f"batched local SGD needs equal-size shards, got sizes {sizes}")
+        if not sizes:
+            raise ValueError("need at least one user shard")
+        return cls(
+            np.stack([shard.features for shard in shards]),
+            np.stack([shard.targets for shard in shards]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.shards)
+
+    def __getitem__(self, index):
+        return self.shards[index]
+
+    def __iter__(self):
+        return iter(self.shards)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from otafl.bounds import (
 )
 from otafl.channel import awgn_mac, sample_rayleigh
 from otafl.data import partition
-from otafl.objectives import RidgeObjective, global_grad, solve_optimum
+from otafl.objectives import global_grad, hessian, solve_optimum
 from otafl.precoding import FadingPolicy, decode, precode, select_participants
 from otafl.rng import stream_generator
 from otafl.trainer import run_training, weighted_average_model
@@ -85,7 +85,8 @@ def test_criterion_01_noiseless_collapse():
     shards = partition(
         resolved.dataset, config.partition_spec, stream_generator(SEED, "trial0/partition")
     )
-    _, f_star = solve_optimum(shards, config.trainer.ridge_lambda)
+    hess = hessian(shards, config.trainer.ridge_lambda)
+    theta_star, _ = solve_optimum(shards, config.trainer.ridge_lambda, hess)
     iterates = {}
     for scheme in ("cotaf", "noise_free_local_sgd"):
         traces = run_training(
@@ -94,7 +95,7 @@ def test_criterion_01_noiseless_collapse():
             resolved.alpha_schedule,
             harness._channel_for_scheme(resolved, scheme),
             harness.trial_streams(config, 0, scheme),
-            f_star,
+            (theta_star, hess),
         )
         iterates[scheme] = np.stack([t.theta_global for t in traces])
     worst = float(np.max(np.abs(iterates["cotaf"] - iterates["noise_free_local_sgd"])))
@@ -180,14 +181,15 @@ def test_weighted_average_bound_final_round():
             config.partition_spec,
             stream_generator(SEED, f"trial{trial}/partition"),
         )
-        _, f_star = solve_optimum(shards, config.trainer.ridge_lambda)
+        hess = hessian(shards, config.trainer.ridge_lambda)
+        theta_star, f_star = solve_optimum(shards, config.trainer.ridge_lambda, hess)
         traces = run_training(
             shards,
             harness._trainer_config(resolved, "cotaf"),
             resolved.alpha_schedule,
             harness._channel_for_scheme(resolved, "cotaf"),
             harness.trial_streams(config, trial, "cotaf"),
-            f_star,
+            (theta_star, hess),
         )
         averaged = weighted_average_model(
             [(tr.round, tr.theta_global) for tr in traces], a, h

@@ -21,6 +21,8 @@ class TestAwgnMac:
         inputs = [rng.standard_normal(16) for _ in range(7)]
         out = awgn_mac(inputs, 0.0, rng)
         np.testing.assert_allclose(out, np.sum(inputs, axis=0), atol=1e-12)
+        # a (K, d) block is the same input as the list of its rows
+        np.testing.assert_array_equal(awgn_mac(np.stack(inputs), 0.0, rng), out)
 
     def test_empty_inputs(self, rng):
         np.testing.assert_array_equal(awgn_mac([], 0.0, rng, dim=3), np.zeros(3))
@@ -68,6 +70,8 @@ class TestFadingMac:
         logged_noise = np.random.default_rng(77).normal(0.0, np.sqrt(0.3), 6)
         expected = sum(m * x for m, x in zip(mags, inputs)) + logged_noise
         np.testing.assert_allclose(out, expected, atol=1e-12)
+        block_out = fading_mac(np.stack(inputs), fades, 0.3, np.random.default_rng(77))
+        np.testing.assert_array_equal(block_out, out)
 
     def test_length_mismatch(self, rng):
         fades = FadingRealization(np.ones(2), np.zeros(2))

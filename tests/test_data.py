@@ -103,6 +103,15 @@ class TestPartition:
         assert [len(s) for s in shards] == [20] * 5
         assert [s.user_id for s in shards] == [1, 2, 3, 4, 5]
 
+    def test_shards_are_row_views_of_one_block(self, rng):
+        dataset = generate_synthetic(3, 103, 1.0, rng)
+        shards = partition(dataset, PartitionSpec("heterogeneous", 5, 0.2), rng)
+        assert shards.features.shape == (5, 20, 3) and shards.targets.shape == (5, 20)
+        for n, shard in enumerate(shards):
+            np.testing.assert_array_equal(shard.features, shards.features[n])
+            assert np.shares_memory(shard.features, shards.features)
+            assert np.shares_memory(shard.targets, shards.targets)
+
     def test_remainder_dropped(self, rng):
         dataset = generate_synthetic(2, 103, 1.0, rng)
         shards = partition(dataset, PartitionSpec("iid", 5), rng)

@@ -21,7 +21,7 @@ from otafl.harness import (
     sigma_from_snr,
     simulate_trials,
 )
-from otafl.objectives import solve_optimum
+from otafl.objectives import hessian, solve_optimum
 from otafl.rng import stream_generator
 from otafl.trainer import run_training
 
@@ -118,14 +118,15 @@ class TestRunExperiment:
         shards = partition(
             resolved.dataset, config.partition_spec, stream_generator(config.seed, "trial0/partition")
         )
-        _, f_star = solve_optimum(shards, config.trainer.ridge_lambda)
+        hess = hessian(shards, config.trainer.ridge_lambda)
+        theta_star, _ = solve_optimum(shards, config.trainer.ridge_lambda)
         traces = run_training(
             shards,
             harness._trainer_config(resolved, "noise_free_local_sgd"),
             None,
             NoiselessOrthogonal(),
             harness.trial_streams(config, 0, "noise_free_local_sgd"),
-            f_star,
+            (theta_star, hess),
         )
         for row, trace in zip(rows, traces):
             assert row.mean_gap == trace.gap

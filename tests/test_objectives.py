@@ -7,6 +7,7 @@ from otafl.objectives import (
     global_grad,
     global_loss,
     hessian,
+    quadratic_gap,
     ridge_grad,
     ridge_loss,
     solve_optimum,
@@ -144,6 +145,17 @@ class TestSolveOptimum:
             delta = rng.standard_normal(theta_star.shape[0])
             delta *= rng.uniform(0.1, 2.0) / np.linalg.norm(delta)
             assert global_loss(theta_star + delta, shards, 0.5) > f_star
+
+    def test_quadratic_gap_matches_loss_difference(self, rng):
+        shards = make_shards(rng)
+        hess = hessian(shards, 0.5)
+        theta_star, f_star = solve_optimum(shards, 0.5, hess)
+        assert quadratic_gap(theta_star, theta_star, hess) == 0.0
+        for _ in range(20):
+            theta = theta_star + rng.uniform(0.1, 3.0) * rng.standard_normal(theta_star.shape[0])
+            gap = quadratic_gap(theta, theta_star, hess)
+            assert gap > 0
+            assert gap == pytest.approx(global_loss(theta, shards, 0.5) - f_star, rel=1e-9)
 
     def test_singular_without_regularization(self):
         shard = UserShard(1, [[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])

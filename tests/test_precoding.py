@@ -208,6 +208,33 @@ class TestEstimateAlphaMc:
         expected = power / float((eta * g) @ (eta * g))
         assert schedule.alpha_for_round(1) == pytest.approx(expected, rel=1e-12)
 
+    def test_matches_per_sample_reference_pilot(self, rng):
+        # the pilot's blocked index draws follow the round -> user -> step
+        # order of one scalar draw per sample step
+        shards = make_shards(rng, n_users=3, per_user=12, dim=3)
+        lam, rounds, h, trials, power = 0.5, 4, 3, 2, 1.0
+        step_fn = constant_step(0.05)
+        schedule = estimate_alpha_mc(
+            shards, lam, rounds, h, power, trials, np.random.default_rng(8),
+            step_fn=step_fn, theta0_std=1.0,
+        )
+        ref_rng = np.random.default_rng(8)
+        sums = np.zeros((rounds, 3))
+        for _ in range(trials):
+            theta = ref_rng.normal(0.0, 1.0, 3)
+            for r in range(rounds):
+                models = []
+                for shard in shards:
+                    model = theta
+                    for j in range(h):
+                        i = int(ref_rng.integers(len(shard)))
+                        model = model - step_fn(r * h + j) * ridge_grad(model, shard.sample(i), lam)
+                    models.append(model)
+                sums[r] += [(m - theta) @ (m - theta) for m in models]
+                theta = np.mean(models, axis=0)
+        expected = power / (sums.max(axis=1) / trials)
+        np.testing.assert_allclose(schedule.values, expected, rtol=1e-12)
+
     def test_linear_in_power(self, rng):
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)
         kwargs = dict(
@@ -230,6 +257,22 @@ class TestEstimateAlphaMc:
         late = log_alpha[40:]
         slope = np.polyfit(np.arange(late.shape[0]), late, 1)[0]
         assert slope > 0
+
+    def test_ragged_shards_rejected_with_sizes(self):
+        shards = [UserShard(n, np.ones((size, 2)), np.ones(size)) for n, size in ((1, 4), (2, 5))]
+        with pytest.raises(ValueError, match=r"sizes \[4, 5\]"):
+            estimate_alpha_mc(
+                shards, 0.5, rounds=1, local_steps=1, power=1.0, pilot_trials=1,
+                rng=np.random.default_rng(0), step_fn=constant_step(0.1),
+            )
+
+    def test_negative_regularization_rejected(self, rng):
+        with pytest.raises(ValueError, match="non-negative"):
+            estimate_alpha_mc(
+                make_shards(rng, n_users=2, per_user=5, dim=3), -1.0, rounds=1, local_steps=1,
+                power=1.0, pilot_trials=1, rng=np.random.default_rng(0),
+                step_fn=constant_step(0.1),
+            )
 
     def test_zero_updates_error(self):
         shard = UserShard(1, np.zeros((3, 2)), np.zeros(3))

@@ -33,3 +33,32 @@ def test_stream_generator_matches_make_streams():
     via_map = make_streams(7, ["init"])["init"].generator().random(5)
     direct = stream_generator(7, "init").random(5)
     np.testing.assert_array_equal(via_map, direct)
+
+
+# Local SGD draws its sample indices in blocks: per user a run's R*H indices
+# at once (training), and per pilot trial R*N*H indices after the initial
+# model. These give the same values as one scalar draw per sample step only
+# because numpy's bounded-integer sampler consumes a generator identically for
+# sized and scalar draws. If a numpy release changes that, every index
+# sequence, and so every simulated result, changes with it.
+@pytest.mark.parametrize("shard_size", [100, 500, 2000])
+@pytest.mark.parametrize("local_steps", [1, 10, 40])
+def test_sized_index_draws_equal_scalar_draws(shard_size, local_steps):
+    rounds, n_users, dim = 7, 3, 5
+    batched = np.random.default_rng(2024).integers(shard_size, size=rounds * local_steps)
+    rng = np.random.default_rng(2024)
+    scalar = [int(rng.integers(shard_size)) for _ in range(rounds * local_steps)]
+    assert batched.tolist() == scalar, f"sized integers() draws differ on numpy {np.__version__}"
+
+    # alpha pilot: normal(d), then round -> user -> step
+    rng = np.random.default_rng(99)
+    theta0 = rng.normal(0.0, 1.0, dim)
+    blocked = rng.integers(shard_size, size=rounds * n_users * local_steps)
+    blocked = blocked.reshape(rounds, n_users, local_steps)
+    rng = np.random.default_rng(99)
+    np.testing.assert_array_equal(rng.normal(0.0, 1.0, dim), theta0)
+    stepwise = [
+        [[int(rng.integers(shard_size)) for _ in range(local_steps)] for _ in range(n_users)]
+        for _ in range(rounds)
+    ]
+    assert blocked.tolist() == stepwise, f"pilot index blocks differ on numpy {np.__version__}"

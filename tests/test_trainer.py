@@ -3,7 +3,7 @@ import pytest
 
 from otafl.channel import AwgnMac, FadingMac, NoiselessOrthogonal
 from otafl.localsgd import local_pass
-from otafl.objectives import RidgeObjective, global_grad
+from otafl.objectives import global_grad, hessian, ridge_grad, solve_optimum
 from otafl.precoding import AlphaSchedule, FadingPolicy
 from otafl.trainer import (
     RoundTrace,
@@ -12,12 +12,11 @@ from otafl.trainer import (
     TrialStreams,
     run_round,
     run_training,
-    sgd_step,
     step_averaged_model,
     step_final_model,
     weighted_average_model,
 )
-from otafl.types import UserShard
+from otafl.types import ShardBlock
 
 from conftest import make_shards, single_shard
 
@@ -31,45 +30,87 @@ def _streams(seed, n_users, noise_seed=None, fading_seed=None):
     )
 
 
+def _indices(seed, n_users, shard_size, local_steps):
+    """One round's (N, H) sample indices, drawn from the user streams of _streams(seed, N)."""
+    users = _streams(seed, n_users).users
+    return np.stack([rng.integers(shard_size, size=local_steps) for rng in users])
+
+
 def _schedule(mu=1.0, shift=20.0, kind="final_model"):
     return StepSchedule(kind=kind, shift=shift, mu=mu)
 
 
+def _optimum(shards, lam=0.5):
+    hess = hessian(shards, lam)
+    theta_star, _ = solve_optimum(shards, lam, hess)
+    return theta_star, hess
+
+
+def _reference_local_models(theta0, shards, etas, user_rngs, lam):
+    """Per-sample loop: one scalar index draw and one ridge_grad step at a time."""
+    models = []
+    for shard, rng in zip(shards, user_rngs):
+        theta = theta0
+        for eta in etas:
+            i = int(rng.integers(len(shard)))
+            theta = theta - eta * ridge_grad(theta, shard.sample(i), lam)
+        models.append(theta)
+    return models
+
+
 class TestSgdStep:
+    """Steps of the batched kernel against the per-sample ridge gradient."""
+
     def test_fixed_point_on_zero_data(self, rng):
-        shard = UserShard(1, np.zeros((5, 3)), np.zeros(5))
         theta = rng.standard_normal(3)
-        out = sgd_step(theta, shard, RidgeObjective(0.0), 0.1, rng)
-        np.testing.assert_array_equal(out, theta)
+        indices = np.zeros((2, 2), dtype=int)
+        out = local_pass(theta, np.zeros((2, 5, 3)), np.zeros((2, 5)), [0.1, 0.2], indices, 0.0)
+        np.testing.assert_array_equal(out, np.stack([theta, theta]))
 
     def test_single_sample_deterministic(self, rng):
-        shard = UserShard(1, [[1.0, -1.0]], [2.0])
-        objective = RidgeObjective(0.5)
-        theta = rng.standard_normal(2)
-        expected = theta - 0.1 * objective.grad(theta, shard.features[0], shard.targets[0])
-        out = sgd_step(theta, shard, objective, 0.1, rng)
-        np.testing.assert_array_equal(out, expected)
+        # one step per user at a given sample is theta - eta * ridge_grad
+        shards = make_shards(rng, n_users=4, per_user=6, dim=3)
+        thetas = rng.standard_normal((4, 3))
+        indices = rng.integers(6, size=(4, 1))
+        out = local_pass(thetas, shards.features, shards.targets, [0.1], indices, 0.5)
+        expected = [
+            thetas[n] - 0.1 * ridge_grad(thetas[n], shards[n].sample(int(indices[n, 0])), 0.5)
+            for n in range(4)
+        ]
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
 
     def test_mean_step_matches_full_gradient(self, rng):
+        # 10k users holding the same shard each take one step from theta
         shard = single_shard(rng, n_samples=25, dim=3)
-        objective = RidgeObjective(0.5)
+        n_users, eta, lam = 10_000, 0.05, 0.5
         theta = rng.standard_normal(3)
-        eta = 0.05
-        steps = np.stack([sgd_step(theta, shard, objective, eta, rng) - theta for _ in range(10_000)])
-        expected = -eta * global_grad(theta, [shard], 0.5)
+        features = np.broadcast_to(shard.features, (n_users, 25, 3))
+        targets = np.broadcast_to(shard.targets, (n_users, 25))
+        indices = rng.integers(25, size=(n_users, 1))
+        steps = local_pass(theta, features, targets, [eta], indices, lam) - theta
+        expected = -eta * global_grad(theta, [shard], lam)
         per_sample = np.stack(
-            [
-                -eta * objective.grad(theta, shard.features[i], shard.targets[i])
-                for i in range(len(shard))
-            ]
+            [-eta * ridge_grad(theta, shard.sample(i), lam) for i in range(len(shard))]
         )
-        se = per_sample.std(axis=0) / np.sqrt(steps.shape[0])
+        se = per_sample.std(axis=0) / np.sqrt(n_users)
         assert np.all(np.abs(steps.mean(axis=0) - expected) <= 3 * se + 1e-12)
 
     def test_invalid_step_size(self, rng):
-        shard = single_shard(rng)
-        with pytest.raises(ValueError):
-            sgd_step(np.zeros(4), shard, RidgeObjective(0.5), 0.0, rng)
+        block = ShardBlock.of([single_shard(rng)])
+        indices = np.zeros((1, 2), dtype=int)
+        with pytest.raises(ValueError, match="step size"):
+            local_pass(np.zeros(4), block.features, block.targets, [0.1, 0.0], indices, 0.5)
+
+    def test_negative_regularization(self, rng):
+        block = ShardBlock.of([single_shard(rng)])
+        indices = np.zeros((1, 1), dtype=int)
+        with pytest.raises(ValueError, match="non-negative"):
+            local_pass(np.zeros(4), block.features, block.targets, [0.1], indices, -1.0)
+
+    def test_empty_shard(self):
+        indices = np.zeros((2, 1), dtype=int)
+        with pytest.raises(ValueError, match="empty shard"):
+            local_pass(np.zeros(3), np.zeros((2, 0, 3)), np.zeros((2, 0)), [0.1], indices, 0.5)
 
 
 class TestStepSchedules:
@@ -102,21 +143,22 @@ class TestStepSchedules:
 
 class TestRunRound:
     def test_single_user_noise_free_equals_plain_sgd(self, rng):
-        shard = single_shard(rng, n_samples=20, dim=3)
+        shards = [single_shard(rng, n_samples=20, dim=3)]
         schedule = _schedule()
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=5, rounds=1, step=schedule
         )
         theta0 = rng.standard_normal(3)
-        streams = _streams(3, 1)
         new_theta, trace = run_round(
-            theta0, [shard], config, None, NoiselessOrthogonal(), streams, 1, f_star=0.0
+            theta0, shards, config, None, NoiselessOrthogonal(), _streams(3, 1), 1,
+            _optimum(shards), _indices(3, 1, 20, 5),
         )
         etas = [schedule.eta(j) for j in range(5)]
-        reference = local_pass(
-            theta0, shard, RidgeObjective(config.ridge_lambda), etas, np.random.default_rng(3000)
+        (reference,) = _reference_local_models(
+            theta0, shards, etas, _streams(3, 1).users, config.ridge_lambda
         )
-        np.testing.assert_array_equal(new_theta, reference)
+        # the kernel sums the residual dot product in another order
+        np.testing.assert_allclose(new_theta, reference, rtol=1e-12)
         assert isinstance(trace, RoundTrace)
 
     def test_cotaf_noiseless_matches_noise_free(self, rng):
@@ -130,7 +172,8 @@ class TestRunRound:
         ):
             config = TrainerConfig(scheme=scheme, local_steps=4, rounds=1, step=schedule)
             theta, _ = run_round(
-                theta0, shards, config, 0.37, channel, _streams(5, 4), 1, f_star=0.0
+                theta0, shards, config, 0.37, channel, _streams(5, 4), 1, _optimum(shards),
+                _indices(5, 4, 15, 4),
             )
             out[scheme] = theta
         np.testing.assert_allclose(
@@ -145,14 +188,17 @@ class TestRunRound:
         theta0 = rng.standard_normal(8)
         alpha, sigma_w2 = 0.9, 2.0
         config = TrainerConfig(scheme="cotaf", local_steps=2, rounds=1, step=schedule)
+        optimum = _optimum(shards)
+        indices = _indices(9, 3, 10, 2)
         errs = []
         for rep in range(1500):
             clean, _ = run_round(
-                theta0, shards, config, alpha, AwgnMac(0.0), _streams(9, 3, noise_seed=1), 1, 0.0
+                theta0, shards, config, alpha, AwgnMac(0.0), _streams(9, 3, noise_seed=1), 1,
+                optimum, indices,
             )
             noisy, _ = run_round(
                 theta0, shards, config, alpha, AwgnMac(sigma_w2),
-                _streams(9, 3, noise_seed=10_000 + rep), 1, 0.0,
+                _streams(9, 3, noise_seed=10_000 + rep), 1, optimum, indices,
             )
             errs.append(noisy - clean)
         var = np.concatenate(errs).var()
@@ -168,16 +214,15 @@ class TestRunRound:
         )
         theta0 = rng.standard_normal(3)
         new_theta, trace = run_round(
-            theta0, shards, config, 1.3, FadingMac(0.0), _streams(7, 5), 1, f_star=0.0
+            theta0, shards, config, 1.3, FadingMac(0.0), _streams(7, 5), 1, _optimum(shards),
+            _indices(7, 5, 10, 2),
         )
         assert trace.participants is not None and len(trace.participants) == 3
         # noiseless: output equals the participant average of local models
-        streams = _streams(7, 5)
-        objective = RidgeObjective(config.ridge_lambda)
         etas = [schedule.eta(j) for j in range(2)]
-        local_models = [
-            local_pass(theta0, shards[n], objective, etas, streams.users[n]) for n in range(5)
-        ]
+        local_models = _reference_local_models(
+            theta0, shards, etas, _streams(7, 5).users, config.ridge_lambda
+        )
         expected = np.mean([local_models[uid - 1] for uid in trace.participants], axis=0)
         np.testing.assert_allclose(new_theta, expected, atol=1e-10)
 
@@ -185,7 +230,26 @@ class TestRunRound:
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)
         config = TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule())
         with pytest.raises(ValueError):
-            run_round(np.zeros(3), shards, config, 1.0, NoiselessOrthogonal(), _streams(1, 2), 1, 0.0)
+            run_round(
+                np.zeros(3), shards, config, 1.0, NoiselessOrthogonal(), _streams(1, 2), 1,
+                _optimum(shards), _indices(1, 2, 10, 1),
+            )
+
+    def test_ragged_shards_rejected_with_sizes(self, rng):
+        shards = [single_shard(rng, n_samples=10, dim=3), single_shard(rng, n_samples=12, dim=3)]
+        config = TrainerConfig(
+            scheme="noise_free_local_sgd", local_steps=1, rounds=2, step=_schedule()
+        )
+        with pytest.raises(ValueError, match=r"sizes \[10, 12\]"):
+            run_round(
+                np.zeros(3), shards, config, None, NoiselessOrthogonal(), _streams(1, 2), 1,
+                (np.zeros(3), np.eye(3)), np.zeros((2, 1), dtype=int),
+            )
+        with pytest.raises(ValueError, match=r"sizes \[10, 12\]"):
+            run_training(
+                shards, config, None, NoiselessOrthogonal(), _streams(1, 2),
+                (np.zeros(3), np.eye(3)),
+            )
 
 
 class TestRunTraining:
@@ -194,8 +258,41 @@ class TestRunTraining:
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=3, rounds=0, step=_schedule()
         )
-        traces = run_training(shards, config, None, NoiselessOrthogonal(), _streams(4, 2), 0.0)
+        traces = run_training(
+            shards, config, None, NoiselessOrthogonal(), _streams(4, 2), _optimum(shards)
+        )
         assert traces == []
+
+    def test_user_stream_count_checked(self, rng):
+        shards = make_shards(rng, n_users=3, per_user=10, dim=3)
+        config = TrainerConfig(
+            scheme="noise_free_local_sgd", local_steps=1, rounds=1, step=_schedule()
+        )
+        with pytest.raises(ValueError, match="need 3 user streams, got 2"):
+            run_training(
+                shards, config, None, NoiselessOrthogonal(), _streams(1, 2), _optimum(shards)
+            )
+
+    def test_noise_free_run_equals_per_sample_reference(self, rng):
+        # the run's up-front index draws give each round the indices that
+        # one scalar draw per sample step would
+        shards = make_shards(rng, n_users=3, per_user=15, dim=4)
+        schedule = _schedule()
+        config = TrainerConfig(
+            scheme="noise_free_local_sgd", local_steps=4, rounds=3, step=schedule
+        )
+        traces = run_training(
+            shards, config, None, NoiselessOrthogonal(), _streams(6, 3), _optimum(shards)
+        )
+        streams = _streams(6, 3)
+        theta = streams.init.normal(0.0, config.theta0_std, 4)
+        for r, trace in enumerate(traces):
+            etas = [schedule.eta(r * 4 + j) for j in range(4)]
+            models = _reference_local_models(
+                theta, shards, etas, streams.users, config.ridge_lambda
+            )
+            theta = np.mean(models, axis=0)
+            np.testing.assert_allclose(trace.theta_global, theta, rtol=1e-12)
 
     def test_deterministic_replay(self, rng):
         shards = make_shards(rng, n_users=3, per_user=12, dim=4)
@@ -203,7 +300,9 @@ class TestRunTraining:
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 5))
         runs = []
         for _ in range(2):
-            traces = run_training(shards, config, alpha, AwgnMac(1.0), _streams(6, 3), 1.23)
+            traces = run_training(
+                shards, config, alpha, AwgnMac(1.0), _streams(6, 3), _optimum(shards)
+            )
             runs.append(traces)
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a.theta_global, b.theta_global)
@@ -214,25 +313,25 @@ class TestRunTraining:
         config = TrainerConfig(scheme="cotaf", local_steps=2, rounds=5, step=_schedule())
         with pytest.raises(ValueError, match="covers"):
             run_training(
-                shards, config, AlphaSchedule(np.ones(3)), AwgnMac(0.0), _streams(2, 2), 0.0
+                shards, config, AlphaSchedule(np.ones(3)), AwgnMac(0.0), _streams(2, 2),
+                _optimum(shards),
             )
 
     def test_noise_free_gap_mostly_decreasing(self, rng):
         # well-conditioned sanity instance: realizable least squares, where the
         # SGD gradient variance vanishes at the optimum
-        from otafl.objectives import hessian, solve_optimum
-
         shards = make_shards(rng, n_users=8, per_user=100, dim=6, noise_std=0.0)
         lam = 0.0
         eigs = np.linalg.eigvalsh(hessian(shards, lam))
         mu, smoothness = float(eigs[0]), float(eigs[-1])
-        _, f_star = solve_optimum(shards, lam)
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=10, rounds=25,
             step=StepSchedule("final_model", shift=max(8 * smoothness / mu, 10.0), mu=mu),
             theta0_std=5.0, ridge_lambda=lam,
         )
-        traces = run_training(shards, config, None, NoiselessOrthogonal(), _streams(8, 8), f_star)
+        traces = run_training(
+            shards, config, None, NoiselessOrthogonal(), _streams(8, 8), _optimum(shards, lam)
+        )
         gaps = np.array([t.gap for t in traces])
         assert np.all(gaps >= -1e-9)
         frac_decreasing = np.mean(np.diff(gaps) <= 0)
