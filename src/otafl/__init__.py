@@ -25,10 +25,7 @@ from .bounds import (
 )
 from .channel import (
     RAYLEIGH_UNIT_POWER_SCALE,
-    AwgnMac,
-    FadingMac,
     FadingRealization,
-    NoiselessOrthogonal,
     awgn_mac,
     fading_mac,
     orthogonal_noiseless,

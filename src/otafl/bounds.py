@@ -62,6 +62,38 @@ def partial_participation_penalty(c: ProblemConstants, participants: int) -> flo
     return 4.0 * (c.N - participants) / (participants * (c.N - 1)) * c.H**2 * c.G2
 
 
+SCHEDULE_KINDS = ("averaged_model", "final_model")
+
+
+def schedule_shift(kind: str, ratio: float, local_steps: int) -> tuple[float, float]:
+    """Shift floor and auto shift of a step schedule kind, given L/mu and H.
+
+    The averaged-model schedule 4/(mu*(a+t)) needs a > max(16*L/mu, H) and
+    takes the floor plus 1 as its auto shift; the final-model schedule
+    2/(mu*(gamma+t)) needs gamma >= max(8*L/mu, H) and takes the floor itself.
+    """
+    if kind == "averaged_model":
+        floor = max(16.0 * ratio, float(local_steps))
+        return floor, floor + 1.0
+    if kind == "final_model":
+        floor = max(8.0 * ratio, float(local_steps))
+        return floor, floor
+    raise ValueError(f"unknown schedule kind {kind!r}")
+
+
+def check_shift(kind: str, shift: float, ratio: float, local_steps: int) -> None:
+    """Raise unless shift clears the floor of its schedule kind.
+
+    A 1e-9 relative tolerance absorbs summation-order noise in L/mu.
+    """
+    floor, _ = schedule_shift(kind, ratio, local_steps)
+    low = floor * (1.0 - 1e-9)
+    if kind == "averaged_model" and not shift > low:
+        raise ValueError(f"{kind} schedule needs shift > {floor:.6g}, got {shift:.6g}")
+    if kind == "final_model" and shift < low:
+        raise ValueError(f"{kind} schedule needs shift >= {floor:.6g}, got {shift:.6g}")
+
+
 def weight_sum(shift: float, local_steps: int, rounds: int) -> float:
     """Sum of the averaging weights (shift + r*H)^2 over rounds r = 1..R.
 
@@ -101,10 +133,7 @@ def bound_weighted_average(inputs: BoundInputs) -> float:
     """Bound on the expected gap of the weighted-average model after T steps."""
     c = inputs.constants
     a, t_total = inputs.shift, inputs.total_steps
-    floor = max(16.0 * c.L / c.mu, float(c.H))
-    # a 1e-9 relative tolerance absorbs summation-order noise in L/mu estimates
-    if not a > floor * (1.0 - 1e-9):
-        raise ValueError(f"weighted-average bound needs shift > {floor:.6g}, got {a:.6g}")
+    check_shift("averaged_model", a, c.L / c.mu, c.H)
     rounds = t_total // c.H
     s = weight_sum(a, c.H, rounds)
     b = base_error_constant(c)
@@ -126,9 +155,7 @@ def bound_weighted_average(inputs: BoundInputs) -> float:
 def _final_model_bound(inputs: BoundInputs, error_constant: float) -> float:
     c = inputs.constants
     gamma, t_total = inputs.shift, inputs.total_steps
-    floor = max(8.0 * c.L / c.mu, float(c.H))
-    if gamma < floor * (1.0 - 1e-9):
-        raise ValueError(f"final-model bound needs shift >= {floor:.6g}, got {gamma:.6g}")
+    check_shift("final_model", gamma, c.L / c.mu, c.H)
     numerator = 2.0 * c.L * max(4.0 * error_constant, c.mu**2 * gamma * inputs.delta0)
     return numerator / (c.mu**2 * (t_total + gamma))
 

@@ -9,45 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 # Rayleigh scale giving E[h^2] = 1 (unit average power gain).
 RAYLEIGH_UNIT_POWER_SCALE = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class NoiselessOrthogonal:
-    """Ideal per-user channels: the server sees every input exactly."""
-
-
-@dataclass(frozen=True)
-class AwgnMac:
-    """Additive-noise multiple access channel: inputs superimpose, plus noise."""
-
-    sigma_w2: float
-
-    def __post_init__(self):
-        if self.sigma_w2 < 0:
-            raise ValueError("sigma_w2 must be non-negative")
-
-
-@dataclass(frozen=True)
-class FadingMac:
-    """Block-fading MAC: per-user magnitudes drawn i.i.d. Rayleigh each round."""
-
-    sigma_w2: float
-    rayleigh_scale: float = RAYLEIGH_UNIT_POWER_SCALE
-
-    def __post_init__(self):
-        if self.sigma_w2 < 0:
-            raise ValueError("sigma_w2 must be non-negative")
-        if self.rayleigh_scale <= 0:
-            raise ValueError("rayleigh_scale must be positive")
-
-
-ChannelKind = Union[NoiselessOrthogonal, AwgnMac, FadingMac]
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .bounds import (
 )
 from .data import Dataset, PartitionSpec, load_csv, partition, save_csv
 from .rng import stream_generator
+from .trainer import SCHEME_TABLE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,11 +154,15 @@ def _cmd_bound(args) -> int:
 
 def _cmd_estimate_alpha(args) -> int:
     config = harness.load_config(args.config)
-    resolved = harness.resolve(config, ["cotaf" if config.channel.kind == "awgn_mac" else "cotaf_fading"])
-    if resolved.alpha_schedule is None:  # pragma: no cover - resolve always builds it here
-        raise RuntimeError("alpha schedule resolution failed")
-    resolved.alpha_schedule.save(args.out)
-    print(f"wrote alpha schedule for {resolved.alpha_schedule.rounds} rounds to {args.out}")
+    kind = config.channel.kind
+    # the precoded scheme that runs over each channel kind
+    precoded = {k: s for s, spec in SCHEME_TABLE.items() if spec.needs_alpha for k in spec.channels}
+    if kind not in precoded:
+        accepted = " or ".join(map(repr, precoded))
+        raise ValueError(f"estimate-alpha needs channel kind {accepted}, got {kind!r}")
+    schedule = harness.resolve(config, [precoded[kind]]).alpha_schedule
+    schedule.save(args.out)
+    print(f"wrote alpha schedule for {schedule.rounds} rounds to {args.out}")
     return 0
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import RegressionSample, ShardBlock
+from .types import ShardBlock
 
 logger = logging.getLogger(__name__)
 
@@ -44,9 +44,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, index: int) -> RegressionSample:
-        return RegressionSample(self.features[index], self.targets[index])
 
 
 @dataclass(frozen=True)

@@ -22,27 +22,26 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bounds import BoundInputs
-from .channel import (
-    RAYLEIGH_UNIT_POWER_SCALE,
-    AwgnMac,
-    ChannelKind,
-    FadingMac,
-    NoiselessOrthogonal,
-)
+from .bounds import SCHEDULE_KINDS, BoundInputs, schedule_shift
+from .channel import RAYLEIGH_UNIT_POWER_SCALE
 from .data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, standardize
 from .localsgd import DEFAULT_THETA0_STD
 from .objectives import ProbeBall, estimate_constants, hessian, solve_optimum
 from .precoding import AlphaSchedule, FadingPolicy, alpha_upper_bound_schedule, estimate_alpha_mc
 from .rng import stream_generator
-from .trainer import SCHEMES, StepSchedule, TrainerConfig, TrialStreams, run_training
+from .trainer import (
+    CHANNEL_KINDS,
+    StepSchedule,
+    TrainerConfig,
+    TrialStreams,
+    run_training,
+    scheme_spec,
+)
 from .types import ProblemConstants, ShardBlock, UserShard
 
 POWER = 1.0
 
-_SCHEDULE_KINDS = ("averaged_model", "final_model")
 _ALPHA_SOURCES = ("mc_pilot", "analytic_bound", "file")
-_CHANNEL_KINDS = ("noiseless_orthogonal", "awgn_mac", "fading_mac")
 
 
 def _check_keys(doc: Mapping, allowed: Sequence[str], where: str) -> None:
@@ -77,8 +76,8 @@ class ScheduleSpec:
     shift: float | str = "auto"  # numeric, or "auto" for the smallest valid shift
 
     def __post_init__(self):
-        if self.kind not in _SCHEDULE_KINDS:
-            raise ValueError(f"schedule kind must be one of {_SCHEDULE_KINDS}")
+        if self.kind not in SCHEDULE_KINDS:
+            raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}")
         if isinstance(self.shift, str) and self.shift != "auto":
             raise ValueError("schedule shift must be a number or 'auto'")
 
@@ -94,8 +93,7 @@ class TrainerSpec:
     non_precoded_gain: float | None = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        scheme_spec(self.scheme)
         if self.local_steps < 1 or self.rounds < 1:
             raise ValueError("local_steps and rounds must be >= 1")
 
@@ -110,8 +108,8 @@ class ChannelSpec:
     h_min: float | None = None  # explicit censoring threshold, overrides eligibility
 
     def __post_init__(self):
-        if self.kind not in _CHANNEL_KINDS:
-            raise ValueError(f"channel kind must be one of {_CHANNEL_KINDS}")
+        if self.kind not in CHANNEL_KINDS:
+            raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite")
         if not (0.0 < self.eligibility < 1.0):
@@ -313,12 +311,8 @@ def _curvature(dataset: Dataset, lam: float) -> tuple[float, float]:
 def _resolve_schedule(
     spec: ScheduleSpec, mu: float, smoothness: float, local_steps: int
 ) -> StepSchedule:
-    ratio = smoothness / mu
     if spec.shift == "auto":
-        if spec.kind == "averaged_model":
-            shift = max(16.0 * ratio, float(local_steps)) + 1.0
-        else:
-            shift = max(8.0 * ratio, float(local_steps))
+        _, shift = schedule_shift(spec.kind, smoothness / mu, local_steps)
     else:
         shift = float(spec.shift)
     schedule = StepSchedule(kind=spec.kind, shift=shift, mu=mu)
@@ -391,13 +385,7 @@ def _resolve_alpha(
 def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> ResolvedExperiment:
     """Materialize the deterministic parts of an experiment."""
     schemes = list(schemes) if schemes is not None else [config.trainer.scheme]
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        if scheme in ("cotaf", "non_precoded_ota") and config.channel.kind != "awgn_mac":
-            raise ValueError(f"scheme {scheme} needs channel kind 'awgn_mac'")
-        if scheme == "cotaf_fading" and config.channel.kind != "fading_mac":
-            raise ValueError("scheme cotaf_fading needs channel kind 'fading_mac'")
+    specs = [scheme_spec(scheme, config.channel.kind) for scheme in schemes]
 
     dataset = build_dataset(config)
     sigma_w2 = sigma_from_snr(config.channel.snr_db)
@@ -413,10 +401,14 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
             k = max(1, min(config.users, round(config.channel.eligibility * config.users)))
         if not (1 <= k <= config.users):
             raise ValueError(f"participants must lie in [1, {config.users}]")
-        fading_policy = FadingPolicy(h_min=calibrated_h_min(config.channel), participants=k)
+        fading_policy = FadingPolicy(
+            h_min=calibrated_h_min(config.channel),
+            participants=k,
+            rayleigh_scale=config.channel.rayleigh_scale,
+        )
 
     alpha_schedule = None
-    if any(s in ("cotaf", "cotaf_fading") for s in schemes):
+    if any(spec.needs_alpha for spec in specs):
         alpha_schedule = _resolve_alpha(config, dataset, schedule, sigma_w2)
 
     return ResolvedExperiment(
@@ -442,16 +434,9 @@ def _trainer_config(resolved: ResolvedExperiment, scheme: str) -> TrainerConfig:
         theta0_std=trainer.theta0_std,
         power=POWER,
         non_precoded_gain=trainer.non_precoded_gain,
-        fading=resolved.fading_policy if scheme == "cotaf_fading" else None,
+        sigma_w2=resolved.sigma_w2,
+        fading=resolved.fading_policy if scheme_spec(scheme).fading else None,
     )
-
-
-def _channel_for_scheme(resolved: ResolvedExperiment, scheme: str) -> ChannelKind:
-    if scheme == "noise_free_local_sgd":
-        return NoiselessOrthogonal()
-    if scheme == "cotaf_fading":
-        return FadingMac(resolved.sigma_w2, resolved.config.channel.rayleigh_scale)
-    return AwgnMac(resolved.sigma_w2)
 
 
 def trial_streams(config: ExperimentConfig, trial: int, scheme: str) -> TrialStreams:
@@ -533,7 +518,6 @@ def simulate_trials(
                     shards,
                     _trainer_config(resolved, scheme),
                     resolved.alpha_schedule,
-                    _channel_for_scheme(resolved, scheme),
                     trial_streams(config, trial, scheme),
                     (theta_star, hess),
                 )
@@ -837,11 +821,7 @@ def estimate_bound_inputs(
         # evaluate the bound at the schedule the training actually uses
         shift = resolved.schedule.shift
     else:
-        ratio = merged.L / merged.mu
-        if kind == "averaged_model":
-            shift = max(16.0 * ratio, float(trainer.local_steps)) + 1.0
-        else:
-            shift = max(8.0 * ratio, float(trainer.local_steps))
+        _, shift = schedule_shift(kind, merged.L / merged.mu, trainer.local_steps)
     policy = resolved.fading_policy
     return BoundInputs(
         constants=merged,

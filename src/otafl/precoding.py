@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import FadingRealization
+from .channel import RAYLEIGH_UNIT_POWER_SCALE, FadingRealization
 from .localsgd import DEFAULT_THETA0_STD, StepFn, local_pass
 from .types import ShardBlock, UserShard
 
@@ -66,12 +66,16 @@ class AlphaSchedule:
 
 @dataclass(frozen=True)
 class FadingPolicy:
-    """Censoring threshold and target participant count for fading rounds."""
+    """Censoring threshold, target participant count and Rayleigh scale of the
+    fading rounds."""
 
     h_min: float
     participants: int
+    rayleigh_scale: float = RAYLEIGH_UNIT_POWER_SCALE
 
     def __post_init__(self):
+        if self.rayleigh_scale <= 0:
+            raise ValueError("rayleigh_scale must be positive")
         if self.h_min <= 0:
             raise ValueError("h_min must be positive")
         if self.participants < 1:

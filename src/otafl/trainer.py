@@ -14,12 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import SCHEDULE_KINDS, check_shift
 from .channel import (
-    AwgnMac,
-    ChannelKind,
-    FadingMac,
     FadingRealization,
-    NoiselessOrthogonal,
     awgn_mac,
     fading_mac,
     orthogonal_noiseless,
@@ -39,7 +36,39 @@ from .precoding import (
 )
 from .types import ShardBlock, UserShard
 
-SCHEMES = ("cotaf", "cotaf_fading", "non_precoded_ota", "noise_free_local_sgd")
+CHANNEL_KINDS = ("noiseless_orthogonal", "awgn_mac", "fading_mac")
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """What a scheme runs over and what it needs besides data and streams."""
+
+    channels: tuple[str, ...]  # config channel kinds the scheme runs over
+    needs_alpha: bool  # precoded: scaled by a per-round alpha schedule
+    fading: bool  # K of N users participate under a FadingPolicy
+
+
+# Each scheme brings its own channel: the OTA schemes the AWGN MAC, the
+# fading extension the Rayleigh MAC, and the error-free baseline none at all.
+SCHEME_TABLE = {
+    "cotaf": SchemeSpec(("awgn_mac",), needs_alpha=True, fading=False),
+    "cotaf_fading": SchemeSpec(("fading_mac",), needs_alpha=True, fading=True),
+    "non_precoded_ota": SchemeSpec(("awgn_mac",), needs_alpha=False, fading=False),
+    "noise_free_local_sgd": SchemeSpec(CHANNEL_KINDS, needs_alpha=False, fading=False),
+}
+SCHEMES = tuple(SCHEME_TABLE)
+
+
+def scheme_spec(scheme: str, channel_kind: str | None = None) -> SchemeSpec:
+    """The table row of a scheme; raises if it does not run over channel_kind."""
+    if scheme not in SCHEME_TABLE:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    spec = SCHEME_TABLE[scheme]
+    if channel_kind is not None and channel_kind not in spec.channels:
+        kinds = " or ".join(repr(kind) for kind in spec.channels)
+        raise ValueError(f"scheme {scheme} needs channel kind {kinds}, got {channel_kind!r}")
+    return spec
+
 
 # A fading round is re-drawn while fewer than K users are eligible; a run that
 # needs more redraws than this is misconfigured (h_min far too high).
@@ -48,13 +77,13 @@ MAX_WAIT_REDRAWS = 100_000
 
 def step_averaged_model(t: int, mu: float, a: float) -> float:
     """Decaying step size 4/(mu*(a+t)) used when the deliverable is the
-    weighted-average model; valid for shift a > max(16*L/mu, H)."""
+    weighted-average model; bounds.schedule_shift gives the floor on a."""
     return 4.0 / (mu * (a + t))
 
 
 def step_final_model(t: int, mu: float, gamma: float) -> float:
     """Decaying step size 2/(mu*(gamma+t)) used when the deliverable is the
-    final (instantaneous) model; valid for shift gamma >= max(8*L/mu, H)."""
+    final (instantaneous) model; bounds.schedule_shift gives the floor on gamma."""
     return 2.0 / (mu * (gamma + t))
 
 
@@ -67,7 +96,7 @@ class StepSchedule:
     mu: float
 
     def __post_init__(self):
-        if self.kind not in ("averaged_model", "final_model"):
+        if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.shift <= 0 or self.mu <= 0:
             raise ValueError("shift and mu must be positive")
@@ -78,28 +107,18 @@ class StepSchedule:
         return step_final_model(t, self.mu, self.shift)
 
     def validate_against(self, smoothness: float, local_steps: int) -> None:
-        """Enforce the shift lower bound given the smoothness constant L.
-
-        A 1e-9 relative tolerance absorbs summation-order noise in L/mu.
-        """
-        ratio = smoothness / self.mu
-        if self.kind == "averaged_model":
-            floor = max(16.0 * ratio, float(local_steps))
-            if not self.shift > floor * (1.0 - 1e-9):
-                raise ValueError(
-                    f"averaged_model schedule needs shift > {floor:.6g}, got {self.shift:.6g}"
-                )
-        else:
-            floor = max(8.0 * ratio, float(local_steps))
-            if self.shift < floor * (1.0 - 1e-9):
-                raise ValueError(
-                    f"final_model schedule needs shift >= {floor:.6g}, got {self.shift:.6g}"
-                )
+        """Enforce the shift lower bound given the smoothness constant L."""
+        check_shift(self.kind, self.shift, smoothness / self.mu, local_steps)
 
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Everything one training run needs besides data, channel, and streams."""
+    """Everything one training run needs besides data and streams.
+
+    sigma_w2 is the noise variance per coordinate of the scheme's MAC; the
+    noise-free baseline ignores it. A fading scheme takes a FadingPolicy,
+    which also holds the Rayleigh scale of its channel.
+    """
 
     scheme: str
     local_steps: int
@@ -109,17 +128,20 @@ class TrainerConfig:
     theta0_std: float = DEFAULT_THETA0_STD
     power: float = 1.0
     non_precoded_gain: float | None = None
+    sigma_w2: float = 0.0
     fading: FadingPolicy | None = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        spec = scheme_spec(self.scheme)
         if self.local_steps < 1 or self.rounds < 0:
             raise ValueError("local_steps must be >= 1 and rounds >= 0")
         if self.ridge_lambda < 0 or self.theta0_std < 0 or self.power <= 0:
             raise ValueError("invalid ridge_lambda / theta0_std / power")
-        if self.scheme == "cotaf_fading" and self.fading is None:
-            raise ValueError("cotaf_fading requires a FadingPolicy")
+        if self.sigma_w2 < 0:
+            raise ValueError("sigma_w2 must be non-negative")
+        if spec.fading != (self.fading is not None):
+            need = "requires a" if spec.fading else "takes no"
+            raise ValueError(f"{self.scheme} {need} FadingPolicy")
 
     @property
     def gain(self) -> float:
@@ -175,7 +197,6 @@ def run_round(
     shards: Sequence[UserShard],
     config: TrainerConfig,
     alpha: float | None,
-    channel: ChannelKind,
     streams: TrialStreams,
     round_index: int,
     optimum: tuple[np.ndarray, np.ndarray],
@@ -186,8 +207,11 @@ def run_round(
     optimum is the pair (theta*, Hessian) the gap is measured against.
     indices holds the round's (N, H) sample indices, user n taking
     indices[n, j] at local step j; run_training slices them from the draws
-    it makes for the whole run.
+    it makes for the whole run. alpha is the round's precoding coefficient,
+    which only the precoded schemes use.
     """
+    if SCHEME_TABLE[config.scheme].needs_alpha and alpha is None:
+        raise ValueError(f"{config.scheme} needs an alpha coefficient")
     block = ShardBlock.of(shards)
     n_users = len(block)
     h = config.local_steps
@@ -208,30 +232,20 @@ def run_round(
         new_theta = np.mean(received, axis=0)
         powers = _transmit_powers(deltas)
     elif config.scheme == "cotaf":
-        if not isinstance(channel, AwgnMac):
-            raise ValueError("cotaf runs over an AwgnMac channel")
-        if alpha is None:
-            raise ValueError("cotaf needs an alpha coefficient")
         signals = precode(deltas, alpha)
-        y = awgn_mac(signals, channel.sigma_w2, streams.noise, dim=global_theta.shape[0])
+        y = awgn_mac(signals, config.sigma_w2, streams.noise, dim=global_theta.shape[0])
         new_theta = decode(y, n_users, alpha, global_theta)
         powers = _transmit_powers(signals)
     elif config.scheme == "non_precoded_ota":
-        if not isinstance(channel, AwgnMac):
-            raise ValueError("non_precoded_ota runs over an AwgnMac channel")
         gain = config.gain
         signals = gain * deltas
-        y = awgn_mac(signals, channel.sigma_w2, streams.noise, dim=global_theta.shape[0])
+        y = awgn_mac(signals, config.sigma_w2, streams.noise, dim=global_theta.shape[0])
         new_theta = y / (n_users * gain) + global_theta
         powers = _transmit_powers(signals)
     elif config.scheme == "cotaf_fading":
-        if not isinstance(channel, FadingMac):
-            raise ValueError("cotaf_fading runs over a FadingMac channel")
-        if alpha is None:
-            raise ValueError("cotaf_fading needs an alpha coefficient")
         policy = config.fading
         while True:
-            fades = sample_rayleigh(n_users, channel.rayleigh_scale, streams.fading)
+            fades = sample_rayleigh(n_users, policy.rayleigh_scale, streams.fading)
             participants = select_participants(fades, policy)
             if participants is not None:
                 break
@@ -254,13 +268,11 @@ def run_round(
         signals = np.stack(signals)
         idx = [uid - 1 for uid in participants]
         sub_fades = FadingRealization(fades.magnitudes[idx], fades.phases[idx])
-        y = fading_mac(signals, sub_fades, channel.sigma_w2, streams.noise)
+        y = fading_mac(signals, sub_fades, config.sigma_w2, streams.noise)
         new_theta = fading_decode(y, len(participants), alpha, policy.h_min, global_theta)
         all_powers = np.zeros(n_users)
         all_powers[idx] = _transmit_powers(signals)
         powers = all_powers
-    else:  # pragma: no cover - guarded by TrainerConfig
-        raise ValueError(f"unknown scheme {config.scheme!r}")
 
     gap = quadratic_gap(new_theta, *optimum)
     trace = RoundTrace(
@@ -279,7 +291,6 @@ def run_training(
     shards: Sequence[UserShard],
     config: TrainerConfig,
     alpha_schedule: AlphaSchedule | None,
-    channel: ChannelKind,
     streams: TrialStreams,
     optimum: tuple[np.ndarray, np.ndarray],
 ) -> list[RoundTrace]:
@@ -288,7 +299,7 @@ def run_training(
     optimum is the pair (theta*, Hessian) of the global objective on shards,
     against which each round's gap is measured.
     """
-    needs_alpha = config.scheme in ("cotaf", "cotaf_fading")
+    needs_alpha = SCHEME_TABLE[config.scheme].needs_alpha
     if needs_alpha:
         if alpha_schedule is None:
             raise ValueError(f"{config.scheme} needs an alpha schedule")
@@ -296,10 +307,6 @@ def run_training(
             raise ValueError(
                 f"alpha schedule covers {alpha_schedule.rounds} rounds, need {config.rounds}"
             )
-    if config.scheme == "noise_free_local_sgd" and not isinstance(
-        channel, (NoiselessOrthogonal, AwgnMac)
-    ):
-        raise ValueError("noise_free_local_sgd expects an orthogonal noiseless channel")
 
     block = ShardBlock.of(shards)
     n_users, shard_size, dim = block.features.shape
@@ -313,7 +320,7 @@ def run_training(
         alpha = alpha_schedule.alpha_for_round(r) if needs_alpha else None
         try:
             theta, trace = run_round(
-                theta, block, config, alpha, channel, streams, r, optimum,
+                theta, block, config, alpha, streams, r, optimum,
                 indices[:, (r - 1) * h : r * h],
             )
         except Exception as exc:

@@ -70,9 +70,6 @@ class UserShard:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def sample(self, index: int) -> RegressionSample:
-        return RegressionSample(self.features[index], self.targets[index])
-
 
 @dataclass(frozen=True, eq=False)
 class ShardBlock(Sequence[UserShard]):

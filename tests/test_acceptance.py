@@ -93,7 +93,6 @@ def test_criterion_01_noiseless_collapse():
             shards,
             harness._trainer_config(resolved, scheme),
             resolved.alpha_schedule,
-            harness._channel_for_scheme(resolved, scheme),
             harness.trial_streams(config, 0, scheme),
             (theta_star, hess),
         )
@@ -187,7 +186,6 @@ def test_weighted_average_bound_final_round():
             shards,
             harness._trainer_config(resolved, "cotaf"),
             resolved.alpha_schedule,
-            harness._channel_for_scheme(resolved, "cotaf"),
             harness.trial_streams(config, trial, "cotaf"),
             (theta_star, hess),
         )

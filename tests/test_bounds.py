@@ -11,8 +11,10 @@ from otafl.bounds import (
     bound_final_model_fading,
     bound_weighted_average,
     channel_error_constant,
+    check_shift,
     fading_channel_error_constant,
     partial_participation_penalty,
+    schedule_shift,
     validate_dominance,
     weight_sum,
 )
@@ -85,6 +87,25 @@ def c_for_bounds(**overrides):
     )
     values.update(overrides)
     return ProblemConstants(**values)
+
+
+class TestScheduleShift:
+    def test_floor_and_auto_shift(self):
+        assert schedule_shift("averaged_model", 2.0, 10) == (32.0, 33.0)
+        assert schedule_shift("final_model", 2.0, 10) == (16.0, 16.0)
+        # H dominates a small condition number
+        assert schedule_shift("averaged_model", 0.5, 10) == (10.0, 11.0)
+        assert schedule_shift("final_model", 0.5, 10) == (10.0, 10.0)
+        with pytest.raises(ValueError, match="unknown schedule kind"):
+            schedule_shift("constant", 2.0, 10)
+
+    def test_check_against_floor(self):
+        check_shift("final_model", 16.0, 2.0, 10)
+        check_shift("averaged_model", 32.5, 2.0, 10)
+        with pytest.raises(ValueError, match="averaged_model schedule needs shift > 32"):
+            check_shift("averaged_model", 31.9, 2.0, 10)
+        with pytest.raises(ValueError, match="final_model schedule needs shift >= 16"):
+            check_shift("final_model", 15.9, 2.0, 10)
 
 
 class TestWeightedAverageBound:

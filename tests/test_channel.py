@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from otafl.channel import (
-    AwgnMac,
-    FadingMac,
     FadingRealization,
     awgn_mac,
     fading_mac,
@@ -107,9 +105,7 @@ def test_orthogonal_noiseless_identity(rng):
 
 
 def test_channel_kind_validation():
-    with pytest.raises(ValueError):
-        AwgnMac(-1.0)
-    with pytest.raises(ValueError):
-        FadingMac(0.0, rayleigh_scale=0.0)
+    # sigma_w2 and rayleigh_scale are checked by TrainerConfig and FadingPolicy
+    # (tests/test_trainer.py::TestTrainerConfig)
     with pytest.raises(ValueError):
         FadingRealization(np.array([0.0]), np.array([0.0]))

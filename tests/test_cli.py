@@ -66,6 +66,36 @@ def test_estimate_alpha_writes_schedule(config_path, tmp_path):
     assert np.all(schedule.values > 0)
 
 
+def _write_variant(config_path, tmp_path, **overrides):
+    doc = {**json.loads(config_path.read_text()), **overrides}
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_estimate_alpha_on_fading_config(config_path, tmp_path):
+    fading = _write_variant(
+        config_path, tmp_path, channel={"kind": "fading_mac", "snr_db": -6.0, "participants": 2}
+    )
+    out = tmp_path / "alpha.json"
+    assert main(["estimate-alpha", "--config", str(fading), "--out", str(out)]) == 0
+    assert AlphaSchedule.load(out).rounds == 4
+
+
+def test_estimate_alpha_names_the_accepted_channel_kinds(config_path, tmp_path, capsys):
+    noiseless = _write_variant(
+        config_path,
+        tmp_path,
+        trainer={"scheme": "noise_free_local_sgd", "local_steps": 2, "rounds": 4},
+        channel={"kind": "noiseless_orthogonal"},
+    )
+    out = tmp_path / "alpha.json"
+    assert main(["estimate-alpha", "--config", str(noiseless), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'awgn_mac' or 'fading_mac'" in err and "got 'noiseless_orthogonal'" in err
+    assert not out.exists()
+
+
 def test_simulate_with_alpha_file(config_path, tmp_path):
     alpha_path = tmp_path / "alpha.json"
     assert main(["estimate-alpha", "--config", str(config_path), "--out", str(alpha_path)]) == 0

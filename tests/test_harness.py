@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,8 +6,12 @@ import numpy as np
 import pytest
 
 from otafl import harness
-from otafl.bounds import bound_final_model, validate_dominance
-from otafl.channel import NoiselessOrthogonal
+from otafl.bounds import (
+    bound_final_model,
+    bound_weighted_average,
+    schedule_shift,
+    validate_dominance,
+)
 from otafl.data import partition
 from otafl.harness import (
     MetricsRow,
@@ -23,7 +28,7 @@ from otafl.harness import (
 )
 from otafl.objectives import hessian, solve_optimum
 from otafl.rng import stream_generator
-from otafl.trainer import run_training
+from otafl.trainer import CHANNEL_KINDS, SCHEMES, run_training
 
 
 def tiny_config(**overrides):
@@ -124,7 +129,6 @@ class TestRunExperiment:
             shards,
             harness._trainer_config(resolved, "noise_free_local_sgd"),
             None,
-            NoiselessOrthogonal(),
             harness.trial_streams(config, 0, "noise_free_local_sgd"),
             (theta_star, hess),
         )
@@ -167,9 +171,20 @@ class TestRunExperiment:
         assert 0.5 * 0.7 <= ratio <= 0.5 * 1.3
 
     def test_scheme_channel_mismatch_rejected(self):
-        config = tiny_config(channel={"kind": "fading_mac", "snr_db": -6.0})
-        with pytest.raises(ValueError, match="awgn_mac"):
-            simulate_trials(config, ["cotaf"])
+        # every (scheme, channel kind) pair: the accepted ones resolve, the
+        # rest name the kind the scheme needs
+        needed = {"cotaf": "awgn_mac", "non_precoded_ota": "awgn_mac", "cotaf_fading": "fading_mac"}
+        for scheme, kind in itertools.product(SCHEMES, CHANNEL_KINDS):
+            config = tiny_config(channel={"kind": kind, "snr_db": -6.0, "participants": 3})
+            if needed.get(scheme, kind) == kind:
+                resolved = harness.resolve(config, [scheme])
+                precoded = scheme in ("cotaf", "cotaf_fading")
+                assert (resolved.alpha_schedule is not None) == precoded, (scheme, kind)
+                assert (resolved.fading_policy is not None) == (kind == "fading_mac"), (scheme, kind)
+            else:
+                match = f"scheme {scheme} needs channel kind '{needed[scheme]}', got '{kind}'"
+                with pytest.raises(ValueError, match=match):
+                    harness.resolve(config, [scheme])
 
     def test_failures_name_trial_and_round(self, monkeypatch):
         import otafl.trainer as trainer_mod
@@ -280,6 +295,17 @@ class TestBoundInputs:
         )
         assert report.passed
 
+    def test_other_kind_shift_follows_the_auto_rule(self):
+        # the config trains with a final_model schedule; the averaged-model
+        # bound gets the auto shift of its own kind on the estimated constants
+        config = tiny_config()
+        inputs = harness.estimate_bound_inputs(config, kind="averaged_model")
+        c = inputs.constants
+        _, auto = schedule_shift("averaged_model", c.L / c.mu, config.trainer.local_steps)
+        assert inputs.shift == auto
+        assert inputs.shift != harness.resolve(config, ["noise_free_local_sgd"]).schedule.shift
+        assert bound_weighted_average(inputs) > 0
+
     def test_delta0_at_least_analytic(self):
         config = tiny_config()
         inputs = harness.estimate_bound_inputs(config)
@@ -310,3 +336,12 @@ class TestFadingExperiment:
         run = result.schemes["cotaf_fading"]
         assert np.all(run.participants == 3)
         assert np.all(run.gaps[:, -1] >= -1e-9)
+
+    def test_rayleigh_scale_reaches_the_policy(self):
+        channel = {"kind": "fading_mac", "snr_db": -6.0, "participants": 3, "rayleigh_scale": 1.3}
+        config = tiny_config(channel=channel)
+        policy = harness.resolve(config, ["noise_free_local_sgd"]).fading_policy
+        assert policy.rayleigh_scale == 1.3
+        assert math.exp(-policy.h_min**2 / (2 * 1.3**2)) == pytest.approx(0.8, rel=1e-12)
+        with pytest.raises(ValueError, match="rayleigh_scale must be positive"):
+            harness.resolve(tiny_config(channel={**channel, "rayleigh_scale": 0.0}), [])

@@ -80,7 +80,7 @@ class TestGlobalLoss:
         shard = UserShard(1, [[1.0, 2.0]], [1.0])
         theta = np.ones(2)
         assert global_loss(theta, [shard], 0.5) == pytest.approx(
-            ridge_loss(theta, shard.sample(0), 0.5)
+            ridge_loss(theta, RegressionSample(shard.features[0], shard.targets[0]), 0.5)
         )
 
     def test_identical_shards_symmetry(self, rng):

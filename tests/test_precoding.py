@@ -228,7 +228,8 @@ class TestEstimateAlphaMc:
                     model = theta
                     for j in range(h):
                         i = int(ref_rng.integers(len(shard)))
-                        model = model - step_fn(r * h + j) * ridge_grad(model, shard.sample(i), lam)
+                        sample = RegressionSample(shard.features[i], shard.targets[i])
+                        model = model - step_fn(r * h + j) * ridge_grad(model, sample, lam)
                     models.append(model)
                 sums[r] += [(m - theta) @ (m - theta) for m in models]
                 theta = np.mean(models, axis=0)

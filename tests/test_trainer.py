@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from otafl.channel import AwgnMac, FadingMac, NoiselessOrthogonal
 from otafl.localsgd import local_pass
 from otafl.objectives import global_grad, hessian, ridge_grad, solve_optimum
 from otafl.precoding import AlphaSchedule, FadingPolicy
@@ -16,7 +15,7 @@ from otafl.trainer import (
     step_final_model,
     weighted_average_model,
 )
-from otafl.types import ShardBlock
+from otafl.types import RegressionSample, ShardBlock
 
 from conftest import make_shards, single_shard
 
@@ -46,6 +45,10 @@ def _optimum(shards, lam=0.5):
     return theta_star, hess
 
 
+def _sample(shard, i):
+    return RegressionSample(shard.features[i], shard.targets[i])
+
+
 def _reference_local_models(theta0, shards, etas, user_rngs, lam):
     """Per-sample loop: one scalar index draw and one ridge_grad step at a time."""
     models = []
@@ -53,7 +56,7 @@ def _reference_local_models(theta0, shards, etas, user_rngs, lam):
         theta = theta0
         for eta in etas:
             i = int(rng.integers(len(shard)))
-            theta = theta - eta * ridge_grad(theta, shard.sample(i), lam)
+            theta = theta - eta * ridge_grad(theta, _sample(shard, i), lam)
         models.append(theta)
     return models
 
@@ -74,7 +77,7 @@ class TestSgdStep:
         indices = rng.integers(6, size=(4, 1))
         out = local_pass(thetas, shards.features, shards.targets, [0.1], indices, 0.5)
         expected = [
-            thetas[n] - 0.1 * ridge_grad(thetas[n], shards[n].sample(int(indices[n, 0])), 0.5)
+            thetas[n] - 0.1 * ridge_grad(thetas[n], _sample(shards[n], int(indices[n, 0])), 0.5)
             for n in range(4)
         ]
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
@@ -90,7 +93,7 @@ class TestSgdStep:
         steps = local_pass(theta, features, targets, [eta], indices, lam) - theta
         expected = -eta * global_grad(theta, [shard], lam)
         per_sample = np.stack(
-            [-eta * ridge_grad(theta, shard.sample(i), lam) for i in range(len(shard))]
+            [-eta * ridge_grad(theta, _sample(shard, i), lam) for i in range(len(shard))]
         )
         se = per_sample.std(axis=0) / np.sqrt(n_users)
         assert np.all(np.abs(steps.mean(axis=0) - expected) <= 3 * se + 1e-12)
@@ -141,6 +144,29 @@ class TestStepSchedules:
             StepSchedule("averaged_model", shift=10.0, mu=1.0).validate_against(1.0, 10)
 
 
+class TestTrainerConfig:
+    def test_channel_settings_validation(self):
+        with pytest.raises(ValueError, match="sigma_w2 must be non-negative"):
+            TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule(), sigma_w2=-1.0)
+        with pytest.raises(ValueError, match="rayleigh_scale must be positive"):
+            FadingPolicy(h_min=0.2, participants=1, rayleigh_scale=0.0)
+
+    def test_noise_free_ignores_sigma_w2(self, rng):
+        shards = make_shards(rng, n_users=3, per_user=10, dim=3)
+        thetas = []
+        for sigma_w2 in (0.0, 4.0):
+            config = TrainerConfig(
+                scheme="noise_free_local_sgd", local_steps=2, rounds=1, step=_schedule(),
+                sigma_w2=sigma_w2,
+            )
+            theta, _ = run_round(
+                np.zeros(3), shards, config, None, _streams(2, 3), 1, _optimum(shards),
+                _indices(2, 3, 10, 2),
+            )
+            thetas.append(theta)
+        np.testing.assert_array_equal(thetas[0], thetas[1])
+
+
 class TestRunRound:
     def test_single_user_noise_free_equals_plain_sgd(self, rng):
         shards = [single_shard(rng, n_samples=20, dim=3)]
@@ -150,7 +176,7 @@ class TestRunRound:
         )
         theta0 = rng.standard_normal(3)
         new_theta, trace = run_round(
-            theta0, shards, config, None, NoiselessOrthogonal(), _streams(3, 1), 1,
+            theta0, shards, config, None, _streams(3, 1), 1,
             _optimum(shards), _indices(3, 1, 20, 5),
         )
         etas = [schedule.eta(j) for j in range(5)]
@@ -166,13 +192,10 @@ class TestRunRound:
         schedule = _schedule()
         theta0 = rng.standard_normal(3)
         out = {}
-        for scheme, channel in (
-            ("noise_free_local_sgd", NoiselessOrthogonal()),
-            ("cotaf", AwgnMac(0.0)),
-        ):
+        for scheme in ("noise_free_local_sgd", "cotaf"):
             config = TrainerConfig(scheme=scheme, local_steps=4, rounds=1, step=schedule)
             theta, _ = run_round(
-                theta0, shards, config, 0.37, channel, _streams(5, 4), 1, _optimum(shards),
+                theta0, shards, config, 0.37, _streams(5, 4), 1, _optimum(shards),
                 _indices(5, 4, 15, 4),
             )
             out[scheme] = theta
@@ -187,17 +210,20 @@ class TestRunRound:
         schedule = _schedule()
         theta0 = rng.standard_normal(8)
         alpha, sigma_w2 = 0.9, 2.0
-        config = TrainerConfig(scheme="cotaf", local_steps=2, rounds=1, step=schedule)
+        clean_config = TrainerConfig(scheme="cotaf", local_steps=2, rounds=1, step=schedule)
+        noisy_config = TrainerConfig(
+            scheme="cotaf", local_steps=2, rounds=1, step=schedule, sigma_w2=sigma_w2
+        )
         optimum = _optimum(shards)
         indices = _indices(9, 3, 10, 2)
         errs = []
         for rep in range(1500):
             clean, _ = run_round(
-                theta0, shards, config, alpha, AwgnMac(0.0), _streams(9, 3, noise_seed=1), 1,
+                theta0, shards, clean_config, alpha, _streams(9, 3, noise_seed=1), 1,
                 optimum, indices,
             )
             noisy, _ = run_round(
-                theta0, shards, config, alpha, AwgnMac(sigma_w2),
+                theta0, shards, noisy_config, alpha,
                 _streams(9, 3, noise_seed=10_000 + rep), 1, optimum, indices,
             )
             errs.append(noisy - clean)
@@ -214,7 +240,7 @@ class TestRunRound:
         )
         theta0 = rng.standard_normal(3)
         new_theta, trace = run_round(
-            theta0, shards, config, 1.3, FadingMac(0.0), _streams(7, 5), 1, _optimum(shards),
+            theta0, shards, config, 1.3, _streams(7, 5), 1, _optimum(shards),
             _indices(7, 5, 10, 2),
         )
         assert trace.participants is not None and len(trace.participants) == 3
@@ -226,12 +252,21 @@ class TestRunRound:
         expected = np.mean([local_models[uid - 1] for uid in trace.participants], axis=0)
         np.testing.assert_allclose(new_theta, expected, atol=1e-10)
 
-    def test_scheme_channel_mismatch(self, rng):
+    def test_scheme_channel_mismatch(self):
+        # a scheme gets the channel settings of its own channel only: the
+        # FadingPolicy belongs to the fading MAC
+        policy = FadingPolicy(h_min=0.2, participants=1)
+        with pytest.raises(ValueError, match="cotaf takes no FadingPolicy"):
+            TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule(), fading=policy)
+        with pytest.raises(ValueError, match="cotaf_fading requires a FadingPolicy"):
+            TrainerConfig(scheme="cotaf_fading", local_steps=1, rounds=1, step=_schedule())
+
+    def test_missing_alpha_rejected(self, rng):
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)
         config = TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cotaf needs an alpha coefficient"):
             run_round(
-                np.zeros(3), shards, config, 1.0, NoiselessOrthogonal(), _streams(1, 2), 1,
+                np.zeros(3), shards, config, None, _streams(1, 2), 1,
                 _optimum(shards), _indices(1, 2, 10, 1),
             )
 
@@ -242,13 +277,12 @@ class TestRunRound:
         )
         with pytest.raises(ValueError, match=r"sizes \[10, 12\]"):
             run_round(
-                np.zeros(3), shards, config, None, NoiselessOrthogonal(), _streams(1, 2), 1,
+                np.zeros(3), shards, config, None, _streams(1, 2), 1,
                 (np.zeros(3), np.eye(3)), np.zeros((2, 1), dtype=int),
             )
         with pytest.raises(ValueError, match=r"sizes \[10, 12\]"):
             run_training(
-                shards, config, None, NoiselessOrthogonal(), _streams(1, 2),
-                (np.zeros(3), np.eye(3)),
+                shards, config, None, _streams(1, 2), (np.zeros(3), np.eye(3)),
             )
 
 
@@ -259,7 +293,7 @@ class TestRunTraining:
             scheme="noise_free_local_sgd", local_steps=3, rounds=0, step=_schedule()
         )
         traces = run_training(
-            shards, config, None, NoiselessOrthogonal(), _streams(4, 2), _optimum(shards)
+            shards, config, None, _streams(4, 2), _optimum(shards)
         )
         assert traces == []
 
@@ -270,7 +304,7 @@ class TestRunTraining:
         )
         with pytest.raises(ValueError, match="need 3 user streams, got 2"):
             run_training(
-                shards, config, None, NoiselessOrthogonal(), _streams(1, 2), _optimum(shards)
+                shards, config, None, _streams(1, 2), _optimum(shards)
             )
 
     def test_noise_free_run_equals_per_sample_reference(self, rng):
@@ -282,7 +316,7 @@ class TestRunTraining:
             scheme="noise_free_local_sgd", local_steps=4, rounds=3, step=schedule
         )
         traces = run_training(
-            shards, config, None, NoiselessOrthogonal(), _streams(6, 3), _optimum(shards)
+            shards, config, None, _streams(6, 3), _optimum(shards)
         )
         streams = _streams(6, 3)
         theta = streams.init.normal(0.0, config.theta0_std, 4)
@@ -296,13 +330,13 @@ class TestRunTraining:
 
     def test_deterministic_replay(self, rng):
         shards = make_shards(rng, n_users=3, per_user=12, dim=4)
-        config = TrainerConfig(scheme="cotaf", local_steps=3, rounds=5, step=_schedule())
+        config = TrainerConfig(
+            scheme="cotaf", local_steps=3, rounds=5, step=_schedule(), sigma_w2=1.0
+        )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 5))
         runs = []
         for _ in range(2):
-            traces = run_training(
-                shards, config, alpha, AwgnMac(1.0), _streams(6, 3), _optimum(shards)
-            )
+            traces = run_training(shards, config, alpha, _streams(6, 3), _optimum(shards))
             runs.append(traces)
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a.theta_global, b.theta_global)
@@ -313,8 +347,7 @@ class TestRunTraining:
         config = TrainerConfig(scheme="cotaf", local_steps=2, rounds=5, step=_schedule())
         with pytest.raises(ValueError, match="covers"):
             run_training(
-                shards, config, AlphaSchedule(np.ones(3)), AwgnMac(0.0), _streams(2, 2),
-                _optimum(shards),
+                shards, config, AlphaSchedule(np.ones(3)), _streams(2, 2), _optimum(shards)
             )
 
     def test_noise_free_gap_mostly_decreasing(self, rng):
@@ -330,7 +363,7 @@ class TestRunTraining:
             theta0_std=5.0, ridge_lambda=lam,
         )
         traces = run_training(
-            shards, config, None, NoiselessOrthogonal(), _streams(8, 8), _optimum(shards, lam)
+            shards, config, None, _streams(8, 8), _optimum(shards, lam)
         )
         gaps = np.array([t.gap for t in traces])
         assert np.all(gaps >= -1e-9)
