@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -37,11 +37,12 @@ from .trainer import (
     run_training,
     scheme_spec,
 )
-from .types import ProblemConstants, ShardBlock, UserShard
+from .types import ShardBlock, UserShard
 
 POWER = 1.0
 
 _ALPHA_SOURCES = ("mc_pilot", "analytic_bound", "file")
+_FADING_ONLY_KEYS = ("rayleigh_scale", "participants", "eligibility", "h_min")
 
 
 def _check_keys(doc: Mapping, allowed: Sequence[str], where: str) -> None:
@@ -214,13 +215,13 @@ def parse_config(doc: Mapping) -> ExperimentConfig:
     )
 
     channel_doc = dict(_require(doc, "channel", "config"))
-    _check_keys(
-        channel_doc,
-        ["kind", "snr_db", "rayleigh_scale", "participants", "eligibility", "h_min"],
-        "channel",
-    )
+    _check_keys(channel_doc, ["kind", "snr_db", *_FADING_ONLY_KEYS], "channel")
+    channel_kind = str(_require(channel_doc, "kind", "channel"))
+    for key in _FADING_ONLY_KEYS:
+        if key in channel_doc and channel_kind != "fading_mac":
+            raise ValueError(f"channel key {key!r} needs kind 'fading_mac', got {channel_kind!r}")
     channel = ChannelSpec(
-        kind=str(_require(channel_doc, "kind", "channel")),
+        kind=channel_kind,
         snr_db=None if channel_doc.get("snr_db") is None else float(channel_doc["snr_db"]),
         rayleigh_scale=float(channel_doc.get("rayleigh_scale", RAYLEIGH_UNIT_POWER_SCALE)),
         participants=(
@@ -787,13 +788,15 @@ def estimate_bound_inputs(
     delta0 = max(analytic_delta0, float(np.mean(empirical)))
 
     ball = ProbeBall(center=theta_star, radius=2.0 * math.sqrt(delta0), count=probe_count)
-    merged: ProblemConstants | None = None
-    for i in range(partition_samples):
-        shards = partition(
-            dataset, config.partition_spec, stream_generator(config.seed, f"bound/partition{i}")
-        )
-        c = estimate_constants(
-            shards,
+    # partition() is an argument, so each draw's shard block is freed before
+    # the next one is gathered
+    draws = [
+        estimate_constants(
+            partition(
+                dataset,
+                config.partition_spec,
+                stream_generator(config.seed, f"bound/partition{i}"),
+            ),
             lam,
             ball,
             stream_generator(config.seed, "bound/probe"),
@@ -801,21 +804,16 @@ def estimate_bound_inputs(
             P=POWER,
             sigma_w2=resolved.sigma_w2,
         )
-        if merged is None:
-            merged = c
-        else:
-            merged = ProblemConstants(
-                L=max(merged.L, c.L),
-                mu=min(merged.mu, c.mu),
-                G2=max(merged.G2, c.G2),
-                Mn2=np.maximum(merged.Mn2, c.Mn2),
-                Gamma=max(merged.Gamma, c.Gamma),
-                d=c.d,
-                N=c.N,
-                H=c.H,
-                P=c.P,
-                sigma_w2=c.sigma_w2,
-            )
+        for i in range(partition_samples)
+    ]
+    merged = replace(
+        draws[0],
+        L=max(c.L for c in draws),
+        mu=min(c.mu for c in draws),
+        G2=max(c.G2 for c in draws),
+        Mn2=np.max([c.Mn2 for c in draws], axis=0),
+        Gamma=max(c.Gamma for c in draws),
+    )
 
     if config.trainer.schedule.kind == kind:
         # evaluate the bound at the schedule the training actually uses

@@ -73,12 +73,6 @@ def hessian(shards: Sequence[UserShard], lam: float) -> np.ndarray:
     return gram + lam * np.eye(d)
 
 
-def _normal_equations(features: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    gram = features.T @ features / features.shape[0] + lam * np.eye(features.shape[1])
-    rhs = features.T @ targets / features.shape[0]
-    return np.linalg.solve(gram, rhs)
-
-
 def solve_optimum(
     shards: Sequence[UserShard], lam: float, hess: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
@@ -172,41 +166,44 @@ def estimate_constants(
         if probes.ndim != 2 or probes.shape[0] == 0:
             raise ValueError("probe_region must be a non-empty (n, d) array")
 
-    hess = hessian(shards, lam)
+    n_users, d = len(shards), shards[0].feature_dim
+    grams = np.empty((n_users, d, d))
+    moments = np.empty((n_users, d))
+    probes_t = probes.T
+    reg_sq = lam * lam * np.einsum("pj,pj->p", probes, probes)
+    g2 = 0.0
+    mn2 = np.zeros(n_users)
+    # one pass per shard (ragged shard lists work); the (D_n, p) blocks below
+    # are the largest temporaries, never an (N, D_n, p) stack
+    for n, shard in enumerate(shards):
+        features, targets, size = shard.features, shard.targets, len(shard)
+        grams[n] = features.T @ features / size
+        moments[n] = features.T @ targets / size
+        projections = features @ probes_t
+        residuals = projections - targets[:, None]
+        sq_feature_norms = np.einsum("ij,ij->i", features, features)
+        # mean_i || r_i x_i + lam theta ||^2 per probe, expanded to avoid (D, d) temporaries
+        second_moment = (
+            sq_feature_norms @ (residuals * residuals)
+            + 2.0 * lam * np.einsum("ip,ip->p", residuals, projections)
+        ) / size + reg_sq
+        mean_grad = grams[n] @ probes_t - moments[n][:, None] + lam * probes_t
+        variance = second_moment - np.einsum("jp,jp->p", mean_grad, mean_grad)
+        g2 = max(g2, float(second_moment.max()))
+        mn2[n] = max(float(variance.max()), 0.0)
+
+    eye = np.eye(d)
+    hess = grams.mean(axis=0) + lam * eye
     try:
         eigs = np.linalg.eigvalsh(hess)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numerically exotic
         raise ValueError(f"eigenvalue solver failed on the objective Hessian: {exc}")
     mu, smoothness = float(eigs[0]), float(eigs[-1])
 
-    n_users = len(shards)
-    g2 = 0.0
-    mn2 = np.zeros(n_users)
-    for n, shard in enumerate(shards):
-        features, targets = shard.features, shard.targets
-        sq_feature_norms = np.einsum("ij,ij->i", features, features)
-        for theta in probes:
-            residuals = features @ theta - targets
-            projections = features @ theta
-            theta_sq = theta @ theta
-            # mean_i || r_i x_i + lam theta ||^2, expanded to avoid (D, d) temporaries
-            second_moment = float(
-                np.mean(
-                    residuals * residuals * sq_feature_norms
-                    + 2.0 * lam * residuals * projections
-                )
-                + lam * lam * theta_sq
-            )
-            mean_grad = features.T @ residuals / len(shard) + lam * theta
-            variance = max(second_moment - float(mean_grad @ mean_grad), 0.0)
-            g2 = max(g2, second_moment)
-            mn2[n] = max(mn2[n], variance)
-
-    _, f_star = solve_optimum(shards, lam, hess)
-    local_minima = []
-    for shard in shards:
-        theta_n = _normal_equations(shard.features, shard.targets, lam)
-        local_minima.append(_shard_loss(theta_n, shard, lam))
+    theta_star = np.linalg.solve(hess, moments.mean(axis=0))
+    f_star = global_loss(theta_star, shards, lam)
+    local_optima = np.linalg.solve(grams + lam * eye, moments[:, :, None])[:, :, 0]
+    local_minima = [_shard_loss(theta, shard, lam) for theta, shard in zip(local_optima, shards)]
     gamma = max(f_star - float(np.mean(local_minima)), 0.0)
 
     return ProblemConstants(
@@ -215,7 +212,7 @@ def estimate_constants(
         G2=safety * g2,
         Mn2=safety * mn2,
         Gamma=gamma,
-        d=shards[0].feature_dim,
+        d=d,
         N=n_users,
         H=H,
         P=P,

@@ -26,7 +26,7 @@ from otafl.harness import (
     sigma_from_snr,
     simulate_trials,
 )
-from otafl.objectives import hessian, solve_optimum
+from otafl.objectives import ProbeBall, estimate_constants, hessian, solve_optimum
 from otafl.rng import stream_generator
 from otafl.trainer import CHANNEL_KINDS, SCHEMES, run_training
 
@@ -87,6 +87,18 @@ class TestConfigParsing:
         path.write_text(json.dumps(doc))
         config = load_config(path)
         assert config.seed == 3 and config.users == 2
+
+    def test_fading_keys_need_fading_kind(self):
+        for kind in ("awgn_mac", "noiseless_orthogonal"):
+            for key, value in (
+                ("participants", 3), ("eligibility", 0.8), ("h_min", None), ("rayleigh_scale", 0.0)
+            ):
+                match = f"channel key '{key}' needs kind 'fading_mac', got '{kind}'"
+                with pytest.raises(ValueError, match=match):
+                    tiny_config(channel={"kind": kind, "snr_db": -6.0, key: value})
+        channel = {"kind": "fading_mac", "snr_db": -6.0, "participants": 3, "eligibility": 0.7,
+                   "h_min": None, "rayleigh_scale": 1.3}
+        assert tiny_config(channel=channel).channel.participants == 3
 
     def test_invalid_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +187,10 @@ class TestRunExperiment:
         # rest name the kind the scheme needs
         needed = {"cotaf": "awgn_mac", "non_precoded_ota": "awgn_mac", "cotaf_fading": "fading_mac"}
         for scheme, kind in itertools.product(SCHEMES, CHANNEL_KINDS):
-            config = tiny_config(channel={"kind": kind, "snr_db": -6.0, "participants": 3})
+            channel = {"kind": kind, "snr_db": -6.0}
+            if kind == "fading_mac":
+                channel["participants"] = 3
+            config = tiny_config(channel=channel)
             if needed.get(scheme, kind) == kind:
                 resolved = harness.resolve(config, [scheme])
                 precoded = scheme in ("cotaf", "cotaf_fading")
@@ -305,6 +320,42 @@ class TestBoundInputs:
         assert inputs.shift == auto
         assert inputs.shift != harness.resolve(config, ["noise_free_local_sgd"]).schedule.shift
         assert bound_weighted_average(inputs) > 0
+
+    def test_draws_merge_field_by_field(self):
+        # each partition draw is estimated on its own stream; the merge keeps
+        # the pessimistic value of every field (min for mu)
+        config = tiny_config(partition={"mode": "heterogeneous", "skew_fraction": 0.5})
+        inputs = harness.estimate_bound_inputs(config)
+        dataset = harness.resolve(config, ["noise_free_local_sgd"]).dataset
+        lam = config.trainer.ridge_lambda
+        theta_star, _ = solve_optimum([harness._full_dataset_shard(dataset)], lam)
+        ball = ProbeBall(theta_star, 2.0 * math.sqrt(inputs.delta0), count=32)
+        draws = [
+            estimate_constants(
+                partition(
+                    dataset,
+                    config.partition_spec,
+                    stream_generator(config.seed, f"bound/partition{i}"),
+                ),
+                lam,
+                ball,
+                stream_generator(config.seed, "bound/probe"),
+                H=config.trainer.local_steps,
+                P=harness.POWER,
+                sigma_w2=sigma_from_snr(config.channel.snr_db),
+            )
+            for i in range(3)
+        ]
+        assert len({c.G2 for c in draws}) == 3 and len({c.mu for c in draws}) == 3
+        c = inputs.constants
+        assert c.L == max(d.L for d in draws)
+        assert c.mu == min(d.mu for d in draws)
+        assert c.G2 == max(d.G2 for d in draws)
+        assert c.Gamma == max(d.Gamma for d in draws)
+        np.testing.assert_array_equal(c.Mn2, np.max([d.Mn2 for d in draws], axis=0))
+        assert (c.d, c.N, c.H, c.P, c.sigma_w2) == (
+            draws[0].d, draws[0].N, draws[0].H, draws[0].P, draws[0].sigma_w2
+        )
 
     def test_delta0_at_least_analytic(self):
         config = tiny_config()

@@ -12,6 +12,7 @@ from otafl.objectives import (
     ridge_loss,
     solve_optimum,
 )
+from otafl.data import PartitionSpec, generate_synthetic, partition
 from otafl.types import RegressionSample, UserShard
 
 from conftest import make_shards
@@ -240,6 +241,69 @@ class TestEstimateConstants:
         shards = make_shards(rng)
         with pytest.raises(ValueError):
             estimate_constants(shards, 0.0, ProbeBall(np.zeros(5), 1.0), rng, H=1, P=1.0, sigma_w2=0.0)
+
+
+def reference_constants(shards, lam, probes, safety=1.1):
+    """The per-probe loop: three mat-vecs per probe point and shard, the
+    Hessian from hessian(), and each user's optimum from its own solve."""
+    g2 = 0.0
+    mn2 = np.zeros(len(shards))
+    for n, shard in enumerate(shards):
+        features, targets = shard.features, shard.targets
+        sq_feature_norms = np.einsum("ij,ij->i", features, features)
+        for theta in probes:
+            residuals = features @ theta - targets
+            projections = features @ theta
+            second_moment = float(
+                np.mean(
+                    residuals * residuals * sq_feature_norms
+                    + 2.0 * lam * residuals * projections
+                )
+                + lam * lam * (theta @ theta)
+            )
+            mean_grad = features.T @ residuals / len(shard) + lam * theta
+            g2 = max(g2, second_moment)
+            mn2[n] = max(mn2[n], second_moment - float(mean_grad @ mean_grad))
+    eigs = np.linalg.eigvalsh(hessian(shards, lam))
+    _, f_star = solve_optimum(shards, lam)
+    local_minima = []
+    for shard in shards:
+        d = shard.feature_dim
+        gram = shard.features.T @ shard.features / len(shard) + lam * np.eye(d)
+        theta_n = np.linalg.solve(gram, shard.features.T @ shard.targets / len(shard))
+        local_minima.append(global_loss(theta_n, [shard], lam))
+    gamma = max(f_star - float(np.mean(local_minima)), 0.0)
+    return eigs[-1], eigs[0], safety * g2, safety * mn2, gamma
+
+
+class TestEstimateConstantsReference:
+    """The batched estimate equals the per-probe loop up to reduction order."""
+
+    def check(self, shards, lam, ball, seed):
+        c = estimate_constants(
+            shards, lam, ball, np.random.default_rng(seed), H=2, P=1.0, sigma_w2=0.1
+        )
+        probes = ball.points(np.random.default_rng(seed))
+        expected = reference_constants(shards, lam, probes)
+        for name, value, ref in zip(("L", "mu", "G2", "Mn2", "Gamma"), (
+            c.L, c.mu, c.G2, c.Mn2, c.Gamma
+        ), expected):
+            np.testing.assert_allclose(value, ref, rtol=1e-12, atol=0, err_msg=name)
+        assert c.Gamma > 0 and np.all(c.Mn2 > 0)
+
+    def test_ragged_hand_built_shards(self, rng):
+        # the first shard has the largest gradients, so a max over users that
+        # kept only the last shard would show
+        shards = [
+            UserShard(n + 1, rng.standard_normal((size, 4)) + 2 - n, rng.standard_normal(size) + n)
+            for n, size in enumerate((7, 12, 20))
+        ]
+        self.check(shards, 0.3, ProbeBall(rng.standard_normal(4), 1.5, count=9), seed=5)
+
+    def test_partition_block(self, rng):
+        dataset = generate_synthetic(6, 5 * 40, 0.8, rng)
+        shards = partition(dataset, PartitionSpec("heterogeneous", 5, 0.5), rng)
+        self.check(shards, 0.5, ProbeBall(np.zeros(6), 3.0), seed=8)
 
 
 def test_hessian_matches_fd_of_grad(rng):
