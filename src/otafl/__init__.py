@@ -25,7 +25,6 @@ from .bounds import (
 )
 from .channel import (
     RAYLEIGH_UNIT_POWER_SCALE,
-    FadingRealization,
     awgn_mac,
     fading_mac,
     orthogonal_noiseless,

@@ -8,35 +8,12 @@ channel symbols are real vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 # Rayleigh scale giving E[h^2] = 1 (unit average power gain).
 RAYLEIGH_UNIT_POWER_SCALE = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class FadingRealization:
-    """Per-user fading magnitudes and phases for one communication round."""
-
-    magnitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        mags = np.ascontiguousarray(self.magnitudes, dtype=np.float64)
-        phases = np.ascontiguousarray(self.phases, dtype=np.float64)
-        if mags.ndim != 1 or phases.shape != mags.shape:
-            raise ValueError("magnitudes and phases must be matching 1-D arrays")
-        if np.any(mags <= 0):
-            raise ValueError("fading magnitudes must be strictly positive")
-        object.__setattr__(self, "magnitudes", mags)
-        object.__setattr__(self, "phases", phases)
-
-    @property
-    def n_users(self) -> int:
-        return self.magnitudes.shape[0]
 
 
 def _stack_inputs(inputs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -75,41 +52,49 @@ def awgn_mac(
 
 def fading_mac(
     inputs: Sequence[np.ndarray] | np.ndarray,
-    fades: FadingRealization,
+    magnitudes: np.ndarray,
     sigma_w2: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Superposition weighted by fading magnitudes, plus Gaussian noise.
 
-    Inputs are assumed phase-pre-corrected at the transmitters, so only the
-    magnitudes apply. With all magnitudes equal to 1 this reduces bit-exactly
-    to awgn_mac given the same noise stream.
+    inputs is a (K, d) block (or a list of K vectors) and magnitudes the K
+    transmitters' positive fading magnitudes. Inputs are assumed
+    phase-pre-corrected at the transmitters, so only the magnitudes apply.
+    With all magnitudes equal to 1 this reduces bit-exactly to awgn_mac given
+    the same noise stream.
     """
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be non-negative")
-    if len(inputs) != fades.n_users:
-        raise ValueError(f"got {len(inputs)} inputs for {fades.n_users} fading entries")
+    magnitudes = np.asarray(magnitudes, dtype=np.float64)
+    if magnitudes.shape != (len(inputs),):
+        raise ValueError(f"got {len(inputs)} inputs for magnitudes of shape {magnitudes.shape}")
     if len(inputs) == 0:
         raise ValueError("fading_mac needs at least one input")
-    stacked = _stack_inputs(inputs)
-    total = (fades.magnitudes[:, None] * stacked).sum(axis=0)
+    if magnitudes.min() <= 0:
+        raise ValueError("fading magnitudes must be strictly positive")
+    total = (magnitudes[:, None] * _stack_inputs(inputs)).sum(axis=0)
     if sigma_w2 > 0:
         total = total + rng.normal(0.0, math.sqrt(sigma_w2), total.shape[0])
     return total
 
 
 def sample_rayleigh(
-    n_users: int, scale: float, rng: np.random.Generator
-) -> FadingRealization:
-    """I.i.d. Rayleigh magnitudes and uniform phases for one round."""
+    n_users: int, scale: float, rng: np.random.Generator, rows: int | None = None
+) -> np.ndarray:
+    """I.i.d. Rayleigh fading magnitudes: (n_users,) for one round, or
+    (rows, n_users) for `rows` draws at once.
+
+    A sized draw consumes the stream as `rows` one-round draws in a row
+    would, so a run's draws can be made up front. No phases are drawn: the
+    transmitters cancel them exactly.
+    """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    return FadingRealization(
-        magnitudes=rng.rayleigh(scale, n_users),
-        phases=rng.uniform(-math.pi, math.pi, n_users),
-    )
+    shape = n_users if rows is None else (rows, n_users)
+    return rng.rayleigh(scale, shape)
 
 
 def orthogonal_noiseless(inputs: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -292,6 +292,7 @@ class ResolvedExperiment:
 
     config: ExperimentConfig
     dataset: Dataset
+    hessian: np.ndarray  # of the global objective on the full dataset
     mu: float
     smoothness: float
     schedule: StepSchedule
@@ -302,11 +303,6 @@ class ResolvedExperiment:
 
 def _full_dataset_shard(dataset: Dataset) -> UserShard:
     return UserShard(user_id=1, features=dataset.features, targets=dataset.targets)
-
-
-def _curvature(dataset: Dataset, lam: float) -> tuple[float, float]:
-    eigs = np.linalg.eigvalsh(hessian([_full_dataset_shard(dataset)], lam))
-    return float(eigs[0]), float(eigs[-1])
 
 
 def _resolve_schedule(
@@ -390,7 +386,9 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
 
     dataset = build_dataset(config)
     sigma_w2 = sigma_from_snr(config.channel.snr_db)
-    mu, smoothness = _curvature(dataset, config.trainer.ridge_lambda)
+    full_hessian = hessian([_full_dataset_shard(dataset)], config.trainer.ridge_lambda)
+    eigs = np.linalg.eigvalsh(full_hessian)
+    mu, smoothness = float(eigs[0]), float(eigs[-1])
     schedule = _resolve_schedule(
         config.trainer.schedule, mu, smoothness, config.trainer.local_steps
     )
@@ -415,6 +413,7 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
     return ResolvedExperiment(
         config=config,
         dataset=dataset,
+        hessian=full_hessian,
         mu=mu,
         smoothness=smoothness,
         schedule=schedule,
@@ -778,7 +777,7 @@ def estimate_bound_inputs(
     dataset, trainer = resolved.dataset, config.trainer
     lam = trainer.ridge_lambda
 
-    theta_star, _ = solve_optimum([_full_dataset_shard(dataset)], lam)
+    theta_star, _ = solve_optimum([_full_dataset_shard(dataset)], lam, resolved.hessian)
     dim = dataset.feature_dim
     analytic_delta0 = trainer.theta0_std**2 * dim + float(theta_star @ theta_star)
     empirical = [

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import RAYLEIGH_UNIT_POWER_SCALE, FadingRealization
+from .channel import RAYLEIGH_UNIT_POWER_SCALE
 from .localsgd import DEFAULT_THETA0_STD, StepFn, local_pass
 from .types import ShardBlock, UserShard
 
@@ -105,42 +105,53 @@ def decode(
 
 
 def fading_precode(
-    delta: np.ndarray, alpha: float, magnitude: float, phase: float, h_min: float
+    deltas: np.ndarray, alpha: float, magnitudes: np.ndarray | float, h_min: float
 ) -> np.ndarray | None:
     """Channel-inverting precoder with threshold censoring.
 
-    Users with fading magnitude at or below h_min do not transmit (returns
-    None). Otherwise the update is scaled by sqrt(alpha)*h_min/magnitude; the
-    phase pre-correction cancels the channel phase exactly, so in this
-    real-valued simulator only the magnitude enters. The attenuation
-    h_min/magnitude < 1 keeps the expected transmit energy within budget.
+    deltas is a (K, d) block of updates (or one update) and magnitudes the
+    matching K fading magnitudes (or one). Each update is scaled by
+    sqrt(alpha)*h_min/magnitude; the attenuation h_min/magnitude < 1 keeps
+    the expected transmit energy within budget. The transmitters pre-correct
+    the channel phase exactly, so in this real-valued simulator only the
+    magnitude enters. Users with magnitude at or below h_min do not transmit:
+    the result is None if any magnitude is censored.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if magnitude <= 0:
+    magnitudes = np.asarray(magnitudes, dtype=np.float64)
+    weakest = magnitudes.min()
+    if weakest <= 0:
         raise ValueError("fading magnitude must be positive")
-    if magnitude <= h_min:
+    if weakest <= h_min:
         return None
-    del phase  # cancelled exactly by the transmitter's pre-correction
-    return (math.sqrt(alpha) * h_min / magnitude) * np.asarray(delta, dtype=np.float64)
+    gains = (math.sqrt(alpha) * h_min) / magnitudes
+    return gains[..., None] * np.asarray(deltas, dtype=np.float64)
 
 
 def select_participants(
-    fades: FadingRealization, policy: FadingPolicy
-) -> tuple[int, ...] | None:
-    """Pick the participants for one round by opportunistic carrier sensing.
+    magnitudes: np.ndarray, policy: FadingPolicy
+) -> np.ndarray | None:
+    """Pick the participants by opportunistic carrier sensing.
 
     Users whose magnitude exceeds h_min contend with a backoff decreasing in
-    channel quality, so the strongest K eligible users transmit. Returns
-    1-based user ids, or None when fewer than K users are eligible (callers
-    re-draw the fading for the round).
+    channel quality, so the strongest K eligible users transmit. magnitudes
+    holds one round's N fading magnitudes; the result is the participants'
+    sorted 1-based ids, or None when fewer than K users are eligible (callers
+    re-draw the fading for the round). magnitudes may also be a block of
+    draws, users on the last axis: the result is then each draw's K strongest
+    users, shaped (..., K), and a draw is short exactly when the weakest of
+    its K is at or below h_min.
     """
-    eligible = np.flatnonzero(fades.magnitudes > policy.h_min)
-    if eligible.shape[0] < policy.participants:
+    magnitudes = np.asarray(magnitudes)
+    # with K users above h_min, the K strongest of all are the K strongest eligible
+    order = np.argsort(-magnitudes, axis=-1, kind="stable")
+    chosen = np.sort(order[..., : policy.participants], axis=-1) + 1
+    if magnitudes.ndim == 1 and (
+        chosen.shape[0] < policy.participants or magnitudes[chosen - 1].min() <= policy.h_min
+    ):
         return None
-    order = np.argsort(-fades.magnitudes[eligible], kind="stable")
-    chosen = eligible[order[: policy.participants]]
-    return tuple(sorted(int(i) + 1 for i in chosen))
+    return chosen
 
 
 def fading_decode(

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import SCHEDULE_KINDS, check_shift
 from .channel import (
-    FadingRealization,
     awgn_mac,
     fading_mac,
     orthogonal_noiseless,
@@ -70,9 +69,12 @@ def scheme_spec(scheme: str, channel_kind: str | None = None) -> SchemeSpec:
     return spec
 
 
-# A fading round is re-drawn while fewer than K users are eligible; a run that
-# needs more redraws than this is misconfigured (h_min far too high).
+# A fading round is re-drawn while fewer than K users are eligible; a round
+# that needs more redraws than this is misconfigured (h_min far too high).
 MAX_WAIT_REDRAWS = 100_000
+# Fading draws are made this many rows at a time, at most; a chunk is freed
+# once its eligible rows are selected.
+FADING_CHUNK_ROWS = 256
 
 
 def step_averaged_model(t: int, mu: float, a: float) -> float:
@@ -192,6 +194,66 @@ def _draw_indices(users: Sequence[np.random.Generator], shard_size: int, count: 
     return np.stack([rng.integers(shard_size, size=count) for rng in users])
 
 
+class FadingRounds(NamedTuple):
+    """Fading rounds selected up front, one row per round: the K participants
+    (sorted 1-based ids), their fading magnitudes, and the redraws the round
+    waited for."""
+
+    participants: np.ndarray  # (R, K)
+    magnitudes: np.ndarray  # (R, K)
+    waits: np.ndarray  # (R,)
+
+    def round(self, index: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Row `index` (0-based) as run_round takes it."""
+        return self.participants[index], self.magnitudes[index], int(self.waits[index])
+
+
+def draw_fading_rounds(
+    rng: np.random.Generator, n_users: int, rounds: int, policy: FadingPolicy
+) -> FadingRounds:
+    """Select a run's `rounds` fading rounds from one stream of N-user Rayleigh draws.
+
+    Round r takes the r-th draw with at least K users above h_min; the short
+    draws before it are its waits. This is what re-drawing each round until
+    K users are eligible gives, since sized draws consume the stream as
+    one-round draws do (pinned in tests/test_rng.py). Draws come in chunks of
+    at most FADING_CHUNK_ROWS rows, and only the selection from the eligible
+    ones is kept, so memory stays O(rounds * K) however many draws are
+    short. A round that needs more than MAX_WAIT_REDRAWS redraws raises,
+    naming the round.
+    """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    if policy.participants > n_users:
+        raise ValueError(f"participants must lie in [1, {n_users}]")
+    chunk = min(rounds, FADING_CHUNK_ROWS)
+    ids, magnitudes, waits = [], [], []
+    run = 0  # short draws since the last eligible one
+    while len(waits) < rounds:
+        draws = sample_rayleigh(n_users, policy.rayleigh_scale, rng, rows=chunk)
+        chosen = select_participants(draws, policy)
+        strongest = np.take_along_axis(draws, chosen - 1, axis=-1)
+        rows = np.flatnonzero(strongest.min(axis=-1) > policy.h_min)[: rounds - len(waits)]
+        # short draws before each eligible draw, and after the last one
+        gaps = np.diff(rows, prepend=-1, append=chunk) - 1
+        gaps[0] += run
+        if len(waits) + rows.size == rounds:
+            gaps = gaps[:-1]  # the draws after the last round go unused
+        starved = np.flatnonzero(gaps > MAX_WAIT_REDRAWS)
+        if starved.size:
+            raise RuntimeError(
+                f"round {len(waits) + int(starved[0]) + 1}: fading round starved: "
+                "h_min leaves fewer than K users eligible"
+            )
+        run = int(gaps[-1])
+        waits.extend(gaps[: rows.size].tolist())
+        ids.append(chosen[rows])
+        magnitudes.append(strongest[rows])
+    return FadingRounds(
+        np.concatenate(ids), np.concatenate(magnitudes), np.asarray(waits, dtype=np.int64)
+    )
+
+
 def run_round(
     global_theta: np.ndarray,
     shards: Sequence[UserShard],
@@ -201,6 +263,7 @@ def run_round(
     round_index: int,
     optimum: tuple[np.ndarray, np.ndarray],
     indices: np.ndarray,
+    fading: tuple[np.ndarray, np.ndarray, int] | None = None,
 ) -> tuple[np.ndarray, RoundTrace]:
     """One communication round: broadcast, H local steps per user, aggregate.
 
@@ -208,10 +271,14 @@ def run_round(
     indices holds the round's (N, H) sample indices, user n taking
     indices[n, j] at local step j; run_training slices them from the draws
     it makes for the whole run. alpha is the round's precoding coefficient,
-    which only the precoded schemes use.
+    which only the precoded schemes use. fading is the round's row of
+    FadingRounds (participants, their magnitudes, waits), which only
+    cotaf_fading uses.
     """
     if SCHEME_TABLE[config.scheme].needs_alpha and alpha is None:
         raise ValueError(f"{config.scheme} needs an alpha coefficient")
+    if config.scheme == "cotaf_fading" and fading is None:
+        raise ValueError("cotaf_fading needs the round's fading selection")
     block = ShardBlock.of(shards)
     n_users = len(block)
     h = config.local_steps
@@ -244,35 +311,15 @@ def run_round(
         powers = _transmit_powers(signals)
     elif config.scheme == "cotaf_fading":
         policy = config.fading
-        while True:
-            fades = sample_rayleigh(n_users, policy.rayleigh_scale, streams.fading)
-            participants = select_participants(fades, policy)
-            if participants is not None:
-                break
-            wait_count += 1
-            if wait_count > MAX_WAIT_REDRAWS:
-                raise RuntimeError(
-                    "fading round starved: h_min leaves fewer than K users eligible"
-                )
-        signals = []
-        for uid in participants:
-            signal = fading_precode(
-                deltas[uid - 1],
-                alpha,
-                float(fades.magnitudes[uid - 1]),
-                float(fades.phases[uid - 1]),
-                policy.h_min,
-            )
-            assert signal is not None  # selected users all exceed h_min
-            signals.append(signal)
-        signals = np.stack(signals)
-        idx = [uid - 1 for uid in participants]
-        sub_fades = FadingRealization(fades.magnitudes[idx], fades.phases[idx])
-        y = fading_mac(signals, sub_fades, config.sigma_w2, streams.noise)
-        new_theta = fading_decode(y, len(participants), alpha, policy.h_min, global_theta)
-        all_powers = np.zeros(n_users)
-        all_powers[idx] = _transmit_powers(signals)
-        powers = all_powers
+        ids, magnitudes, wait_count = fading
+        rows = ids - 1
+        signals = fading_precode(deltas[rows], alpha, magnitudes, policy.h_min)
+        assert signals is not None  # selected users all exceed h_min
+        y = fading_mac(signals, magnitudes, config.sigma_w2, streams.noise)
+        new_theta = fading_decode(y, rows.shape[0], alpha, policy.h_min, global_theta)
+        powers = np.zeros(n_users)
+        powers[rows] = _transmit_powers(signals)
+        participants = tuple(ids.tolist())
 
     gap = quadratic_gap(new_theta, *optimum)
     trace = RoundTrace(
@@ -315,13 +362,17 @@ def run_training(
     h = config.local_steps
     theta = streams.init.normal(0.0, config.theta0_std, dim)
     indices = _draw_indices(streams.users, shard_size, config.rounds * h)
+    fades = None
+    if config.fading is not None and config.rounds > 0:
+        fades = draw_fading_rounds(streams.fading, n_users, config.rounds, config.fading)
     traces: list[RoundTrace] = []
     for r in range(1, config.rounds + 1):
         alpha = alpha_schedule.alpha_for_round(r) if needs_alpha else None
+        fading = fades.round(r - 1) if fades is not None else None
         try:
             theta, trace = run_round(
                 theta, block, config, alpha, streams, r, optimum,
-                indices[:, (r - 1) * h : r * h],
+                indices[:, (r - 1) * h : r * h], fading,
             )
         except Exception as exc:
             raise RuntimeError(f"round {r}: {exc}") from exc

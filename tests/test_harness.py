@@ -366,6 +366,18 @@ class TestBoundInputs:
         analytic = config.trainer.theta0_std ** 2 * 5 + float(theta_star @ theta_star)
         assert inputs.delta0 >= analytic - 1e-12
 
+    def test_resolve_keeps_the_full_dataset_hessian(self):
+        # estimate_bound_inputs solves for theta* with it instead of a new Gram
+        config = tiny_config()
+        resolved = harness.resolve(config, ["noise_free_local_sgd"])
+        shard = harness._full_dataset_shard(resolved.dataset)
+        lam = config.trainer.ridge_lambda
+        np.testing.assert_array_equal(resolved.hessian, hessian([shard], lam))
+        eigs = np.linalg.eigvalsh(resolved.hessian)
+        assert (resolved.mu, resolved.smoothness) == (eigs[0], eigs[-1])
+        with_hessian, _ = solve_optimum([shard], lam, resolved.hessian)
+        np.testing.assert_array_equal(with_hessian, solve_optimum([shard], lam)[0])
+
 
 class TestFadingExperiment:
     def test_fading_run_and_eligibility_calibration(self):

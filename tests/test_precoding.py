@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from otafl.channel import FadingRealization, awgn_mac, sample_rayleigh
+from otafl.channel import awgn_mac, sample_rayleigh
 from otafl.objectives import ProbeBall, estimate_constants, ridge_grad
 from otafl.precoding import (
     AlphaSchedule,
@@ -75,11 +75,11 @@ class TestPrecodeDecode:
 
 class TestFadingPrecode:
     def test_censored_at_threshold(self):
-        assert fading_precode(np.ones(2), 1.0, 0.5, 0.1, h_min=0.5) is None
-        assert fading_precode(np.ones(2), 1.0, 0.4, 0.1, h_min=0.5) is None
+        assert fading_precode(np.ones(2), 1.0, 0.5, h_min=0.5) is None
+        assert fading_precode(np.ones(2), 1.0, 0.4, h_min=0.5) is None
 
     def test_inverse_magnitude_scaling(self):
-        out = fading_precode(np.array([2.0]), 1.0, 1.0, 0.0, h_min=0.5)
+        out = fading_precode(np.array([2.0]), 1.0, 1.0, h_min=0.5)
         np.testing.assert_allclose(out, [1.0])
 
     def test_energy_never_exceeds_precoded(self, rng):
@@ -88,19 +88,51 @@ class TestFadingPrecode:
             alpha = float(rng.uniform(0.1, 5.0))
             h_min = float(rng.uniform(0.1, 1.0))
             h = float(rng.uniform(h_min * 1.0001, 4.0))
-            out = fading_precode(delta, alpha, h, 0.0, h_min)
+            out = fading_precode(delta, alpha, h, h_min)
             assert out @ out <= alpha * (delta @ delta) + 1e-12
+
+    def test_block_equals_rows_and_censors_as_a_whole(self, rng):
+        deltas = rng.standard_normal((4, 6))
+        mags = np.array([0.9, 1.4, 0.6, 2.0])
+        block = fading_precode(deltas, 0.7, mags, 0.5)
+        for delta, h, row in zip(deltas, mags, block):
+            np.testing.assert_array_equal(row, fading_precode(delta, 0.7, float(h), 0.5))
+        assert fading_precode(deltas, 0.7, np.array([0.9, 1.4, 0.5, 2.0]), 0.5) is None
+
+    def test_non_positive_magnitude_rejected(self):
+        with pytest.raises(ValueError, match="magnitude must be positive"):
+            fading_precode(np.ones((2, 3)), 1.0, np.array([1.0, 0.0]), 0.5)
 
 
 class TestSelectParticipants:
     def test_two_largest_eligible(self):
-        fades = FadingRealization(np.array([0.5, 1.2, 0.9]), np.zeros(3))
+        fades = np.array([0.5, 1.2, 0.9])
         chosen = select_participants(fades, FadingPolicy(h_min=0.6, participants=2))
         assert set(chosen) == {2, 3}
 
     def test_wait_when_too_few_eligible(self):
-        fades = FadingRealization(np.array([0.5, 0.55, 0.3]), np.zeros(3))
+        fades = np.array([0.5, 0.55, 0.3])
         assert select_participants(fades, FadingPolicy(h_min=0.6, participants=2)) is None
+
+    def test_block_of_draws_equals_one_draw_at_a_time(self, rng):
+        policy = FadingPolicy(h_min=1.2, participants=3)  # about 1 draw in 4 is short
+        draws = sample_rayleigh(7, 1.0, rng, rows=40)
+        chosen = select_participants(draws, policy)
+        assert chosen.shape == (40, 3)
+        short = 0
+        for row, ids in zip(draws, chosen):
+            one = select_participants(row, policy)
+            # a draw is short exactly when the weakest of its K strongest is censored
+            assert (one is None) == (row[ids - 1].min() <= policy.h_min)
+            if one is None:
+                short += 1
+            else:
+                np.testing.assert_array_equal(ids, one)
+        assert 0 < short < 40
+
+    def test_fewer_users_than_participants_waits(self):
+        policy = FadingPolicy(h_min=0.5, participants=3)
+        assert select_participants(np.array([2.0, 3.0]), policy) is None
 
     def test_subset_uniformity_chisquare(self):
         # with i.i.d. fades and h_min=0, the top-K set is uniform over subsets
@@ -131,7 +163,7 @@ class TestFadingDecode:
         deltas = [rng.standard_normal(4) for _ in range(3)]
         mags = np.array([0.9, 1.4, 0.6])
         signals = [
-            fading_precode(d, alpha, float(h), 0.0, h_min) for d, h in zip(deltas, mags)
+            fading_precode(d, alpha, float(h), h_min) for d, h in zip(deltas, mags)
         ]
         y = sum(h * x for h, x in zip(mags, signals))
         out = fading_decode(y, 3, alpha, h_min, prev)

@@ -62,3 +62,21 @@ def test_sized_index_draws_equal_scalar_draws(shard_size, local_steps):
         for _ in range(rounds)
     ]
     assert blocked.tolist() == stepwise, f"pilot index blocks differ on numpy {np.__version__}"
+
+
+# A fading run draws its Rayleigh magnitudes up front, in (rows, N) blocks of
+# any height (trainer.draw_fading_rounds). That equals one N-user draw per
+# round attempt only because numpy's Rayleigh sampler consumes a generator
+# identically for sized and smaller draws; this pins it next to integers().
+@pytest.mark.parametrize("chunk_rows", [1, 3, 7, 21, 63])
+def test_sized_rayleigh_draws_equal_per_round_draws(chunk_rows):
+    rounds, n_users, scale = 63, 20, 1.0 / np.sqrt(2.0)
+    rng = np.random.default_rng(2024)
+    per_round = np.stack([rng.rayleigh(scale, n_users) for _ in range(rounds)])
+    rng = np.random.default_rng(2024)
+    chunked = np.concatenate(
+        [rng.rayleigh(scale, (chunk_rows, n_users)) for _ in range(rounds // chunk_rows)]
+    )
+    np.testing.assert_array_equal(
+        chunked, per_round, err_msg=f"sized rayleigh() draws differ on numpy {np.__version__}"
+    )

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+import otafl.trainer as trainer_mod
+
 from otafl.localsgd import local_pass
-from otafl.objectives import global_grad, hessian, ridge_grad, solve_optimum
+from otafl.objectives import global_grad, hessian, quadratic_gap, ridge_grad, solve_optimum
 from otafl.precoding import AlphaSchedule, FadingPolicy
 from otafl.trainer import (
     RoundTrace,
     StepSchedule,
     TrainerConfig,
     TrialStreams,
+    draw_fading_rounds,
     run_round,
     run_training,
     step_averaged_model,
@@ -239,9 +244,11 @@ class TestRunRound:
             fading=FadingPolicy(h_min=0.2, participants=3),
         )
         theta0 = rng.standard_normal(3)
+        streams = _streams(7, 5)
+        fading = draw_fading_rounds(streams.fading, 5, 1, config.fading).round(0)
         new_theta, trace = run_round(
-            theta0, shards, config, 1.3, _streams(7, 5), 1, _optimum(shards),
-            _indices(7, 5, 10, 2),
+            theta0, shards, config, 1.3, streams, 1, _optimum(shards),
+            _indices(7, 5, 10, 2), fading,
         )
         assert trace.participants is not None and len(trace.participants) == 3
         # noiseless: output equals the participant average of local models
@@ -267,6 +274,18 @@ class TestRunRound:
         with pytest.raises(ValueError, match="cotaf needs an alpha coefficient"):
             run_round(
                 np.zeros(3), shards, config, None, _streams(1, 2), 1,
+                _optimum(shards), _indices(1, 2, 10, 1),
+            )
+
+    def test_missing_fading_selection_rejected(self, rng):
+        shards = make_shards(rng, n_users=2, per_user=10, dim=3)
+        config = TrainerConfig(
+            scheme="cotaf_fading", local_steps=1, rounds=1, step=_schedule(),
+            fading=FadingPolicy(h_min=0.2, participants=1),
+        )
+        with pytest.raises(ValueError, match="cotaf_fading needs the round's fading selection"):
+            run_round(
+                np.zeros(3), shards, config, 1.0, _streams(1, 2), 1,
                 _optimum(shards), _indices(1, 2, 10, 1),
             )
 
@@ -369,6 +388,108 @@ class TestRunTraining:
         assert np.all(gaps >= -1e-9)
         frac_decreasing = np.mean(np.diff(gaps) <= 0)
         assert frac_decreasing >= 0.9
+
+
+def _reference_fading_run(shards, config, alpha_schedule, streams, optimum):
+    """Per-round fading loop: draw N magnitudes per attempt, redraw while fewer
+    than K users are eligible, then precode, superpose and decode one
+    participant at a time. Yields (participants, waits, theta, gap, powers)."""
+    policy, lam, h = config.fading, config.ridge_lambda, config.local_steps
+    n_users, dim = len(shards), shards[0].feature_dim
+    theta = streams.init.normal(0.0, config.theta0_std, dim)
+    for r in range(1, config.rounds + 1):
+        etas = [config.step.eta((r - 1) * h + j) for j in range(h)]
+        models = _reference_local_models(theta, shards, etas, streams.users, lam)
+        waits = 0
+        while True:
+            mags = streams.fading.rayleigh(policy.rayleigh_scale, n_users)
+            eligible = [n for n in range(n_users) if mags[n] > policy.h_min]
+            if len(eligible) >= policy.participants:
+                break
+            waits += 1
+        chosen = sorted(sorted(eligible, key=lambda n: -mags[n])[: policy.participants])
+        alpha = alpha_schedule.alpha_for_round(r)
+        y = np.zeros(dim)
+        powers = np.zeros(n_users)
+        for n in chosen:
+            signal = (math.sqrt(alpha) * policy.h_min / mags[n]) * (models[n] - theta)
+            powers[n] = signal @ signal
+            y = y + mags[n] * signal
+        y = y + streams.noise.normal(0.0, math.sqrt(config.sigma_w2), dim)
+        theta = y / (len(chosen) * math.sqrt(alpha) * policy.h_min) + theta
+        gap = quadratic_gap(theta, *optimum)
+        yield tuple(n + 1 for n in chosen), waits, theta, gap, powers
+
+
+class ScriptedFading:
+    """A fading stream that returns scripted rows: 2.0 for every user of an
+    eligible row, 0.1 for a short one; short rows once the script ends."""
+
+    def __init__(self, eligible_rows):
+        self.script = list(eligible_rows)
+        self.shapes = []
+
+    def rayleigh(self, scale, shape):
+        rows, n_users = shape
+        self.shapes.append(shape)
+        flags, self.script = self.script[:rows], self.script[rows:]
+        flags += [False] * (rows - len(flags))
+        return np.where(np.array(flags)[:, None], 2.0, 0.1) * np.ones((rows, n_users))
+
+
+class TestFadingRun:
+    @pytest.mark.parametrize("chunk_rows", [3, 256])
+    def test_batched_run_equals_per_round_reference(self, rng, monkeypatch, chunk_rows):
+        # P(h > h_min) = 0.6 for each of 6 users, so about half the draws leave
+        # fewer than K=4 users eligible and rounds wait; chunks of 3 rows put
+        # waits across chunk boundaries
+        monkeypatch.setattr(trainer_mod, "FADING_CHUNK_ROWS", chunk_rows)
+        shards = make_shards(rng, n_users=6, per_user=12, dim=4)
+        policy = FadingPolicy(h_min=math.sqrt(math.log(1 / 0.6)), participants=4)
+        config = TrainerConfig(
+            scheme="cotaf_fading", local_steps=2, rounds=20, step=_schedule(),
+            sigma_w2=0.3, fading=policy,
+        )
+        alpha = AlphaSchedule(np.linspace(0.5, 2.0, 20))
+        optimum = _optimum(shards)
+        traces = run_training(shards, config, alpha, _streams(5, 6), optimum)
+        reference = list(_reference_fading_run(shards, config, alpha, _streams(5, 6), optimum))
+        assert len(traces) == len(reference) == 20
+        for trace, (participants, waits, theta, gap, powers) in zip(traces, reference):
+            assert trace.participants == participants
+            assert trace.wait_count == waits
+            np.testing.assert_allclose(trace.theta_global, theta, rtol=1e-12)
+            assert trace.gap == pytest.approx(gap, rel=1e-12)
+            np.testing.assert_allclose(trace.tx_power_per_user, powers, rtol=1e-12)
+        assert sum(trace.wait_count for trace in traces) >= 5
+
+    def test_waits_count_the_short_draws_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(trainer_mod, "FADING_CHUNK_ROWS", 4)
+        script = [False, True, True, False, False, False, False, False, True, False, True]
+        stream = ScriptedFading(script)
+        policy = FadingPolicy(h_min=0.5, participants=2)
+        fades = draw_fading_rounds(stream, 3, 4, policy)
+        assert fades.waits.tolist() == [1, 0, 5, 1]
+        assert fades.participants.tolist() == [[1, 2]] * 4
+        np.testing.assert_array_equal(fades.magnitudes, np.full((4, 2), 2.0))
+        assert stream.shapes == [(4, 3)] * 3
+
+    def test_starved_round_is_named_and_draws_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(trainer_mod, "MAX_WAIT_REDRAWS", 30)
+        monkeypatch.setattr(trainer_mod, "FADING_CHUNK_ROWS", 8)
+        policy = FadingPolicy(h_min=0.5, participants=2)
+        # rounds 1 and 2 find eligible draws, round 3 never does
+        stream = ScriptedFading([True, False, True])
+        with pytest.raises(RuntimeError, match=r"^round 3: fading round starved"):
+            draw_fading_rounds(stream, 3, 50, policy)
+        assert set(stream.shapes) == {(8, 3)}
+        assert len(stream.shapes) == 5  # the chunk taking the run past 30 ends it
+        # a wait of exactly MAX_WAIT_REDRAWS is still served
+        fades = draw_fading_rounds(ScriptedFading([False] * 30 + [True]), 3, 1, policy)
+        assert fades.waits.tolist() == [30]
+        # K > N can never be served: rejected up front rather than starved
+        with pytest.raises(ValueError, match=r"participants must lie in \[1, 1\]"):
+            draw_fading_rounds(ScriptedFading([True]), 1, 1, policy)
 
 
 class TestWeightedAverageModel:
