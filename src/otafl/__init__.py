@@ -85,7 +85,7 @@ from .precoding import (
 from .rng import RandomSource, make_streams, stream_generator
 from .trainer import (
     SCHEMES,
-    RoundTrace,
+    RunTrace,
     StepSchedule,
     TrainerConfig,
     TrialStreams,

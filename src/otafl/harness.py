@@ -463,10 +463,14 @@ class SchemeRuns:
     """Raw per-trial results for one scheme (arrays indexed [trial, round])."""
 
     gaps: np.ndarray
-    power_max: np.ndarray
     power_per_user: np.ndarray  # [trial, round, user]
     participants: np.ndarray
     waits: np.ndarray
+
+    @property
+    def power_max(self) -> np.ndarray:
+        """The largest user transmit energy of each round."""
+        return self.power_per_user.max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -491,7 +495,6 @@ def simulate_trials(
     runs = {
         scheme: SchemeRuns(
             gaps=np.zeros((n_trials, n_rounds)),
-            power_max=np.zeros((n_trials, n_rounds)),
             power_per_user=np.zeros((n_trials, n_rounds, n_users)),
             participants=np.zeros((n_trials, n_rounds), dtype=np.int64),
             waits=np.zeros((n_trials, n_rounds), dtype=np.int64),
@@ -514,7 +517,7 @@ def simulate_trials(
 
         for scheme in schemes:
             try:
-                traces = run_training(
+                trace = run_training(
                     shards,
                     _trainer_config(resolved, scheme),
                     resolved.alpha_schedule,
@@ -524,14 +527,12 @@ def simulate_trials(
             except Exception as exc:
                 raise RuntimeError(f"trial {trial}, scheme {scheme}: {exc}") from exc
             run = runs[scheme]
-            for i, trace in enumerate(traces):
-                run.gaps[trial, i] = trace.gap
-                run.power_max[trial, i] = trace.tx_power_max
-                run.power_per_user[trial, i] = trace.tx_power_per_user
-                run.participants[trial, i] = (
-                    len(trace.participants) if trace.participants is not None else n_users
-                )
-                run.waits[trial, i] = trace.wait_count
+            run.gaps[trial] = trace.gaps
+            run.power_per_user[trial] = trace.powers
+            run.participants[trial] = (
+                n_users if trace.participants is None else trace.participants.shape[1]
+            )
+            run.waits[trial] = trace.waits
 
     t_grid = trainer.local_steps * np.arange(1, n_rounds + 1)
     return SimulationResult(
@@ -572,6 +573,7 @@ def tabulate(result: SimulationResult) -> MetricsTable:
     rows = []
     h = result.config.trainer.local_steps
     for scheme, run in result.schemes.items():
+        power_max = run.power_max
         for i in range(run.gaps.shape[1]):
             rows.append(
                 MetricsRow(
@@ -580,7 +582,7 @@ def tabulate(result: SimulationResult) -> MetricsTable:
                     t=(i + 1) * h,
                     mean_gap=float(run.gaps[:, i].mean()),
                     stderr=_stderr(run.gaps[:, i]),
-                    mean_power=float(run.power_max[:, i].mean()),
+                    mean_power=float(power_max[:, i].mean()),
                     participants_mean=float(run.participants[:, i].mean()),
                     wait_count=float(run.waits[:, i].mean()),
                 )

@@ -166,19 +166,6 @@ class TrialStreams:
     fading: np.random.Generator | None = None
 
 
-@dataclass(frozen=True)
-class RoundTrace:
-    """Per-round record of the global model and validation statistics."""
-
-    round: int
-    theta_global: np.ndarray
-    gap: float
-    tx_power_max: float
-    tx_power_per_user: np.ndarray
-    participants: tuple[int, ...] | None = None
-    wait_count: int = 0
-
-
 def _transmit_powers(signals: np.ndarray) -> np.ndarray:
     """Energy of each row of a (K, d) block of channel inputs."""
     return np.einsum("kd,kd->k", signals, signals)
@@ -203,9 +190,18 @@ class FadingRounds(NamedTuple):
     magnitudes: np.ndarray  # (R, K)
     waits: np.ndarray  # (R,)
 
-    def round(self, index: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Row `index` (0-based) as run_round takes it."""
-        return self.participants[index], self.magnitudes[index], int(self.waits[index])
+
+class RunTrace(NamedTuple):
+    """One training run, one row per round: the global model after the round,
+    its gap F(theta) - F*, each user's transmit energy (0 for a user that
+    stayed silent), the K participants (None when all N users transmit) and
+    the fading redraws the round waited for."""
+
+    thetas: np.ndarray  # (R, d)
+    gaps: np.ndarray  # (R,)
+    powers: np.ndarray  # (R, N)
+    participants: np.ndarray | None  # (R, K)
+    waits: np.ndarray  # (R,)
 
 
 def draw_fading_rounds(
@@ -263,17 +259,19 @@ def run_round(
     round_index: int,
     optimum: tuple[np.ndarray, np.ndarray],
     indices: np.ndarray,
-    fading: tuple[np.ndarray, np.ndarray, int] | None = None,
-) -> tuple[np.ndarray, RoundTrace]:
+    fading: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, float, np.ndarray]:
     """One communication round: broadcast, H local steps per user, aggregate.
+
+    Returns the new global model, its gap and the (N,) transmit energies.
 
     optimum is the pair (theta*, Hessian) the gap is measured against.
     indices holds the round's (N, H) sample indices, user n taking
     indices[n, j] at local step j; run_training slices them from the draws
     it makes for the whole run. alpha is the round's precoding coefficient,
     which only the precoded schemes use. fading is the round's row of
-    FadingRounds (participants, their magnitudes, waits), which only
-    cotaf_fading uses.
+    FadingRounds (participants, their magnitudes), which only cotaf_fading
+    uses.
     """
     if SCHEME_TABLE[config.scheme].needs_alpha and alpha is None:
         raise ValueError(f"{config.scheme} needs an alpha coefficient")
@@ -290,9 +288,6 @@ def run_round(
         global_theta, block.features, block.targets, etas, indices, config.ridge_lambda
     )
     deltas = local_models - global_theta
-
-    participants: tuple[int, ...] | None = None
-    wait_count = 0
 
     if config.scheme == "noise_free_local_sgd":
         received = orthogonal_noiseless(local_models)
@@ -311,7 +306,7 @@ def run_round(
         powers = _transmit_powers(signals)
     elif config.scheme == "cotaf_fading":
         policy = config.fading
-        ids, magnitudes, wait_count = fading
+        ids, magnitudes = fading
         rows = ids - 1
         signals = fading_precode(deltas[rows], alpha, magnitudes, policy.h_min)
         assert signals is not None  # selected users all exceed h_min
@@ -319,19 +314,8 @@ def run_round(
         new_theta = fading_decode(y, rows.shape[0], alpha, policy.h_min, global_theta)
         powers = np.zeros(n_users)
         powers[rows] = _transmit_powers(signals)
-        participants = tuple(ids.tolist())
 
-    gap = quadratic_gap(new_theta, *optimum)
-    trace = RoundTrace(
-        round=round_index,
-        theta_global=new_theta,
-        gap=gap,
-        tx_power_max=float(powers.max()) if powers.size else 0.0,
-        tx_power_per_user=powers,
-        participants=participants,
-        wait_count=wait_count,
-    )
-    return new_theta, trace
+    return new_theta, quadratic_gap(new_theta, *optimum), powers
 
 
 def run_training(
@@ -340,7 +324,7 @@ def run_training(
     alpha_schedule: AlphaSchedule | None,
     streams: TrialStreams,
     optimum: tuple[np.ndarray, np.ndarray],
-) -> list[RoundTrace]:
+) -> RunTrace:
     """Full training run: Gaussian initial model, then `rounds` communication rounds.
 
     optimum is the pair (theta*, Hessian) of the global objective on shards,
@@ -365,27 +349,30 @@ def run_training(
     fades = None
     if config.fading is not None and config.rounds > 0:
         fades = draw_fading_rounds(streams.fading, n_users, config.rounds, config.fading)
-    traces: list[RoundTrace] = []
-    for r in range(1, config.rounds + 1):
+    thetas = np.empty((config.rounds, dim))
+    gaps = np.empty(config.rounds)
+    powers = np.empty((config.rounds, n_users))
+    for i in range(config.rounds):
+        r = i + 1
         alpha = alpha_schedule.alpha_for_round(r) if needs_alpha else None
-        fading = fades.round(r - 1) if fades is not None else None
+        fading = (fades.participants[i], fades.magnitudes[i]) if fades is not None else None
         try:
-            theta, trace = run_round(
+            theta, gaps[i], powers[i] = run_round(
                 theta, block, config, alpha, streams, r, optimum,
-                indices[:, (r - 1) * h : r * h], fading,
+                indices[:, i * h : r * h], fading,
             )
         except Exception as exc:
             raise RuntimeError(f"round {r}: {exc}") from exc
-        traces.append(trace)
-    return traces
+        thetas[i] = theta
+    if fades is None:
+        return RunTrace(thetas, gaps, powers, None, np.zeros(config.rounds, dtype=np.int64))
+    return RunTrace(thetas, gaps, powers, fades.participants, fades.waits)
 
 
-def weighted_average_model(
-    history: Sequence[tuple[int, np.ndarray]], a: float, local_steps: int
-) -> np.ndarray:
-    """Weighted average of per-round global models with weights (a + r*H)^2."""
-    if len(history) == 0:
-        raise ValueError("history must be non-empty")
-    weights = np.asarray([(a + r * local_steps) ** 2 for r, _ in history])
-    stacked = np.stack([theta for _, theta in history])
-    return (weights[:, None] * stacked).sum(axis=0) / weights.sum()
+def weighted_average_model(thetas: np.ndarray, a: float, local_steps: int) -> np.ndarray:
+    """Weighted average of an (R, d) block of per-round global models, row i
+    being round r = i+1, with weights (a + r*H)^2."""
+    if len(thetas) == 0:
+        raise ValueError("thetas must be non-empty")
+    weights = (a + local_steps * np.arange(1, len(thetas) + 1)) ** 2
+    return (weights[:, None] * thetas).sum(axis=0) / weights.sum()

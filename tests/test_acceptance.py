@@ -89,14 +89,13 @@ def test_criterion_01_noiseless_collapse():
     theta_star, _ = solve_optimum(shards, config.trainer.ridge_lambda, hess)
     iterates = {}
     for scheme in ("cotaf", "noise_free_local_sgd"):
-        traces = run_training(
+        iterates[scheme] = run_training(
             shards,
             harness._trainer_config(resolved, scheme),
             resolved.alpha_schedule,
             harness.trial_streams(config, 0, scheme),
             (theta_star, hess),
-        )
-        iterates[scheme] = np.stack([t.theta_global for t in traces])
+        ).thetas
     worst = float(np.max(np.abs(iterates["cotaf"] - iterates["noise_free_local_sgd"])))
     elapsed = time.time() - start
     report(
@@ -182,16 +181,14 @@ def test_weighted_average_bound_final_round():
         )
         hess = hessian(shards, config.trainer.ridge_lambda)
         theta_star, f_star = solve_optimum(shards, config.trainer.ridge_lambda, hess)
-        traces = run_training(
+        trace = run_training(
             shards,
             harness._trainer_config(resolved, "cotaf"),
             resolved.alpha_schedule,
             harness.trial_streams(config, trial, "cotaf"),
             (theta_star, hess),
         )
-        averaged = weighted_average_model(
-            [(tr.round, tr.theta_global) for tr in traces], a, h
-        )
+        averaged = weighted_average_model(trace.thetas, a, h)
         from otafl.objectives import global_loss
 
         gaps.append(global_loss(averaged, shards, config.trainer.ridge_lambda) - f_star)

@@ -25,6 +25,7 @@ from otafl.harness import (
     run_experiment,
     sigma_from_snr,
     simulate_trials,
+    tabulate,
 )
 from otafl.objectives import ProbeBall, estimate_constants, hessian, solve_optimum
 from otafl.rng import stream_generator
@@ -125,7 +126,8 @@ class TestRunExperiment:
             "scheme": "noise_free_local_sgd", "local_steps": 3, "rounds": 4,
             "schedule": {"kind": "final_model", "shift": "auto"},
         }, channel={"kind": "noiseless_orthogonal"})
-        table = run_experiment(config)
+        result = simulate_trials(config)
+        table = tabulate(result)
         rows = table.for_scheme("noise_free_local_sgd")
         assert len(rows) == 4
         assert all(row.stderr == 0.0 for row in rows)
@@ -137,15 +139,19 @@ class TestRunExperiment:
         )
         hess = hessian(shards, config.trainer.ridge_lambda)
         theta_star, _ = solve_optimum(shards, config.trainer.ridge_lambda)
-        traces = run_training(
+        trace = run_training(
             shards,
             harness._trainer_config(resolved, "noise_free_local_sgd"),
             None,
             harness.trial_streams(config, 0, "noise_free_local_sgd"),
             (theta_star, hess),
         )
-        for row, trace in zip(rows, traces):
-            assert row.mean_gap == trace.gap
+        for row, gap in zip(rows, trace.gaps):
+            assert row.mean_gap == gap
+        run = result.schemes["noise_free_local_sgd"]
+        np.testing.assert_array_equal(run.gaps[0], trace.gaps)
+        np.testing.assert_array_equal(run.power_per_user[0], trace.powers)
+        np.testing.assert_array_equal(run.waits[0], trace.waits)
 
     def test_paired_initial_models_across_schemes(self):
         config = tiny_config(trials=2)

@@ -9,7 +9,6 @@ from otafl.localsgd import local_pass
 from otafl.objectives import global_grad, hessian, quadratic_gap, ridge_grad, solve_optimum
 from otafl.precoding import AlphaSchedule, FadingPolicy
 from otafl.trainer import (
-    RoundTrace,
     StepSchedule,
     TrainerConfig,
     TrialStreams,
@@ -164,7 +163,7 @@ class TestTrainerConfig:
                 scheme="noise_free_local_sgd", local_steps=2, rounds=1, step=_schedule(),
                 sigma_w2=sigma_w2,
             )
-            theta, _ = run_round(
+            theta, _, _ = run_round(
                 np.zeros(3), shards, config, None, _streams(2, 3), 1, _optimum(shards),
                 _indices(2, 3, 10, 2),
             )
@@ -180,7 +179,7 @@ class TestRunRound:
             scheme="noise_free_local_sgd", local_steps=5, rounds=1, step=schedule
         )
         theta0 = rng.standard_normal(3)
-        new_theta, trace = run_round(
+        new_theta, gap, powers = run_round(
             theta0, shards, config, None, _streams(3, 1), 1,
             _optimum(shards), _indices(3, 1, 20, 5),
         )
@@ -190,7 +189,8 @@ class TestRunRound:
         )
         # the kernel sums the residual dot product in another order
         np.testing.assert_allclose(new_theta, reference, rtol=1e-12)
-        assert isinstance(trace, RoundTrace)
+        assert gap == quadratic_gap(new_theta, *_optimum(shards))
+        assert powers.shape == (1,)
 
     def test_cotaf_noiseless_matches_noise_free(self, rng):
         shards = make_shards(rng, n_users=4, per_user=15, dim=3)
@@ -199,7 +199,7 @@ class TestRunRound:
         out = {}
         for scheme in ("noise_free_local_sgd", "cotaf"):
             config = TrainerConfig(scheme=scheme, local_steps=4, rounds=1, step=schedule)
-            theta, _ = run_round(
+            theta, _, _ = run_round(
                 theta0, shards, config, 0.37, _streams(5, 4), 1, _optimum(shards),
                 _indices(5, 4, 15, 4),
             )
@@ -223,11 +223,11 @@ class TestRunRound:
         indices = _indices(9, 3, 10, 2)
         errs = []
         for rep in range(1500):
-            clean, _ = run_round(
+            clean, _, _ = run_round(
                 theta0, shards, clean_config, alpha, _streams(9, 3, noise_seed=1), 1,
                 optimum, indices,
             )
-            noisy, _ = run_round(
+            noisy, _, _ = run_round(
                 theta0, shards, noisy_config, alpha,
                 _streams(9, 3, noise_seed=10_000 + rep), 1, optimum, indices,
             )
@@ -245,18 +245,20 @@ class TestRunRound:
         )
         theta0 = rng.standard_normal(3)
         streams = _streams(7, 5)
-        fading = draw_fading_rounds(streams.fading, 5, 1, config.fading).round(0)
-        new_theta, trace = run_round(
+        fades = draw_fading_rounds(streams.fading, 5, 1, config.fading)
+        participants = fades.participants[0]
+        new_theta, _, powers = run_round(
             theta0, shards, config, 1.3, streams, 1, _optimum(shards),
-            _indices(7, 5, 10, 2), fading,
+            _indices(7, 5, 10, 2), (participants, fades.magnitudes[0]),
         )
-        assert trace.participants is not None and len(trace.participants) == 3
+        assert participants.shape == (3,)
+        assert np.count_nonzero(powers) == 3 and np.all(powers[participants - 1] > 0)
         # noiseless: output equals the participant average of local models
         etas = [schedule.eta(j) for j in range(2)]
         local_models = _reference_local_models(
             theta0, shards, etas, _streams(7, 5).users, config.ridge_lambda
         )
-        expected = np.mean([local_models[uid - 1] for uid in trace.participants], axis=0)
+        expected = np.mean([local_models[uid - 1] for uid in participants], axis=0)
         np.testing.assert_allclose(new_theta, expected, atol=1e-10)
 
     def test_scheme_channel_mismatch(self):
@@ -311,10 +313,13 @@ class TestRunTraining:
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=3, rounds=0, step=_schedule()
         )
-        traces = run_training(
+        trace = run_training(
             shards, config, None, _streams(4, 2), _optimum(shards)
         )
-        assert traces == []
+        assert trace.thetas.shape == (0, 3)
+        assert trace.gaps.shape == (0,) and trace.waits.shape == (0,)
+        assert trace.powers.shape == (0, 2)
+        assert trace.participants is None
 
     def test_user_stream_count_checked(self, rng):
         shards = make_shards(rng, n_users=3, per_user=10, dim=3)
@@ -334,18 +339,18 @@ class TestRunTraining:
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=4, rounds=3, step=schedule
         )
-        traces = run_training(
+        trace = run_training(
             shards, config, None, _streams(6, 3), _optimum(shards)
         )
         streams = _streams(6, 3)
         theta = streams.init.normal(0.0, config.theta0_std, 4)
-        for r, trace in enumerate(traces):
+        for r, run_theta in enumerate(trace.thetas):
             etas = [schedule.eta(r * 4 + j) for j in range(4)]
             models = _reference_local_models(
                 theta, shards, etas, streams.users, config.ridge_lambda
             )
             theta = np.mean(models, axis=0)
-            np.testing.assert_allclose(trace.theta_global, theta, rtol=1e-12)
+            np.testing.assert_allclose(run_theta, theta, rtol=1e-12)
 
     def test_deterministic_replay(self, rng):
         shards = make_shards(rng, n_users=3, per_user=12, dim=4)
@@ -353,13 +358,15 @@ class TestRunTraining:
             scheme="cotaf", local_steps=3, rounds=5, step=_schedule(), sigma_w2=1.0
         )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 5))
-        runs = []
-        for _ in range(2):
-            traces = run_training(shards, config, alpha, _streams(6, 3), _optimum(shards))
-            runs.append(traces)
-        for a, b in zip(*runs):
-            np.testing.assert_array_equal(a.theta_global, b.theta_global)
-            assert a.gap == b.gap and a.tx_power_max == b.tx_power_max
+        a, b = (
+            run_training(shards, config, alpha, _streams(6, 3), _optimum(shards)) for _ in range(2)
+        )
+        np.testing.assert_array_equal(a.thetas, b.thetas)
+        np.testing.assert_array_equal(a.gaps, b.gaps)
+        np.testing.assert_array_equal(a.powers, b.powers)
+        assert a.participants is None and b.participants is None
+        np.testing.assert_array_equal(a.waits, np.zeros(5, dtype=np.int64))
+        np.testing.assert_array_equal(b.waits, a.waits)
 
     def test_alpha_schedule_coverage_checked(self, rng):
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)
@@ -381,10 +388,9 @@ class TestRunTraining:
             step=StepSchedule("final_model", shift=max(8 * smoothness / mu, 10.0), mu=mu),
             theta0_std=5.0, ridge_lambda=lam,
         )
-        traces = run_training(
+        gaps = run_training(
             shards, config, None, _streams(8, 8), _optimum(shards, lam)
-        )
-        gaps = np.array([t.gap for t in traces])
+        ).gaps
         assert np.all(gaps >= -1e-9)
         frac_decreasing = np.mean(np.diff(gaps) <= 0)
         assert frac_decreasing >= 0.9
@@ -452,16 +458,16 @@ class TestFadingRun:
         )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 20))
         optimum = _optimum(shards)
-        traces = run_training(shards, config, alpha, _streams(5, 6), optimum)
+        trace = run_training(shards, config, alpha, _streams(5, 6), optimum)
         reference = list(_reference_fading_run(shards, config, alpha, _streams(5, 6), optimum))
-        assert len(traces) == len(reference) == 20
-        for trace, (participants, waits, theta, gap, powers) in zip(traces, reference):
-            assert trace.participants == participants
-            assert trace.wait_count == waits
-            np.testing.assert_allclose(trace.theta_global, theta, rtol=1e-12)
-            assert trace.gap == pytest.approx(gap, rel=1e-12)
-            np.testing.assert_allclose(trace.tx_power_per_user, powers, rtol=1e-12)
-        assert sum(trace.wait_count for trace in traces) >= 5
+        assert len(trace.gaps) == len(reference) == 20
+        for i, (participants, waits, theta, gap, powers) in enumerate(reference):
+            assert tuple(trace.participants[i].tolist()) == participants
+            assert trace.waits[i] == waits
+            np.testing.assert_allclose(trace.thetas[i], theta, rtol=1e-12)
+            assert trace.gaps[i] == pytest.approx(gap, rel=1e-12)
+            np.testing.assert_allclose(trace.powers[i], powers, rtol=1e-12)
+        assert trace.waits.sum() >= 5
 
     def test_waits_count_the_short_draws_across_chunks(self, monkeypatch):
         monkeypatch.setattr(trainer_mod, "FADING_CHUNK_ROWS", 4)
@@ -495,27 +501,27 @@ class TestFadingRun:
 class TestWeightedAverageModel:
     def test_single_round(self, rng):
         theta = rng.standard_normal(4)
-        np.testing.assert_array_equal(weighted_average_model([(1, theta)], 5.0, 10), theta)
+        np.testing.assert_array_equal(weighted_average_model(theta[None, :], 5.0, 10), theta)
 
     def test_equal_models(self, rng):
         theta = rng.standard_normal(3)
-        history = [(r, theta) for r in range(1, 6)]
-        np.testing.assert_allclose(weighted_average_model(history, 3.0, 2), theta, atol=1e-12)
+        thetas = np.tile(theta, (5, 1))  # rounds 1..5
+        np.testing.assert_allclose(weighted_average_model(thetas, 3.0, 2), theta, atol=1e-12)
 
     def test_weights_match_direct_summation(self, rng):
         a, h = 7.0, 3
-        history = [(r, rng.standard_normal(2)) for r in range(1, 9)]
+        thetas = np.stack([rng.standard_normal(2) for _ in range(8)])  # rounds 1..8
         # independent accumulation of the weighted sum
         total_weight = 0.0
         acc = np.zeros(2)
-        for r, theta in history:
+        for r, theta in enumerate(thetas, start=1):
             w = (a + r * h) ** 2
             total_weight += w
             acc = acc + w * theta
         np.testing.assert_allclose(
-            weighted_average_model(history, a, h), acc / total_weight, rtol=1e-12
+            weighted_average_model(thetas, a, h), acc / total_weight, rtol=1e-12
         )
 
     def test_empty_history(self):
         with pytest.raises(ValueError):
-            weighted_average_model([], 1.0, 1)
+            weighted_average_model(np.empty((0, 2)), 1.0, 1)
