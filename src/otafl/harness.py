@@ -31,6 +31,7 @@ from .precoding import AlphaSchedule, FadingPolicy, alpha_upper_bound_schedule, 
 from .rng import stream_generator
 from .trainer import (
     CHANNEL_KINDS,
+    MAX_WAIT_REDRAWS,
     StepSchedule,
     TrainerConfig,
     TrialStreams,
@@ -276,6 +277,26 @@ def calibrated_h_min(spec: ChannelSpec) -> float:
     return spec.rayleigh_scale * math.sqrt(2.0 * math.log(1.0 / spec.eligibility))
 
 
+def check_fading_supply(policy: FadingPolicy, n_users: int) -> None:
+    """Reject a fading config whose rounds would starve before drawing any.
+
+    One user clears h_min with probability q = exp(-h_min^2 / (2 scale^2))
+    under Rayleigh fading, so a draw has at least K eligible users with
+    probability p_K = P(Binomial(N, q) >= K), and a round waits for
+    1/p_K - 1 redraws on average.
+    """
+    q = math.exp(-(policy.h_min**2) / (2.0 * policy.rayleigh_scale**2))
+    n, k = n_users, policy.participants
+    p_k = sum(math.comb(n, j) * q**j * (1 - q) ** (n - j) for j in range(k, n + 1))
+    redraws = 1.0 / p_k - 1.0 if p_k > 0 else math.inf
+    if redraws > MAX_WAIT_REDRAWS:
+        raise ValueError(
+            f"fading rounds would starve: a draw has K={k} of N={n} users above "
+            f"h_min={policy.h_min:.4g} with probability p_K={p_k:.3g}, so a round waits for "
+            f"{redraws:.3g} redraws on average, more than MAX_WAIT_REDRAWS={MAX_WAIT_REDRAWS}"
+        )
+
+
 def build_dataset(config: ExperimentConfig) -> Dataset:
     if isinstance(config.dataset, SyntheticSpec):
         rng = stream_generator(config.seed, "dataset")
@@ -405,6 +426,7 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
             participants=k,
             rayleigh_scale=config.channel.rayleigh_scale,
         )
+        check_fading_supply(fading_policy, config.users)
 
     alpha_schedule = None
     if any(spec.needs_alpha for spec in specs):
@@ -439,16 +461,17 @@ def _trainer_config(resolved: ResolvedExperiment, scheme: str) -> TrainerConfig:
     )
 
 
-def trial_streams(config: ExperimentConfig, trial: int, scheme: str) -> TrialStreams:
-    """Streams for one (trial, scheme) run; init/user streams are scheme-independent."""
+def trial_streams(config: ExperimentConfig, trial: int, schemes: Sequence[str]) -> TrialStreams:
+    """Streams of one trial's paired runs: the init and user streams, which
+    all schemes share, and one noise and one fading stream per scheme."""
     seed = config.seed
     return TrialStreams(
         init=stream_generator(seed, f"trial{trial}/init"),
         users=tuple(
             stream_generator(seed, f"trial{trial}/user{n}") for n in range(1, config.users + 1)
         ),
-        noise=stream_generator(seed, f"trial{trial}/noise/{scheme}"),
-        fading=stream_generator(seed, f"trial{trial}/fading/{scheme}"),
+        noise=tuple(stream_generator(seed, f"trial{trial}/noise/{scheme}") for scheme in schemes),
+        fading=tuple(stream_generator(seed, f"trial{trial}/fading/{scheme}") for scheme in schemes),
     )
 
 
@@ -515,17 +538,17 @@ def simulate_trials(
         diff = theta0 - theta_star
         theta0_dist2[trial] = diff @ diff
 
-        for scheme in schemes:
-            try:
-                trace = run_training(
-                    shards,
-                    _trainer_config(resolved, scheme),
-                    resolved.alpha_schedule,
-                    trial_streams(config, trial, scheme),
-                    (theta_star, hess),
-                )
-            except Exception as exc:
-                raise RuntimeError(f"trial {trial}, scheme {scheme}: {exc}") from exc
+        try:
+            traces = run_training(
+                shards,
+                [_trainer_config(resolved, scheme) for scheme in schemes],
+                resolved.alpha_schedule,
+                trial_streams(config, trial, schemes),
+                (theta_star, hess),
+            )
+        except Exception as exc:
+            raise RuntimeError(f"trial {trial}, {exc}") from exc
+        for scheme, trace in zip(schemes, traces):
             run = runs[scheme]
             run.gaps[trial] = trace.gaps
             run.power_per_user[trial] = trace.powers
@@ -573,18 +596,32 @@ def tabulate(result: SimulationResult) -> MetricsTable:
     rows = []
     h = result.config.trainer.local_steps
     for scheme, run in result.schemes.items():
-        power_max = run.power_max
-        for i in range(run.gaps.shape[1]):
+        # one round per row: the row reductions give the bits of per-round
+        # column reductions, which an axis-0 reduction does not once T > 8
+        gaps = np.ascontiguousarray(run.gaps.T)
+        n_trials = gaps.shape[1]
+        if n_trials < 2:
+            stderrs = np.zeros(gaps.shape[0])
+        else:
+            stderrs = gaps.std(axis=1, ddof=1) / math.sqrt(n_trials)
+        columns = zip(
+            gaps.mean(axis=1).tolist(),
+            stderrs.tolist(),
+            np.ascontiguousarray(run.power_max.T).mean(axis=1).tolist(),
+            np.ascontiguousarray(run.participants.T).mean(axis=1).tolist(),
+            np.ascontiguousarray(run.waits.T).mean(axis=1).tolist(),
+        )
+        for i, (mean_gap, stderr, mean_power, participants, waits) in enumerate(columns):
             rows.append(
                 MetricsRow(
                     scheme=scheme,
                     round=i + 1,
                     t=(i + 1) * h,
-                    mean_gap=float(run.gaps[:, i].mean()),
-                    stderr=_stderr(run.gaps[:, i]),
-                    mean_power=float(power_max[:, i].mean()),
-                    participants_mean=float(run.participants[:, i].mean()),
-                    wait_count=float(run.waits[:, i].mean()),
+                    mean_gap=mean_gap,
+                    stderr=stderr,
+                    mean_power=mean_power,
+                    participants_mean=participants,
+                    wait_count=waits,
                 )
             )
     return MetricsTable(rows=tuple(rows))

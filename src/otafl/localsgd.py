@@ -23,11 +23,18 @@ def local_pass(
 ) -> np.ndarray:
     """Run H = len(etas) ridge SGD steps for all N users at once.
 
-    theta is the (d,) model every user starts from, or (N, d) per-user
-    models; features is the (N, D_n, d) shard block and targets (N, D_n);
-    indices is (N, H), user n taking sample indices[n, j] at step j. Step j
+    features is the (N, D_n, d) shard block and targets (N, D_n). Step j
     moves each user's model against the per-sample gradient
-    (x.theta - y) x + lam theta with size etas[j]. Returns the (N, d) models.
+    (x.theta - y) x + lam theta with size etas[j]. Three shapes are taken:
+
+    - indices (N, H), user n taking sample indices[n, j] at step j, and
+      theta the (d,) model every user starts from or (N, d) per-user
+      models; returns the (N, d) models.
+    - indices (N, H) shared by a leading batch of S models: theta (S, 1, d)
+      or (S, N, d); returns (S, N, d), slice s equal to the call on theta[s].
+    - indices (T, N, H), one index block per batch row: theta (T, 1, d) or
+      (T, N, d); returns (T, N, d), slice t equal to the call on
+      (theta[t], indices[t]).
     """
     if any(eta <= 0 for eta in etas):
         raise ValueError("step size must be positive")
@@ -36,14 +43,29 @@ def local_pass(
     n_users, shard_size, dim = features.shape
     if shard_size == 0:
         raise ValueError("cannot step on an empty shard")
-    if indices.shape != (n_users, len(etas)):
-        raise ValueError(f"indices have shape {indices.shape}, expected {(n_users, len(etas))}")
-    # One gather per call, step-major so each step reads a contiguous (N, d) slab.
+    if indices.shape[-2:] != (n_users, len(etas)) or indices.ndim > 3:
+        raise ValueError(
+            f"indices have shape {indices.shape}, expected {(n_users, len(etas))} "
+            "with at most one leading axis"
+        )
+    # One gather per call, step-major so each step reads a contiguous slab.
     users = np.arange(n_users)
-    xs = features[users, indices.T]  # (H, N, d)
-    ys = targets[users, indices.T]  # (H, N)
-    theta = np.broadcast_to(theta, (n_users, dim)).astype(np.float64)
+    steps = np.moveaxis(indices, -1, 0) if indices.ndim == 3 else indices.T
+    xs = features[users, steps]  # (H, [T,] N, d)
+    ys = targets[users, steps]  # (H, [T,] N)
+    if theta.ndim < 3:
+        if indices.ndim == 3:
+            raise ValueError("per-row indices need a (T, 1 or N, d) theta")
+        subscripts = "nd,nd->n"
+        theta = np.broadcast_to(theta, (n_users, dim)).astype(np.float64)
+    else:
+        # explicit subscripts: these keep each batch slice bit-equal to the
+        # unbatched call, which flattening the batch into users does not
+        subscripts = "snd,snd->sn" if indices.ndim == 3 else "nd,snd->sn"
+        if indices.ndim == 3 and theta.shape[0] != indices.shape[0]:
+            raise ValueError(f"{theta.shape[0]} models for {indices.shape[0]} index blocks")
+        theta = np.broadcast_to(theta, (theta.shape[0], n_users, dim)).astype(np.float64)
     for x, y, eta in zip(xs, ys, etas):
-        residual = np.einsum("nd,nd->n", x, theta) - y
-        theta = theta - eta * (residual[:, None] * x + lam * theta)
+        residual = np.einsum(subscripts, x, theta) - y
+        theta = theta - eta * (residual[..., None] * x + lam * theta)
     return theta

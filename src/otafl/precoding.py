@@ -201,17 +201,26 @@ def estimate_alpha_mc(
         [step_fn((r - 1) * local_steps + j) for j in range(local_steps)]
         for r in range(1, rounds + 1)
     ]
+    # Every trial's draws up front, in the order trial by trial sampling takes
+    # them: the initial model, then one draw in round -> user -> step order.
+    # The indices are held in the smallest dtype that fits a shard index.
+    thetas = np.empty((pilot_trials, 1, dim))
+    draws = np.empty(
+        (pilot_trials, rounds, n_users, local_steps), dtype=np.min_scalar_type(shard_size - 1)
+    )
+    for t in range(pilot_trials):
+        thetas[t, 0] = rng.normal(0.0, theta0_std, dim)
+        draws[t] = rng.integers(shard_size, size=draws[t].size).reshape(draws.shape[1:])
+
+    # All trials advance as one (T, N, d) block per round.
     sums = np.zeros((rounds, n_users))
-    for _ in range(pilot_trials):
-        theta = rng.normal(0.0, theta0_std, dim)
-        # one draw in round -> user -> step order, as step-by-step sampling takes them
-        draws = rng.integers(shard_size, size=rounds * n_users * local_steps)
-        draws = draws.reshape(rounds, n_users, local_steps)
-        for r in range(rounds):
-            local_models = local_pass(theta, block.features, block.targets, etas[r], draws[r], lam)
-            diff = local_models - theta
-            sums[r] += np.einsum("nd,nd->n", diff, diff)
-            theta = local_models.mean(axis=0)
+    for r in range(rounds):
+        local_models = local_pass(thetas, block.features, block.targets, etas[r], draws[:, r], lam)
+        diff = local_models - thetas
+        sq = np.einsum("tnd,tnd->tn", diff, diff)
+        for t in range(pilot_trials):  # trial by trial, the order of a per-trial loop
+            sums[r] += sq[t]
+        thetas = local_models.mean(axis=1, keepdims=True)
 
     max_mean = sums.max(axis=1) / pilot_trials
     zero_rounds = np.flatnonzero(max_mean == 0)

@@ -103,7 +103,8 @@ class StepSchedule:
         if self.shift <= 0 or self.mu <= 0:
             raise ValueError("shift and mu must be positive")
 
-    def eta(self, t: int) -> float:
+    def eta(self, t: int | np.ndarray) -> float | np.ndarray:
+        """Step size at global step t, or at each step of an integer array."""
         if self.kind == "averaged_model":
             return step_averaged_model(t, self.mu, self.shift)
         return step_final_model(t, self.mu, self.shift)
@@ -153,17 +154,18 @@ class TrainerConfig:
 
 @dataclass(frozen=True)
 class TrialStreams:
-    """Random streams owned by one training run.
+    """Random streams of one trial's paired training runs.
 
-    `users` holds one generator per user for SGD index sampling; `init` draws
-    the initial model; `noise` and `fading` feed the channel. Paired scheme
-    comparisons share init/users and give each scheme its own noise/fading.
+    `users` holds one generator per user for SGD index sampling and `init`
+    draws the initial model; all schemes of the trial share both. `noise`
+    and `fading` feed the channel and hold one stream per scheme, in the
+    order of the schemes' configs.
     """
 
     init: np.random.Generator
     users: tuple[np.random.Generator, ...]
-    noise: np.random.Generator | None = None
-    fading: np.random.Generator | None = None
+    noise: tuple[np.random.Generator | None, ...]
+    fading: tuple[np.random.Generator | None, ...]
 
 
 def _transmit_powers(signals: np.ndarray) -> np.ndarray:
@@ -252,41 +254,30 @@ def draw_fading_rounds(
 
 def run_round(
     global_theta: np.ndarray,
-    shards: Sequence[UserShard],
+    local_models: np.ndarray,
     config: TrainerConfig,
     alpha: float | None,
-    streams: TrialStreams,
-    round_index: int,
+    noise: np.random.Generator | None,
     optimum: tuple[np.ndarray, np.ndarray],
-    indices: np.ndarray,
     fading: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """One communication round: broadcast, H local steps per user, aggregate.
+    """Aggregate one round of one scheme over its channel.
 
-    Returns the new global model, its gap and the (N,) transmit energies.
+    local_models holds the (N, d) models the users reached from the
+    broadcast global_theta by the round's local steps. Returns the new
+    global model, its gap and the (N,) transmit energies.
 
     optimum is the pair (theta*, Hessian) the gap is measured against.
-    indices holds the round's (N, H) sample indices, user n taking
-    indices[n, j] at local step j; run_training slices them from the draws
-    it makes for the whole run. alpha is the round's precoding coefficient,
-    which only the precoded schemes use. fading is the round's row of
-    FadingRounds (participants, their magnitudes), which only cotaf_fading
-    uses.
+    alpha is the round's precoding coefficient, which only the precoded
+    schemes use; noise is the scheme's channel-noise stream. fading is the
+    round's row of FadingRounds (participants, their magnitudes), which only
+    cotaf_fading uses.
     """
     if SCHEME_TABLE[config.scheme].needs_alpha and alpha is None:
         raise ValueError(f"{config.scheme} needs an alpha coefficient")
     if config.scheme == "cotaf_fading" and fading is None:
         raise ValueError("cotaf_fading needs the round's fading selection")
-    block = ShardBlock.of(shards)
-    n_users = len(block)
-    h = config.local_steps
-    t0 = (round_index - 1) * h
-    etas = [config.step.eta(t0 + j) for j in range(h)]
-
-    # Every user starts the round from the broadcast global model.
-    local_models = local_pass(
-        global_theta, block.features, block.targets, etas, indices, config.ridge_lambda
-    )
+    n_users = local_models.shape[0]
     deltas = local_models - global_theta
 
     if config.scheme == "noise_free_local_sgd":
@@ -295,13 +286,13 @@ def run_round(
         powers = _transmit_powers(deltas)
     elif config.scheme == "cotaf":
         signals = precode(deltas, alpha)
-        y = awgn_mac(signals, config.sigma_w2, streams.noise, dim=global_theta.shape[0])
+        y = awgn_mac(signals, config.sigma_w2, noise, dim=global_theta.shape[0])
         new_theta = decode(y, n_users, alpha, global_theta)
         powers = _transmit_powers(signals)
     elif config.scheme == "non_precoded_ota":
         gain = config.gain
         signals = gain * deltas
-        y = awgn_mac(signals, config.sigma_w2, streams.noise, dim=global_theta.shape[0])
+        y = awgn_mac(signals, config.sigma_w2, noise, dim=global_theta.shape[0])
         new_theta = y / (n_users * gain) + global_theta
         powers = _transmit_powers(signals)
     elif config.scheme == "cotaf_fading":
@@ -310,7 +301,7 @@ def run_round(
         rows = ids - 1
         signals = fading_precode(deltas[rows], alpha, magnitudes, policy.h_min)
         assert signals is not None  # selected users all exceed h_min
-        y = fading_mac(signals, magnitudes, config.sigma_w2, streams.noise)
+        y = fading_mac(signals, magnitudes, config.sigma_w2, noise)
         new_theta = fading_decode(y, rows.shape[0], alpha, policy.h_min, global_theta)
         powers = np.zeros(n_users)
         powers[rows] = _transmit_powers(signals)
@@ -318,55 +309,90 @@ def run_round(
     return new_theta, quadratic_gap(new_theta, *optimum), powers
 
 
+# Paired runs share the kernel, so their configs must agree on these.
+_KERNEL_FIELDS = ("local_steps", "rounds", "step", "ridge_lambda", "theta0_std")
+
+
 def run_training(
     shards: Sequence[UserShard],
-    config: TrainerConfig,
+    configs: Sequence[TrainerConfig],
     alpha_schedule: AlphaSchedule | None,
     streams: TrialStreams,
     optimum: tuple[np.ndarray, np.ndarray],
-) -> RunTrace:
-    """Full training run: Gaussian initial model, then `rounds` communication rounds.
+) -> list[RunTrace]:
+    """Paired training runs of one trial, one per config: a shared Gaussian
+    initial model, then `rounds` communication rounds.
 
-    optimum is the pair (theta*, Hessian) of the global objective on shards,
-    against which each round's gap is measured.
+    The schemes share the initial model and every user's sample indices, so
+    each round makes one local_pass on the (S, N, d) block of their models,
+    and each scheme then aggregates its own slice over its own channel with
+    its own noise and fading stream. Run s equals a run of configs[s] alone,
+    bit for bit. optimum is the pair (theta*, Hessian) of the global
+    objective on shards, against which each round's gap is measured.
     """
-    needs_alpha = SCHEME_TABLE[config.scheme].needs_alpha
-    if needs_alpha:
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one trainer config")
+    first = configs[0]
+    for name in _KERNEL_FIELDS:
+        if any(getattr(config, name) != getattr(first, name) for config in configs):
+            raise ValueError(f"paired runs must share {name}")
+    needs_alpha = [SCHEME_TABLE[config.scheme].needs_alpha for config in configs]
+    if any(needs_alpha):
         if alpha_schedule is None:
-            raise ValueError(f"{config.scheme} needs an alpha schedule")
-        if alpha_schedule.rounds < config.rounds:
+            raise ValueError(f"{configs[needs_alpha.index(True)].scheme} needs an alpha schedule")
+        if alpha_schedule.rounds < first.rounds:
             raise ValueError(
-                f"alpha schedule covers {alpha_schedule.rounds} rounds, need {config.rounds}"
+                f"alpha schedule covers {alpha_schedule.rounds} rounds, need {first.rounds}"
             )
 
     block = ShardBlock.of(shards)
     n_users, shard_size, dim = block.features.shape
     if len(streams.users) != n_users:
         raise ValueError(f"need {n_users} user streams, got {len(streams.users)}")
-    h = config.local_steps
-    theta = streams.init.normal(0.0, config.theta0_std, dim)
-    indices = _draw_indices(streams.users, shard_size, config.rounds * h)
-    fades = None
-    if config.fading is not None and config.rounds > 0:
-        fades = draw_fading_rounds(streams.fading, n_users, config.rounds, config.fading)
-    thetas = np.empty((config.rounds, dim))
-    gaps = np.empty(config.rounds)
-    powers = np.empty((config.rounds, n_users))
-    for i in range(config.rounds):
+    n_runs = len(configs)
+    if len(streams.noise) != n_runs or len(streams.fading) != n_runs:
+        raise ValueError(f"need one noise and one fading stream for each of {n_runs} schemes")
+    h, rounds = first.local_steps, first.rounds
+    theta = np.broadcast_to(streams.init.normal(0.0, first.theta0_std, dim), (n_runs, dim))
+    indices = _draw_indices(streams.users, shard_size, rounds * h)
+    fades = [None] * n_runs
+    for s, config in enumerate(configs):
+        if config.fading is not None and rounds > 0:
+            try:
+                fades[s] = draw_fading_rounds(streams.fading[s], n_users, rounds, config.fading)
+            except Exception as exc:
+                raise RuntimeError(f"scheme {config.scheme}: {exc}") from exc
+    etas = first.step.eta(np.arange(rounds * h))  # the run's R*H step sizes
+    alphas = alpha_schedule.values.tolist() if any(needs_alpha) else None
+    thetas = np.empty((n_runs, rounds, dim))
+    gaps = np.empty((n_runs, rounds))
+    powers = np.empty((n_runs, rounds, n_users))
+    for i in range(rounds):
         r = i + 1
-        alpha = alpha_schedule.alpha_for_round(r) if needs_alpha else None
-        fading = (fades.participants[i], fades.magnitudes[i]) if fades is not None else None
-        try:
-            theta, gaps[i], powers[i] = run_round(
-                theta, block, config, alpha, streams, r, optimum,
-                indices[:, i * h : r * h], fading,
-            )
-        except Exception as exc:
-            raise RuntimeError(f"round {r}: {exc}") from exc
-        thetas[i] = theta
-    if fades is None:
-        return RunTrace(thetas, gaps, powers, None, np.zeros(config.rounds, dtype=np.int64))
-    return RunTrace(thetas, gaps, powers, fades.participants, fades.waits)
+        # a single scheme keeps to the unbatched kernel, a (d,) start and
+        # (N, d) models, whose per-call cost the batched path would raise
+        local_models = local_pass(
+            theta[0] if n_runs == 1 else theta[:, None, :], block.features, block.targets,
+            etas[i * h : r * h], indices[:, i * h : r * h], first.ridge_lambda,
+        ).reshape(n_runs, n_users, dim)
+        for s, config in enumerate(configs):
+            fade = fades[s]
+            try:
+                thetas[s, i], gaps[s, i], powers[s, i] = run_round(
+                    theta[s], local_models[s], config, alphas[i] if needs_alpha[s] else None,
+                    streams.noise[s], optimum,
+                    None if fade is None else (fade.participants[i], fade.magnitudes[i]),
+                )
+            except Exception as exc:
+                raise RuntimeError(f"scheme {config.scheme}: round {r}: {exc}") from exc
+        theta = thetas[:, i]
+    return [
+        RunTrace(thetas[s], gaps[s], powers[s], None, np.zeros(rounds, dtype=np.int64))
+        if fade is None
+        else RunTrace(thetas[s], gaps[s], powers[s], fade.participants, fade.waits)
+        for s, fade in enumerate(fades)
+    ]
 
 
 def weighted_average_model(thetas: np.ndarray, a: float, local_steps: int) -> np.ndarray:

@@ -91,11 +91,11 @@ def test_criterion_01_noiseless_collapse():
     for scheme in ("cotaf", "noise_free_local_sgd"):
         iterates[scheme] = run_training(
             shards,
-            harness._trainer_config(resolved, scheme),
+            [harness._trainer_config(resolved, scheme)],
             resolved.alpha_schedule,
-            harness.trial_streams(config, 0, scheme),
+            harness.trial_streams(config, 0, [scheme]),
             (theta_star, hess),
-        ).thetas
+        )[0].thetas
     worst = float(np.max(np.abs(iterates["cotaf"] - iterates["noise_free_local_sgd"])))
     elapsed = time.time() - start
     report(
@@ -181,11 +181,11 @@ def test_weighted_average_bound_final_round():
         )
         hess = hessian(shards, config.trainer.ridge_lambda)
         theta_star, f_star = solve_optimum(shards, config.trainer.ridge_lambda, hess)
-        trace = run_training(
+        (trace,) = run_training(
             shards,
-            harness._trainer_config(resolved, "cotaf"),
+            [harness._trainer_config(resolved, "cotaf")],
             resolved.alpha_schedule,
-            harness.trial_streams(config, trial, "cotaf"),
+            harness.trial_streams(config, trial, ["cotaf"]),
             (theta_star, hess),
         )
         averaged = weighted_average_model(trace.thetas, a, h)

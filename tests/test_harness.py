@@ -139,11 +139,11 @@ class TestRunExperiment:
         )
         hess = hessian(shards, config.trainer.ridge_lambda)
         theta_star, _ = solve_optimum(shards, config.trainer.ridge_lambda)
-        trace = run_training(
+        (trace,) = run_training(
             shards,
-            harness._trainer_config(resolved, "noise_free_local_sgd"),
+            [harness._trainer_config(resolved, "noise_free_local_sgd")],
             None,
-            harness.trial_streams(config, 0, "noise_free_local_sgd"),
+            harness.trial_streams(config, 0, ["noise_free_local_sgd"]),
             (theta_star, hess),
         )
         for row, gap in zip(rows, trace.gaps):
@@ -211,9 +211,14 @@ class TestRunExperiment:
         import otafl.trainer as trainer_mod
 
         monkeypatch.setattr(trainer_mod, "MAX_WAIT_REDRAWS", 50)
+        # the config passes the resolve-time supply check; every drawn user is
+        # censored, so round 1 starves at run time
+        monkeypatch.setattr(
+            trainer_mod, "sample_rayleigh", lambda n, scale, rng, rows: np.full((rows, n), 1e-3)
+        )
         config = tiny_config(
             trials=1,
-            channel={"kind": "fading_mac", "snr_db": -6.0, "participants": 4, "h_min": 50.0},
+            channel={"kind": "fading_mac", "snr_db": -6.0, "participants": 4, "h_min": 0.5},
             trainer={
                 "scheme": "cotaf_fading", "local_steps": 3, "rounds": 2,
                 "schedule": {"kind": "final_model", "shift": "auto"},
@@ -221,6 +226,46 @@ class TestRunExperiment:
         )
         with pytest.raises(RuntimeError, match=r"trial 0, scheme cotaf_fading: round 1"):
             simulate_trials(config, ["cotaf_fading"])
+
+    @pytest.mark.parametrize("trials", [1, 5, 7, 9, 50])
+    def test_tabulate_equals_per_round_reductions(self, trials):
+        # the CSV is byte-stable, so each row must carry the bits of reducing
+        # that round's column on its own (an axis-0 reduction differs at T >= 9)
+        rng = np.random.default_rng(trials)
+        rounds = 40
+        run = harness.SchemeRuns(
+            gaps=rng.lognormal(sigma=2.0, size=(trials, rounds)),
+            power_per_user=rng.lognormal(sigma=2.0, size=(trials, rounds, 3)),
+            participants=rng.integers(1, 4, size=(trials, rounds)),
+            waits=rng.integers(0, 5, size=(trials, rounds)),
+        )
+        config = tiny_config(trials=trials)
+        result = harness.SimulationResult(
+            config=config, schemes={"cotaf": run}, t_grid=3 * np.arange(1, rounds + 1),
+            theta0_dist2=np.zeros(trials), resolved=None,
+        )
+        rows = tabulate(result).rows
+        assert len(rows) == rounds
+        for i, row in enumerate(rows):
+            gaps = run.gaps[:, i]
+            stderr = 0.0 if trials < 2 else float(gaps.std(ddof=1) / math.sqrt(trials))
+            assert (row.round, row.t) == (i + 1, 3 * (i + 1))
+            assert row.mean_gap == float(gaps.mean())
+            assert row.stderr == stderr
+            assert row.mean_power == float(run.power_max[:, i].mean())
+            assert row.participants_mean == float(run.participants[:, i].mean())
+            assert row.wait_count == float(run.waits[:, i].mean())
+
+    def test_trial_streams_share_init_and_users(self):
+        config = tiny_config()
+        paired = harness.trial_streams(config, 1, ["cotaf", "non_precoded_ota"])
+        alone = harness.trial_streams(config, 1, ["non_precoded_ota"])
+        assert len(paired.users) == config.users
+        assert len(paired.noise) == len(paired.fading) == 2
+        assert paired.init.normal() == alone.init.normal()
+        assert paired.noise[1].normal() == alone.noise[0].normal()
+        assert paired.fading[1].normal() == alone.fading[0].normal()
+        assert paired.noise[0].normal() != alone.noise[0].normal()
 
     def test_gap_never_meaningfully_negative(self):
         config = tiny_config(trials=4)
@@ -405,6 +450,23 @@ class TestFadingExperiment:
         run = result.schemes["cotaf_fading"]
         assert np.all(run.participants == 3)
         assert np.all(run.gaps[:, -1] >= -1e-9)
+
+    def test_starved_config_fails_at_resolve(self):
+        # unit-power Rayleigh: one user clears h_min with q = exp(-h_min^2), so
+        # K = N = 4 users do with p_K = q^4
+        def config(h_min):
+            return tiny_config(
+                channel={"kind": "fading_mac", "snr_db": -6.0, "participants": 4, "h_min": h_min}
+            )
+
+        # p_K = exp(-9) ~ 1.2e-4: about 8100 redraws per round, served
+        assert harness.resolve(config(1.5), ["cotaf_fading"]).fading_policy.h_min == 1.5
+        # p_K = exp(-16) ~ 1.1e-7: about 8.9e6 redraws per round, rejected
+        p_k = math.exp(-4.0) ** 4
+        with pytest.raises(ValueError, match=rf"starve: .* p_K={p_k:.3g}, .* MAX_WAIT_REDRAWS"):
+            harness.resolve(config(2.0), ["cotaf_fading"])
+        with pytest.raises(ValueError, match=r"p_K=0, so a round waits for inf redraws"):
+            harness.resolve(config(50.0), ["noise_free_local_sgd"])
 
     def test_rayleigh_scale_reaches_the_policy(self):
         channel = {"kind": "fading_mac", "snr_db": -6.0, "participants": 3, "rayleigh_scale": 1.3}

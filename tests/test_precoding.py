@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from otafl.channel import awgn_mac, sample_rayleigh
+from otafl.localsgd import local_pass
 from otafl.objectives import ProbeBall, estimate_constants, ridge_grad
 from otafl.precoding import (
     AlphaSchedule,
@@ -17,7 +18,7 @@ from otafl.precoding import (
     precode,
     select_participants,
 )
-from otafl.types import RegressionSample, UserShard
+from otafl.types import RegressionSample, ShardBlock, UserShard
 
 from conftest import make_shards
 
@@ -267,6 +268,31 @@ class TestEstimateAlphaMc:
                 theta = np.mean(models, axis=0)
         expected = power / (sums.max(axis=1) / trials)
         np.testing.assert_allclose(schedule.values, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("trials", [1, 3, 9])
+    def test_stacked_trials_equal_a_per_trial_loop(self, rng, trials):
+        # all trials advance as one block per round; each trial's draws,
+        # kernel calls and accumulation must be those of a loop over trials
+        shards = make_shards(rng, n_users=4, per_user=12, dim=3)
+        block = ShardBlock.of(shards)
+        lam, rounds, h, power = 0.5, 6, 2, 1.0
+        step_fn = lambda t: 2.0 / (0.8 * (20.0 + t))
+        schedule = estimate_alpha_mc(
+            shards, lam, rounds, h, power, trials, np.random.default_rng(8),
+            step_fn=step_fn, theta0_std=1.0,
+        )
+        ref_rng = np.random.default_rng(8)
+        sums = np.zeros((rounds, 4))
+        for _ in range(trials):
+            theta = ref_rng.normal(0.0, 1.0, 3)
+            draws = ref_rng.integers(12, size=rounds * 4 * h).reshape(rounds, 4, h)
+            for r in range(rounds):
+                etas = [step_fn(r * h + j) for j in range(h)]
+                models = local_pass(theta, block.features, block.targets, etas, draws[r], lam)
+                diff = models - theta
+                sums[r] += np.einsum("nd,nd->n", diff, diff)
+                theta = models.mean(axis=0)
+        np.testing.assert_array_equal(schedule.values, power / (sums.max(axis=1) / trials))
 
     def test_linear_in_power(self, rng):
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)

@@ -25,12 +25,25 @@ from conftest import make_shards, single_shard
 
 
 def _streams(seed, n_users, noise_seed=None, fading_seed=None):
+    """Streams of a single-scheme trial."""
     return TrialStreams(
         init=np.random.default_rng(seed),
         users=tuple(np.random.default_rng(seed * 1000 + n) for n in range(n_users)),
-        noise=np.random.default_rng(noise_seed if noise_seed is not None else seed + 1),
-        fading=np.random.default_rng(fading_seed if fading_seed is not None else seed + 2),
+        noise=(np.random.default_rng(noise_seed if noise_seed is not None else seed + 1),),
+        fading=(np.random.default_rng(fading_seed if fading_seed is not None else seed + 2),),
     )
+
+
+def _round(theta, shards, config, alpha, streams, round_index, optimum, indices, fading=None):
+    """One round as run_training makes it: the users' local steps from theta
+    on the shard block, then run_round's aggregation over the channel."""
+    block = ShardBlock.of(shards)
+    t0 = (round_index - 1) * config.local_steps
+    etas = [config.step.eta(t0 + j) for j in range(config.local_steps)]
+    local_models = local_pass(
+        theta, block.features, block.targets, etas, indices, config.ridge_lambda
+    )
+    return run_round(theta, local_models, config, alpha, streams.noise[0], optimum, fading)
 
 
 def _indices(seed, n_users, shard_size, local_steps):
@@ -120,6 +133,44 @@ class TestSgdStep:
             local_pass(np.zeros(3), np.zeros((2, 0, 3)), np.zeros((2, 0)), [0.1], indices, 0.5)
 
 
+class TestBatchedPass:
+    """A leading batch axis gives each slice the bits of an unbatched call."""
+
+    @pytest.mark.parametrize("per_user", [False, True])
+    def test_shared_indices_equal_per_model_calls(self, rng, per_user):
+        shards = make_shards(rng, n_users=5, per_user=9, dim=4)
+        thetas = rng.standard_normal((3, 5, 4) if per_user else (3, 1, 4))
+        indices = rng.integers(9, size=(5, 3))
+        etas = [0.1, 0.07, 0.05]
+        out = local_pass(thetas, shards.features, shards.targets, etas, indices, 0.5)
+        assert out.shape == (3, 5, 4)
+        for theta, models in zip(thetas, out):
+            start = theta if per_user else theta[0]
+            expected = local_pass(start, shards.features, shards.targets, etas, indices, 0.5)
+            assert np.array_equal(models, expected)
+
+    def test_per_row_indices_equal_per_row_calls(self, rng):
+        shards = make_shards(rng, n_users=5, per_user=9, dim=4)
+        thetas = rng.standard_normal((4, 1, 4))
+        indices = rng.integers(9, size=(4, 5, 2)).astype(np.uint8)
+        etas = [0.1, 0.07]
+        out = local_pass(thetas, shards.features, shards.targets, etas, indices, 0.5)
+        assert out.shape == (4, 5, 4)
+        for theta, rows, models in zip(thetas, indices, out):
+            expected = local_pass(theta[0], shards.features, shards.targets, etas, rows, 0.5)
+            assert np.array_equal(models, expected)
+
+    def test_shapes_checked(self, rng):
+        block = ShardBlock.of(make_shards(rng, n_users=2, per_user=5, dim=3))
+        args = (block.features, block.targets, [0.1])
+        with pytest.raises(ValueError, match="indices have shape"):
+            local_pass(np.zeros(3), *args, np.zeros((3, 1), dtype=int), 0.5)
+        with pytest.raises(ValueError, match=r"per-row indices need a \(T, 1 or N, d\) theta"):
+            local_pass(np.zeros(3), *args, np.zeros((4, 2, 1), dtype=int), 0.5)
+        with pytest.raises(ValueError, match="3 models for 4 index blocks"):
+            local_pass(np.zeros((3, 1, 3)), *args, np.zeros((4, 2, 1), dtype=int), 0.5)
+
+
 class TestStepSchedules:
     def test_averaged_model_values(self):
         assert step_averaged_model(0, 1.0, 4.0) == pytest.approx(1.0)
@@ -163,7 +214,7 @@ class TestTrainerConfig:
                 scheme="noise_free_local_sgd", local_steps=2, rounds=1, step=_schedule(),
                 sigma_w2=sigma_w2,
             )
-            theta, _, _ = run_round(
+            theta, _, _ = _round(
                 np.zeros(3), shards, config, None, _streams(2, 3), 1, _optimum(shards),
                 _indices(2, 3, 10, 2),
             )
@@ -179,7 +230,7 @@ class TestRunRound:
             scheme="noise_free_local_sgd", local_steps=5, rounds=1, step=schedule
         )
         theta0 = rng.standard_normal(3)
-        new_theta, gap, powers = run_round(
+        new_theta, gap, powers = _round(
             theta0, shards, config, None, _streams(3, 1), 1,
             _optimum(shards), _indices(3, 1, 20, 5),
         )
@@ -199,7 +250,7 @@ class TestRunRound:
         out = {}
         for scheme in ("noise_free_local_sgd", "cotaf"):
             config = TrainerConfig(scheme=scheme, local_steps=4, rounds=1, step=schedule)
-            theta, _, _ = run_round(
+            theta, _, _ = _round(
                 theta0, shards, config, 0.37, _streams(5, 4), 1, _optimum(shards),
                 _indices(5, 4, 15, 4),
             )
@@ -223,11 +274,11 @@ class TestRunRound:
         indices = _indices(9, 3, 10, 2)
         errs = []
         for rep in range(1500):
-            clean, _, _ = run_round(
+            clean, _, _ = _round(
                 theta0, shards, clean_config, alpha, _streams(9, 3, noise_seed=1), 1,
                 optimum, indices,
             )
-            noisy, _, _ = run_round(
+            noisy, _, _ = _round(
                 theta0, shards, noisy_config, alpha,
                 _streams(9, 3, noise_seed=10_000 + rep), 1, optimum, indices,
             )
@@ -245,9 +296,9 @@ class TestRunRound:
         )
         theta0 = rng.standard_normal(3)
         streams = _streams(7, 5)
-        fades = draw_fading_rounds(streams.fading, 5, 1, config.fading)
+        fades = draw_fading_rounds(streams.fading[0], 5, 1, config.fading)
         participants = fades.participants[0]
-        new_theta, _, powers = run_round(
+        new_theta, _, powers = _round(
             theta0, shards, config, 1.3, streams, 1, _optimum(shards),
             _indices(7, 5, 10, 2), (participants, fades.magnitudes[0]),
         )
@@ -274,7 +325,7 @@ class TestRunRound:
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)
         config = TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule())
         with pytest.raises(ValueError, match="cotaf needs an alpha coefficient"):
-            run_round(
+            _round(
                 np.zeros(3), shards, config, None, _streams(1, 2), 1,
                 _optimum(shards), _indices(1, 2, 10, 1),
             )
@@ -286,7 +337,7 @@ class TestRunRound:
             fading=FadingPolicy(h_min=0.2, participants=1),
         )
         with pytest.raises(ValueError, match="cotaf_fading needs the round's fading selection"):
-            run_round(
+            _round(
                 np.zeros(3), shards, config, 1.0, _streams(1, 2), 1,
                 _optimum(shards), _indices(1, 2, 10, 1),
             )
@@ -297,13 +348,13 @@ class TestRunRound:
             scheme="noise_free_local_sgd", local_steps=1, rounds=2, step=_schedule()
         )
         with pytest.raises(ValueError, match=r"sizes \[10, 12\]"):
-            run_round(
+            _round(
                 np.zeros(3), shards, config, None, _streams(1, 2), 1,
                 (np.zeros(3), np.eye(3)), np.zeros((2, 1), dtype=int),
             )
         with pytest.raises(ValueError, match=r"sizes \[10, 12\]"):
             run_training(
-                shards, config, None, _streams(1, 2), (np.zeros(3), np.eye(3)),
+                shards, [config], None, _streams(1, 2), (np.zeros(3), np.eye(3)),
             )
 
 
@@ -313,8 +364,8 @@ class TestRunTraining:
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=3, rounds=0, step=_schedule()
         )
-        trace = run_training(
-            shards, config, None, _streams(4, 2), _optimum(shards)
+        (trace,) = run_training(
+            shards, [config], None, _streams(4, 2), _optimum(shards)
         )
         assert trace.thetas.shape == (0, 3)
         assert trace.gaps.shape == (0,) and trace.waits.shape == (0,)
@@ -328,7 +379,7 @@ class TestRunTraining:
         )
         with pytest.raises(ValueError, match="need 3 user streams, got 2"):
             run_training(
-                shards, config, None, _streams(1, 2), _optimum(shards)
+                shards, [config], None, _streams(1, 2), _optimum(shards)
             )
 
     def test_noise_free_run_equals_per_sample_reference(self, rng):
@@ -339,8 +390,8 @@ class TestRunTraining:
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=4, rounds=3, step=schedule
         )
-        trace = run_training(
-            shards, config, None, _streams(6, 3), _optimum(shards)
+        (trace,) = run_training(
+            shards, [config], None, _streams(6, 3), _optimum(shards)
         )
         streams = _streams(6, 3)
         theta = streams.init.normal(0.0, config.theta0_std, 4)
@@ -359,7 +410,8 @@ class TestRunTraining:
         )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 5))
         a, b = (
-            run_training(shards, config, alpha, _streams(6, 3), _optimum(shards)) for _ in range(2)
+            run_training(shards, [config], alpha, _streams(6, 3), _optimum(shards))[0]
+            for _ in range(2)
         )
         np.testing.assert_array_equal(a.thetas, b.thetas)
         np.testing.assert_array_equal(a.gaps, b.gaps)
@@ -373,7 +425,7 @@ class TestRunTraining:
         config = TrainerConfig(scheme="cotaf", local_steps=2, rounds=5, step=_schedule())
         with pytest.raises(ValueError, match="covers"):
             run_training(
-                shards, config, AlphaSchedule(np.ones(3)), _streams(2, 2), _optimum(shards)
+                shards, [config], AlphaSchedule(np.ones(3)), _streams(2, 2), _optimum(shards)
             )
 
     def test_noise_free_gap_mostly_decreasing(self, rng):
@@ -389,11 +441,76 @@ class TestRunTraining:
             theta0_std=5.0, ridge_lambda=lam,
         )
         gaps = run_training(
-            shards, config, None, _streams(8, 8), _optimum(shards, lam)
-        ).gaps
+            shards, [config], None, _streams(8, 8), _optimum(shards, lam)
+        )[0].gaps
         assert np.all(gaps >= -1e-9)
         frac_decreasing = np.mean(np.diff(gaps) <= 0)
         assert frac_decreasing >= 0.9
+
+
+def _paired_streams(seed, n_users, n_schemes):
+    """Streams of an n_schemes-scheme trial; scheme s gets noise and fading
+    streams seeded as _streams(seed, ..., noise_seed=seed + 10 + s,
+    fading_seed=seed + 20 + s) gives a single-scheme run."""
+    return TrialStreams(
+        init=np.random.default_rng(seed),
+        users=_streams(seed, n_users).users,
+        noise=tuple(np.random.default_rng(seed + 10 + s) for s in range(n_schemes)),
+        fading=tuple(np.random.default_rng(seed + 20 + s) for s in range(n_schemes)),
+    )
+
+
+class TestPairedRuns:
+    def _assert_runs_equal(self, shards, configs, alpha):
+        optimum = _optimum(shards)
+        paired = run_training(shards, configs, alpha, _paired_streams(3, 4, len(configs)), optimum)
+        assert len(paired) == len(configs)
+        for s, (config, trace) in enumerate(zip(configs, paired)):
+            streams = _streams(3, 4, noise_seed=3 + 10 + s, fading_seed=3 + 20 + s)
+            (alone,) = run_training(shards, [config], alpha, streams, optimum)
+            for field in ("thetas", "gaps", "powers", "waits"):
+                assert np.array_equal(getattr(trace, field), getattr(alone, field)), field
+            if alone.participants is None:
+                assert trace.participants is None
+            else:
+                assert np.array_equal(trace.participants, alone.participants)
+
+    def test_awgn_schemes_equal_separate_runs(self, rng):
+        shards = make_shards(rng, n_users=4, per_user=15, dim=5)
+        configs = [
+            TrainerConfig(
+                scheme=scheme, local_steps=3, rounds=8, step=_schedule(), sigma_w2=0.4
+            )
+            for scheme in ("noise_free_local_sgd", "cotaf", "non_precoded_ota")
+        ]
+        self._assert_runs_equal(shards, configs, AlphaSchedule(np.linspace(0.5, 2.0, 8)))
+
+    def test_fading_and_noise_free_equal_separate_runs(self, rng):
+        shards = make_shards(rng, n_users=4, per_user=15, dim=5)
+        policy = FadingPolicy(h_min=math.sqrt(math.log(1 / 0.7)), participants=3)
+        configs = [
+            TrainerConfig(
+                scheme="cotaf_fading", local_steps=2, rounds=10, step=_schedule(),
+                sigma_w2=0.4, fading=policy,
+            ),
+            TrainerConfig(
+                scheme="noise_free_local_sgd", local_steps=2, rounds=10, step=_schedule()
+            ),
+        ]
+        self._assert_runs_equal(shards, configs, AlphaSchedule(np.linspace(0.5, 2.0, 10)))
+
+    def test_kernel_settings_and_streams_must_match(self, rng):
+        shards = make_shards(rng, n_users=2, per_user=10, dim=3)
+        base, other = (
+            TrainerConfig(scheme="noise_free_local_sgd", local_steps=h, rounds=3, step=_schedule())
+            for h in (2, 1)
+        )
+        with pytest.raises(ValueError, match="paired runs must share local_steps"):
+            run_training(shards, [base, other], None, _paired_streams(1, 2, 2), _optimum(shards))
+        with pytest.raises(ValueError, match="one noise and one fading stream for each of 2"):
+            run_training(shards, [base, base], None, _streams(1, 2), _optimum(shards))
+        with pytest.raises(ValueError, match="at least one trainer config"):
+            run_training(shards, [], None, _streams(1, 2), _optimum(shards))
 
 
 def _reference_fading_run(shards, config, alpha_schedule, streams, optimum):
@@ -408,7 +525,7 @@ def _reference_fading_run(shards, config, alpha_schedule, streams, optimum):
         models = _reference_local_models(theta, shards, etas, streams.users, lam)
         waits = 0
         while True:
-            mags = streams.fading.rayleigh(policy.rayleigh_scale, n_users)
+            mags = streams.fading[0].rayleigh(policy.rayleigh_scale, n_users)
             eligible = [n for n in range(n_users) if mags[n] > policy.h_min]
             if len(eligible) >= policy.participants:
                 break
@@ -421,7 +538,7 @@ def _reference_fading_run(shards, config, alpha_schedule, streams, optimum):
             signal = (math.sqrt(alpha) * policy.h_min / mags[n]) * (models[n] - theta)
             powers[n] = signal @ signal
             y = y + mags[n] * signal
-        y = y + streams.noise.normal(0.0, math.sqrt(config.sigma_w2), dim)
+        y = y + streams.noise[0].normal(0.0, math.sqrt(config.sigma_w2), dim)
         theta = y / (len(chosen) * math.sqrt(alpha) * policy.h_min) + theta
         gap = quadratic_gap(theta, *optimum)
         yield tuple(n + 1 for n in chosen), waits, theta, gap, powers
@@ -458,7 +575,7 @@ class TestFadingRun:
         )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 20))
         optimum = _optimum(shards)
-        trace = run_training(shards, config, alpha, _streams(5, 6), optimum)
+        (trace,) = run_training(shards, [config], alpha, _streams(5, 6), optimum)
         reference = list(_reference_fading_run(shards, config, alpha, _streams(5, 6), optimum))
         assert len(trace.gaps) == len(reference) == 20
         for i, (participants, waits, theta, gap, powers) in enumerate(reference):
