@@ -36,6 +36,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     partition,
+    partition_rows,
     save_csv,
     standardize,
 )

@@ -17,22 +17,44 @@ RAYLEIGH_UNIT_POWER_SCALE = 1.0 / math.sqrt(2.0)
 
 
 def _stack_inputs(inputs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Inputs as a (K, d) float64 block; such a block passes through uncopied."""
+    """Inputs as a (K, d) float64 block, or a (T, K, d) stack of T blocks;
+    such an array passes through uncopied."""
     stacked = np.ascontiguousarray(inputs, dtype=np.float64)
-    if stacked.ndim != 2:
+    if stacked.ndim not in (2, 3):
         raise ValueError("channel inputs must be 1-D vectors of equal length")
     return stacked
+
+
+def _add_noise(
+    total: np.ndarray,
+    sigma_w2: float,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> np.ndarray:
+    """total plus i.i.d. N(0, sigma_w2) noise per coordinate: drawn from rng
+    for a (d,) total, and for a (T, d) stack row t drawn from rng[t], in row
+    order."""
+    if sigma_w2 == 0:
+        return total
+    std = math.sqrt(sigma_w2)
+    if total.ndim == 1:
+        return total + rng.normal(0.0, std, total.shape[0])
+    if len(rng) != total.shape[0]:
+        raise ValueError(f"need {total.shape[0]} noise streams, one per trial, got {len(rng)}")
+    return total + np.stack([stream.normal(0.0, std, total.shape[1]) for stream in rng])
 
 
 def awgn_mac(
     inputs: Sequence[np.ndarray] | np.ndarray,
     sigma_w2: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     dim: int | None = None,
 ) -> np.ndarray:
     """Superposition of all inputs plus i.i.d. Gaussian noise per coordinate.
 
-    inputs is a list of 1-D vectors or a (K, d) block with one input per row.
+    inputs is a list of 1-D vectors or a (K, d) block with one input per row,
+    received as one (d,) output with noise from the stream rng. A (T, K, d)
+    stack of T trials' blocks gives a (T, d) output, trial t's noise from
+    the stream rng[t].
     """
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be non-negative")
@@ -42,41 +64,39 @@ def awgn_mac(
         total = np.zeros(dim)
     else:
         stacked = _stack_inputs(inputs)
-        if dim is not None and stacked.shape[1] != dim:
-            raise ValueError(f"inputs have length {stacked.shape[1]}, expected {dim}")
-        total = stacked.sum(axis=0)
-    if sigma_w2 > 0:
-        total = total + rng.normal(0.0, math.sqrt(sigma_w2), total.shape[0])
-    return total
+        if dim is not None and stacked.shape[-1] != dim:
+            raise ValueError(f"inputs have length {stacked.shape[-1]}, expected {dim}")
+        total = stacked.sum(axis=-2)
+    return _add_noise(total, sigma_w2, rng)
 
 
 def fading_mac(
     inputs: Sequence[np.ndarray] | np.ndarray,
     magnitudes: np.ndarray,
     sigma_w2: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Superposition weighted by fading magnitudes, plus Gaussian noise.
 
     inputs is a (K, d) block (or a list of K vectors) and magnitudes the K
-    transmitters' positive fading magnitudes. Inputs are assumed
-    phase-pre-corrected at the transmitters, so only the magnitudes apply.
-    With all magnitudes equal to 1 this reduces bit-exactly to awgn_mac given
-    the same noise stream.
+    transmitters' positive fading magnitudes; a (T, K, d) stack takes (T, K)
+    magnitudes and one noise stream per trial, as awgn_mac does. Inputs are
+    assumed phase-pre-corrected at the transmitters, so only the magnitudes
+    apply. With all magnitudes equal to 1 this reduces bit-exactly to
+    awgn_mac given the same noise streams.
     """
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be non-negative")
-    magnitudes = np.asarray(magnitudes, dtype=np.float64)
-    if magnitudes.shape != (len(inputs),):
-        raise ValueError(f"got {len(inputs)} inputs for magnitudes of shape {magnitudes.shape}")
     if len(inputs) == 0:
         raise ValueError("fading_mac needs at least one input")
+    stacked = _stack_inputs(inputs)
+    magnitudes = np.asarray(magnitudes, dtype=np.float64)
+    if magnitudes.shape != stacked.shape[:-1]:
+        raise ValueError(f"got inputs {stacked.shape} for magnitudes of shape {magnitudes.shape}")
     if magnitudes.min() <= 0:
         raise ValueError("fading magnitudes must be strictly positive")
-    total = (magnitudes[:, None] * _stack_inputs(inputs)).sum(axis=0)
-    if sigma_w2 > 0:
-        total = total + rng.normal(0.0, math.sqrt(sigma_w2), total.shape[0])
-    return total
+    total = (magnitudes[..., None] * stacked).sum(axis=-2)
+    return _add_noise(total, sigma_w2, rng)
 
 
 def sample_rayleigh(
@@ -98,5 +118,6 @@ def sample_rayleigh(
 
 
 def orthogonal_noiseless(inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Identity passthrough: the server receives each user's vector exactly."""
+    """Identity passthrough: the server receives each user's vector exactly
+    (or each trial's (K, d) block of them, for a (T, K, d) stack)."""
     return [np.ascontiguousarray(x, dtype=np.float64) for x in inputs]

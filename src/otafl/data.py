@@ -45,6 +45,11 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
+    def shards(self, rows: np.ndarray) -> ShardBlock:
+        """The (N, D_n) row ids of N equal-size shards, gathered into one
+        (N, D_n, d) block."""
+        return ShardBlock(self.features[rows], self.targets[rows])
+
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -131,14 +136,14 @@ def standardize(dataset: Dataset) -> Dataset:
     return Dataset((dataset.features - mean) / std, dataset.targets)
 
 
-def partition(
+def partition_rows(
     dataset: Dataset, spec: PartitionSpec, rng: np.random.Generator
-) -> ShardBlock:
-    """Split the dataset into disjoint, equal-size user shards.
+) -> np.ndarray:
+    """Split the dataset's row ids into disjoint, equal-size user shards.
 
+    Returns an (N, D_n) block, row n holding user n+1's sample row ids.
     Samples beyond the largest multiple of n_users are dropped (logged), so
-    every user holds the same number of samples. The shards are gathered
-    into one (N, D_n, d) block.
+    every user holds the same number of samples.
     """
     total = len(dataset)
     if spec.n_users > total:
@@ -150,24 +155,28 @@ def partition(
 
     perm = rng.permutation(total)[:kept]
     if spec.mode == "iid":
-        blocks = perm.reshape(spec.n_users, per_user)
-    else:
-        # Sort the kept samples by target and give user n a skewed slice of
-        # quantile bin n; everything else is dealt i.i.d. from the pooled rest.
-        by_target = perm[np.argsort(dataset.targets[perm], kind="stable")]
-        bins = by_target.reshape(spec.n_users, per_user)
-        n_skewed = int(round(spec.skew_fraction * per_user))
-        own: list[np.ndarray] = []
-        pool_parts: list[np.ndarray] = []
-        for n in range(spec.n_users):
-            order = rng.permutation(per_user)
-            own.append(bins[n][order[:n_skewed]])
-            pool_parts.append(bins[n][order[n_skewed:]])
-        pool = np.concatenate(pool_parts)
-        pool = pool[rng.permutation(pool.shape[0])]
-        fill = per_user - n_skewed
-        blocks = np.stack(
-            [np.concatenate([own[n], pool[n * fill : (n + 1) * fill]]) for n in range(spec.n_users)]
-        )
+        return perm.reshape(spec.n_users, per_user)
+    # Sort the kept samples by target and give user n a skewed slice of
+    # quantile bin n; everything else is dealt i.i.d. from the pooled rest.
+    by_target = perm[np.argsort(dataset.targets[perm], kind="stable")]
+    bins = by_target.reshape(spec.n_users, per_user)
+    n_skewed = int(round(spec.skew_fraction * per_user))
+    own: list[np.ndarray] = []
+    pool_parts: list[np.ndarray] = []
+    for n in range(spec.n_users):
+        order = rng.permutation(per_user)
+        own.append(bins[n][order[:n_skewed]])
+        pool_parts.append(bins[n][order[n_skewed:]])
+    pool = np.concatenate(pool_parts)
+    pool = pool[rng.permutation(pool.shape[0])]
+    fill = per_user - n_skewed
+    return np.stack(
+        [np.concatenate([own[n], pool[n * fill : (n + 1) * fill]]) for n in range(spec.n_users)]
+    )
 
-    return ShardBlock(dataset.features[blocks], dataset.targets[blocks])
+
+def partition(
+    dataset: Dataset, spec: PartitionSpec, rng: np.random.Generator
+) -> ShardBlock:
+    """The user shards of partition_rows, gathered into one (N, D_n, d) block."""
+    return dataset.shards(partition_rows(dataset, spec, rng))

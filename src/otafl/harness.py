@@ -24,7 +24,15 @@ import numpy as np
 
 from .bounds import SCHEDULE_KINDS, BoundInputs, schedule_shift
 from .channel import RAYLEIGH_UNIT_POWER_SCALE
-from .data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, standardize
+from .data import (
+    Dataset,
+    PartitionSpec,
+    generate_synthetic,
+    load_csv,
+    partition,
+    partition_rows,
+    standardize,
+)
 from .localsgd import DEFAULT_THETA0_STD
 from .objectives import ProbeBall, estimate_constants, hessian, solve_optimum
 from .precoding import AlphaSchedule, FadingPolicy, alpha_upper_bound_schedule, estimate_alpha_mc
@@ -505,15 +513,35 @@ class SimulationResult:
     resolved: ResolvedExperiment
 
 
+# Trials train in blocks of at most this many bytes of per-trial state; a
+# block's trials advance together, one run_training call per block.
+TRIAL_BLOCK_BYTES = 16 << 20
+
+
+def _solve_trial(dataset: Dataset, rows: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """theta* and the Hessian of the global objective on the shards with these
+    row ids; their gathered block is freed on return."""
+    shards = dataset.shards(rows)
+    hess = hessian(shards, lam)
+    theta_star, _ = solve_optimum(shards, lam, hess)
+    return theta_star, hess
+
+
 def simulate_trials(
     config: ExperimentConfig, schemes: Sequence[str] | None = None
 ) -> SimulationResult:
-    """Run all trials for the requested schemes with paired streams."""
+    """Run all trials for the requested schemes with paired streams.
+
+    Each trial's shards are row ids into the shared dataset; its optimum is
+    solved on a gathered copy that is freed before training. The trials then
+    train in blocks of up to TRIAL_BLOCK_BYTES, one run_training call each.
+    """
     schemes = list(schemes) if schemes is not None else [config.trainer.scheme]
     resolved = resolve(config, schemes)
     dataset = resolved.dataset
     trainer = config.trainer
     n_rounds, n_users, n_trials = trainer.rounds, config.users, config.trials
+    lam, dim = trainer.ridge_lambda, dataset.feature_dim
 
     runs = {
         scheme: SchemeRuns(
@@ -524,38 +552,44 @@ def simulate_trials(
         )
         for scheme in schemes
     }
+    configs = [_trainer_config(resolved, scheme) for scheme in schemes]
     theta0_dist2 = np.zeros(n_trials)
+    # A trial holds its shard row ids and those of its users' R*H sample
+    # steps, then in float64 its Hessian, its schemes' iterates and one
+    # round's gathered samples and models.
+    row_dtype = np.min_scalar_type(len(dataset) - 1)
+    shard_size, h = len(dataset) // n_users, trainer.local_steps
+    trial_bytes = row_dtype.itemsize * n_users * (shard_size + n_rounds * h) + 8 * dim * (
+        dim + len(schemes) * (n_rounds + n_users) + h * n_users
+    )
+    block = max(1, TRIAL_BLOCK_BYTES // trial_bytes)
 
-    for trial in range(n_trials):
-        shards = partition(
+    for lo in range(0, n_trials, block):
+        trials = range(lo, min(lo + block, n_trials))
+        rows = np.empty((len(trials), n_users, shard_size), dtype=row_dtype)
+        theta_stars = np.empty((len(trials), dim))
+        hessians = np.empty((len(trials), dim, dim))
+        for t, trial in enumerate(trials):
+            stream = stream_generator(config.seed, f"trial{trial}/partition")
+            rows[t] = partition_rows(dataset, config.partition_spec, stream)
+            theta_stars[t], hessians[t] = _solve_trial(dataset, rows[t], lam)
+            diff = initial_model_for_trial(config, trial, dim) - theta_stars[t]
+            theta0_dist2[trial] = diff @ diff
+        in_block = slice(trials.start, trials.stop)
+        traces = run_training(
             dataset,
-            config.partition_spec,
-            stream_generator(config.seed, f"trial{trial}/partition"),
+            rows,
+            configs,
+            resolved.alpha_schedule,
+            [trial_streams(config, trial, schemes) for trial in trials],
+            (theta_stars, hessians),
+            out=[(runs[s].gaps[in_block], runs[s].power_per_user[in_block]) for s in schemes],
+            first_trial=lo,
         )
-        hess = hessian(shards, trainer.ridge_lambda)
-        theta_star, _ = solve_optimum(shards, trainer.ridge_lambda, hess)
-        theta0 = initial_model_for_trial(config, trial, dataset.feature_dim)
-        diff = theta0 - theta_star
-        theta0_dist2[trial] = diff @ diff
-
-        try:
-            traces = run_training(
-                shards,
-                [_trainer_config(resolved, scheme) for scheme in schemes],
-                resolved.alpha_schedule,
-                trial_streams(config, trial, schemes),
-                (theta_star, hess),
-            )
-        except Exception as exc:
-            raise RuntimeError(f"trial {trial}, {exc}") from exc
         for scheme, trace in zip(schemes, traces):
-            run = runs[scheme]
-            run.gaps[trial] = trace.gaps
-            run.power_per_user[trial] = trace.powers
-            run.participants[trial] = (
-                n_users if trace.participants is None else trace.participants.shape[1]
-            )
-            run.waits[trial] = trace.waits
+            participants = n_users if trace.participants is None else trace.participants.shape[-1]
+            runs[scheme].participants[in_block] = participants
+            runs[scheme].waits[in_block] = trace.waits
 
     t_grid = trainer.local_steps * np.arange(1, n_rounds + 1)
     return SimulationResult(

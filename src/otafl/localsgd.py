@@ -18,54 +18,50 @@ def local_pass(
     features: np.ndarray,
     targets: np.ndarray,
     etas: Sequence[float],
-    indices: np.ndarray,
+    rows: np.ndarray,
     lam: float,
 ) -> np.ndarray:
     """Run H = len(etas) ridge SGD steps for all N users at once.
 
-    features is the (N, D_n, d) shard block and targets (N, D_n). Step j
-    moves each user's model against the per-sample gradient
-    (x.theta - y) x + lam theta with size etas[j]. Three shapes are taken:
+    features is the (D, d) sample matrix and targets (D,). rows holds the
+    (N, H) sample row ids, user n taking sample rows[n, j] at step j, or a
+    (T, N, H) block of them, one (N, H) slab per trial. Step j moves each
+    user's model against the per-sample gradient (x.theta - y) x + lam theta
+    with size etas[j].
 
-    - indices (N, H), user n taking sample indices[n, j] at step j, and
-      theta the (d,) model every user starts from or (N, d) per-user
-      models; returns the (N, d) models.
-    - indices (N, H) shared by a leading batch of S models: theta (S, 1, d)
-      or (S, N, d); returns (S, N, d), slice s equal to the call on theta[s].
-    - indices (T, N, H), one index block per batch row: theta (T, 1, d) or
-      (T, N, d); returns (T, N, d), slice t equal to the call on
-      (theta[t], indices[t]).
+    theta is what the users start from, broadcast against the (..., N, d)
+    samples of a step: the (d,) model every user starts from, per-user (N, d)
+    models, (T, 1 or N, d) per trial, or a leading axis of S models sharing
+    each row block, (S, 1 or N, d) or (S, T, 1 or N, d). Returns the models
+    in that broadcast shape; each batch slice has the bits of the unbatched
+    call on its own theta and rows.
     """
     if any(eta <= 0 for eta in etas):
         raise ValueError("step size must be positive")
     if lam < 0:
         raise ValueError("regularization weight must be non-negative")
-    n_users, shard_size, dim = features.shape
-    if shard_size == 0:
+    if features.shape[0] == 0:
         raise ValueError("cannot step on an empty shard")
-    if indices.shape[-2:] != (n_users, len(etas)) or indices.ndim > 3:
+    if rows.shape[-1] != len(etas) or rows.ndim not in (2, 3):
         raise ValueError(
-            f"indices have shape {indices.shape}, expected {(n_users, len(etas))} "
-            "with at most one leading axis"
+            f"rows have shape {rows.shape}, expected (N, {len(etas)}) with at most one "
+            "leading trial axis"
         )
+    samples = (*rows.shape[:-1], features.shape[1])
+    try:
+        shape = np.broadcast_shapes(np.shape(theta), samples)
+    except ValueError:
+        raise ValueError(
+            f"models of shape {np.shape(theta)} do not fit samples {samples}"
+        ) from None
     # One gather per call, step-major so each step reads a contiguous slab.
-    users = np.arange(n_users)
-    steps = np.moveaxis(indices, -1, 0) if indices.ndim == 3 else indices.T
-    xs = features[users, steps]  # (H, [T,] N, d)
-    ys = targets[users, steps]  # (H, [T,] N)
-    if theta.ndim < 3:
-        if indices.ndim == 3:
-            raise ValueError("per-row indices need a (T, 1 or N, d) theta")
-        subscripts = "nd,nd->n"
-        theta = np.broadcast_to(theta, (n_users, dim)).astype(np.float64)
-    else:
-        # explicit subscripts: these keep each batch slice bit-equal to the
-        # unbatched call, which flattening the batch into users does not
-        subscripts = "snd,snd->sn" if indices.ndim == 3 else "nd,snd->sn"
-        if indices.ndim == 3 and theta.shape[0] != indices.shape[0]:
-            raise ValueError(f"{theta.shape[0]} models for {indices.shape[0]} index blocks")
-        theta = np.broadcast_to(theta, (theta.shape[0], n_users, dim)).astype(np.float64)
+    steps = rows.transpose(rows.ndim - 1, *range(rows.ndim - 1))
+    xs = features[steps]  # (H, [T,] N, d)
+    ys = targets[steps]  # (H, [T,] N)
+    # astype keeps the broadcast's stride order, so the copy has the user axis
+    # fastest; every result's bits depend on that layout
+    theta = np.broadcast_to(theta, shape).astype(np.float64)
     for x, y, eta in zip(xs, ys, etas):
-        residual = np.einsum(subscripts, x, theta) - y
+        residual = np.einsum("...nd,...nd->...n", x, theta) - y
         theta = theta - eta * (residual[..., None] * x + lam * theta)
     return theta

@@ -83,7 +83,8 @@ class FadingPolicy:
 
 
 def precode(delta: np.ndarray, alpha: float) -> np.ndarray:
-    """Scale a model update by sqrt(alpha); output power is alpha*||delta||^2."""
+    """Scale a model update (or any block of them) by sqrt(alpha); output
+    power is alpha*||delta||^2."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return math.sqrt(alpha) * np.asarray(delta, dtype=np.float64)
@@ -94,8 +95,9 @@ def decode(
 ) -> np.ndarray:
     """Recover the aggregated model: y / (N sqrt(alpha)) + previous global model.
 
-    Over a noiseless channel with every user transmitting a precoded update,
-    this equals the exact average of the users' local models.
+    y and theta_prev are (d,), or (T, d) with one row per trial. Over a
+    noiseless channel with every user transmitting a precoded update, this
+    equals the exact average of the users' local models.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -110,12 +112,13 @@ def fading_precode(
     """Channel-inverting precoder with threshold censoring.
 
     deltas is a (K, d) block of updates (or one update) and magnitudes the
-    matching K fading magnitudes (or one). Each update is scaled by
+    matching K fading magnitudes (or one); a (T, K, d) stack of T trials'
+    blocks takes (T, K) magnitudes. Each update is scaled by
     sqrt(alpha)*h_min/magnitude; the attenuation h_min/magnitude < 1 keeps
     the expected transmit energy within budget. The transmitters pre-correct
     the channel phase exactly, so in this real-valued simulator only the
     magnitude enters. Users with magnitude at or below h_min do not transmit:
-    the result is None if any magnitude is censored.
+    the result is None if any magnitude of the block is censored.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -157,7 +160,8 @@ def select_participants(
 def fading_decode(
     y: np.ndarray, k_size: int, alpha: float, h_min: float, theta_prev: np.ndarray
 ) -> np.ndarray:
-    """Recover the participant-average model: y/(K sqrt(alpha) h_min) + previous."""
+    """Recover the participant-average model: y/(K sqrt(alpha) h_min) + previous,
+    for (d,) or per-trial (T, d) rows."""
     if k_size < 1:
         raise ValueError("k_size must be >= 1")
     if alpha <= 0:
@@ -197,6 +201,9 @@ def estimate_alpha_mc(
 
     block = ShardBlock.of(pilot_shards)
     n_users, shard_size, dim = block.features.shape
+    # the block as one sample matrix: user n's shard index i is row n*D_n + i
+    features, targets = block.features.reshape(-1, dim), block.targets.reshape(-1)
+    first_rows = shard_size * np.arange(n_users)[:, None]
     etas = [
         [step_fn((r - 1) * local_steps + j) for j in range(local_steps)]
         for r in range(1, rounds + 1)
@@ -212,10 +219,11 @@ def estimate_alpha_mc(
         thetas[t, 0] = rng.normal(0.0, theta0_std, dim)
         draws[t] = rng.integers(shard_size, size=draws[t].size).reshape(draws.shape[1:])
 
-    # All trials advance as one (T, N, d) block per round.
+    # All trials advance as one (T, N, d) block per round, on (T, N, H) row ids.
     sums = np.zeros((rounds, n_users))
     for r in range(rounds):
-        local_models = local_pass(thetas, block.features, block.targets, etas[r], draws[:, r], lam)
+        rows = draws[:, r] + first_rows
+        local_models = local_pass(thetas, features, targets, etas[r], rows, lam)
         diff = local_models - thetas
         sq = np.einsum("tnd,tnd->tn", diff, diff)
         for t in range(pilot_trials):  # trial by trial, the order of a per-trial loop

@@ -21,6 +21,7 @@ from .channel import (
     orthogonal_noiseless,
     sample_rayleigh,
 )
+from .data import Dataset
 from .localsgd import DEFAULT_THETA0_STD, local_pass
 from .objectives import global_loss  # noqa: F401  (perfbench/spans.py times trainer.global_loss)
 from .objectives import quadratic_gap
@@ -33,7 +34,6 @@ from .precoding import (
     precode,
     select_participants,
 )
-from .types import ShardBlock, UserShard
 
 CHANNEL_KINDS = ("noiseless_orthogonal", "awgn_mac", "fading_mac")
 
@@ -169,24 +169,14 @@ class TrialStreams:
 
 
 def _transmit_powers(signals: np.ndarray) -> np.ndarray:
-    """Energy of each row of a (K, d) block of channel inputs."""
-    return np.einsum("kd,kd->k", signals, signals)
-
-
-def _draw_indices(users: Sequence[np.random.Generator], shard_size: int, count: int) -> np.ndarray:
-    """(N, count) sample indices, row n from user n's stream.
-
-    One sized draw per user gives the same values as count scalar draws, so
-    drawing a whole run up front consumes each stream as step-by-step
-    sampling would.
-    """
-    return np.stack([rng.integers(shard_size, size=count) for rng in users])
+    """Energy of each row of a (..., K, d) block of channel inputs."""
+    return np.einsum("...kd,...kd->...k", signals, signals)
 
 
 class FadingRounds(NamedTuple):
     """Fading rounds selected up front, one row per round: the K participants
     (sorted 1-based ids), their fading magnitudes, and the redraws the round
-    waited for."""
+    waited for. A block of trials stacks them on a leading trial axis."""
 
     participants: np.ndarray  # (R, K)
     magnitudes: np.ndarray  # (R, K)
@@ -194,16 +184,17 @@ class FadingRounds(NamedTuple):
 
 
 class RunTrace(NamedTuple):
-    """One training run, one row per round: the global model after the round,
-    its gap F(theta) - F*, each user's transmit energy (0 for a user that
-    stayed silent), the K participants (None when all N users transmit) and
-    the fading redraws the round waited for."""
+    """The training runs of one scheme over T trials, one row per trial and
+    round: the global model after the round, its gap F(theta) - F*, each
+    user's transmit energy (0 for a user that stayed silent), the K
+    participants (None when all N users transmit) and the fading redraws the
+    round waited for."""
 
-    thetas: np.ndarray  # (R, d)
-    gaps: np.ndarray  # (R,)
-    powers: np.ndarray  # (R, N)
-    participants: np.ndarray | None  # (R, K)
-    waits: np.ndarray  # (R,)
+    thetas: np.ndarray  # (T, R, d)
+    gaps: np.ndarray  # (T, R)
+    powers: np.ndarray  # (T, R, N)
+    participants: np.ndarray | None  # (T, R, K)
+    waits: np.ndarray  # (T, R)
 
 
 def draw_fading_rounds(
@@ -257,56 +248,59 @@ def run_round(
     local_models: np.ndarray,
     config: TrainerConfig,
     alpha: float | None,
-    noise: np.random.Generator | None,
+    noise: Sequence[np.random.Generator | None],
     optimum: tuple[np.ndarray, np.ndarray],
     fading: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Aggregate one round of one scheme over its channel.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aggregate one round of one scheme over its channel, for T trials at once.
 
-    local_models holds the (N, d) models the users reached from the
-    broadcast global_theta by the round's local steps. Returns the new
-    global model, its gap and the (N,) transmit energies.
+    local_models holds each trial's (N, d) models, a (T, N, d) block, which
+    the users reached from the trial's broadcast row of the (T, d)
+    global_theta by the round's local steps. Returns the new (T, d) global
+    models, their (T,) gaps and the (T, N) transmit energies.
 
-    optimum is the pair (theta*, Hessian) the gap is measured against.
-    alpha is the round's precoding coefficient, which only the precoded
-    schemes use; noise is the scheme's channel-noise stream. fading is the
-    round's row of FadingRounds (participants, their magnitudes), which only
-    cotaf_fading uses.
+    optimum is the pair of (T, d) optima theta* and (T, d, d) Hessians;
+    trial t's gap is measured against its own pair. alpha is the round's
+    precoding coefficient, which only the precoded schemes use; noise holds
+    each trial's channel-noise stream of the scheme, drawn in trial order.
+    fading is the round's row of each trial's FadingRounds, (T, K)
+    participants and (T, K) magnitudes, which only cotaf_fading uses.
     """
     if SCHEME_TABLE[config.scheme].needs_alpha and alpha is None:
         raise ValueError(f"{config.scheme} needs an alpha coefficient")
     if config.scheme == "cotaf_fading" and fading is None:
         raise ValueError("cotaf_fading needs the round's fading selection")
-    n_users = local_models.shape[0]
-    deltas = local_models - global_theta
+    n_users = local_models.shape[1]
+    deltas = local_models - global_theta[:, None]
 
     if config.scheme == "noise_free_local_sgd":
         received = orthogonal_noiseless(local_models)
-        new_theta = np.mean(received, axis=0)
+        new_theta = np.mean(received, axis=1)
         powers = _transmit_powers(deltas)
     elif config.scheme == "cotaf":
         signals = precode(deltas, alpha)
-        y = awgn_mac(signals, config.sigma_w2, noise, dim=global_theta.shape[0])
+        y = awgn_mac(signals, config.sigma_w2, noise, dim=global_theta.shape[-1])
         new_theta = decode(y, n_users, alpha, global_theta)
         powers = _transmit_powers(signals)
     elif config.scheme == "non_precoded_ota":
         gain = config.gain
         signals = gain * deltas
-        y = awgn_mac(signals, config.sigma_w2, noise, dim=global_theta.shape[0])
+        y = awgn_mac(signals, config.sigma_w2, noise, dim=global_theta.shape[-1])
         new_theta = y / (n_users * gain) + global_theta
         powers = _transmit_powers(signals)
     elif config.scheme == "cotaf_fading":
         policy = config.fading
         ids, magnitudes = fading
-        rows = ids - 1
-        signals = fading_precode(deltas[rows], alpha, magnitudes, policy.h_min)
+        chosen = (np.arange(ids.shape[0])[:, None], ids - 1)  # (trial, user) of each participant
+        signals = fading_precode(deltas[chosen], alpha, magnitudes, policy.h_min)
         assert signals is not None  # selected users all exceed h_min
         y = fading_mac(signals, magnitudes, config.sigma_w2, noise)
-        new_theta = fading_decode(y, rows.shape[0], alpha, policy.h_min, global_theta)
-        powers = np.zeros(n_users)
-        powers[rows] = _transmit_powers(signals)
+        new_theta = fading_decode(y, ids.shape[1], alpha, policy.h_min, global_theta)
+        powers = np.zeros((ids.shape[0], n_users))
+        powers[chosen] = _transmit_powers(signals)
 
-    return new_theta, quadratic_gap(new_theta, *optimum), powers
+    gaps = np.array([quadratic_gap(*trial) for trial in zip(new_theta, *optimum)])
+    return new_theta, gaps, powers
 
 
 # Paired runs share the kernel, so their configs must agree on these.
@@ -314,23 +308,36 @@ _KERNEL_FIELDS = ("local_steps", "rounds", "step", "ridge_lambda", "theta0_std")
 
 
 def run_training(
-    shards: Sequence[UserShard],
+    dataset: Dataset,
+    rows: np.ndarray,
     configs: Sequence[TrainerConfig],
     alpha_schedule: AlphaSchedule | None,
-    streams: TrialStreams,
-    optimum: tuple[np.ndarray, np.ndarray],
+    streams: Sequence[TrialStreams],
+    optima: tuple[np.ndarray, np.ndarray],
+    *,
+    out: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+    first_trial: int = 0,
 ) -> list[RunTrace]:
-    """Paired training runs of one trial, one per config: a shared Gaussian
-    initial model, then `rounds` communication rounds.
+    """Paired training runs of a block of T trials, one per config: each
+    trial's shared Gaussian initial model, then `rounds` communication rounds.
 
-    The schemes share the initial model and every user's sample indices, so
-    each round makes one local_pass on the (S, N, d) block of their models,
-    and each scheme then aggregates its own slice over its own channel with
-    its own noise and fading stream. Run s equals a run of configs[s] alone,
-    bit for bit. optimum is the pair (theta*, Hessian) of the global
-    objective on shards, against which each round's gap is measured.
+    rows holds each trial's (N, D_n) shard row ids into dataset, a
+    (T, N, D_n) block, and streams the T trials' streams. A trial's schemes
+    share its initial model and its users' sample indices, so each round
+    makes one local_pass on the (S, T, N, d) block of all models, gathering
+    user n's samples of trial t from the dataset by row id rows[t, n, i].
+    Each scheme then aggregates its T trials over its own channel, each
+    trial with its own noise and fading stream. optima is the pair of (T, d)
+    optima theta* and (T, d, d) Hessians of the trials' global objectives,
+    against which each round's gaps are measured.
+
+    Returns one RunTrace per config; trial t of run s equals a run of
+    configs[s] alone on trial t, bit for bit. out gives each config's
+    (T, R) gap and (T, R, N) power arrays to write into (new ones by
+    default). Errors name the trial, numbering the block's trials from
+    first_trial.
     """
-    configs = list(configs)
+    configs, streams = list(configs), list(streams)
     if not configs:
         raise ValueError("need at least one trainer config")
     first = configs[0]
@@ -346,52 +353,91 @@ def run_training(
                 f"alpha schedule covers {alpha_schedule.rounds} rounds, need {first.rounds}"
             )
 
-    block = ShardBlock.of(shards)
-    n_users, shard_size, dim = block.features.shape
-    if len(streams.users) != n_users:
-        raise ValueError(f"need {n_users} user streams, got {len(streams.users)}")
-    n_runs = len(configs)
-    if len(streams.noise) != n_runs or len(streams.fading) != n_runs:
-        raise ValueError(f"need one noise and one fading stream for each of {n_runs} schemes")
+    n_trials, n_users, shard_size = rows.shape
+    dim, n_runs = dataset.feature_dim, len(configs)
+    if len(streams) != n_trials:
+        raise ValueError(f"need streams for each of {n_trials} trials, got {len(streams)}")
+    for trial in streams:
+        if len(trial.users) != n_users:
+            raise ValueError(f"need {n_users} user streams, got {len(trial.users)}")
+        if len(trial.noise) != n_runs or len(trial.fading) != n_runs:
+            raise ValueError(f"need one noise and one fading stream for each of {n_runs} schemes")
+    if optima[0].shape != (n_trials, dim) or optima[1].shape != (n_trials, dim, dim):
+        raise ValueError(f"need (T, d) optima and (T, d, d) Hessians for T={n_trials}, d={dim}")
     h, rounds = first.local_steps, first.rounds
-    theta = np.broadcast_to(streams.init.normal(0.0, first.theta0_std, dim), (n_runs, dim))
-    indices = _draw_indices(streams.users, shard_size, rounds * h)
-    fades = [None] * n_runs
-    for s, config in enumerate(configs):
-        if config.fading is not None and rounds > 0:
+    theta0 = np.stack([trial.init.normal(0.0, first.theta0_std, dim) for trial in streams])
+    theta = np.broadcast_to(theta0, (n_runs, n_trials, dim))
+    # The row ids of every trial's R*H sample steps, in the dtype of rows:
+    # user n of trial t takes shard sample rows[t, n, i] for each index i
+    # of its stream. One sized draw per user gives the values of R*H scalar
+    # draws, so the stream is consumed as step-by-step sampling would.
+    steps = np.empty((n_trials, n_users, rounds * h), dtype=rows.dtype)
+    for t, trial in enumerate(streams):
+        for n, user in enumerate(trial.users):
+            steps[t, n] = rows[t, n, user.integers(shard_size, size=rounds * h)]
+    fades = [
+        None
+        if config.fading is None or rounds == 0
+        else FadingRounds(
+            np.empty((n_trials, rounds, config.fading.participants), dtype=np.int64),
+            np.empty((n_trials, rounds, config.fading.participants)),
+            np.empty((n_trials, rounds), dtype=np.int64),
+        )
+        for config in configs
+    ]
+    for t, trial in enumerate(streams):  # trial by trial, so the first failing trial is named
+        for s, config in enumerate(configs):
+            if fades[s] is None:
+                continue
             try:
-                fades[s] = draw_fading_rounds(streams.fading[s], n_users, rounds, config.fading)
+                drawn = draw_fading_rounds(trial.fading[s], n_users, rounds, config.fading)
             except Exception as exc:
-                raise RuntimeError(f"scheme {config.scheme}: {exc}") from exc
+                raise RuntimeError(
+                    f"trial {first_trial + t}, scheme {config.scheme}: {exc}"
+                ) from exc
+            for field, value in zip(fades[s], drawn):
+                field[t] = value
+    noise = [[trial.noise[s] for trial in streams] for s in range(n_runs)]
+    if out is None:
+        out = [
+            (np.empty((n_trials, rounds)), np.empty((n_trials, rounds, n_users))) for _ in configs
+        ]
     etas = first.step.eta(np.arange(rounds * h))  # the run's R*H step sizes
     alphas = alpha_schedule.values.tolist() if any(needs_alpha) else None
-    thetas = np.empty((n_runs, rounds, dim))
-    gaps = np.empty((n_runs, rounds))
-    powers = np.empty((n_runs, rounds, n_users))
+    thetas = np.empty((n_runs, n_trials, rounds, dim))
+    last = first_trial + n_trials - 1
+    label = f"trial {last}" if n_trials == 1 else f"trials {first_trial}-{last}"
     for i in range(rounds):
         r = i + 1
-        # a single scheme keeps to the unbatched kernel, a (d,) start and
-        # (N, d) models, whose per-call cost the batched path would raise
-        local_models = local_pass(
-            theta[0] if n_runs == 1 else theta[:, None, :], block.features, block.targets,
-            etas[i * h : r * h], indices[:, i * h : r * h], first.ridge_lambda,
-        ).reshape(n_runs, n_users, dim)
+        window = slice(i * h, r * h)  # the round's steps
+        if n_runs == n_trials == 1:
+            # a single run keeps to the unbatched kernel, a (d,) start and
+            # (N, d) models, whose per-call cost the batched path would raise
+            local_models = local_pass(
+                theta[0, 0], dataset.features, dataset.targets, etas[window],
+                steps[0, :, window], first.ridge_lambda,
+            )[None, None]
+        else:
+            local_models = local_pass(
+                theta[:, :, None], dataset.features, dataset.targets, etas[window],
+                steps[:, :, window], first.ridge_lambda,
+            )
         for s, config in enumerate(configs):
-            fade = fades[s]
+            fade, (gaps, powers) = fades[s], out[s]
             try:
-                thetas[s, i], gaps[s, i], powers[s, i] = run_round(
+                thetas[s, :, i], gaps[:, i], powers[:, i] = run_round(
                     theta[s], local_models[s], config, alphas[i] if needs_alpha[s] else None,
-                    streams.noise[s], optimum,
-                    None if fade is None else (fade.participants[i], fade.magnitudes[i]),
+                    noise[s], optima,
+                    None if fade is None else (fade.participants[:, i], fade.magnitudes[:, i]),
                 )
             except Exception as exc:
-                raise RuntimeError(f"scheme {config.scheme}: round {r}: {exc}") from exc
-        theta = thetas[:, i]
+                raise RuntimeError(f"{label}, scheme {config.scheme}: round {r}: {exc}") from exc
+        theta = thetas[:, :, i]
     return [
-        RunTrace(thetas[s], gaps[s], powers[s], None, np.zeros(rounds, dtype=np.int64))
+        RunTrace(thetas[s], gaps, powers, None, np.zeros((n_trials, rounds), dtype=np.int64))
         if fade is None
-        else RunTrace(thetas[s], gaps[s], powers[s], fade.participants, fade.waits)
-        for s, fade in enumerate(fades)
+        else RunTrace(thetas[s], gaps, powers, fade.participants, fade.waits)
+        for s, (fade, (gaps, powers)) in enumerate(zip(fades, out))
     ]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition
-from otafl.types import UserShard
+from otafl.types import ShardBlock, UserShard
 
 
 def make_shards(
@@ -18,6 +18,15 @@ def make_shards(
 ) -> list[UserShard]:
     dataset = generate_synthetic(dim, n_users * per_user, noise_std, rng)
     return partition(dataset, PartitionSpec("iid", n_users), rng)
+
+
+def flat_rows(shards) -> tuple[Dataset, np.ndarray]:
+    """Equal-size shards as one dataset and the (1, N, D_n) row ids of one
+    trial's shards in it: user n's sample i is row n*D_n + i."""
+    block = ShardBlock.of(shards)
+    n_users, shard_size, dim = block.features.shape
+    dataset = Dataset(block.features.reshape(-1, dim), block.targets.reshape(-1))
+    return dataset, np.arange(n_users * shard_size).reshape(1, n_users, shard_size)
 
 
 def single_shard(rng: np.random.Generator, n_samples: int = 40, dim: int = 4) -> UserShard:

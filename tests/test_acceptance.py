@@ -22,7 +22,7 @@ from otafl.bounds import (
     validate_dominance,
 )
 from otafl.channel import awgn_mac, sample_rayleigh
-from otafl.data import partition
+from otafl.data import partition, partition_rows
 from otafl.objectives import global_grad, hessian, solve_optimum
 from otafl.precoding import FadingPolicy, decode, precode, select_participants
 from otafl.rng import stream_generator
@@ -82,20 +82,22 @@ def test_criterion_01_noiseless_collapse():
         {**desk_doc(None, trials=1, rounds=50), "channel": {"kind": "awgn_mac", "snr_db": None}}
     )
     resolved = harness.resolve(config, ["cotaf"])
-    shards = partition(
+    rows = partition_rows(
         resolved.dataset, config.partition_spec, stream_generator(SEED, "trial0/partition")
     )
+    shards = resolved.dataset.shards(rows)
     hess = hessian(shards, config.trainer.ridge_lambda)
     theta_star, _ = solve_optimum(shards, config.trainer.ridge_lambda, hess)
     iterates = {}
     for scheme in ("cotaf", "noise_free_local_sgd"):
         iterates[scheme] = run_training(
-            shards,
+            resolved.dataset,
+            rows[None],
             [harness._trainer_config(resolved, scheme)],
             resolved.alpha_schedule,
-            harness.trial_streams(config, 0, [scheme]),
-            (theta_star, hess),
-        )[0].thetas
+            [harness.trial_streams(config, 0, [scheme])],
+            (theta_star[None], hess[None]),
+        )[0].thetas[0]
     worst = float(np.max(np.abs(iterates["cotaf"] - iterates["noise_free_local_sgd"])))
     elapsed = time.time() - start
     report(
@@ -174,21 +176,23 @@ def test_weighted_average_bound_final_round():
     h = config.trainer.local_steps
     gaps = []
     for trial in range(config.trials):
-        shards = partition(
+        rows = partition_rows(
             resolved.dataset,
             config.partition_spec,
             stream_generator(SEED, f"trial{trial}/partition"),
         )
+        shards = resolved.dataset.shards(rows)
         hess = hessian(shards, config.trainer.ridge_lambda)
         theta_star, f_star = solve_optimum(shards, config.trainer.ridge_lambda, hess)
         (trace,) = run_training(
-            shards,
+            resolved.dataset,
+            rows[None],
             [harness._trainer_config(resolved, "cotaf")],
             resolved.alpha_schedule,
-            harness.trial_streams(config, trial, ["cotaf"]),
-            (theta_star, hess),
+            [harness.trial_streams(config, trial, ["cotaf"])],
+            (theta_star[None], hess[None]),
         )
-        averaged = weighted_average_model(trace.thetas, a, h)
+        averaged = weighted_average_model(trace.thetas[0], a, h)
         from otafl.objectives import global_loss
 
         gaps.append(global_loss(averaged, shards, config.trainer.ridge_lambda) - f_star)

@@ -7,6 +7,7 @@ from otafl.data import (
     generate_synthetic,
     load_csv,
     partition,
+    partition_rows,
     save_csv,
     standardize,
 )
@@ -111,6 +112,17 @@ class TestPartition:
             np.testing.assert_array_equal(shard.features, shards.features[n])
             assert np.shares_memory(shard.features, shards.features)
             assert np.shares_memory(shard.targets, shards.targets)
+
+    @pytest.mark.parametrize("mode", ["iid", "heterogeneous"])
+    def test_partition_gathers_the_row_ids(self, mode):
+        dataset = generate_synthetic(3, 103, 1.0, np.random.default_rng(4))
+        spec = PartitionSpec(mode, 5, 0.3)
+        rows = partition_rows(dataset, spec, np.random.default_rng(9))
+        shards = partition(dataset, spec, np.random.default_rng(9))
+        assert rows.shape == (5, 20) and len(np.unique(rows)) == 100
+        np.testing.assert_array_equal(shards.features, dataset.features[rows])
+        np.testing.assert_array_equal(shards.targets, dataset.targets[rows])
+        np.testing.assert_array_equal(dataset.shards(rows).features, shards.features)
 
     def test_remainder_dropped(self, rng):
         dataset = generate_synthetic(2, 103, 1.0, rng)

@@ -12,7 +12,7 @@ from otafl.bounds import (
     schedule_shift,
     validate_dominance,
 )
-from otafl.data import partition
+from otafl.data import partition, partition_rows
 from otafl.harness import (
     MetricsRow,
     MetricsTable,
@@ -134,24 +134,26 @@ class TestRunExperiment:
 
         # hand-rebuild trial 0 with the documented streams and compare
         resolved = harness.resolve(config, ["noise_free_local_sgd"])
-        shards = partition(
+        trial_rows = partition_rows(
             resolved.dataset, config.partition_spec, stream_generator(config.seed, "trial0/partition")
         )
+        shards = resolved.dataset.shards(trial_rows)
         hess = hessian(shards, config.trainer.ridge_lambda)
         theta_star, _ = solve_optimum(shards, config.trainer.ridge_lambda)
         (trace,) = run_training(
-            shards,
+            resolved.dataset,
+            trial_rows[None],
             [harness._trainer_config(resolved, "noise_free_local_sgd")],
             None,
-            harness.trial_streams(config, 0, ["noise_free_local_sgd"]),
-            (theta_star, hess),
+            [harness.trial_streams(config, 0, ["noise_free_local_sgd"])],
+            (theta_star[None], hess[None]),
         )
-        for row, gap in zip(rows, trace.gaps):
+        for row, gap in zip(rows, trace.gaps[0]):
             assert row.mean_gap == gap
         run = result.schemes["noise_free_local_sgd"]
-        np.testing.assert_array_equal(run.gaps[0], trace.gaps)
-        np.testing.assert_array_equal(run.power_per_user[0], trace.powers)
-        np.testing.assert_array_equal(run.waits[0], trace.waits)
+        np.testing.assert_array_equal(run.gaps, trace.gaps)
+        np.testing.assert_array_equal(run.power_per_user, trace.powers)
+        np.testing.assert_array_equal(run.waits, trace.waits)
 
     def test_paired_initial_models_across_schemes(self):
         config = tiny_config(trials=2)
@@ -226,6 +228,82 @@ class TestRunExperiment:
         )
         with pytest.raises(RuntimeError, match=r"trial 0, scheme cotaf_fading: round 1"):
             simulate_trials(config, ["cotaf_fading"])
+
+    def test_failures_name_the_starved_trial_of_a_block(self, monkeypatch):
+        import otafl.trainer as trainer_mod
+
+        monkeypatch.setattr(trainer_mod, "MAX_WAIT_REDRAWS", 50)
+        config = tiny_config(
+            trials=3,
+            channel={"kind": "fading_mac", "snr_db": -6.0, "participants": 4, "h_min": 0.5},
+            trainer={
+                "scheme": "cotaf_fading", "local_steps": 3, "rounds": 2,
+                "schedule": {"kind": "final_model", "shift": "auto"},
+            },
+        )
+        # the three trials train as one block; only trial 2's fading draws
+        # are all censored, so only its round 1 starves
+        starved = stream_generator(config.seed, "trial2/fading/cotaf_fading").bit_generator.state
+        sample_rayleigh = trainer_mod.sample_rayleigh
+
+        def rayleigh(n, scale, rng, rows):
+            if rng.bit_generator.state == starved:
+                return np.full((rows, n), 1e-3)
+            return sample_rayleigh(n, scale, rng, rows=rows)
+
+        monkeypatch.setattr(trainer_mod, "sample_rayleigh", rayleigh)
+        with pytest.raises(RuntimeError, match=r"trial 2, scheme cotaf_fading: round 1"):
+            simulate_trials(config, ["cotaf_fading"])
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 20])
+    @pytest.mark.parametrize("fading", [False, True])
+    def test_trial_blocks_equal_a_per_trial_loop(self, monkeypatch, block_bytes, fading):
+        # trials train in blocks, one run_training call each; every trial's
+        # results are those of training it alone, however the trials block
+        monkeypatch.setattr(harness, "TRIAL_BLOCK_BYTES", block_bytes)
+        blocks = []
+        def counted(*args, **kwargs):
+            blocks.append(len(args[4]))  # the block's trial streams
+            return run_training(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_training", counted)
+        if fading:
+            schemes = ["cotaf_fading", "noise_free_local_sgd"]
+            channel = {"kind": "fading_mac", "snr_db": -6.0, "participants": 3}
+        else:
+            schemes = ["noise_free_local_sgd", "cotaf", "non_precoded_ota"]
+            channel = {"kind": "awgn_mac", "snr_db": -6.0}
+        config = tiny_config(trials=4, channel=channel)
+        result = simulate_trials(config, schemes)
+        assert blocks == ([1, 1, 1, 1] if block_bytes == 1 else [4])
+
+        resolved, lam = result.resolved, config.trainer.ridge_lambda
+        for trial in range(config.trials):
+            rows = partition_rows(
+                resolved.dataset,
+                config.partition_spec,
+                stream_generator(config.seed, f"trial{trial}/partition"),
+            )
+            shards = resolved.dataset.shards(rows)
+            hess = hessian(shards, lam)
+            theta_star, _ = solve_optimum(shards, lam, hess)
+            for scheme in schemes:
+                (trace,) = run_training(
+                    resolved.dataset,
+                    rows[None],
+                    [harness._trainer_config(resolved, scheme)],
+                    resolved.alpha_schedule,
+                    [harness.trial_streams(config, trial, [scheme])],
+                    (theta_star[None], hess[None]),
+                )
+                run = result.schemes[scheme]
+                assert np.array_equal(run.gaps[trial], trace.gaps[0])
+                assert np.array_equal(run.power_per_user[trial], trace.powers[0])
+                assert np.array_equal(run.waits[trial], trace.waits[0])
+                k = config.users if trace.participants is None else trace.participants.shape[-1]
+                assert np.all(run.participants[trial] == k)
+                if scheme == "cotaf_fading":
+                    assert k == 3
 
     @pytest.mark.parametrize("trials", [1, 5, 7, 9, 50])
     def test_tabulate_equals_per_round_reductions(self, trials):

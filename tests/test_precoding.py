@@ -281,14 +281,16 @@ class TestEstimateAlphaMc:
             shards, lam, rounds, h, power, trials, np.random.default_rng(8),
             step_fn=step_fn, theta0_std=1.0,
         )
+        features, targets = block.features.reshape(-1, 3), block.targets.reshape(-1)
         ref_rng = np.random.default_rng(8)
         sums = np.zeros((rounds, 4))
         for _ in range(trials):
             theta = ref_rng.normal(0.0, 1.0, 3)
             draws = ref_rng.integers(12, size=rounds * 4 * h).reshape(rounds, 4, h)
+            rows = draws + 12 * np.arange(4)[:, None]  # user n's sample i is row 12n + i
             for r in range(rounds):
                 etas = [step_fn(r * h + j) for j in range(h)]
-                models = local_pass(theta, block.features, block.targets, etas, draws[r], lam)
+                models = local_pass(theta, features, targets, etas, rows[r], lam)
                 diff = models - theta
                 sums[r] += np.einsum("nd,nd->n", diff, diff)
                 theta = models.mean(axis=0)

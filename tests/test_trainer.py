@@ -5,10 +5,12 @@ import pytest
 
 import otafl.trainer as trainer_mod
 
+from otafl.data import PartitionSpec, generate_synthetic, partition_rows
 from otafl.localsgd import local_pass
 from otafl.objectives import global_grad, hessian, quadratic_gap, ridge_grad, solve_optimum
 from otafl.precoding import AlphaSchedule, FadingPolicy
 from otafl.trainer import (
+    RunTrace,
     StepSchedule,
     TrainerConfig,
     TrialStreams,
@@ -21,7 +23,7 @@ from otafl.trainer import (
 )
 from otafl.types import RegressionSample, ShardBlock
 
-from conftest import make_shards, single_shard
+from conftest import flat_rows, make_shards, single_shard
 
 
 def _streams(seed, n_users, noise_seed=None, fading_seed=None):
@@ -34,16 +36,41 @@ def _streams(seed, n_users, noise_seed=None, fading_seed=None):
     )
 
 
+def _one_trial(optimum):
+    """A trial's (theta*, Hessian) as the (1, d) and (1, d, d) optima of a block."""
+    return optimum[0][None], optimum[1][None]
+
+
 def _round(theta, shards, config, alpha, streams, round_index, optimum, indices, fading=None):
     """One round as run_training makes it: the users' local steps from theta
-    on the shard block, then run_round's aggregation over the channel."""
-    block = ShardBlock.of(shards)
+    on the shards' samples, then run_round's aggregation over the channel,
+    for a block of one trial."""
+    dataset, rows = flat_rows(shards)
     t0 = (round_index - 1) * config.local_steps
     etas = [config.step.eta(t0 + j) for j in range(config.local_steps)]
     local_models = local_pass(
-        theta, block.features, block.targets, etas, indices, config.ridge_lambda
+        theta, dataset.features, dataset.targets, etas,
+        np.take_along_axis(rows[0], indices, axis=1), config.ridge_lambda,
     )
-    return run_round(theta, local_models, config, alpha, streams.noise[0], optimum, fading)
+    new_theta, gaps, powers = run_round(
+        theta[None], local_models[None], config, alpha, [streams.noise[0]], _one_trial(optimum),
+        None if fading is None else (fading[0][None], fading[1][None]),
+    )
+    return new_theta[0], gaps[0], powers[0]
+
+
+def _train(shards, configs, alpha_schedule, streams, optimum):
+    """run_training on one trial's shards; returns each run's trial-0 trace."""
+    dataset, rows = flat_rows(shards)
+    traces = run_training(dataset, rows, configs, alpha_schedule, [streams], _one_trial(optimum))
+    return [RunTrace(*(None if field is None else field[0] for field in trace)) for trace in traces]
+
+
+def _rows(features, indices):
+    """Shard sample indices as row ids into the (N*D_n, d) flattening of an
+    (N, D_n, d) shard block."""
+    n_users, shard_size = features.shape[:2]
+    return indices + shard_size * np.arange(n_users)[:, None]
 
 
 def _indices(seed, n_users, shard_size, local_steps):
@@ -84,7 +111,7 @@ class TestSgdStep:
     def test_fixed_point_on_zero_data(self, rng):
         theta = rng.standard_normal(3)
         indices = np.zeros((2, 2), dtype=int)
-        out = local_pass(theta, np.zeros((2, 5, 3)), np.zeros((2, 5)), [0.1, 0.2], indices, 0.0)
+        out = local_pass(theta, np.zeros((10, 3)), np.zeros(10), [0.1, 0.2], indices, 0.0)
         np.testing.assert_array_equal(out, np.stack([theta, theta]))
 
     def test_single_sample_deterministic(self, rng):
@@ -92,7 +119,9 @@ class TestSgdStep:
         shards = make_shards(rng, n_users=4, per_user=6, dim=3)
         thetas = rng.standard_normal((4, 3))
         indices = rng.integers(6, size=(4, 1))
-        out = local_pass(thetas, shards.features, shards.targets, [0.1], indices, 0.5)
+        dataset, _ = flat_rows(shards)
+        rows = _rows(shards.features, indices)
+        out = local_pass(thetas, dataset.features, dataset.targets, [0.1], rows, 0.5)
         expected = [
             thetas[n] - 0.1 * ridge_grad(thetas[n], _sample(shards[n], int(indices[n, 0])), 0.5)
             for n in range(4)
@@ -104,10 +133,8 @@ class TestSgdStep:
         shard = single_shard(rng, n_samples=25, dim=3)
         n_users, eta, lam = 10_000, 0.05, 0.5
         theta = rng.standard_normal(3)
-        features = np.broadcast_to(shard.features, (n_users, 25, 3))
-        targets = np.broadcast_to(shard.targets, (n_users, 25))
         indices = rng.integers(25, size=(n_users, 1))
-        steps = local_pass(theta, features, targets, [eta], indices, lam) - theta
+        steps = local_pass(theta, shard.features, shard.targets, [eta], indices, lam) - theta
         expected = -eta * global_grad(theta, [shard], lam)
         per_sample = np.stack(
             [-eta * ridge_grad(theta, _sample(shard, i), lam) for i in range(len(shard))]
@@ -116,21 +143,21 @@ class TestSgdStep:
         assert np.all(np.abs(steps.mean(axis=0) - expected) <= 3 * se + 1e-12)
 
     def test_invalid_step_size(self, rng):
-        block = ShardBlock.of([single_shard(rng)])
+        shard = single_shard(rng)
         indices = np.zeros((1, 2), dtype=int)
         with pytest.raises(ValueError, match="step size"):
-            local_pass(np.zeros(4), block.features, block.targets, [0.1, 0.0], indices, 0.5)
+            local_pass(np.zeros(4), shard.features, shard.targets, [0.1, 0.0], indices, 0.5)
 
     def test_negative_regularization(self, rng):
-        block = ShardBlock.of([single_shard(rng)])
+        shard = single_shard(rng)
         indices = np.zeros((1, 1), dtype=int)
         with pytest.raises(ValueError, match="non-negative"):
-            local_pass(np.zeros(4), block.features, block.targets, [0.1], indices, -1.0)
+            local_pass(np.zeros(4), shard.features, shard.targets, [0.1], indices, -1.0)
 
     def test_empty_shard(self):
         indices = np.zeros((2, 1), dtype=int)
         with pytest.raises(ValueError, match="empty shard"):
-            local_pass(np.zeros(3), np.zeros((2, 0, 3)), np.zeros((2, 0)), [0.1], indices, 0.5)
+            local_pass(np.zeros(3), np.zeros((0, 3)), np.zeros(0), [0.1], indices, 0.5)
 
 
 class TestBatchedPass:
@@ -140,34 +167,52 @@ class TestBatchedPass:
     def test_shared_indices_equal_per_model_calls(self, rng, per_user):
         shards = make_shards(rng, n_users=5, per_user=9, dim=4)
         thetas = rng.standard_normal((3, 5, 4) if per_user else (3, 1, 4))
-        indices = rng.integers(9, size=(5, 3))
+        dataset, _ = flat_rows(shards)
+        rows = _rows(shards.features, rng.integers(9, size=(5, 3)))
         etas = [0.1, 0.07, 0.05]
-        out = local_pass(thetas, shards.features, shards.targets, etas, indices, 0.5)
+        out = local_pass(thetas, dataset.features, dataset.targets, etas, rows, 0.5)
         assert out.shape == (3, 5, 4)
         for theta, models in zip(thetas, out):
             start = theta if per_user else theta[0]
-            expected = local_pass(start, shards.features, shards.targets, etas, indices, 0.5)
+            expected = local_pass(start, dataset.features, dataset.targets, etas, rows, 0.5)
             assert np.array_equal(models, expected)
 
     def test_per_row_indices_equal_per_row_calls(self, rng):
         shards = make_shards(rng, n_users=5, per_user=9, dim=4)
         thetas = rng.standard_normal((4, 1, 4))
-        indices = rng.integers(9, size=(4, 5, 2)).astype(np.uint8)
+        dataset, _ = flat_rows(shards)
+        indices = rng.integers(9, size=(4, 5, 2))
+        blocks = np.stack([_rows(shards.features, block) for block in indices]).astype(np.uint8)
         etas = [0.1, 0.07]
-        out = local_pass(thetas, shards.features, shards.targets, etas, indices, 0.5)
+        out = local_pass(thetas, dataset.features, dataset.targets, etas, blocks, 0.5)
         assert out.shape == (4, 5, 4)
-        for theta, rows, models in zip(thetas, indices, out):
-            expected = local_pass(theta[0], shards.features, shards.targets, etas, rows, 0.5)
+        for theta, rows, models in zip(thetas, blocks, out):
+            expected = local_pass(theta[0], dataset.features, dataset.targets, etas, rows, 0.5)
             assert np.array_equal(models, expected)
 
+    def test_trials_and_schemes_equal_per_model_calls(self, rng):
+        # (S, T, 1, d) models over (T, N, H) rows: scheme s of trial t steps
+        # on trial t's rows, with the bits of its own unbatched call
+        dataset, _ = flat_rows(make_shards(rng, n_users=5, per_user=9, dim=4))
+        thetas = rng.standard_normal((3, 4, 1, 4))
+        blocks = rng.integers(45, size=(4, 5, 2)).astype(np.uint8)
+        etas = [0.1, 0.07]
+        out = local_pass(thetas, dataset.features, dataset.targets, etas, blocks, 0.5)
+        assert out.shape == (3, 4, 5, 4)
+        for s, t in np.ndindex(3, 4):
+            expected = local_pass(
+                thetas[s, t, 0], dataset.features, dataset.targets, etas, blocks[t], 0.5
+            )
+            assert np.array_equal(out[s, t], expected)
+
     def test_shapes_checked(self, rng):
-        block = ShardBlock.of(make_shards(rng, n_users=2, per_user=5, dim=3))
-        args = (block.features, block.targets, [0.1])
-        with pytest.raises(ValueError, match="indices have shape"):
-            local_pass(np.zeros(3), *args, np.zeros((3, 1), dtype=int), 0.5)
-        with pytest.raises(ValueError, match=r"per-row indices need a \(T, 1 or N, d\) theta"):
-            local_pass(np.zeros(3), *args, np.zeros((4, 2, 1), dtype=int), 0.5)
-        with pytest.raises(ValueError, match="3 models for 4 index blocks"):
+        dataset, _ = flat_rows(make_shards(rng, n_users=2, per_user=5, dim=3))
+        args = (dataset.features, dataset.targets, [0.1])
+        with pytest.raises(ValueError, match="rows have shape"):
+            local_pass(np.zeros(3), *args, np.zeros((3, 2), dtype=int), 0.5)
+        with pytest.raises(ValueError, match=r"models of shape \(4, 3, 3\) do not fit"):
+            local_pass(np.zeros((4, 3, 3)), *args, np.zeros((4, 2, 1), dtype=int), 0.5)
+        with pytest.raises(ValueError, match=r"models of shape \(3, 1, 3\) do not fit"):
             local_pass(np.zeros((3, 1, 3)), *args, np.zeros((4, 2, 1), dtype=int), 0.5)
 
 
@@ -353,9 +398,7 @@ class TestRunRound:
                 (np.zeros(3), np.eye(3)), np.zeros((2, 1), dtype=int),
             )
         with pytest.raises(ValueError, match=r"sizes \[10, 12\]"):
-            run_training(
-                shards, [config], None, _streams(1, 2), (np.zeros(3), np.eye(3)),
-            )
+            _train(shards, [config], None, _streams(1, 2), (np.zeros(3), np.eye(3)))
 
 
 class TestRunTraining:
@@ -364,9 +407,7 @@ class TestRunTraining:
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=3, rounds=0, step=_schedule()
         )
-        (trace,) = run_training(
-            shards, [config], None, _streams(4, 2), _optimum(shards)
-        )
+        (trace,) = _train(shards, [config], None, _streams(4, 2), _optimum(shards))
         assert trace.thetas.shape == (0, 3)
         assert trace.gaps.shape == (0,) and trace.waits.shape == (0,)
         assert trace.powers.shape == (0, 2)
@@ -378,9 +419,7 @@ class TestRunTraining:
             scheme="noise_free_local_sgd", local_steps=1, rounds=1, step=_schedule()
         )
         with pytest.raises(ValueError, match="need 3 user streams, got 2"):
-            run_training(
-                shards, [config], None, _streams(1, 2), _optimum(shards)
-            )
+            _train(shards, [config], None, _streams(1, 2), _optimum(shards))
 
     def test_noise_free_run_equals_per_sample_reference(self, rng):
         # the run's up-front index draws give each round the indices that
@@ -390,9 +429,7 @@ class TestRunTraining:
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=4, rounds=3, step=schedule
         )
-        (trace,) = run_training(
-            shards, [config], None, _streams(6, 3), _optimum(shards)
-        )
+        (trace,) = _train(shards, [config], None, _streams(6, 3), _optimum(shards))
         streams = _streams(6, 3)
         theta = streams.init.normal(0.0, config.theta0_std, 4)
         for r, run_theta in enumerate(trace.thetas):
@@ -410,7 +447,7 @@ class TestRunTraining:
         )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 5))
         a, b = (
-            run_training(shards, [config], alpha, _streams(6, 3), _optimum(shards))[0]
+            _train(shards, [config], alpha, _streams(6, 3), _optimum(shards))[0]
             for _ in range(2)
         )
         np.testing.assert_array_equal(a.thetas, b.thetas)
@@ -424,9 +461,7 @@ class TestRunTraining:
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)
         config = TrainerConfig(scheme="cotaf", local_steps=2, rounds=5, step=_schedule())
         with pytest.raises(ValueError, match="covers"):
-            run_training(
-                shards, [config], AlphaSchedule(np.ones(3)), _streams(2, 2), _optimum(shards)
-            )
+            _train(shards, [config], AlphaSchedule(np.ones(3)), _streams(2, 2), _optimum(shards))
 
     def test_noise_free_gap_mostly_decreasing(self, rng):
         # well-conditioned sanity instance: realizable least squares, where the
@@ -440,9 +475,7 @@ class TestRunTraining:
             step=StepSchedule("final_model", shift=max(8 * smoothness / mu, 10.0), mu=mu),
             theta0_std=5.0, ridge_lambda=lam,
         )
-        gaps = run_training(
-            shards, [config], None, _streams(8, 8), _optimum(shards, lam)
-        )[0].gaps
+        gaps = _train(shards, [config], None, _streams(8, 8), _optimum(shards, lam))[0].gaps
         assert np.all(gaps >= -1e-9)
         frac_decreasing = np.mean(np.diff(gaps) <= 0)
         assert frac_decreasing >= 0.9
@@ -463,11 +496,11 @@ def _paired_streams(seed, n_users, n_schemes):
 class TestPairedRuns:
     def _assert_runs_equal(self, shards, configs, alpha):
         optimum = _optimum(shards)
-        paired = run_training(shards, configs, alpha, _paired_streams(3, 4, len(configs)), optimum)
+        paired = _train(shards, configs, alpha, _paired_streams(3, 4, len(configs)), optimum)
         assert len(paired) == len(configs)
         for s, (config, trace) in enumerate(zip(configs, paired)):
             streams = _streams(3, 4, noise_seed=3 + 10 + s, fading_seed=3 + 20 + s)
-            (alone,) = run_training(shards, [config], alpha, streams, optimum)
+            (alone,) = _train(shards, [config], alpha, streams, optimum)
             for field in ("thetas", "gaps", "powers", "waits"):
                 assert np.array_equal(getattr(trace, field), getattr(alone, field)), field
             if alone.participants is None:
@@ -506,11 +539,112 @@ class TestPairedRuns:
             for h in (2, 1)
         )
         with pytest.raises(ValueError, match="paired runs must share local_steps"):
-            run_training(shards, [base, other], None, _paired_streams(1, 2, 2), _optimum(shards))
+            _train(shards, [base, other], None, _paired_streams(1, 2, 2), _optimum(shards))
         with pytest.raises(ValueError, match="one noise and one fading stream for each of 2"):
-            run_training(shards, [base, base], None, _streams(1, 2), _optimum(shards))
+            _train(shards, [base, base], None, _streams(1, 2), _optimum(shards))
         with pytest.raises(ValueError, match="at least one trainer config"):
-            run_training(shards, [], None, _streams(1, 2), _optimum(shards))
+            _train(shards, [], None, _streams(1, 2), _optimum(shards))
+
+
+def _trial_block(rng, n_trials, n_users, per_user=8, dim=4):
+    """A dataset, n_trials iid partitions of it as (T, N, D_n) row ids, and
+    each trial's (theta*, Hessian), stacked."""
+    dataset = generate_synthetic(dim, n_users * per_user, 0.5, rng)
+    spec = PartitionSpec("iid", n_users)
+    rows = np.stack(
+        [partition_rows(dataset, spec, np.random.default_rng(100 + t)) for t in range(n_trials)]
+    )
+    optima = [_optimum(dataset.shards(block)) for block in rows]
+    return dataset, rows, tuple(np.stack(part) for part in zip(*optima))
+
+
+class TestStackedTrials:
+    # P(h > h_min) = 0.6 for each of 6 users, so fading rounds wait
+    POLICY = FadingPolicy(h_min=math.sqrt(math.log(1 / 0.6)), participants=4)
+
+    @pytest.mark.parametrize("n_trials", [1, 2, 9, 50])
+    @pytest.mark.parametrize(
+        "schemes",
+        [
+            ("noise_free_local_sgd",),
+            ("cotaf",),
+            ("non_precoded_ota",),
+            ("cotaf_fading",),
+            ("noise_free_local_sgd", "cotaf", "non_precoded_ota"),
+            ("cotaf_fading", "noise_free_local_sgd"),
+        ],
+    )
+    def test_stacked_run_equals_per_trial_loop(self, rng, n_trials, schemes):
+        n_users, rounds = 6, 8
+        dataset, rows, optima = _trial_block(rng, n_trials, n_users)
+        configs = [
+            TrainerConfig(
+                scheme=scheme, local_steps=2, rounds=rounds, step=_schedule(), sigma_w2=0.4,
+                fading=self.POLICY if scheme == "cotaf_fading" else None,
+            )
+            for scheme in schemes
+        ]
+        alpha = AlphaSchedule(np.linspace(0.5, 2.0, rounds))
+        seeds = [7 * t + 1 for t in range(n_trials)]
+        stacked = run_training(
+            dataset, rows, configs, alpha,
+            [_paired_streams(seed, n_users, len(configs)) for seed in seeds], optima,
+        )
+        assert len(stacked) == len(configs)
+        # the loop: each trial's runs one at a time, scheme s of trial t on
+        # the streams _paired_streams gives it
+        for t, seed in enumerate(seeds):
+            for s, (config, trace) in enumerate(zip(configs, stacked)):
+                streams = _streams(
+                    seed, n_users, noise_seed=seed + 10 + s, fading_seed=seed + 20 + s
+                )
+                (alone,) = run_training(
+                    dataset, rows[t : t + 1], [config], alpha, [streams],
+                    (optima[0][t : t + 1], optima[1][t : t + 1]),
+                )
+                for field in ("thetas", "gaps", "powers", "participants", "waits"):
+                    got, expected = getattr(trace, field), getattr(alone, field)
+                    if expected is None:
+                        assert got is None, field
+                    else:
+                        assert np.array_equal(got[t], expected[0]), (t, config.scheme, field)
+        for config, trace in zip(configs, stacked):
+            assert trace.gaps.shape == (n_trials, rounds)
+            if config.fading is not None:
+                assert trace.waits.sum() > 0
+
+    def test_writes_into_the_given_arrays_and_checks_shapes(self, rng):
+        dataset, rows, optima = _trial_block(rng, 3, n_users=4)
+        config = TrainerConfig(
+            scheme="noise_free_local_sgd", local_steps=2, rounds=5, step=_schedule()
+        )
+        streams = [_streams(seed, 4) for seed in (1, 2, 3)]
+        gaps, powers = np.zeros((3, 5)), np.zeros((3, 5, 4))
+        (trace,) = run_training(
+            dataset, rows, [config], None, streams, optima, out=[(gaps, powers)]
+        )
+        assert trace.gaps is gaps and trace.powers is powers
+        assert np.all(gaps > 0) and np.all(powers > 0)
+        with pytest.raises(ValueError, match="need streams for each of 3 trials, got 2"):
+            run_training(dataset, rows, [config], None, streams[:2], optima)
+        with pytest.raises(ValueError, match=r"need \(T, d\) optima"):
+            run_training(dataset, rows, [config], None, streams, (optima[0][:2], optima[1][:2]))
+
+    def test_starved_trial_is_named(self, rng, monkeypatch):
+        # only the fading stream of the block's second trial starves
+        monkeypatch.setattr(trainer_mod, "MAX_WAIT_REDRAWS", 20)
+        dataset, rows, optima = _trial_block(rng, 3, n_users=4)
+        config = TrainerConfig(
+            scheme="cotaf_fading", local_steps=1, rounds=4, step=_schedule(),
+            fading=FadingPolicy(h_min=0.5, participants=2),
+        )
+        streams = [_streams(seed, 4) for seed in (1, 2, 3)]
+        streams[1] = TrialStreams(streams[1].init, streams[1].users, streams[1].noise,
+                                  (ScriptedFading([]),))
+        with pytest.raises(RuntimeError, match=r"^trial 6, scheme cotaf_fading: round 1: "):
+            run_training(
+                dataset, rows, [config], AlphaSchedule(np.ones(4)), streams, optima, first_trial=5
+            )
 
 
 def _reference_fading_run(shards, config, alpha_schedule, streams, optimum):
@@ -575,7 +709,7 @@ class TestFadingRun:
         )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 20))
         optimum = _optimum(shards)
-        (trace,) = run_training(shards, [config], alpha, _streams(5, 6), optimum)
+        (trace,) = _train(shards, [config], alpha, _streams(5, 6), optimum)
         reference = list(_reference_fading_run(shards, config, alpha, _streams(5, 6), optimum))
         assert len(trace.gaps) == len(reference) == 20
         for i, (participants, waits, theta, gap, powers) in enumerate(reference):
