@@ -32,7 +32,7 @@ def _add_noise(
 ) -> np.ndarray:
     """total plus i.i.d. N(0, sigma_w2) noise per coordinate: drawn from rng
     for a (d,) total, and for a (T, d) stack row t drawn from rng[t], in row
-    order."""
+    order. A stack is noised in place; the callers own their totals."""
     if sigma_w2 == 0:
         return total
     std = math.sqrt(sigma_w2)
@@ -40,7 +40,9 @@ def _add_noise(
         return total + rng.normal(0.0, std, total.shape[0])
     if len(rng) != total.shape[0]:
         raise ValueError(f"need {total.shape[0]} noise streams, one per trial, got {len(rng)}")
-    return total + np.stack([stream.normal(0.0, std, total.shape[1]) for stream in rng])
+    for row, stream in zip(total, rng):
+        row += stream.normal(0.0, std, row.shape[0])
+    return total
 
 
 def awgn_mac(

@@ -54,14 +54,21 @@ def local_pass(
         raise ValueError(
             f"models of shape {np.shape(theta)} do not fit samples {samples}"
         ) from None
+    # Leading unit axes add per-step overhead to every array operation and no
+    # work, so the steps run on the broadcast shape without them.
+    lead = 0
+    while lead < len(shape) - 2 and shape[lead] == 1:
+        lead += 1
+    core = shape[lead:]
     # One gather per call, step-major so each step reads a contiguous slab.
     steps = rows.transpose(rows.ndim - 1, *range(rows.ndim - 1))
+    steps = steps.reshape(len(etas), *rows.shape[:-1][1 - len(core) :])
     xs = features[steps]  # (H, [T,] N, d)
     ys = targets[steps]  # (H, [T,] N)
     # astype keeps the broadcast's stride order, so the copy has the user axis
     # fastest; every result's bits depend on that layout
-    theta = np.broadcast_to(theta, shape).astype(np.float64)
+    theta = np.broadcast_to(theta, shape).astype(np.float64).reshape(core)
     for x, y, eta in zip(xs, ys, etas):
         residual = np.einsum("...nd,...nd->...n", x, theta) - y
         theta = theta - eta * (residual[..., None] * x + lam * theta)
-    return theta
+    return theta.reshape(shape)

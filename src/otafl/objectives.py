@@ -95,15 +95,22 @@ def solve_optimum(
     return theta_star, global_loss(theta_star, shards, lam)
 
 
-def quadratic_gap(theta: np.ndarray, theta_star: np.ndarray, hess: np.ndarray) -> float:
+def quadratic_gap(
+    theta: np.ndarray, theta_star: np.ndarray, hess: np.ndarray
+) -> float | np.ndarray:
     """Optimality gap F(theta) - F* of the quadratic objective, exactly.
 
     F is quadratic, so the gap is 0.5 (theta - theta*)^T H (theta - theta*):
     non-negative for the positive semi-definite Hessian H, and free of the
     cancellation that subtracting F* from F(theta) suffers near the optimum.
+
+    A (T, d) block of models against (T, d) optima and (T, d, d) Hessians
+    gives the (T,) gaps of its rows at once, each with the bits of the
+    one-row call (pinned in tests/test_objectives.py).
     """
-    diff = theta - theta_star
-    return 0.5 * float(diff @ hess @ diff)
+    diff = (theta - theta_star)[..., None, :]
+    gap = 0.5 * (diff @ hess @ np.swapaxes(diff, -1, -2))[..., 0, 0]
+    return float(gap) if gap.ndim == 0 else gap
 
 
 @dataclass(frozen=True)

@@ -299,8 +299,7 @@ def run_round(
         powers = np.zeros((ids.shape[0], n_users))
         powers[chosen] = _transmit_powers(signals)
 
-    gaps = np.array([quadratic_gap(*trial) for trial in zip(new_theta, *optimum)])
-    return new_theta, gaps, powers
+    return new_theta, quadratic_gap(new_theta, *optimum), powers
 
 
 # Paired runs share the kernel, so their configs must agree on these.
@@ -334,8 +333,8 @@ def run_training(
     Returns one RunTrace per config; trial t of run s equals a run of
     configs[s] alone on trial t, bit for bit. out gives each config's
     (T, R) gap and (T, R, N) power arrays to write into (new ones by
-    default). Errors name the trial, numbering the block's trials from
-    first_trial.
+    default), which spares the caller a copy of them. Errors name the
+    trial, numbering the block's trials from first_trial.
     """
     configs, streams = list(configs), list(streams)
     if not configs:
@@ -353,6 +352,8 @@ def run_training(
                 f"alpha schedule covers {alpha_schedule.rounds} rounds, need {first.rounds}"
             )
 
+    if rows.ndim != 3:
+        raise ValueError(f"need a (T, N, D_n) block of shard row ids, got shape {rows.shape}")
     n_trials, n_users, shard_size = rows.shape
     dim, n_runs = dataset.feature_dim, len(configs)
     if len(streams) != n_trials:
@@ -410,18 +411,10 @@ def run_training(
     for i in range(rounds):
         r = i + 1
         window = slice(i * h, r * h)  # the round's steps
-        if n_runs == n_trials == 1:
-            # a single run keeps to the unbatched kernel, a (d,) start and
-            # (N, d) models, whose per-call cost the batched path would raise
-            local_models = local_pass(
-                theta[0, 0], dataset.features, dataset.targets, etas[window],
-                steps[0, :, window], first.ridge_lambda,
-            )[None, None]
-        else:
-            local_models = local_pass(
-                theta[:, :, None], dataset.features, dataset.targets, etas[window],
-                steps[:, :, window], first.ridge_lambda,
-            )
+        local_models = local_pass(
+            theta[:, :, None], dataset.features, dataset.targets, etas[window],
+            steps[:, :, window], first.ridge_lambda,
+        )
         for s, config in enumerate(configs):
             fade, (gaps, powers) = fades[s], out[s]
             try:

@@ -158,6 +158,19 @@ class TestSolveOptimum:
             assert gap > 0
             assert gap == pytest.approx(global_loss(theta, shards, 0.5) - f_star, rel=1e-9)
 
+    def test_quadratic_gap_rows_have_the_bits_of_one_row_calls(self, rng):
+        # trainer.run_round measures a block of trials' gaps in one call
+        for n_rows, dim in ((1, 90), (7, 20), (50, 3)):
+            thetas = rng.standard_normal((n_rows, dim))
+            theta_stars = rng.standard_normal((n_rows, dim))
+            factors = rng.standard_normal((n_rows, dim, dim))
+            hessians = factors @ factors.transpose(0, 2, 1)
+            gaps = quadratic_gap(thetas, theta_stars, hessians)
+            assert gaps.shape == (n_rows,)
+            for theta, theta_star, hess, gap in zip(thetas, theta_stars, hessians, gaps):
+                diff = theta - theta_star
+                assert gap == quadratic_gap(theta, theta_star, hess) == 0.5 * (diff @ hess @ diff)
+
     def test_singular_without_regularization(self):
         shard = UserShard(1, [[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
         with pytest.raises(ValueError, match="singular"):

@@ -5,7 +5,7 @@ import pytest
 
 import otafl.trainer as trainer_mod
 
-from otafl.data import PartitionSpec, generate_synthetic, partition_rows
+from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition_rows
 from otafl.localsgd import local_pass
 from otafl.objectives import global_grad, hessian, quadratic_gap, ridge_grad, solve_optimum
 from otafl.precoding import AlphaSchedule, FadingPolicy
@@ -190,16 +190,18 @@ class TestBatchedPass:
             expected = local_pass(theta[0], dataset.features, dataset.targets, etas, rows, 0.5)
             assert np.array_equal(models, expected)
 
-    def test_trials_and_schemes_equal_per_model_calls(self, rng):
+    @pytest.mark.parametrize("n_schemes, n_trials", [(3, 4), (1, 4), (3, 1), (1, 1)])
+    def test_trials_and_schemes_equal_per_model_calls(self, rng, n_schemes, n_trials):
         # (S, T, 1, d) models over (T, N, H) rows: scheme s of trial t steps
-        # on trial t's rows, with the bits of its own unbatched call
+        # on trial t's rows, with the bits of its own unbatched call, also
+        # where S or T is 1 and the kernel drops the unit axes
         dataset, _ = flat_rows(make_shards(rng, n_users=5, per_user=9, dim=4))
-        thetas = rng.standard_normal((3, 4, 1, 4))
-        blocks = rng.integers(45, size=(4, 5, 2)).astype(np.uint8)
+        thetas = rng.standard_normal((n_schemes, n_trials, 1, 4))
+        blocks = rng.integers(45, size=(n_trials, 5, 2)).astype(np.uint8)
         etas = [0.1, 0.07]
         out = local_pass(thetas, dataset.features, dataset.targets, etas, blocks, 0.5)
-        assert out.shape == (3, 4, 5, 4)
-        for s, t in np.ndindex(3, 4):
+        assert out.shape == (n_schemes, n_trials, 5, 4)
+        for s, t in np.ndindex(n_schemes, n_trials):
             expected = local_pass(
                 thetas[s, t, 0], dataset.features, dataset.targets, etas, blocks[t], 0.5
             )
@@ -388,17 +390,21 @@ class TestRunRound:
             )
 
     def test_ragged_shards_rejected_with_sizes(self, rng):
+        # training takes equal-size shards as a (T, N, D_n) row-id block, so
+        # unequal shards are rejected where they are stacked into one
         shards = [single_shard(rng, n_samples=10, dim=3), single_shard(rng, n_samples=12, dim=3)]
+        with pytest.raises(ValueError, match=r"sizes \[10, 12\]"):
+            ShardBlock.of(shards)
+        dataset = Dataset(np.zeros((22, 3)), np.zeros(22))
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=1, rounds=2, step=_schedule()
         )
-        with pytest.raises(ValueError, match=r"sizes \[10, 12\]"):
-            _round(
-                np.zeros(3), shards, config, None, _streams(1, 2), 1,
-                (np.zeros(3), np.eye(3)), np.zeros((2, 1), dtype=int),
+        ragged = np.array([np.arange(10), np.arange(10, 22)], dtype=object)
+        with pytest.raises(ValueError, match=r"need a \(T, N, D_n\) block"):
+            run_training(
+                dataset, ragged, [config], None, [_streams(1, 2)],
+                (np.zeros((1, 3)), np.eye(3)[None]),
             )
-        with pytest.raises(ValueError, match=r"sizes \[10, 12\]"):
-            _train(shards, [config], None, _streams(1, 2), (np.zeros(3), np.eye(3)))
 
 
 class TestRunTraining:
@@ -625,6 +631,8 @@ class TestStackedTrials:
         )
         assert trace.gaps is gaps and trace.powers is powers
         assert np.all(gaps > 0) and np.all(powers > 0)
+        with pytest.raises(ValueError, match=r"need a \(T, N, D_n\) block of shard row ids"):
+            run_training(dataset, rows[0], [config], None, streams[:1], optima)
         with pytest.raises(ValueError, match="need streams for each of 3 trials, got 2"):
             run_training(dataset, rows, [config], None, streams[:2], optima)
         with pytest.raises(ValueError, match=r"need \(T, d\) optima"):
