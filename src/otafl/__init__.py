@@ -36,7 +36,6 @@ from .data import (
     generate_synthetic,
     load_csv,
     partition,
-    partition_rows,
     save_csv,
     standardize,
 )
@@ -96,6 +95,6 @@ from .trainer import (
     step_final_model,
     weighted_average_model,
 )
-from .types import ProblemConstants, RegressionSample, ShardBlock, UserShard, as_model_vector
+from .types import ProblemConstants, RegressionSample, ShardBlock, as_model_vector
 
 __version__ = "0.1.0"

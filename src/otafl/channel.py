@@ -119,7 +119,8 @@ def sample_rayleigh(
     return rng.rayleigh(scale, shape)
 
 
-def orthogonal_noiseless(inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Identity passthrough: the server receives each user's vector exactly
-    (or each trial's (K, d) block of them, for a (T, K, d) stack)."""
-    return [np.ascontiguousarray(x, dtype=np.float64) for x in inputs]
+def orthogonal_noiseless(inputs: np.ndarray) -> np.ndarray:
+    """Identity passthrough: the server receives each user's vector exactly,
+    a (K, d) block or a (T, K, d) stack of T trials' blocks, as one float64
+    array."""
+    return _stack_inputs(inputs)

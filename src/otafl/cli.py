@@ -184,13 +184,13 @@ def _cmd_compare(args) -> int:
 def _cmd_partition(args) -> int:
     dataset = load_csv(args.csv, header=args.header)
     spec = PartitionSpec(args.mode, args.n, args.skew)
-    shards = partition(dataset, spec, stream_generator(args.seed, "partition"))
+    shards = dataset.shards(partition(dataset, spec, stream_generator(args.seed, "partition")))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for shard in shards:
-        shard_path = out_dir / f"user_{shard.user_id:03d}.csv"
-        save_csv(Dataset(features=shard.features, targets=shard.targets), shard_path)
-    print(f"wrote {len(shards)} shards of {len(shards[0])} samples to {out_dir}")
+    for user, (features, targets) in enumerate(zip(shards.features, shards.targets), start=1):
+        save_csv(Dataset(features, targets), out_dir / f"user_{user:03d}.csv")
+    n_users, shard_size = shards.targets.shape
+    print(f"wrote {n_users} shards of {shard_size} samples to {out_dir}")
     return 0
 
 

@@ -136,14 +136,15 @@ def standardize(dataset: Dataset) -> Dataset:
     return Dataset((dataset.features - mean) / std, dataset.targets)
 
 
-def partition_rows(
+def partition(
     dataset: Dataset, spec: PartitionSpec, rng: np.random.Generator
 ) -> np.ndarray:
     """Split the dataset's row ids into disjoint, equal-size user shards.
 
-    Returns an (N, D_n) block, row n holding user n+1's sample row ids.
-    Samples beyond the largest multiple of n_users are dropped (logged), so
-    every user holds the same number of samples.
+    Returns an (N, D_n) block, row n holding user n+1's sample row ids;
+    dataset.shards gathers their samples. Samples beyond the largest
+    multiple of n_users are dropped (logged), so every user holds the same
+    number of samples.
     """
     total = len(dataset)
     if spec.n_users > total:
@@ -173,10 +174,3 @@ def partition_rows(
     return np.stack(
         [np.concatenate([own[n], pool[n * fill : (n + 1) * fill]]) for n in range(spec.n_users)]
     )
-
-
-def partition(
-    dataset: Dataset, spec: PartitionSpec, rng: np.random.Generator
-) -> ShardBlock:
-    """The user shards of partition_rows, gathered into one (N, D_n, d) block."""
-    return dataset.shards(partition_rows(dataset, spec, rng))

@@ -30,7 +30,6 @@ from .data import (
     generate_synthetic,
     load_csv,
     partition,
-    partition_rows,
     standardize,
 )
 from .localsgd import DEFAULT_THETA0_STD
@@ -46,7 +45,7 @@ from .trainer import (
     run_training,
     scheme_spec,
 )
-from .types import ShardBlock, UserShard
+from .types import ShardBlock
 
 POWER = 1.0
 
@@ -330,10 +329,6 @@ class ResolvedExperiment:
     alpha_schedule: AlphaSchedule | None
 
 
-def _full_dataset_shard(dataset: Dataset) -> UserShard:
-    return UserShard(user_id=1, features=dataset.features, targets=dataset.targets)
-
-
 def _resolve_schedule(
     spec: ScheduleSpec, mu: float, smoothness: float, local_steps: int
 ) -> StepSchedule:
@@ -370,8 +365,8 @@ def _resolve_alpha(
             )
         return loaded
 
-    pilot_shards = partition(
-        dataset, config.partition_spec, stream_generator(config.seed, "alpha/partition")
+    pilot_shards = dataset.shards(
+        partition(dataset, config.partition_spec, stream_generator(config.seed, "alpha/partition"))
     )
     if alpha.source == "mc_pilot":
         pilot_shards = _subsample_shards(
@@ -390,7 +385,7 @@ def _resolve_alpha(
         )
 
     # analytic_bound: P / (H^2 eta^2 G^2) with G^2 estimated over a probe ball
-    theta_star, _ = solve_optimum(pilot_shards, trainer.ridge_lambda)
+    theta_star = solve_optimum(pilot_shards, trainer.ridge_lambda)
     dim = dataset.feature_dim
     delta0 = trainer.theta0_std**2 * dim + float(theta_star @ theta_star)
     ball = ProbeBall(center=theta_star, radius=2.0 * math.sqrt(delta0))
@@ -415,7 +410,9 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
 
     dataset = build_dataset(config)
     sigma_w2 = sigma_from_snr(config.channel.snr_db)
-    full_hessian = hessian([_full_dataset_shard(dataset)], config.trainer.ridge_lambda)
+    # the whole dataset as one user's shard, a view of its arrays
+    whole = ShardBlock(dataset.features[None], dataset.targets[None])
+    full_hessian = hessian(whole, config.trainer.ridge_lambda)
     eigs = np.linalg.eigvalsh(full_hessian)
     mu, smoothness = float(eigs[0]), float(eigs[-1])
     schedule = _resolve_schedule(
@@ -461,7 +458,6 @@ def _trainer_config(resolved: ResolvedExperiment, scheme: str) -> TrainerConfig:
         rounds=trainer.rounds,
         step=resolved.schedule,
         ridge_lambda=trainer.ridge_lambda,
-        theta0_std=trainer.theta0_std,
         power=POWER,
         non_precoded_gain=trainer.non_precoded_gain,
         sigma_w2=resolved.sigma_w2,
@@ -470,11 +466,10 @@ def _trainer_config(resolved: ResolvedExperiment, scheme: str) -> TrainerConfig:
 
 
 def trial_streams(config: ExperimentConfig, trial: int, schemes: Sequence[str]) -> TrialStreams:
-    """Streams of one trial's paired runs: the init and user streams, which
-    all schemes share, and one noise and one fading stream per scheme."""
+    """Streams of one trial's paired runs: the user streams, which all
+    schemes share, and one noise and one fading stream per scheme."""
     seed = config.seed
     return TrialStreams(
-        init=stream_generator(seed, f"trial{trial}/init"),
         users=tuple(
             stream_generator(seed, f"trial{trial}/user{n}") for n in range(1, config.users + 1)
         ),
@@ -484,7 +479,7 @@ def trial_streams(config: ExperimentConfig, trial: int, schemes: Sequence[str]) 
 
 
 def initial_model_for_trial(config: ExperimentConfig, trial: int, dim: int) -> np.ndarray:
-    """The initial model run_training draws for this trial (any scheme)."""
+    """The initial model all schemes of this trial start from."""
     rng = stream_generator(config.seed, f"trial{trial}/init")
     return rng.normal(0.0, config.trainer.theta0_std, dim)
 
@@ -523,8 +518,7 @@ def _solve_trial(dataset: Dataset, rows: np.ndarray, lam: float) -> tuple[np.nda
     row ids; their gathered block is freed on return."""
     shards = dataset.shards(rows)
     hess = hessian(shards, lam)
-    theta_star, _ = solve_optimum(shards, lam, hess)
-    return theta_star, hess
+    return solve_optimum(shards, lam, hess), hess
 
 
 def simulate_trials(
@@ -567,18 +561,21 @@ def simulate_trials(
     for lo in range(0, n_trials, block):
         trials = range(lo, min(lo + block, n_trials))
         rows = np.empty((len(trials), n_users, shard_size), dtype=row_dtype)
+        theta0 = np.empty((len(trials), dim))
         theta_stars = np.empty((len(trials), dim))
         hessians = np.empty((len(trials), dim, dim))
         for t, trial in enumerate(trials):
             stream = stream_generator(config.seed, f"trial{trial}/partition")
-            rows[t] = partition_rows(dataset, config.partition_spec, stream)
+            rows[t] = partition(dataset, config.partition_spec, stream)
             theta_stars[t], hessians[t] = _solve_trial(dataset, rows[t], lam)
-            diff = initial_model_for_trial(config, trial, dim) - theta_stars[t]
+            theta0[t] = initial_model_for_trial(config, trial, dim)
+            diff = theta0[t] - theta_stars[t]
             theta0_dist2[trial] = diff @ diff
         in_block = slice(trials.start, trials.stop)
         traces = run_training(
             dataset,
             rows,
+            theta0,
             configs,
             resolved.alpha_schedule,
             [trial_streams(config, trial, schemes) for trial in trials],
@@ -850,7 +847,8 @@ def estimate_bound_inputs(
     dataset, trainer = resolved.dataset, config.trainer
     lam = trainer.ridge_lambda
 
-    theta_star, _ = solve_optimum([_full_dataset_shard(dataset)], lam, resolved.hessian)
+    whole = ShardBlock(dataset.features[None], dataset.targets[None])
+    theta_star = solve_optimum(whole, lam, resolved.hessian)
     dim = dataset.feature_dim
     analytic_delta0 = trainer.theta0_std**2 * dim + float(theta_star @ theta_star)
     empirical = [
@@ -860,14 +858,16 @@ def estimate_bound_inputs(
     delta0 = max(analytic_delta0, float(np.mean(empirical)))
 
     ball = ProbeBall(center=theta_star, radius=2.0 * math.sqrt(delta0), count=probe_count)
-    # partition() is an argument, so each draw's shard block is freed before
+    # the gather is an argument, so each draw's shard block is freed before
     # the next one is gathered
     draws = [
         estimate_constants(
-            partition(
-                dataset,
-                config.partition_spec,
-                stream_generator(config.seed, f"bound/partition{i}"),
+            dataset.shards(
+                partition(
+                    dataset,
+                    config.partition_spec,
+                    stream_generator(config.seed, f"bound/partition{i}"),
+                )
             ),
             lam,
             ball,

@@ -10,11 +10,10 @@ curvature estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .types import ProblemConstants, RegressionSample, UserShard, as_model_vector
+from .types import ProblemConstants, RegressionSample, ShardBlock, as_model_vector
 
 
 def _sample_residual(theta, sample: RegressionSample, lam: float):
@@ -36,51 +35,45 @@ def ridge_grad(theta, sample: RegressionSample, lam: float) -> np.ndarray:
     return residual * sample.features + lam * theta
 
 
-def _shard_loss(theta: np.ndarray, shard: UserShard, lam: float) -> float:
-    residuals = shard.features @ theta - shard.targets
+def _shard_loss(theta: np.ndarray, features: np.ndarray, targets: np.ndarray, lam: float) -> float:
+    residuals = features @ theta - targets
     return float(np.mean(0.5 * residuals * residuals) + 0.5 * lam * (theta @ theta))
 
 
-def global_loss(theta, shards: Sequence[UserShard], lam: float) -> float:
+def global_loss(theta, shards: ShardBlock, lam: float) -> float:
     """Average over users of the per-user empirical loss."""
-    if len(shards) == 0:
-        raise ValueError("need at least one user shard")
-    theta = as_model_vector(theta, dim=shards[0].feature_dim)
-    return float(np.mean([_shard_loss(theta, shard, lam) for shard in shards]))
+    theta = as_model_vector(theta, dim=shards.features.shape[-1])
+    return float(
+        np.mean([_shard_loss(theta, x, y, lam) for x, y in zip(shards.features, shards.targets)])
+    )
 
 
-def global_grad(theta, shards: Sequence[UserShard], lam: float) -> np.ndarray:
+def global_grad(theta, shards: ShardBlock, lam: float) -> np.ndarray:
     """Exact gradient of global_loss."""
-    if len(shards) == 0:
-        raise ValueError("need at least one user shard")
-    theta = as_model_vector(theta, dim=shards[0].feature_dim)
+    theta = as_model_vector(theta, dim=shards.features.shape[-1])
     grads = []
-    for shard in shards:
-        residuals = shard.features @ theta - shard.targets
-        grads.append(shard.features.T @ residuals / len(shard) + lam * theta)
+    for x, y in zip(shards.features, shards.targets):
+        residuals = x @ theta - y
+        grads.append(x.T @ residuals / len(y) + lam * theta)
     return np.mean(grads, axis=0)
 
 
-def hessian(shards: Sequence[UserShard], lam: float) -> np.ndarray:
+def hessian(shards: ShardBlock, lam: float) -> np.ndarray:
     """Hessian of the global objective: averaged Gram matrix + lam*I."""
-    if len(shards) == 0:
-        raise ValueError("need at least one user shard")
-    d = shards[0].feature_dim
+    n_users, shard_size, d = shards.features.shape
     gram = np.zeros((d, d))
-    for shard in shards:
-        gram += shard.features.T @ shard.features / len(shard)
-    gram /= len(shards)
+    for x in shards.features:
+        gram += x.T @ x / shard_size
+    gram /= n_users
     return gram + lam * np.eye(d)
 
 
-def solve_optimum(
-    shards: Sequence[UserShard], lam: float, hess: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Exact minimizer of the global objective and its loss value.
+def solve_optimum(shards: ShardBlock, lam: float, hess: np.ndarray | None = None) -> np.ndarray:
+    """Exact minimizer theta* of the global objective.
 
     Solves the normal equations of the averaged objective. With lam = 0 the
     averaged Gram matrix must be full rank. A caller that already holds
-    hessian(shards, lam) passes it as hess.
+    hessian(shards, lam) passes it as hess; global_loss gives F* = F(theta*).
     """
     if hess is None:
         hess = hessian(shards, lam)
@@ -88,11 +81,8 @@ def solve_optimum(
         eigs = np.linalg.eigvalsh(hess)
         if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
             raise ValueError("singular normal equations with lam=0; add regularization")
-    rhs = np.mean(
-        [shard.features.T @ shard.targets / len(shard) for shard in shards], axis=0
-    )
-    theta_star = np.linalg.solve(hess, rhs)
-    return theta_star, global_loss(theta_star, shards, lam)
+    rhs = np.mean([x.T @ y / len(y) for x, y in zip(shards.features, shards.targets)], axis=0)
+    return np.linalg.solve(hess, rhs)
 
 
 def quadratic_gap(
@@ -142,7 +132,7 @@ class ProbeBall:
 
 
 def estimate_constants(
-    shards: Sequence[UserShard],
+    shards: ShardBlock,
     lam: float,
     probe_region: ProbeBall | np.ndarray,
     rng: np.random.Generator | None = None,
@@ -160,8 +150,6 @@ def estimate_constants(
     per-user gradient variance. Gamma is computed exactly from the per-user
     closed-form optima. H, P and sigma_w2 are passed through into the record.
     """
-    if len(shards) == 0:
-        raise ValueError("need at least one user shard")
     if lam <= 0:
         raise ValueError("constant estimation requires lam > 0")
     if isinstance(probe_region, ProbeBall):
@@ -173,17 +161,16 @@ def estimate_constants(
         if probes.ndim != 2 or probes.shape[0] == 0:
             raise ValueError("probe_region must be a non-empty (n, d) array")
 
-    n_users, d = len(shards), shards[0].feature_dim
+    n_users, size, d = shards.features.shape
     grams = np.empty((n_users, d, d))
     moments = np.empty((n_users, d))
     probes_t = probes.T
     reg_sq = lam * lam * np.einsum("pj,pj->p", probes, probes)
     g2 = 0.0
     mn2 = np.zeros(n_users)
-    # one pass per shard (ragged shard lists work); the (D_n, p) blocks below
-    # are the largest temporaries, never an (N, D_n, p) stack
-    for n, shard in enumerate(shards):
-        features, targets, size = shard.features, shard.targets, len(shard)
+    # one pass per shard; the (D_n, p) blocks below are the largest
+    # temporaries, never an (N, D_n, p) stack
+    for n, (features, targets) in enumerate(zip(shards.features, shards.targets)):
         grams[n] = features.T @ features / size
         moments[n] = features.T @ targets / size
         projections = features @ probes_t
@@ -210,7 +197,10 @@ def estimate_constants(
     theta_star = np.linalg.solve(hess, moments.mean(axis=0))
     f_star = global_loss(theta_star, shards, lam)
     local_optima = np.linalg.solve(grams + lam * eye, moments[:, :, None])[:, :, 0]
-    local_minima = [_shard_loss(theta, shard, lam) for theta, shard in zip(local_optima, shards)]
+    local_minima = [
+        _shard_loss(theta, x, y, lam)
+        for theta, x, y in zip(local_optima, shards.features, shards.targets)
+    ]
     gamma = max(f_star - float(np.mean(local_minima)), 0.0)
 
     return ProblemConstants(

@@ -17,13 +17,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .channel import RAYLEIGH_UNIT_POWER_SCALE
 from .localsgd import DEFAULT_THETA0_STD, StepFn, local_pass
-from .types import ShardBlock, UserShard
+from .types import ShardBlock
 
 
 @dataclass(frozen=True)
@@ -132,29 +131,24 @@ def fading_precode(
     return gains[..., None] * np.asarray(deltas, dtype=np.float64)
 
 
-def select_participants(
-    magnitudes: np.ndarray, policy: FadingPolicy
-) -> np.ndarray | None:
+def select_participants(magnitudes: np.ndarray, policy: FadingPolicy) -> np.ndarray:
     """Pick the participants by opportunistic carrier sensing.
 
     Users whose magnitude exceeds h_min contend with a backoff decreasing in
     channel quality, so the strongest K eligible users transmit. magnitudes
-    holds one round's N fading magnitudes; the result is the participants'
-    sorted 1-based ids, or None when fewer than K users are eligible (callers
-    re-draw the fading for the round). magnitudes may also be a block of
-    draws, users on the last axis: the result is then each draw's K strongest
-    users, shaped (..., K), and a draw is short exactly when the weakest of
-    its K is at or below h_min.
+    holds N fading magnitudes per draw, users on the last axis, for one draw
+    or a block of them; the result is each draw's K strongest users as
+    sorted 1-based ids, shaped (..., K). A draw has K eligible users exactly
+    when the weakest of its K strongest exceeds h_min, which the caller
+    checks (draw_fading_rounds re-draws the round otherwise).
     """
     magnitudes = np.asarray(magnitudes)
+    n_users, k = magnitudes.shape[-1], policy.participants
+    if n_users < k:
+        raise ValueError(f"cannot select K={k} participants from N={n_users} users")
     # with K users above h_min, the K strongest of all are the K strongest eligible
     order = np.argsort(-magnitudes, axis=-1, kind="stable")
-    chosen = np.sort(order[..., : policy.participants], axis=-1) + 1
-    if magnitudes.ndim == 1 and (
-        chosen.shape[0] < policy.participants or magnitudes[chosen - 1].min() <= policy.h_min
-    ):
-        return None
-    return chosen
+    return np.sort(order[..., :k], axis=-1) + 1
 
 
 def fading_decode(
@@ -172,7 +166,7 @@ def fading_decode(
 
 
 def estimate_alpha_mc(
-    pilot_shards: Sequence[UserShard],
+    pilot_shards: ShardBlock,
     lam: float,
     rounds: int,
     local_steps: int,
@@ -188,7 +182,6 @@ def estimate_alpha_mc(
     Runs noise-free local SGD on the pilot shards for pilot_trials trials
     (fresh Gaussian initialization each trial) and sets, per round,
     alpha_r = power / max over users of the trial-mean squared update norm.
-    The shards must be of equal size, as partition makes them.
     """
     if pilot_trials < 1:
         raise ValueError("pilot_trials must be >= 1")
@@ -196,13 +189,11 @@ def estimate_alpha_mc(
         raise ValueError("rounds and local_steps must be >= 1")
     if power <= 0:
         raise ValueError("power must be positive")
-    if len(pilot_shards) == 0:
-        raise ValueError("need at least one pilot shard")
 
-    block = ShardBlock.of(pilot_shards)
-    n_users, shard_size, dim = block.features.shape
+    n_users, shard_size, dim = pilot_shards.features.shape
     # the block as one sample matrix: user n's shard index i is row n*D_n + i
-    features, targets = block.features.reshape(-1, dim), block.targets.reshape(-1)
+    features = pilot_shards.features.reshape(-1, dim)
+    targets = pilot_shards.targets.reshape(-1)
     first_rows = shard_size * np.arange(n_users)[:, None]
     etas = [
         [step_fn((r - 1) * local_steps + j) for j in range(local_steps)]

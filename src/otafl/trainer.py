@@ -22,7 +22,7 @@ from .channel import (
     sample_rayleigh,
 )
 from .data import Dataset
-from .localsgd import DEFAULT_THETA0_STD, local_pass
+from .localsgd import local_pass
 from .objectives import global_loss  # noqa: F401  (perfbench/spans.py times trainer.global_loss)
 from .objectives import quadratic_gap
 from .precoding import (
@@ -116,7 +116,7 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Everything one training run needs besides data and streams.
+    """Everything one training run needs besides data, initial models and streams.
 
     sigma_w2 is the noise variance per coordinate of the scheme's MAC; the
     noise-free baseline ignores it. A fading scheme takes a FadingPolicy,
@@ -128,7 +128,6 @@ class TrainerConfig:
     rounds: int
     step: StepSchedule
     ridge_lambda: float = 0.5
-    theta0_std: float = DEFAULT_THETA0_STD
     power: float = 1.0
     non_precoded_gain: float | None = None
     sigma_w2: float = 0.0
@@ -138,8 +137,8 @@ class TrainerConfig:
         spec = scheme_spec(self.scheme)
         if self.local_steps < 1 or self.rounds < 0:
             raise ValueError("local_steps must be >= 1 and rounds >= 0")
-        if self.ridge_lambda < 0 or self.theta0_std < 0 or self.power <= 0:
-            raise ValueError("invalid ridge_lambda / theta0_std / power")
+        if self.ridge_lambda < 0 or self.power <= 0:
+            raise ValueError("invalid ridge_lambda / power")
         if self.sigma_w2 < 0:
             raise ValueError("sigma_w2 must be non-negative")
         if spec.fading != (self.fading is not None):
@@ -156,13 +155,11 @@ class TrainerConfig:
 class TrialStreams:
     """Random streams of one trial's paired training runs.
 
-    `users` holds one generator per user for SGD index sampling and `init`
-    draws the initial model; all schemes of the trial share both. `noise`
-    and `fading` feed the channel and hold one stream per scheme, in the
-    order of the schemes' configs.
+    `users` holds one generator per user for SGD index sampling, which all
+    schemes of the trial share. `noise` and `fading` feed the channel and
+    hold one stream per scheme, in the order of the schemes' configs.
     """
 
-    init: np.random.Generator
     users: tuple[np.random.Generator, ...]
     noise: tuple[np.random.Generator | None, ...]
     fading: tuple[np.random.Generator | None, ...]
@@ -274,8 +271,7 @@ def run_round(
     deltas = local_models - global_theta[:, None]
 
     if config.scheme == "noise_free_local_sgd":
-        received = orthogonal_noiseless(local_models)
-        new_theta = np.mean(received, axis=1)
+        new_theta = np.mean(orthogonal_noiseless(local_models), axis=1)
         powers = _transmit_powers(deltas)
     elif config.scheme == "cotaf":
         signals = precode(deltas, alpha)
@@ -303,12 +299,13 @@ def run_round(
 
 
 # Paired runs share the kernel, so their configs must agree on these.
-_KERNEL_FIELDS = ("local_steps", "rounds", "step", "ridge_lambda", "theta0_std")
+_KERNEL_FIELDS = ("local_steps", "rounds", "step", "ridge_lambda")
 
 
 def run_training(
     dataset: Dataset,
     rows: np.ndarray,
+    theta0: np.ndarray,
     configs: Sequence[TrainerConfig],
     alpha_schedule: AlphaSchedule | None,
     streams: Sequence[TrialStreams],
@@ -317,14 +314,15 @@ def run_training(
     out: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     first_trial: int = 0,
 ) -> list[RunTrace]:
-    """Paired training runs of a block of T trials, one per config: each
-    trial's shared Gaussian initial model, then `rounds` communication rounds.
+    """Paired training runs of a block of T trials, one per config: `rounds`
+    communication rounds from each trial's initial model.
 
     rows holds each trial's (N, D_n) shard row ids into dataset, a
-    (T, N, D_n) block, and streams the T trials' streams. A trial's schemes
-    share its initial model and its users' sample indices, so each round
-    makes one local_pass on the (S, T, N, d) block of all models, gathering
-    user n's samples of trial t from the dataset by row id rows[t, n, i].
+    (T, N, D_n) block, theta0 the trials' (T, d) initial models and streams
+    the T trials' streams. A trial's schemes share its initial model and its
+    users' sample indices, so each round makes one local_pass on the
+    (S, T, N, d) block of all models, gathering user n's samples of trial t
+    from the dataset by row id rows[t, n, i].
     Each scheme then aggregates its T trials over its own channel, each
     trial with its own noise and fading stream. optima is the pair of (T, d)
     optima theta* and (T, d, d) Hessians of the trials' global objectives,
@@ -365,8 +363,12 @@ def run_training(
             raise ValueError(f"need one noise and one fading stream for each of {n_runs} schemes")
     if optima[0].shape != (n_trials, dim) or optima[1].shape != (n_trials, dim, dim):
         raise ValueError(f"need (T, d) optima and (T, d, d) Hessians for T={n_trials}, d={dim}")
+    theta0 = np.ascontiguousarray(theta0, dtype=np.float64)
+    if theta0.shape != (n_trials, dim):
+        raise ValueError(
+            f"need (T, d) initial models for T={n_trials}, d={dim}, got {theta0.shape}"
+        )
     h, rounds = first.local_steps, first.rounds
-    theta0 = np.stack([trial.init.normal(0.0, first.theta0_std, dim) for trial in streams])
     theta = np.broadcast_to(theta0, (n_runs, n_trials, dim))
     # The row ids of every trial's R*H sample steps, in the dtype of rows:
     # user n of trial t takes shard sample rows[t, n, i] for each index i

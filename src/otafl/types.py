@@ -8,8 +8,7 @@ to share across concurrent trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,50 +37,16 @@ class RegressionSample:
         object.__setattr__(self, "target", float(self.target))
 
 
-@dataclass(frozen=True)
-class UserShard:
-    """One user's local dataset. User ids are 1-based and distinct per experiment."""
-
-    user_id: int
-    features: np.ndarray  # (D_n, d_f)
-    targets: np.ndarray  # (D_n,)
-
-    def __post_init__(self):
-        features = np.ascontiguousarray(self.features, dtype=np.float64)
-        targets = np.ascontiguousarray(self.targets, dtype=np.float64)
-        if int(self.user_id) < 1:
-            raise ValueError(f"user_id must be >= 1, got {self.user_id}")
-        if features.ndim != 2:
-            raise ValueError(f"shard features must be 2-D, got shape {features.shape}")
-        if targets.ndim != 1 or targets.shape[0] != features.shape[0]:
-            raise ValueError("shard targets must be 1-D and match the feature rows")
-        if features.shape[0] == 0:
-            raise ValueError("shard must be non-empty")
-        if not (np.all(np.isfinite(features)) and np.all(np.isfinite(targets))):
-            raise ValueError("shard contains non-finite values")
-        object.__setattr__(self, "user_id", int(self.user_id))
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "targets", targets)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
-
 @dataclass(frozen=True, eq=False)
-class ShardBlock(Sequence[UserShard]):
-    """Equal-size user shards held as one block, the layout local SGD runs on.
+class ShardBlock:
+    """N equal-size user shards held as one block, the layout local SGD runs on.
 
-    features is (N, D_n, d) and targets (N, D_n). Shard n (user id n + 1) is
-    a row view of both, so the block takes no memory beyond its shards.
+    features is (N, D_n, d) and targets (N, D_n); user n + 1's shard is row n
+    of both. A contiguous float64 input is held without a copy.
     """
 
     features: np.ndarray
     targets: np.ndarray
-    shards: tuple[UserShard, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -93,34 +58,14 @@ class ShardBlock(Sequence[UserShard]):
             )
         if features.shape[0] == 0:
             raise ValueError("need at least one user shard")
+        if features.shape[1] == 0:
+            raise ValueError("shard must be non-empty")
+        # shard by shard, so the check's temporaries stay shard-sized
+        for x, y in zip(features, targets):
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                raise ValueError("shard contains non-finite values")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
-        shards = tuple(UserShard(n + 1, features[n], targets[n]) for n in range(features.shape[0]))
-        object.__setattr__(self, "shards", shards)
-
-    @classmethod
-    def of(cls, shards: Sequence[UserShard]) -> "ShardBlock":
-        """The shards as a block: itself if it is one, else a stacked copy."""
-        if isinstance(shards, cls):
-            return shards
-        sizes = [len(shard) for shard in shards]
-        if len(set(sizes)) > 1:
-            raise ValueError(f"batched local SGD needs equal-size shards, got sizes {sizes}")
-        if not sizes:
-            raise ValueError("need at least one user shard")
-        return cls(
-            np.stack([shard.features for shard in shards]),
-            np.stack([shard.targets for shard in shards]),
-        )
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def __getitem__(self, index):
-        return self.shards[index]
-
-    def __iter__(self):
-        return iter(self.shards)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition
-from otafl.types import ShardBlock, UserShard
+from otafl.types import ShardBlock
 
 
 def make_shards(
@@ -15,23 +15,27 @@ def make_shards(
     per_user: int = 30,
     dim: int = 5,
     noise_std: float = 0.5,
-) -> list[UserShard]:
+) -> ShardBlock:
     dataset = generate_synthetic(dim, n_users * per_user, noise_std, rng)
-    return partition(dataset, PartitionSpec("iid", n_users), rng)
+    return dataset.shards(partition(dataset, PartitionSpec("iid", n_users), rng))
 
 
-def flat_rows(shards) -> tuple[Dataset, np.ndarray]:
-    """Equal-size shards as one dataset and the (1, N, D_n) row ids of one
+def flat_rows(shards: ShardBlock) -> tuple[Dataset, np.ndarray]:
+    """A shard block as one dataset and the (1, N, D_n) row ids of one
     trial's shards in it: user n's sample i is row n*D_n + i."""
-    block = ShardBlock.of(shards)
-    n_users, shard_size, dim = block.features.shape
-    dataset = Dataset(block.features.reshape(-1, dim), block.targets.reshape(-1))
+    n_users, shard_size, dim = shards.features.shape
+    dataset = Dataset(shards.features.reshape(-1, dim), shards.targets.reshape(-1))
     return dataset, np.arange(n_users * shard_size).reshape(1, n_users, shard_size)
 
 
-def single_shard(rng: np.random.Generator, n_samples: int = 40, dim: int = 4) -> UserShard:
+def one_shard(features, targets) -> ShardBlock:
+    """One user's (D_n, d) features and (D_n,) targets as a block of one shard."""
+    return ShardBlock(np.asarray(features)[None], np.asarray(targets)[None])
+
+
+def single_shard(rng: np.random.Generator, n_samples: int = 40, dim: int = 4) -> ShardBlock:
     dataset = generate_synthetic(dim, n_samples, 0.3, rng)
-    return UserShard(user_id=1, features=dataset.features, targets=dataset.targets)
+    return one_shard(dataset.features, dataset.targets)
 
 
 @pytest.fixture

@@ -22,12 +22,12 @@ from otafl.bounds import (
     validate_dominance,
 )
 from otafl.channel import awgn_mac, sample_rayleigh
-from otafl.data import partition, partition_rows
-from otafl.objectives import global_grad, hessian, solve_optimum
+from otafl.data import partition
+from otafl.objectives import global_grad, global_loss, hessian, solve_optimum
 from otafl.precoding import FadingPolicy, decode, precode, select_participants
 from otafl.rng import stream_generator
 from otafl.trainer import run_training, weighted_average_model
-from otafl.types import ProblemConstants, RegressionSample, UserShard
+from otafl.types import ProblemConstants, RegressionSample
 
 DATA_DIR = Path(__file__).parent / "data"
 SEED = 20260810
@@ -82,17 +82,19 @@ def test_criterion_01_noiseless_collapse():
         {**desk_doc(None, trials=1, rounds=50), "channel": {"kind": "awgn_mac", "snr_db": None}}
     )
     resolved = harness.resolve(config, ["cotaf"])
-    rows = partition_rows(
+    rows = partition(
         resolved.dataset, config.partition_spec, stream_generator(SEED, "trial0/partition")
     )
     shards = resolved.dataset.shards(rows)
     hess = hessian(shards, config.trainer.ridge_lambda)
-    theta_star, _ = solve_optimum(shards, config.trainer.ridge_lambda, hess)
+    theta_star = solve_optimum(shards, config.trainer.ridge_lambda, hess)
+    theta0 = harness.initial_model_for_trial(config, 0, resolved.dataset.feature_dim)
     iterates = {}
     for scheme in ("cotaf", "noise_free_local_sgd"):
         iterates[scheme] = run_training(
             resolved.dataset,
             rows[None],
+            theta0[None],
             [harness._trainer_config(resolved, scheme)],
             resolved.alpha_schedule,
             [harness.trial_streams(config, 0, [scheme])],
@@ -176,25 +178,26 @@ def test_weighted_average_bound_final_round():
     h = config.trainer.local_steps
     gaps = []
     for trial in range(config.trials):
-        rows = partition_rows(
+        rows = partition(
             resolved.dataset,
             config.partition_spec,
             stream_generator(SEED, f"trial{trial}/partition"),
         )
         shards = resolved.dataset.shards(rows)
         hess = hessian(shards, config.trainer.ridge_lambda)
-        theta_star, f_star = solve_optimum(shards, config.trainer.ridge_lambda, hess)
+        theta_star = solve_optimum(shards, config.trainer.ridge_lambda, hess)
+        f_star = global_loss(theta_star, shards, config.trainer.ridge_lambda)
+        theta0 = harness.initial_model_for_trial(config, trial, resolved.dataset.feature_dim)
         (trace,) = run_training(
             resolved.dataset,
             rows[None],
+            theta0[None],
             [harness._trainer_config(resolved, "cotaf")],
             resolved.alpha_schedule,
             [harness.trial_streams(config, trial, ["cotaf"])],
             (theta_star[None], hess[None]),
         )
         averaged = weighted_average_model(trace.thetas[0], a, h)
-        from otafl.objectives import global_loss
-
         gaps.append(global_loss(averaged, shards, config.trainer.ridge_lambda) - f_star)
     mean_gap = float(np.mean(gaps))
     inputs = harness.estimate_bound_inputs(config, kind="averaged_model")
@@ -530,8 +533,8 @@ def test_criterion_10_gradient_and_optimum():
         from otafl.data import PartitionSpec, generate_synthetic
 
         dataset = generate_synthetic(6, 240, 1.0, inst_rng)
-        shards = partition(dataset, PartitionSpec("iid", 4), inst_rng)
-        theta_star, _ = solve_optimum(shards, 0.5)
+        shards = dataset.shards(partition(dataset, PartitionSpec("iid", 4), inst_rng))
+        theta_star = solve_optimum(shards, 0.5)
         resid = np.linalg.norm(global_grad(theta_star, shards, 0.5))
         worst_stationarity = max(
             worst_stationarity, resid / (1.0 + np.linalg.norm(theta_star))

@@ -90,11 +90,13 @@ class TestSampleRayleigh:
 
 
 def test_orthogonal_noiseless_identity(rng):
-    inputs = [rng.standard_normal(4) for _ in range(3)]
-    outputs = orthogonal_noiseless(inputs)
-    for x, y in zip(inputs, outputs):
-        np.testing.assert_array_equal(x, y)
-    assert orthogonal_noiseless([]) == []
+    # a (T, K, d) stack passes as one float64 array, uncopied
+    inputs = rng.standard_normal((2, 3, 4))
+    assert orthogonal_noiseless(inputs) is inputs
+    np.testing.assert_array_equal(orthogonal_noiseless(inputs[0]), inputs[0])
+    out = orthogonal_noiseless(np.arange(6, dtype=np.float32).reshape(2, 3))
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, np.arange(6).reshape(2, 3))
 
 
 def test_channel_kind_validation():

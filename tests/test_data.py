@@ -7,19 +7,18 @@ from otafl.data import (
     generate_synthetic,
     load_csv,
     partition,
-    partition_rows,
     save_csv,
     standardize,
 )
 from otafl.objectives import ProbeBall, estimate_constants, solve_optimum
-from otafl.types import UserShard
+from otafl.types import ShardBlock
 
 
 class TestGenerateSynthetic:
     def test_noiseless_data_is_realizable(self, rng):
         dataset = generate_synthetic(5, 60, 0.0, rng)
-        shard = UserShard(1, dataset.features, dataset.targets)
-        theta_star, f_star = solve_optimum([shard], 0.0)
+        shard = ShardBlock(dataset.features[None], dataset.targets[None])
+        theta_star = solve_optimum(shard, 0.0)
         residuals = dataset.features @ theta_star - dataset.targets
         assert np.max(np.abs(residuals)) <= 1e-8
 
@@ -100,41 +99,32 @@ def test_standardize_centers_and_scales(rng):
 class TestPartition:
     def test_iid_even_sizes(self, rng):
         dataset = generate_synthetic(3, 100, 1.0, rng)
-        shards = partition(dataset, PartitionSpec("iid", 5), rng)
-        assert [len(s) for s in shards] == [20] * 5
-        assert [s.user_id for s in shards] == [1, 2, 3, 4, 5]
+        rows = partition(dataset, PartitionSpec("iid", 5), rng)
+        assert rows.shape == (5, 20)
 
-    def test_shards_are_row_views_of_one_block(self, rng):
-        dataset = generate_synthetic(3, 103, 1.0, rng)
-        shards = partition(dataset, PartitionSpec("heterogeneous", 5, 0.2), rng)
-        assert shards.features.shape == (5, 20, 3) and shards.targets.shape == (5, 20)
-        for n, shard in enumerate(shards):
-            np.testing.assert_array_equal(shard.features, shards.features[n])
-            assert np.shares_memory(shard.features, shards.features)
-            assert np.shares_memory(shard.targets, shards.targets)
 
     @pytest.mark.parametrize("mode", ["iid", "heterogeneous"])
     def test_partition_gathers_the_row_ids(self, mode):
         dataset = generate_synthetic(3, 103, 1.0, np.random.default_rng(4))
         spec = PartitionSpec(mode, 5, 0.3)
-        rows = partition_rows(dataset, spec, np.random.default_rng(9))
-        shards = partition(dataset, spec, np.random.default_rng(9))
+        rows = partition(dataset, spec, np.random.default_rng(9))
+        shards = dataset.shards(rows)
         assert rows.shape == (5, 20) and len(np.unique(rows)) == 100
+        assert shards.features.shape == (5, 20, 3) and shards.targets.shape == (5, 20)
         np.testing.assert_array_equal(shards.features, dataset.features[rows])
         np.testing.assert_array_equal(shards.targets, dataset.targets[rows])
-        np.testing.assert_array_equal(dataset.shards(rows).features, shards.features)
 
     def test_remainder_dropped(self, rng):
         dataset = generate_synthetic(2, 103, 1.0, rng)
-        shards = partition(dataset, PartitionSpec("iid", 5), rng)
-        assert [len(s) for s in shards] == [20] * 5
+        rows = partition(dataset, PartitionSpec("iid", 5), rng)
+        assert rows.shape == (5, 20)
 
     def test_disjoint_cover(self, rng):
         dataset = generate_synthetic(2, 60, 1.0, rng)
-        shards = partition(dataset, PartitionSpec("heterogeneous", 3, 0.3), rng)
-        rows = np.concatenate([s.features @ np.array([1.0, 7.0]) + 13 * s.targets for s in shards])
-        # fingerprint rows; all distinct samples appear exactly once
-        assert len(np.unique(np.round(rows, 9))) == 60
+        rows = partition(dataset, PartitionSpec("heterogeneous", 3, 0.3), rng)
+        assert rows.shape == (3, 20)
+        # every sample appears exactly once
+        np.testing.assert_array_equal(np.sort(rows, axis=None), np.arange(60))
 
     def test_too_many_users(self, rng):
         dataset = generate_synthetic(2, 3, 1.0, rng)
@@ -145,19 +135,17 @@ class TestPartition:
         dataset = generate_synthetic(2, 50, 1.0, np.random.default_rng(3))
         a = partition(dataset, PartitionSpec("heterogeneous", 5, 0.2), np.random.default_rng(9))
         b = partition(dataset, PartitionSpec("heterogeneous", 5, 0.2), np.random.default_rng(9))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.features, y.features)
-            np.testing.assert_array_equal(x.targets, y.targets)
+        np.testing.assert_array_equal(a, b)
 
     def test_zero_skew_matches_iid_statistics(self, rng):
         dataset = generate_synthetic(2, 2000, 1.0, rng)
-        shards = partition(dataset, PartitionSpec("heterogeneous", 10, 0.0), rng)
-        assert all(len(s) == 200 for s in shards)
+        rows = partition(dataset, PartitionSpec("heterogeneous", 10, 0.0), rng)
+        assert rows.shape == (10, 200)
         global_mean = dataset.targets.mean()
         global_std = dataset.targets.std()
-        for shard in shards:
-            se = global_std / np.sqrt(len(shard))
-            assert abs(shard.targets.mean() - global_mean) < 3 * se + 0.15
+        for targets in dataset.targets[rows]:
+            se = global_std / np.sqrt(len(targets))
+            assert abs(targets.mean() - global_mean) < 3 * se + 0.15
 
     def test_heterogeneous_increases_gamma(self):
         # target-quantile skew must raise the heterogeneity degree vs iid
@@ -168,11 +156,11 @@ class TestPartition:
             dataset = generate_synthetic(4, 1200, 1.0, data_rng)
             gammas = {}
             for mode, skew in (("iid", 0.0), ("heterogeneous", 0.2)):
-                shards = partition(
+                rows = partition(
                     dataset, PartitionSpec(mode, 10, skew), np.random.default_rng(7 + seed)
                 )
                 c = estimate_constants(
-                    shards,
+                    dataset.shards(rows),
                     lam,
                     ProbeBall(np.zeros(4), 1.0, count=4),
                     np.random.default_rng(1),
@@ -184,3 +172,29 @@ class TestPartition:
             if gammas["heterogeneous"] > gammas["iid"]:
                 wins += 1
         assert wins == 5
+
+
+class TestShardBlock:
+    def test_non_finite_values_rejected(self):
+        features, targets = np.ones((2, 3, 2)), np.ones((2, 3))
+        for bad in (np.nan, np.inf):
+            for n in range(2):  # a bad value in any user's shard
+                spoiled_features, spoiled_targets = features.copy(), targets.copy()
+                spoiled_features[n, 1, 0] = bad
+                spoiled_targets[n, 2] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    ShardBlock(spoiled_features, targets)
+                with pytest.raises(ValueError, match="non-finite"):
+                    ShardBlock(features, spoiled_targets)
+
+    def test_empty_shards_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ShardBlock(np.zeros((2, 0, 3)), np.zeros((2, 0)))
+        with pytest.raises(ValueError, match="at least one user shard"):
+            ShardBlock(np.zeros((0, 4, 3)), np.zeros((0, 4)))
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError, match=r"need \(N, D_n, d\) features"):
+            ShardBlock(np.zeros((4, 3)), np.zeros(4))
+        with pytest.raises(ValueError, match=r"need \(N, D_n, d\) features"):
+            ShardBlock(np.zeros((2, 4, 3)), np.zeros((2, 5)))

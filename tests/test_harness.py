@@ -12,7 +12,7 @@ from otafl.bounds import (
     schedule_shift,
     validate_dominance,
 )
-from otafl.data import partition, partition_rows
+from otafl.data import partition
 from otafl.harness import (
     MetricsRow,
     MetricsTable,
@@ -30,6 +30,7 @@ from otafl.harness import (
 from otafl.objectives import ProbeBall, estimate_constants, hessian, solve_optimum
 from otafl.rng import stream_generator
 from otafl.trainer import CHANNEL_KINDS, SCHEMES, run_training
+from otafl.types import ShardBlock
 
 
 def tiny_config(**overrides):
@@ -134,15 +135,19 @@ class TestRunExperiment:
 
         # hand-rebuild trial 0 with the documented streams and compare
         resolved = harness.resolve(config, ["noise_free_local_sgd"])
-        trial_rows = partition_rows(
+        trial_rows = partition(
             resolved.dataset, config.partition_spec, stream_generator(config.seed, "trial0/partition")
         )
         shards = resolved.dataset.shards(trial_rows)
         hess = hessian(shards, config.trainer.ridge_lambda)
-        theta_star, _ = solve_optimum(shards, config.trainer.ridge_lambda)
+        theta_star = solve_optimum(shards, config.trainer.ridge_lambda)
+        theta0 = stream_generator(config.seed, "trial0/init").normal(
+            0.0, config.trainer.theta0_std, resolved.dataset.feature_dim
+        )
         (trace,) = run_training(
             resolved.dataset,
             trial_rows[None],
+            theta0[None],
             [harness._trainer_config(resolved, "noise_free_local_sgd")],
             None,
             [harness.trial_streams(config, 0, ["noise_free_local_sgd"])],
@@ -263,7 +268,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "TRIAL_BLOCK_BYTES", block_bytes)
         blocks = []
         def counted(*args, **kwargs):
-            blocks.append(len(args[4]))  # the block's trial streams
+            blocks.append(len(args[5]))  # the block's trial streams
             return run_training(*args, **kwargs)
 
         monkeypatch.setattr(harness, "run_training", counted)
@@ -279,18 +284,22 @@ class TestRunExperiment:
 
         resolved, lam = result.resolved, config.trainer.ridge_lambda
         for trial in range(config.trials):
-            rows = partition_rows(
+            rows = partition(
                 resolved.dataset,
                 config.partition_spec,
                 stream_generator(config.seed, f"trial{trial}/partition"),
             )
             shards = resolved.dataset.shards(rows)
             hess = hessian(shards, lam)
-            theta_star, _ = solve_optimum(shards, lam, hess)
+            theta_star = solve_optimum(shards, lam, hess)
+            theta0 = harness.initial_model_for_trial(config, trial, resolved.dataset.feature_dim)
+            diff = theta0 - theta_star
+            assert result.theta0_dist2[trial] == diff @ diff
             for scheme in schemes:
                 (trace,) = run_training(
                     resolved.dataset,
                     rows[None],
+                    theta0[None],
                     [harness._trainer_config(resolved, scheme)],
                     resolved.alpha_schedule,
                     [harness.trial_streams(config, trial, [scheme])],
@@ -340,7 +349,12 @@ class TestRunExperiment:
         alone = harness.trial_streams(config, 1, ["non_precoded_ota"])
         assert len(paired.users) == config.users
         assert len(paired.noise) == len(paired.fading) == 2
-        assert paired.init.normal() == alone.init.normal()
+        # one initial model per trial, whatever the schemes, from trial{t}/init
+        np.testing.assert_array_equal(
+            harness.initial_model_for_trial(config, 1, 5),
+            stream_generator(config.seed, "trial1/init").normal(0.0, config.trainer.theta0_std, 5),
+        )
+        assert paired.users[2].normal() == alone.users[2].normal()
         assert paired.noise[1].normal() == alone.noise[0].normal()
         assert paired.fading[1].normal() == alone.fading[0].normal()
         assert paired.noise[0].normal() != alone.noise[0].normal()
@@ -457,14 +471,16 @@ class TestBoundInputs:
         inputs = harness.estimate_bound_inputs(config)
         dataset = harness.resolve(config, ["noise_free_local_sgd"]).dataset
         lam = config.trainer.ridge_lambda
-        theta_star, _ = solve_optimum([harness._full_dataset_shard(dataset)], lam)
+        theta_star = solve_optimum(ShardBlock(dataset.features[None], dataset.targets[None]), lam)
         ball = ProbeBall(theta_star, 2.0 * math.sqrt(inputs.delta0), count=32)
         draws = [
             estimate_constants(
-                partition(
-                    dataset,
-                    config.partition_spec,
-                    stream_generator(config.seed, f"bound/partition{i}"),
+                dataset.shards(
+                    partition(
+                        dataset,
+                        config.partition_spec,
+                        stream_generator(config.seed, f"bound/partition{i}"),
+                    )
                 ),
                 lam,
                 ball,
@@ -490,8 +506,8 @@ class TestBoundInputs:
         config = tiny_config()
         inputs = harness.estimate_bound_inputs(config)
         resolved = harness.resolve(config, ["cotaf"])
-        shard = harness._full_dataset_shard(resolved.dataset)
-        theta_star, _ = solve_optimum([shard], config.trainer.ridge_lambda)
+        shard = ShardBlock(resolved.dataset.features[None], resolved.dataset.targets[None])
+        theta_star = solve_optimum(shard, config.trainer.ridge_lambda)
         analytic = config.trainer.theta0_std ** 2 * 5 + float(theta_star @ theta_star)
         assert inputs.delta0 >= analytic - 1e-12
 
@@ -499,13 +515,40 @@ class TestBoundInputs:
         # estimate_bound_inputs solves for theta* with it instead of a new Gram
         config = tiny_config()
         resolved = harness.resolve(config, ["noise_free_local_sgd"])
-        shard = harness._full_dataset_shard(resolved.dataset)
+        shard = ShardBlock(resolved.dataset.features[None], resolved.dataset.targets[None])
         lam = config.trainer.ridge_lambda
-        np.testing.assert_array_equal(resolved.hessian, hessian([shard], lam))
+        np.testing.assert_array_equal(resolved.hessian, hessian(shard, lam))
         eigs = np.linalg.eigvalsh(resolved.hessian)
         assert (resolved.mu, resolved.smoothness) == (eigs[0], eigs[-1])
-        with_hessian, _ = solve_optimum([shard], lam, resolved.hessian)
-        np.testing.assert_array_equal(with_hessian, solve_optimum([shard], lam)[0])
+        with_hessian = solve_optimum(shard, lam, resolved.hessian)
+        np.testing.assert_array_equal(with_hessian, solve_optimum(shard, lam))
+
+    def test_full_dataset_objective_reads_the_dataset_uncopied(self, monkeypatch):
+        # resolve's Hessian and the bound inputs' theta* take the whole
+        # dataset as one user's shard, a view of its arrays
+        seen, resolved = [], []
+
+        def recording(func, log, of_result):
+            def wrapper(*args, **kwargs):
+                result = func(*args, **kwargs)
+                log.append(result if of_result else args[0])
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "hessian", recording(harness.hessian, seen, False))
+        monkeypatch.setattr(
+            harness, "solve_optimum", recording(harness.solve_optimum, seen, False)
+        )
+        monkeypatch.setattr(harness, "resolve", recording(harness.resolve, resolved, True))
+        harness.estimate_bound_inputs(tiny_config())
+        (dataset,) = [r.dataset for r in resolved]
+        whole = [block for block in seen if block.features.shape[0] == 1]
+        assert len(whole) == 2  # resolve's hessian, then solve_optimum
+        for block in whole:
+            assert block.features.shape == (1, *dataset.features.shape)
+            assert np.shares_memory(block.features, dataset.features)
+            assert np.shares_memory(block.targets, dataset.targets)
 
 
 class TestFadingExperiment:

@@ -13,9 +13,9 @@ from otafl.objectives import (
     solve_optimum,
 )
 from otafl.data import PartitionSpec, generate_synthetic, partition
-from otafl.types import RegressionSample, UserShard
+from otafl.types import RegressionSample, ShardBlock
 
-from conftest import make_shards
+from conftest import make_shards, one_shard
 
 
 def fd_grad(f, theta, step=1e-6):
@@ -78,32 +78,32 @@ class TestRidgeGrad:
 
 class TestGlobalLoss:
     def test_single_user_single_sample(self):
-        shard = UserShard(1, [[1.0, 2.0]], [1.0])
+        shard = one_shard([[1.0, 2.0]], [1.0])
         theta = np.ones(2)
-        assert global_loss(theta, [shard], 0.5) == pytest.approx(
-            ridge_loss(theta, RegressionSample(shard.features[0], shard.targets[0]), 0.5)
+        assert global_loss(theta, shard, 0.5) == pytest.approx(
+            ridge_loss(theta, RegressionSample([1.0, 2.0], 1.0), 0.5)
         )
 
     def test_identical_shards_symmetry(self, rng):
-        shard = UserShard(1, rng.standard_normal((5, 3)), rng.standard_normal(5))
-        twin = UserShard(2, shard.features, shard.targets)
+        features, targets = rng.standard_normal((5, 3)), rng.standard_normal(5)
+        twins = ShardBlock(np.stack([features, features]), np.stack([targets, targets]))
         theta = rng.standard_normal(3)
-        assert global_loss(theta, [shard, twin], 0.5) == pytest.approx(
-            global_loss(theta, [shard], 0.5)
+        assert global_loss(theta, twins, 0.5) == pytest.approx(
+            global_loss(theta, one_shard(features, targets), 0.5)
         )
 
     def test_zero_model_direct_summation(self, rng):
         shards = make_shards(rng)
-        theta = np.zeros(shards[0].feature_dim)
+        theta = np.zeros(shards.features.shape[-1])
         # independent oracle: explicit double sum
         expected = np.mean(
-            [np.mean([0.5 * t * t for t in shard.targets]) for shard in shards]
+            [np.mean([0.5 * t * t for t in targets]) for targets in shards.targets]
         )
         assert global_loss(theta, shards, 0.9) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_shards_error(self):
-        with pytest.raises(ValueError):
-            global_loss(np.zeros(2), [], 0.5)
+        with pytest.raises(ValueError, match="at least one user shard"):
+            global_loss(np.zeros(2), ShardBlock(np.zeros((0, 1, 2)), np.zeros((0, 1))), 0.5)
 
 
 def gd_minimize(shards, lam, dim, steps=200_000, lr=0.05):
@@ -119,29 +119,30 @@ def gd_minimize(shards, lam, dim, steps=200_000, lr=0.05):
 
 class TestSolveOptimum:
     def test_single_sample_hand_case(self):
-        shard = UserShard(1, [[1.0]], [1.0])
-        theta_star, f_star = solve_optimum([shard], 1.0)
+        shard = one_shard([[1.0]], [1.0])
+        theta_star = solve_optimum(shard, 1.0)
         np.testing.assert_allclose(theta_star, [0.5], atol=1e-14)
         # cross-check with the gradient-descent oracle
-        oracle = gd_minimize([shard], 1.0, 1)
+        oracle = gd_minimize(shard, 1.0, 1)
         np.testing.assert_allclose(theta_star, oracle, atol=1e-10)
 
     def test_zero_targets(self, rng):
-        shard = UserShard(1, rng.standard_normal((10, 3)), np.zeros(10))
-        theta_star, f_star = solve_optimum([shard], 0.5)
+        shard = one_shard(rng.standard_normal((10, 3)), np.zeros(10))
+        theta_star = solve_optimum(shard, 0.5)
         np.testing.assert_allclose(theta_star, np.zeros(3), atol=1e-14)
-        assert f_star == pytest.approx(0.0, abs=1e-14)
+        assert global_loss(theta_star, shard, 0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_stationarity(self, rng):
         for _ in range(10):
             shards = make_shards(rng, n_users=3, per_user=20, dim=4)
-            theta_star, _ = solve_optimum(shards, 0.5)
+            theta_star = solve_optimum(shards, 0.5)
             grad_norm = np.linalg.norm(global_grad(theta_star, shards, 0.5))
             assert grad_norm <= 1e-8 * (1 + np.linalg.norm(theta_star))
 
     def test_unique_minimizer(self, rng):
         shards = make_shards(rng)
-        theta_star, f_star = solve_optimum(shards, 0.5)
+        theta_star = solve_optimum(shards, 0.5)
+        f_star = global_loss(theta_star, shards, 0.5)
         for _ in range(20):
             delta = rng.standard_normal(theta_star.shape[0])
             delta *= rng.uniform(0.1, 2.0) / np.linalg.norm(delta)
@@ -150,7 +151,8 @@ class TestSolveOptimum:
     def test_quadratic_gap_matches_loss_difference(self, rng):
         shards = make_shards(rng)
         hess = hessian(shards, 0.5)
-        theta_star, f_star = solve_optimum(shards, 0.5, hess)
+        theta_star = solve_optimum(shards, 0.5, hess)
+        f_star = global_loss(theta_star, shards, 0.5)
         assert quadratic_gap(theta_star, theta_star, hess) == 0.0
         for _ in range(20):
             theta = theta_star + rng.uniform(0.1, 3.0) * rng.standard_normal(theta_star.shape[0])
@@ -172,23 +174,23 @@ class TestSolveOptimum:
                 assert gap == quadratic_gap(theta, theta_star, hess) == 0.5 * (diff @ hess @ diff)
 
     def test_singular_without_regularization(self):
-        shard = UserShard(1, [[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
+        shard = one_shard([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
         with pytest.raises(ValueError, match="singular"):
-            solve_optimum([shard], 0.0)
+            solve_optimum(shard, 0.0)
 
 
 class TestEstimateConstants:
     def test_homogeneous_gamma_zero(self, rng):
-        shard = make_shards(rng, n_users=1)[0]
-        shards = [UserShard(i + 1, shard.features, shard.targets) for i in range(3)]
+        shard = make_shards(rng, n_users=1)
+        shards = ShardBlock(shard.features.repeat(3, axis=0), shard.targets.repeat(3, axis=0))
         c = estimate_constants(
-            shards, 0.5, ProbeBall(np.zeros(shard.feature_dim), 2.0), rng,
+            shards, 0.5, ProbeBall(np.zeros(shard.features.shape[-1]), 2.0), rng,
             H=2, P=1.0, sigma_w2=0.0,
         )
         assert c.Gamma <= 1e-10
 
     def test_pure_regularizer_curvature(self, rng):
-        shards = [UserShard(1, np.zeros((5, 3)), np.zeros(5))]
+        shards = one_shard(np.zeros((5, 3)), np.zeros(5))
         c = estimate_constants(
             shards, 0.7, ProbeBall(np.zeros(3), 1.0), rng, H=1, P=1.0, sigma_w2=0.0
         )
@@ -202,13 +204,13 @@ class TestEstimateConstants:
         c = estimate_constants(
             shards, lam, ProbeBall(np.zeros(2), 3.0), rng, H=1, P=1.0, sigma_w2=0.0
         )
-        _, f_star = solve_optimum(shards, lam)
+        f_star = global_loss(solve_optimum(shards, lam), shards, lam)
         locals_ = []
-        for shard in shards:
-            gram = shard.features.T @ shard.features / len(shard) + lam * np.eye(2)
-            rhs = shard.features.T @ shard.targets / len(shard)
+        for features, targets in zip(shards.features, shards.targets):
+            gram = features.T @ features / len(targets) + lam * np.eye(2)
+            rhs = features.T @ targets / len(targets)
             theta_n = np.linalg.solve(gram, rhs)
-            locals_.append(global_loss(theta_n, [shard], lam))
+            locals_.append(global_loss(theta_n, one_shard(features, targets), lam))
         expected = f_star - np.mean(locals_)
         assert c.Gamma == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
@@ -245,9 +247,9 @@ class TestEstimateConstants:
         # spot-check: random probe points inside the ball keep the bound
         for _ in range(20):
             theta = ball.center + rng.standard_normal(5) * 0.3
-            for shard in shards:
-                residuals = shard.features @ theta - shard.targets
-                grads = residuals[:, None] * shard.features + 0.5 * theta
+            for features, targets in zip(shards.features, shards.targets):
+                residuals = features @ theta - targets
+                grads = residuals[:, None] * features + 0.5 * theta
                 assert np.mean(np.sum(grads**2, axis=1)) <= c.G2 * 1.5
 
     def test_requires_positive_lambda(self, rng):
@@ -260,9 +262,8 @@ def reference_constants(shards, lam, probes, safety=1.1):
     """The per-probe loop: three mat-vecs per probe point and shard, the
     Hessian from hessian(), and each user's optimum from its own solve."""
     g2 = 0.0
-    mn2 = np.zeros(len(shards))
-    for n, shard in enumerate(shards):
-        features, targets = shard.features, shard.targets
+    mn2 = np.zeros(shards.features.shape[0])
+    for n, (features, targets) in enumerate(zip(shards.features, shards.targets)):
         sq_feature_norms = np.einsum("ij,ij->i", features, features)
         for theta in probes:
             residuals = features @ theta - targets
@@ -274,17 +275,17 @@ def reference_constants(shards, lam, probes, safety=1.1):
                 )
                 + lam * lam * (theta @ theta)
             )
-            mean_grad = features.T @ residuals / len(shard) + lam * theta
+            mean_grad = features.T @ residuals / len(targets) + lam * theta
             g2 = max(g2, second_moment)
             mn2[n] = max(mn2[n], second_moment - float(mean_grad @ mean_grad))
     eigs = np.linalg.eigvalsh(hessian(shards, lam))
-    _, f_star = solve_optimum(shards, lam)
+    f_star = global_loss(solve_optimum(shards, lam), shards, lam)
     local_minima = []
-    for shard in shards:
-        d = shard.feature_dim
-        gram = shard.features.T @ shard.features / len(shard) + lam * np.eye(d)
-        theta_n = np.linalg.solve(gram, shard.features.T @ shard.targets / len(shard))
-        local_minima.append(global_loss(theta_n, [shard], lam))
+    for features, targets in zip(shards.features, shards.targets):
+        d = features.shape[1]
+        gram = features.T @ features / len(targets) + lam * np.eye(d)
+        theta_n = np.linalg.solve(gram, features.T @ targets / len(targets))
+        local_minima.append(global_loss(theta_n, one_shard(features, targets), lam))
     gamma = max(f_star - float(np.mean(local_minima)), 0.0)
     return eigs[-1], eigs[0], safety * g2, safety * mn2, gamma
 
@@ -304,18 +305,19 @@ class TestEstimateConstantsReference:
             np.testing.assert_allclose(value, ref, rtol=1e-12, atol=0, err_msg=name)
         assert c.Gamma > 0 and np.all(c.Mn2 > 0)
 
-    def test_ragged_hand_built_shards(self, rng):
+    def test_hand_built_block(self, rng):
         # the first shard has the largest gradients, so a max over users that
         # kept only the last shard would show
-        shards = [
-            UserShard(n + 1, rng.standard_normal((size, 4)) + 2 - n, rng.standard_normal(size) + n)
-            for n, size in enumerate((7, 12, 20))
-        ]
+        offsets = np.arange(3)[:, None]
+        shards = ShardBlock(
+            rng.standard_normal((3, 12, 4)) + (2 - offsets)[..., None],
+            rng.standard_normal((3, 12)) + offsets,
+        )
         self.check(shards, 0.3, ProbeBall(rng.standard_normal(4), 1.5, count=9), seed=5)
 
     def test_partition_block(self, rng):
         dataset = generate_synthetic(6, 5 * 40, 0.8, rng)
-        shards = partition(dataset, PartitionSpec("heterogeneous", 5, 0.5), rng)
+        shards = dataset.shards(partition(dataset, PartitionSpec("heterogeneous", 5, 0.5), rng))
         self.check(shards, 0.5, ProbeBall(np.zeros(6), 3.0), seed=8)
 
 

@@ -18,9 +18,9 @@ from otafl.precoding import (
     precode,
     select_participants,
 )
-from otafl.types import RegressionSample, ShardBlock, UserShard
+from otafl.types import RegressionSample
 
-from conftest import make_shards
+from conftest import make_shards, one_shard
 
 
 class TestPrecodeDecode:
@@ -112,28 +112,33 @@ class TestSelectParticipants:
         assert set(chosen) == {2, 3}
 
     def test_wait_when_too_few_eligible(self):
+        # the K strongest of a short draw include a censored user, which is
+        # how the caller tells that the round must wait
         fades = np.array([0.5, 0.55, 0.3])
-        assert select_participants(fades, FadingPolicy(h_min=0.6, participants=2)) is None
+        policy = FadingPolicy(h_min=0.6, participants=2)
+        chosen = select_participants(fades, policy)
+        np.testing.assert_array_equal(chosen, [1, 2])
+        assert fades[chosen - 1].min() <= policy.h_min
 
     def test_block_of_draws_equals_one_draw_at_a_time(self, rng):
         policy = FadingPolicy(h_min=1.2, participants=3)  # about 1 draw in 4 is short
         draws = sample_rayleigh(7, 1.0, rng, rows=40)
         chosen = select_participants(draws, policy)
         assert chosen.shape == (40, 3)
-        short = 0
         for row, ids in zip(draws, chosen):
-            one = select_participants(row, policy)
-            # a draw is short exactly when the weakest of its K strongest is censored
-            assert (one is None) == (row[ids - 1].min() <= policy.h_min)
-            if one is None:
-                short += 1
-            else:
-                np.testing.assert_array_equal(ids, one)
-        assert 0 < short < 40
+            np.testing.assert_array_equal(select_participants(row, policy), ids)
+            # the K strongest, in increasing id order
+            assert row[ids - 1].min() >= np.delete(row, ids - 1).max()
+            assert np.all(np.diff(ids) > 0)
+        short = np.take_along_axis(draws, chosen - 1, axis=-1).min(axis=-1) <= policy.h_min
+        assert 0 < short.sum() < 40
 
-    def test_fewer_users_than_participants_waits(self):
+    def test_fewer_users_than_participants_rejected(self):
         policy = FadingPolicy(h_min=0.5, participants=3)
-        assert select_participants(np.array([2.0, 3.0]), policy) is None
+        with pytest.raises(ValueError, match="cannot select K=3 participants from N=2 users"):
+            select_participants(np.array([2.0, 3.0]), policy)
+        with pytest.raises(ValueError, match="cannot select K=3 participants from N=2 users"):
+            select_participants(np.ones((4, 2)), policy)
 
     def test_subset_uniformity_chisquare(self):
         # with i.i.d. fades and h_min=0, the top-K set is uniform over subsets
@@ -231,10 +236,10 @@ class TestEstimateAlphaMc:
         # update = -eta * grad(0), so alpha_1 = P / ||eta*grad(0)||^2
         features = np.array([[1.0, 2.0]])
         targets = np.array([3.0])
-        shard = UserShard(1, features, targets)
+        shard = one_shard(features, targets)
         lam, eta, power = 0.5, 0.05, 2.0
         schedule = estimate_alpha_mc(
-            [shard], lam, rounds=1, local_steps=1, power=power, pilot_trials=2,
+            shard, lam, rounds=1, local_steps=1, power=power, pilot_trials=2,
             rng=np.random.default_rng(0), step_fn=constant_step(eta), theta0_std=0.0,
         )
         g = ridge_grad(np.zeros(2), RegressionSample(features[0], targets[0]), lam)
@@ -257,11 +262,11 @@ class TestEstimateAlphaMc:
             theta = ref_rng.normal(0.0, 1.0, 3)
             for r in range(rounds):
                 models = []
-                for shard in shards:
+                for features, targets in zip(shards.features, shards.targets):
                     model = theta
                     for j in range(h):
-                        i = int(ref_rng.integers(len(shard)))
-                        sample = RegressionSample(shard.features[i], shard.targets[i])
+                        i = int(ref_rng.integers(len(targets)))
+                        sample = RegressionSample(features[i], targets[i])
                         model = model - step_fn(r * h + j) * ridge_grad(model, sample, lam)
                     models.append(model)
                 sums[r] += [(m - theta) @ (m - theta) for m in models]
@@ -274,14 +279,13 @@ class TestEstimateAlphaMc:
         # all trials advance as one block per round; each trial's draws,
         # kernel calls and accumulation must be those of a loop over trials
         shards = make_shards(rng, n_users=4, per_user=12, dim=3)
-        block = ShardBlock.of(shards)
         lam, rounds, h, power = 0.5, 6, 2, 1.0
         step_fn = lambda t: 2.0 / (0.8 * (20.0 + t))
         schedule = estimate_alpha_mc(
             shards, lam, rounds, h, power, trials, np.random.default_rng(8),
             step_fn=step_fn, theta0_std=1.0,
         )
-        features, targets = block.features.reshape(-1, 3), block.targets.reshape(-1)
+        features, targets = shards.features.reshape(-1, 3), shards.targets.reshape(-1)
         ref_rng = np.random.default_rng(8)
         sums = np.zeros((rounds, 4))
         for _ in range(trials):
@@ -319,14 +323,6 @@ class TestEstimateAlphaMc:
         slope = np.polyfit(np.arange(late.shape[0]), late, 1)[0]
         assert slope > 0
 
-    def test_ragged_shards_rejected_with_sizes(self):
-        shards = [UserShard(n, np.ones((size, 2)), np.ones(size)) for n, size in ((1, 4), (2, 5))]
-        with pytest.raises(ValueError, match=r"sizes \[4, 5\]"):
-            estimate_alpha_mc(
-                shards, 0.5, rounds=1, local_steps=1, power=1.0, pilot_trials=1,
-                rng=np.random.default_rng(0), step_fn=constant_step(0.1),
-            )
-
     def test_negative_regularization_rejected(self, rng):
         with pytest.raises(ValueError, match="non-negative"):
             estimate_alpha_mc(
@@ -336,10 +332,10 @@ class TestEstimateAlphaMc:
             )
 
     def test_zero_updates_error(self):
-        shard = UserShard(1, np.zeros((3, 2)), np.zeros(3))
+        shard = one_shard(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="alpha undefined"):
             estimate_alpha_mc(
-                [shard], 0.0, rounds=1, local_steps=1, power=1.0, pilot_trials=1,
+                shard, 0.0, rounds=1, local_steps=1, power=1.0, pilot_trials=1,
                 rng=np.random.default_rng(0), step_fn=constant_step(0.1), theta0_std=0.0,
             )
 
@@ -366,7 +362,7 @@ class TestAlphaUpperBoundSchedule:
             shards, lam, rounds, h, 1.0, pilot_trials=40,
             rng=np.random.default_rng(5), step_fn=step_fn, theta0_std=theta0_std,
         )
-        radius = 2.0 * math.sqrt(theta0_std**2 * shards[0].feature_dim + 4.0)
+        radius = 2.0 * math.sqrt(theta0_std**2 * shards.features.shape[-1] + 4.0)
         constants = estimate_constants(
             shards, lam, ProbeBall(np.zeros(4), radius), np.random.default_rng(6),
             H=h, P=1.0, sigma_w2=0.0,
@@ -393,7 +389,7 @@ class TestAlphaUpperBoundSchedule:
             shards, lam, rounds, h, power, pilot_trials=30,
             rng=np.random.default_rng(15), step_fn=step_fn, theta0_std=theta0_std,
         )
-        radius = 2.0 * math.sqrt(theta0_std**2 * shards[0].feature_dim + 4.0)
+        radius = 2.0 * math.sqrt(theta0_std**2 * shards.features.shape[-1] + 4.0)
         constants = estimate_constants(
             shards, lam, ProbeBall(np.zeros(4), radius), np.random.default_rng(16),
             H=h, P=power, sigma_w2=0.0,

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from otafl.data import PartitionSpec, generate_synthetic, partition, partition_rows
 from otafl.rng import RandomSource, make_streams, stream_generator
 
 
@@ -81,19 +80,3 @@ def test_sized_rayleigh_draws_equal_per_round_draws(chunk_rows):
     np.testing.assert_array_equal(
         chunked, per_round, err_msg=f"sized rayleigh() draws differ on numpy {np.__version__}"
     )
-
-
-# Training takes each trial's shards as the row ids partition_rows draws from
-# trial{t}/partition, while the alpha pilot and the bound inputs gather shard
-# blocks with partition. Both must leave the stream where the other does, and
-# partition must be the gather of those row ids.
-@pytest.mark.parametrize("mode", ["iid", "heterogeneous"])
-def test_partition_rows_consume_the_stream_as_partition_does(mode):
-    dataset = generate_synthetic(3, 103, 1.0, np.random.default_rng(0))
-    spec = PartitionSpec(mode, 5, 0.3)
-    by_rows, by_block = (stream_generator(7, "trial2/partition") for _ in range(2))
-    rows = partition_rows(dataset, spec, by_rows)
-    shards = partition(dataset, spec, by_block)
-    assert by_rows.bit_generator.state == by_block.bit_generator.state
-    np.testing.assert_array_equal(shards.features, dataset.features[rows])
-    assert by_rows.random() == by_block.random()

@@ -5,8 +5,8 @@ import pytest
 
 import otafl.trainer as trainer_mod
 
-from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition_rows
-from otafl.localsgd import local_pass
+from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition
+from otafl.localsgd import DEFAULT_THETA0_STD, local_pass
 from otafl.objectives import global_grad, hessian, quadratic_gap, ridge_grad, solve_optimum
 from otafl.precoding import AlphaSchedule, FadingPolicy
 from otafl.trainer import (
@@ -21,15 +21,19 @@ from otafl.trainer import (
     step_final_model,
     weighted_average_model,
 )
-from otafl.types import RegressionSample, ShardBlock
+from otafl.types import RegressionSample
 
 from conftest import flat_rows, make_shards, single_shard
+
+
+def _start(seed, dim):
+    """The initial model of trial `seed`: N(0, DEFAULT_THETA0_STD^2 I_d)."""
+    return np.random.default_rng(seed).normal(0.0, DEFAULT_THETA0_STD, dim)
 
 
 def _streams(seed, n_users, noise_seed=None, fading_seed=None):
     """Streams of a single-scheme trial."""
     return TrialStreams(
-        init=np.random.default_rng(seed),
         users=tuple(np.random.default_rng(seed * 1000 + n) for n in range(n_users)),
         noise=(np.random.default_rng(noise_seed if noise_seed is not None else seed + 1),),
         fading=(np.random.default_rng(fading_seed if fading_seed is not None else seed + 2),),
@@ -59,10 +63,13 @@ def _round(theta, shards, config, alpha, streams, round_index, optimum, indices,
     return new_theta[0], gaps[0], powers[0]
 
 
-def _train(shards, configs, alpha_schedule, streams, optimum):
-    """run_training on one trial's shards; returns each run's trial-0 trace."""
+def _train(shards, configs, alpha_schedule, streams, optimum, theta0):
+    """run_training on one trial's shards from theta0; returns each run's
+    trial-0 trace."""
     dataset, rows = flat_rows(shards)
-    traces = run_training(dataset, rows, configs, alpha_schedule, [streams], _one_trial(optimum))
+    traces = run_training(
+        dataset, rows, theta0[None], configs, alpha_schedule, [streams], _one_trial(optimum)
+    )
     return [RunTrace(*(None if field is None else field[0] for field in trace)) for trace in traces]
 
 
@@ -85,22 +92,23 @@ def _schedule(mu=1.0, shift=20.0, kind="final_model"):
 
 def _optimum(shards, lam=0.5):
     hess = hessian(shards, lam)
-    theta_star, _ = solve_optimum(shards, lam, hess)
-    return theta_star, hess
+    return solve_optimum(shards, lam, hess), hess
 
 
-def _sample(shard, i):
-    return RegressionSample(shard.features[i], shard.targets[i])
+def _sample(shards, n, i):
+    """User n's sample i."""
+    return RegressionSample(shards.features[n, i], shards.targets[n, i])
 
 
 def _reference_local_models(theta0, shards, etas, user_rngs, lam):
     """Per-sample loop: one scalar index draw and one ridge_grad step at a time."""
     models = []
-    for shard, rng in zip(shards, user_rngs):
+    n_users, shard_size = shards.targets.shape
+    for n, rng in zip(range(n_users), user_rngs):
         theta = theta0
         for eta in etas:
-            i = int(rng.integers(len(shard)))
-            theta = theta - eta * ridge_grad(theta, _sample(shard, i), lam)
+            i = int(rng.integers(shard_size))
+            theta = theta - eta * ridge_grad(theta, _sample(shards, n, i), lam)
         models.append(theta)
     return models
 
@@ -123,7 +131,7 @@ class TestSgdStep:
         rows = _rows(shards.features, indices)
         out = local_pass(thetas, dataset.features, dataset.targets, [0.1], rows, 0.5)
         expected = [
-            thetas[n] - 0.1 * ridge_grad(thetas[n], _sample(shards[n], int(indices[n, 0])), 0.5)
+            thetas[n] - 0.1 * ridge_grad(thetas[n], _sample(shards, n, int(indices[n, 0])), 0.5)
             for n in range(4)
         ]
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
@@ -134,10 +142,10 @@ class TestSgdStep:
         n_users, eta, lam = 10_000, 0.05, 0.5
         theta = rng.standard_normal(3)
         indices = rng.integers(25, size=(n_users, 1))
-        steps = local_pass(theta, shard.features, shard.targets, [eta], indices, lam) - theta
-        expected = -eta * global_grad(theta, [shard], lam)
+        steps = local_pass(theta, shard.features[0], shard.targets[0], [eta], indices, lam) - theta
+        expected = -eta * global_grad(theta, shard, lam)
         per_sample = np.stack(
-            [-eta * ridge_grad(theta, _sample(shard, i), lam) for i in range(len(shard))]
+            [-eta * ridge_grad(theta, _sample(shard, 0, i), lam) for i in range(25)]
         )
         se = per_sample.std(axis=0) / np.sqrt(n_users)
         assert np.all(np.abs(steps.mean(axis=0) - expected) <= 3 * se + 1e-12)
@@ -146,13 +154,13 @@ class TestSgdStep:
         shard = single_shard(rng)
         indices = np.zeros((1, 2), dtype=int)
         with pytest.raises(ValueError, match="step size"):
-            local_pass(np.zeros(4), shard.features, shard.targets, [0.1, 0.0], indices, 0.5)
+            local_pass(np.zeros(4), shard.features[0], shard.targets[0], [0.1, 0.0], indices, 0.5)
 
     def test_negative_regularization(self, rng):
         shard = single_shard(rng)
         indices = np.zeros((1, 1), dtype=int)
         with pytest.raises(ValueError, match="non-negative"):
-            local_pass(np.zeros(4), shard.features, shard.targets, [0.1], indices, -1.0)
+            local_pass(np.zeros(4), shard.features[0], shard.targets[0], [0.1], indices, -1.0)
 
     def test_empty_shard(self):
         indices = np.zeros((2, 1), dtype=int)
@@ -271,7 +279,7 @@ class TestTrainerConfig:
 
 class TestRunRound:
     def test_single_user_noise_free_equals_plain_sgd(self, rng):
-        shards = [single_shard(rng, n_samples=20, dim=3)]
+        shards = single_shard(rng, n_samples=20, dim=3)
         schedule = _schedule()
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=5, rounds=1, step=schedule
@@ -389,12 +397,8 @@ class TestRunRound:
                 _optimum(shards), _indices(1, 2, 10, 1),
             )
 
-    def test_ragged_shards_rejected_with_sizes(self, rng):
-        # training takes equal-size shards as a (T, N, D_n) row-id block, so
-        # unequal shards are rejected where they are stacked into one
-        shards = [single_shard(rng, n_samples=10, dim=3), single_shard(rng, n_samples=12, dim=3)]
-        with pytest.raises(ValueError, match=r"sizes \[10, 12\]"):
-            ShardBlock.of(shards)
+    def test_ragged_row_ids_rejected(self):
+        # training takes equal-size shards as a (T, N, D_n) row-id block
         dataset = Dataset(np.zeros((22, 3)), np.zeros(22))
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=1, rounds=2, step=_schedule()
@@ -402,7 +406,7 @@ class TestRunRound:
         ragged = np.array([np.arange(10), np.arange(10, 22)], dtype=object)
         with pytest.raises(ValueError, match=r"need a \(T, N, D_n\) block"):
             run_training(
-                dataset, ragged, [config], None, [_streams(1, 2)],
+                dataset, ragged, np.zeros((1, 3)), [config], None, [_streams(1, 2)],
                 (np.zeros((1, 3)), np.eye(3)[None]),
             )
 
@@ -413,7 +417,7 @@ class TestRunTraining:
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=3, rounds=0, step=_schedule()
         )
-        (trace,) = _train(shards, [config], None, _streams(4, 2), _optimum(shards))
+        (trace,) = _train(shards, [config], None, _streams(4, 2), _optimum(shards), _start(4, 3))
         assert trace.thetas.shape == (0, 3)
         assert trace.gaps.shape == (0,) and trace.waits.shape == (0,)
         assert trace.powers.shape == (0, 2)
@@ -425,7 +429,7 @@ class TestRunTraining:
             scheme="noise_free_local_sgd", local_steps=1, rounds=1, step=_schedule()
         )
         with pytest.raises(ValueError, match="need 3 user streams, got 2"):
-            _train(shards, [config], None, _streams(1, 2), _optimum(shards))
+            _train(shards, [config], None, _streams(1, 2), _optimum(shards), _start(1, 3))
 
     def test_noise_free_run_equals_per_sample_reference(self, rng):
         # the run's up-front index draws give each round the indices that
@@ -435,14 +439,12 @@ class TestRunTraining:
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=4, rounds=3, step=schedule
         )
-        (trace,) = _train(shards, [config], None, _streams(6, 3), _optimum(shards))
-        streams = _streams(6, 3)
-        theta = streams.init.normal(0.0, config.theta0_std, 4)
+        theta = _start(6, 4)
+        (trace,) = _train(shards, [config], None, _streams(6, 3), _optimum(shards), theta)
+        users = _streams(6, 3).users
         for r, run_theta in enumerate(trace.thetas):
             etas = [schedule.eta(r * 4 + j) for j in range(4)]
-            models = _reference_local_models(
-                theta, shards, etas, streams.users, config.ridge_lambda
-            )
+            models = _reference_local_models(theta, shards, etas, users, config.ridge_lambda)
             theta = np.mean(models, axis=0)
             np.testing.assert_allclose(run_theta, theta, rtol=1e-12)
 
@@ -453,7 +455,7 @@ class TestRunTraining:
         )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 5))
         a, b = (
-            _train(shards, [config], alpha, _streams(6, 3), _optimum(shards))[0]
+            _train(shards, [config], alpha, _streams(6, 3), _optimum(shards), _start(6, 4))[0]
             for _ in range(2)
         )
         np.testing.assert_array_equal(a.thetas, b.thetas)
@@ -467,7 +469,10 @@ class TestRunTraining:
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)
         config = TrainerConfig(scheme="cotaf", local_steps=2, rounds=5, step=_schedule())
         with pytest.raises(ValueError, match="covers"):
-            _train(shards, [config], AlphaSchedule(np.ones(3)), _streams(2, 2), _optimum(shards))
+            _train(
+                shards, [config], AlphaSchedule(np.ones(3)), _streams(2, 2), _optimum(shards),
+                _start(2, 3),
+            )
 
     def test_noise_free_gap_mostly_decreasing(self, rng):
         # well-conditioned sanity instance: realizable least squares, where the
@@ -479,9 +484,12 @@ class TestRunTraining:
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=10, rounds=25,
             step=StepSchedule("final_model", shift=max(8 * smoothness / mu, 10.0), mu=mu),
-            theta0_std=5.0, ridge_lambda=lam,
+            ridge_lambda=lam,
         )
-        gaps = _train(shards, [config], None, _streams(8, 8), _optimum(shards, lam))[0].gaps
+        theta0 = np.random.default_rng(8).normal(0.0, 5.0, 6)
+        gaps = _train(
+            shards, [config], None, _streams(8, 8), _optimum(shards, lam), theta0
+        )[0].gaps
         assert np.all(gaps >= -1e-9)
         frac_decreasing = np.mean(np.diff(gaps) <= 0)
         assert frac_decreasing >= 0.9
@@ -492,7 +500,6 @@ def _paired_streams(seed, n_users, n_schemes):
     streams seeded as _streams(seed, ..., noise_seed=seed + 10 + s,
     fading_seed=seed + 20 + s) gives a single-scheme run."""
     return TrialStreams(
-        init=np.random.default_rng(seed),
         users=_streams(seed, n_users).users,
         noise=tuple(np.random.default_rng(seed + 10 + s) for s in range(n_schemes)),
         fading=tuple(np.random.default_rng(seed + 20 + s) for s in range(n_schemes)),
@@ -501,12 +508,14 @@ def _paired_streams(seed, n_users, n_schemes):
 
 class TestPairedRuns:
     def _assert_runs_equal(self, shards, configs, alpha):
-        optimum = _optimum(shards)
-        paired = _train(shards, configs, alpha, _paired_streams(3, 4, len(configs)), optimum)
+        optimum, theta0 = _optimum(shards), _start(3, shards.features.shape[-1])
+        paired = _train(
+            shards, configs, alpha, _paired_streams(3, 4, len(configs)), optimum, theta0
+        )
         assert len(paired) == len(configs)
         for s, (config, trace) in enumerate(zip(configs, paired)):
             streams = _streams(3, 4, noise_seed=3 + 10 + s, fading_seed=3 + 20 + s)
-            (alone,) = _train(shards, [config], alpha, streams, optimum)
+            (alone,) = _train(shards, [config], alpha, streams, optimum, theta0)
             for field in ("thetas", "gaps", "powers", "waits"):
                 assert np.array_equal(getattr(trace, field), getattr(alone, field)), field
             if alone.participants is None:
@@ -544,12 +553,13 @@ class TestPairedRuns:
             TrainerConfig(scheme="noise_free_local_sgd", local_steps=h, rounds=3, step=_schedule())
             for h in (2, 1)
         )
+        optimum, theta0 = _optimum(shards), _start(1, 3)
         with pytest.raises(ValueError, match="paired runs must share local_steps"):
-            _train(shards, [base, other], None, _paired_streams(1, 2, 2), _optimum(shards))
+            _train(shards, [base, other], None, _paired_streams(1, 2, 2), optimum, theta0)
         with pytest.raises(ValueError, match="one noise and one fading stream for each of 2"):
-            _train(shards, [base, base], None, _streams(1, 2), _optimum(shards))
+            _train(shards, [base, base], None, _streams(1, 2), optimum, theta0)
         with pytest.raises(ValueError, match="at least one trainer config"):
-            _train(shards, [], None, _streams(1, 2), _optimum(shards))
+            _train(shards, [], None, _streams(1, 2), optimum, theta0)
 
 
 def _trial_block(rng, n_trials, n_users, per_user=8, dim=4):
@@ -558,7 +568,7 @@ def _trial_block(rng, n_trials, n_users, per_user=8, dim=4):
     dataset = generate_synthetic(dim, n_users * per_user, 0.5, rng)
     spec = PartitionSpec("iid", n_users)
     rows = np.stack(
-        [partition_rows(dataset, spec, np.random.default_rng(100 + t)) for t in range(n_trials)]
+        [partition(dataset, spec, np.random.default_rng(100 + t)) for t in range(n_trials)]
     )
     optima = [_optimum(dataset.shards(block)) for block in rows]
     return dataset, rows, tuple(np.stack(part) for part in zip(*optima))
@@ -592,8 +602,9 @@ class TestStackedTrials:
         ]
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, rounds))
         seeds = [7 * t + 1 for t in range(n_trials)]
+        theta0 = np.stack([_start(seed, dataset.feature_dim) for seed in seeds])
         stacked = run_training(
-            dataset, rows, configs, alpha,
+            dataset, rows, theta0, configs, alpha,
             [_paired_streams(seed, n_users, len(configs)) for seed in seeds], optima,
         )
         assert len(stacked) == len(configs)
@@ -605,7 +616,7 @@ class TestStackedTrials:
                     seed, n_users, noise_seed=seed + 10 + s, fading_seed=seed + 20 + s
                 )
                 (alone,) = run_training(
-                    dataset, rows[t : t + 1], [config], alpha, [streams],
+                    dataset, rows[t : t + 1], theta0[t : t + 1], [config], alpha, [streams],
                     (optima[0][t : t + 1], optima[1][t : t + 1]),
                 )
                 for field in ("thetas", "gaps", "powers", "participants", "waits"):
@@ -625,18 +636,23 @@ class TestStackedTrials:
             scheme="noise_free_local_sgd", local_steps=2, rounds=5, step=_schedule()
         )
         streams = [_streams(seed, 4) for seed in (1, 2, 3)]
+        theta0 = np.stack([_start(seed, 4) for seed in (1, 2, 3)])
         gaps, powers = np.zeros((3, 5)), np.zeros((3, 5, 4))
         (trace,) = run_training(
-            dataset, rows, [config], None, streams, optima, out=[(gaps, powers)]
+            dataset, rows, theta0, [config], None, streams, optima, out=[(gaps, powers)]
         )
         assert trace.gaps is gaps and trace.powers is powers
         assert np.all(gaps > 0) and np.all(powers > 0)
         with pytest.raises(ValueError, match=r"need a \(T, N, D_n\) block of shard row ids"):
-            run_training(dataset, rows[0], [config], None, streams[:1], optima)
+            run_training(dataset, rows[0], theta0[:1], [config], None, streams[:1], optima)
         with pytest.raises(ValueError, match="need streams for each of 3 trials, got 2"):
-            run_training(dataset, rows, [config], None, streams[:2], optima)
+            run_training(dataset, rows, theta0, [config], None, streams[:2], optima)
         with pytest.raises(ValueError, match=r"need \(T, d\) optima"):
-            run_training(dataset, rows, [config], None, streams, (optima[0][:2], optima[1][:2]))
+            run_training(
+                dataset, rows, theta0, [config], None, streams, (optima[0][:2], optima[1][:2])
+            )
+        with pytest.raises(ValueError, match=r"need \(T, d\) initial models for T=3, d=4"):
+            run_training(dataset, rows, theta0[:2], [config], None, streams, optima)
 
     def test_starved_trial_is_named(self, rng, monkeypatch):
         # only the fading stream of the block's second trial starves
@@ -647,21 +663,22 @@ class TestStackedTrials:
             fading=FadingPolicy(h_min=0.5, participants=2),
         )
         streams = [_streams(seed, 4) for seed in (1, 2, 3)]
-        streams[1] = TrialStreams(streams[1].init, streams[1].users, streams[1].noise,
-                                  (ScriptedFading([]),))
+        streams[1] = TrialStreams(streams[1].users, streams[1].noise, (ScriptedFading([]),))
         with pytest.raises(RuntimeError, match=r"^trial 6, scheme cotaf_fading: round 1: "):
             run_training(
-                dataset, rows, [config], AlphaSchedule(np.ones(4)), streams, optima, first_trial=5
+                dataset, rows, np.zeros((3, 4)), [config], AlphaSchedule(np.ones(4)), streams,
+                optima, first_trial=5,
             )
 
 
-def _reference_fading_run(shards, config, alpha_schedule, streams, optimum):
-    """Per-round fading loop: draw N magnitudes per attempt, redraw while fewer
-    than K users are eligible, then precode, superpose and decode one
-    participant at a time. Yields (participants, waits, theta, gap, powers)."""
+def _reference_fading_run(shards, config, alpha_schedule, streams, optimum, theta0):
+    """Per-round fading loop from theta0: draw N magnitudes per attempt,
+    redraw while fewer than K users are eligible, then precode, superpose and
+    decode one participant at a time. Yields (participants, waits, theta,
+    gap, powers)."""
     policy, lam, h = config.fading, config.ridge_lambda, config.local_steps
-    n_users, dim = len(shards), shards[0].feature_dim
-    theta = streams.init.normal(0.0, config.theta0_std, dim)
+    n_users, _, dim = shards.features.shape
+    theta = theta0
     for r in range(1, config.rounds + 1):
         etas = [config.step.eta((r - 1) * h + j) for j in range(h)]
         models = _reference_local_models(theta, shards, etas, streams.users, lam)
@@ -702,6 +719,17 @@ class ScriptedFading:
         return np.where(np.array(flags)[:, None], 2.0, 0.1) * np.ones((rows, n_users))
 
 
+class ScriptedRows:
+    """A fading stream that returns the given N-user rows in order."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def rayleigh(self, scale, shape):
+        rows, self.rows = self.rows[: shape[0]], self.rows[shape[0] :]
+        return rows.reshape(shape)
+
+
 class TestFadingRun:
     @pytest.mark.parametrize("chunk_rows", [3, 256])
     def test_batched_run_equals_per_round_reference(self, rng, monkeypatch, chunk_rows):
@@ -716,9 +744,11 @@ class TestFadingRun:
             sigma_w2=0.3, fading=policy,
         )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 20))
-        optimum = _optimum(shards)
-        (trace,) = _train(shards, [config], alpha, _streams(5, 6), optimum)
-        reference = list(_reference_fading_run(shards, config, alpha, _streams(5, 6), optimum))
+        optimum, theta0 = _optimum(shards), _start(5, 4)
+        (trace,) = _train(shards, [config], alpha, _streams(5, 6), optimum, theta0)
+        reference = list(
+            _reference_fading_run(shards, config, alpha, _streams(5, 6), optimum, theta0)
+        )
         assert len(trace.gaps) == len(reference) == 20
         for i, (participants, waits, theta, gap, powers) in enumerate(reference):
             assert tuple(trace.participants[i].tolist()) == participants
@@ -738,6 +768,24 @@ class TestFadingRun:
         assert fades.participants.tolist() == [[1, 2]] * 4
         np.testing.assert_array_equal(fades.magnitudes, np.full((4, 2), 2.0))
         assert stream.shapes == [(4, 3)] * 3
+
+    def test_draw_whose_weakest_of_k_is_censored_is_a_wait(self):
+        # select_participants returns every draw's K strongest; a draw whose
+        # weakest of them is at or below h_min is a wait, even when some
+        # users clear h_min
+        policy = FadingPolicy(h_min=0.5, participants=2)
+        draws = [
+            [0.9, 0.5, 0.1],  # weakest of K exactly at h_min
+            [0.2, 0.7, 0.4],  # one user eligible
+            [0.6, 0.3, 0.8],  # K users eligible: round 1
+            [0.5, 0.5, 0.5],  # all at h_min
+            [0.7, 0.2, 0.51],  # round 2
+            [0.1, 0.1, 0.1],  # the rest of the last 2-row chunk, unused
+        ]
+        fades = draw_fading_rounds(ScriptedRows(draws), 3, 2, policy)
+        assert fades.waits.tolist() == [2, 1]
+        assert fades.participants.tolist() == [[1, 3], [1, 3]]
+        np.testing.assert_array_equal(fades.magnitudes, [[0.6, 0.8], [0.7, 0.51]])
 
     def test_starved_round_is_named_and_draws_stay_bounded(self, monkeypatch):
         monkeypatch.setattr(trainer_mod, "MAX_WAIT_REDRAWS", 30)
