@@ -82,7 +82,7 @@ from .precoding import (
     precode,
     select_participants,
 )
-from .rng import RandomSource, make_streams, stream_generator
+from .rng import stream_generator
 from .trainer import (
     SCHEMES,
     RunTrace,

@@ -16,9 +16,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -77,6 +77,10 @@ class CsvSpec:
     path: str
     header: bool = False
     standardize: bool = True
+
+
+DatasetSpec = SyntheticSpec | CsvSpec  # a dataset section's "kind" picks one
+_DATASET_SPECS = {"synthetic": SyntheticSpec, "csv": CsvSpec}
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ class ExperimentConfig:
     seed: int
     trials: int
     users: int
-    dataset: SyntheticSpec | CsvSpec
+    dataset: DatasetSpec
     trainer: TrainerSpec
     channel: ChannelSpec
     partition_mode: str = "iid"
@@ -167,99 +171,76 @@ class ExperimentConfig:
         return PartitionSpec(self.partition_mode, self.users, self.skew_fraction)
 
 
+def _field_kinds(cls) -> dict:
+    """Each field of dataclass cls, in order, mapped to its type."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+# How a JSON value becomes a spec field of each type.
+_COERCE = {
+    int: int,
+    float: float,
+    str: str,
+    bool: bool,
+    float | None: _optional(float),
+    int | None: _optional(int),
+    str | None: _optional(str),
+    float | str: lambda value: value if value == "auto" else float(value),  # schedule shift
+}
+# The partition section's keys, and the ExperimentConfig fields they set.
+_PARTITION_KEYS = {"mode": "partition_mode", "skew_fraction": "skew_fraction"}
+
+
+def _parse_value(kind, value, path: tuple[str, ...]):
+    if kind == DatasetSpec:
+        where = ".".join(path)
+        dataset_kind = _require(value, "kind", where)
+        if dataset_kind not in _DATASET_SPECS:
+            kinds = " or ".join(repr(k) for k in _DATASET_SPECS)
+            raise ValueError(f"{where} kind must be {kinds}, got {dataset_kind!r}")
+        value = {key: v for key, v in value.items() if key != "kind"}
+        kind = _DATASET_SPECS[dataset_kind]
+    if is_dataclass(kind):
+        return _parse_spec(kind, value, path)
+    return _COERCE[kind](value)
+
+
+def _parse_spec(cls, doc: Mapping, path: tuple[str, ...] = ()):
+    """Build spec cls from its JSON section: a key per field, absent keys
+    taking the field's default, nested specs parsed as sections."""
+    where = ".".join(path) or "config"
+    kinds = _field_kinds(cls)
+    _check_keys(doc, kinds, where)
+    values = {}
+    for f in fields(cls):
+        if f.name in doc:
+            values[f.name] = _parse_value(kinds[f.name], doc[f.name], (*path, f.name))
+        elif f.default is MISSING:
+            raise ValueError(f"missing config key {f.name!r} in {where}")
+    return cls(**values)
+
+
 def parse_config(doc: Mapping) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON document, rejecting unknown keys."""
-    _check_keys(
-        doc,
-        ["seed", "trials", "users", "dataset", "partition", "trainer", "channel", "alpha", "output"],
-        "config",
-    )
-    dataset_doc = dict(_require(doc, "dataset", "config"))
-    kind = _require(dataset_doc, "kind", "dataset")
-    if kind == "synthetic":
-        _check_keys(dataset_doc, ["kind", "dim", "total_samples", "noise_std"], "dataset")
-        dataset: SyntheticSpec | CsvSpec = SyntheticSpec(
-            dim=int(_require(dataset_doc, "dim", "dataset")),
-            total_samples=int(_require(dataset_doc, "total_samples", "dataset")),
-            noise_std=float(dataset_doc.get("noise_std", 1.0)),
-        )
-    elif kind == "csv":
-        _check_keys(dataset_doc, ["kind", "path", "header", "standardize"], "dataset")
-        dataset = CsvSpec(
-            path=str(_require(dataset_doc, "path", "dataset")),
-            header=bool(dataset_doc.get("header", False)),
-            standardize=bool(dataset_doc.get("standardize", True)),
-        )
-    else:
-        raise ValueError(f"dataset kind must be 'synthetic' or 'csv', got {kind!r}")
-
-    partition_doc = dict(doc.get("partition", {}))
-    _check_keys(partition_doc, ["mode", "skew_fraction"], "partition")
-
-    trainer_doc = dict(_require(doc, "trainer", "config"))
-    _check_keys(
-        trainer_doc,
-        ["scheme", "local_steps", "rounds", "schedule", "theta0_std", "ridge_lambda", "non_precoded_gain"],
-        "trainer",
-    )
-    schedule_doc = dict(trainer_doc.get("schedule", {}))
-    _check_keys(schedule_doc, ["kind", "shift"], "trainer.schedule")
-    shift = schedule_doc.get("shift", "auto")
-    trainer = TrainerSpec(
-        scheme=str(_require(trainer_doc, "scheme", "trainer")),
-        local_steps=int(_require(trainer_doc, "local_steps", "trainer")),
-        rounds=int(_require(trainer_doc, "rounds", "trainer")),
-        schedule=ScheduleSpec(
-            kind=str(schedule_doc.get("kind", "final_model")),
-            shift=shift if shift == "auto" else float(shift),
-        ),
-        theta0_std=float(trainer_doc.get("theta0_std", DEFAULT_THETA0_STD)),
-        ridge_lambda=float(trainer_doc.get("ridge_lambda", 0.5)),
-        non_precoded_gain=(
-            None
-            if trainer_doc.get("non_precoded_gain") is None
-            else float(trainer_doc["non_precoded_gain"])
-        ),
-    )
-
-    channel_doc = dict(_require(doc, "channel", "config"))
-    _check_keys(channel_doc, ["kind", "snr_db", *_FADING_ONLY_KEYS], "channel")
-    channel_kind = str(_require(channel_doc, "kind", "channel"))
-    for key in _FADING_ONLY_KEYS:
-        if key in channel_doc and channel_kind != "fading_mac":
-            raise ValueError(f"channel key {key!r} needs kind 'fading_mac', got {channel_kind!r}")
-    channel = ChannelSpec(
-        kind=channel_kind,
-        snr_db=None if channel_doc.get("snr_db") is None else float(channel_doc["snr_db"]),
-        rayleigh_scale=float(channel_doc.get("rayleigh_scale", RAYLEIGH_UNIT_POWER_SCALE)),
-        participants=(
-            None if channel_doc.get("participants") is None else int(channel_doc["participants"])
-        ),
-        eligibility=float(channel_doc.get("eligibility", 0.8)),
-        h_min=None if channel_doc.get("h_min") is None else float(channel_doc["h_min"]),
-    )
-
-    alpha_doc = dict(doc.get("alpha", {}))
-    _check_keys(alpha_doc, ["source", "fraction", "pilot_trials", "path"], "alpha")
-    alpha = AlphaSpec(
-        source=str(alpha_doc.get("source", "mc_pilot")),
-        fraction=float(alpha_doc.get("fraction", 0.2)),
-        pilot_trials=int(alpha_doc.get("pilot_trials", 10)),
-        path=alpha_doc.get("path"),
-    )
-
-    return ExperimentConfig(
-        seed=int(_require(doc, "seed", "config")),
-        trials=int(_require(doc, "trials", "config")),
-        users=int(_require(doc, "users", "config")),
-        dataset=dataset,
-        trainer=trainer,
-        channel=channel,
-        partition_mode=str(partition_doc.get("mode", "iid")),
-        skew_fraction=float(partition_doc.get("skew_fraction", 0.2)),
-        alpha=alpha,
-        output=doc.get("output"),
-    )
+    flat = [f.name for f in fields(ExperimentConfig) if f.name not in _PARTITION_KEYS.values()]
+    _check_keys(doc, [*flat, "partition"], "config")
+    partition_doc = doc.get("partition", {})
+    _check_keys(partition_doc, _PARTITION_KEYS, "partition")
+    channel_doc = doc.get("channel", {})
+    if "kind" in channel_doc and channel_doc["kind"] != "fading_mac":
+        for key in _FADING_ONLY_KEYS:
+            if key in channel_doc:
+                raise ValueError(
+                    f"channel key {key!r} needs kind 'fading_mac', got {channel_doc['kind']!r}"
+                )
+    doc = {key: value for key, value in doc.items() if key != "partition"}
+    doc.update((_PARTITION_KEYS[key], value) for key, value in partition_doc.items())
+    return _parse_spec(ExperimentConfig, doc)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -613,9 +594,6 @@ class MetricsTable:
     def for_scheme(self, scheme: str) -> list[MetricsRow]:
         return sorted((r for r in self.rows if r.scheme == scheme), key=lambda r: r.round)
 
-    def mean_gaps(self, scheme: str) -> np.ndarray:
-        return np.asarray([r.mean_gap for r in self.for_scheme(scheme)])
-
 
 def _stderr(values: np.ndarray) -> float:
     if values.shape[0] < 2:
@@ -665,55 +643,24 @@ def run_experiment(
     return tabulate(simulate_trials(config, schemes))
 
 
-_CSV_COLUMNS = (
-    "scheme",
-    "round",
-    "t",
-    "mean_gap",
-    "stderr",
-    "mean_power",
-    "participants_mean",
-    "wait_count",
-)
-
-
-def _row_record(row: MetricsRow) -> dict:
-    return {
-        "scheme": row.scheme,
-        "round": row.round,
-        "t": row.t,
-        "mean_gap": row.mean_gap,
-        "stderr": row.stderr,
-        "mean_power": row.mean_power,
-        "participants_mean": row.participants_mean,
-        "wait_count": row.wait_count,
-    }
-
-
 def export_table(table: MetricsTable, path, fmt: str | None = None) -> None:
-    """Write a metrics table as CSV or JSON, losslessly for 64-bit floats."""
+    """Write a metrics table as CSV or JSON, losslessly for 64-bit floats:
+    one column or key per MetricsRow field."""
     path = Path(path)
     if fmt is None:
         fmt = "json" if path.suffix.lower() == ".json" else "csv"
     if fmt == "csv":
+        kinds = _field_kinds(MetricsRow)
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
+            writer.writerow(kinds)
             for row in table.rows:
                 writer.writerow(
-                    [
-                        row.scheme,
-                        row.round,
-                        row.t,
-                        f"{row.mean_gap:.17g}",
-                        f"{row.stderr:.17g}",
-                        f"{row.mean_power:.17g}",
-                        f"{row.participants_mean:.17g}",
-                        f"{row.wait_count:.17g}",
-                    ]
+                    f"{getattr(row, name):.17g}" if kind is float else getattr(row, name)
+                    for name, kind in kinds.items()
                 )
     elif fmt == "json":
-        payload = {"rows": [_row_record(row) for row in table.rows]}
+        payload = {"rows": [asdict(row) for row in table.rows]}
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     else:
         raise ValueError(f"unknown export format {fmt!r}")
@@ -724,29 +671,19 @@ def load_table(path, fmt: str | None = None) -> MetricsTable:
     path = Path(path)
     if fmt is None:
         fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    rows = []
     if fmt == "csv":
+        kinds = _field_kinds(MetricsRow)
         with path.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != _CSV_COLUMNS:
+            if reader.fieldnames is None or reader.fieldnames != list(kinds):
                 raise ValueError(f"{path}: unexpected CSV columns {reader.fieldnames}")
-            for rec in reader:
-                rows.append(
-                    MetricsRow(
-                        scheme=rec["scheme"],
-                        round=int(rec["round"]),
-                        t=int(rec["t"]),
-                        mean_gap=float(rec["mean_gap"]),
-                        stderr=float(rec["stderr"]),
-                        mean_power=float(rec["mean_power"]),
-                        participants_mean=float(rec["participants_mean"]),
-                        wait_count=float(rec["wait_count"]),
-                    )
-                )
+            rows = [
+                MetricsRow(**{name: kind(rec[name]) for name, kind in kinds.items()})
+                for rec in reader
+            ]
     elif fmt == "json":
         payload = json.loads(path.read_text(encoding="utf-8"))
-        for rec in payload["rows"]:
-            rows.append(MetricsRow(**rec))
+        rows = [MetricsRow(**rec) for rec in payload["rows"]]
     else:
         raise ValueError(f"unknown export format {fmt!r}")
     return MetricsTable(rows=tuple(rows))

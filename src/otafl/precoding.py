@@ -107,8 +107,8 @@ def decode(
 
 def fading_precode(
     deltas: np.ndarray, alpha: float, magnitudes: np.ndarray | float, h_min: float
-) -> np.ndarray | None:
-    """Channel-inverting precoder with threshold censoring.
+) -> np.ndarray:
+    """Channel-inverting precoder of the participants of a fading round.
 
     deltas is a (K, d) block of updates (or one update) and magnitudes the
     matching K fading magnitudes (or one); a (T, K, d) stack of T trials'
@@ -116,8 +116,8 @@ def fading_precode(
     sqrt(alpha)*h_min/magnitude; the attenuation h_min/magnitude < 1 keeps
     the expected transmit energy within budget. The transmitters pre-correct
     the channel phase exactly, so in this real-valued simulator only the
-    magnitude enters. Users with magnitude at or below h_min do not transmit:
-    the result is None if any magnitude of the block is censored.
+    magnitude enters. Users with magnitude at or below h_min are censored and
+    never transmit, so such a magnitude raises ValueError.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -126,7 +126,10 @@ def fading_precode(
     if weakest <= 0:
         raise ValueError("fading magnitude must be positive")
     if weakest <= h_min:
-        return None
+        raise ValueError(
+            f"fading magnitude {weakest:.6g} is at or below h_min={h_min:.6g}: "
+            "a censored user does not transmit"
+        )
     gains = (math.sqrt(alpha) * h_min) / magnitudes
     return gains[..., None] * np.asarray(deltas, dtype=np.float64)
 

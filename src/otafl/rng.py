@@ -9,8 +9,6 @@ bit-exactly, and distinct streams are statistically independent.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -23,39 +21,11 @@ def _label_id(label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-@dataclass(frozen=True)
-class RandomSource:
-    """Seed material for one logical random stream.
-
-    The same (seed, stream_id) pair always reproduces the same draw sequence;
-    distinct stream_ids give independent streams. A RandomSource is owned by
-    exactly one logical consumer; call :meth:`generator` to obtain a fresh
-    generator positioned at the start of the stream.
-    """
-
-    seed: int
-    stream_id: int
-
-    def generator(self) -> np.random.Generator:
-        entropy = (self.seed & _MASK64, self.stream_id & _MASK64)
-        return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def make_streams(seed: int, labels: Iterable[str]) -> Mapping[str, RandomSource]:
-    """Map distinct stream labels to independent deterministic sources.
-
-    Raises ValueError on duplicate labels: two components must never share
-    one stream.
-    """
-    labels = list(labels)
-    sources: dict[str, RandomSource] = {}
-    for label in labels:
-        if label in sources:
-            raise ValueError(f"duplicate stream label: {label!r}")
-        sources[label] = RandomSource(seed=seed, stream_id=_label_id(label))
-    return sources
-
-
 def stream_generator(seed: int, label: str) -> np.random.Generator:
-    """Shorthand for make_streams(seed, [label])[label].generator()."""
-    return RandomSource(seed=seed, stream_id=_label_id(label)).generator()
+    """A generator at the start of the stream named label under seed.
+
+    Each call starts the stream afresh, so a logical consumer must own its
+    label: two components must never share one stream.
+    """
+    entropy = (seed & _MASK64, _label_id(label))
+    return np.random.default_rng(np.random.SeedSequence(entropy))

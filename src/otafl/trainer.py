@@ -141,6 +141,8 @@ class TrainerConfig:
             raise ValueError("invalid ridge_lambda / power")
         if self.sigma_w2 < 0:
             raise ValueError("sigma_w2 must be non-negative")
+        if self.non_precoded_gain is not None and not self.non_precoded_gain > 0:
+            raise ValueError(f"non_precoded_gain must be positive, got {self.non_precoded_gain}")
         if spec.fading != (self.fading is not None):
             need = "requires a" if spec.fading else "takes no"
             raise ValueError(f"{self.scheme} {need} FadingPolicy")
@@ -273,27 +275,22 @@ def run_round(
     if config.scheme == "noise_free_local_sgd":
         new_theta = np.mean(orthogonal_noiseless(local_models), axis=1)
         powers = _transmit_powers(deltas)
-    elif config.scheme == "cotaf":
-        signals = precode(deltas, alpha)
-        y = awgn_mac(signals, config.sigma_w2, noise, dim=global_theta.shape[-1])
-        new_theta = decode(y, n_users, alpha, global_theta)
-        powers = _transmit_powers(signals)
-    elif config.scheme == "non_precoded_ota":
-        gain = config.gain
-        signals = gain * deltas
-        y = awgn_mac(signals, config.sigma_w2, noise, dim=global_theta.shape[-1])
-        new_theta = y / (n_users * gain) + global_theta
-        powers = _transmit_powers(signals)
     elif config.scheme == "cotaf_fading":
         policy = config.fading
         ids, magnitudes = fading
         chosen = (np.arange(ids.shape[0])[:, None], ids - 1)  # (trial, user) of each participant
         signals = fading_precode(deltas[chosen], alpha, magnitudes, policy.h_min)
-        assert signals is not None  # selected users all exceed h_min
         y = fading_mac(signals, magnitudes, config.sigma_w2, noise)
         new_theta = fading_decode(y, ids.shape[1], alpha, policy.h_min, global_theta)
         powers = np.zeros((ids.shape[0], n_users))
         powers[chosen] = _transmit_powers(signals)
+    else:  # cotaf, and non_precoded_ota as COTAF at the fixed alpha gain^2
+        if config.scheme == "non_precoded_ota":
+            alpha = config.gain * config.gain  # sqrt(gain * gain) == gain: signals are gain * delta
+        signals = precode(deltas, alpha)
+        y = awgn_mac(signals, config.sigma_w2, noise, dim=global_theta.shape[-1])
+        new_theta = decode(y, n_users, alpha, global_theta)
+        powers = _transmit_powers(signals)
 
     return new_theta, quadratic_gap(new_theta, *optimum), powers
 

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,15 @@ from otafl.bounds import (
 )
 from otafl.data import partition
 from otafl.harness import (
+    AlphaSpec,
+    ChannelSpec,
+    CsvSpec,
+    ExperimentConfig,
     MetricsRow,
     MetricsTable,
+    ScheduleSpec,
+    SyntheticSpec,
+    TrainerSpec,
     analyze_comparison,
     compare_schemes,
     export_table,
@@ -105,6 +114,79 @@ class TestConfigParsing:
     def test_invalid_scheme_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(trainer={"scheme": "nope", "local_steps": 1, "rounds": 1})
+
+    def test_shipped_configs_load(self):
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            doc = json.loads(path.read_text())
+            config = load_config(path)
+            assert (config.seed, config.trainer.scheme) == (doc["seed"], doc["trainer"]["scheme"])
+
+    @pytest.mark.parametrize(
+        "dataset_doc, dataset",
+        [
+            ({"kind": "synthetic", "dim": 7, "total_samples": 300, "noise_std": 2},
+             SyntheticSpec(7, 300, 2.0)),
+            ({"kind": "csv", "path": "data.csv", "header": True, "standardize": False},
+             CsvSpec("data.csv", True, False)),
+        ],
+        ids=["synthetic", "csv"],
+    )
+    def test_every_key_set_parses_to_the_hand_built_config(self, dataset_doc, dataset):
+        doc = {
+            "seed": 5, "trials": 9, "users": 12,
+            "dataset": dataset_doc,
+            "partition": {"mode": "heterogeneous", "skew_fraction": 0.35},
+            "trainer": {
+                "scheme": "cotaf_fading", "local_steps": 4, "rounds": 30,
+                "schedule": {"kind": "averaged_model", "shift": 12},
+                "theta0_std": 0.3, "ridge_lambda": 0.1, "non_precoded_gain": 0.7,
+            },
+            "channel": {
+                "kind": "fading_mac", "snr_db": 3, "rayleigh_scale": 1.1, "participants": 5,
+                "eligibility": 0.6, "h_min": 0.4,
+            },
+            "alpha": {"source": "file", "fraction": 0.5, "pilot_trials": 3, "path": "alpha.json"},
+            "output": "out.csv",
+        }
+        expected = ExperimentConfig(
+            seed=5, trials=9, users=12, dataset=dataset,
+            trainer=TrainerSpec("cotaf_fading", 4, 30, ScheduleSpec("averaged_model", 12.0), 0.3,
+                                0.1, 0.7),
+            channel=ChannelSpec("fading_mac", 3.0, 1.1, 5, 0.6, 0.4),
+            partition_mode="heterogeneous", skew_fraction=0.35,
+            alpha=AlphaSpec("file", 0.5, 3, "alpha.json"), output="out.csv",
+        )
+        config = parse_config(doc)
+        assert config == expected
+
+        def leaves(spec):
+            for f in fields(spec):
+                value = getattr(spec, f.name)
+                yield from leaves(value) if is_dataclass(value) else [(spec, f, value)]
+
+        for (spec, f, value), (_, _, want) in zip(leaves(config), leaves(expected), strict=True):
+            # every key is away from its default, and numbers take their field's type
+            assert f.default is MISSING or value != f.default, (type(spec).__name__, f.name)
+            assert type(value) is type(want), (type(spec).__name__, f.name)
+
+    def test_every_spec_field_type_has_a_coercion(self):
+        seen, todo = set(), [ExperimentConfig]
+        while todo:
+            spec = todo.pop()
+            seen.add(spec)
+            for name, kind in harness._field_kinds(spec).items():
+                if kind == harness.DatasetSpec:
+                    todo.extend(harness._DATASET_SPECS.values())
+                elif is_dataclass(kind):
+                    todo.append(kind)
+                else:
+                    assert kind in harness._COERCE, (spec.__name__, name, kind)
+        assert seen == {
+            ExperimentConfig, SyntheticSpec, CsvSpec, TrainerSpec, ScheduleSpec, ChannelSpec,
+            AlphaSpec,
+        }
 
 
 class TestSnrBookkeeping:
@@ -392,6 +474,15 @@ class TestExport:
         assert load_table(path) == table
         header = path.read_text().splitlines()[0]
         assert header == "scheme,round,t,mean_gap,stderr,mean_power,participants_mean,wait_count"
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        export_table(self._table(), path)
+        assert path.read_bytes() == (
+            b"scheme,round,t,mean_gap,stderr,mean_power,participants_mean,wait_count\r\n"
+            b"cotaf,1,3,0.10000000000000002,0.01,0.90000000000000002,4,0\r\n"
+            b"cotaf,2,6,0.33333333333333331,0.0050000000000000001,0.80000000000000004,4,0\r\n"
+        )
 
     def test_json_round_trip(self, tmp_path):
         table = self._table()

@@ -76,8 +76,9 @@ class TestPrecodeDecode:
 
 class TestFadingPrecode:
     def test_censored_at_threshold(self):
-        assert fading_precode(np.ones(2), 1.0, 0.5, h_min=0.5) is None
-        assert fading_precode(np.ones(2), 1.0, 0.4, h_min=0.5) is None
+        for magnitude in (0.5, 0.4):
+            with pytest.raises(ValueError, match="at or below h_min"):
+                fading_precode(np.ones(2), 1.0, magnitude, h_min=0.5)
 
     def test_inverse_magnitude_scaling(self):
         out = fading_precode(np.array([2.0]), 1.0, 1.0, h_min=0.5)
@@ -98,7 +99,8 @@ class TestFadingPrecode:
         block = fading_precode(deltas, 0.7, mags, 0.5)
         for delta, h, row in zip(deltas, mags, block):
             np.testing.assert_array_equal(row, fading_precode(delta, 0.7, float(h), 0.5))
-        assert fading_precode(deltas, 0.7, np.array([0.9, 1.4, 0.5, 2.0]), 0.5) is None
+        with pytest.raises(ValueError, match="at or below h_min"):
+            fading_precode(deltas, 0.7, np.array([0.9, 1.4, 0.5, 2.0]), 0.5)
 
     def test_non_positive_magnitude_rejected(self):
         with pytest.raises(ValueError, match="magnitude must be positive"):

@@ -1,38 +1,36 @@
 import numpy as np
 import pytest
 
-from otafl.rng import RandomSource, make_streams, stream_generator
+from otafl.rng import stream_generator
 
 
 def test_same_seed_and_label_reproduces_draws():
-    a = make_streams(42, ["noise"])["noise"].generator()
-    b = make_streams(42, ["noise"])["noise"].generator()
+    a = stream_generator(42, "noise")
+    b = stream_generator(42, "noise")
     np.testing.assert_array_equal(a.random(100), b.random(100))
 
 
 def test_distinct_streams_are_uncorrelated():
-    streams = make_streams(42, ["noise", "fading"])
-    x = streams["noise"].generator().standard_normal(10_000)
-    y = streams["fading"].generator().standard_normal(10_000)
+    x = stream_generator(42, "noise").standard_normal(10_000)
+    y = stream_generator(42, "fading").standard_normal(10_000)
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 0.05
 
 
-def test_duplicate_label_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        make_streams(42, ["a", "a"])
-
-
 def test_different_seeds_differ():
-    x = RandomSource(1, 0).generator().random(10)
-    y = RandomSource(2, 0).generator().random(10)
+    x = stream_generator(1, "init").random(10)
+    y = stream_generator(2, "init").random(10)
     assert not np.array_equal(x, y)
 
 
-def test_stream_generator_matches_make_streams():
-    via_map = make_streams(7, ["init"])["init"].generator().random(5)
-    direct = stream_generator(7, "init").random(5)
-    np.testing.assert_array_equal(via_map, direct)
+def test_stream_values_are_pinned():
+    # every simulated result derives from these streams: a change to the
+    # label hashing or seeding would change them all silently
+    assert stream_generator(7, "init").random(3).tolist() == [
+        0.8891003277491719,
+        0.6863950941429143,
+        0.9172536573879136,
+    ]
 
 
 # Local SGD draws its sample indices in blocks: per user a run's R*H indices

@@ -5,6 +5,7 @@ import pytest
 
 import otafl.trainer as trainer_mod
 
+from otafl.channel import awgn_mac
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition
 from otafl.localsgd import DEFAULT_THETA0_STD, local_pass
 from otafl.objectives import global_grad, hessian, quadratic_gap, ridge_grad, solve_optimum
@@ -261,6 +262,14 @@ class TestTrainerConfig:
         with pytest.raises(ValueError, match="rayleigh_scale must be positive"):
             FadingPolicy(h_min=0.2, participants=1, rayleigh_scale=0.0)
 
+    def test_non_positive_gain_rejected(self):
+        for gain in (0.0, -1.5, math.nan):
+            with pytest.raises(ValueError, match="non_precoded_gain must be positive"):
+                TrainerConfig(
+                    scheme="non_precoded_ota", local_steps=1, rounds=1, step=_schedule(),
+                    non_precoded_gain=gain,
+                )
+
     def test_noise_free_ignores_sigma_w2(self, rng):
         shards = make_shards(rng, n_users=3, per_user=10, dim=3)
         thetas = []
@@ -341,6 +350,30 @@ class TestRunRound:
         var = np.concatenate(errs).var()
         target = sigma_w2 / (3**2 * alpha)
         assert abs(var - target) / target < 0.1
+
+    def test_non_precoded_is_gain_scaled_sum(self, rng):
+        # the baseline runs COTAF's codec at alpha = gain^2; its bits are those
+        # of sending gain * delta and dividing the MAC output by N * gain
+        n_trials, n_users, dim, sigma_w2 = 2, 5, 4, 1.3
+        theta = rng.standard_normal((n_trials, dim))
+        local_models = theta[:, None] + rng.standard_normal((n_trials, n_users, dim))
+        optimum = (
+            rng.standard_normal((n_trials, dim)), np.broadcast_to(np.eye(dim), (n_trials, dim, dim))
+        )
+        for gain in (None, 0.37, 2.5, *rng.uniform(1e-3, 1e3, 20)):
+            config = TrainerConfig(
+                scheme="non_precoded_ota", local_steps=1, rounds=1, step=_schedule(),
+                non_precoded_gain=gain, sigma_w2=sigma_w2,
+            )
+            new_theta, gaps, powers = run_round(
+                theta, local_models, config, None,
+                [np.random.default_rng(s) for s in range(n_trials)], optimum,
+            )
+            g = 1.0 if gain is None else gain
+            signals = g * (local_models - theta[:, None])
+            y = awgn_mac(signals, sigma_w2, [np.random.default_rng(s) for s in range(n_trials)])
+            np.testing.assert_array_equal(new_theta, y / (n_users * g) + theta)
+            np.testing.assert_array_equal(powers, np.einsum("tkd,tkd->tk", signals, signals))
 
     def test_fading_round_aggregates_participants(self, rng):
         shards = make_shards(rng, n_users=5, per_user=10, dim=3)
