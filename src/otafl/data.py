@@ -21,7 +21,10 @@ PARTITION_MODES = ("iid", "heterogeneous")
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable regression dataset: all samples share one feature dimension."""
+    """Immutable regression dataset: all samples share one feature dimension.
+
+    Its arrays are read-only views, checked finite once, here.
+    """
 
     features: np.ndarray  # (D, d_f)
     targets: np.ndarray  # (D,)
@@ -35,8 +38,16 @@ class Dataset:
             raise ValueError("targets must be 1-D and match the feature rows")
         if not (np.all(np.isfinite(features)) and np.all(np.isfinite(targets))):
             raise ValueError("dataset contains non-finite values")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "targets", targets)
+        # read-only: every resolve of a config may share one instance
+        # (harness.build_dataset), and blocks gathered from it skip the scan
+        for name, array in (("features", features), ("targets", targets)):
+            view = array.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __reduce__(self):
+        # a copy or unpickled instance goes through the checks and is read-only too
+        return (type(self), (self.features, self.targets))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -48,7 +59,11 @@ class Dataset:
     def shards(self, rows: np.ndarray) -> ShardBlock:
         """The (N, D_n) row ids of N equal-size shards, gathered into one
         (N, D_n, d) block."""
-        return ShardBlock(self.features[rows], self.targets[rows])
+        return ShardBlock.of_finite(self.features[rows], self.targets[rows])
+
+    def whole(self) -> ShardBlock:
+        """The whole dataset as one user's shard, a view of its arrays."""
+        return ShardBlock.of_finite(self.features[None], self.targets[None])
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import weakref
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
@@ -33,7 +35,7 @@ from .data import (
     standardize,
 )
 from .localsgd import DEFAULT_THETA0_STD
-from .objectives import ProbeBall, estimate_constants, hessian, solve_optimum
+from .objectives import ProbeBall, estimate_constants, hessian, shard_grams, solve_optimum
 from .precoding import AlphaSchedule, FadingPolicy, alpha_upper_bound_schedule, estimate_alpha_mc
 from .rng import stream_generator
 from .trainer import (
@@ -177,23 +179,59 @@ def _field_kinds(cls) -> dict:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
+class _Mistyped(Exception):
+    """A JSON value of the wrong type; the message says what was expected."""
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise _Mistyped("a JSON boolean")
+    return value
+
+
+def _integer(value) -> int:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise _Mistyped("an integral number")
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise _Mistyped("a number")
+    return float(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise _Mistyped("a string")
+    return value
+
+
+def _shift(value) -> float | str:
+    return value if value == "auto" else _real(value)
+
+
 def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
-# How a JSON value becomes a spec field of each type.
+# How a JSON value becomes a spec field of each type; a value of another
+# type is rejected, never converted (a bool is not a number here).
 _COERCE = {
-    int: int,
-    float: float,
-    str: str,
-    bool: bool,
-    float | None: _optional(float),
-    int | None: _optional(int),
-    str | None: _optional(str),
-    float | str: lambda value: value if value == "auto" else float(value),  # schedule shift
+    int: _integer,
+    float: _real,
+    str: _string,
+    bool: _boolean,
+    float | None: _optional(_real),
+    int | None: _optional(_integer),
+    str | None: _optional(_string),
+    float | str: _shift,  # schedule shift: a number or "auto"
 }
 # The partition section's keys, and the ExperimentConfig fields they set.
 _PARTITION_KEYS = {"mode": "partition_mode", "skew_fraction": "skew_fraction"}
+_PARTITION_FIELDS = {name: key for key, name in _PARTITION_KEYS.items()}
 
 
 def _parse_value(kind, value, path: tuple[str, ...]):
@@ -207,7 +245,12 @@ def _parse_value(kind, value, path: tuple[str, ...]):
         kind = _DATASET_SPECS[dataset_kind]
     if is_dataclass(kind):
         return _parse_spec(kind, value, path)
-    return _COERCE[kind](value)
+    try:
+        return _COERCE[kind](value)
+    except _Mistyped as exc:
+        if path[0] in _PARTITION_FIELDS:  # set from the partition section
+            path = ("partition", _PARTITION_FIELDS[path[0]])
+        raise ValueError(f"config key {'.'.join(path)} must be {exc}, got {value!r}") from None
 
 
 def _parse_spec(cls, doc: Mapping, path: tuple[str, ...] = ()):
@@ -285,14 +328,36 @@ def check_fading_supply(policy: FadingPolicy, n_users: int) -> None:
         )
 
 
+# Every dataset built in this process that something still holds, keyed by
+# what determines its values: a config resolved again while a result of it is
+# alive (estimate_bound_inputs after simulate_trials) reuses its dataset, and
+# an entry goes when the last holder drops it.
+_DATASETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _dataset_key(config: ExperimentConfig) -> tuple:
+    spec = config.dataset
+    if isinstance(spec, SyntheticSpec):
+        return (config.seed, spec)
+    path = Path(spec.path).resolve()
+    stat = path.stat()  # a rewritten file is read again
+    return (config.seed, spec, str(path), stat.st_mtime_ns, stat.st_size)
+
+
 def build_dataset(config: ExperimentConfig) -> Dataset:
-    if isinstance(config.dataset, SyntheticSpec):
+    key = _dataset_key(config)
+    dataset = _DATASETS.get(key)
+    if dataset is not None:
+        return dataset
+    spec = config.dataset
+    if isinstance(spec, SyntheticSpec):
         rng = stream_generator(config.seed, "dataset")
-        return generate_synthetic(
-            config.dataset.dim, config.dataset.total_samples, config.dataset.noise_std, rng
-        )
-    dataset = load_csv(config.dataset.path, header=config.dataset.header)
-    return standardize(dataset) if config.dataset.standardize else dataset
+        dataset = generate_synthetic(spec.dim, spec.total_samples, spec.noise_std, rng)
+    else:
+        dataset = load_csv(spec.path, header=spec.header)
+        dataset = standardize(dataset) if spec.standardize else dataset
+    _DATASETS[key] = dataset
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -331,7 +396,7 @@ def _subsample_shards(
     k = max(1, int(round(fraction * shard_size)))
     picks = np.stack([rng.choice(shard_size, size=k, replace=False) for _ in range(n_users)])
     users = np.arange(n_users)[:, None]
-    return ShardBlock(shards.features[users, picks], shards.targets[users, picks])
+    return ShardBlock.of_finite(shards.features[users, picks], shards.targets[users, picks])
 
 
 def _resolve_alpha(
@@ -365,19 +430,22 @@ def _resolve_alpha(
             theta0_std=trainer.theta0_std,
         )
 
-    # analytic_bound: P / (H^2 eta^2 G^2) with G^2 estimated over a probe ball
-    theta_star = solve_optimum(pilot_shards, trainer.ridge_lambda)
-    dim = dataset.feature_dim
+    # analytic_bound: P / (H^2 eta^2 G^2) with G^2 estimated over a probe ball;
+    # the shard Grams are formed once, for theta* and for the constants
+    lam, dim = trainer.ridge_lambda, dataset.feature_dim
+    grams, moments = shard_grams(pilot_shards)
+    theta_star = solve_optimum(pilot_shards, lam, grams.mean(axis=0) + lam * np.eye(dim))
     delta0 = trainer.theta0_std**2 * dim + float(theta_star @ theta_star)
     ball = ProbeBall(center=theta_star, radius=2.0 * math.sqrt(delta0))
     constants = estimate_constants(
         pilot_shards,
-        trainer.ridge_lambda,
+        lam,
         ball,
         stream_generator(config.seed, "alpha/probe"),
         H=trainer.local_steps,
         P=POWER,
         sigma_w2=sigma_w2,
+        grams=(grams, moments),
     )
     return alpha_upper_bound_schedule(
         trainer.local_steps, schedule.eta, constants.G2, POWER, trainer.rounds
@@ -391,9 +459,7 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
 
     dataset = build_dataset(config)
     sigma_w2 = sigma_from_snr(config.channel.snr_db)
-    # the whole dataset as one user's shard, a view of its arrays
-    whole = ShardBlock(dataset.features[None], dataset.targets[None])
-    full_hessian = hessian(whole, config.trainer.ridge_lambda)
+    full_hessian = hessian(dataset.whole(), config.trainer.ridge_lambda)
     eigs = np.linalg.eigvalsh(full_hessian)
     mu, smoothness = float(eigs[0]), float(eigs[-1])
     schedule = _resolve_schedule(
@@ -784,8 +850,7 @@ def estimate_bound_inputs(
     dataset, trainer = resolved.dataset, config.trainer
     lam = trainer.ridge_lambda
 
-    whole = ShardBlock(dataset.features[None], dataset.targets[None])
-    theta_star = solve_optimum(whole, lam, resolved.hessian)
+    theta_star = solve_optimum(dataset.whole(), lam, resolved.hessian)
     dim = dataset.feature_dim
     analytic_delta0 = trainer.theta0_std**2 * dim + float(theta_star @ theta_star)
     empirical = [

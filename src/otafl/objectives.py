@@ -68,6 +68,18 @@ def hessian(shards: ShardBlock, lam: float) -> np.ndarray:
     return gram + lam * np.eye(d)
 
 
+def shard_grams(shards: ShardBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Each shard's Gram X^T X / D_n and moment X^T y / D_n, as (N, d, d) and
+    (N, d) stacks; the mean Gram plus lam*I is hessian(shards, lam), bit for bit."""
+    n_users, size, d = shards.features.shape
+    grams = np.empty((n_users, d, d))
+    moments = np.empty((n_users, d))
+    for n, (features, targets) in enumerate(zip(shards.features, shards.targets)):
+        grams[n] = features.T @ features / size
+        moments[n] = features.T @ targets / size
+    return grams, moments
+
+
 def solve_optimum(shards: ShardBlock, lam: float, hess: np.ndarray | None = None) -> np.ndarray:
     """Exact minimizer theta* of the global objective.
 
@@ -141,6 +153,7 @@ def estimate_constants(
     P: float,
     sigma_w2: float,
     safety: float = 1.1,
+    grams: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ProblemConstants:
     """Estimate the constants entering the convergence bounds.
 
@@ -149,6 +162,7 @@ def estimate_constants(
     over the probe points and users, inflated by `safety`; Mn2 is the analogous
     per-user gradient variance. Gamma is computed exactly from the per-user
     closed-form optima. H, P and sigma_w2 are passed through into the record.
+    A caller that already holds shard_grams(shards) passes it as grams.
     """
     if lam <= 0:
         raise ValueError("constant estimation requires lam > 0")
@@ -162,8 +176,8 @@ def estimate_constants(
             raise ValueError("probe_region must be a non-empty (n, d) array")
 
     n_users, size, d = shards.features.shape
-    grams = np.empty((n_users, d, d))
-    moments = np.empty((n_users, d))
+    held = grams is not None
+    grams, moments = grams if held else (np.empty((n_users, d, d)), np.empty((n_users, d)))
     probes_t = probes.T
     reg_sq = lam * lam * np.einsum("pj,pj->p", probes, probes)
     g2 = 0.0
@@ -171,8 +185,9 @@ def estimate_constants(
     # one pass per shard; the (D_n, p) blocks below are the largest
     # temporaries, never an (N, D_n, p) stack
     for n, (features, targets) in enumerate(zip(shards.features, shards.targets)):
-        grams[n] = features.T @ features / size
-        moments[n] = features.T @ targets / size
+        if not held:
+            grams[n] = features.T @ features / size
+            moments[n] = features.T @ targets / size
         projections = features @ probes_t
         residuals = projections - targets[:, None]
         sq_feature_norms = np.einsum("ij,ij->i", features, features)

@@ -49,8 +49,23 @@ class ShardBlock:
     targets: np.ndarray
 
     def __post_init__(self):
-        features = np.ascontiguousarray(self.features, dtype=np.float64)
-        targets = np.ascontiguousarray(self.targets, dtype=np.float64)
+        self._hold(self.features, self.targets)
+        # shard by shard, so the check's temporaries stay shard-sized
+        for x, y in zip(self.features, self.targets):
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                raise ValueError("shard contains non-finite values")
+
+    @classmethod
+    def of_finite(cls, features, targets) -> ShardBlock:
+        """A block of samples already checked finite, such as a Dataset's rows:
+        the shape checks run, the finiteness scan does not."""
+        block = object.__new__(cls)
+        block._hold(features, targets)
+        return block
+
+    def _hold(self, features, targets) -> None:
+        features = np.ascontiguousarray(features, dtype=np.float64)
+        targets = np.ascontiguousarray(targets, dtype=np.float64)
         if features.ndim != 3 or targets.shape != features.shape[:2]:
             raise ValueError(
                 f"need (N, D_n, d) features and (N, D_n) targets, got {features.shape} "
@@ -60,10 +75,6 @@ class ShardBlock:
             raise ValueError("need at least one user shard")
         if features.shape[1] == 0:
             raise ValueError("shard must be non-empty")
-        # shard by shard, so the check's temporaries stay shard-sized
-        for x, y in zip(features, targets):
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise ValueError("shard contains non-finite values")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -198,3 +201,54 @@ class TestShardBlock:
             ShardBlock(np.zeros((4, 3)), np.zeros(4))
         with pytest.raises(ValueError, match=r"need \(N, D_n, d\) features"):
             ShardBlock(np.zeros((2, 4, 3)), np.zeros((2, 5)))
+
+    def test_hand_built_block_of_dataset_samples_is_still_checked(self):
+        # blocks gathered from a Dataset skip the scan; a block built by hand
+        # from the same samples keeps it
+        dataset = generate_synthetic(3, 40, 1.0, np.random.default_rng(6))
+        rows = partition(dataset, PartitionSpec("iid", 4), np.random.default_rng(7))
+        gathered = dataset.shards(rows)
+        features = gathered.features.copy()
+        features[2, 5, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ShardBlock(features, gathered.targets)
+
+    def test_dataset_blocks_keep_the_shape_checks(self):
+        dataset = generate_synthetic(3, 40, 1.0, np.random.default_rng(6))
+        with pytest.raises(ValueError, match=r"need \(N, D_n, d\) features"):
+            dataset.shards(np.arange(10))
+        with pytest.raises(ValueError, match="non-empty"):
+            dataset.shards(np.zeros((4, 0), dtype=np.int64))
+
+
+class TestDatasetArrays:
+    def test_arrays_are_read_only(self):
+        dataset = generate_synthetic(3, 20, 1.0, np.random.default_rng(2))
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.targets[:] = 0.0
+        whole = dataset.whole()
+        with pytest.raises(ValueError, match="read-only"):
+            whole.features[0, 0, 0] = 1.0
+
+    def test_copies_are_read_only(self):
+        dataset = generate_synthetic(3, 20, 1.0, np.random.default_rng(2))
+        for copied in (pickle.loads(pickle.dumps(dataset)), copy.deepcopy(dataset)):
+            np.testing.assert_array_equal(copied.features, dataset.features)
+            np.testing.assert_array_equal(copied.targets, dataset.targets)
+            assert not (copied.features.flags.writeable or copied.targets.flags.writeable)
+
+    def test_caller_array_stays_writeable(self):
+        # the read-only flag is set on Dataset's own views, not on the input
+        features, targets = np.ones((4, 2)), np.zeros(4)
+        dataset = Dataset(features, targets)
+        assert np.shares_memory(dataset.features, features)
+        assert features.flags.writeable and targets.flags.writeable
+
+    def test_whole_is_one_shard_viewing_the_arrays(self):
+        dataset = generate_synthetic(3, 20, 1.0, np.random.default_rng(2))
+        whole = dataset.whole()
+        assert whole.features.shape == (1, 20, 3) and whole.targets.shape == (1, 20)
+        assert np.shares_memory(whole.features, dataset.features)
+        assert np.shares_memory(whole.targets, dataset.targets)

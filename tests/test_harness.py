@@ -1,7 +1,13 @@
+import gc
 import itertools
 import json
 import math
-from dataclasses import MISSING, fields, is_dataclass
+import os
+import pickle
+import subprocess
+import sys
+import weakref
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +193,76 @@ class TestConfigParsing:
             ExperimentConfig, SyntheticSpec, CsvSpec, TrainerSpec, ScheduleSpec, ChannelSpec,
             AlphaSpec,
         }
+
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("dataset", "standardize", "false"), ("dataset", "header", 0), ("dataset", "header", None)],
+    )
+    def test_bool_fields_take_only_json_booleans(self, section, key, value):
+        dataset = {"kind": "csv", "path": "data.csv", key: value}
+        with pytest.raises(ValueError, match=rf"config key {section}\.{key} must be a JSON boolean"):
+            tiny_config(dataset=dataset)
+        assert getattr(tiny_config(dataset={**dataset, key: False}).dataset, key) is False
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("users",), 2.7), (("trainer", "local_steps"), True), (("dataset", "dim"), "5"),
+         (("alpha", "pilot_trials"), 2.5), (("channel", "participants"), "3")],
+    )
+    def test_int_fields_take_only_integral_numbers(self, path, value):
+        doc = _fading_doc()
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(ValueError, match=rf"config key {'.'.join(path)} must be an integral"):
+            parse_config(doc)
+        section[path[-1]] = 3.0  # an integral float is the integer
+        config = parse_config(doc)
+        for key in path:
+            config = getattr(config, key)
+        assert config == 3 and type(config) is int
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("channel", "snr_db"), True), (("trainer", "ridge_lambda"), "0.5"),
+         (("trainer", "schedule", "shift"), False), (("trainer", "schedule", "shift"), "12"),
+         (("partition", "skew_fraction"), None)],
+    )
+    def test_float_fields_take_any_number_but_a_boolean(self, path, value):
+        doc = _fading_doc()
+        doc["partition"] = {"mode": "heterogeneous"}
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(ValueError, match=rf"config key {'.'.join(path)} must be a number"):
+            parse_config(doc)
+        section[path[-1]] = 0  # an integer is a number
+        config = parse_config(doc)
+        for key in path if path[0] != "partition" else path[1:]:
+            config = getattr(config, key)
+        assert config == 0.0 and type(config) is float
+
+    def test_str_fields_take_only_strings(self):
+        with pytest.raises(ValueError, match="config key trainer.scheme must be a string"):
+            tiny_config(trainer={"scheme": 1, "local_steps": 1, "rounds": 1})
+        with pytest.raises(ValueError, match="config key output must be a string, got 5"):
+            tiny_config(output=5)
+        with pytest.raises(ValueError, match="config key partition.mode must be a string"):
+            tiny_config(partition={"mode": 0})
+
+
+def _fading_doc() -> dict:
+    return {
+        "seed": 1, "trials": 1, "users": 4,
+        "dataset": {"kind": "synthetic", "dim": 5, "total_samples": 40},
+        "trainer": {"scheme": "cotaf_fading", "local_steps": 2, "rounds": 2,
+                    "schedule": {"kind": "final_model", "shift": 12.0}},
+        "channel": {"kind": "fading_mac", "snr_db": 0.0, "participants": 2},
+        "alpha": {"pilot_trials": 2},
+    }
 
 
 class TestSnrBookkeeping:
@@ -688,3 +764,105 @@ class TestFadingExperiment:
         assert math.exp(-policy.h_min**2 / (2 * 1.3**2)) == pytest.approx(0.8, rel=1e-12)
         with pytest.raises(ValueError, match="rayleigh_scale must be positive"):
             harness.resolve(tiny_config(channel={**channel, "rayleigh_scale": 0.0}), [])
+
+
+def _same_bound_inputs(a, b) -> bool:
+    """Field by field, arrays bit for bit."""
+    flat_a, flat_b = asdict(a), asdict(b)
+    flat_a.update(flat_a.pop("constants"))
+    flat_b.update(flat_b.pop("constants"))
+    return flat_a.keys() == flat_b.keys() and all(
+        np.array_equal(flat_a[k], flat_b[k]) for k in flat_a
+    )
+
+
+class TestDatasetMemo:
+    """One dataset per config while something holds it (harness.build_dataset)."""
+
+    # a seed no other test uses, so no other test's live results share the memo
+    SEED = 424242
+
+    def config(self, **overrides):
+        return tiny_config(seed=self.SEED, **overrides)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        generate = harness.generate_synthetic
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_synthetic", counted)
+        return calls
+
+    def test_a_held_dataset_is_reused_and_a_dropped_one_rebuilt(self, builds):
+        config = self.config()
+        result = simulate_trials(config)
+        again = harness.resolve(config, ["noise_free_local_sgd"])
+        assert again.dataset is result.resolved.dataset
+        assert len(builds) == 1
+        dropped = weakref.ref(result.resolved.dataset)
+        del result, again
+        gc.collect()
+        assert dropped() is None
+        rebuilt = harness.build_dataset(config)
+        assert len(builds) == 2
+        np.testing.assert_array_equal(rebuilt.features, harness.build_dataset(config).features)
+        assert len(builds) == 2
+
+    def test_another_seed_or_spec_builds_its_own(self, builds):
+        config = self.config()
+        held = harness.build_dataset(config)
+        other_seed = harness.build_dataset(tiny_config(seed=self.SEED + 1))
+        other_spec = harness.build_dataset(
+            self.config(dataset={"kind": "synthetic", "dim": 5, "total_samples": 120,
+                                 "noise_std": 0.5})
+        )
+        assert len(builds) == 3
+        assert other_seed is not held and other_spec is not held
+        assert not np.array_equal(other_seed.features, held.features)
+        assert not np.array_equal(other_spec.targets, held.targets)
+        assert harness.build_dataset(config) is held
+
+    def test_a_rewritten_csv_is_read_again(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        config = self.config(dataset={"kind": "csv", "path": str(path), "standardize": False})
+        first = harness.build_dataset(config)
+        assert harness.build_dataset(config) is first
+        path.write_text("7.0,8.0,9.0\n1.5,2.5,3.5\n0.5,0.25,0.125\n")
+        second = harness.build_dataset(config)
+        assert second is not first and first.targets.tolist() == [1.0, 4.0]
+        assert second.targets.tolist() == [7.0, 1.5, 0.5]
+
+    def test_bound_inputs_after_simulate_build_the_dataset_once(self, builds, tmp_path):
+        doc = {
+            "seed": self.SEED, "trials": 2, "users": 4,
+            "dataset": {"kind": "synthetic", "dim": 5, "total_samples": 120},
+            "trainer": {"scheme": "cotaf", "local_steps": 3, "rounds": 6},
+            "channel": {"kind": "awgn_mac", "snr_db": -6.0},
+            "alpha": {"source": "analytic_bound"},
+        }
+        config = parse_config(doc)
+        result = simulate_trials(config)
+        inputs = harness.estimate_bound_inputs(config)
+        assert len(builds) == 1
+        assert result.resolved.dataset is harness.build_dataset(config)
+
+        # a fresh process resolves the config once, in estimate_bound_inputs
+        out = tmp_path / "inputs.pickle"
+        script = (
+            "import json, pickle, sys\n"
+            "from otafl import harness\n"
+            "config = harness.parse_config(json.loads(sys.argv[1]))\n"
+            "inputs = harness.estimate_bound_inputs(config)\n"
+            "open(sys.argv[2], 'wb').write(pickle.dumps(inputs))\n"
+        )
+        src = str(Path(harness.__file__).parents[1])
+        subprocess.run(
+            [sys.executable, "-c", script, json.dumps(doc), str(out)],
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert _same_bound_inputs(inputs, pickle.loads(out.read_bytes()))

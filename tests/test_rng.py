@@ -78,3 +78,21 @@ def test_sized_rayleigh_draws_equal_per_round_draws(chunk_rows):
     np.testing.assert_array_equal(
         chunked, per_round, err_msg=f"sized rayleigh() draws differ on numpy {np.__version__}"
     )
+
+
+# Drawing a run's channel noise up front, as the fading magnitudes are, needs
+# the same of numpy's normal sampler: one sized draw must equal the per-round
+# draws (channel._add_noise draws one d-vector per round) and leave the
+# generator where they leave it.
+@pytest.mark.parametrize("dim", [1, 5, 20])
+def test_sized_normal_draw_equals_per_round_draws(dim):
+    rounds, std = 63, 0.7
+    rng = np.random.default_rng(2024)
+    per_round = np.stack([rng.normal(0.0, std, dim) for _ in range(rounds)])
+    state = rng.bit_generator.state
+    rng = np.random.default_rng(2024)
+    sized = rng.normal(0.0, std, (rounds, dim))
+    np.testing.assert_array_equal(
+        sized, per_round, err_msg=f"sized normal() draws differ on numpy {np.__version__}"
+    )
+    assert rng.bit_generator.state == state
