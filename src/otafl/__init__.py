@@ -33,6 +33,7 @@ from .channel import (
 from .data import (
     Dataset,
     PartitionSpec,
+    ShardRows,
     generate_synthetic,
     load_csv,
     partition,
@@ -95,6 +96,6 @@ from .trainer import (
     step_final_model,
     weighted_average_model,
 )
-from .types import ProblemConstants, RegressionSample, ShardBlock, as_model_vector
+from .types import ProblemConstants, RegressionSample, ShardBlock, Shards, as_model_vector
 
 __version__ = "0.1.0"

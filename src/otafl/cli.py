@@ -187,9 +187,9 @@ def _cmd_partition(args) -> int:
     shards = dataset.shards(partition(dataset, spec, stream_generator(args.seed, "partition")))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for user, (features, targets) in enumerate(zip(shards.features, shards.targets), start=1):
+    for user, (features, targets) in enumerate(shards, start=1):
         save_csv(Dataset(features, targets), out_dir / f"user_{user:03d}.csv")
-    n_users, shard_size = shards.targets.shape
+    n_users, shard_size, _ = shards.shape
     print(f"wrote {n_users} shards of {shard_size} samples to {out_dir}")
     return 0
 

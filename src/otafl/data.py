@@ -9,10 +9,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .types import ShardBlock
+from .types import ShardBlock, check_shard_shape
 
 logger = logging.getLogger(__name__)
 
@@ -56,14 +57,53 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def shards(self, rows: np.ndarray) -> ShardBlock:
-        """The (N, D_n) row ids of N equal-size shards, gathered into one
-        (N, D_n, d) block."""
-        return ShardBlock.of_finite(self.features[rows], self.targets[rows])
+    def shards(self, rows: np.ndarray) -> ShardRows:
+        """The N equal-size shards with these (N, D_n) row ids, as a view that
+        gathers one shard per iteration step."""
+        return ShardRows(self, rows)
 
     def whole(self) -> ShardBlock:
         """The whole dataset as one user's shard, a view of its arrays."""
         return ShardBlock.of_finite(self.features[None], self.targets[None])
+
+
+@dataclass(frozen=True, eq=False)
+class ShardRows:
+    """N equal-size user shards held as (N, D_n) row ids into a dataset.
+
+    Iterating gathers user n + 1's (D_n, d) features and (D_n,) targets at
+    step n, so a pass over the shards holds one shard's copy at a time and
+    never the (N, D_n, d) block; gather() builds that block for a caller
+    that needs it whole.
+    """
+
+    dataset: Dataset
+    rows: np.ndarray
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows)
+        if rows.ndim != 2:
+            raise ValueError(
+                f"need (N, D_n, d) features from (N, D_n) row ids, got row ids of shape "
+                f"{rows.shape}"
+            )
+        check_shard_shape(*rows.shape)
+        if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= len(self.dataset):
+            raise ValueError(f"row ids must be integers in [0, {len(self.dataset)})")
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (*self.rows.shape, self.dataset.feature_dim)
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for ids in self.rows:
+            yield self.dataset.features[ids], self.dataset.targets[ids]
+
+    def gather(self) -> ShardBlock:
+        """All N shards copied into one (N, D_n, d) block."""
+        features, targets = self.dataset.features, self.dataset.targets
+        return ShardBlock.of_finite(features[self.rows], targets[self.rows])
 
 
 @dataclass(frozen=True)
@@ -157,9 +197,9 @@ def partition(
     """Split the dataset's row ids into disjoint, equal-size user shards.
 
     Returns an (N, D_n) block, row n holding user n+1's sample row ids;
-    dataset.shards gathers their samples. Samples beyond the largest
-    multiple of n_users are dropped (logged), so every user holds the same
-    number of samples.
+    dataset.shards(rows) reads their samples shard by shard. Samples beyond
+    the largest multiple of n_users are dropped (logged), so every user
+    holds the same number of samples.
     """
     total = len(dataset)
     if spec.n_users > total:

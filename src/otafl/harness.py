@@ -35,7 +35,14 @@ from .data import (
     standardize,
 )
 from .localsgd import DEFAULT_THETA0_STD
-from .objectives import ProbeBall, estimate_constants, hessian, shard_grams, solve_optimum
+from .objectives import (
+    ProbeBall,
+    estimate_constants,
+    grams_optimum,
+    hessian,
+    shard_grams,
+    solve_optimum,
+)
 from .precoding import AlphaSchedule, FadingPolicy, alpha_upper_bound_schedule, estimate_alpha_mc
 from .rng import stream_generator
 from .trainer import (
@@ -47,7 +54,6 @@ from .trainer import (
     run_training,
     scheme_spec,
 )
-from .types import ShardBlock
 
 POWER = 1.0
 
@@ -387,16 +393,14 @@ def _resolve_schedule(
     return schedule
 
 
-def _subsample_shards(
-    shards: ShardBlock, fraction: float, rng: np.random.Generator
-) -> ShardBlock:
+def _subsample_rows(rows: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """The row ids of a fraction of each user's shard, drawn without replacement."""
     if fraction >= 1.0:
-        return shards
-    n_users, shard_size, _ = shards.features.shape
+        return rows
+    n_users, shard_size = rows.shape
     k = max(1, int(round(fraction * shard_size)))
     picks = np.stack([rng.choice(shard_size, size=k, replace=False) for _ in range(n_users)])
-    users = np.arange(n_users)[:, None]
-    return ShardBlock.of_finite(shards.features[users, picks], shards.targets[users, picks])
+    return np.take_along_axis(rows, picks, axis=1)
 
 
 def _resolve_alpha(
@@ -411,15 +415,16 @@ def _resolve_alpha(
             )
         return loaded
 
-    pilot_shards = dataset.shards(
-        partition(dataset, config.partition_spec, stream_generator(config.seed, "alpha/partition"))
+    rows = partition(
+        dataset, config.partition_spec, stream_generator(config.seed, "alpha/partition")
     )
     if alpha.source == "mc_pilot":
-        pilot_shards = _subsample_shards(
-            pilot_shards, alpha.fraction, stream_generator(config.seed, "alpha/subsample")
+        # only the subsample is gathered, as the block the pilot runs on
+        rows = _subsample_rows(
+            rows, alpha.fraction, stream_generator(config.seed, "alpha/subsample")
         )
         return estimate_alpha_mc(
-            pilot_shards,
+            dataset.shards(rows).gather(),
             trainer.ridge_lambda,
             trainer.rounds,
             trainer.local_steps,
@@ -431,11 +436,12 @@ def _resolve_alpha(
         )
 
     # analytic_bound: P / (H^2 eta^2 G^2) with G^2 estimated over a probe ball;
-    # the shard Grams are formed once, for theta* and for the constants
-    lam, dim = trainer.ridge_lambda, dataset.feature_dim
-    grams, moments = shard_grams(pilot_shards)
-    theta_star = solve_optimum(pilot_shards, lam, grams.mean(axis=0) + lam * np.eye(dim))
-    delta0 = trainer.theta0_std**2 * dim + float(theta_star @ theta_star)
+    # the shard Grams and moments are formed once, for theta* and for the constants
+    lam = trainer.ridge_lambda
+    pilot_shards = dataset.shards(rows)
+    grams = shard_grams(pilot_shards)
+    theta_star, _ = grams_optimum(*grams, lam)
+    delta0 = trainer.theta0_std**2 * dataset.feature_dim + float(theta_star @ theta_star)
     ball = ProbeBall(center=theta_star, radius=2.0 * math.sqrt(delta0))
     constants = estimate_constants(
         pilot_shards,
@@ -445,7 +451,7 @@ def _resolve_alpha(
         H=trainer.local_steps,
         P=POWER,
         sigma_w2=sigma_w2,
-        grams=(grams, moments),
+        grams=grams,
     )
     return alpha_upper_bound_schedule(
         trainer.local_steps, schedule.eta, constants.G2, POWER, trainer.rounds
@@ -562,10 +568,8 @@ TRIAL_BLOCK_BYTES = 16 << 20
 
 def _solve_trial(dataset: Dataset, rows: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """theta* and the Hessian of the global objective on the shards with these
-    row ids; their gathered block is freed on return."""
-    shards = dataset.shards(rows)
-    hess = hessian(shards, lam)
-    return solve_optimum(shards, lam, hess), hess
+    row ids, from one pass that gathers one shard at a time."""
+    return grams_optimum(*shard_grams(dataset.shards(rows)), lam)
 
 
 def simulate_trials(
@@ -574,8 +578,8 @@ def simulate_trials(
     """Run all trials for the requested schemes with paired streams.
 
     Each trial's shards are row ids into the shared dataset; its optimum is
-    solved on a gathered copy that is freed before training. The trials then
-    train in blocks of up to TRIAL_BLOCK_BYTES, one run_training call each.
+    solved from one pass over them, one shard gathered at a time. The trials
+    then train in blocks of up to TRIAL_BLOCK_BYTES, one run_training call each.
     """
     schemes = list(schemes) if schemes is not None else [config.trainer.scheme]
     resolved = resolve(config, schemes)
@@ -860,8 +864,7 @@ def estimate_bound_inputs(
     delta0 = max(analytic_delta0, float(np.mean(empirical)))
 
     ball = ProbeBall(center=theta_star, radius=2.0 * math.sqrt(delta0), count=probe_count)
-    # the gather is an argument, so each draw's shard block is freed before
-    # the next one is gathered
+    # each draw is read one shard at a time from its row ids
     draws = [
         estimate_constants(
             dataset.shards(

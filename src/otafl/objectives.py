@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import ProblemConstants, RegressionSample, ShardBlock, as_model_vector
+from .types import ProblemConstants, RegressionSample, Shards, as_model_vector
 
 
 def _sample_residual(theta, sample: RegressionSample, lam: float):
@@ -40,47 +40,63 @@ def _shard_loss(theta: np.ndarray, features: np.ndarray, targets: np.ndarray, la
     return float(np.mean(0.5 * residuals * residuals) + 0.5 * lam * (theta @ theta))
 
 
-def global_loss(theta, shards: ShardBlock, lam: float) -> float:
+def global_loss(theta, shards: Shards, lam: float) -> float:
     """Average over users of the per-user empirical loss."""
-    theta = as_model_vector(theta, dim=shards.features.shape[-1])
-    return float(
-        np.mean([_shard_loss(theta, x, y, lam) for x, y in zip(shards.features, shards.targets)])
-    )
+    theta = as_model_vector(theta, dim=shards.shape[-1])
+    return float(np.mean([_shard_loss(theta, x, y, lam) for x, y in shards]))
 
 
-def global_grad(theta, shards: ShardBlock, lam: float) -> np.ndarray:
+def global_grad(theta, shards: Shards, lam: float) -> np.ndarray:
     """Exact gradient of global_loss."""
-    theta = as_model_vector(theta, dim=shards.features.shape[-1])
+    theta = as_model_vector(theta, dim=shards.shape[-1])
     grads = []
-    for x, y in zip(shards.features, shards.targets):
+    for x, y in shards:
         residuals = x @ theta - y
         grads.append(x.T @ residuals / len(y) + lam * theta)
     return np.mean(grads, axis=0)
 
 
-def hessian(shards: ShardBlock, lam: float) -> np.ndarray:
+def hessian(shards: Shards, lam: float) -> np.ndarray:
     """Hessian of the global objective: averaged Gram matrix + lam*I."""
-    n_users, shard_size, d = shards.features.shape
+    n_users, shard_size, d = shards.shape
     gram = np.zeros((d, d))
-    for x in shards.features:
+    for x, _ in shards:
         gram += x.T @ x / shard_size
     gram /= n_users
     return gram + lam * np.eye(d)
 
 
-def shard_grams(shards: ShardBlock) -> tuple[np.ndarray, np.ndarray]:
+def shard_grams(shards: Shards) -> tuple[np.ndarray, np.ndarray]:
     """Each shard's Gram X^T X / D_n and moment X^T y / D_n, as (N, d, d) and
-    (N, d) stacks; the mean Gram plus lam*I is hessian(shards, lam), bit for bit."""
-    n_users, size, d = shards.features.shape
+    (N, d) stacks, in one pass over the shards; grams_optimum turns them into
+    theta* and the Hessian."""
+    n_users, size, d = shards.shape
     grams = np.empty((n_users, d, d))
     moments = np.empty((n_users, d))
-    for n, (features, targets) in enumerate(zip(shards.features, shards.targets)):
+    for n, (features, targets) in enumerate(shards):
         grams[n] = features.T @ features / size
         moments[n] = features.T @ targets / size
     return grams, moments
 
 
-def solve_optimum(shards: ShardBlock, lam: float, hess: np.ndarray | None = None) -> np.ndarray:
+def grams_optimum(
+    grams: np.ndarray, moments: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """theta* and the Hessian of the global objective from shard_grams' stacks,
+    with the bits of solve_optimum(shards, lam) and hessian(shards, lam)."""
+    hess = grams.mean(axis=0) + lam * np.eye(grams.shape[-1])
+    return _solve_normal_equations(hess, moments.mean(axis=0), lam), hess
+
+
+def _solve_normal_equations(hess: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    if lam == 0:
+        eigs = np.linalg.eigvalsh(hess)
+        if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
+            raise ValueError("singular normal equations with lam=0; add regularization")
+    return np.linalg.solve(hess, rhs)
+
+
+def solve_optimum(shards: Shards, lam: float, hess: np.ndarray | None = None) -> np.ndarray:
     """Exact minimizer theta* of the global objective.
 
     Solves the normal equations of the averaged objective. With lam = 0 the
@@ -89,12 +105,8 @@ def solve_optimum(shards: ShardBlock, lam: float, hess: np.ndarray | None = None
     """
     if hess is None:
         hess = hessian(shards, lam)
-    if lam == 0:
-        eigs = np.linalg.eigvalsh(hess)
-        if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
-            raise ValueError("singular normal equations with lam=0; add regularization")
-    rhs = np.mean([x.T @ y / len(y) for x, y in zip(shards.features, shards.targets)], axis=0)
-    return np.linalg.solve(hess, rhs)
+    rhs = np.mean([x.T @ y / len(y) for x, y in shards], axis=0)
+    return _solve_normal_equations(hess, rhs, lam)
 
 
 def quadratic_gap(
@@ -144,7 +156,7 @@ class ProbeBall:
 
 
 def estimate_constants(
-    shards: ShardBlock,
+    shards: Shards,
     lam: float,
     probe_region: ProbeBall | np.ndarray,
     rng: np.random.Generator | None = None,
@@ -163,6 +175,7 @@ def estimate_constants(
     per-user gradient variance. Gamma is computed exactly from the per-user
     closed-form optima. H, P and sigma_w2 are passed through into the record.
     A caller that already holds shard_grams(shards) passes it as grams.
+    The shards are read in one pass, one shard at a time.
     """
     if lam <= 0:
         raise ValueError("constant estimation requires lam > 0")
@@ -175,16 +188,16 @@ def estimate_constants(
         if probes.ndim != 2 or probes.shape[0] == 0:
             raise ValueError("probe_region must be a non-empty (n, d) array")
 
-    n_users, size, d = shards.features.shape
+    n_users, size, d = shards.shape
     held = grams is not None
     grams, moments = grams if held else (np.empty((n_users, d, d)), np.empty((n_users, d)))
     probes_t = probes.T
     reg_sq = lam * lam * np.einsum("pj,pj->p", probes, probes)
     g2 = 0.0
     mn2 = np.zeros(n_users)
-    # one pass per shard; the (D_n, p) blocks below are the largest
-    # temporaries, never an (N, D_n, p) stack
-    for n, (features, targets) in enumerate(zip(shards.features, shards.targets)):
+    # one pass per shard; the shard read and the (D_n, p) blocks below are
+    # the largest temporaries, never an (N, D_n, d) or (N, D_n, p) stack
+    for n, (features, targets) in enumerate(shards):
         if not held:
             grams[n] = features.T @ features / size
             moments[n] = features.T @ targets / size
@@ -201,22 +214,19 @@ def estimate_constants(
         g2 = max(g2, float(second_moment.max()))
         mn2[n] = max(float(variance.max()), 0.0)
 
-    eye = np.eye(d)
-    hess = grams.mean(axis=0) + lam * eye
+    theta_star, hess = grams_optimum(grams, moments, lam)
     try:
         eigs = np.linalg.eigvalsh(hess)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numerically exotic
         raise ValueError(f"eigenvalue solver failed on the objective Hessian: {exc}")
     mu, smoothness = float(eigs[0]), float(eigs[-1])
 
-    theta_star = np.linalg.solve(hess, moments.mean(axis=0))
-    f_star = global_loss(theta_star, shards, lam)
-    local_optima = np.linalg.solve(grams + lam * eye, moments[:, :, None])[:, :, 0]
-    local_minima = [
-        _shard_loss(theta, x, y, lam)
-        for theta, x, y in zip(local_optima, shards.features, shards.targets)
-    ]
-    gamma = max(f_star - float(np.mean(local_minima)), 0.0)
+    # Gamma = F(theta*) - mean_n F_n(theta_n*). Each F_n is quadratic, so
+    # F_n(theta*) - F_n(theta_n*) is exactly theta*'s gap on F_n, and Gamma
+    # is their mean: no pass over the data and no cancellation against F*.
+    local_hessians = grams + lam * np.eye(d)
+    local_optima = np.linalg.solve(local_hessians, moments[:, :, None])[:, :, 0]
+    gamma = max(float(np.mean(quadratic_gap(theta_star, local_optima, local_hessians))), 0.0)
 
     return ProblemConstants(
         L=smoothness,

@@ -17,7 +17,7 @@ def make_shards(
     noise_std: float = 0.5,
 ) -> ShardBlock:
     dataset = generate_synthetic(dim, n_users * per_user, noise_std, rng)
-    return dataset.shards(partition(dataset, PartitionSpec("iid", n_users), rng))
+    return dataset.shards(partition(dataset, PartitionSpec("iid", n_users), rng)).gather()
 
 
 def flat_rows(shards: ShardBlock) -> tuple[Dataset, np.ndarray]:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from otafl.cli import main
-from otafl.data import generate_synthetic, load_csv, save_csv
+from otafl.data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, save_csv
 from otafl.harness import load_table
 from otafl.precoding import AlphaSchedule
+from otafl.rng import stream_generator
 
 
 @pytest.fixture
@@ -143,6 +144,26 @@ def test_partition_command_round_trip(tmp_path):
     assert len(files) == 4
     total = sum(len(load_csv(f)) for f in files)
     assert total == 40
+
+
+@pytest.mark.parametrize("mode", ["iid", "heterogeneous"])
+def test_partition_command_writes_each_users_rows(tmp_path, capsys, mode):
+    # user n's file holds the samples of row n of the partition's row ids, in
+    # order, written as save_csv writes that user's gathered shard
+    csv_in = tmp_path / "data.csv"
+    save_csv(generate_synthetic(3, 42, 1.0, np.random.default_rng(5)), csv_in)
+    out_dir = tmp_path / "shards"
+    assert main([
+        "partition", "--csv", str(csv_in), "--mode", mode, "--n", "4", "--out", str(out_dir),
+        "--seed", "2", "--skew", "0.3",
+    ]) == 0
+    assert "wrote 4 shards of 10 samples" in capsys.readouterr().out
+    dataset = load_csv(csv_in)
+    rows = partition(dataset, PartitionSpec(mode, 4, 0.3), stream_generator(2, "partition"))
+    expected = tmp_path / "expected.csv"
+    for n, ids in enumerate(rows, start=1):
+        save_csv(Dataset(dataset.features[ids], dataset.targets[ids]), expected)
+        assert (out_dir / f"user_{n:03d}.csv").read_bytes() == expected.read_bytes()
 
 
 # SHA-256 over the name and bytes of each shard file, in file order

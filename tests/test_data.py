@@ -113,9 +113,17 @@ class TestPartition:
         rows = partition(dataset, spec, np.random.default_rng(9))
         shards = dataset.shards(rows)
         assert rows.shape == (5, 20) and len(np.unique(rows)) == 100
-        assert shards.features.shape == (5, 20, 3) and shards.targets.shape == (5, 20)
-        np.testing.assert_array_equal(shards.features, dataset.features[rows])
-        np.testing.assert_array_equal(shards.targets, dataset.targets[rows])
+        assert shards.shape == (5, 20, 3)
+        # iterating gathers one shard per step; gather() builds the block
+        read = list(shards)
+        assert len(read) == 5
+        for n, (features, targets) in enumerate(read):
+            np.testing.assert_array_equal(features, dataset.features[rows[n]])
+            np.testing.assert_array_equal(targets, dataset.targets[rows[n]])
+        block = shards.gather()
+        assert block.shape == (5, 20, 3) and block.targets.shape == (5, 20)
+        np.testing.assert_array_equal(block.features, dataset.features[rows])
+        np.testing.assert_array_equal(block.targets, dataset.targets[rows])
 
     def test_remainder_dropped(self, rng):
         dataset = generate_synthetic(2, 103, 1.0, rng)
@@ -207,7 +215,7 @@ class TestShardBlock:
         # from the same samples keeps it
         dataset = generate_synthetic(3, 40, 1.0, np.random.default_rng(6))
         rows = partition(dataset, PartitionSpec("iid", 4), np.random.default_rng(7))
-        gathered = dataset.shards(rows)
+        gathered = dataset.shards(rows).gather()
         features = gathered.features.copy()
         features[2, 5, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
@@ -219,6 +227,9 @@ class TestShardBlock:
             dataset.shards(np.arange(10))
         with pytest.raises(ValueError, match="non-empty"):
             dataset.shards(np.zeros((4, 0), dtype=np.int64))
+        for bad in ([[0, 40]], [[-1, 3]], [[0.0, 1.0]]):  # numpy would wrap -1
+            with pytest.raises(ValueError, match=r"row ids must be integers in \[0, 40\)"):
+                dataset.shards(np.array(bad))
 
 
 class TestDatasetArrays:

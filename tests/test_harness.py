@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from otafl.bounds import (
     schedule_shift,
     validate_dominance,
 )
-from otafl.data import partition
+from otafl.data import PartitionSpec, generate_synthetic, partition
 from otafl.harness import (
     AlphaSpec,
     ChannelSpec,
@@ -43,6 +44,7 @@ from otafl.harness import (
     tabulate,
 )
 from otafl.objectives import ProbeBall, estimate_constants, hessian, solve_optimum
+from otafl.precoding import estimate_alpha_mc
 from otafl.rng import stream_generator
 from otafl.trainer import CHANNEL_KINDS, SCHEMES, run_training
 from otafl.types import ShardBlock
@@ -716,6 +718,78 @@ class TestBoundInputs:
             assert block.features.shape == (1, *dataset.features.shape)
             assert np.shares_memory(block.features, dataset.features)
             assert np.shares_memory(block.targets, dataset.targets)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestShardPasses:
+    def test_partition_passes_hold_one_shard_at_a_time(self):
+        # the bound constants and a trial's optimum read the partition from its
+        # row ids one shard at a time: their peak stays under half the dataset,
+        # which one gathered (N, D_n, d) copy alone exceeds
+        dataset = generate_synthetic(30, 20000, 1.0, np.random.default_rng(12))
+        rows = partition(dataset, PartitionSpec("iid", 40), np.random.default_rng(13))
+        limit = (dataset.features.nbytes + dataset.targets.nbytes) / 2
+        ball = ProbeBall(np.zeros(30), 2.0)
+
+        def constants():
+            estimate_constants(
+                dataset.shards(rows), 0.5, ball, np.random.default_rng(1),
+                H=1, P=1.0, sigma_w2=0.0,
+            )
+
+        assert _traced_peak(constants) < limit
+        assert _traced_peak(lambda: harness._solve_trial(dataset, rows, 0.5)) < limit
+        assert _traced_peak(lambda: dataset.shards(rows).gather()) > 1.9 * limit
+
+    def test_mc_pilot_gathers_only_its_subsample(self, monkeypatch):
+        # the pilot subsample is drawn as row ids; the schedule keeps the bits
+        # of subsampling the gathered pilot partition, on the same draws
+        config = tiny_config()
+        trainer, lam = config.trainer, config.trainer.ridge_lambda
+        pilots = []
+
+        def recording(shards, *args, **kwargs):
+            pilots.append(shards)
+            return estimate_alpha_mc(shards, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_alpha_mc", recording)
+        resolved = harness.resolve(config, ["cotaf"])
+        dataset = resolved.dataset
+        block = dataset.shards(
+            partition(
+                dataset, config.partition_spec, stream_generator(config.seed, "alpha/partition")
+            )
+        ).gather()
+        n_users, shard_size, dim = block.shape
+        subsample = stream_generator(config.seed, "alpha/subsample")
+        k = max(1, int(round(config.alpha.fraction * shard_size)))
+        picks = np.stack(
+            [subsample.choice(shard_size, size=k, replace=False) for _ in range(n_users)]
+        )
+        users = np.arange(n_users)[:, None]
+        expected = estimate_alpha_mc(
+            ShardBlock(block.features[users, picks], block.targets[users, picks]),
+            lam,
+            trainer.rounds,
+            trainer.local_steps,
+            harness.POWER,
+            config.alpha.pilot_trials,
+            stream_generator(config.seed, "alpha/run"),
+            step_fn=resolved.schedule.eta,
+            theta0_std=trainer.theta0_std,
+        )
+        np.testing.assert_array_equal(resolved.alpha_schedule.values, expected.values)
+        (pilot,) = pilots
+        assert pilot.shape == (n_users, k, dim) and k < shard_size
 
 
 class TestFadingExperiment:

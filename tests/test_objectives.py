@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from otafl.objectives import (
     estimate_constants,
     global_grad,
     global_loss,
+    grams_optimum,
     hessian,
     quadratic_gap,
     ridge_grad,
     ridge_loss,
+    shard_grams,
     solve_optimum,
 )
 from otafl.data import PartitionSpec, generate_synthetic, partition
@@ -262,8 +266,8 @@ def reference_constants(shards, lam, probes, safety=1.1):
     """The per-probe loop: three mat-vecs per probe point and shard, the
     Hessian from hessian(), and each user's optimum from its own solve."""
     g2 = 0.0
-    mn2 = np.zeros(shards.features.shape[0])
-    for n, (features, targets) in enumerate(zip(shards.features, shards.targets)):
+    mn2 = np.zeros(shards.shape[0])
+    for n, (features, targets) in enumerate(shards):
         sq_feature_norms = np.einsum("ij,ij->i", features, features)
         for theta in probes:
             residuals = features @ theta - targets
@@ -281,7 +285,7 @@ def reference_constants(shards, lam, probes, safety=1.1):
     eigs = np.linalg.eigvalsh(hessian(shards, lam))
     f_star = global_loss(solve_optimum(shards, lam), shards, lam)
     local_minima = []
-    for features, targets in zip(shards.features, shards.targets):
+    for features, targets in shards:
         d = features.shape[1]
         gram = features.T @ features / len(targets) + lam * np.eye(d)
         theta_n = np.linalg.solve(gram, features.T @ targets / len(targets))
@@ -330,3 +334,119 @@ def test_hessian_matches_fd_of_grad(rng):
         e[i] = 1e-6
         col = (global_grad(theta + e, shards, 0.5) - global_grad(theta - e, shards, 0.5)) / 2e-6
         np.testing.assert_allclose(col, hess[:, i], rtol=1e-5, atol=1e-8)
+
+
+class TestRowIdView:
+    """A partition's row-id view, read one shard per step, gives the bits of
+    the gathered (N, D_n, d) block."""
+
+    LAM = 0.4
+
+    def instance(self):
+        rng = np.random.default_rng(31)
+        dataset = generate_synthetic(7, 6 * 50 + 3, 0.7, rng)
+        rows = partition(dataset, PartitionSpec("heterogeneous", 6, 0.4), rng)
+        return dataset.shards(rows), dataset.shards(rows).gather()
+
+    def test_grams_optimum_and_loss_are_bit_equal(self):
+        view, block = self.instance()
+        assert view.shape == block.shape == (6, 50, 7)
+        for from_view, from_block in zip(shard_grams(view), shard_grams(block)):
+            np.testing.assert_array_equal(from_view, from_block)
+        np.testing.assert_array_equal(hessian(view, self.LAM), hessian(block, self.LAM))
+        theta_star = solve_optimum(block, self.LAM)
+        np.testing.assert_array_equal(solve_optimum(view, self.LAM), theta_star)
+        # one shard_grams pass gives the bits of hessian and solve_optimum
+        from_grams, hess = grams_optimum(*shard_grams(view), self.LAM)
+        np.testing.assert_array_equal(from_grams, theta_star)
+        np.testing.assert_array_equal(hess, hessian(block, self.LAM))
+        theta = theta_star + 0.3
+        assert global_loss(theta, view, self.LAM) == global_loss(theta, block, self.LAM)
+        np.testing.assert_array_equal(
+            global_grad(theta, view, self.LAM), global_grad(theta, block, self.LAM)
+        )
+
+    def test_constants_are_bit_equal(self):
+        view, block = self.instance()
+        ball = ProbeBall(solve_optimum(block, self.LAM), 2.5, count=12)
+        constants = [
+            estimate_constants(
+                shards, self.LAM, ball, np.random.default_rng(5), H=2, P=1.0, sigma_w2=0.1
+            )
+            for shards in (view, block)
+        ]
+        from_view, from_block = constants
+        for name in ("L", "mu", "G2", "Gamma"):
+            assert getattr(from_view, name) == getattr(from_block, name), name
+        np.testing.assert_array_equal(from_view.Mn2, from_block.Mn2)
+
+
+def exact_gamma(shards, lam) -> Fraction:
+    """Gamma = F(theta*) - mean_n F_n(theta_n*) in exact rational arithmetic,
+    from the residual form, for d = 2."""
+    lam = Fraction(lam)
+    users = [
+        ([[Fraction(v) for v in row] for row in features], [Fraction(v) for v in targets])
+        for features, targets in shards
+    ]
+
+    def gram_and_moment(features, targets):
+        size = len(targets)
+        gram = [[sum(x[a] * x[b] for x in features) / size for b in range(2)] for a in range(2)]
+        moment = [sum(x[a] * y for x, y in zip(features, targets)) / size for a in range(2)]
+        return gram, moment
+
+    def solve(gram, moment):  # (gram + lam I) theta = moment, by Cramer's rule
+        a, b, c, e = gram[0][0] + lam, gram[0][1], gram[1][0], gram[1][1] + lam
+        det = a * e - b * c
+        return [(e * moment[0] - b * moment[1]) / det, (a * moment[1] - c * moment[0]) / det]
+
+    def loss(theta, features, targets):
+        residuals = [x[0] * theta[0] + x[1] * theta[1] - y for x, y in zip(features, targets)]
+        mean_sq = sum(r * r for r in residuals) / len(residuals)
+        return mean_sq / 2 + lam / 2 * (theta[0] ** 2 + theta[1] ** 2)
+
+    stats = [gram_and_moment(*user) for user in users]
+    n = len(users)
+    mean_gram = [[sum(g[a][b] for g, _ in stats) / n for b in range(2)] for a in range(2)]
+    mean_moment = [sum(m[a] for _, m in stats) / n for a in range(2)]
+    theta_star = solve(mean_gram, mean_moment)
+    gaps = [
+        loss(theta_star, *user) - loss(solve(*stat), *user) for user, stat in zip(users, stats)
+    ]
+    return sum(gaps) / n
+
+
+class TestGammaIdentity:
+    """Gamma is the mean over users of theta*'s gap on each quadratic F_n."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_residual_form(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        dataset = generate_synthetic(4, 5 * 30, 0.9, rng)
+        shards = dataset.shards(partition(dataset, PartitionSpec("heterogeneous", 5, 0.5), rng))
+        ball = ProbeBall(np.zeros(4), 2.0, count=4)
+        c = estimate_constants(shards, 0.3, ball, rng, H=1, P=1.0, sigma_w2=0.0)
+        _, _, _, _, residual_form = reference_constants(shards, 0.3, ball.points(rng))
+        assert c.Gamma > 0
+        np.testing.assert_allclose(c.Gamma, residual_form, rtol=1e-12, atol=0)
+
+    def test_nearly_homogeneous_with_large_losses(self):
+        # three near-copies of one shard with targets around 1e3: F* is about
+        # 5e5 and Gamma about 5e-8, below the rounding of F* itself, so the
+        # residual form loses most digits; the identity keeps them
+        rng = np.random.default_rng(3)
+        base_features, base_targets = rng.standard_normal((6, 2)), rng.standard_normal(6)
+        shards = ShardBlock(
+            np.stack([base_features + 1e-6 * rng.standard_normal((6, 2)) for _ in range(3)]),
+            1e3 + base_targets + 1e-6 * rng.standard_normal((3, 6)),
+        )
+        lam = 0.5
+        c = estimate_constants(
+            shards, lam, ProbeBall(np.zeros(2), 1.0), rng, H=1, P=1.0, sigma_w2=0.0
+        )
+        exact = exact_gamma(shards, lam)
+        assert global_loss(solve_optimum(shards, lam), shards, lam) > 1e5
+        assert 0 < exact < 1e-6
+        assert c.Gamma >= 0.0
+        assert abs(Fraction(c.Gamma) - exact) <= Fraction(1, 10**8) * exact
