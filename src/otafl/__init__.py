@@ -28,6 +28,7 @@ from .channel import (
     awgn_mac,
     fading_mac,
     orthogonal_noiseless,
+    sample_noise,
     sample_rayleigh,
 )
 from .data import (

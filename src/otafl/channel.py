@@ -25,70 +25,45 @@ def _stack_inputs(inputs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     return stacked
 
 
-def _add_noise(
-    total: np.ndarray,
-    sigma_w2: float,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> np.ndarray:
-    """total plus i.i.d. N(0, sigma_w2) noise per coordinate: drawn from rng
-    for a (d,) total, and for a (T, d) stack row t drawn from rng[t], in row
-    order. A stack is noised in place; the callers own their totals."""
-    if sigma_w2 == 0:
+def _add_noise(total: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    """total plus the channel noise, in place: the callers own their totals."""
+    if noise is None:
         return total
-    std = math.sqrt(sigma_w2)
-    if total.ndim == 1:
-        return total + rng.normal(0.0, std, total.shape[0])
-    if len(rng) != total.shape[0]:
-        raise ValueError(f"need {total.shape[0]} noise streams, one per trial, got {len(rng)}")
-    for row, stream in zip(total, rng):
-        row += stream.normal(0.0, std, row.shape[0])
+    if np.shape(noise) != total.shape:
+        raise ValueError(f"need channel noise of shape {total.shape}, got {np.shape(noise)}")
+    total += noise
     return total
 
 
 def awgn_mac(
-    inputs: Sequence[np.ndarray] | np.ndarray,
-    sigma_w2: float,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    dim: int | None = None,
+    inputs: Sequence[np.ndarray] | np.ndarray, noise: np.ndarray | None = None
 ) -> np.ndarray:
-    """Superposition of all inputs plus i.i.d. Gaussian noise per coordinate.
+    """Superposition of all inputs plus the channel noise.
 
     inputs is a list of 1-D vectors or a (K, d) block with one input per row,
-    received as one (d,) output with noise from the stream rng. A (T, K, d)
-    stack of T trials' blocks gives a (T, d) output, trial t's noise from
-    the stream rng[t].
+    received as one (d,) output; a (T, K, d) stack of T trials' blocks gives
+    a (T, d) output. noise is i.i.d. Gaussian noise of the output's shape
+    (sample_noise draws it), or None for a noiseless channel.
     """
-    if sigma_w2 < 0:
-        raise ValueError("sigma_w2 must be non-negative")
     if len(inputs) == 0:
-        if dim is None:
-            raise ValueError("empty input list needs an explicit dim")
-        total = np.zeros(dim)
-    else:
-        stacked = _stack_inputs(inputs)
-        if dim is not None and stacked.shape[-1] != dim:
-            raise ValueError(f"inputs have length {stacked.shape[-1]}, expected {dim}")
-        total = stacked.sum(axis=-2)
-    return _add_noise(total, sigma_w2, rng)
+        raise ValueError("awgn_mac needs at least one input")
+    return _add_noise(_stack_inputs(inputs).sum(axis=-2), noise)
 
 
 def fading_mac(
     inputs: Sequence[np.ndarray] | np.ndarray,
     magnitudes: np.ndarray,
-    sigma_w2: float,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Superposition weighted by fading magnitudes, plus Gaussian noise.
+    """Superposition weighted by fading magnitudes, plus the channel noise.
 
     inputs is a (K, d) block (or a list of K vectors) and magnitudes the K
     transmitters' positive fading magnitudes; a (T, K, d) stack takes (T, K)
-    magnitudes and one noise stream per trial, as awgn_mac does. Inputs are
-    assumed phase-pre-corrected at the transmitters, so only the magnitudes
-    apply. With all magnitudes equal to 1 this reduces bit-exactly to
-    awgn_mac given the same noise streams.
+    magnitudes and (T, d) noise, as awgn_mac does. Inputs are assumed
+    phase-pre-corrected at the transmitters, so only the magnitudes apply.
+    With all magnitudes equal to 1 this reduces bit-exactly to awgn_mac
+    given the same noise.
     """
-    if sigma_w2 < 0:
-        raise ValueError("sigma_w2 must be non-negative")
     if len(inputs) == 0:
         raise ValueError("fading_mac needs at least one input")
     stacked = _stack_inputs(inputs)
@@ -97,8 +72,25 @@ def fading_mac(
         raise ValueError(f"got inputs {stacked.shape} for magnitudes of shape {magnitudes.shape}")
     if magnitudes.min() <= 0:
         raise ValueError("fading magnitudes must be strictly positive")
-    total = (magnitudes[..., None] * stacked).sum(axis=-2)
-    return _add_noise(total, sigma_w2, rng)
+    return _add_noise((magnitudes[..., None] * stacked).sum(axis=-2), noise)
+
+
+def sample_noise(
+    dim: int, sigma_w2: float, rng: np.random.Generator, rows: int | None = None
+) -> np.ndarray:
+    """I.i.d. N(0, sigma_w2) channel noise per coordinate: (dim,) for one
+    round, or (rows, dim) for `rows` rounds at once.
+
+    A sized draw consumes the stream as `rows` one-round draws in a row
+    would (pinned in tests/test_rng.py), so a run's noise can be drawn ahead
+    of its rounds.
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if sigma_w2 < 0:
+        raise ValueError("sigma_w2 must be non-negative")
+    shape = dim if rows is None else (rows, dim)
+    return rng.normal(0.0, math.sqrt(sigma_w2), shape)
 
 
 def sample_rayleigh(

@@ -7,12 +7,13 @@ the target in column 0 and features after (pass header=True to skip one line).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from .objectives import grams_optimum, shard_grams
 from .types import ShardBlock, check_shard_shape
 
 logger = logging.getLogger(__name__)
@@ -29,6 +30,7 @@ class Dataset:
 
     features: np.ndarray  # (D, d_f)
     targets: np.ndarray  # (D,)
+    _optima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -65,6 +67,17 @@ class Dataset:
     def whole(self) -> ShardBlock:
         """The whole dataset as one user's shard, a view of its arrays."""
         return ShardBlock.of_finite(self.features[None], self.targets[None])
+
+    def whole_optimum(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """theta* and the Hessian of the global objective on whole(), with the
+        bits of solve_optimum and hessian: formed in one pass on the first call
+        for each lam and kept, read-only, with the dataset."""
+        if lam not in self._optima:
+            optimum = grams_optimum(*shard_grams(self.whole()), lam)
+            for array in optimum:
+                array.flags.writeable = False
+            self._optima[lam] = optimum
+        return self._optima[lam]
 
 
 @dataclass(frozen=True, eq=False)

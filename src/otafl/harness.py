@@ -35,19 +35,14 @@ from .data import (
     standardize,
 )
 from .localsgd import DEFAULT_THETA0_STD
-from .objectives import (
-    ProbeBall,
-    estimate_constants,
-    grams_optimum,
-    hessian,
-    shard_grams,
-    solve_optimum,
-)
+from .objectives import ProbeBall, estimate_constants, grams_optimum, shard_grams
+from .objectives import solve_optimum  # noqa: F401  (perfbench/spans.py times it here)
 from .precoding import AlphaSchedule, FadingPolicy, alpha_upper_bound_schedule, estimate_alpha_mc
 from .rng import stream_generator
 from .trainer import (
     CHANNEL_KINDS,
     MAX_WAIT_REDRAWS,
+    ROUND_CHUNK,
     StepSchedule,
     TrainerConfig,
     TrialStreams,
@@ -465,7 +460,7 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
 
     dataset = build_dataset(config)
     sigma_w2 = sigma_from_snr(config.channel.snr_db)
-    full_hessian = hessian(dataset.whole(), config.trainer.ridge_lambda)
+    _, full_hessian = dataset.whole_optimum(config.trainer.ridge_lambda)
     eigs = np.linalg.eigvalsh(full_hessian)
     mu, smoothness = float(eigs[0]), float(eigs[-1])
     schedule = _resolve_schedule(
@@ -600,12 +595,14 @@ def simulate_trials(
     configs = [_trainer_config(resolved, scheme) for scheme in schemes]
     theta0_dist2 = np.zeros(n_trials)
     # A trial holds its shard row ids and those of its users' R*H sample
-    # steps, then in float64 its Hessian, its schemes' iterates and one
-    # round's gathered samples and models.
+    # steps, then in float64 its Hessian, its schemes' iterates, one round's
+    # gathered samples and models, and for a chunk of rounds its schemes'
+    # channel noise and the gap call's two temporaries.
     row_dtype = np.min_scalar_type(len(dataset) - 1)
     shard_size, h = len(dataset) // n_users, trainer.local_steps
+    chunk = min(n_rounds, ROUND_CHUNK)
     trial_bytes = row_dtype.itemsize * n_users * (shard_size + n_rounds * h) + 8 * dim * (
-        dim + len(schemes) * (n_rounds + n_users) + h * n_users
+        dim + len(schemes) * (n_rounds + n_users + chunk) + h * n_users + 2 * chunk
     )
     block = max(1, TRIAL_BLOCK_BYTES // trial_bytes)
 
@@ -854,7 +851,7 @@ def estimate_bound_inputs(
     dataset, trainer = resolved.dataset, config.trainer
     lam = trainer.ridge_lambda
 
-    theta_star = solve_optimum(dataset.whole(), lam, resolved.hessian)
+    theta_star, _ = dataset.whole_optimum(lam)
     dim = dataset.feature_dim
     analytic_delta0 = trainer.theta0_std**2 * dim + float(theta_star @ theta_star)
     empirical = [

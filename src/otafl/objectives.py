@@ -119,8 +119,10 @@ def quadratic_gap(
     cancellation that subtracting F* from F(theta) suffers near the optimum.
 
     A (T, d) block of models against (T, d) optima and (T, d, d) Hessians
-    gives the (T,) gaps of its rows at once, each with the bits of the
-    one-row call (pinned in tests/test_objectives.py).
+    gives the (T,) gaps of its rows at once, and a (T, C, d) chunk of C
+    rounds against (T, 1, d) optima and (T, 1, d, d) Hessians its (T, C)
+    gaps, each with the bits of the one-row call (pinned in
+    tests/test_objectives.py).
     """
     diff = (theta - theta_star)[..., None, :]
     gap = 0.5 * (diff @ hess @ np.swapaxes(diff, -1, -2))[..., 0, 0]

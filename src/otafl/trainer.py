@@ -19,6 +19,7 @@ from .channel import (
     awgn_mac,
     fading_mac,
     orthogonal_noiseless,
+    sample_noise,
     sample_rayleigh,
 )
 from .data import Dataset
@@ -75,6 +76,9 @@ MAX_WAIT_REDRAWS = 100_000
 # Fading draws are made this many rows at a time, at most; a chunk is freed
 # once its eligible rows are selected.
 FADING_CHUNK_ROWS = 256
+# Training draws its channel noise, and measures its gaps, this many rounds
+# at a time, at most.
+ROUND_CHUNK = 64
 
 
 def step_averaged_model(t: int, mu: float, a: float) -> float:
@@ -167,9 +171,9 @@ class TrialStreams:
     fading: tuple[np.random.Generator | None, ...]
 
 
-def _transmit_powers(signals: np.ndarray) -> np.ndarray:
+def _transmit_powers(signals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Energy of each row of a (..., K, d) block of channel inputs."""
-    return np.einsum("...kd,...kd->...k", signals, signals)
+    return np.einsum("...kd,...kd->...k", signals, signals, out=out)
 
 
 class FadingRounds(NamedTuple):
@@ -247,52 +251,51 @@ def run_round(
     local_models: np.ndarray,
     config: TrainerConfig,
     alpha: float | None,
-    noise: Sequence[np.random.Generator | None],
-    optimum: tuple[np.ndarray, np.ndarray],
+    noise: np.ndarray | None,
+    powers: np.ndarray,
     fading: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Aggregate one round of one scheme over its channel, for T trials at once.
 
     local_models holds each trial's (N, d) models, a (T, N, d) block, which
     the users reached from the trial's broadcast row of the (T, d)
     global_theta by the round's local steps. Returns the new (T, d) global
-    models, their (T,) gaps and the (T, N) transmit energies.
+    models and writes each user's transmit energy into the (T, N) powers
+    (0 for a user that stayed silent).
 
-    optimum is the pair of (T, d) optima theta* and (T, d, d) Hessians;
-    trial t's gap is measured against its own pair. alpha is the round's
-    precoding coefficient, which only the precoded schemes use; noise holds
-    each trial's channel-noise stream of the scheme, drawn in trial order.
-    fading is the round's row of each trial's FadingRounds, (T, K)
-    participants and (T, K) magnitudes, which only cotaf_fading uses.
+    alpha is the round's precoding coefficient, which only the precoded
+    schemes use. noise is the (T, d) noise of the scheme's MAC output, one
+    row per trial, or None for a noiseless channel. fading is the round's
+    row of each trial's FadingRounds, (T, K) participants and (T, K)
+    magnitudes, which only cotaf_fading uses.
     """
     if SCHEME_TABLE[config.scheme].needs_alpha and alpha is None:
         raise ValueError(f"{config.scheme} needs an alpha coefficient")
     if config.scheme == "cotaf_fading" and fading is None:
         raise ValueError("cotaf_fading needs the round's fading selection")
     n_users = local_models.shape[1]
-    deltas = local_models - global_theta[:, None]
 
     if config.scheme == "noise_free_local_sgd":
         new_theta = np.mean(orthogonal_noiseless(local_models), axis=1)
-        powers = _transmit_powers(deltas)
+        _transmit_powers(local_models - global_theta[:, None], out=powers)
     elif config.scheme == "cotaf_fading":
         policy = config.fading
         ids, magnitudes = fading
         chosen = (np.arange(ids.shape[0])[:, None], ids - 1)  # (trial, user) of each participant
-        signals = fading_precode(deltas[chosen], alpha, magnitudes, policy.h_min)
-        y = fading_mac(signals, magnitudes, config.sigma_w2, noise)
+        deltas = local_models[chosen] - global_theta[:, None]  # the participants' updates
+        signals = fading_precode(deltas, alpha, magnitudes, policy.h_min)
+        y = fading_mac(signals, magnitudes, noise)
         new_theta = fading_decode(y, ids.shape[1], alpha, policy.h_min, global_theta)
-        powers = np.zeros((ids.shape[0], n_users))
+        powers[...] = 0.0
         powers[chosen] = _transmit_powers(signals)
     else:  # cotaf, and non_precoded_ota as COTAF at the fixed alpha gain^2
         if config.scheme == "non_precoded_ota":
             alpha = config.gain * config.gain  # sqrt(gain * gain) == gain: signals are gain * delta
-        signals = precode(deltas, alpha)
-        y = awgn_mac(signals, config.sigma_w2, noise, dim=global_theta.shape[-1])
+        signals = precode(local_models - global_theta[:, None], alpha)
+        y = awgn_mac(signals, noise)
         new_theta = decode(y, n_users, alpha, global_theta)
-        powers = _transmit_powers(signals)
-
-    return new_theta, quadratic_gap(new_theta, *optimum), powers
+        _transmit_powers(signals, out=powers)
+    return new_theta
 
 
 # Paired runs share the kernel, so their configs must agree on these.
@@ -323,7 +326,10 @@ def run_training(
     Each scheme then aggregates its T trials over its own channel, each
     trial with its own noise and fading stream. optima is the pair of (T, d)
     optima theta* and (T, d, d) Hessians of the trials' global objectives,
-    against which each round's gaps are measured.
+    against which each round's gaps are measured. The rounds run in chunks
+    of ROUND_CHUNK: a chunk's channel noise is drawn before it, and its
+    gaps are measured in one call after it, so a round does only the work
+    that depends on the models.
 
     Returns one RunTrace per config; trial t of run s equals a run of
     configs[s] alone on trial t, bit for bit. out gives each config's
@@ -397,34 +403,54 @@ def run_training(
                 ) from exc
             for field, value in zip(fades[s], drawn):
                 field[t] = value
-    noise = [[trial.noise[s] for trial in streams] for s in range(n_runs)]
     if out is None:
         out = [
             (np.empty((n_trials, rounds)), np.empty((n_trials, rounds, n_users))) for _ in configs
         ]
     etas = first.step.eta(np.arange(rounds * h))  # the run's R*H step sizes
     alphas = alpha_schedule.values.tolist() if any(needs_alpha) else None
+    # Each noisy scheme's noise, drawn per trial a chunk of rounds at a time:
+    # one sized draw consumes the stream as per-round draws would.
+    noise = [
+        np.empty((n_trials, min(rounds, ROUND_CHUNK), dim))
+        if config.sigma_w2 > 0 and config.scheme != "noise_free_local_sgd"
+        else None
+        for config in configs
+    ]
+    # each trial's optimum against the trial's chunk of models
+    theta_stars, hessians = optima[0][:, None], optima[1][:, None]
     thetas = np.empty((n_runs, n_trials, rounds, dim))
     last = first_trial + n_trials - 1
     label = f"trial {last}" if n_trials == 1 else f"trials {first_trial}-{last}"
-    for i in range(rounds):
-        r = i + 1
-        window = slice(i * h, r * h)  # the round's steps
-        local_models = local_pass(
-            theta[:, :, None], dataset.features, dataset.targets, etas[window],
-            steps[:, :, window], first.ridge_lambda,
-        )
+    for lo in range(0, rounds, ROUND_CHUNK):
+        hi = min(lo + ROUND_CHUNK, rounds)
         for s, config in enumerate(configs):
-            fade, (gaps, powers) = fades[s], out[s]
-            try:
-                thetas[s, :, i], gaps[:, i], powers[:, i] = run_round(
-                    theta[s], local_models[s], config, alphas[i] if needs_alpha[s] else None,
-                    noise[s], optima,
-                    None if fade is None else (fade.participants[:, i], fade.magnitudes[:, i]),
-                )
-            except Exception as exc:
-                raise RuntimeError(f"{label}, scheme {config.scheme}: round {r}: {exc}") from exc
-        theta = thetas[:, :, i]
+            if noise[s] is not None:
+                for t, trial in enumerate(streams):
+                    noise[s][t, : hi - lo] = sample_noise(
+                        dim, config.sigma_w2, trial.noise[s], rows=hi - lo
+                    )
+        for i in range(lo, hi):
+            window = slice(i * h, (i + 1) * h)  # the round's steps
+            local_models = local_pass(
+                theta[:, :, None], dataset.features, dataset.targets, etas[window],
+                steps[:, :, window], first.ridge_lambda,
+            )
+            for s, config in enumerate(configs):
+                fade, (_, powers) = fades[s], out[s]
+                try:
+                    thetas[s, :, i] = run_round(
+                        theta[s], local_models[s], config, alphas[i] if needs_alpha[s] else None,
+                        None if noise[s] is None else noise[s][:, i - lo], powers[:, i],
+                        None if fade is None else (fade.participants[:, i], fade.magnitudes[:, i]),
+                    )
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"{label}, scheme {config.scheme}: round {i + 1}: {exc}"
+                    ) from exc
+            theta = thetas[:, :, i]
+        for s, (gaps, _) in enumerate(out):
+            gaps[:, lo:hi] = quadratic_gap(thetas[s, :, lo:hi], theta_stars, hessians)
     return [
         RunTrace(thetas[s], gaps, powers, None, np.zeros((n_trials, rounds), dtype=np.int64))
         if fade is None

@@ -21,7 +21,7 @@ from otafl.bounds import (
     bound_weighted_average,
     validate_dominance,
 )
-from otafl.channel import awgn_mac, sample_rayleigh
+from otafl.channel import awgn_mac, sample_noise, sample_rayleigh
 from otafl.data import partition
 from otafl.objectives import global_grad, global_loss, hessian, solve_optimum
 from otafl.precoding import FadingPolicy, decode, precode, select_participants
@@ -223,10 +223,11 @@ def test_criterion_05_equivalent_noise_law(desk_minus6):
         deltas = [rng.standard_normal(d) for _ in range(n_users)]
         signals = [precode(delta, alpha) for delta in deltas]
         prev = np.zeros(d)
-        clean = decode(awgn_mac(signals, 0.0, rng), n_users, alpha, prev)
+        clean = decode(awgn_mac(signals), n_users, alpha, prev)
         errs = np.empty((10_000, d))
         for i in range(10_000):
-            errs[i] = decode(awgn_mac(signals, sigma_w2, rng), n_users, alpha, prev) - clean
+            noise = sample_noise(d, sigma_w2, rng)
+            errs[i] = decode(awgn_mac(signals, noise), n_users, alpha, prev) - clean
         var = float(errs.var())
         target = sigma_w2 / (n_users**2 * alpha)
         rel = abs(var - target) / target

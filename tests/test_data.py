@@ -13,7 +13,7 @@ from otafl.data import (
     save_csv,
     standardize,
 )
-from otafl.objectives import ProbeBall, estimate_constants, solve_optimum
+from otafl.objectives import ProbeBall, estimate_constants, hessian, solve_optimum
 from otafl.types import ShardBlock
 
 
@@ -263,3 +263,17 @@ class TestDatasetArrays:
         assert whole.features.shape == (1, 20, 3) and whole.targets.shape == (1, 20)
         assert np.shares_memory(whole.features, dataset.features)
         assert np.shares_memory(whole.targets, dataset.targets)
+
+    def test_whole_optimum_is_solved_once_per_lam(self):
+        # the full-dataset objective that resolve and the bound inputs share
+        dataset = generate_synthetic(4, 30, 1.0, np.random.default_rng(3))
+        for lam in (0.5, 0.1):
+            theta_star, hess = dataset.whole_optimum(lam)
+            np.testing.assert_array_equal(hess, hessian(dataset.whole(), lam))
+            np.testing.assert_array_equal(theta_star, solve_optimum(dataset.whole(), lam))
+            again = dataset.whole_optimum(lam)
+            assert again[0] is theta_star and again[1] is hess
+            assert not (theta_star.flags.writeable or hess.flags.writeable)
+        # a copy goes through the checks again and solves afresh
+        copied = pickle.loads(pickle.dumps(dataset))
+        assert copied.whole_optimum(0.5)[1] is not dataset.whole_optimum(0.5)[1]

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from otafl import data as data_mod
 from otafl import harness
 from otafl.bounds import (
     bound_final_model,
@@ -43,7 +44,7 @@ from otafl.harness import (
     simulate_trials,
     tabulate,
 )
-from otafl.objectives import ProbeBall, estimate_constants, hessian, solve_optimum
+from otafl.objectives import ProbeBall, estimate_constants, hessian, shard_grams, solve_optimum
 from otafl.precoding import estimate_alpha_mc
 from otafl.rng import stream_generator
 from otafl.trainer import CHANNEL_KINDS, SCHEMES, run_training
@@ -681,7 +682,7 @@ class TestBoundInputs:
         assert inputs.delta0 >= analytic - 1e-12
 
     def test_resolve_keeps_the_full_dataset_hessian(self):
-        # estimate_bound_inputs solves for theta* with it instead of a new Gram
+        # estimate_bound_inputs takes theta* from the same pass instead of a new Gram
         config = tiny_config()
         resolved = harness.resolve(config, ["noise_free_local_sgd"])
         shard = ShardBlock(resolved.dataset.features[None], resolved.dataset.targets[None])
@@ -689,35 +690,30 @@ class TestBoundInputs:
         np.testing.assert_array_equal(resolved.hessian, hessian(shard, lam))
         eigs = np.linalg.eigvalsh(resolved.hessian)
         assert (resolved.mu, resolved.smoothness) == (eigs[0], eigs[-1])
-        with_hessian = solve_optimum(shard, lam, resolved.hessian)
-        np.testing.assert_array_equal(with_hessian, solve_optimum(shard, lam))
+        theta_star, hess = resolved.dataset.whole_optimum(lam)
+        assert hess is resolved.hessian and not hess.flags.writeable
+        np.testing.assert_array_equal(theta_star, solve_optimum(shard, lam))
 
     def test_full_dataset_objective_reads_the_dataset_uncopied(self, monkeypatch):
-        # resolve's Hessian and the bound inputs' theta* take the whole
-        # dataset as one user's shard, a view of its arrays
-        seen, resolved = [], []
+        # resolve's Hessian and the bound inputs' theta* come from one pass
+        # per dataset, which takes the whole dataset as one user's shard, a
+        # view of its arrays
+        seen = []
 
-        def recording(func, log, of_result):
-            def wrapper(*args, **kwargs):
-                result = func(*args, **kwargs)
-                log.append(result if of_result else args[0])
-                return result
+        def recording(shards):
+            seen.append(shards)
+            return shard_grams(shards)
 
-            return wrapper
-
-        monkeypatch.setattr(harness, "hessian", recording(harness.hessian, seen, False))
-        monkeypatch.setattr(
-            harness, "solve_optimum", recording(harness.solve_optimum, seen, False)
-        )
-        monkeypatch.setattr(harness, "resolve", recording(harness.resolve, resolved, True))
-        harness.estimate_bound_inputs(tiny_config())
-        (dataset,) = [r.dataset for r in resolved]
-        whole = [block for block in seen if block.features.shape[0] == 1]
-        assert len(whole) == 2  # resolve's hessian, then solve_optimum
-        for block in whole:
-            assert block.features.shape == (1, *dataset.features.shape)
-            assert np.shares_memory(block.features, dataset.features)
-            assert np.shares_memory(block.targets, dataset.targets)
+        monkeypatch.setattr(harness, "_DATASETS", weakref.WeakValueDictionary())
+        monkeypatch.setattr(data_mod, "shard_grams", recording)
+        config = tiny_config()
+        result = harness.simulate_trials(config, ["noise_free_local_sgd"])
+        harness.estimate_bound_inputs(config)
+        (whole,) = seen  # simulate_trials' resolve; estimate_bound_inputs' reuses it
+        dataset = result.resolved.dataset
+        assert whole.features.shape == (1, *dataset.features.shape)
+        assert np.shares_memory(whole.features, dataset.features)
+        assert np.shares_memory(whole.targets, dataset.targets)
 
 
 def _traced_peak(fn) -> int:

@@ -165,7 +165,7 @@ class TestSolveOptimum:
             assert gap == pytest.approx(global_loss(theta, shards, 0.5) - f_star, rel=1e-9)
 
     def test_quadratic_gap_rows_have_the_bits_of_one_row_calls(self, rng):
-        # trainer.run_round measures a block of trials' gaps in one call
+        # a block of trials' gaps in one call
         for n_rows, dim in ((1, 90), (7, 20), (50, 3)):
             thetas = rng.standard_normal((n_rows, dim))
             theta_stars = rng.standard_normal((n_rows, dim))
@@ -176,6 +176,25 @@ class TestSolveOptimum:
             for theta, theta_star, hess, gap in zip(thetas, theta_stars, hessians, gaps):
                 diff = theta - theta_star
                 assert gap == quadratic_gap(theta, theta_star, hess) == 0.5 * (diff @ hess @ diff)
+
+    @pytest.mark.parametrize(
+        "n_trials, n_rounds, dim", [(1, 64, 90), (7, 64, 20), (5, 3, 1), (50, 7, 3), (3, 64, 1)]
+    )
+    def test_quadratic_gap_chunk_has_the_bits_of_per_round_calls(
+        self, rng, n_trials, n_rounds, dim
+    ):
+        # trainer.run_training measures a chunk of rounds' gaps in one call:
+        # (T, C, d) models against (T, 1, d) optima and (T, 1, d, d) Hessians
+        thetas = rng.standard_normal((n_trials, n_rounds, dim))
+        theta_stars = rng.standard_normal((n_trials, dim))
+        factors = rng.standard_normal((n_trials, dim, dim))
+        hessians = factors @ factors.transpose(0, 2, 1)
+        gaps = quadratic_gap(thetas, theta_stars[:, None], hessians[:, None])
+        assert gaps.shape == (n_trials, n_rounds)
+        for c in range(n_rounds):
+            np.testing.assert_array_equal(
+                gaps[:, c], quadratic_gap(thetas[:, c], theta_stars, hessians), err_msg=f"{c}"
+            )
 
     def test_singular_without_regularization(self):
         shard = one_shard([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])

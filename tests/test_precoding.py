@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from otafl.channel import awgn_mac, sample_rayleigh
+from otafl.channel import awgn_mac, sample_noise, sample_rayleigh
 from otafl.localsgd import local_pass
 from otafl.objectives import ProbeBall, estimate_constants, ridge_grad
 from otafl.precoding import (
@@ -47,14 +47,14 @@ class TestPrecodeDecode:
         np.testing.assert_array_equal(decode(np.zeros(4), 3, 1.5, prev), prev)
 
     def test_noiseless_average(self, rng):
-        y = awgn_mac([precode(np.array([1.0]), 2.0), precode(np.array([3.0]), 2.0)], 0.0, rng)
+        y = awgn_mac([precode(np.array([1.0]), 2.0), precode(np.array([3.0]), 2.0)])
         np.testing.assert_allclose(decode(y, 2, 2.0, np.zeros(1)), [2.0], atol=1e-12)
 
     def test_alpha_cancels_end_to_end(self, rng):
         prev = rng.standard_normal(6)
         deltas = [rng.standard_normal(6) for _ in range(5)]
         for alpha in (1e-4, 0.3, 1.0, 47.0, 1e6):
-            y = awgn_mac([precode(d, alpha) for d in deltas], 0.0, rng)
+            y = awgn_mac([precode(d, alpha) for d in deltas])
             out = decode(y, 5, alpha, prev)
             np.testing.assert_allclose(out, prev + np.mean(deltas, axis=0), atol=1e-10)
 
@@ -64,10 +64,10 @@ class TestPrecodeDecode:
         deltas = [rng.standard_normal(d) for _ in range(n_users)]
         signals = [precode(delta, alpha) for delta in deltas]
         prev = np.zeros(d)
-        clean = decode(awgn_mac(signals, 0.0, rng), n_users, alpha, prev)
+        clean = decode(awgn_mac(signals), n_users, alpha, prev)
         errs = []
         for _ in range(10_000 // d):
-            noisy = decode(awgn_mac(signals, sigma_w2, rng), n_users, alpha, prev)
+            noisy = decode(awgn_mac(signals, sample_noise(d, sigma_w2, rng)), n_users, alpha, prev)
             errs.append(noisy - clean)
         var = np.concatenate(errs).var()
         target = sigma_w2 / (n_users**2 * alpha)

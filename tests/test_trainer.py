@@ -5,7 +5,7 @@ import pytest
 
 import otafl.trainer as trainer_mod
 
-from otafl.channel import awgn_mac
+from otafl.channel import awgn_mac, sample_noise
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition
 from otafl.localsgd import DEFAULT_THETA0_STD, local_pass
 from otafl.objectives import global_grad, hessian, quadratic_gap, ridge_grad, solve_optimum
@@ -48,8 +48,9 @@ def _one_trial(optimum):
 
 def _round(theta, shards, config, alpha, streams, round_index, optimum, indices, fading=None):
     """One round as run_training makes it: the users' local steps from theta
-    on the shards' samples, then run_round's aggregation over the channel,
-    for a block of one trial."""
+    on the shards' samples, then run_round's aggregation over the channel
+    with one round's noise from the trial's noise stream, for a block of one
+    trial. Returns the new model, its gap and the users' transmit energies."""
     dataset, rows = flat_rows(shards)
     t0 = (round_index - 1) * config.local_steps
     etas = [config.step.eta(t0 + j) for j in range(config.local_steps)]
@@ -57,11 +58,15 @@ def _round(theta, shards, config, alpha, streams, round_index, optimum, indices,
         theta, dataset.features, dataset.targets, etas,
         np.take_along_axis(rows[0], indices, axis=1), config.ridge_lambda,
     )
-    new_theta, gaps, powers = run_round(
-        theta[None], local_models[None], config, alpha, [streams.noise[0]], _one_trial(optimum),
+    noise = None
+    if config.sigma_w2 > 0:
+        noise = sample_noise(theta.shape[-1], config.sigma_w2, streams.noise[0])[None]
+    powers = np.empty((1, rows.shape[1]))
+    (new_theta,) = run_round(
+        theta[None], local_models[None], config, alpha, noise, powers,
         None if fading is None else (fading[0][None], fading[1][None]),
     )
-    return new_theta[0], gaps[0], powers[0]
+    return new_theta, quadratic_gap(new_theta, *optimum), powers[0]
 
 
 def _train(shards, configs, alpha_schedule, streams, optimum, theta0):
@@ -275,14 +280,11 @@ class TestTrainerConfig:
         thetas = []
         for sigma_w2 in (0.0, 4.0):
             config = TrainerConfig(
-                scheme="noise_free_local_sgd", local_steps=2, rounds=1, step=_schedule(),
+                scheme="noise_free_local_sgd", local_steps=2, rounds=3, step=_schedule(),
                 sigma_w2=sigma_w2,
             )
-            theta, _, _ = _round(
-                np.zeros(3), shards, config, None, _streams(2, 3), 1, _optimum(shards),
-                _indices(2, 3, 10, 2),
-            )
-            thetas.append(theta)
+            (trace,) = _train(shards, [config], None, _streams(2, 3), _optimum(shards), np.zeros(3))
+            thetas.append(trace.thetas)
         np.testing.assert_array_equal(thetas[0], thetas[1])
 
 
@@ -357,21 +359,19 @@ class TestRunRound:
         n_trials, n_users, dim, sigma_w2 = 2, 5, 4, 1.3
         theta = rng.standard_normal((n_trials, dim))
         local_models = theta[:, None] + rng.standard_normal((n_trials, n_users, dim))
-        optimum = (
-            rng.standard_normal((n_trials, dim)), np.broadcast_to(np.eye(dim), (n_trials, dim, dim))
-        )
         for gain in (None, 0.37, 2.5, *rng.uniform(1e-3, 1e3, 20)):
             config = TrainerConfig(
                 scheme="non_precoded_ota", local_steps=1, rounds=1, step=_schedule(),
                 non_precoded_gain=gain, sigma_w2=sigma_w2,
             )
-            new_theta, gaps, powers = run_round(
-                theta, local_models, config, None,
-                [np.random.default_rng(s) for s in range(n_trials)], optimum,
+            noise = np.stack(
+                [sample_noise(dim, sigma_w2, np.random.default_rng(s)) for s in range(n_trials)]
             )
+            powers = np.empty((n_trials, n_users))
+            new_theta = run_round(theta, local_models, config, None, noise, powers)
             g = 1.0 if gain is None else gain
             signals = g * (local_models - theta[:, None])
-            y = awgn_mac(signals, sigma_w2, [np.random.default_rng(s) for s in range(n_trials)])
+            y = awgn_mac(signals, noise)
             np.testing.assert_array_equal(new_theta, y / (n_users * g) + theta)
             np.testing.assert_array_equal(powers, np.einsum("tkd,tkd->tk", signals, signals))
 
@@ -836,6 +836,72 @@ class TestFadingRun:
         # K > N can never be served: rejected up front rather than starved
         with pytest.raises(ValueError, match=r"participants must lie in \[1, 1\]"):
             draw_fading_rounds(ScriptedFading([True]), 1, 1, policy)
+
+
+def _per_round_reference(dataset, rows, theta0, config, alpha_schedule, streams, optima):
+    """A block of T trials run one round at a time: each round draws each
+    user's H sample indices, each trial's normal(0, sigma, d) channel noise,
+    and measures the round's gaps in its own call. Yields (thetas, gaps,
+    powers) per round."""
+    n_trials, n_users, shard_size = rows.shape
+    h, dim = config.local_steps, dataset.feature_dim
+    fades = None
+    if config.fading is not None:
+        fades = [
+            draw_fading_rounds(trial.fading[0], n_users, config.rounds, config.fading)
+            for trial in streams
+        ]
+    theta = theta0
+    for i in range(config.rounds):
+        etas = [config.step.eta(i * h + j) for j in range(h)]
+        steps = np.stack([
+            [rows[t, n, user.integers(shard_size, size=h)] for n, user in enumerate(trial.users)]
+            for t, trial in enumerate(streams)
+        ])
+        local_models = local_pass(
+            theta[:, None], dataset.features, dataset.targets, etas, steps, config.ridge_lambda
+        )
+        noise = np.stack(
+            [trial.noise[0].normal(0.0, math.sqrt(config.sigma_w2), dim) for trial in streams]
+        )
+        fading = None
+        if fades is not None:
+            fading = tuple(np.stack([fade[f][i] for fade in fades]) for f in range(2))
+        alpha = None if config.scheme == "non_precoded_ota" else alpha_schedule.values[i]
+        powers = np.empty((n_trials, n_users))
+        theta = run_round(theta, local_models, config, alpha, noise, powers, fading)
+        yield theta, quadratic_gap(theta, *optima), powers
+
+
+class TestRoundChunks:
+    @pytest.mark.parametrize("chunk", [3, 64])
+    @pytest.mark.parametrize("scheme", ["cotaf", "non_precoded_ota", "cotaf_fading"])
+    def test_chunked_run_equals_per_round_reference(self, rng, monkeypatch, chunk, scheme):
+        # 20 rounds in chunks of 3 put noise draws and gap calls across
+        # chunk boundaries and leave a short last chunk
+        monkeypatch.setattr(trainer_mod, "ROUND_CHUNK", chunk)
+        n_trials, n_users, rounds = 3, 6, 20
+        dataset, rows, optima = _trial_block(rng, n_trials, n_users)
+        config = TrainerConfig(
+            scheme=scheme, local_steps=2, rounds=rounds, step=_schedule(), sigma_w2=0.4,
+            fading=TestStackedTrials.POLICY if scheme == "cotaf_fading" else None,
+        )
+        alpha = AlphaSchedule(np.linspace(0.5, 2.0, rounds))
+        seeds = [3 * t + 2 for t in range(n_trials)]
+        theta0 = np.stack([_start(seed, dataset.feature_dim) for seed in seeds])
+        (trace,) = run_training(
+            dataset, rows, theta0, [config], alpha, [_streams(seed, n_users) for seed in seeds],
+            optima,
+        )
+        reference = _per_round_reference(
+            dataset, rows, theta0, config, alpha, [_streams(seed, n_users) for seed in seeds],
+            optima,
+        )
+        for i, (thetas, gaps, powers) in enumerate(reference):
+            np.testing.assert_array_equal(trace.thetas[:, i], thetas, err_msg=f"round {i + 1}")
+            np.testing.assert_array_equal(trace.gaps[:, i], gaps, err_msg=f"round {i + 1}")
+            np.testing.assert_array_equal(trace.powers[:, i], powers, err_msg=f"round {i + 1}")
+        assert i + 1 == rounds
 
 
 class TestWeightedAverageModel:
