@@ -97,6 +97,6 @@ from .trainer import (
     step_final_model,
     weighted_average_model,
 )
-from .types import ProblemConstants, RegressionSample, ShardBlock, Shards, as_model_vector
+from .types import ProblemConstants, RegressionSample, as_model_vector
 
 __version__ = "0.1.0"

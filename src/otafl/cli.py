@@ -16,11 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import harness
 from .bounds import (
-    BoundInputs,
     base_error_constant,
     bound_final_model,
     bound_final_model_fading,
@@ -138,16 +138,7 @@ def _cmd_bound(args) -> int:
         if t <= 0 or t % h != 0:
             raise ValueError(f"t={t} is not a positive multiple of H={h}")
         payload["S_R"][str(t)] = weight_sum(inputs.shift, h, t // h)
-        payload["bounds"][str(t)] = bound_fn(
-            BoundInputs(
-                constants=c,
-                delta0=inputs.delta0,
-                shift=inputs.shift,
-                total_steps=t,
-                participants=inputs.participants,
-                h_min=inputs.h_min,
-            )
-        )
+        payload["bounds"][str(t)] = bound_fn(replace(inputs, total_steps=t))
     print(json.dumps(payload, indent=2))
     return 0
 

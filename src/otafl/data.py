@@ -13,8 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .objectives import grams_optimum, shard_grams
-from .types import ShardBlock, check_shard_shape
+from .objectives import grams_optimum
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +41,7 @@ class Dataset:
         if not (np.all(np.isfinite(features)) and np.all(np.isfinite(targets))):
             raise ValueError("dataset contains non-finite values")
         # read-only: every resolve of a config may share one instance
-        # (harness.build_dataset), and blocks gathered from it skip the scan
+        # (harness.build_dataset), and the shards read from it need no scan
         for name, array in (("features", features), ("targets", targets)):
             view = array.view()
             view.flags.writeable = False
@@ -64,16 +63,14 @@ class Dataset:
         gathers one shard per iteration step."""
         return ShardRows(self, rows)
 
-    def whole(self) -> ShardBlock:
-        """The whole dataset as one user's shard, a view of its arrays."""
-        return ShardBlock.of_finite(self.features[None], self.targets[None])
-
     def whole_optimum(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """theta* and the Hessian of the global objective on whole(), with the
-        bits of solve_optimum and hessian: formed in one pass on the first call
-        for each lam and kept, read-only, with the dataset."""
+        """theta* and the Hessian of the global objective with the whole dataset
+        as one user's shard, with the bits of solve_optimum and hessian: formed
+        in one pass over the arrays, uncopied, on the first call for each lam
+        and kept, read-only, with the dataset."""
         if lam not in self._optima:
-            optimum = grams_optimum(*shard_grams(self.whole()), lam)
+            x, y, size = self.features, self.targets, len(self)
+            optimum = grams_optimum((x.T @ x / size)[None], (x.T @ y / size)[None], lam)
             for array in optimum:
                 array.flags.writeable = False
             self._optima[lam] = optimum
@@ -82,12 +79,13 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class ShardRows:
-    """N equal-size user shards held as (N, D_n) row ids into a dataset.
+    """N equal-size user shards held as (N, D_n) row ids into a dataset, the
+    one shard form training, the alpha pilot and the objectives read.
 
     Iterating gathers user n + 1's (D_n, d) features and (D_n,) targets at
     step n, so a pass over the shards holds one shard's copy at a time and
-    never the (N, D_n, d) block; gather() builds that block for a caller
-    that needs it whole.
+    never the (N, D_n, d) block. A caller that holds sample arrays builds
+    Dataset(features, targets).shards(rows), which checks them.
     """
 
     dataset: Dataset
@@ -100,7 +98,10 @@ class ShardRows:
                 f"need (N, D_n, d) features from (N, D_n) row ids, got row ids of shape "
                 f"{rows.shape}"
             )
-        check_shard_shape(*rows.shape)
+        if rows.shape[0] == 0:
+            raise ValueError("need at least one user shard")
+        if rows.shape[1] == 0:
+            raise ValueError("shard must be non-empty")
         if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= len(self.dataset):
             raise ValueError(f"row ids must be integers in [0, {len(self.dataset)})")
         object.__setattr__(self, "rows", rows)
@@ -112,11 +113,6 @@ class ShardRows:
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for ids in self.rows:
             yield self.dataset.features[ids], self.dataset.targets[ids]
-
-    def gather(self) -> ShardBlock:
-        """All N shards copied into one (N, D_n, d) block."""
-        features, targets = self.dataset.features, self.dataset.targets
-        return ShardBlock.of_finite(features[self.rows], targets[self.rows])
 
 
 @dataclass(frozen=True)

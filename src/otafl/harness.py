@@ -414,12 +414,12 @@ def _resolve_alpha(
         dataset, config.partition_spec, stream_generator(config.seed, "alpha/partition")
     )
     if alpha.source == "mc_pilot":
-        # only the subsample is gathered, as the block the pilot runs on
+        # the pilot steps on the subsample's row ids; no sample is copied
         rows = _subsample_rows(
             rows, alpha.fraction, stream_generator(config.seed, "alpha/subsample")
         )
         return estimate_alpha_mc(
-            dataset.shards(rows).gather(),
+            dataset.shards(rows),
             trainer.ridge_lambda,
             trainer.rounds,
             trainer.local_steps,

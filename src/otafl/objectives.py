@@ -10,10 +10,14 @@ curvature estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .types import ProblemConstants, RegressionSample, Shards, as_model_vector
+from .types import ProblemConstants, RegressionSample, as_model_vector
+
+if TYPE_CHECKING:  # data imports this module
+    from .data import ShardRows
 
 
 def _sample_residual(theta, sample: RegressionSample, lam: float):
@@ -40,13 +44,13 @@ def _shard_loss(theta: np.ndarray, features: np.ndarray, targets: np.ndarray, la
     return float(np.mean(0.5 * residuals * residuals) + 0.5 * lam * (theta @ theta))
 
 
-def global_loss(theta, shards: Shards, lam: float) -> float:
+def global_loss(theta, shards: ShardRows, lam: float) -> float:
     """Average over users of the per-user empirical loss."""
     theta = as_model_vector(theta, dim=shards.shape[-1])
     return float(np.mean([_shard_loss(theta, x, y, lam) for x, y in shards]))
 
 
-def global_grad(theta, shards: Shards, lam: float) -> np.ndarray:
+def global_grad(theta, shards: ShardRows, lam: float) -> np.ndarray:
     """Exact gradient of global_loss."""
     theta = as_model_vector(theta, dim=shards.shape[-1])
     grads = []
@@ -56,17 +60,14 @@ def global_grad(theta, shards: Shards, lam: float) -> np.ndarray:
     return np.mean(grads, axis=0)
 
 
-def hessian(shards: Shards, lam: float) -> np.ndarray:
-    """Hessian of the global objective: averaged Gram matrix + lam*I."""
-    n_users, shard_size, d = shards.shape
-    gram = np.zeros((d, d))
-    for x, _ in shards:
-        gram += x.T @ x / shard_size
-    gram /= n_users
-    return gram + lam * np.eye(d)
+def hessian(shards: ShardRows, lam: float) -> np.ndarray:
+    """Hessian of the global objective: averaged Gram matrix + lam*I, as
+    grams_optimum forms it; a singular Gram with lam = 0 is not rejected."""
+    grams, _ = shard_grams(shards)
+    return grams.mean(axis=0) + lam * np.eye(grams.shape[-1])
 
 
-def shard_grams(shards: Shards) -> tuple[np.ndarray, np.ndarray]:
+def shard_grams(shards: ShardRows) -> tuple[np.ndarray, np.ndarray]:
     """Each shard's Gram X^T X / D_n and moment X^T y / D_n, as (N, d, d) and
     (N, d) stacks, in one pass over the shards; grams_optimum turns them into
     theta* and the Hessian."""
@@ -82,31 +83,24 @@ def shard_grams(shards: Shards) -> tuple[np.ndarray, np.ndarray]:
 def grams_optimum(
     grams: np.ndarray, moments: np.ndarray, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """theta* and the Hessian of the global objective from shard_grams' stacks,
-    with the bits of solve_optimum(shards, lam) and hessian(shards, lam)."""
+    """theta* and the Hessian of the global objective from shard_grams' stacks.
+
+    solve_optimum reads theta* from here and hessian forms the same Hessian
+    without the solve. With lam = 0 the averaged Gram matrix must be full rank.
+    """
     hess = grams.mean(axis=0) + lam * np.eye(grams.shape[-1])
-    return _solve_normal_equations(hess, moments.mean(axis=0), lam), hess
-
-
-def _solve_normal_equations(hess: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     if lam == 0:
         eigs = np.linalg.eigvalsh(hess)
         if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
             raise ValueError("singular normal equations with lam=0; add regularization")
-    return np.linalg.solve(hess, rhs)
+    return np.linalg.solve(hess, moments.mean(axis=0)), hess
 
 
-def solve_optimum(shards: Shards, lam: float, hess: np.ndarray | None = None) -> np.ndarray:
-    """Exact minimizer theta* of the global objective.
-
-    Solves the normal equations of the averaged objective. With lam = 0 the
-    averaged Gram matrix must be full rank. A caller that already holds
-    hessian(shards, lam) passes it as hess; global_loss gives F* = F(theta*).
-    """
-    if hess is None:
-        hess = hessian(shards, lam)
-    rhs = np.mean([x.T @ y / len(y) for x, y in shards], axis=0)
-    return _solve_normal_equations(hess, rhs, lam)
+def solve_optimum(shards: ShardRows, lam: float) -> np.ndarray:
+    """Exact minimizer theta* of the global objective: the normal equations
+    of the averaged objective, from one shard_grams pass. global_loss gives
+    F* = F(theta*)."""
+    return grams_optimum(*shard_grams(shards), lam)[0]
 
 
 def quadratic_gap(
@@ -158,7 +152,7 @@ class ProbeBall:
 
 
 def estimate_constants(
-    shards: Shards,
+    shards: ShardRows,
     lam: float,
     probe_region: ProbeBall | np.ndarray,
     rng: np.random.Generator | None = None,

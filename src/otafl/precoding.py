@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import RAYLEIGH_UNIT_POWER_SCALE
+from .data import ShardRows
 from .localsgd import DEFAULT_THETA0_STD, StepFn, local_pass
-from .types import ShardBlock
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def fading_decode(
 
 
 def estimate_alpha_mc(
-    pilot_shards: ShardBlock,
+    pilot_shards: ShardRows,
     lam: float,
     rounds: int,
     local_steps: int,
@@ -193,11 +193,9 @@ def estimate_alpha_mc(
     if power <= 0:
         raise ValueError("power must be positive")
 
-    n_users, shard_size, dim = pilot_shards.features.shape
-    # the block as one sample matrix: user n's shard index i is row n*D_n + i
-    features = pilot_shards.features.reshape(-1, dim)
-    targets = pilot_shards.targets.reshape(-1)
-    first_rows = shard_size * np.arange(n_users)[:, None]
+    dataset, shard_rows = pilot_shards.dataset, pilot_shards.rows
+    n_users, shard_size, dim = pilot_shards.shape
+    users = np.arange(n_users)[:, None]
     etas = [
         [step_fn((r - 1) * local_steps + j) for j in range(local_steps)]
         for r in range(1, rounds + 1)
@@ -213,11 +211,12 @@ def estimate_alpha_mc(
         thetas[t, 0] = rng.normal(0.0, theta0_std, dim)
         draws[t] = rng.integers(shard_size, size=draws[t].size).reshape(draws.shape[1:])
 
-    # All trials advance as one (T, N, d) block per round, on (T, N, H) row ids.
+    # All trials advance as one (T, N, d) block per round, stepping on the
+    # round's (T, N, H) shard indices mapped to dataset row ids, as training does.
     sums = np.zeros((rounds, n_users))
     for r in range(rounds):
-        rows = draws[:, r] + first_rows
-        local_models = local_pass(thetas, features, targets, etas[r], rows, lam)
+        rows = shard_rows[users, draws[:, r]]
+        local_models = local_pass(thetas, dataset.features, dataset.targets, etas[r], rows, lam)
         diff = local_models - thetas
         sq = np.einsum("tnd,tnd->tn", diff, diff)
         for t in range(pilot_trials):  # trial by trial, the order of a per-trial loop

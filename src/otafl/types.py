@@ -9,7 +9,6 @@ to share across concurrent trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -36,75 +35,6 @@ class RegressionSample:
     def __post_init__(self):
         object.__setattr__(self, "features", as_model_vector(self.features))
         object.__setattr__(self, "target", float(self.target))
-
-
-class Shards(Protocol):
-    """N equal-size user shards as the objectives read them.
-
-    shape is (N, D_n, d); iterating yields each user's (D_n, d) features and
-    (D_n,) targets in user order. A ShardBlock holds its shards; the row-id
-    view of Dataset.shards gathers one shard per step, so a pass over a
-    partition never holds more than one shard of it.
-    """
-
-    @property
-    def shape(self) -> tuple[int, int, int]: ...
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]: ...
-
-
-def check_shard_shape(n_users: int, shard_size: int) -> None:
-    """The checks every shard layout shares: at least one non-empty shard."""
-    if n_users == 0:
-        raise ValueError("need at least one user shard")
-    if shard_size == 0:
-        raise ValueError("shard must be non-empty")
-
-
-@dataclass(frozen=True, eq=False)
-class ShardBlock:
-    """N equal-size user shards held as one block, the layout local SGD runs on.
-
-    features is (N, D_n, d) and targets (N, D_n); user n + 1's shard is row n
-    of both. A contiguous float64 input is held without a copy.
-    """
-
-    features: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        self._hold(self.features, self.targets)
-        # shard by shard, so the check's temporaries stay shard-sized
-        for x, y in self:
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise ValueError("shard contains non-finite values")
-
-    @classmethod
-    def of_finite(cls, features, targets) -> ShardBlock:
-        """A block of samples already checked finite, such as a Dataset's rows:
-        the shape checks run, the finiteness scan does not."""
-        block = object.__new__(cls)
-        block._hold(features, targets)
-        return block
-
-    def _hold(self, features, targets) -> None:
-        features = np.ascontiguousarray(features, dtype=np.float64)
-        targets = np.ascontiguousarray(targets, dtype=np.float64)
-        if features.ndim != 3 or targets.shape != features.shape[:2]:
-            raise ValueError(
-                f"need (N, D_n, d) features and (N, D_n) targets, got {features.shape} "
-                f"and {targets.shape}"
-            )
-        check_shard_shape(*targets.shape)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "targets", targets)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.features.shape
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        return zip(self.features, self.targets)
 
 
 @dataclass(frozen=True)

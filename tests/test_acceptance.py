@@ -87,7 +87,7 @@ def test_criterion_01_noiseless_collapse():
     )
     shards = resolved.dataset.shards(rows)
     hess = hessian(shards, config.trainer.ridge_lambda)
-    theta_star = solve_optimum(shards, config.trainer.ridge_lambda, hess)
+    theta_star = solve_optimum(shards, config.trainer.ridge_lambda)
     theta0 = harness.initial_model_for_trial(config, 0, resolved.dataset.feature_dim)
     iterates = {}
     for scheme in ("cotaf", "noise_free_local_sgd"):
@@ -185,7 +185,7 @@ def test_weighted_average_bound_final_round():
         )
         shards = resolved.dataset.shards(rows)
         hess = hessian(shards, config.trainer.ridge_lambda)
-        theta_star = solve_optimum(shards, config.trainer.ridge_lambda, hess)
+        theta_star = solve_optimum(shards, config.trainer.ridge_lambda)
         f_star = global_loss(theta_star, shards, config.trainer.ridge_lambda)
         theta0 = harness.initial_model_for_trial(config, trial, resolved.dataset.feature_dim)
         (trace,) = run_training(

@@ -1,12 +1,14 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from otafl.bounds import bound_final_model, bound_final_model_fading, bound_weighted_average
 from otafl.cli import main
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, save_csv
-from otafl.harness import load_table
+from otafl.harness import estimate_bound_inputs, load_config, load_table
 from otafl.precoding import AlphaSchedule
 from otafl.rng import stream_generator
 
@@ -58,6 +60,29 @@ def test_bound_prints_constants(config_path, capsys):
 
 def test_bound_rejects_bad_t(config_path, capsys):
     assert main(["bound", "--config", str(config_path), "--theorem", "2", "--t", "3"]) == 1
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3])
+def test_bound_evaluates_the_library_inputs_at_each_t(config_path, tmp_path, capsys, theorem):
+    # each t's bound is the library's on the estimated inputs with T = t
+    path = config_path
+    if theorem == 3:
+        path = _write_variant(
+            config_path,
+            tmp_path,
+            trainer={"scheme": "cotaf_fading", "local_steps": 2, "rounds": 4},
+            channel={"kind": "fading_mac", "snr_db": -6.0, "participants": 2},
+        )
+    t_values = (4, 8, 16)
+    argv = ["bound", "--config", str(path), "--theorem", str(theorem), "--t", "4,8,16"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    kind = "averaged_model" if theorem == 1 else "final_model"
+    inputs = estimate_bound_inputs(load_config(path), kind=kind)
+    bound_fn = {1: bound_weighted_average, 2: bound_final_model, 3: bound_final_model_fading}
+    expected = {str(t): bound_fn[theorem](replace(inputs, total_steps=t)) for t in t_values}
+    assert payload["bounds"] == expected
+    assert (payload["shift"], payload["delta0"]) == (inputs.shift, inputs.delta0)
 
 
 def test_estimate_alpha_writes_schedule(config_path, tmp_path):

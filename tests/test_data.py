@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +15,14 @@ from otafl.data import (
     standardize,
 )
 from otafl.objectives import ProbeBall, estimate_constants, hessian, solve_optimum
-from otafl.types import ShardBlock
+
+from conftest import accumulated_optimum
 
 
 class TestGenerateSynthetic:
     def test_noiseless_data_is_realizable(self, rng):
         dataset = generate_synthetic(5, 60, 0.0, rng)
-        shard = ShardBlock(dataset.features[None], dataset.targets[None])
-        theta_star = solve_optimum(shard, 0.0)
+        theta_star = solve_optimum(dataset.shards(np.arange(60)[None]), 0.0)
         residuals = dataset.features @ theta_star - dataset.targets
         assert np.max(np.abs(residuals)) <= 1e-8
 
@@ -114,16 +115,13 @@ class TestPartition:
         shards = dataset.shards(rows)
         assert rows.shape == (5, 20) and len(np.unique(rows)) == 100
         assert shards.shape == (5, 20, 3)
-        # iterating gathers one shard per step; gather() builds the block
+        # iterating gathers one shard per step: user n's rows of the block
         read = list(shards)
         assert len(read) == 5
+        block_features, block_targets = dataset.features[rows], dataset.targets[rows]
         for n, (features, targets) in enumerate(read):
-            np.testing.assert_array_equal(features, dataset.features[rows[n]])
-            np.testing.assert_array_equal(targets, dataset.targets[rows[n]])
-        block = shards.gather()
-        assert block.shape == (5, 20, 3) and block.targets.shape == (5, 20)
-        np.testing.assert_array_equal(block.features, dataset.features[rows])
-        np.testing.assert_array_equal(block.targets, dataset.targets[rows])
+            np.testing.assert_array_equal(features, block_features[n])
+            np.testing.assert_array_equal(targets, block_targets[n])
 
     def test_remainder_dropped(self, rng):
         dataset = generate_synthetic(2, 103, 1.0, rng)
@@ -186,47 +184,49 @@ class TestPartition:
 
 
 class TestShardBlock:
+    """The shard checks, under the name of the (N, D_n, d) block type they were
+    first written for: a Dataset scans its samples once, ShardRows checks the
+    row ids, and a caller holding sample arrays builds
+    Dataset(features, targets).shards(rows)."""
+
     def test_non_finite_values_rejected(self):
-        features, targets = np.ones((2, 3, 2)), np.ones((2, 3))
+        features, targets = np.ones((6, 2)), np.ones(6)
         for bad in (np.nan, np.inf):
-            for n in range(2):  # a bad value in any user's shard
+            for row in (0, 5):  # a bad value in the first or the last sample
                 spoiled_features, spoiled_targets = features.copy(), targets.copy()
-                spoiled_features[n, 1, 0] = bad
-                spoiled_targets[n, 2] = bad
+                spoiled_features[row, 0] = bad
+                spoiled_targets[row] = bad
                 with pytest.raises(ValueError, match="non-finite"):
-                    ShardBlock(spoiled_features, targets)
+                    Dataset(spoiled_features, targets)
                 with pytest.raises(ValueError, match="non-finite"):
-                    ShardBlock(features, spoiled_targets)
+                    Dataset(features, spoiled_targets)
 
     def test_empty_shards_rejected(self):
+        dataset = generate_synthetic(3, 8, 1.0, np.random.default_rng(6))
         with pytest.raises(ValueError, match="non-empty"):
-            ShardBlock(np.zeros((2, 0, 3)), np.zeros((2, 0)))
+            dataset.shards(np.zeros((2, 0), dtype=np.int64))
         with pytest.raises(ValueError, match="at least one user shard"):
-            ShardBlock(np.zeros((0, 4, 3)), np.zeros((0, 4)))
+            dataset.shards(np.zeros((0, 4), dtype=np.int64))
 
     def test_shapes_checked(self):
-        with pytest.raises(ValueError, match=r"need \(N, D_n, d\) features"):
-            ShardBlock(np.zeros((4, 3)), np.zeros(4))
-        with pytest.raises(ValueError, match=r"need \(N, D_n, d\) features"):
-            ShardBlock(np.zeros((2, 4, 3)), np.zeros((2, 5)))
+        dataset = generate_synthetic(3, 40, 1.0, np.random.default_rng(6))
+        for rows in (np.arange(10), np.arange(8).reshape(2, 2, 2)):
+            with pytest.raises(ValueError, match=r"need \(N, D_n, d\) features"):
+                dataset.shards(rows)
 
     def test_hand_built_block_of_dataset_samples_is_still_checked(self):
-        # blocks gathered from a Dataset skip the scan; a block built by hand
-        # from the same samples keeps it
+        # a caller's copy of a partition's samples goes through Dataset's scan
         dataset = generate_synthetic(3, 40, 1.0, np.random.default_rng(6))
         rows = partition(dataset, PartitionSpec("iid", 4), np.random.default_rng(7))
-        gathered = dataset.shards(rows).gather()
-        features = gathered.features.copy()
+        features, targets = dataset.features[rows], dataset.targets[rows]
         features[2, 5, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            ShardBlock(features, gathered.targets)
+            Dataset(features.reshape(-1, 3), targets.reshape(-1)).shards(
+                np.arange(40).reshape(4, 10)
+            )
 
     def test_dataset_blocks_keep_the_shape_checks(self):
         dataset = generate_synthetic(3, 40, 1.0, np.random.default_rng(6))
-        with pytest.raises(ValueError, match=r"need \(N, D_n, d\) features"):
-            dataset.shards(np.arange(10))
-        with pytest.raises(ValueError, match="non-empty"):
-            dataset.shards(np.zeros((4, 0), dtype=np.int64))
         for bad in ([[0, 40]], [[-1, 3]], [[0.0, 1.0]]):  # numpy would wrap -1
             with pytest.raises(ValueError, match=r"row ids must be integers in \[0, 40\)"):
                 dataset.shards(np.array(bad))
@@ -239,9 +239,6 @@ class TestDatasetArrays:
             dataset.features[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             dataset.targets[:] = 0.0
-        whole = dataset.whole()
-        with pytest.raises(ValueError, match="read-only"):
-            whole.features[0, 0, 0] = 1.0
 
     def test_copies_are_read_only(self):
         dataset = generate_synthetic(3, 20, 1.0, np.random.default_rng(2))
@@ -257,20 +254,29 @@ class TestDatasetArrays:
         assert np.shares_memory(dataset.features, features)
         assert features.flags.writeable and targets.flags.writeable
 
-    def test_whole_is_one_shard_viewing_the_arrays(self):
-        dataset = generate_synthetic(3, 20, 1.0, np.random.default_rng(2))
-        whole = dataset.whole()
-        assert whole.features.shape == (1, 20, 3) and whole.targets.shape == (1, 20)
-        assert np.shares_memory(whole.features, dataset.features)
-        assert np.shares_memory(whole.targets, dataset.targets)
+    def test_whole_optimum_reads_the_arrays_uncopied(self):
+        # the full-dataset Gram pass runs on the dataset's own arrays: its
+        # peak stays under half the dataset's bytes, which a copy exceeds
+        dataset = generate_synthetic(30, 20000, 1.0, np.random.default_rng(2))
+        tracemalloc.start()
+        try:
+            dataset.whole_optimum(0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (dataset.features.nbytes + dataset.targets.nbytes) / 2
 
     def test_whole_optimum_is_solved_once_per_lam(self):
         # the full-dataset objective that resolve and the bound inputs share
         dataset = generate_synthetic(4, 30, 1.0, np.random.default_rng(3))
+        whole = dataset.shards(np.arange(30)[None])
         for lam in (0.5, 0.1):
             theta_star, hess = dataset.whole_optimum(lam)
-            np.testing.assert_array_equal(hess, hessian(dataset.whole(), lam))
-            np.testing.assert_array_equal(theta_star, solve_optimum(dataset.whole(), lam))
+            oracle = accumulated_optimum(whole, lam)
+            np.testing.assert_array_equal(hess, oracle[1])
+            np.testing.assert_array_equal(theta_star, oracle[0])
+            np.testing.assert_array_equal(hess, hessian(whole, lam))
+            np.testing.assert_array_equal(theta_star, solve_optimum(whole, lam))
             again = dataset.whole_optimum(lam)
             assert again[0] is theta_star and again[1] is hess
             assert not (theta_star.flags.writeable or hess.flags.writeable)

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from otafl.bounds import (
     schedule_shift,
     validate_dominance,
 )
-from otafl.data import PartitionSpec, generate_synthetic, partition
+from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition
 from otafl.harness import (
     AlphaSpec,
     ChannelSpec,
@@ -44,11 +44,10 @@ from otafl.harness import (
     simulate_trials,
     tabulate,
 )
-from otafl.objectives import ProbeBall, estimate_constants, hessian, shard_grams, solve_optimum
+from otafl.objectives import ProbeBall, estimate_constants, hessian, solve_optimum
 from otafl.precoding import estimate_alpha_mc
 from otafl.rng import stream_generator
 from otafl.trainer import CHANNEL_KINDS, SCHEMES, run_training
-from otafl.types import ShardBlock
 
 
 def tiny_config(**overrides):
@@ -452,7 +451,7 @@ class TestRunExperiment:
             )
             shards = resolved.dataset.shards(rows)
             hess = hessian(shards, lam)
-            theta_star = solve_optimum(shards, lam, hess)
+            theta_star = solve_optimum(shards, lam)
             theta0 = harness.initial_model_for_trial(config, trial, resolved.dataset.feature_dim)
             diff = theta0 - theta_star
             assert result.theta0_dist2[trial] == diff @ diff
@@ -641,7 +640,7 @@ class TestBoundInputs:
         inputs = harness.estimate_bound_inputs(config)
         dataset = harness.resolve(config, ["noise_free_local_sgd"]).dataset
         lam = config.trainer.ridge_lambda
-        theta_star = solve_optimum(ShardBlock(dataset.features[None], dataset.targets[None]), lam)
+        theta_star = solve_optimum(dataset.shards(np.arange(len(dataset))[None]), lam)
         ball = ProbeBall(theta_star, 2.0 * math.sqrt(inputs.delta0), count=32)
         draws = [
             estimate_constants(
@@ -676,8 +675,8 @@ class TestBoundInputs:
         config = tiny_config()
         inputs = harness.estimate_bound_inputs(config)
         resolved = harness.resolve(config, ["cotaf"])
-        shard = ShardBlock(resolved.dataset.features[None], resolved.dataset.targets[None])
-        theta_star = solve_optimum(shard, config.trainer.ridge_lambda)
+        whole = resolved.dataset.shards(np.arange(len(resolved.dataset))[None])
+        theta_star = solve_optimum(whole, config.trainer.ridge_lambda)
         analytic = config.trainer.theta0_std ** 2 * 5 + float(theta_star @ theta_star)
         assert inputs.delta0 >= analytic - 1e-12
 
@@ -685,35 +684,34 @@ class TestBoundInputs:
         # estimate_bound_inputs takes theta* from the same pass instead of a new Gram
         config = tiny_config()
         resolved = harness.resolve(config, ["noise_free_local_sgd"])
-        shard = ShardBlock(resolved.dataset.features[None], resolved.dataset.targets[None])
+        whole = resolved.dataset.shards(np.arange(len(resolved.dataset))[None])
         lam = config.trainer.ridge_lambda
-        np.testing.assert_array_equal(resolved.hessian, hessian(shard, lam))
+        np.testing.assert_array_equal(resolved.hessian, hessian(whole, lam))
         eigs = np.linalg.eigvalsh(resolved.hessian)
         assert (resolved.mu, resolved.smoothness) == (eigs[0], eigs[-1])
         theta_star, hess = resolved.dataset.whole_optimum(lam)
         assert hess is resolved.hessian and not hess.flags.writeable
-        np.testing.assert_array_equal(theta_star, solve_optimum(shard, lam))
+        np.testing.assert_array_equal(theta_star, solve_optimum(whole, lam))
 
     def test_full_dataset_objective_reads_the_dataset_uncopied(self, monkeypatch):
-        # resolve's Hessian and the bound inputs' theta* come from one pass
-        # per dataset, which takes the whole dataset as one user's shard, a
-        # view of its arrays
-        seen = []
+        # resolve's Hessian and the bound inputs' theta* come from one Gram
+        # pass per dataset, on its own arrays as one user's shard: one
+        # grams_optimum call across simulate_trials and estimate_bound_inputs
+        # (Dataset.whole_optimum's peak memory is pinned in test_data.py)
+        seen, solve = [], data_mod.grams_optimum
 
-        def recording(shards):
-            seen.append(shards)
-            return shard_grams(shards)
+        def recording(grams, moments, lam):
+            seen.append((grams.shape, moments.shape, lam))
+            return solve(grams, moments, lam)
 
         monkeypatch.setattr(harness, "_DATASETS", weakref.WeakValueDictionary())
-        monkeypatch.setattr(data_mod, "shard_grams", recording)
+        monkeypatch.setattr(data_mod, "grams_optimum", recording)
         config = tiny_config()
         result = harness.simulate_trials(config, ["noise_free_local_sgd"])
         harness.estimate_bound_inputs(config)
-        (whole,) = seen  # simulate_trials' resolve; estimate_bound_inputs' reuses it
-        dataset = result.resolved.dataset
-        assert whole.features.shape == (1, *dataset.features.shape)
-        assert np.shares_memory(whole.features, dataset.features)
-        assert np.shares_memory(whole.targets, dataset.targets)
+        dim = result.resolved.dataset.feature_dim
+        # simulate_trials' resolve; estimate_bound_inputs' reuses its optimum
+        assert seen == [((1, dim, dim), (1, dim), config.trainer.ridge_lambda)]
 
 
 def _traced_peak(fn) -> int:
@@ -744,13 +742,13 @@ class TestShardPasses:
 
         assert _traced_peak(constants) < limit
         assert _traced_peak(lambda: harness._solve_trial(dataset, rows, 0.5)) < limit
-        assert _traced_peak(lambda: dataset.shards(rows).gather()) > 1.9 * limit
+        assert _traced_peak(lambda: dataset.features[rows]) > 1.9 * limit
 
     def test_mc_pilot_gathers_only_its_subsample(self, monkeypatch):
-        # the pilot subsample is drawn as row ids; the schedule keeps the bits
-        # of subsampling the gathered pilot partition, on the same draws
-        config = tiny_config()
-        trainer, lam = config.trainer, config.trainer.ridge_lambda
+        # the pilot steps on its subsample's row ids into the dataset; the
+        # schedule keeps the bits of the old input form, the gathered
+        # subsample as its own dataset, on the same draws; also for one local
+        # step and for the whole partition
         pilots = []
 
         def recording(shards, *args, **kwargs):
@@ -758,34 +756,48 @@ class TestShardPasses:
             return estimate_alpha_mc(shards, *args, **kwargs)
 
         monkeypatch.setattr(harness, "estimate_alpha_mc", recording)
-        resolved = harness.resolve(config, ["cotaf"])
-        dataset = resolved.dataset
-        block = dataset.shards(
-            partition(
+        base = tiny_config()
+        for local_steps, fraction in ((3, 0.5), (1, 0.5), (3, 1.0)):
+            pilots.clear()
+            config = replace(
+                base,
+                trainer=replace(base.trainer, local_steps=local_steps),
+                alpha=replace(base.alpha, fraction=fraction),
+            )
+            trainer, lam = config.trainer, config.trainer.ridge_lambda
+            resolved = harness.resolve(config, ["cotaf"])
+            dataset = resolved.dataset
+            rows = partition(
                 dataset, config.partition_spec, stream_generator(config.seed, "alpha/partition")
             )
-        ).gather()
-        n_users, shard_size, dim = block.shape
-        subsample = stream_generator(config.seed, "alpha/subsample")
-        k = max(1, int(round(config.alpha.fraction * shard_size)))
-        picks = np.stack(
-            [subsample.choice(shard_size, size=k, replace=False) for _ in range(n_users)]
-        )
-        users = np.arange(n_users)[:, None]
-        expected = estimate_alpha_mc(
-            ShardBlock(block.features[users, picks], block.targets[users, picks]),
-            lam,
-            trainer.rounds,
-            trainer.local_steps,
-            harness.POWER,
-            config.alpha.pilot_trials,
-            stream_generator(config.seed, "alpha/run"),
-            step_fn=resolved.schedule.eta,
-            theta0_std=trainer.theta0_std,
-        )
-        np.testing.assert_array_equal(resolved.alpha_schedule.values, expected.values)
-        (pilot,) = pilots
-        assert pilot.shape == (n_users, k, dim) and k < shard_size
+            n_users, shard_size = rows.shape
+            k = max(1, int(round(fraction * shard_size)))
+            if fraction < 1.0:
+                subsample = stream_generator(config.seed, "alpha/subsample")
+                picks = np.stack(
+                    [subsample.choice(shard_size, size=k, replace=False) for _ in range(n_users)]
+                )
+                rows = np.take_along_axis(rows, picks, axis=1)
+            gathered = Dataset(
+                dataset.features[rows].reshape(-1, dataset.feature_dim),
+                dataset.targets[rows].reshape(-1),
+            )
+            expected = estimate_alpha_mc(
+                gathered.shards(np.arange(n_users * k).reshape(n_users, k)),
+                lam,
+                trainer.rounds,
+                trainer.local_steps,
+                harness.POWER,
+                config.alpha.pilot_trials,
+                stream_generator(config.seed, "alpha/run"),
+                step_fn=resolved.schedule.eta,
+                theta0_std=trainer.theta0_std,
+            )
+            np.testing.assert_array_equal(resolved.alpha_schedule.values, expected.values)
+            (pilot,) = pilots
+            assert pilot.dataset is dataset
+            np.testing.assert_array_equal(pilot.rows, rows)
+            assert (k < shard_size) == (fraction < 1.0)
 
 
 class TestFadingExperiment:

@@ -17,9 +17,10 @@ from otafl.objectives import (
     solve_optimum,
 )
 from otafl.data import PartitionSpec, generate_synthetic, partition
-from otafl.types import RegressionSample, ShardBlock
+from otafl.data import Dataset
+from otafl.types import RegressionSample
 
-from conftest import make_shards, one_shard
+from conftest import accumulated_optimum, block_shards, make_shards, one_shard
 
 
 def fd_grad(f, theta, step=1e-6):
@@ -90,7 +91,7 @@ class TestGlobalLoss:
 
     def test_identical_shards_symmetry(self, rng):
         features, targets = rng.standard_normal((5, 3)), rng.standard_normal(5)
-        twins = ShardBlock(np.stack([features, features]), np.stack([targets, targets]))
+        twins = block_shards(np.stack([features, features]), np.stack([targets, targets]))
         theta = rng.standard_normal(3)
         assert global_loss(theta, twins, 0.5) == pytest.approx(
             global_loss(theta, one_shard(features, targets), 0.5)
@@ -98,16 +99,16 @@ class TestGlobalLoss:
 
     def test_zero_model_direct_summation(self, rng):
         shards = make_shards(rng)
-        theta = np.zeros(shards.features.shape[-1])
+        theta = np.zeros(shards.shape[-1])
         # independent oracle: explicit double sum
-        expected = np.mean(
-            [np.mean([0.5 * t * t for t in targets]) for targets in shards.targets]
-        )
+        targets = shards.dataset.targets[shards.rows]
+        expected = np.mean([np.mean([0.5 * t * t for t in user]) for user in targets])
         assert global_loss(theta, shards, 0.9) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_shards_error(self):
+        dataset = Dataset(np.zeros((1, 2)), np.zeros(1))
         with pytest.raises(ValueError, match="at least one user shard"):
-            global_loss(np.zeros(2), ShardBlock(np.zeros((0, 1, 2)), np.zeros((0, 1))), 0.5)
+            global_loss(np.zeros(2), dataset.shards(np.zeros((0, 1), dtype=int)), 0.5)
 
 
 def gd_minimize(shards, lam, dim, steps=200_000, lr=0.05):
@@ -155,7 +156,7 @@ class TestSolveOptimum:
     def test_quadratic_gap_matches_loss_difference(self, rng):
         shards = make_shards(rng)
         hess = hessian(shards, 0.5)
-        theta_star = solve_optimum(shards, 0.5, hess)
+        theta_star = solve_optimum(shards, 0.5)
         f_star = global_loss(theta_star, shards, 0.5)
         assert quadratic_gap(theta_star, theta_star, hess) == 0.0
         for _ in range(20):
@@ -200,14 +201,16 @@ class TestSolveOptimum:
         shard = one_shard([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
         with pytest.raises(ValueError, match="singular"):
             solve_optimum(shard, 0.0)
+        # the Hessian alone is defined without the solve
+        np.testing.assert_array_equal(hessian(shard, 0.0), [[2.5, 0.0], [0.0, 0.0]])
 
 
 class TestEstimateConstants:
     def test_homogeneous_gamma_zero(self, rng):
         shard = make_shards(rng, n_users=1)
-        shards = ShardBlock(shard.features.repeat(3, axis=0), shard.targets.repeat(3, axis=0))
+        shards = shard.dataset.shards(shard.rows.repeat(3, axis=0))
         c = estimate_constants(
-            shards, 0.5, ProbeBall(np.zeros(shard.features.shape[-1]), 2.0), rng,
+            shards, 0.5, ProbeBall(np.zeros(shard.shape[-1]), 2.0), rng,
             H=2, P=1.0, sigma_w2=0.0,
         )
         assert c.Gamma <= 1e-10
@@ -229,7 +232,7 @@ class TestEstimateConstants:
         )
         f_star = global_loss(solve_optimum(shards, lam), shards, lam)
         locals_ = []
-        for features, targets in zip(shards.features, shards.targets):
+        for features, targets in shards:
             gram = features.T @ features / len(targets) + lam * np.eye(2)
             rhs = features.T @ targets / len(targets)
             theta_n = np.linalg.solve(gram, rhs)
@@ -270,7 +273,7 @@ class TestEstimateConstants:
         # spot-check: random probe points inside the ball keep the bound
         for _ in range(20):
             theta = ball.center + rng.standard_normal(5) * 0.3
-            for features, targets in zip(shards.features, shards.targets):
+            for features, targets in shards:
                 residuals = features @ theta - targets
                 grads = residuals[:, None] * features + 0.5 * theta
                 assert np.mean(np.sum(grads**2, axis=1)) <= c.G2 * 1.5
@@ -332,7 +335,7 @@ class TestEstimateConstantsReference:
         # the first shard has the largest gradients, so a max over users that
         # kept only the last shard would show
         offsets = np.arange(3)[:, None]
-        shards = ShardBlock(
+        shards = block_shards(
             rng.standard_normal((3, 12, 4)) + (2 - offsets)[..., None],
             rng.standard_normal((3, 12)) + offsets,
         )
@@ -357,7 +360,7 @@ def test_hessian_matches_fd_of_grad(rng):
 
 class TestRowIdView:
     """A partition's row-id view, read one shard per step, gives the bits of
-    the gathered (N, D_n, d) block."""
+    the same samples held as their own dataset, one shard after another."""
 
     LAM = 0.4
 
@@ -365,20 +368,22 @@ class TestRowIdView:
         rng = np.random.default_rng(31)
         dataset = generate_synthetic(7, 6 * 50 + 3, 0.7, rng)
         rows = partition(dataset, PartitionSpec("heterogeneous", 6, 0.4), rng)
-        return dataset.shards(rows), dataset.shards(rows).gather()
+        return dataset.shards(rows), block_shards(dataset.features[rows], dataset.targets[rows])
 
     def test_grams_optimum_and_loss_are_bit_equal(self):
         view, block = self.instance()
         assert view.shape == block.shape == (6, 50, 7)
         for from_view, from_block in zip(shard_grams(view), shard_grams(block)):
             np.testing.assert_array_equal(from_view, from_block)
-        np.testing.assert_array_equal(hessian(view, self.LAM), hessian(block, self.LAM))
-        theta_star = solve_optimum(block, self.LAM)
-        np.testing.assert_array_equal(solve_optimum(view, self.LAM), theta_star)
-        # one shard_grams pass gives the bits of hessian and solve_optimum
-        from_grams, hess = grams_optimum(*shard_grams(view), self.LAM)
-        np.testing.assert_array_equal(from_grams, theta_star)
-        np.testing.assert_array_equal(hess, hessian(block, self.LAM))
+        # hessian and solve_optimum read one shard_grams pass, with the bits of
+        # the running Gram sum and separate moment pass they replace
+        theta_star, hess = accumulated_optimum(block, self.LAM)
+        for shards in (view, block):
+            np.testing.assert_array_equal(hessian(shards, self.LAM), hess)
+            np.testing.assert_array_equal(solve_optimum(shards, self.LAM), theta_star)
+            from_grams = grams_optimum(*shard_grams(shards), self.LAM)
+            np.testing.assert_array_equal(from_grams[0], theta_star)
+            np.testing.assert_array_equal(from_grams[1], hess)
         theta = theta_star + 0.3
         assert global_loss(theta, view, self.LAM) == global_loss(theta, block, self.LAM)
         np.testing.assert_array_equal(
@@ -456,7 +461,7 @@ class TestGammaIdentity:
         # residual form loses most digits; the identity keeps them
         rng = np.random.default_rng(3)
         base_features, base_targets = rng.standard_normal((6, 2)), rng.standard_normal(6)
-        shards = ShardBlock(
+        shards = block_shards(
             np.stack([base_features + 1e-6 * rng.standard_normal((6, 2)) for _ in range(3)]),
             1e3 + base_targets + 1e-6 * rng.standard_normal((3, 6)),
         )

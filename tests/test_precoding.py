@@ -264,7 +264,7 @@ class TestEstimateAlphaMc:
             theta = ref_rng.normal(0.0, 1.0, 3)
             for r in range(rounds):
                 models = []
-                for features, targets in zip(shards.features, shards.targets):
+                for features, targets in shards:
                     model = theta
                     for j in range(h):
                         i = int(ref_rng.integers(len(targets)))
@@ -287,16 +287,16 @@ class TestEstimateAlphaMc:
             shards, lam, rounds, h, power, trials, np.random.default_rng(8),
             step_fn=step_fn, theta0_std=1.0,
         )
-        features, targets = shards.features.reshape(-1, 3), shards.targets.reshape(-1)
+        dataset = shards.dataset
         ref_rng = np.random.default_rng(8)
         sums = np.zeros((rounds, 4))
         for _ in range(trials):
             theta = ref_rng.normal(0.0, 1.0, 3)
             draws = ref_rng.integers(12, size=rounds * 4 * h).reshape(rounds, 4, h)
-            rows = draws + 12 * np.arange(4)[:, None]  # user n's sample i is row 12n + i
             for r in range(rounds):
                 etas = [step_fn(r * h + j) for j in range(h)]
-                models = local_pass(theta, features, targets, etas, rows[r], lam)
+                rows = np.take_along_axis(shards.rows, draws[r], axis=1)
+                models = local_pass(theta, dataset.features, dataset.targets, etas, rows, lam)
                 diff = models - theta
                 sums[r] += np.einsum("nd,nd->n", diff, diff)
                 theta = models.mean(axis=0)
@@ -364,7 +364,7 @@ class TestAlphaUpperBoundSchedule:
             shards, lam, rounds, h, 1.0, pilot_trials=40,
             rng=np.random.default_rng(5), step_fn=step_fn, theta0_std=theta0_std,
         )
-        radius = 2.0 * math.sqrt(theta0_std**2 * shards.features.shape[-1] + 4.0)
+        radius = 2.0 * math.sqrt(theta0_std**2 * shards.shape[-1] + 4.0)
         constants = estimate_constants(
             shards, lam, ProbeBall(np.zeros(4), radius), np.random.default_rng(6),
             H=h, P=1.0, sigma_w2=0.0,
@@ -391,7 +391,7 @@ class TestAlphaUpperBoundSchedule:
             shards, lam, rounds, h, power, pilot_trials=30,
             rng=np.random.default_rng(15), step_fn=step_fn, theta0_std=theta0_std,
         )
-        radius = 2.0 * math.sqrt(theta0_std**2 * shards.features.shape[-1] + 4.0)
+        radius = 2.0 * math.sqrt(theta0_std**2 * shards.shape[-1] + 4.0)
         constants = estimate_constants(
             shards, lam, ProbeBall(np.zeros(4), radius), np.random.default_rng(16),
             H=h, P=power, sigma_w2=0.0,

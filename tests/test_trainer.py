@@ -24,7 +24,7 @@ from otafl.trainer import (
 )
 from otafl.types import RegressionSample
 
-from conftest import flat_rows, make_shards, single_shard
+from conftest import make_shards, single_shard
 
 
 def _start(seed, dim):
@@ -51,17 +51,17 @@ def _round(theta, shards, config, alpha, streams, round_index, optimum, indices,
     on the shards' samples, then run_round's aggregation over the channel
     with one round's noise from the trial's noise stream, for a block of one
     trial. Returns the new model, its gap and the users' transmit energies."""
-    dataset, rows = flat_rows(shards)
+    dataset, rows = shards.dataset, shards.rows
     t0 = (round_index - 1) * config.local_steps
     etas = [config.step.eta(t0 + j) for j in range(config.local_steps)]
     local_models = local_pass(
         theta, dataset.features, dataset.targets, etas,
-        np.take_along_axis(rows[0], indices, axis=1), config.ridge_lambda,
+        np.take_along_axis(rows, indices, axis=1), config.ridge_lambda,
     )
     noise = None
     if config.sigma_w2 > 0:
         noise = sample_noise(theta.shape[-1], config.sigma_w2, streams.noise[0])[None]
-    powers = np.empty((1, rows.shape[1]))
+    powers = np.empty((1, rows.shape[0]))
     (new_theta,) = run_round(
         theta[None], local_models[None], config, alpha, noise, powers,
         None if fading is None else (fading[0][None], fading[1][None]),
@@ -72,18 +72,16 @@ def _round(theta, shards, config, alpha, streams, round_index, optimum, indices,
 def _train(shards, configs, alpha_schedule, streams, optimum, theta0):
     """run_training on one trial's shards from theta0; returns each run's
     trial-0 trace."""
-    dataset, rows = flat_rows(shards)
     traces = run_training(
-        dataset, rows, theta0[None], configs, alpha_schedule, [streams], _one_trial(optimum)
+        shards.dataset, shards.rows[None], theta0[None], configs, alpha_schedule, [streams],
+        _one_trial(optimum),
     )
     return [RunTrace(*(None if field is None else field[0] for field in trace)) for trace in traces]
 
 
-def _rows(features, indices):
-    """Shard sample indices as row ids into the (N*D_n, d) flattening of an
-    (N, D_n, d) shard block."""
-    n_users, shard_size = features.shape[:2]
-    return indices + shard_size * np.arange(n_users)[:, None]
+def _rows(shards, indices):
+    """(N, H) shard sample indices as row ids into the shards' dataset."""
+    return np.take_along_axis(shards.rows, indices, axis=1)
 
 
 def _indices(seed, n_users, shard_size, local_steps):
@@ -97,19 +95,19 @@ def _schedule(mu=1.0, shift=20.0, kind="final_model"):
 
 
 def _optimum(shards, lam=0.5):
-    hess = hessian(shards, lam)
-    return solve_optimum(shards, lam, hess), hess
+    return solve_optimum(shards, lam), hessian(shards, lam)
 
 
 def _sample(shards, n, i):
     """User n's sample i."""
-    return RegressionSample(shards.features[n, i], shards.targets[n, i])
+    row = shards.rows[n, i]
+    return RegressionSample(shards.dataset.features[row], shards.dataset.targets[row])
 
 
 def _reference_local_models(theta0, shards, etas, user_rngs, lam):
     """Per-sample loop: one scalar index draw and one ridge_grad step at a time."""
     models = []
-    n_users, shard_size = shards.targets.shape
+    n_users, shard_size = shards.rows.shape
     for n, rng in zip(range(n_users), user_rngs):
         theta = theta0
         for eta in etas:
@@ -133,8 +131,8 @@ class TestSgdStep:
         shards = make_shards(rng, n_users=4, per_user=6, dim=3)
         thetas = rng.standard_normal((4, 3))
         indices = rng.integers(6, size=(4, 1))
-        dataset, _ = flat_rows(shards)
-        rows = _rows(shards.features, indices)
+        dataset = shards.dataset
+        rows = _rows(shards, indices)
         out = local_pass(thetas, dataset.features, dataset.targets, [0.1], rows, 0.5)
         expected = [
             thetas[n] - 0.1 * ridge_grad(thetas[n], _sample(shards, n, int(indices[n, 0])), 0.5)
@@ -148,7 +146,8 @@ class TestSgdStep:
         n_users, eta, lam = 10_000, 0.05, 0.5
         theta = rng.standard_normal(3)
         indices = rng.integers(25, size=(n_users, 1))
-        steps = local_pass(theta, shard.features[0], shard.targets[0], [eta], indices, lam) - theta
+        dataset = shard.dataset
+        steps = local_pass(theta, dataset.features, dataset.targets, [eta], indices, lam) - theta
         expected = -eta * global_grad(theta, shard, lam)
         per_sample = np.stack(
             [-eta * ridge_grad(theta, _sample(shard, 0, i), lam) for i in range(25)]
@@ -157,16 +156,18 @@ class TestSgdStep:
         assert np.all(np.abs(steps.mean(axis=0) - expected) <= 3 * se + 1e-12)
 
     def test_invalid_step_size(self, rng):
-        shard = single_shard(rng)
+        dataset = single_shard(rng).dataset
+        args = (dataset.features, dataset.targets)
         indices = np.zeros((1, 2), dtype=int)
         with pytest.raises(ValueError, match="step size"):
-            local_pass(np.zeros(4), shard.features[0], shard.targets[0], [0.1, 0.0], indices, 0.5)
+            local_pass(np.zeros(4), *args, [0.1, 0.0], indices, 0.5)
 
     def test_negative_regularization(self, rng):
-        shard = single_shard(rng)
+        dataset = single_shard(rng).dataset
+        args = (dataset.features, dataset.targets)
         indices = np.zeros((1, 1), dtype=int)
         with pytest.raises(ValueError, match="non-negative"):
-            local_pass(np.zeros(4), shard.features[0], shard.targets[0], [0.1], indices, -1.0)
+            local_pass(np.zeros(4), *args, [0.1], indices, -1.0)
 
     def test_empty_shard(self):
         indices = np.zeros((2, 1), dtype=int)
@@ -181,8 +182,8 @@ class TestBatchedPass:
     def test_shared_indices_equal_per_model_calls(self, rng, per_user):
         shards = make_shards(rng, n_users=5, per_user=9, dim=4)
         thetas = rng.standard_normal((3, 5, 4) if per_user else (3, 1, 4))
-        dataset, _ = flat_rows(shards)
-        rows = _rows(shards.features, rng.integers(9, size=(5, 3)))
+        dataset = shards.dataset
+        rows = _rows(shards, rng.integers(9, size=(5, 3)))
         etas = [0.1, 0.07, 0.05]
         out = local_pass(thetas, dataset.features, dataset.targets, etas, rows, 0.5)
         assert out.shape == (3, 5, 4)
@@ -194,9 +195,9 @@ class TestBatchedPass:
     def test_per_row_indices_equal_per_row_calls(self, rng):
         shards = make_shards(rng, n_users=5, per_user=9, dim=4)
         thetas = rng.standard_normal((4, 1, 4))
-        dataset, _ = flat_rows(shards)
+        dataset = shards.dataset
         indices = rng.integers(9, size=(4, 5, 2))
-        blocks = np.stack([_rows(shards.features, block) for block in indices]).astype(np.uint8)
+        blocks = np.stack([_rows(shards, block) for block in indices]).astype(np.uint8)
         etas = [0.1, 0.07]
         out = local_pass(thetas, dataset.features, dataset.targets, etas, blocks, 0.5)
         assert out.shape == (4, 5, 4)
@@ -209,7 +210,7 @@ class TestBatchedPass:
         # (S, T, 1, d) models over (T, N, H) rows: scheme s of trial t steps
         # on trial t's rows, with the bits of its own unbatched call, also
         # where S or T is 1 and the kernel drops the unit axes
-        dataset, _ = flat_rows(make_shards(rng, n_users=5, per_user=9, dim=4))
+        dataset = make_shards(rng, n_users=5, per_user=9, dim=4).dataset
         thetas = rng.standard_normal((n_schemes, n_trials, 1, 4))
         blocks = rng.integers(45, size=(n_trials, 5, 2)).astype(np.uint8)
         etas = [0.1, 0.07]
@@ -222,7 +223,7 @@ class TestBatchedPass:
             assert np.array_equal(out[s, t], expected)
 
     def test_shapes_checked(self, rng):
-        dataset, _ = flat_rows(make_shards(rng, n_users=2, per_user=5, dim=3))
+        dataset = make_shards(rng, n_users=2, per_user=5, dim=3).dataset
         args = (dataset.features, dataset.targets, [0.1])
         with pytest.raises(ValueError, match="rows have shape"):
             local_pass(np.zeros(3), *args, np.zeros((3, 2), dtype=int), 0.5)
@@ -541,7 +542,7 @@ def _paired_streams(seed, n_users, n_schemes):
 
 class TestPairedRuns:
     def _assert_runs_equal(self, shards, configs, alpha):
-        optimum, theta0 = _optimum(shards), _start(3, shards.features.shape[-1])
+        optimum, theta0 = _optimum(shards), _start(3, shards.shape[-1])
         paired = _train(
             shards, configs, alpha, _paired_streams(3, 4, len(configs)), optimum, theta0
         )
@@ -710,7 +711,7 @@ def _reference_fading_run(shards, config, alpha_schedule, streams, optimum, thet
     decode one participant at a time. Yields (participants, waits, theta,
     gap, powers)."""
     policy, lam, h = config.fading, config.ridge_lambda, config.local_steps
-    n_users, _, dim = shards.features.shape
+    n_users, _, dim = shards.shape
     theta = theta0
     for r in range(1, config.rounds + 1):
         etas = [config.step.eta((r - 1) * h + j) for j in range(h)]
