@@ -25,9 +25,7 @@ from .bounds import (
 )
 from .channel import (
     RAYLEIGH_UNIT_POWER_SCALE,
-    awgn_mac,
     fading_mac,
-    orthogonal_noiseless,
     sample_noise,
     sample_rayleigh,
 )
@@ -79,8 +77,6 @@ from .precoding import (
     alpha_upper_bound_schedule,
     decode,
     estimate_alpha_mc,
-    fading_decode,
-    fading_precode,
     precode,
     select_participants,
 )

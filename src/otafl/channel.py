@@ -8,7 +8,6 @@ channel symbols are real vectors.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -16,63 +15,29 @@ import numpy as np
 RAYLEIGH_UNIT_POWER_SCALE = 1.0 / math.sqrt(2.0)
 
 
-def _stack_inputs(inputs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Inputs as a (K, d) float64 block, or a (T, K, d) stack of T blocks;
-    such an array passes through uncopied."""
-    stacked = np.ascontiguousarray(inputs, dtype=np.float64)
-    if stacked.ndim not in (2, 3):
-        raise ValueError("channel inputs must be 1-D vectors of equal length")
-    return stacked
-
-
-def _add_noise(total: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-    """total plus the channel noise, in place: the callers own their totals."""
-    if noise is None:
-        return total
-    if np.shape(noise) != total.shape:
-        raise ValueError(f"need channel noise of shape {total.shape}, got {np.shape(noise)}")
-    total += noise
-    return total
-
-
-def awgn_mac(
-    inputs: Sequence[np.ndarray] | np.ndarray, noise: np.ndarray | None = None
-) -> np.ndarray:
-    """Superposition of all inputs plus the channel noise.
-
-    inputs is a list of 1-D vectors or a (K, d) block with one input per row,
-    received as one (d,) output; a (T, K, d) stack of T trials' blocks gives
-    a (T, d) output. noise is i.i.d. Gaussian noise of the output's shape
-    (sample_noise draws it), or None for a noiseless channel.
-    """
-    if len(inputs) == 0:
-        raise ValueError("awgn_mac needs at least one input")
-    return _add_noise(_stack_inputs(inputs).sum(axis=-2), noise)
-
-
 def fading_mac(
-    inputs: Sequence[np.ndarray] | np.ndarray,
-    magnitudes: np.ndarray,
-    noise: np.ndarray | None = None,
+    inputs: np.ndarray, magnitudes: np.ndarray | float, noise: np.ndarray | None = None
 ) -> np.ndarray:
-    """Superposition weighted by fading magnitudes, plus the channel noise.
+    """The one multiple-access channel: sum_k h_k x_k + w.
 
-    inputs is a (K, d) block (or a list of K vectors) and magnitudes the K
-    transmitters' positive fading magnitudes; a (T, K, d) stack takes (T, K)
-    magnitudes and (T, d) noise, as awgn_mac does. Inputs are assumed
-    phase-pre-corrected at the transmitters, so only the magnitudes apply.
-    With all magnitudes equal to 1 this reduces bit-exactly to awgn_mac
-    given the same noise.
+    inputs is a (K, d) block with one transmitter's input per row, received
+    as one (d,) output, and magnitudes the K transmitters' fading magnitudes
+    h_k; a (T, K, d) stack of T trials' blocks takes (T, K) magnitudes and
+    gives a (T, d) output. One magnitude applies to every input, and 1.0 is
+    the AWGN MAC, bit for bit. Inputs are assumed phase-pre-corrected at the
+    transmitters, so only the magnitudes apply. noise is i.i.d. Gaussian
+    noise w of the output's shape (sample_noise draws it), or None for a
+    noiseless channel.
     """
-    if len(inputs) == 0:
-        raise ValueError("fading_mac needs at least one input")
-    stacked = _stack_inputs(inputs)
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
-    if magnitudes.shape != stacked.shape[:-1]:
-        raise ValueError(f"got inputs {stacked.shape} for magnitudes of shape {magnitudes.shape}")
-    if magnitudes.min() <= 0:
-        raise ValueError("fading magnitudes must be strictly positive")
-    return _add_noise((magnitudes[..., None] * stacked).sum(axis=-2), noise)
+    if magnitudes.ndim and magnitudes.shape != inputs.shape[:-1]:
+        raise ValueError(f"got inputs {inputs.shape} for magnitudes of shape {magnitudes.shape}")
+    total = (magnitudes[..., None] * inputs).sum(axis=-2)
+    if noise is not None:
+        if np.shape(noise) != total.shape:
+            raise ValueError(f"need channel noise of shape {total.shape}, got {np.shape(noise)}")
+        total += noise
+    return total
 
 
 def sample_noise(
@@ -109,10 +74,3 @@ def sample_rayleigh(
         raise ValueError("scale must be positive")
     shape = n_users if rows is None else (rows, n_users)
     return rng.rayleigh(scale, shape)
-
-
-def orthogonal_noiseless(inputs: np.ndarray) -> np.ndarray:
-    """Identity passthrough: the server receives each user's vector exactly,
-    a (K, d) block or a (T, K, d) stack of T trials' blocks, as one float64
-    array."""
-    return _stack_inputs(inputs)

@@ -51,6 +51,10 @@ from .trainer import (
 )
 
 POWER = 1.0
+# The bound inputs take the pessimistic constants of this many partition
+# draws, each probed at this many points of the ball around theta*.
+BOUND_PARTITION_DRAWS = 3
+BOUND_PROBES = 32
 
 _ALPHA_SOURCES = ("mc_pilot", "analytic_bound", "file")
 _FADING_ONLY_KEYS = ("rayleigh_scale", "participants", "eligibility", "h_min")
@@ -831,21 +835,13 @@ def compare_schemes(config: ExperimentConfig, schemes: Sequence[str]) -> Compari
     return analyze_comparison(simulate_trials(config, schemes), schemes)
 
 
-def estimate_bound_inputs(
-    config: ExperimentConfig,
-    *,
-    kind: str = "final_model",
-    partition_samples: int = 3,
-    probe_count: int = 32,
-) -> BoundInputs:
+def estimate_bound_inputs(config: ExperimentConfig, *, kind: str = "final_model") -> BoundInputs:
     """Assemble conservative bound inputs for this experiment.
 
     Constants are estimated on several partition draws and combined
     pessimistically (max G2/Mn2/Gamma); delta0 is the larger of the analytic
     expectation theta0_std^2*d + ||theta*||^2 and the empirical trial mean.
     """
-    if partition_samples < 1:
-        raise ValueError("partition_samples must be >= 1")
     # resolve without the alpha pilot: bound evaluation never consumes alpha
     resolved = resolve(config, ["noise_free_local_sgd"])
     dataset, trainer = resolved.dataset, config.trainer
@@ -860,7 +856,7 @@ def estimate_bound_inputs(
     ]
     delta0 = max(analytic_delta0, float(np.mean(empirical)))
 
-    ball = ProbeBall(center=theta_star, radius=2.0 * math.sqrt(delta0), count=probe_count)
+    ball = ProbeBall(center=theta_star, radius=2.0 * math.sqrt(delta0), count=BOUND_PROBES)
     # each draw is read one shard at a time from its row ids
     draws = [
         estimate_constants(
@@ -878,7 +874,7 @@ def estimate_bound_inputs(
             P=POWER,
             sigma_w2=resolved.sigma_w2,
         )
-        for i in range(partition_samples)
+        for i in range(BOUND_PARTITION_DRAWS)
     ]
     merged = replace(
         draws[0],

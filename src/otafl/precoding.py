@@ -14,7 +14,6 @@ number of participants per round by channel quality.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,57 +80,24 @@ class FadingPolicy:
             raise ValueError("participants must be >= 1")
 
 
-def precode(delta: np.ndarray, alpha: float) -> np.ndarray:
-    """Scale a model update (or any block of them) by sqrt(alpha); output
-    power is alpha*||delta||^2."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return math.sqrt(alpha) * np.asarray(delta, dtype=np.float64)
+def precode(deltas: np.ndarray, gains: np.ndarray | float) -> np.ndarray:
+    """The transmitted signals gains * deltas of a (..., K, d) block of
+    updates: one gain for every user, or a (..., K) block of them.
 
-
-def decode(
-    y: np.ndarray, n_users: int, alpha: float, theta_prev: np.ndarray
-) -> np.ndarray:
-    """Recover the aggregated model: y / (N sqrt(alpha)) + previous global model.
-
-    y and theta_prev are (d,), or (T, d) with one row per trial. Over a
-    noiseless channel with every user transmitting a precoded update, this
-    equals the exact average of the users' local models.
+    A user's transmit energy is its gain squared times ||delta||^2.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if n_users < 1:
-        raise ValueError("n_users must be >= 1")
-    return np.asarray(y, dtype=np.float64) / (n_users * math.sqrt(alpha)) + theta_prev
+    return np.asarray(gains)[..., None] * deltas
 
 
-def fading_precode(
-    deltas: np.ndarray, alpha: float, magnitudes: np.ndarray | float, h_min: float
-) -> np.ndarray:
-    """Channel-inverting precoder of the participants of a fading round.
+def decode(y: np.ndarray, scale: float, theta_prev: np.ndarray) -> np.ndarray:
+    """The new global model y / scale + theta_prev from the MAC output y,
+    for (d,) rows or per-trial (T, d) ones.
 
-    deltas is a (K, d) block of updates (or one update) and magnitudes the
-    matching K fading magnitudes (or one); a (T, K, d) stack of T trials'
-    blocks takes (T, K) magnitudes. Each update is scaled by
-    sqrt(alpha)*h_min/magnitude; the attenuation h_min/magnitude < 1 keeps
-    the expected transmit energy within budget. The transmitters pre-correct
-    the channel phase exactly, so in this real-valued simulator only the
-    magnitude enters. Users with magnitude at or below h_min are censored and
-    never transmit, so such a magnitude raises ValueError.
+    With scale K*a*b, this undoes the gain a*b/h_k of each of the K
+    transmitters and the channel's h_k, so a noiseless round gives the
+    exact average of the transmitters' local models.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    magnitudes = np.asarray(magnitudes, dtype=np.float64)
-    weakest = magnitudes.min()
-    if weakest <= 0:
-        raise ValueError("fading magnitude must be positive")
-    if weakest <= h_min:
-        raise ValueError(
-            f"fading magnitude {weakest:.6g} is at or below h_min={h_min:.6g}: "
-            "a censored user does not transmit"
-        )
-    gains = (math.sqrt(alpha) * h_min) / magnitudes
-    return gains[..., None] * np.asarray(deltas, dtype=np.float64)
+    return y / scale + theta_prev
 
 
 def select_participants(magnitudes: np.ndarray, policy: FadingPolicy) -> np.ndarray:
@@ -152,20 +118,6 @@ def select_participants(magnitudes: np.ndarray, policy: FadingPolicy) -> np.ndar
     # with K users above h_min, the K strongest of all are the K strongest eligible
     order = np.argsort(-magnitudes, axis=-1, kind="stable")
     return np.sort(order[..., :k], axis=-1) + 1
-
-
-def fading_decode(
-    y: np.ndarray, k_size: int, alpha: float, h_min: float, theta_prev: np.ndarray
-) -> np.ndarray:
-    """Recover the participant-average model: y/(K sqrt(alpha) h_min) + previous,
-    for (d,) or per-trial (T, d) rows."""
-    if k_size < 1:
-        raise ValueError("k_size must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if h_min <= 0:
-        raise ValueError("h_min must be positive")
-    return np.asarray(y, dtype=np.float64) / (k_size * math.sqrt(alpha) * h_min) + theta_prev
 
 
 def estimate_alpha_mc(

@@ -10,51 +10,63 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import SCHEDULE_KINDS, check_shift
-from .channel import (
-    awgn_mac,
-    fading_mac,
-    orthogonal_noiseless,
-    sample_noise,
-    sample_rayleigh,
-)
+from .channel import fading_mac, sample_noise, sample_rayleigh
 from .data import Dataset
 from .localsgd import local_pass
 from .objectives import global_loss  # noqa: F401  (perfbench/spans.py times trainer.global_loss)
 from .objectives import quadratic_gap
-from .precoding import (
-    AlphaSchedule,
-    FadingPolicy,
-    decode,
-    fading_decode,
-    fading_precode,
-    precode,
-    select_participants,
-)
+from .precoding import AlphaSchedule, FadingPolicy, decode, precode, select_participants
+
+# perfbench/spans.py times the codec and the MAC under these names too
+fading_precode, fading_decode = precode, decode
+awgn_mac = orthogonal_noiseless = fading_mac
 
 CHANNEL_KINDS = ("noiseless_orthogonal", "awgn_mac", "fading_mac")
 
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """What a scheme runs over and what it needs besides data and streams."""
+    """What a scheme runs over, and its codec.
+
+    Every scheme aggregates a round as theta + (sum_k h_k c_k delta_k + w) / (K s)
+    over its K transmitters, with gains c_k = a*b/h_k and scale s = a*b.
+    """
 
     channels: tuple[str, ...]  # config channel kinds the scheme runs over
     needs_alpha: bool  # precoded: scaled by a per-round alpha schedule
-    fading: bool  # K of N users participate under a FadingPolicy
+    amplitude: Callable[[float | None, TrainerConfig], float]  # a, from alpha_r and the config
+    # K of N users under a FadingPolicy, with b = h_min and h their
+    # magnitudes; otherwise all N users, with b = h = 1
+    fading: bool
+    noisy: bool  # w is the MAC's noise; else w = 0
+
+
+# The amplitude a of each scheme's updates. The non-precoded baseline is
+# COTAF at the fixed alpha gain^2, since sqrt(gain * gain) == gain.
+def _sqrt_alpha(alpha: float, config: TrainerConfig) -> float:
+    return math.sqrt(alpha)
+
+
+def _gain(alpha: None, config: TrainerConfig) -> float:
+    return config.gain
+
+
+def _unit(alpha: None, config: TrainerConfig) -> float:
+    return 1.0
 
 
 # Each scheme brings its own channel: the OTA schemes the AWGN MAC, the
 # fading extension the Rayleigh MAC, and the error-free baseline none at all.
 SCHEME_TABLE = {
-    "cotaf": SchemeSpec(("awgn_mac",), needs_alpha=True, fading=False),
-    "cotaf_fading": SchemeSpec(("fading_mac",), needs_alpha=True, fading=True),
-    "non_precoded_ota": SchemeSpec(("awgn_mac",), needs_alpha=False, fading=False),
-    "noise_free_local_sgd": SchemeSpec(CHANNEL_KINDS, needs_alpha=False, fading=False),
+    "cotaf": SchemeSpec(("awgn_mac",), True, _sqrt_alpha, fading=False, noisy=True),
+    "cotaf_fading": SchemeSpec(("fading_mac",), True, _sqrt_alpha, fading=True, noisy=True),
+    "non_precoded_ota": SchemeSpec(("awgn_mac",), False, _gain, fading=False, noisy=True),
+    "noise_free_local_sgd": SchemeSpec(CHANNEL_KINDS, False, _unit, fading=False, noisy=False),
 }
 SCHEMES = tuple(SCHEME_TABLE)
 
@@ -171,11 +183,6 @@ class TrialStreams:
     fading: tuple[np.random.Generator | None, ...]
 
 
-def _transmit_powers(signals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Energy of each row of a (..., K, d) block of channel inputs."""
-    return np.einsum("...kd,...kd->...k", signals, signals, out=out)
-
-
 class FadingRounds(NamedTuple):
     """Fading rounds selected up front, one row per round: the K participants
     (sorted 1-based ids), their fading magnitudes, and the redraws the round
@@ -267,34 +274,37 @@ def run_round(
     schemes use. noise is the (T, d) noise of the scheme's MAC output, one
     row per trial, or None for a noiseless channel. fading is the round's
     row of each trial's FadingRounds, (T, K) participants and (T, K)
-    magnitudes, which only cotaf_fading uses.
-    """
-    if SCHEME_TABLE[config.scheme].needs_alpha and alpha is None:
-        raise ValueError(f"{config.scheme} needs an alpha coefficient")
-    if config.scheme == "cotaf_fading" and fading is None:
-        raise ValueError("cotaf_fading needs the round's fading selection")
-    n_users = local_models.shape[1]
+    magnitudes, which only the fading scheme uses.
 
-    if config.scheme == "noise_free_local_sgd":
-        new_theta = np.mean(orthogonal_noiseless(local_models), axis=1)
-        _transmit_powers(local_models - global_theta[:, None], out=powers)
-    elif config.scheme == "cotaf_fading":
-        policy = config.fading
+    Every scheme runs the codec of its SCHEME_TABLE row: its K transmitters
+    precode their updates delta_k by c_k = a*b/h_k, the MAC sums
+    h_k*c_k*delta_k plus the noise w, and the decoder adds that sum over
+    K*a*b to global_theta.
+    """
+    spec = SCHEME_TABLE[config.scheme]
+    if spec.needs_alpha and not (alpha is not None and alpha > 0):
+        raise ValueError(f"{config.scheme} needs an alpha coefficient > 0, got {alpha}")
+    amplitude = spec.amplitude(alpha, config)
+    if spec.fading:
+        if fading is None:
+            raise ValueError(f"{config.scheme} needs the round's fading selection")
         ids, magnitudes = fading
-        chosen = (np.arange(ids.shape[0])[:, None], ids - 1)  # (trial, user) of each participant
-        deltas = local_models[chosen] - global_theta[:, None]  # the participants' updates
-        signals = fading_precode(deltas, alpha, magnitudes, policy.h_min)
-        y = fading_mac(signals, magnitudes, noise)
-        new_theta = fading_decode(y, ids.shape[1], alpha, policy.h_min, global_theta)
-        powers[...] = 0.0
-        powers[chosen] = _transmit_powers(signals)
-    else:  # cotaf, and non_precoded_ota as COTAF at the fixed alpha gain^2
-        if config.scheme == "non_precoded_ota":
-            alpha = config.gain * config.gain  # sqrt(gain * gain) == gain: signals are gain * delta
-        signals = precode(local_models - global_theta[:, None], alpha)
-        y = awgn_mac(signals, noise)
-        new_theta = decode(y, n_users, alpha, global_theta)
-        _transmit_powers(signals, out=powers)
+        floor = config.fading.h_min
+        weakest = magnitudes.min()
+        if weakest <= floor:
+            raise ValueError(
+                f"fading magnitude {weakest:.6g} is at or below h_min={floor:.6g}: "
+                "a censored user does not transmit"
+            )
+        senders = (np.arange(ids.shape[0])[:, None], ids - 1)  # (trial, user) of each participant
+        powers[...] = 0.0  # the users left out stay silent
+    else:  # all N users over the unit channel
+        senders, magnitudes, floor = ..., 1.0, 1.0
+    deltas = local_models[senders] - global_theta[:, None]
+    signals = precode(deltas, (amplitude * floor) / magnitudes)
+    y = fading_mac(signals, magnitudes, noise)
+    new_theta = decode(y, deltas.shape[1] * amplitude * floor, global_theta)
+    powers[senders] = np.einsum("tkd,tkd->tk", signals, signals)  # each sender's energy
     return new_theta
 
 
@@ -413,7 +423,7 @@ def run_training(
     # one sized draw consumes the stream as per-round draws would.
     noise = [
         np.empty((n_trials, min(rounds, ROUND_CHUNK), dim))
-        if config.sigma_w2 > 0 and config.scheme != "noise_free_local_sgd"
+        if config.sigma_w2 > 0 and SCHEME_TABLE[config.scheme].noisy
         else None
         for config in configs
     ]

@@ -21,7 +21,7 @@ from otafl.bounds import (
     bound_weighted_average,
     validate_dominance,
 )
-from otafl.channel import awgn_mac, sample_noise, sample_rayleigh
+from otafl.channel import fading_mac, sample_noise, sample_rayleigh
 from otafl.data import partition
 from otafl.objectives import global_grad, global_loss, hessian, solve_optimum
 from otafl.precoding import FadingPolicy, decode, precode, select_participants
@@ -220,14 +220,15 @@ def test_criterion_05_equivalent_noise_law(desk_minus6):
     ok = True
     for round_index in (1, 10, 100):
         alpha = resolved.alpha_schedule.alpha_for_round(round_index)
-        deltas = [rng.standard_normal(d) for _ in range(n_users)]
-        signals = [precode(delta, alpha) for delta in deltas]
+        deltas = np.stack([rng.standard_normal(d) for _ in range(n_users)])
+        signals = precode(deltas, math.sqrt(alpha))
         prev = np.zeros(d)
-        clean = decode(awgn_mac(signals), n_users, alpha, prev)
+        scale = n_users * math.sqrt(alpha)
+        clean = decode(fading_mac(signals, 1.0), scale, prev)
         errs = np.empty((10_000, d))
         for i in range(10_000):
             noise = sample_noise(d, sigma_w2, rng)
-            errs[i] = decode(awgn_mac(signals, noise), n_users, alpha, prev) - clean
+            errs[i] = decode(fading_mac(signals, 1.0, noise), scale, prev) - clean
         var = float(errs.var())
         target = sigma_w2 / (n_users**2 * alpha)
         rel = abs(var - target) / target

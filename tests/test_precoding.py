@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from otafl.channel import awgn_mac, sample_noise, sample_rayleigh
+from otafl.channel import fading_mac, sample_noise, sample_rayleigh
 from otafl.localsgd import local_pass
 from otafl.objectives import ProbeBall, estimate_constants, ridge_grad
 from otafl.precoding import (
@@ -13,61 +13,84 @@ from otafl.precoding import (
     alpha_upper_bound_schedule,
     decode,
     estimate_alpha_mc,
-    fading_decode,
-    fading_precode,
     precode,
     select_participants,
 )
+from otafl.trainer import StepSchedule, TrainerConfig, run_round
 from otafl.types import RegressionSample
 
 from conftest import make_shards, one_shard
 
 
+def _round(scheme, deltas, alpha, magnitudes=None, h_min=0.5):
+    """The transmit energies of a noiseless round of one trial whose users
+    send the (K, d) deltas; a cotaf_fading round selects all K users at the
+    given magnitudes. run_round computes the fading gains, so the fading
+    codec's checks run there."""
+    k, dim = deltas.shape
+    policy = None if magnitudes is None else FadingPolicy(h_min=h_min, participants=k)
+    config = TrainerConfig(
+        scheme=scheme, local_steps=1, rounds=1,
+        step=StepSchedule(kind="final_model", shift=20.0, mu=1.0), fading=policy,
+    )
+    fading = None
+    if magnitudes is not None:
+        fading = (np.arange(1, k + 1)[None], np.asarray(magnitudes, dtype=np.float64)[None])
+    powers = np.empty((1, k))
+    run_round(np.zeros((1, dim)), deltas[None], config, alpha, None, powers, fading)
+    return powers[0]
+
+
 class TestPrecodeDecode:
+    """COTAF's codec: gain sqrt(alpha) over the unit channel, scale N*sqrt(alpha)."""
+
     def test_zero_update(self):
-        np.testing.assert_array_equal(precode(np.zeros(3), 2.0), np.zeros(3))
+        np.testing.assert_array_equal(precode(np.zeros((1, 3)), 2.0), np.zeros((1, 3)))
 
     def test_sqrt_scaling(self):
-        np.testing.assert_allclose(precode(np.array([1.0, -1.0]), 4.0), [2.0, -2.0])
+        np.testing.assert_allclose(precode(np.array([[1.0, -1.0]]), math.sqrt(4.0)), [[2.0, -2.0]])
 
     def test_power_identity(self, rng):
-        delta = rng.standard_normal(10)
+        delta = rng.standard_normal((1, 10))
         alpha = 3.7
-        out = precode(delta, alpha)
-        assert out @ out == pytest.approx(alpha * (delta @ delta), rel=1e-12)
+        (out,) = precode(delta, math.sqrt(alpha))
+        assert out @ out == pytest.approx(alpha * (delta[0] @ delta[0]), rel=1e-12)
 
     def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            precode(np.zeros(2), 0.0)
-        with pytest.raises(ValueError):
-            decode(np.zeros(2), 1, -1.0, np.zeros(2))
+        # alpha enters the codec in run_round, which checks it
+        for scheme, policy in (("cotaf", None), ("cotaf_fading", [1.0, 2.0])):
+            for alpha in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match=f"{scheme} needs an alpha coefficient > 0"):
+                    _round(scheme, np.ones((2, 3)), alpha, policy)
 
     def test_zero_received(self, rng):
         prev = rng.standard_normal(4)
-        np.testing.assert_array_equal(decode(np.zeros(4), 3, 1.5, prev), prev)
+        np.testing.assert_array_equal(decode(np.zeros(4), 3 * math.sqrt(1.5), prev), prev)
 
     def test_noiseless_average(self, rng):
-        y = awgn_mac([precode(np.array([1.0]), 2.0), precode(np.array([3.0]), 2.0)])
-        np.testing.assert_allclose(decode(y, 2, 2.0, np.zeros(1)), [2.0], atol=1e-12)
+        gain = math.sqrt(2.0)
+        y = fading_mac(precode(np.array([[1.0], [3.0]]), gain), 1.0)
+        np.testing.assert_allclose(decode(y, 2 * gain, np.zeros(1)), [2.0], atol=1e-12)
 
     def test_alpha_cancels_end_to_end(self, rng):
         prev = rng.standard_normal(6)
-        deltas = [rng.standard_normal(6) for _ in range(5)]
+        deltas = rng.standard_normal((5, 6))
         for alpha in (1e-4, 0.3, 1.0, 47.0, 1e6):
-            y = awgn_mac([precode(d, alpha) for d in deltas])
-            out = decode(y, 5, alpha, prev)
+            y = fading_mac(precode(deltas, math.sqrt(alpha)), 1.0)
+            out = decode(y, 5 * math.sqrt(alpha), prev)
             np.testing.assert_allclose(out, prev + np.mean(deltas, axis=0), atol=1e-10)
 
     def test_equivalent_noise_variance(self, rng):
         # decoder-output noise has per-coordinate variance sigma_w2/(N^2 alpha)
         n_users, alpha, sigma_w2, d = 4, 0.6, 2.0, 50
-        deltas = [rng.standard_normal(d) for _ in range(n_users)]
-        signals = [precode(delta, alpha) for delta in deltas]
+        deltas = rng.standard_normal((n_users, d))
+        signals = precode(deltas, math.sqrt(alpha))
         prev = np.zeros(d)
-        clean = decode(awgn_mac(signals), n_users, alpha, prev)
+        scale = n_users * math.sqrt(alpha)
+        clean = decode(fading_mac(signals, 1.0), scale, prev)
         errs = []
         for _ in range(10_000 // d):
-            noisy = decode(awgn_mac(signals, sample_noise(d, sigma_w2, rng)), n_users, alpha, prev)
+            noisy = decode(fading_mac(signals, 1.0, sample_noise(d, sigma_w2, rng)), scale, prev)
             errs.append(noisy - clean)
         var = np.concatenate(errs).var()
         target = sigma_w2 / (n_users**2 * alpha)
@@ -75,36 +98,44 @@ class TestPrecodeDecode:
 
 
 class TestFadingPrecode:
+    """The fading gains sqrt(alpha)*h_min/h_k, as run_round applies them."""
+
     def test_censored_at_threshold(self):
         for magnitude in (0.5, 0.4):
             with pytest.raises(ValueError, match="at or below h_min"):
-                fading_precode(np.ones(2), 1.0, magnitude, h_min=0.5)
+                _round("cotaf_fading", np.ones((1, 2)), 1.0, [magnitude], h_min=0.5)
 
     def test_inverse_magnitude_scaling(self):
-        out = fading_precode(np.array([2.0]), 1.0, 1.0, h_min=0.5)
-        np.testing.assert_allclose(out, [1.0])
+        # gain sqrt(1.0)*0.5/1.0 sends 2.0 as 1.0, of energy 1.0
+        powers = _round("cotaf_fading", np.array([[2.0]]), 1.0, [1.0], h_min=0.5)
+        np.testing.assert_array_equal(powers, [1.0])
+        out = precode(np.array([[2.0], [4.0]]), np.array([0.5, 0.25]))
+        np.testing.assert_array_equal(out, [[1.0], [1.0]])
 
     def test_energy_never_exceeds_precoded(self, rng):
         for _ in range(200):
-            delta = rng.standard_normal(5)
+            delta = rng.standard_normal((1, 5))
             alpha = float(rng.uniform(0.1, 5.0))
             h_min = float(rng.uniform(0.1, 1.0))
             h = float(rng.uniform(h_min * 1.0001, 4.0))
-            out = fading_precode(delta, alpha, h, h_min)
-            assert out @ out <= alpha * (delta @ delta) + 1e-12
+            (power,) = _round("cotaf_fading", delta, alpha, [h], h_min=h_min)
+            assert power <= alpha * (delta[0] @ delta[0]) + 1e-12
 
     def test_block_equals_rows_and_censors_as_a_whole(self, rng):
-        deltas = rng.standard_normal((4, 6))
-        mags = np.array([0.9, 1.4, 0.6, 2.0])
-        block = fading_precode(deltas, 0.7, mags, 0.5)
-        for delta, h, row in zip(deltas, mags, block):
-            np.testing.assert_array_equal(row, fading_precode(delta, 0.7, float(h), 0.5))
+        deltas = rng.standard_normal((3, 4, 6))
+        gains = rng.uniform(0.1, 2.0, (3, 4))
+        block = precode(deltas, gains)
+        for t, k in itertools.product(range(3), range(4)):
+            np.testing.assert_array_equal(block[t, k], gains[t, k] * deltas[t, k])
+        # one censored magnitude rejects the whole round
+        _round("cotaf_fading", deltas[0], 0.7, [0.9, 1.4, 0.6, 2.0], h_min=0.5)
         with pytest.raises(ValueError, match="at or below h_min"):
-            fading_precode(deltas, 0.7, np.array([0.9, 1.4, 0.5, 2.0]), 0.5)
+            _round("cotaf_fading", deltas[0], 0.7, [0.9, 1.4, 0.5, 2.0], h_min=0.5)
 
     def test_non_positive_magnitude_rejected(self):
-        with pytest.raises(ValueError, match="magnitude must be positive"):
-            fading_precode(np.ones((2, 3)), 1.0, np.array([1.0, 0.0]), 0.5)
+        # h_min > 0, so the censoring check rejects a zero magnitude too
+        with pytest.raises(ValueError, match="a censored user does not transmit"):
+            _round("cotaf_fading", np.ones((2, 3)), 1.0, [1.0, 0.0], h_min=0.5)
 
 
 class TestSelectParticipants:
@@ -160,37 +191,33 @@ class TestSelectParticipants:
 
 
 class TestFadingDecode:
+    """The fading decode scale K*sqrt(alpha)*h_min."""
+
     def test_zero_received(self, rng):
         prev = rng.standard_normal(3)
-        np.testing.assert_array_equal(fading_decode(np.zeros(3), 2, 1.0, 0.5, prev), prev)
+        np.testing.assert_array_equal(decode(np.zeros(3), 2 * math.sqrt(1.0) * 0.5, prev), prev)
 
     def test_noiseless_participant_average(self, rng):
         # channel magnitude cancels: x_n = sqrt(a) h_min/h_n * delta_n, channel applies h_n
         alpha, h_min = 0.8, 0.4
         prev = rng.standard_normal(4)
-        deltas = [rng.standard_normal(4) for _ in range(3)]
+        deltas = rng.standard_normal((3, 4))
         mags = np.array([0.9, 1.4, 0.6])
-        signals = [
-            fading_precode(d, alpha, float(h), h_min) for d, h in zip(deltas, mags)
-        ]
-        y = sum(h * x for h, x in zip(mags, signals))
-        out = fading_decode(y, 3, alpha, h_min, prev)
+        y = fading_mac(precode(deltas, (math.sqrt(alpha) * h_min) / mags), mags)
+        out = decode(y, 3 * math.sqrt(alpha) * h_min, prev)
         np.testing.assert_allclose(out, prev + np.mean(deltas, axis=0), atol=1e-10)
 
     def test_equivalent_noise_variance(self, rng):
+        # decoder-output noise has per-coordinate variance sigma_w2/(K^2 alpha h_min^2)
         k_size, alpha, h_min, sigma_w2, d = 3, 0.7, 0.5, 1.5, 50
         prev = np.zeros(d)
         errs = []
         for _ in range(10_000 // d):
             noise = rng.normal(0.0, math.sqrt(sigma_w2), d)
-            errs.append(fading_decode(noise, k_size, alpha, h_min, prev))
+            errs.append(decode(noise, k_size * math.sqrt(alpha) * h_min, prev))
         var = np.concatenate(errs).var()
         target = sigma_w2 / (k_size**2 * h_min**2 * alpha)
         assert abs(var - target) / target < 0.05
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            fading_decode(np.zeros(2), 0, 1.0, 0.5, np.zeros(2))
 
 
 class TestSubsetAveraging:

@@ -82,7 +82,7 @@ def test_sized_rayleigh_draws_equal_per_round_draws(chunk_rows):
 
 # Drawing a run's channel noise up front, as the fading magnitudes are, needs
 # the same of numpy's normal sampler: one sized draw must equal the per-round
-# draws (channel._add_noise draws one d-vector per round) and leave the
+# draws (one d-vector per round) and leave the
 # generator where they leave it.
 @pytest.mark.parametrize("dim", [1, 5, 20])
 def test_sized_normal_draw_equals_per_round_draws(dim):

@@ -5,7 +5,7 @@ import pytest
 
 import otafl.trainer as trainer_mod
 
-from otafl.channel import awgn_mac, sample_noise
+from otafl.channel import sample_noise
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition
 from otafl.localsgd import DEFAULT_THETA0_STD, local_pass
 from otafl.objectives import global_grad, hessian, quadratic_gap, ridge_grad, solve_optimum
@@ -372,7 +372,7 @@ class TestRunRound:
             new_theta = run_round(theta, local_models, config, None, noise, powers)
             g = 1.0 if gain is None else gain
             signals = g * (local_models - theta[:, None])
-            y = awgn_mac(signals, noise)
+            y = signals.sum(axis=1) + noise
             np.testing.assert_array_equal(new_theta, y / (n_users * g) + theta)
             np.testing.assert_array_equal(powers, np.einsum("tkd,tkd->tk", signals, signals))
 
@@ -443,6 +443,98 @@ class TestRunRound:
                 dataset, ragged, np.zeros((1, 3)), [config], None, [_streams(1, 2)],
                 (np.zeros((1, 3)), np.eye(3)[None]),
             )
+
+
+class TestAffineUpdate:
+    """run_round against the update theta + (sum_k h_k c_k delta_k + w) / (K s)
+    with gains c_k = a*b/h_k and scale s = a*b, written out by hand."""
+
+    N_TRIALS, N_USERS, DIM = 2, 5, 4
+    POLICY = FadingPolicy(h_min=0.4, participants=3)
+
+    @staticmethod
+    def _update(theta, local_models, a, b, senders, mags, noise):
+        """The update one trial and one transmitter at a time, in the codec's
+        order of operations: precode, weight by h_k, sum, add w, rescale."""
+        out = np.empty_like(theta)
+        for t in range(theta.shape[0]):
+            y = None
+            for n, h in zip(senders[t], mags[t]):
+                c = (a * b) / h
+                term = h * (c * (local_models[t, n] - theta[t]))
+                y = term if y is None else y + term
+            if noise is not None:
+                y = y + noise[t]
+            out[t] = y / (len(senders[t]) * a * b) + theta[t]
+        return out
+
+    @pytest.mark.parametrize(
+        "scheme, gain",
+        [
+            ("cotaf", None),
+            ("cotaf_fading", None),
+            ("noise_free_local_sgd", None),
+            *(("non_precoded_ota", gain) for gain in (0.3, 1.0, 1.7, 3.1)),
+        ],
+    )
+    def test_run_round_is_the_affine_update(self, scheme, gain):
+        for seed in range(20):
+            self._check_round(scheme, gain, np.random.default_rng(seed))
+
+    def _check_round(self, scheme, gain, rng):
+        n_trials, n_users, dim = self.N_TRIALS, self.N_USERS, self.DIM
+        fading = scheme == "cotaf_fading"
+        config = TrainerConfig(
+            scheme=scheme, local_steps=1, rounds=1, step=_schedule(), sigma_w2=0.3,
+            non_precoded_gain=gain, fading=self.POLICY if fading else None,
+        )
+        theta = rng.standard_normal((n_trials, dim))
+        local_models = theta[:, None] + rng.standard_normal((n_trials, n_users, dim))
+        noise = None if scheme == "noise_free_local_sgd" else rng.normal(0.0, 0.5, (n_trials, dim))
+        if scheme in ("cotaf", "cotaf_fading"):
+            alpha = float(rng.uniform(0.05, 5.0))
+            a = math.sqrt(alpha)
+        else:  # the baseline's gain, or 1 for the noise-free scheme
+            alpha, a = None, 1.0 if gain is None else gain
+        selection = None
+        if fading:
+            k = self.POLICY.participants
+            picks = np.stack([rng.permutation(n_users)[:k] for _ in range(n_trials)])
+            ids = np.sort(picks, axis=1) + 1
+            mags = rng.uniform(0.41, 3.0, (n_trials, k))
+            selection, b, senders = (ids, mags), self.POLICY.h_min, ids - 1
+        else:
+            b, mags = 1.0, np.ones((n_trials, n_users))
+            senders = np.tile(np.arange(n_users), (n_trials, 1))
+        powers = np.full((n_trials, n_users), np.nan)
+        new_theta = run_round(theta, local_models, config, alpha, noise, powers, selection)
+
+        np.testing.assert_array_equal(
+            new_theta, self._update(theta, local_models, a, b, senders, mags, noise)
+        )
+        sent = np.zeros((n_trials, n_users))
+        for t in range(n_trials):
+            for n, h in zip(senders[t], mags[t]):
+                signal = ((a * b) / h) * (local_models[t, n] - theta[t])
+                sent[t, n] = signal @ signal
+        np.testing.assert_allclose(powers, sent, rtol=1e-13)
+        if scheme == "non_precoded_ota":
+            # COTAF's codec at the fixed alpha gain^2, as the baseline ran it before
+            alpha_g = gain * gain
+            signals = math.sqrt(alpha_g) * (local_models - theta[:, None])
+            y = signals.sum(axis=1) + noise
+            np.testing.assert_array_equal(new_theta, y / (n_users * math.sqrt(alpha_g)) + theta)
+        if scheme == "noise_free_local_sgd":
+            # theta + sum_n delta_n / N is the users' mean model up to rounding
+            np.testing.assert_allclose(new_theta, local_models.mean(axis=1), rtol=1e-12)
+
+    def test_benchmark_names_are_the_codec_stages(self):
+        # the codec and MAC names the benchmark spans time are the one codec's
+        # stages, so no second codec can run behind them
+        assert trainer_mod.fading_precode is trainer_mod.precode
+        assert trainer_mod.fading_decode is trainer_mod.decode
+        assert trainer_mod.awgn_mac is trainer_mod.fading_mac
+        assert trainer_mod.orthogonal_noiseless is trainer_mod.fading_mac
 
 
 class TestRunTraining:
