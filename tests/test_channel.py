@@ -96,3 +96,15 @@ class TestSampleNoise:
             sample_noise(3, -0.1, rng)
         with pytest.raises(ValueError, match="dim must be >= 1"):
             sample_noise(0, 1.0, rng)
+
+
+def test_channel_kind_validation(rng):
+    # sigma_w2 and rayleigh_scale are checked by TrainerConfig and FadingPolicy
+    # (tests/test_trainer.py::TestTrainerConfig); a zero fading magnitude is
+    # rejected by run_round's censoring check
+    # (tests/test_precoding.py::TestFadingPrecode)
+    for scale in (0.0, -1.0):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            sample_rayleigh(3, scale, rng)
+    with pytest.raises(ValueError, match="n_users must be >= 1"):
+        sample_rayleigh(0, 1.0, rng)
