@@ -29,10 +29,15 @@ def fading_mac(
     noise w of the output's shape (sample_noise draws it), or None for a
     noiseless channel.
     """
-    magnitudes = np.asarray(magnitudes, dtype=np.float64)
-    if magnitudes.ndim and magnitudes.shape != inputs.shape[:-1]:
-        raise ValueError(f"got inputs {inputs.shape} for magnitudes of shape {magnitudes.shape}")
-    total = (magnitudes[..., None] * inputs).sum(axis=-2)
+    if isinstance(magnitudes, float) and magnitudes == 1.0:
+        total = inputs.sum(axis=-2)  # the unit channel: x 1.0 is exact, so it is skipped
+    else:
+        magnitudes = np.asarray(magnitudes, dtype=np.float64)
+        if magnitudes.ndim and magnitudes.shape != inputs.shape[:-1]:
+            raise ValueError(
+                f"got inputs {inputs.shape} for magnitudes of shape {magnitudes.shape}"
+            )
+        total = (magnitudes[..., None] * inputs).sum(axis=-2)
     if noise is not None:
         if np.shape(noise) != total.shape:
             raise ValueError(f"need channel noise of shape {total.shape}, got {np.shape(noise)}")

@@ -65,10 +65,18 @@ def local_pass(
     steps = steps.reshape(len(etas), *rows.shape[:-1][1 - len(core) :])
     xs = features[steps]  # (H, [T,] N, d)
     ys = targets[steps]  # (H, [T,] N)
-    # astype keeps the broadcast's stride order, so the copy has the user axis
-    # fastest; every result's bits depend on that layout
-    theta = np.broadcast_to(theta, shape).astype(np.float64).reshape(core)
+    # The working models are one C-contiguous block, so every step op runs
+    # with the strides of the gathered (..., N, d) samples; each step updates
+    # it in place through one residual and one step buffer.
+    models = np.empty(core)
+    models[...] = theta
+    residual = np.empty(core[:-1])
+    step = np.empty(core)
     for x, y, eta in zip(xs, ys, etas):
-        residual = np.einsum("...nd,...nd->...n", x, theta) - y
-        theta = theta - eta * (residual[..., None] * x + lam * theta)
-    return theta.reshape(shape)
+        np.einsum("...nd,...nd->...n", x, models, out=residual)
+        residual -= y
+        residual *= eta
+        np.multiply(residual[..., None], x, out=step)
+        models *= 1.0 - eta * lam
+        models -= step
+    return models.reshape(shape)

@@ -23,6 +23,9 @@ from .channel import RAYLEIGH_UNIT_POWER_SCALE
 from .data import ShardRows
 from .localsgd import DEFAULT_THETA0_STD, StepFn, local_pass
 
+# Pilot rounds whose dataset row ids are mapped from their draws at once.
+PILOT_ROUND_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class AlphaSchedule:
@@ -86,6 +89,8 @@ def precode(deltas: np.ndarray, gains: np.ndarray | float) -> np.ndarray:
 
     A user's transmit energy is its gain squared times ||delta||^2.
     """
+    if np.isscalar(gains):
+        return gains * deltas
     return np.asarray(gains)[..., None] * deltas
 
 
@@ -147,7 +152,6 @@ def estimate_alpha_mc(
 
     dataset, shard_rows = pilot_shards.dataset, pilot_shards.rows
     n_users, shard_size, dim = pilot_shards.shape
-    users = np.arange(n_users)[:, None]
     etas = [
         [step_fn((r - 1) * local_steps + j) for j in range(local_steps)]
         for r in range(1, rounds + 1)
@@ -164,16 +168,25 @@ def estimate_alpha_mc(
         draws[t] = rng.integers(shard_size, size=draws[t].size).reshape(draws.shape[1:])
 
     # All trials advance as one (T, N, d) block per round, stepping on the
-    # round's (T, N, H) shard indices mapped to dataset row ids, as training does.
-    sums = np.zeros((rounds, n_users))
-    for r in range(rounds):
-        rows = shard_rows[users, draws[:, r]]
-        local_models = local_pass(thetas, dataset.features, dataset.targets, etas[r], rows, lam)
-        diff = local_models - thetas
-        sq = np.einsum("tnd,tnd->tn", diff, diff)
-        for t in range(pilot_trials):  # trial by trial, the order of a per-trial loop
-            sums[r] += sq[t]
-        thetas = local_models.mean(axis=1, keepdims=True)
+    # round's (T, N, H) shard indices mapped to dataset row ids, as training
+    # does. The row ids of a chunk of rounds are one take from the flat shard
+    # rows, so the draws are cast once per chunk and only the chunk is held
+    # as intp.
+    flat_rows = shard_rows.ravel()
+    offsets = np.arange(n_users)[:, None] * shard_size  # user n's first flat index
+    sums = np.empty((rounds, n_users))
+    for lo in range(0, rounds, PILOT_ROUND_CHUNK):
+        chunk = flat_rows.take(draws[:, lo : lo + PILOT_ROUND_CHUNK] + offsets)  # (T, C, N, H)
+        for r in range(lo, lo + chunk.shape[1]):
+            local_models = local_pass(
+                thetas, dataset.features, dataset.targets, etas[r], chunk[:, r - lo], lam
+            )
+            diff = local_models - thetas
+            sq = np.einsum("tnd,tnd->tn", diff, diff)
+            # a running sum adds trial by trial, the order of a per-trial loop
+            # (sum(axis=0) would reduce one user's trials pairwise)
+            sums[r] = sq.cumsum(axis=0)[-1]
+            thetas = local_models.mean(axis=1, keepdims=True)
 
     max_mean = sums.max(axis=1) / pilot_trials
     zero_rounds = np.flatnonzero(max_mean == 0)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import otafl.precoding as precoding_mod
+
 from otafl.channel import fading_mac, sample_noise, sample_rayleigh
 from otafl.localsgd import local_pass
 from otafl.objectives import ProbeBall, estimate_constants, ridge_grad
@@ -259,6 +261,25 @@ def constant_step(eta):
     return lambda t: eta
 
 
+def _per_trial_pilot(shards, lam, rounds, h, power, trials, step_fn, seed):
+    """The MC pilot's schedule from a loop over trials, one unbatched kernel
+    call per trial and round, the squared update norms added trial by trial."""
+    dataset, (n_users, shard_size, dim) = shards.dataset, shards.shape
+    ref_rng = np.random.default_rng(seed)
+    sums = np.zeros((rounds, n_users))
+    for _ in range(trials):
+        theta = ref_rng.normal(0.0, 1.0, dim)
+        draws = ref_rng.integers(shard_size, size=rounds * n_users * h).reshape(rounds, n_users, h)
+        for r in range(rounds):
+            etas = [step_fn(r * h + j) for j in range(h)]
+            rows = np.take_along_axis(shards.rows, draws[r], axis=1)
+            models = local_pass(theta, dataset.features, dataset.targets, etas, rows, lam)
+            diff = models - theta
+            sums[r] += np.einsum("nd,nd->n", diff, diff)
+            theta = models.mean(axis=0)
+    return power / (sums.max(axis=1) / trials)
+
+
 class TestEstimateAlphaMc:
     def test_single_deterministic_step_oracle(self):
         # one user, one sample, one local step, theta0 = 0:
@@ -314,20 +335,24 @@ class TestEstimateAlphaMc:
             shards, lam, rounds, h, power, trials, np.random.default_rng(8),
             step_fn=step_fn, theta0_std=1.0,
         )
-        dataset = shards.dataset
-        ref_rng = np.random.default_rng(8)
-        sums = np.zeros((rounds, 4))
-        for _ in range(trials):
-            theta = ref_rng.normal(0.0, 1.0, 3)
-            draws = ref_rng.integers(12, size=rounds * 4 * h).reshape(rounds, 4, h)
-            for r in range(rounds):
-                etas = [step_fn(r * h + j) for j in range(h)]
-                rows = np.take_along_axis(shards.rows, draws[r], axis=1)
-                models = local_pass(theta, dataset.features, dataset.targets, etas, rows, lam)
-                diff = models - theta
-                sums[r] += np.einsum("nd,nd->n", diff, diff)
-                theta = models.mean(axis=0)
-        np.testing.assert_array_equal(schedule.values, power / (sums.max(axis=1) / trials))
+        expected = _per_trial_pilot(shards, lam, rounds, h, power, trials, step_fn, seed=8)
+        np.testing.assert_array_equal(schedule.values, expected)
+
+    @pytest.mark.parametrize("n_users", [1, 3])
+    def test_round_chunks_and_one_user_equal_a_per_trial_loop(self, rng, monkeypatch, n_users):
+        # row ids mapped a chunk of rounds at a time, across chunk edges; with
+        # one user and 12 trials a pairwise sum over the trials would move
+        # the last bits, so the trials still add one by one
+        monkeypatch.setattr(precoding_mod, "PILOT_ROUND_CHUNK", 4)
+        shards = make_shards(rng, n_users=n_users, per_user=12, dim=3)
+        lam, rounds, h, power, trials = 0.5, 9, 2, 1.0, 12
+        step_fn = lambda t: 2.0 / (0.8 * (20.0 + t))
+        schedule = estimate_alpha_mc(
+            shards, lam, rounds, h, power, trials, np.random.default_rng(8),
+            step_fn=step_fn, theta0_std=1.0,
+        )
+        expected = _per_trial_pilot(shards, lam, rounds, h, power, trials, step_fn, seed=8)
+        np.testing.assert_array_equal(schedule.values, expected)
 
     def test_linear_in_power(self, rng):
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)

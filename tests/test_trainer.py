@@ -233,6 +233,52 @@ class TestBatchedPass:
             local_pass(np.zeros((3, 1, 3)), *args, np.zeros((4, 2, 1), dtype=int), 0.5)
 
 
+class TestFusedStep:
+    """The kernel steps its own C-contiguous block of models in place."""
+
+    @pytest.mark.parametrize(
+        "theta_shape, rows_shape",
+        [((4,), (5, 3)), ((5, 4), (5, 3)), ((2, 1, 4), (2, 5, 3)), ((3, 2, 1, 4), (2, 5, 3))],
+    )
+    def test_start_models_are_not_written(self, rng, theta_shape, rows_shape):
+        dataset = make_shards(rng, n_users=5, per_user=9, dim=4).dataset
+        theta = rng.standard_normal(theta_shape)
+        before = theta.copy()
+        rows = rng.integers(45, size=rows_shape)
+        out = local_pass(theta, dataset.features, dataset.targets, [0.1, 0.07, 0.05], rows, 0.5)
+        assert np.array_equal(theta, before)
+        assert not np.shares_memory(out, theta)
+
+    def test_strided_start_has_the_bits_of_its_copy(self, rng):
+        # run_training starts each round from the strided view thetas[:, :, i]
+        # of its (S, T, R, d) history
+        dataset = make_shards(rng, n_users=5, per_user=9, dim=4).dataset
+        history = rng.standard_normal((3, 2, 6, 4))
+        before = history.copy()
+        start = history[:, :, 2, None]
+        assert not start.flags.c_contiguous
+        rows = rng.integers(45, size=(2, 5, 3))
+        args = (dataset.features, dataset.targets, [0.1, 0.07, 0.05], rows, 0.5)
+        out = local_pass(start, *args)
+        assert np.array_equal(out, local_pass(np.ascontiguousarray(start), *args))
+        assert np.array_equal(history, before)
+
+    def test_long_pass_matches_per_user_reference(self, rng):
+        # H=40 steps at d=90 on a small dataset, two trials of N=4 users
+        dataset = generate_synthetic(90, 30, 0.5, rng)
+        n_trials, n_users, h, lam = 2, 4, 40, 0.3
+        thetas = rng.normal(0.0, DEFAULT_THETA0_STD, (n_trials, 1, 90))
+        rows = rng.integers(30, size=(n_trials, n_users, h))
+        etas = [0.01 / (1.0 + 0.02 * j) for j in range(h)]
+        out = local_pass(thetas, dataset.features, dataset.targets, etas, rows, lam)
+        for t, n in np.ndindex(n_trials, n_users):
+            theta = thetas[t, 0]
+            for eta, i in zip(etas, rows[t, n]):
+                x, y = dataset.features[i], dataset.targets[i]
+                theta = theta - eta * ((x @ theta - y) * x + lam * theta)
+            np.testing.assert_allclose(out[t, n], theta, rtol=1e-10)
+
+
 class TestStepSchedules:
     def test_averaged_model_values(self):
         assert step_averaged_model(0, 1.0, 4.0) == pytest.approx(1.0)
