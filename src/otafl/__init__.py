@@ -50,7 +50,6 @@ from .harness import (
     ScheduleSpec,
     SyntheticSpec,
     TrainerSpec,
-    compare_schemes,
     estimate_bound_inputs,
     export_table,
     load_config,
@@ -63,12 +62,8 @@ from .localsgd import DEFAULT_THETA0_STD, local_pass
 from .objectives import (
     ProbeBall,
     estimate_constants,
-    global_grad,
     global_loss,
-    hessian,
     quadratic_gap,
-    ridge_grad,
-    ridge_loss,
     solve_optimum,
 )
 from .precoding import (
@@ -91,8 +86,7 @@ from .trainer import (
     run_training,
     step_averaged_model,
     step_final_model,
-    weighted_average_model,
 )
-from .types import ProblemConstants, RegressionSample, as_model_vector
+from .types import ProblemConstants, as_model_vector
 
 __version__ = "0.1.0"

@@ -160,6 +160,8 @@ def _cmd_estimate_alpha(args) -> int:
 def _cmd_compare(args) -> int:
     config = harness.load_config(args.config)
     schemes = [s for s in args.schemes.replace(",", " ").split() if s]
+    if len(schemes) < 2:  # checked before the schemes are trained
+        raise ValueError(f"compare needs at least two schemes, got {schemes}")
     result = harness.simulate_trials(config, schemes)
     report = harness.analyze_comparison(result, schemes)
     print(json.dumps(report.to_dict(), indent=2))

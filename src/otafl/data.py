@@ -65,9 +65,9 @@ class Dataset:
 
     def whole_optimum(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """theta* and the Hessian of the global objective with the whole dataset
-        as one user's shard, with the bits of solve_optimum and hessian: formed
-        in one pass over the arrays, uncopied, on the first call for each lam
-        and kept, read-only, with the dataset."""
+        as one user's shard, with the bits of grams_optimum on its shard_grams:
+        formed in one pass over the arrays, uncopied, on the first call for
+        each lam and kept, read-only, with the dataset."""
         if lam not in self._optima:
             x, y, size = self.features, self.targets, len(self)
             optimum = grams_optimum((x.T @ x / size)[None], (x.T @ y / size)[None], lam)

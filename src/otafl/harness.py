@@ -60,14 +60,20 @@ _ALPHA_SOURCES = ("mc_pilot", "analytic_bound", "file")
 _FADING_ONLY_KEYS = ("rayleigh_scale", "participants", "eligibility", "h_min")
 
 
-def _check_keys(doc: Mapping, allowed: Sequence[str], where: str) -> None:
-    unknown = set(doc) - set(allowed)
+def _section(doc, where: str) -> Mapping:
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    return doc
+
+
+def _check_keys(doc, allowed: Sequence[str], where: str) -> None:
+    unknown = set(_section(doc, where)) - set(allowed)
     if unknown:
         raise ValueError(f"unknown config keys in {where}: {sorted(unknown)}")
 
 
-def _require(doc: Mapping, key: str, where: str):
-    if key not in doc:
+def _require(doc, key: str, where: str):
+    if key not in _section(doc, where):
         raise ValueError(f"missing config key {key!r} in {where}")
     return doc[key]
 
@@ -130,8 +136,7 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        sigma_from_snr(self.snr_db)  # rejects an SNR with no usable noise variance
         if not (0.0 < self.eligibility < 1.0):
             raise ValueError("eligibility must lie in (0, 1)")
 
@@ -279,7 +284,7 @@ def parse_config(doc: Mapping) -> ExperimentConfig:
     _check_keys(doc, [*flat, "partition"], "config")
     partition_doc = doc.get("partition", {})
     _check_keys(partition_doc, _PARTITION_KEYS, "partition")
-    channel_doc = doc.get("channel", {})
+    channel_doc = _section(doc.get("channel", {}), "channel")
     if "kind" in channel_doc and channel_doc["kind"] != "fading_mac":
         for key in _FADING_ONLY_KEYS:
             if key in channel_doc:
@@ -300,7 +305,14 @@ def sigma_from_snr(snr_db: float | None, power: float = POWER) -> float:
     """Noise variance from a configured SNR; None means a noiseless channel."""
     if snr_db is None:
         return 0.0
-    sigma_w2 = power / 10.0 ** (snr_db / 10.0)
+    try:
+        sigma_w2 = power / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):  # 10**(snr_db/10) beyond float range
+        sigma_w2 = math.nan
+    if not (math.isfinite(sigma_w2) and sigma_w2 > 0):
+        raise ValueError(
+            f"snr_db={snr_db} gives no finite positive noise variance P / 10**(snr_db/10)"
+        )
     if abs(10.0 * math.log10(power / sigma_w2) - snr_db) > 1e-9:
         raise ValueError(f"SNR bookkeeping failed for snr_db={snr_db}")
     return sigma_w2
@@ -461,6 +473,9 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
     """Materialize the deterministic parts of an experiment."""
     schemes = list(schemes) if schemes is not None else [config.trainer.scheme]
     specs = [scheme_spec(scheme, config.channel.kind) for scheme in schemes]
+    repeated = sorted({scheme for scheme in schemes if schemes.count(scheme) > 1})
+    if repeated:
+        raise ValueError(f"schemes listed more than once: {repeated}")
 
     dataset = build_dataset(config)
     sigma_w2 = sigma_from_snr(config.channel.snr_db)
@@ -565,12 +580,6 @@ class SimulationResult:
 TRIAL_BLOCK_BYTES = 16 << 20
 
 
-def _solve_trial(dataset: Dataset, rows: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """theta* and the Hessian of the global objective on the shards with these
-    row ids, from one pass that gathers one shard at a time."""
-    return grams_optimum(*shard_grams(dataset.shards(rows)), lam)
-
-
 def simulate_trials(
     config: ExperimentConfig, schemes: Sequence[str] | None = None
 ) -> SimulationResult:
@@ -619,7 +628,7 @@ def simulate_trials(
         for t, trial in enumerate(trials):
             stream = stream_generator(config.seed, f"trial{trial}/partition")
             rows[t] = partition(dataset, config.partition_spec, stream)
-            theta_stars[t], hessians[t] = _solve_trial(dataset, rows[t], lam)
+            theta_stars[t], hessians[t] = grams_optimum(*shard_grams(dataset.shards(rows[t])), lam)
             theta0[t] = initial_model_for_trial(config, trial, dim)
             diff = theta0[t] - theta_stars[t]
             theta0_dist2[trial] = diff @ diff
@@ -828,11 +837,6 @@ def analyze_comparison(
         plateau_ratios=plateau,
         error_floor=floor,
     )
-
-
-def compare_schemes(config: ExperimentConfig, schemes: Sequence[str]) -> ComparisonReport:
-    """Run all schemes with paired seeds and report final-round ordering."""
-    return analyze_comparison(simulate_trials(config, schemes), schemes)
 
 
 def estimate_bound_inputs(config: ExperimentConfig, *, kind: str = "final_model") -> BoundInputs:

@@ -14,29 +14,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .types import ProblemConstants, RegressionSample, as_model_vector
+from .types import ProblemConstants, as_model_vector
 
 if TYPE_CHECKING:  # data imports this module
     from .data import ShardRows
-
-
-def _sample_residual(theta, sample: RegressionSample, lam: float):
-    if lam < 0:
-        raise ValueError("regularization weight must be non-negative")
-    theta = as_model_vector(theta, dim=sample.features.shape[0])
-    return theta, sample.features @ theta - sample.target
-
-
-def ridge_loss(theta, sample: RegressionSample, lam: float) -> float:
-    """Per-sample loss 0.5*(s_s.theta - s_y)^2 + (lam/2)*||theta||^2."""
-    theta, residual = _sample_residual(theta, sample, lam)
-    return float(0.5 * residual * residual + 0.5 * lam * (theta @ theta))
-
-
-def ridge_grad(theta, sample: RegressionSample, lam: float) -> np.ndarray:
-    """Gradient of ridge_loss: (s_s.theta - s_y)*s_s + lam*theta."""
-    theta, residual = _sample_residual(theta, sample, lam)
-    return residual * sample.features + lam * theta
 
 
 def _shard_loss(theta: np.ndarray, features: np.ndarray, targets: np.ndarray, lam: float) -> float:
@@ -48,23 +29,6 @@ def global_loss(theta, shards: ShardRows, lam: float) -> float:
     """Average over users of the per-user empirical loss."""
     theta = as_model_vector(theta, dim=shards.shape[-1])
     return float(np.mean([_shard_loss(theta, x, y, lam) for x, y in shards]))
-
-
-def global_grad(theta, shards: ShardRows, lam: float) -> np.ndarray:
-    """Exact gradient of global_loss."""
-    theta = as_model_vector(theta, dim=shards.shape[-1])
-    grads = []
-    for x, y in shards:
-        residuals = x @ theta - y
-        grads.append(x.T @ residuals / len(y) + lam * theta)
-    return np.mean(grads, axis=0)
-
-
-def hessian(shards: ShardRows, lam: float) -> np.ndarray:
-    """Hessian of the global objective: averaged Gram matrix + lam*I, as
-    grams_optimum forms it; a singular Gram with lam = 0 is not rejected."""
-    grams, _ = shard_grams(shards)
-    return grams.mean(axis=0) + lam * np.eye(grams.shape[-1])
 
 
 def shard_grams(shards: ShardRows) -> tuple[np.ndarray, np.ndarray]:
@@ -85,8 +49,8 @@ def grams_optimum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """theta* and the Hessian of the global objective from shard_grams' stacks.
 
-    solve_optimum reads theta* from here and hessian forms the same Hessian
-    without the solve. With lam = 0 the averaged Gram matrix must be full rank.
+    solve_optimum reads theta* from here. With lam = 0 the averaged Gram
+    matrix must be full rank.
     """
     hess = grams.mean(axis=0) + lam * np.eye(grams.shape[-1])
     if lam == 0:
@@ -123,6 +87,10 @@ def quadratic_gap(
     return float(gap) if gap.ndim == 0 else gap
 
 
+# G2 and Mn2 inflate their maxima over the probe points by this factor.
+MOMENT_SAFETY = 1.1
+
+
 @dataclass(frozen=True)
 class ProbeBall:
     """Ball of model vectors over which the gradient-moment bounds are taken."""
@@ -154,35 +122,28 @@ class ProbeBall:
 def estimate_constants(
     shards: ShardRows,
     lam: float,
-    probe_region: ProbeBall | np.ndarray,
-    rng: np.random.Generator | None = None,
+    ball: ProbeBall,
+    rng: np.random.Generator,
     *,
     H: int,
     P: float,
     sigma_w2: float,
-    safety: float = 1.1,
     grams: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ProblemConstants:
     """Estimate the constants entering the convergence bounds.
 
     L and mu are the extreme eigenvalues of the exact (theta-independent)
     Hessian. G2 is the largest empirical second moment of per-sample gradients
-    over the probe points and users, inflated by `safety`; Mn2 is the analogous
-    per-user gradient variance. Gamma is computed exactly from the per-user
-    closed-form optima. H, P and sigma_w2 are passed through into the record.
+    over the ball's points drawn from rng and over the users, inflated by
+    MOMENT_SAFETY; Mn2 is the analogous per-user gradient variance. Gamma is
+    computed exactly from the per-user closed-form optima. H, P and sigma_w2
+    are passed through into the record.
     A caller that already holds shard_grams(shards) passes it as grams.
     The shards are read in one pass, one shard at a time.
     """
     if lam <= 0:
         raise ValueError("constant estimation requires lam > 0")
-    if isinstance(probe_region, ProbeBall):
-        if rng is None:
-            raise ValueError("a probe ball needs an rng to draw points from")
-        probes = probe_region.points(rng)
-    else:
-        probes = np.ascontiguousarray(probe_region, dtype=np.float64)
-        if probes.ndim != 2 or probes.shape[0] == 0:
-            raise ValueError("probe_region must be a non-empty (n, d) array")
+    probes = ball.points(rng)
 
     n_users, size, d = shards.shape
     held = grams is not None
@@ -227,8 +188,8 @@ def estimate_constants(
     return ProblemConstants(
         L=smoothness,
         mu=mu,
-        G2=safety * g2,
-        Mn2=safety * mn2,
+        G2=MOMENT_SAFETY * g2,
+        Mn2=MOMENT_SAFETY * mn2,
         Gamma=gamma,
         d=d,
         N=n_users,

@@ -29,7 +29,8 @@ PILOT_ROUND_CHUNK = 16
 
 @dataclass(frozen=True)
 class AlphaSchedule:
-    """Per-round precoding coefficients, positive and finite, 1-based rounds."""
+    """Per-round precoding coefficients, positive and finite: values[r - 1] is
+    round r's alpha."""
 
     values: np.ndarray
 
@@ -45,24 +46,13 @@ class AlphaSchedule:
     def rounds(self) -> int:
         return self.values.shape[0]
 
-    def alpha_for_round(self, round_index: int) -> float:
-        if not (1 <= round_index <= self.rounds):
-            raise ValueError(f"round {round_index} outside schedule of {self.rounds} rounds")
-        return float(self.values[round_index - 1])
-
-    def to_json(self) -> str:
-        return json.dumps([float(v) for v in self.values])
-
-    @classmethod
-    def from_json(cls, text: str) -> "AlphaSchedule":
-        return cls(np.asarray(json.loads(text), dtype=np.float64))
-
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        """Write the values as one JSON list; load reads them back exactly."""
+        Path(path).write_text(json.dumps(self.values.tolist()) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "AlphaSchedule":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass(frozen=True)

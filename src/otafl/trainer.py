@@ -151,8 +151,8 @@ class TrainerConfig:
 
     def __post_init__(self):
         spec = scheme_spec(self.scheme)
-        if self.local_steps < 1 or self.rounds < 0:
-            raise ValueError("local_steps must be >= 1 and rounds >= 0")
+        if self.local_steps < 1 or self.rounds < 1:
+            raise ValueError("local_steps and rounds must be >= 1")
         if self.ridge_lambda < 0 or self.power <= 0:
             raise ValueError("invalid ridge_lambda / power")
         if self.sigma_w2 < 0:
@@ -393,7 +393,7 @@ def run_training(
             steps[t, n] = rows[t, n, user.integers(shard_size, size=rounds * h)]
     fades = [
         None
-        if config.fading is None or rounds == 0
+        if config.fading is None
         else FadingRounds(
             np.empty((n_trials, rounds, config.fading.participants), dtype=np.int64),
             np.empty((n_trials, rounds, config.fading.participants)),
@@ -467,12 +467,3 @@ def run_training(
         else RunTrace(thetas[s], gaps, powers, fade.participants, fade.waits)
         for s, (fade, (gaps, powers)) in enumerate(zip(fades, out))
     ]
-
-
-def weighted_average_model(thetas: np.ndarray, a: float, local_steps: int) -> np.ndarray:
-    """Weighted average of an (R, d) block of per-round global models, row i
-    being round r = i+1, with weights (a + r*H)^2."""
-    if len(thetas) == 0:
-        raise ValueError("thetas must be non-empty")
-    weights = (a + local_steps * np.arange(1, len(thetas) + 1)) ** 2
-    return (weights[:, None] * thetas).sum(axis=0) / weights.sum()

@@ -26,18 +26,6 @@ def as_model_vector(values, dim: int | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RegressionSample:
-    """One (features, target) pair."""
-
-    features: np.ndarray
-    target: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", as_model_vector(self.features))
-        object.__setattr__(self, "target", float(self.target))
-
-
-@dataclass(frozen=True)
 class ProblemConstants:
     """Inputs to the convergence-bound calculators.
 

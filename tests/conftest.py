@@ -1,11 +1,16 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite, and the test oracles:
+the per-sample ridge loss and gradient, the exact global gradient and the
+weighted-average model, which the simulator itself never needs."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from otafl.data import Dataset, PartitionSpec, ShardRows, generate_synthetic, partition
+from otafl.types import as_model_vector
 
 
 def make_shards(
@@ -49,6 +54,57 @@ def accumulated_optimum(shards: ShardRows, lam: float) -> tuple[np.ndarray, np.n
     hess = gram + lam * np.eye(dim)
     rhs = np.mean([x.T @ y / len(y) for x, y in shards], axis=0)
     return np.linalg.solve(hess, rhs), hess
+
+
+@dataclass(frozen=True)
+class RegressionSample:
+    """One (features, target) pair."""
+
+    features: np.ndarray
+    target: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "features", as_model_vector(self.features))
+        object.__setattr__(self, "target", float(self.target))
+
+
+def _sample_residual(theta, sample: RegressionSample, lam: float):
+    if lam < 0:
+        raise ValueError("regularization weight must be non-negative")
+    theta = as_model_vector(theta, dim=sample.features.shape[0])
+    return theta, sample.features @ theta - sample.target
+
+
+def ridge_loss(theta, sample: RegressionSample, lam: float) -> float:
+    """Per-sample loss 0.5*(s_s.theta - s_y)^2 + (lam/2)*||theta||^2."""
+    theta, residual = _sample_residual(theta, sample, lam)
+    return float(0.5 * residual * residual + 0.5 * lam * (theta @ theta))
+
+
+def ridge_grad(theta, sample: RegressionSample, lam: float) -> np.ndarray:
+    """Gradient of ridge_loss: (s_s.theta - s_y)*s_s + lam*theta."""
+    theta, residual = _sample_residual(theta, sample, lam)
+    return residual * sample.features + lam * theta
+
+
+def global_grad(theta, shards: ShardRows, lam: float) -> np.ndarray:
+    """Exact gradient of objectives.global_loss, shard by shard."""
+    theta = as_model_vector(theta, dim=shards.shape[-1])
+    grads = []
+    for x, y in shards:
+        residuals = x @ theta - y
+        grads.append(x.T @ residuals / len(y) + lam * theta)
+    return np.mean(grads, axis=0)
+
+
+def weighted_average_model(thetas: np.ndarray, a: float, local_steps: int) -> np.ndarray:
+    """Weighted average of an (R, d) block of per-round global models, row i
+    being round r = i+1, with weights (a + r*H)^2: the model that the
+    weighted-average bound covers."""
+    if len(thetas) == 0:
+        raise ValueError("thetas must be non-empty")
+    weights = (a + local_steps * np.arange(1, len(thetas) + 1)) ** 2
+    return (weights[:, None] * thetas).sum(axis=0) / weights.sum()
 
 
 @pytest.fixture

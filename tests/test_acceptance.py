@@ -23,11 +23,13 @@ from otafl.bounds import (
 )
 from otafl.channel import fading_mac, sample_noise, sample_rayleigh
 from otafl.data import partition
-from otafl.objectives import global_grad, global_loss, hessian, solve_optimum
+from otafl.objectives import global_loss, grams_optimum, shard_grams, solve_optimum
 from otafl.precoding import FadingPolicy, decode, precode, select_participants
 from otafl.rng import stream_generator
-from otafl.trainer import run_training, weighted_average_model
-from otafl.types import ProblemConstants, RegressionSample
+from otafl.trainer import run_training
+from otafl.types import ProblemConstants
+
+from conftest import RegressionSample, global_grad, ridge_grad, ridge_loss, weighted_average_model
 
 DATA_DIR = Path(__file__).parent / "data"
 SEED = 20260810
@@ -86,8 +88,7 @@ def test_criterion_01_noiseless_collapse():
         resolved.dataset, config.partition_spec, stream_generator(SEED, "trial0/partition")
     )
     shards = resolved.dataset.shards(rows)
-    hess = hessian(shards, config.trainer.ridge_lambda)
-    theta_star = solve_optimum(shards, config.trainer.ridge_lambda)
+    theta_star, hess = grams_optimum(*shard_grams(shards), config.trainer.ridge_lambda)
     theta0 = harness.initial_model_for_trial(config, 0, resolved.dataset.feature_dim)
     iterates = {}
     for scheme in ("cotaf", "noise_free_local_sgd"):
@@ -184,8 +185,7 @@ def test_weighted_average_bound_final_round():
             stream_generator(SEED, f"trial{trial}/partition"),
         )
         shards = resolved.dataset.shards(rows)
-        hess = hessian(shards, config.trainer.ridge_lambda)
-        theta_star = solve_optimum(shards, config.trainer.ridge_lambda)
+        theta_star, hess = grams_optimum(*shard_grams(shards), config.trainer.ridge_lambda)
         f_star = global_loss(theta_star, shards, config.trainer.ridge_lambda)
         theta0 = harness.initial_model_for_trial(config, trial, resolved.dataset.feature_dim)
         (trace,) = run_training(
@@ -219,7 +219,7 @@ def test_criterion_05_equivalent_noise_law(desk_minus6):
     details = []
     ok = True
     for round_index in (1, 10, 100):
-        alpha = resolved.alpha_schedule.alpha_for_round(round_index)
+        alpha = resolved.alpha_schedule.values[round_index - 1]
         deltas = np.stack([rng.standard_normal(d) for _ in range(n_users)])
         signals = precode(deltas, math.sqrt(alpha))
         prev = np.zeros(d)
@@ -509,8 +509,6 @@ def test_criterion_09_formula_oracles():
 
 
 def test_criterion_10_gradient_and_optimum():
-    from otafl.objectives import ridge_grad, ridge_loss
-
     start = time.time()
     rng = np.random.default_rng(777)
     worst_rel = 0.0

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from otafl import harness
 from otafl.bounds import bound_final_model, bound_final_model_fading, bound_weighted_average
 from otafl.cli import main
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, save_csv
@@ -156,6 +157,15 @@ def test_compare_ordering(config_path, capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("schemes", ["cotaf", "cotaf,cotaf"])
+def test_compare_rejects_a_scheme_list_before_training(config_path, capsys, monkeypatch, schemes):
+    calls = []
+    monkeypatch.setattr(harness, "run_training", lambda *args, **kwargs: calls.append(args))
+    assert main(["compare", "--config", str(config_path), "--schemes", schemes]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
 def test_partition_command_round_trip(tmp_path):
     dataset = generate_synthetic(3, 40, 1.0, np.random.default_rng(2))
     csv_in = tmp_path / "data.csv"
@@ -224,6 +234,25 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"seed": 1, "bogus": True}))
     assert main(["simulate", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("key, value", [("trainer", 5), ("dataset", None), ("partition", "iid")])
+def test_a_section_that_is_not_an_object_exits_1(config_path, capsys, key, value):
+    doc = json.loads(config_path.read_text())
+    doc[key] = value
+    config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be a JSON object, got {value!r}\n"
+
+
+@pytest.mark.parametrize("snr_db", [3100, -3100, 4000, -4000])
+def test_an_extreme_snr_exits_1(config_path, capsys, snr_db):
+    doc = json.loads(config_path.read_text())
+    doc["channel"]["snr_db"] = snr_db
+    config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: snr_db={float(snr_db)} gives no finite positive noise variance")
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -14,7 +14,7 @@ from otafl.data import (
     save_csv,
     standardize,
 )
-from otafl.objectives import ProbeBall, estimate_constants, hessian, solve_optimum
+from otafl.objectives import ProbeBall, estimate_constants, grams_optimum, shard_grams, solve_optimum
 
 from conftest import accumulated_optimum
 
@@ -275,7 +275,7 @@ class TestDatasetArrays:
             oracle = accumulated_optimum(whole, lam)
             np.testing.assert_array_equal(hess, oracle[1])
             np.testing.assert_array_equal(theta_star, oracle[0])
-            np.testing.assert_array_equal(hess, hessian(whole, lam))
+            np.testing.assert_array_equal(hess, grams_optimum(*shard_grams(whole), lam)[1])
             np.testing.assert_array_equal(theta_star, solve_optimum(whole, lam))
             again = dataset.whole_optimum(lam)
             assert again[0] is theta_star and again[1] is hess

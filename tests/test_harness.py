@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -34,7 +35,6 @@ from otafl.harness import (
     SyntheticSpec,
     TrainerSpec,
     analyze_comparison,
-    compare_schemes,
     export_table,
     load_config,
     load_table,
@@ -44,7 +44,13 @@ from otafl.harness import (
     simulate_trials,
     tabulate,
 )
-from otafl.objectives import ProbeBall, estimate_constants, hessian, solve_optimum
+from otafl.objectives import (
+    ProbeBall,
+    estimate_constants,
+    grams_optimum,
+    shard_grams,
+    solve_optimum,
+)
 from otafl.precoding import estimate_alpha_mc
 from otafl.rng import stream_generator
 from otafl.trainer import CHANNEL_KINDS, SCHEMES, run_training
@@ -255,6 +261,32 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="config key partition.mode must be a string"):
             tiny_config(partition={"mode": 0})
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("trainer",), 5),
+            (("alpha",), 3.0),
+            (("dataset",), None),
+            (("channel",), "awgn_mac"),
+            (("channel",), None),
+            (("partition",), "iid"),
+            (("trainer", "schedule"), ["final_model"]),
+        ],
+    )
+    def test_a_section_that_is_not_an_object_is_rejected(self, path, value):
+        doc = _fading_doc()
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        where = re.escape(".".join(path))
+        with pytest.raises(ValueError, match=rf"^{where} must be a JSON object, got {re.escape(repr(value))}$"):
+            parse_config(doc)
+
+    def test_a_config_that_is_not_an_object_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^config must be a JSON object, got \[1\]$"):
+            parse_config([1])
+
 
 def _fading_doc() -> dict:
     return {
@@ -272,9 +304,19 @@ class TestSnrBookkeeping:
         sigma = sigma_from_snr(-6.0)
         assert 10 * math.log10(1.0 / sigma) == pytest.approx(-6.0, abs=1e-9)
         assert sigma == pytest.approx(10 ** 0.6)
+        for snr_db in (-6.0, 0.0, 6.0):
+            assert sigma_from_snr(snr_db) == 1.0 / 10.0 ** (snr_db / 10.0)
 
     def test_noiseless(self):
         assert sigma_from_snr(None) == 0.0
+
+    @pytest.mark.parametrize("snr_db", [3100.0, -3100.0, 4000.0, -4000.0, math.inf, math.nan])
+    def test_snr_without_a_finite_positive_noise_variance_is_rejected(self, snr_db):
+        match = f"snr_db={snr_db} gives no finite positive noise variance"
+        with pytest.raises(ValueError, match=match):
+            sigma_from_snr(snr_db)
+        with pytest.raises(ValueError, match=match):
+            tiny_config(channel={"kind": "awgn_mac", "snr_db": snr_db})
 
 
 class TestRunExperiment:
@@ -299,8 +341,7 @@ class TestRunExperiment:
             resolved.dataset, config.partition_spec, stream_generator(config.seed, "trial0/partition")
         )
         shards = resolved.dataset.shards(trial_rows)
-        hess = hessian(shards, config.trainer.ridge_lambda)
-        theta_star = solve_optimum(shards, config.trainer.ridge_lambda)
+        theta_star, hess = grams_optimum(*shard_grams(shards), config.trainer.ridge_lambda)
         theta0 = stream_generator(config.seed, "trial0/init").normal(
             0.0, config.trainer.theta0_std, resolved.dataset.feature_dim
         )
@@ -449,9 +490,7 @@ class TestRunExperiment:
                 config.partition_spec,
                 stream_generator(config.seed, f"trial{trial}/partition"),
             )
-            shards = resolved.dataset.shards(rows)
-            hess = hessian(shards, lam)
-            theta_star = solve_optimum(shards, lam)
+            theta_star, hess = grams_optimum(*shard_grams(resolved.dataset.shards(rows)), lam)
             theta0 = harness.initial_model_for_trial(config, trial, resolved.dataset.feature_dim)
             diff = theta0 - theta_star
             assert result.theta0_dist2[trial] == diff @ diff
@@ -589,9 +628,8 @@ class TestCompare:
             "scheme": "cotaf", "local_steps": 3, "rounds": 12,
             "schedule": {"kind": "final_model", "shift": "auto"},
         })
-        report = compare_schemes(
-            config, ["noise_free_local_sgd", "cotaf", "non_precoded_ota"]
-        )
+        schemes = ["noise_free_local_sgd", "cotaf", "non_precoded_ota"]
+        report = analyze_comparison(simulate_trials(config, schemes), schemes)
         assert report.ordering_ok()
         assert report.final_mean_gaps["non_precoded_ota"] > report.final_mean_gaps["cotaf"]
         assert report.error_floor["non_precoded_ota"]
@@ -606,9 +644,17 @@ class TestCompare:
             assert abs(pair.mean_diff) < 1e-10
 
     def test_needs_two_schemes(self):
-        config = tiny_config()
-        with pytest.raises(ValueError):
-            compare_schemes(config, ["cotaf"])
+        result = simulate_trials(tiny_config(), ["cotaf"])
+        with pytest.raises(ValueError, match="need at least two schemes"):
+            analyze_comparison(result, ["cotaf"])
+
+    def test_a_repeated_scheme_is_rejected_before_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_training", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(harness, "estimate_alpha_mc", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=r"schemes listed more than once: \['cotaf'\]"):
+            simulate_trials(tiny_config(), ["cotaf", "noise_free_local_sgd", "cotaf"])
+        assert calls == []
 
 
 class TestBoundInputs:
@@ -686,7 +732,7 @@ class TestBoundInputs:
         resolved = harness.resolve(config, ["noise_free_local_sgd"])
         whole = resolved.dataset.shards(np.arange(len(resolved.dataset))[None])
         lam = config.trainer.ridge_lambda
-        np.testing.assert_array_equal(resolved.hessian, hessian(whole, lam))
+        np.testing.assert_array_equal(resolved.hessian, grams_optimum(*shard_grams(whole), lam)[1])
         eigs = np.linalg.eigvalsh(resolved.hessian)
         assert (resolved.mu, resolved.smoothness) == (eigs[0], eigs[-1])
         theta_star, hess = resolved.dataset.whole_optimum(lam)
@@ -741,7 +787,8 @@ class TestShardPasses:
             )
 
         assert _traced_peak(constants) < limit
-        assert _traced_peak(lambda: harness._solve_trial(dataset, rows, 0.5)) < limit
+        optimum = lambda: grams_optimum(*shard_grams(dataset.shards(rows)), 0.5)
+        assert _traced_peak(optimum) < limit
         assert _traced_peak(lambda: dataset.features[rows]) > 1.9 * limit
 
     def test_mc_pilot_gathers_only_its_subsample(self, monkeypatch):

@@ -6,21 +6,25 @@ import pytest
 from otafl.objectives import (
     ProbeBall,
     estimate_constants,
-    global_grad,
     global_loss,
     grams_optimum,
-    hessian,
     quadratic_gap,
-    ridge_grad,
-    ridge_loss,
     shard_grams,
     solve_optimum,
 )
 from otafl.data import PartitionSpec, generate_synthetic, partition
 from otafl.data import Dataset
-from otafl.types import RegressionSample
 
-from conftest import accumulated_optimum, block_shards, make_shards, one_shard
+from conftest import (
+    RegressionSample,
+    accumulated_optimum,
+    block_shards,
+    global_grad,
+    make_shards,
+    one_shard,
+    ridge_grad,
+    ridge_loss,
+)
 
 
 def fd_grad(f, theta, step=1e-6):
@@ -155,7 +159,7 @@ class TestSolveOptimum:
 
     def test_quadratic_gap_matches_loss_difference(self, rng):
         shards = make_shards(rng)
-        hess = hessian(shards, 0.5)
+        hess = grams_optimum(*shard_grams(shards), 0.5)[1]
         theta_star = solve_optimum(shards, 0.5)
         f_star = global_loss(theta_star, shards, 0.5)
         assert quadratic_gap(theta_star, theta_star, hess) == 0.0
@@ -201,8 +205,6 @@ class TestSolveOptimum:
         shard = one_shard([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
         with pytest.raises(ValueError, match="singular"):
             solve_optimum(shard, 0.0)
-        # the Hessian alone is defined without the solve
-        np.testing.assert_array_equal(hessian(shard, 0.0), [[2.5, 0.0], [0.0, 0.0]])
 
 
 class TestEstimateConstants:
@@ -286,7 +288,7 @@ class TestEstimateConstants:
 
 def reference_constants(shards, lam, probes, safety=1.1):
     """The per-probe loop: three mat-vecs per probe point and shard, the
-    Hessian from hessian(), and each user's optimum from its own solve."""
+    Hessian from grams_optimum, and each user's optimum from its own solve."""
     g2 = 0.0
     mn2 = np.zeros(shards.shape[0])
     for n, (features, targets) in enumerate(shards):
@@ -304,7 +306,7 @@ def reference_constants(shards, lam, probes, safety=1.1):
             mean_grad = features.T @ residuals / len(targets) + lam * theta
             g2 = max(g2, second_moment)
             mn2[n] = max(mn2[n], second_moment - float(mean_grad @ mean_grad))
-    eigs = np.linalg.eigvalsh(hessian(shards, lam))
+    eigs = np.linalg.eigvalsh(grams_optimum(*shard_grams(shards), lam)[1])
     f_star = global_loss(solve_optimum(shards, lam), shards, lam)
     local_minima = []
     for features, targets in shards:
@@ -349,7 +351,7 @@ class TestEstimateConstantsReference:
 
 def test_hessian_matches_fd_of_grad(rng):
     shards = make_shards(rng, dim=3)
-    hess = hessian(shards, 0.5)
+    hess = grams_optimum(*shard_grams(shards), 0.5)[1]
     theta = rng.standard_normal(3)
     for i in range(3):
         e = np.zeros(3)
@@ -375,11 +377,10 @@ class TestRowIdView:
         assert view.shape == block.shape == (6, 50, 7)
         for from_view, from_block in zip(shard_grams(view), shard_grams(block)):
             np.testing.assert_array_equal(from_view, from_block)
-        # hessian and solve_optimum read one shard_grams pass, with the bits of
-        # the running Gram sum and separate moment pass they replace
+        # grams_optimum and solve_optimum read one shard_grams pass, with the
+        # bits of the running Gram sum and separate moment pass they replace
         theta_star, hess = accumulated_optimum(block, self.LAM)
         for shards in (view, block):
-            np.testing.assert_array_equal(hessian(shards, self.LAM), hess)
             np.testing.assert_array_equal(solve_optimum(shards, self.LAM), theta_star)
             from_grams = grams_optimum(*shard_grams(shards), self.LAM)
             np.testing.assert_array_equal(from_grams[0], theta_star)

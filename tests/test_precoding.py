@@ -8,7 +8,7 @@ import otafl.precoding as precoding_mod
 
 from otafl.channel import fading_mac, sample_noise, sample_rayleigh
 from otafl.localsgd import local_pass
-from otafl.objectives import ProbeBall, estimate_constants, ridge_grad
+from otafl.objectives import ProbeBall, estimate_constants
 from otafl.precoding import (
     AlphaSchedule,
     FadingPolicy,
@@ -19,9 +19,8 @@ from otafl.precoding import (
     select_participants,
 )
 from otafl.trainer import StepSchedule, TrainerConfig, run_round
-from otafl.types import RegressionSample
 
-from conftest import make_shards, one_shard
+from conftest import RegressionSample, make_shards, one_shard, ridge_grad
 
 
 def _round(scheme, deltas, alpha, magnitudes=None, h_min=0.5):
@@ -294,7 +293,7 @@ class TestEstimateAlphaMc:
         )
         g = ridge_grad(np.zeros(2), RegressionSample(features[0], targets[0]), lam)
         expected = power / float((eta * g) @ (eta * g))
-        assert schedule.alpha_for_round(1) == pytest.approx(expected, rel=1e-12)
+        assert schedule.values[0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_per_sample_reference_pilot(self, rng):
         # the pilot's blocked index draws follow the round -> user -> step
@@ -397,7 +396,7 @@ class TestEstimateAlphaMc:
 class TestAlphaUpperBoundSchedule:
     def test_unit_case(self):
         schedule = alpha_upper_bound_schedule(1, constant_step(1.0), 1.0, 1.0, 1)
-        assert schedule.alpha_for_round(1) == pytest.approx(1.0)
+        assert schedule.values[0] == pytest.approx(1.0)
 
     def test_increasing_with_decaying_steps(self):
         schedule = alpha_upper_bound_schedule(
@@ -451,7 +450,7 @@ class TestAlphaUpperBoundSchedule:
         for r in range(1, rounds + 1):
             t = r * h
             eta_t = step_fn(t)
-            assert 1.0 / mc.alpha_for_round(r) <= 4.0 * h**2 * eta_t**2 * constants.G2 / power
+            assert 1.0 / mc.values[r - 1] <= 4.0 * h**2 * eta_t**2 * constants.G2 / power
 
 
 def test_alpha_schedule_json_round_trip(tmp_path):
@@ -468,6 +467,3 @@ def test_alpha_schedule_validation():
         AlphaSchedule(np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
         AlphaSchedule(np.array([]))
-    schedule = AlphaSchedule(np.array([1.0]))
-    with pytest.raises(ValueError):
-        schedule.alpha_for_round(2)

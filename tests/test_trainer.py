@@ -8,7 +8,7 @@ import otafl.trainer as trainer_mod
 from otafl.channel import sample_noise
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition
 from otafl.localsgd import DEFAULT_THETA0_STD, local_pass
-from otafl.objectives import global_grad, hessian, quadratic_gap, ridge_grad, solve_optimum
+from otafl.objectives import grams_optimum, quadratic_gap, shard_grams
 from otafl.precoding import AlphaSchedule, FadingPolicy
 from otafl.trainer import (
     RunTrace,
@@ -20,11 +20,16 @@ from otafl.trainer import (
     run_training,
     step_averaged_model,
     step_final_model,
+)
+
+from conftest import (
+    RegressionSample,
+    global_grad,
+    make_shards,
+    ridge_grad,
+    single_shard,
     weighted_average_model,
 )
-from otafl.types import RegressionSample
-
-from conftest import make_shards, single_shard
 
 
 def _start(seed, dim):
@@ -95,7 +100,7 @@ def _schedule(mu=1.0, shift=20.0, kind="final_model"):
 
 
 def _optimum(shards, lam=0.5):
-    return solve_optimum(shards, lam), hessian(shards, lam)
+    return grams_optimum(*shard_grams(shards), lam)
 
 
 def _sample(shards, n, i):
@@ -308,6 +313,14 @@ class TestStepSchedules:
 
 
 class TestTrainerConfig:
+    def test_rounds_and_local_steps_must_be_positive(self):
+        for local_steps, rounds in ((1, 0), (0, 1), (1, -1)):
+            with pytest.raises(ValueError, match="local_steps and rounds must be >= 1"):
+                TrainerConfig(
+                    scheme="noise_free_local_sgd", local_steps=local_steps, rounds=rounds,
+                    step=_schedule(),
+                )
+
     def test_channel_settings_validation(self):
         with pytest.raises(ValueError, match="sigma_w2 must be non-negative"):
             TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule(), sigma_w2=-1.0)
@@ -584,17 +597,6 @@ class TestAffineUpdate:
 
 
 class TestRunTraining:
-    def test_zero_rounds(self, rng):
-        shards = make_shards(rng, n_users=2, per_user=10, dim=3)
-        config = TrainerConfig(
-            scheme="noise_free_local_sgd", local_steps=3, rounds=0, step=_schedule()
-        )
-        (trace,) = _train(shards, [config], None, _streams(4, 2), _optimum(shards), _start(4, 3))
-        assert trace.thetas.shape == (0, 3)
-        assert trace.gaps.shape == (0,) and trace.waits.shape == (0,)
-        assert trace.powers.shape == (0, 2)
-        assert trace.participants is None
-
     def test_user_stream_count_checked(self, rng):
         shards = make_shards(rng, n_users=3, per_user=10, dim=3)
         config = TrainerConfig(
@@ -651,7 +653,7 @@ class TestRunTraining:
         # SGD gradient variance vanishes at the optimum
         shards = make_shards(rng, n_users=8, per_user=100, dim=6, noise_std=0.0)
         lam = 0.0
-        eigs = np.linalg.eigvalsh(hessian(shards, lam))
+        eigs = np.linalg.eigvalsh(grams_optimum(*shard_grams(shards), lam)[1])
         mu, smoothness = float(eigs[0]), float(eigs[-1])
         config = TrainerConfig(
             scheme="noise_free_local_sgd", local_steps=10, rounds=25,
@@ -862,7 +864,7 @@ def _reference_fading_run(shards, config, alpha_schedule, streams, optimum, thet
                 break
             waits += 1
         chosen = sorted(sorted(eligible, key=lambda n: -mags[n])[: policy.participants])
-        alpha = alpha_schedule.alpha_for_round(r)
+        alpha = alpha_schedule.values[r - 1]
         y = np.zeros(dim)
         powers = np.zeros(n_users)
         for n in chosen:
