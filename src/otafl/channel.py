@@ -30,14 +30,18 @@ def fading_mac(
     noiseless channel.
     """
     if isinstance(magnitudes, float) and magnitudes == 1.0:
-        total = inputs.sum(axis=-2)  # the unit channel: x 1.0 is exact, so it is skipped
+        # the unit channel: x 1.0 is exact, so it is skipped
+        total = np.add.reduce(inputs, axis=-2)
     else:
         magnitudes = np.asarray(magnitudes, dtype=np.float64)
-        if magnitudes.ndim and magnitudes.shape != inputs.shape[:-1]:
+        if not magnitudes.ndim:
+            magnitudes = np.broadcast_to(magnitudes, inputs.shape[:-1])
+        elif magnitudes.shape != inputs.shape[:-1]:
             raise ValueError(
                 f"got inputs {inputs.shape} for magnitudes of shape {magnitudes.shape}"
             )
-        total = (magnitudes[..., None] * inputs).sum(axis=-2)
+        # h_1 x_1 + h_2 x_2 + ... added in order of k for every d >= 2
+        total = np.einsum("...k,...kd->...d", magnitudes, inputs)
     if noise is not None:
         if np.shape(noise) != total.shape:
             raise ValueError(f"need channel noise of shape {total.shape}, got {np.shape(noise)}")
@@ -57,7 +61,7 @@ def sample_noise(
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if sigma_w2 < 0:
+    if not sigma_w2 >= 0:
         raise ValueError("sigma_w2 must be non-negative")
     shape = dim if rows is None else (rows, dim)
     return rng.normal(0.0, math.sqrt(sigma_w2), shape)
@@ -75,7 +79,7 @@ def sample_rayleigh(
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("scale must be positive")
     shape = n_users if rows is None else (rows, n_users)
     return rng.rayleigh(scale, shape)

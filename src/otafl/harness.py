@@ -20,7 +20,7 @@ import numbers
 import weakref
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence, get_type_hints
+from typing import Mapping, NewType, Sequence, get_type_hints
 
 import numpy as np
 
@@ -122,12 +122,19 @@ class TrainerSpec:
         scheme_spec(self.scheme)
         if self.local_steps < 1 or self.rounds < 1:
             raise ValueError("local_steps and rounds must be >= 1")
+        if not self.theta0_std >= 0:
+            raise ValueError(f"theta0_std must be non-negative, got {self.theta0_std}")
+
+
+# An SNR in dB may be any number: sigma_from_snr rejects one that leaves no
+# finite positive noise variance, a non-finite one included, and says so.
+Decibels = NewType("Decibels", float)
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     kind: str
-    snr_db: float | None = None
+    snr_db: Decibels | None = None
     rayleigh_scale: float = RAYLEIGH_UNIT_POWER_SCALE
     participants: int | None = None  # K (fading only; default ~ eligibility * N)
     eligibility: float = 0.8  # target P(h > h_min) used to calibrate h_min
@@ -207,10 +214,17 @@ def _integer(value) -> int:
     raise _Mistyped("an integral number")
 
 
-def _real(value) -> float:
+def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise _Mistyped("a number")
     return float(value)
+
+
+def _real(value) -> float:
+    number = _number(value)
+    if not math.isfinite(number):  # JSON admits NaN and Infinity
+        raise _Mistyped("a finite number")
+    return number
 
 
 def _string(value) -> str:
@@ -235,6 +249,7 @@ _COERCE = {
     str: _string,
     bool: _boolean,
     float | None: _optional(_real),
+    Decibels | None: _optional(_number),
     int | None: _optional(_integer),
     str | None: _optional(_string),
     float | str: _shift,  # schedule shift: a number or "auto"

@@ -36,9 +36,9 @@ def local_pass(
     in that broadcast shape; each batch slice has the bits of the unbatched
     call on its own theta and rows.
     """
-    if any(eta <= 0 for eta in etas):
+    if not all(eta > 0 for eta in etas):
         raise ValueError("step size must be positive")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("regularization weight must be non-negative")
     if features.shape[0] == 0:
         raise ValueError("cannot step on an empty shard")
@@ -48,12 +48,14 @@ def local_pass(
             "leading trial axis"
         )
     samples = (*rows.shape[:-1], features.shape[1])
-    try:
-        shape = np.broadcast_shapes(np.shape(theta), samples)
-    except ValueError:
-        raise ValueError(
-            f"models of shape {np.shape(theta)} do not fit samples {samples}"
-        ) from None
+    # theta takes one of the forms above: the samples' trailing axes, each
+    # equal or 1, after at most one leading model axis S
+    given = np.shape(theta)
+    outer = max(len(given) - len(samples), 0)
+    trailing = samples[len(samples) - len(given) + outer :]
+    if outer > 1 or not all(m == n or m == 1 for m, n in zip(given[outer:], trailing)):
+        raise ValueError(f"models of shape {given} do not fit samples {samples}")
+    shape = (*given[:outer], *samples)
     # Leading unit axes add per-step overhead to every array operation and no
     # work, so the steps run on the broadcast shape without them.
     lead = 0

@@ -65,9 +65,9 @@ class FadingPolicy:
     rayleigh_scale: float = RAYLEIGH_UNIT_POWER_SCALE
 
     def __post_init__(self):
-        if self.rayleigh_scale <= 0:
+        if not self.rayleigh_scale > 0:
             raise ValueError("rayleigh_scale must be positive")
-        if self.h_min <= 0:
+        if not self.h_min > 0:
             raise ValueError("h_min must be positive")
         if self.participants < 1:
             raise ValueError("participants must be >= 1")
@@ -79,9 +79,9 @@ def precode(deltas: np.ndarray, gains: np.ndarray | float) -> np.ndarray:
 
     A user's transmit energy is its gain squared times ||delta||^2.
     """
-    if np.isscalar(gains):
-        return gains * deltas
-    return np.asarray(gains)[..., None] * deltas
+    if isinstance(gains, np.ndarray):
+        return gains[..., None] * deltas
+    return gains * deltas
 
 
 def decode(y: np.ndarray, scale: float, theta_prev: np.ndarray) -> np.ndarray:
@@ -137,7 +137,7 @@ def estimate_alpha_mc(
         raise ValueError("pilot_trials must be >= 1")
     if rounds < 1 or local_steps < 1:
         raise ValueError("rounds and local_steps must be >= 1")
-    if power <= 0:
+    if not power > 0:
         raise ValueError("power must be positive")
 
     dataset, shard_rows = pilot_shards.dataset, pilot_shards.rows
@@ -176,7 +176,8 @@ def estimate_alpha_mc(
             # a running sum adds trial by trial, the order of a per-trial loop
             # (sum(axis=0) would reduce one user's trials pairwise)
             sums[r] = sq.cumsum(axis=0)[-1]
-            thetas = local_models.mean(axis=1, keepdims=True)
+            # the users' mean model, with mean()'s bits and without its wrapper
+            thetas = np.add.reduce(local_models, axis=1, keepdims=True) / n_users
 
     max_mean = sums.max(axis=1) / pilot_trials
     zero_rounds = np.flatnonzero(max_mean == 0)
@@ -198,9 +199,9 @@ def alpha_upper_bound_schedule(
     """
     if local_steps < 1 or rounds < 1:
         raise ValueError("local_steps and rounds must be >= 1")
-    if g2 <= 0:
+    if not g2 > 0:
         raise ValueError("g2 must be positive")
-    if power <= 0:
+    if not power > 0:
         raise ValueError("power must be positive")
     etas = np.asarray([step_fn((r - 1) * local_steps) for r in range(1, rounds + 1)])
     if np.any(etas <= 0) or np.any(np.diff(etas) > 0):

@@ -116,7 +116,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.shift <= 0 or self.mu <= 0:
+        if not (self.shift > 0 and self.mu > 0):
             raise ValueError("shift and mu must be positive")
 
     def eta(self, t: int | np.ndarray) -> float | np.ndarray:
@@ -153,9 +153,9 @@ class TrainerConfig:
         spec = scheme_spec(self.scheme)
         if self.local_steps < 1 or self.rounds < 1:
             raise ValueError("local_steps and rounds must be >= 1")
-        if self.ridge_lambda < 0 or self.power <= 0:
+        if not (self.ridge_lambda >= 0 and self.power > 0):
             raise ValueError("invalid ridge_lambda / power")
-        if self.sigma_w2 < 0:
+        if not self.sigma_w2 >= 0:
             raise ValueError("sigma_w2 must be non-negative")
         if self.non_precoded_gain is not None and not self.non_precoded_gain > 0:
             raise ValueError(f"non_precoded_gain must be positive, got {self.non_precoded_gain}")
@@ -253,6 +253,40 @@ def draw_fading_rounds(
     )
 
 
+def plan_fading_rounds(
+    fades: FadingRounds, lo: int, hi: int, n_users: int, config: TrainerConfig, first_trial: int = 0
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rounds lo+1..hi of T trials' fading runs, as run_round takes them.
+
+    fades holds the trials' (T, R, K) selections. Each round's plan is a
+    tuple of (T, K) blocks: the senders' flat row ids t*N + id - 1 into the
+    round's (T*N, d) block of local models, their magnitudes, and the flat
+    slots t*R*N + r*N + id - 1 of their energies in the run's C-contiguous
+    (T, R, N) power block. A magnitude at or below h_min raises, since a
+    censored user does not transmit; the error names the scheme, the round
+    and the trial, numbering the block's trials from first_trial.
+    """
+    n_trials, rounds = fades.waits.shape
+    # round-major (C, T, K) blocks, so that each round's rows are contiguous
+    magnitudes = np.ascontiguousarray(fades.magnitudes[:, lo:hi].transpose(1, 0, 2))
+    floor = config.fading.h_min
+    censored = np.argwhere(~(magnitudes > floor))  # in round, then trial order
+    if censored.size:
+        r, t = censored[0, :2]
+        raise ValueError(
+            f"trial {first_trial + t}, scheme {config.scheme}: round {lo + r + 1}: "
+            f"fading magnitude {magnitudes[r, t].min():.6g} is at or below h_min={floor:.6g}: "
+            "a censored user does not transmit"
+        )
+    ids = fades.participants[:, lo:hi].transpose(1, 0, 2) - 1
+    trial_rows = np.arange(n_trials)[:, None] * n_users
+    senders = np.add(ids, trial_rows, order="C")
+    slots = np.add(
+        ids, trial_rows * rounds + np.arange(lo, hi)[:, None, None] * n_users, order="C"
+    )
+    return list(zip(senders, magnitudes, slots))
+
+
 def run_round(
     global_theta: np.ndarray,
     local_models: np.ndarray,
@@ -260,21 +294,23 @@ def run_round(
     alpha: float | None,
     noise: np.ndarray | None,
     powers: np.ndarray,
-    fading: tuple[np.ndarray, np.ndarray] | None = None,
+    fading: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Aggregate one round of one scheme over its channel, for T trials at once.
 
     local_models holds each trial's (N, d) models, a (T, N, d) block, which
     the users reached from the trial's broadcast row of the (T, d)
     global_theta by the round's local steps. Returns the new (T, d) global
-    models and writes each user's transmit energy into the (T, N) powers
-    (0 for a user that stayed silent).
+    models and writes each transmitter's energy into powers: the round's
+    (T, N) energies, or for a fading round the C-contiguous power block
+    that its plan's flat slots index, whose silent users the caller has
+    set to 0.
 
     alpha is the round's precoding coefficient, which only the precoded
     schemes use. noise is the (T, d) noise of the scheme's MAC output, one
     row per trial, or None for a noiseless channel. fading is the round's
-    row of each trial's FadingRounds, (T, K) participants and (T, K)
-    magnitudes, which only the fading scheme uses.
+    plan from plan_fading_rounds, (T, K) sender rows, magnitudes and power
+    slots, which only the fading scheme uses.
 
     Every scheme runs the codec of its SCHEME_TABLE row: its K transmitters
     precode their updates delta_k by c_k = a*b/h_k, the MAC sums
@@ -288,23 +324,20 @@ def run_round(
     if spec.fading:
         if fading is None:
             raise ValueError(f"{config.scheme} needs the round's fading selection")
-        ids, magnitudes = fading
+        senders, magnitudes, slots = fading
         floor = config.fading.h_min
-        weakest = magnitudes.min()
-        if weakest <= floor:
-            raise ValueError(
-                f"fading magnitude {weakest:.6g} is at or below h_min={floor:.6g}: "
-                "a censored user does not transmit"
-            )
-        senders = (np.arange(ids.shape[0])[:, None], ids - 1)  # (trial, user) of each participant
-        powers[...] = 0.0  # the users left out stay silent
+        deltas = local_models.reshape(-1, local_models.shape[-1]).take(senders, axis=0)
+        deltas -= global_theta[:, None]
     else:  # all N users over the unit channel
-        senders, magnitudes, floor = ..., 1.0, 1.0
-    deltas = local_models[senders] - global_theta[:, None]
+        magnitudes, floor = 1.0, 1.0
+        deltas = local_models - global_theta[:, None]
     signals = precode(deltas, (amplitude * floor) / magnitudes)
     y = fading_mac(signals, magnitudes, noise)
     new_theta = decode(y, deltas.shape[1] * amplitude * floor, global_theta)
-    powers[senders] = np.einsum("tkd,tkd->tk", signals, signals)  # each sender's energy
+    if spec.fading:  # each sender's energy
+        powers.put(slots, np.einsum("tkd,tkd->tk", signals, signals))
+    else:
+        np.einsum("tkd,tkd->tk", signals, signals, out=powers)
     return new_theta
 
 
@@ -417,6 +450,12 @@ def run_training(
         out = [
             (np.empty((n_trials, rounds)), np.empty((n_trials, rounds, n_users))) for _ in configs
         ]
+    for _, powers in out:
+        if powers.shape != (n_trials, rounds, n_users) or not powers.flags.c_contiguous:
+            raise ValueError(
+                f"need a C-contiguous (T, R, N) = {(n_trials, rounds, n_users)} power block, "
+                f"got shape {powers.shape}"
+            )
     etas = first.step.eta(np.arange(rounds * h))  # the run's R*H step sizes
     alphas = alpha_schedule.values.tolist() if any(needs_alpha) else None
     # Each noisy scheme's noise, drawn per trial a chunk of rounds at a time:
@@ -434,12 +473,16 @@ def run_training(
     label = f"trial {last}" if n_trials == 1 else f"trials {first_trial}-{last}"
     for lo in range(0, rounds, ROUND_CHUNK):
         hi = min(lo + ROUND_CHUNK, rounds)
+        plans = [None] * n_runs
         for s, config in enumerate(configs):
             if noise[s] is not None:
                 for t, trial in enumerate(streams):
                     noise[s][t, : hi - lo] = sample_noise(
                         dim, config.sigma_w2, trial.noise[s], rows=hi - lo
                     )
+            if fades[s] is not None:
+                out[s][1][:, lo:hi] = 0.0  # the users left out stay silent
+                plans[s] = plan_fading_rounds(fades[s], lo, hi, n_users, config, first_trial)
         for i in range(lo, hi):
             window = slice(i * h, (i + 1) * h)  # the round's steps
             local_models = local_pass(
@@ -447,12 +490,13 @@ def run_training(
                 steps[:, :, window], first.ridge_lambda,
             )
             for s, config in enumerate(configs):
-                fade, (_, powers) = fades[s], out[s]
+                plan, (_, powers) = plans[s], out[s]
                 try:
                     thetas[s, :, i] = run_round(
                         theta[s], local_models[s], config, alphas[i] if needs_alpha[s] else None,
-                        None if noise[s] is None else noise[s][:, i - lo], powers[:, i],
-                        None if fade is None else (fade.participants[:, i], fade.magnitudes[:, i]),
+                        None if noise[s] is None else noise[s][:, i - lo],
+                        powers[:, i] if plan is None else powers,
+                        None if plan is None else plan[i - lo],
                     )
                 except Exception as exc:
                     raise RuntimeError(

@@ -83,6 +83,22 @@ class TestSampleRayleigh:
         np.testing.assert_array_equal(a, b)
 
 
+class TestWeightedSum:
+    def test_adds_h_k_x_k_in_order_of_k(self):
+        # for d >= 2 the MAC's sum has the bits of a loop adding one
+        # transmitter's h_k * x_k at a time, for one block or a stack of them
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            lead = tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(0, 3)))
+            k, d = int(rng.integers(1, 40)), int(rng.integers(2, 50))
+            inputs = rng.standard_normal((*lead, k, d)) * rng.uniform(0.1, 100.0)
+            mags = rng.uniform(0.1, 3.0, (*lead, k))
+            expected = mags[..., 0, None] * inputs[..., 0, :]
+            for j in range(1, k):
+                expected = expected + mags[..., j, None] * inputs[..., j, :]
+            np.testing.assert_array_equal(fading_mac(inputs, mags), expected)
+
+
 class TestSampleNoise:
     def test_sized_draw_is_rows_of_one_round_draws(self):
         block = sample_noise(5, 0.3, np.random.default_rng(4), rows=3)
@@ -101,7 +117,7 @@ class TestSampleNoise:
 def test_channel_kind_validation(rng):
     # sigma_w2 and rayleigh_scale are checked by TrainerConfig and FadingPolicy
     # (tests/test_trainer.py::TestTrainerConfig); a zero fading magnitude is
-    # rejected by run_round's censoring check
+    # rejected by the censoring check of a fading round's plan
     # (tests/test_precoding.py::TestFadingPrecode)
     for scale in (0.0, -1.0):
         with pytest.raises(ValueError, match="scale must be positive"):

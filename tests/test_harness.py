@@ -288,6 +288,34 @@ class TestConfigParsing:
             parse_config([1])
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "path",
+        [("trainer", "ridge_lambda"), ("trainer", "theta0_std"), ("trainer", "schedule", "shift"),
+         ("channel", "h_min"), ("channel", "rayleigh_scale"), ("channel", "eligibility"),
+         ("dataset", "noise_std")],
+    )
+    def test_non_finite_numbers_are_rejected_with_their_key(self, path, value):
+        # JSON admits NaN and Infinity; every float key but snr_db rejects them
+        # as it parses (sigma_from_snr names a non-finite SNR itself)
+        doc = _fading_doc()
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        where = re.escape(".".join(path))
+        with pytest.raises(ValueError, match=rf"^config key {where} must be a finite number, got"):
+            parse_config(json.loads(json.dumps(doc)))  # written as NaN, Infinity, -Infinity
+
+    def test_negative_theta0_std_is_rejected_as_it_parses(self):
+        doc = _fading_doc()
+        doc["trainer"]["theta0_std"] = -1
+        with pytest.raises(ValueError, match=r"^theta0_std must be non-negative, got -1\.0$"):
+            parse_config(doc)
+        doc["trainer"]["theta0_std"] = 0
+        assert parse_config(doc).trainer.theta0_std == 0.0
+
+
 def _fading_doc() -> dict:
     return {
         "seed": 1, "trials": 1, "users": 4,

@@ -18,7 +18,13 @@ from otafl.precoding import (
     precode,
     select_participants,
 )
-from otafl.trainer import StepSchedule, TrainerConfig, run_round
+from otafl.trainer import (
+    FadingRounds,
+    StepSchedule,
+    TrainerConfig,
+    plan_fading_rounds,
+    run_round,
+)
 
 from conftest import RegressionSample, make_shards, one_shard, ridge_grad
 
@@ -26,18 +32,21 @@ from conftest import RegressionSample, make_shards, one_shard, ridge_grad
 def _round(scheme, deltas, alpha, magnitudes=None, h_min=0.5):
     """The transmit energies of a noiseless round of one trial whose users
     send the (K, d) deltas; a cotaf_fading round selects all K users at the
-    given magnitudes. run_round computes the fading gains, so the fading
-    codec's checks run there."""
+    given magnitudes. The round's plan checks the magnitudes and run_round
+    computes the fading gains, so the fading codec's checks run there."""
     k, dim = deltas.shape
     policy = None if magnitudes is None else FadingPolicy(h_min=h_min, participants=k)
     config = TrainerConfig(
         scheme=scheme, local_steps=1, rounds=1,
         step=StepSchedule(kind="final_model", shift=20.0, mu=1.0), fading=policy,
     )
-    fading = None
+    fading, powers = None, np.empty((1, k))
     if magnitudes is not None:
-        fading = (np.arange(1, k + 1)[None], np.asarray(magnitudes, dtype=np.float64)[None])
-    powers = np.empty((1, k))
+        ids = np.arange(1, k + 1)[None, None]
+        mags = np.asarray(magnitudes, dtype=np.float64)[None, None]
+        (fading,) = plan_fading_rounds(
+            FadingRounds(ids, mags, np.zeros((1, 1), dtype=np.int64)), 0, 1, k, config
+        )
     run_round(np.zeros((1, dim)), deltas[None], config, alpha, None, powers, fading)
     return powers[0]
 
@@ -137,6 +146,21 @@ class TestFadingPrecode:
         # h_min > 0, so the censoring check rejects a zero magnitude too
         with pytest.raises(ValueError, match="a censored user does not transmit"):
             _round("cotaf_fading", np.ones((2, 3)), 1.0, [1.0, 0.0], h_min=0.5)
+
+
+class TestFadingPolicy:
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"h_min": math.nan}, "h_min must be positive"),
+            ({"rayleigh_scale": math.nan}, "rayleigh_scale must be positive"),
+            ({"h_min": 0.0}, "h_min must be positive"),
+            ({"rayleigh_scale": -1.0}, "rayleigh_scale must be positive"),
+        ],
+    )
+    def test_non_positive_or_nan_settings_rejected(self, setting, match):
+        with pytest.raises(ValueError, match=match):
+            FadingPolicy(**{"h_min": 0.5, "participants": 2, **setting})
 
 
 class TestSelectParticipants:

@@ -11,11 +11,13 @@ from otafl.localsgd import DEFAULT_THETA0_STD, local_pass
 from otafl.objectives import grams_optimum, quadratic_gap, shard_grams
 from otafl.precoding import AlphaSchedule, FadingPolicy
 from otafl.trainer import (
+    FadingRounds,
     RunTrace,
     StepSchedule,
     TrainerConfig,
     TrialStreams,
     draw_fading_rounds,
+    plan_fading_rounds,
     run_round,
     run_training,
     step_averaged_model,
@@ -66,10 +68,15 @@ def _round(theta, shards, config, alpha, streams, round_index, optimum, indices,
     noise = None
     if config.sigma_w2 > 0:
         noise = sample_noise(theta.shape[-1], config.sigma_w2, streams.noise[0])[None]
-    powers = np.empty((1, rows.shape[0]))
+    powers, plan = np.empty((1, rows.shape[0])), None
+    if fading is not None:
+        powers[...] = 0.0  # the users left out stay silent
+        fades = FadingRounds(
+            fading[0][None, None], fading[1][None, None], np.zeros((1, 1), dtype=np.int64)
+        )
+        (plan,) = plan_fading_rounds(fades, 0, 1, rows.shape[0], config)
     (new_theta,) = run_round(
-        theta[None], local_models[None], config, alpha, noise, powers,
-        None if fading is None else (fading[0][None], fading[1][None]),
+        theta[None], local_models[None], config, alpha, noise, powers, plan
     )
     return new_theta, quadratic_gap(new_theta, *optimum), powers[0]
 
@@ -178,6 +185,21 @@ class TestSgdStep:
         indices = np.zeros((2, 1), dtype=int)
         with pytest.raises(ValueError, match="empty shard"):
             local_pass(np.zeros(3), np.zeros((0, 3)), np.zeros(0), [0.1], indices, 0.5)
+
+
+    @pytest.mark.parametrize(
+        "etas, lam, match",
+        [
+            ([0.1, math.nan], 0.5, "step size must be positive"),
+            ([math.nan], 0.5, "step size must be positive"),
+            ([0.1], math.nan, "regularization weight must be non-negative"),
+        ],
+    )
+    def test_nan_settings_rejected(self, rng, etas, lam, match):
+        dataset = single_shard(rng).dataset
+        indices = np.zeros((1, len(etas)), dtype=int)
+        with pytest.raises(ValueError, match=match):
+            local_pass(np.zeros(4), dataset.features, dataset.targets, etas, indices, lam)
 
 
 class TestBatchedPass:
@@ -312,6 +334,12 @@ class TestStepSchedules:
             StepSchedule("averaged_model", shift=10.0, mu=1.0).validate_against(1.0, 10)
 
 
+    @pytest.mark.parametrize("shift, mu", [(math.nan, 1.0), (10.0, math.nan)])
+    def test_nan_shift_or_mu_rejected(self, shift, mu):
+        with pytest.raises(ValueError, match="shift and mu must be positive"):
+            StepSchedule("final_model", shift=shift, mu=mu)
+
+
 class TestTrainerConfig:
     def test_rounds_and_local_steps_must_be_positive(self):
         for local_steps, rounds in ((1, 0), (0, 1), (1, -1)):
@@ -326,6 +354,18 @@ class TestTrainerConfig:
             TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule(), sigma_w2=-1.0)
         with pytest.raises(ValueError, match="rayleigh_scale must be positive"):
             FadingPolicy(h_min=0.2, participants=1, rayleigh_scale=0.0)
+
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"ridge_lambda": math.nan}, "invalid ridge_lambda / power"),
+            ({"power": math.nan}, "invalid ridge_lambda / power"),
+            ({"sigma_w2": math.nan}, "sigma_w2 must be non-negative"),
+        ],
+    )
+    def test_nan_settings_rejected(self, setting, match):
+        with pytest.raises(ValueError, match=match):
+            TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule(), **setting)
 
     def test_non_positive_gain_rejected(self):
         for gain in (0.0, -1.5, math.nan):
@@ -555,17 +595,19 @@ class TestAffineUpdate:
             a = math.sqrt(alpha)
         else:  # the baseline's gain, or 1 for the noise-free scheme
             alpha, a = None, 1.0 if gain is None else gain
-        selection = None
+        selection, powers = None, np.full((n_trials, n_users), np.nan)
         if fading:
             k = self.POLICY.participants
             picks = np.stack([rng.permutation(n_users)[:k] for _ in range(n_trials)])
             ids = np.sort(picks, axis=1) + 1
             mags = rng.uniform(0.41, 3.0, (n_trials, k))
-            selection, b, senders = (ids, mags), self.POLICY.h_min, ids - 1
+            b, senders = self.POLICY.h_min, ids - 1
+            fades = FadingRounds(ids[:, None], mags[:, None], np.zeros((n_trials, 1), dtype=int))
+            (selection,) = plan_fading_rounds(fades, 0, 1, n_users, config)
+            powers[...] = 0.0  # the users left out stay silent
         else:
             b, mags = 1.0, np.ones((n_trials, n_users))
             senders = np.tile(np.arange(n_users), (n_trials, 1))
-        powers = np.full((n_trials, n_users), np.nan)
         new_theta = run_round(theta, local_models, config, alpha, noise, powers, selection)
 
         np.testing.assert_array_equal(
@@ -1005,11 +1047,14 @@ def _per_round_reference(dataset, rows, theta0, config, alpha_schedule, streams,
         noise = np.stack(
             [trial.noise[0].normal(0.0, math.sqrt(config.sigma_w2), dim) for trial in streams]
         )
-        fading = None
+        fading, powers = None, np.empty((n_trials, n_users))
         if fades is not None:
-            fading = tuple(np.stack([fade[f][i] for fade in fades]) for f in range(2))
+            picked = FadingRounds(
+                *(np.stack([fade[f][i : i + 1] for fade in fades]) for f in range(3))
+            )
+            (fading,) = plan_fading_rounds(picked, 0, 1, n_users, config)
+            powers[...] = 0.0  # the users left out stay silent
         alpha = None if config.scheme == "non_precoded_ota" else alpha_schedule.values[i]
-        powers = np.empty((n_trials, n_users))
         theta = run_round(theta, local_models, config, alpha, noise, powers, fading)
         yield theta, quadratic_gap(theta, *optima), powers
 
@@ -1043,6 +1088,89 @@ class TestRoundChunks:
             np.testing.assert_array_equal(trace.gaps[:, i], gaps, err_msg=f"round {i + 1}")
             np.testing.assert_array_equal(trace.powers[:, i], powers, err_msg=f"round {i + 1}")
         assert i + 1 == rounds
+
+
+class TestPlannedFadingRounds:
+    """A fading run's rounds are planned a chunk at a time; R = 70 rounds
+    span two chunks."""
+
+    N_TRIALS, N_USERS, ROUNDS = 3, 6, 70
+    SEEDS = (4, 9, 13)
+
+    def _config(self):
+        return TrainerConfig(
+            scheme="cotaf_fading", local_steps=1, rounds=self.ROUNDS, step=_schedule(),
+            sigma_w2=0.4, fading=TestStackedTrials.POLICY,
+        )
+
+    def _run(self, rng, trials, **kwargs):
+        """The trace of run_training on a slice of the block's trials, each
+        trial on its own streams."""
+        dataset, rows, optima = _trial_block(rng, self.N_TRIALS, self.N_USERS)
+        theta0 = np.stack([_start(seed, dataset.feature_dim) for seed in self.SEEDS])
+        alpha = AlphaSchedule(np.linspace(0.5, 2.0, self.ROUNDS))
+        (trace,) = run_training(
+            dataset, rows[trials], theta0[trials], [self._config()], alpha,
+            [_streams(self.SEEDS[t], self.N_USERS) for t in range(self.N_TRIALS)[trials]],
+            (optima[0][trials], optima[1][trials]), **kwargs,
+        )
+        return trace
+
+    def test_each_trial_equals_its_run_alone(self):
+        assert trainer_mod.ROUND_CHUNK < self.ROUNDS < 2 * trainer_mod.ROUND_CHUNK
+        block = self._run(np.random.default_rng(2), slice(None))
+        for t in range(self.N_TRIALS):
+            alone = self._run(np.random.default_rng(2), slice(t, t + 1))
+            for field in ("thetas", "gaps", "powers", "participants", "waits"):
+                expected = getattr(alone, field)[0]
+                assert np.array_equal(getattr(block, field)[t], expected), (t, field)
+
+    def test_silent_users_read_zero_energy_in_every_round(self):
+        powers = np.full((self.N_TRIALS, self.ROUNDS, self.N_USERS), np.nan)
+        gaps = np.empty((self.N_TRIALS, self.ROUNDS))
+        trace = self._run(np.random.default_rng(3), slice(None), out=[(gaps, powers)])
+        sending = np.zeros(powers.shape, dtype=bool)
+        np.put_along_axis(sending, trace.participants - 1, True, axis=-1)
+        assert np.all(powers[sending] > 0)
+        assert np.all(powers[~sending] == 0.0)
+        assert np.count_nonzero(powers, axis=-1).tolist() == [[4] * self.ROUNDS] * self.N_TRIALS
+
+    def test_censored_magnitude_in_the_second_chunk_is_named(self, monkeypatch):
+        # trial 2 of the block is censored in round 67 and trial 1 in round
+        # 68: the first round is named, with the trial numbered from first_trial
+        trials, real = iter(range(3)), trainer_mod.draw_fading_rounds
+
+        def censored(rng, n_users, rounds, policy):
+            fades = real(rng, n_users, rounds, policy)
+            t = next(trials)  # one draw per trial, in trial order
+            if t in (1, 2):
+                fades.magnitudes[68 - t, 1] = policy.h_min
+            return fades
+
+        monkeypatch.setattr(trainer_mod, "draw_fading_rounds", censored)
+        h_min = TestStackedTrials.POLICY.h_min
+        with pytest.raises(
+            ValueError,
+            match=rf"^trial 7, scheme cotaf_fading: round 67: fading magnitude [0-9.]+ is at "
+            rf"or below h_min={h_min:.6g}: a censored user does not transmit$",
+        ):
+            self._run(np.random.default_rng(4), slice(None), first_trial=5)
+
+    @pytest.mark.parametrize(
+        "powers",
+        [
+            np.zeros((3, 70, 6), order="F"),
+            np.zeros((3, 70, 12))[:, :, ::2],
+            np.zeros((3, 70, 5)),
+            np.zeros((3, 69, 6)),
+        ],
+    )
+    def test_power_block_must_be_c_contiguous_t_r_n(self, powers):
+        gaps = np.zeros((3, 70))
+        with pytest.raises(
+            ValueError, match=r"need a C-contiguous \(T, R, N\) = \(3, 70, 6\) power block"
+        ):
+            self._run(np.random.default_rng(5), slice(None), out=[(gaps, powers)])
 
 
 class TestWeightedAverageModel:
