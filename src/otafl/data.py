@@ -77,6 +77,12 @@ class Dataset:
         return self._optima[lam]
 
 
+def check_row_ids(rows: np.ndarray, n_rows: int) -> None:
+    """Raise unless rows holds integer row ids in [0, n_rows)."""
+    if rows.dtype.kind not in "iu" or rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise ValueError(f"row ids must be integers in [0, {n_rows})")
+
+
 @dataclass(frozen=True, eq=False)
 class ShardRows:
     """N equal-size user shards held as (N, D_n) row ids into a dataset, the
@@ -102,8 +108,7 @@ class ShardRows:
             raise ValueError("need at least one user shard")
         if rows.shape[1] == 0:
             raise ValueError("shard must be non-empty")
-        if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= len(self.dataset):
-            raise ValueError(f"row ids must be integers in [0, {len(self.dataset)})")
+        check_row_ids(rows, len(self.dataset))
         object.__setattr__(self, "rows", rows)
 
     @property

@@ -217,7 +217,10 @@ def _integer(value) -> int:
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise _Mistyped("a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise _Mistyped("a finite number") from None
 
 
 def _real(value) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import RAYLEIGH_UNIT_POWER_SCALE
 from .data import ShardRows
-from .localsgd import DEFAULT_THETA0_STD, StepFn, local_pass
+from .localsgd import DEFAULT_THETA0_STD, KernelBlocks, StepFn, check_steps, local_pass
 
 # Pilot rounds whose dataset row ids are mapped from their draws at once.
 PILOT_ROUND_CHUNK = 16
@@ -110,9 +110,15 @@ def select_participants(magnitudes: np.ndarray, policy: FadingPolicy) -> np.ndar
     n_users, k = magnitudes.shape[-1], policy.participants
     if n_users < k:
         raise ValueError(f"cannot select K={k} participants from N={n_users} users")
-    # with K users above h_min, the K strongest of all are the K strongest eligible
-    order = np.argsort(-magnitudes, axis=-1, kind="stable")
-    return np.sort(order[..., :k], axis=-1) + 1
+    # With K users above h_min, the K strongest of all are the K strongest
+    # eligible: the users above the K-th largest magnitude, then those tied
+    # with it in id order, as a stable sort by decreasing magnitude takes them.
+    kth = np.partition(magnitudes, n_users - k, axis=-1)[..., n_users - k, None]
+    chosen = magnitudes > kth
+    ties = magnitudes == kth
+    room = k - np.count_nonzero(chosen, axis=-1, keepdims=True)
+    chosen |= ties & (np.cumsum(ties, axis=-1) <= room)
+    return np.nonzero(chosen)[-1].reshape(*magnitudes.shape[:-1], k) + 1
 
 
 def estimate_alpha_mc(
@@ -146,6 +152,7 @@ def estimate_alpha_mc(
         [step_fn((r - 1) * local_steps + j) for j in range(local_steps)]
         for r in range(1, rounds + 1)
     ]
+    check_steps(etas, lam)
     # Every trial's draws up front, in the order trial by trial sampling takes
     # them: the initial model, then one draw in round -> user -> step order.
     # The indices are held in the smallest dtype that fits a shard index.
@@ -158,18 +165,22 @@ def estimate_alpha_mc(
         draws[t] = rng.integers(shard_size, size=draws[t].size).reshape(draws.shape[1:])
 
     # All trials advance as one (T, N, d) block per round, stepping on the
-    # round's (T, N, H) shard indices mapped to dataset row ids, as training
-    # does. The row ids of a chunk of rounds are one take from the flat shard
-    # rows, so the draws are cast once per chunk and only the chunk is held
-    # as intp.
+    # round's step-major (H, T, N) shard indices mapped to dataset row ids,
+    # as training does, in one set of kernel blocks. The row ids of a chunk
+    # of rounds are one take from the flat shard rows, so the draws are cast
+    # once per chunk and only the chunk is held as intp.
     flat_rows = shard_rows.ravel()
-    offsets = np.arange(n_users)[:, None] * shard_size  # user n's first flat index
+    offsets = np.arange(n_users) * shard_size  # user n's first flat index
+    blocks = KernelBlocks(thetas.shape, (local_steps, pilot_trials, n_users), dim)
     sums = np.empty((rounds, n_users))
     for lo in range(0, rounds, PILOT_ROUND_CHUNK):
-        chunk = flat_rows.take(draws[:, lo : lo + PILOT_ROUND_CHUNK] + offsets)  # (T, C, N, H)
-        for r in range(lo, lo + chunk.shape[1]):
+        chunk = flat_rows.take(  # (C, H, T, N)
+            draws[:, lo : lo + PILOT_ROUND_CHUNK].transpose(1, 3, 0, 2) + offsets
+        )
+        for r in range(lo, lo + chunk.shape[0]):
             local_models = local_pass(
-                thetas, dataset.features, dataset.targets, etas[r], chunk[:, r - lo], lam
+                thetas, dataset.features, dataset.targets, etas[r], chunk[r - lo], lam,
+                blocks=blocks,
             )
             diff = local_models - thetas
             sq = np.einsum("tnd,tnd->tn", diff, diff)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .bounds import SCHEDULE_KINDS, check_shift
 from .channel import fading_mac, sample_noise, sample_rayleigh
-from .data import Dataset
-from .localsgd import local_pass
+from .data import Dataset, check_row_ids
+from .localsgd import KernelBlocks, check_steps, local_pass
 from .objectives import global_loss  # noqa: F401  (perfbench/spans.py times trainer.global_loss)
 from .objectives import quadratic_gap
 from .precoding import AlphaSchedule, FadingPolicy, decode, precode, select_participants
@@ -226,13 +226,16 @@ def draw_fading_rounds(
     if policy.participants > n_users:
         raise ValueError(f"participants must lie in [1, {n_users}]")
     chunk = min(rounds, FADING_CHUNK_ROWS)
+    short = n_users - policy.participants  # a draw's K-th largest magnitude sits here
     ids, magnitudes, waits = [], [], []
     run = 0  # short draws since the last eligible one
     while len(waits) < rounds:
         draws = sample_rayleigh(n_users, policy.rayleigh_scale, rng, rows=chunk)
-        chosen = select_participants(draws, policy)
-        strongest = np.take_along_axis(draws, chosen - 1, axis=-1)
-        rows = np.flatnonzero(strongest.min(axis=-1) > policy.h_min)[: rounds - len(waits)]
+        # a draw is eligible when the weakest of its K strongest clears h_min
+        kth = np.partition(draws, short, axis=-1)[:, short]
+        rows = np.flatnonzero(kth > policy.h_min)[: rounds - len(waits)]
+        eligible = draws[rows]
+        chosen = select_participants(eligible, policy)
         # short draws before each eligible draw, and after the last one
         gaps = np.diff(rows, prepend=-1, append=chunk) - 1
         gaps[0] += run
@@ -246,8 +249,8 @@ def draw_fading_rounds(
             )
         run = int(gaps[-1])
         waits.extend(gaps[: rows.size].tolist())
-        ids.append(chosen[rows])
-        magnitudes.append(strongest[rows])
+        ids.append(chosen)
+        magnitudes.append(np.take_along_axis(eligible, chosen - 1, axis=-1))
     return FadingRounds(
         np.concatenate(ids), np.concatenate(magnitudes), np.asarray(waits, dtype=np.int64)
     )
@@ -365,7 +368,7 @@ def run_training(
     the T trials' streams. A trial's schemes share its initial model and its
     users' sample indices, so each round makes one local_pass on the
     (S, T, N, d) block of all models, gathering user n's samples of trial t
-    from the dataset by row id rows[t, n, i].
+    from the dataset by row id rows[t, n, i] into the run's KernelBlocks.
     Each scheme then aggregates its T trials over its own channel, each
     trial with its own noise and fading stream. optima is the pair of (T, d)
     optima theta* and (T, d, d) Hessians of the trials' global objectives,
@@ -400,6 +403,7 @@ def run_training(
         raise ValueError(f"need a (T, N, D_n) block of shard row ids, got shape {rows.shape}")
     n_trials, n_users, shard_size = rows.shape
     dim, n_runs = dataset.feature_dim, len(configs)
+    check_row_ids(rows, len(dataset))  # the kernel gathers them unchecked
     if len(streams) != n_trials:
         raise ValueError(f"need streams for each of {n_trials} trials, got {len(streams)}")
     for trial in streams:
@@ -416,14 +420,16 @@ def run_training(
         )
     h, rounds = first.local_steps, first.rounds
     theta = np.broadcast_to(theta0, (n_runs, n_trials, dim))
-    # The row ids of every trial's R*H sample steps, in the dtype of rows:
-    # user n of trial t takes shard sample rows[t, n, i] for each index i
-    # of its stream. One sized draw per user gives the values of R*H scalar
-    # draws, so the stream is consumed as step-by-step sampling would.
-    steps = np.empty((n_trials, n_users, rounds * h), dtype=rows.dtype)
+    # The row ids of every trial's R*H sample steps, in the dtype of rows and
+    # step-major as the kernel gathers them: user n of trial t takes shard
+    # sample rows[t, n, i] for each index i of its stream. One sized draw per
+    # user gives the values of R*H scalar draws, so the stream is consumed as
+    # step-by-step sampling would.
+    steps = np.empty((rounds * h, n_trials, n_users), dtype=rows.dtype)
     for t, trial in enumerate(streams):
         for n, user in enumerate(trial.users):
-            steps[t, n] = rows[t, n, user.integers(shard_size, size=rounds * h)]
+            steps[:, t, n] = rows[t, n, user.integers(shard_size, size=rounds * h)]
+    steps = steps.reshape(rounds, h, n_trials, n_users)  # each round's (H, T, N) ids
     fades = [
         None
         if config.fading is None
@@ -456,7 +462,10 @@ def run_training(
                 f"need a C-contiguous (T, R, N) = {(n_trials, rounds, n_users)} power block, "
                 f"got shape {powers.shape}"
             )
-    etas = first.step.eta(np.arange(rounds * h))  # the run's R*H step sizes
+    etas = first.step.eta(np.arange(rounds * h)).reshape(rounds, h)  # each round's H
+    check_steps(etas, first.ridge_lambda)
+    # one set of kernel blocks, reused by every round
+    blocks = KernelBlocks((n_runs, n_trials, 1, dim), steps.shape[1:], dim)
     alphas = alpha_schedule.values.tolist() if any(needs_alpha) else None
     # Each noisy scheme's noise, drawn per trial a chunk of rounds at a time:
     # one sized draw consumes the stream as per-round draws would.
@@ -473,6 +482,9 @@ def run_training(
     label = f"trial {last}" if n_trials == 1 else f"trials {first_trial}-{last}"
     for lo in range(0, rounds, ROUND_CHUNK):
         hi = min(lo + ROUND_CHUNK, rounds)
+        # the chunk's step sizes as Python floats, which the kernel's scalar
+        # arithmetic takes faster than numpy scalars
+        chunk_etas = etas[lo:hi].tolist()
         plans = [None] * n_runs
         for s, config in enumerate(configs):
             if noise[s] is not None:
@@ -484,10 +496,9 @@ def run_training(
                 out[s][1][:, lo:hi] = 0.0  # the users left out stay silent
                 plans[s] = plan_fading_rounds(fades[s], lo, hi, n_users, config, first_trial)
         for i in range(lo, hi):
-            window = slice(i * h, (i + 1) * h)  # the round's steps
             local_models = local_pass(
-                theta[:, :, None], dataset.features, dataset.targets, etas[window],
-                steps[:, :, window], first.ridge_lambda,
+                theta[:, :, None], dataset.features, dataset.targets, chunk_etas[i - lo], steps[i],
+                first.ridge_lambda, blocks=blocks,
             )
             for s, config in enumerate(configs):
                 plan, (_, powers) = plans[s], out[s]

@@ -10,7 +10,32 @@ import numpy as np
 import pytest
 
 from otafl.data import Dataset, PartitionSpec, ShardRows, generate_synthetic, partition
+from otafl.localsgd import local_pass
 from otafl.types import as_model_vector
+
+# The arrays of a run's KernelBlocks that local_pass writes.
+KERNEL_BLOCKS = ("ids", "gathered", "gathered_targets", "models", "residual", "step")
+
+
+def block_recorder(calls: list):
+    """A stand-in for a caller's local_pass that appends the data address of
+    each block it is given to calls, one dict per call, and checks that the
+    models it starts from share no memory with the blocks."""
+
+    def record(theta, features, targets, etas, rows, lam, *, blocks):
+        arrays = {name: getattr(blocks, name) for name in KERNEL_BLOCKS}
+        arrays = {name: array for name, array in arrays.items() if array is not None}
+        assert not any(np.may_share_memory(theta, array) for array in arrays.values())
+        calls.append({name: array.__array_interface__["data"][0] for name, array in arrays.items()})
+        return local_pass(theta, features, targets, etas, rows, lam, blocks=blocks)
+
+    return record
+
+
+def allocating_pass(theta, features, targets, etas, rows, lam, *, blocks):
+    """A stand-in for a caller's local_pass that ignores its blocks: the
+    allocating call on the (..., N, H) form of the step-major rows."""
+    return local_pass(theta, features, targets, etas, np.moveaxis(rows, 0, -1), lam)
 
 
 def make_shards(

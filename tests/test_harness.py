@@ -307,6 +307,21 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=rf"^config key {where} must be a finite number, got"):
             parse_config(json.loads(json.dumps(doc)))  # written as NaN, Infinity, -Infinity
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    @pytest.mark.parametrize(
+        "path", [("trainer", "ridge_lambda"), ("channel", "h_min"), ("channel", "snr_db")]
+    )
+    def test_integers_beyond_float_range_are_rejected_with_their_key(self, path, value):
+        # json reads such a literal as a Python int, which float() cannot convert
+        doc = _fading_doc()
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        where = re.escape(".".join(path))
+        with pytest.raises(ValueError, match=rf"^config key {where} must be a finite number, got"):
+            parse_config(json.loads(json.dumps(doc)))
+
     def test_negative_theta0_std_is_rejected_as_it_parses(self):
         doc = _fading_doc()
         doc["trainer"]["theta0_std"] = -1

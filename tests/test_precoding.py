@@ -26,7 +26,14 @@ from otafl.trainer import (
     run_round,
 )
 
-from conftest import RegressionSample, make_shards, one_shard, ridge_grad
+from conftest import (
+    RegressionSample,
+    allocating_pass,
+    block_recorder,
+    make_shards,
+    one_shard,
+    ridge_grad,
+)
 
 
 def _round(scheme, deltas, alpha, magnitudes=None, h_min=0.5):
@@ -190,6 +197,21 @@ class TestSelectParticipants:
             assert np.all(np.diff(ids) > 0)
         short = np.take_along_axis(draws, chosen - 1, axis=-1).min(axis=-1) <= policy.h_min
         assert 0 < short.sum() < 40
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_equals_a_stable_sort_by_decreasing_magnitude(self, rng, ties):
+        # the K first of a stable argsort of -magnitudes, in id order: the
+        # users above the K-th largest magnitude, then the ties at it by id
+        for n_users in range(1, 8):
+            for k in range(1, n_users + 1):
+                policy = FadingPolicy(h_min=0.5, participants=k)
+                shape = (40, n_users)
+                draws = rng.integers(3, size=shape) / 2.0 if ties else rng.random(shape)
+                order = np.argsort(-draws, axis=-1, kind="stable")
+                expected = np.sort(order[:, :k], axis=-1) + 1
+                np.testing.assert_array_equal(select_participants(draws, policy), expected)
+                for row, ids in zip(draws[:4], expected):  # one draw as 1-D input
+                    np.testing.assert_array_equal(select_participants(row, policy), ids)
 
     def test_fewer_users_than_participants_rejected(self):
         policy = FadingPolicy(h_min=0.5, participants=3)
@@ -376,6 +398,24 @@ class TestEstimateAlphaMc:
         )
         expected = _per_trial_pilot(shards, lam, rounds, h, power, trials, step_fn, seed=8)
         np.testing.assert_array_equal(schedule.values, expected)
+
+    def test_pilot_steps_on_blocks_it_allocates_once(self, rng, monkeypatch):
+        # 70 rounds span several PILOT_ROUND_CHUNKs; every round steps on the
+        # same blocks, the kept models alias none of them, and the schedule
+        # has the bits of the allocating kernel's
+        shards = make_shards(rng, n_users=4, per_user=12, dim=3)
+        args = (shards, 0.5, 70, 2, 1.0, 2)
+        kwargs = dict(step_fn=lambda t: 2.0 / (0.8 * (20.0 + t)), theta0_std=1.0)
+        calls = []
+        monkeypatch.setattr(precoding_mod, "local_pass", block_recorder(calls))
+        reused = estimate_alpha_mc(*args, np.random.default_rng(8), **kwargs)
+        assert len(calls) == 70
+        assert "step" not in calls[0]  # the step overwrites the sample slab
+        for name in calls[0]:
+            assert len({call[name] for call in calls}) == 1, name
+        monkeypatch.setattr(precoding_mod, "local_pass", allocating_pass)
+        allocated = estimate_alpha_mc(*args, np.random.default_rng(8), **kwargs)
+        np.testing.assert_array_equal(reused.values, allocated.values)
 
     def test_linear_in_power(self, rng):
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)

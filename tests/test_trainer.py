@@ -26,6 +26,8 @@ from otafl.trainer import (
 
 from conftest import (
     RegressionSample,
+    allocating_pass,
+    block_recorder,
     global_grad,
     make_shards,
     ridge_grad,
@@ -1088,6 +1090,65 @@ class TestRoundChunks:
             np.testing.assert_array_equal(trace.gaps[:, i], gaps, err_msg=f"round {i + 1}")
             np.testing.assert_array_equal(trace.powers[:, i], powers, err_msg=f"round {i + 1}")
         assert i + 1 == rounds
+
+
+class TestRunOwnedBlocks:
+    """Every round of a run steps the kernel on the blocks the run allocates
+    once; R = 70 rounds span two ROUND_CHUNKs."""
+
+    @pytest.mark.parametrize(
+        "schemes", [("cotaf_fading",), ("noise_free_local_sgd", "cotaf", "non_precoded_ota")]
+    )
+    def test_rounds_reuse_the_blocks_with_the_bits_of_the_allocating_kernel(
+        self, monkeypatch, schemes
+    ):
+        rounds, n_trials, n_users = 70, 2, 6
+        assert trainer_mod.ROUND_CHUNK < rounds < 2 * trainer_mod.ROUND_CHUNK
+        dataset, rows, optima = _trial_block(np.random.default_rng(6), n_trials, n_users)
+        configs = [
+            TrainerConfig(
+                scheme=scheme, local_steps=2, rounds=rounds, step=_schedule(), sigma_w2=0.4,
+                fading=TestStackedTrials.POLICY if scheme == "cotaf_fading" else None,
+            )
+            for scheme in schemes
+        ]
+        theta0 = np.stack([_start(seed, dataset.feature_dim) for seed in (1, 8)])
+        alpha = AlphaSchedule(np.linspace(0.5, 2.0, rounds))
+
+        def run():
+            streams = [_paired_streams(seed, n_users, len(schemes)) for seed in (1, 8)]
+            return run_training(dataset, rows, theta0, configs, alpha, streams, optima)
+
+        calls = []
+        monkeypatch.setattr(trainer_mod, "local_pass", block_recorder(calls))
+        reused = run()
+        assert len(calls) == rounds
+        # S schemes share each sample block, so only they need a step buffer
+        assert ("step" in calls[0]) == (len(schemes) > 1)
+        for name in calls[0]:
+            assert len({call[name] for call in calls}) == 1, name
+        monkeypatch.setattr(trainer_mod, "local_pass", allocating_pass)
+        for got, expected in zip(reused, run()):
+            for field in ("thetas", "gaps", "powers", "participants", "waits"):
+                assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+
+    @pytest.mark.parametrize("bad", [-1, 48])
+    def test_row_ids_outside_the_dataset_are_rejected_before_the_first_round(
+        self, monkeypatch, bad
+    ):
+        dataset, rows, optima = _trial_block(np.random.default_rng(6), 2, 6)
+        assert len(dataset) == 48
+        rows = rows.astype(np.int64)
+        rows[1, 2, 3] = bad
+        config = TrainerConfig(
+            scheme="noise_free_local_sgd", local_steps=2, rounds=3, step=_schedule()
+        )
+        monkeypatch.setattr(trainer_mod, "local_pass", pytest.fail)
+        with pytest.raises(ValueError, match=r"^row ids must be integers in \[0, 48\)$"):
+            run_training(
+                dataset, rows, np.zeros((2, 4)), [config], None,
+                [_streams(seed, 6) for seed in (1, 8)], optima,
+            )
 
 
 class TestPlannedFadingRounds:
