@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -63,18 +64,54 @@ class Dataset:
         gathers one shard per iteration step."""
         return ShardRows(self, rows)
 
+    @cached_property
+    def _sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """X^T X and X^T y over every row, formed once on the arrays, uncopied."""
+        x = self.features
+        return x.T @ x, x.T @ self.targets
+
+    def dropped_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The sorted ids of the rows that a partition's (N, D_n) row ids
+        leave out, fewer than N of them."""
+        check_row_ids(rows, len(self))
+        held = np.zeros(len(self), dtype=bool)
+        held[rows.ravel()] = True
+        return np.flatnonzero(~held)
+
+    def kept_optimum(self, dropped: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """theta* and the Hessian of the global objective of every partition
+        into equal shards that drops these increasing row ids, read-only.
+
+        With equal shards the mean of the shard Grams X_n^T X_n / D_n is the
+        kept rows' X^T X over their count, and likewise for the moments, so
+        the objective depends only on the dropped rows: the cached sums less
+        theirs go to grams_optimum as stacks of one. With no row dropped the
+        pair is whole_optimum's, solved once per lam and kept.
+        """
+        dropped = np.asarray(dropped)
+        check_row_ids(dropped, len(self))
+        kept = len(self) - dropped.size
+        if dropped.ndim != 1 or kept < 1 or np.any(dropped[1:] <= dropped[:-1]):
+            raise ValueError("dropped row ids must be increasing and leave a row kept")
+        if dropped.size == 0 and lam in self._optima:
+            return self._optima[lam]
+        gram, moment = self._sums
+        x, y = self.features[dropped], self.targets[dropped]
+        optimum = grams_optimum(
+            ((gram - x.T @ x) / kept)[None], ((moment - x.T @ y) / kept)[None], lam
+        )
+        for array in optimum:
+            array.flags.writeable = False
+        if dropped.size == 0:
+            self._optima[lam] = optimum
+        return optimum
+
     def whole_optimum(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """theta* and the Hessian of the global objective with the whole dataset
         as one user's shard, with the bits of grams_optimum on its shard_grams:
-        formed in one pass over the arrays, uncopied, on the first call for
-        each lam and kept, read-only, with the dataset."""
-        if lam not in self._optima:
-            x, y, size = self.features, self.targets, len(self)
-            optimum = grams_optimum((x.T @ x / size)[None], (x.T @ y / size)[None], lam)
-            for array in optimum:
-                array.flags.writeable = False
-            self._optima[lam] = optimum
-        return self._optima[lam]
+        formed from the arrays, uncopied, on the first call for each lam and
+        kept, read-only, with the dataset."""
+        return self.kept_optimum(np.empty(0, dtype=np.intp), lam)
 
 
 def check_row_ids(rows: np.ndarray, n_rows: int) -> None:

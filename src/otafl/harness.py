@@ -569,6 +569,22 @@ def initial_model_for_trial(config: ExperimentConfig, trial: int, dim: int) -> n
     return rng.normal(0.0, config.trainer.theta0_std, dim)
 
 
+def initial_distance2(theta0: np.ndarray, theta_star: np.ndarray) -> float:
+    """||theta0 - theta*||^2, as simulate_trials records it per trial and the
+    empirical delta0 of estimate_bound_inputs averages it."""
+    diff = theta0 - theta_star
+    return float(diff @ diff)
+
+
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The trials' arrays as one (T, ...) array: a read-only broadcast view
+    of the one array that they all are, else their stack."""
+    first = arrays[0]
+    if all(array is first for array in arrays):
+        return np.broadcast_to(first, (len(arrays), *first.shape))
+    return np.stack(arrays)
+
+
 @dataclass(frozen=True)
 class SchemeRuns:
     """Raw per-trial results for one scheme (arrays indexed [trial, round])."""
@@ -603,9 +619,12 @@ def simulate_trials(
 ) -> SimulationResult:
     """Run all trials for the requested schemes with paired streams.
 
-    Each trial's shards are row ids into the shared dataset; its optimum is
-    solved from one pass over them, one shard gathered at a time. The trials
-    then train in blocks of up to TRIAL_BLOCK_BYTES, one run_training call each.
+    Each trial's shards are row ids into the shared dataset. Its optimum is
+    that of the rows it keeps, from the dataset's cached sums less those of
+    the fewer than N rows it drops (Dataset.kept_optimum), so trials that
+    drop the same rows, every trial when N divides D, share one read-only
+    (theta*, H). The trials then train in blocks of up to TRIAL_BLOCK_BYTES,
+    one run_training call each.
     """
     schemes = list(schemes) if schemes is not None else [config.trainer.scheme]
     resolved = resolve(config, schemes)
@@ -626,14 +645,14 @@ def simulate_trials(
     configs = [_trainer_config(resolved, scheme) for scheme in schemes]
     theta0_dist2 = np.zeros(n_trials)
     # A trial holds its shard row ids and those of its users' R*H sample
-    # steps, then in float64 its Hessian, its schemes' iterates, one round's
-    # gathered samples and models, and for a chunk of rounds its schemes'
-    # channel noise and the gap call's two temporaries.
+    # steps, then in float64 its schemes' iterates, one round's gathered
+    # samples and models, and for a chunk of rounds its schemes' channel
+    # noise and the gap call's two temporaries.
     row_dtype = np.min_scalar_type(len(dataset) - 1)
     shard_size, h = len(dataset) // n_users, trainer.local_steps
     chunk = min(n_rounds, ROUND_CHUNK)
     trial_bytes = row_dtype.itemsize * n_users * (shard_size + n_rounds * h) + 8 * dim * (
-        dim + len(schemes) * (n_rounds + n_users + chunk) + h * n_users + 2 * chunk
+        len(schemes) * (n_rounds + n_users + chunk) + h * n_users + 2 * chunk
     )
     block = max(1, TRIAL_BLOCK_BYTES // trial_bytes)
 
@@ -641,15 +660,17 @@ def simulate_trials(
         trials = range(lo, min(lo + block, n_trials))
         rows = np.empty((len(trials), n_users, shard_size), dtype=row_dtype)
         theta0 = np.empty((len(trials), dim))
-        theta_stars = np.empty((len(trials), dim))
-        hessians = np.empty((len(trials), dim, dim))
+        optima, trial_optima = {}, []  # each dropped row set's optimum
         for t, trial in enumerate(trials):
             stream = stream_generator(config.seed, f"trial{trial}/partition")
             rows[t] = partition(dataset, config.partition_spec, stream)
-            theta_stars[t], hessians[t] = grams_optimum(*shard_grams(dataset.shards(rows[t])), lam)
+            dropped = dataset.dropped_rows(rows[t])
+            key = dropped.tobytes()
+            if key not in optima:
+                optima[key] = dataset.kept_optimum(dropped, lam)
+            trial_optima.append(optima[key])
             theta0[t] = initial_model_for_trial(config, trial, dim)
-            diff = theta0[t] - theta_stars[t]
-            theta0_dist2[trial] = diff @ diff
+            theta0_dist2[trial] = initial_distance2(theta0[t], optima[key][0])
         in_block = slice(trials.start, trials.stop)
         traces = run_training(
             dataset,
@@ -658,7 +679,7 @@ def simulate_trials(
             configs,
             resolved.alpha_schedule,
             [trial_streams(config, trial, schemes) for trial in trials],
-            (theta_stars, hessians),
+            tuple(_stacked(arrays) for arrays in zip(*trial_optima)),
             out=[(runs[s].gaps[in_block], runs[s].power_per_user[in_block]) for s in schemes],
             first_trial=lo,
         )
@@ -873,7 +894,7 @@ def estimate_bound_inputs(config: ExperimentConfig, *, kind: str = "final_model"
     dim = dataset.feature_dim
     analytic_delta0 = trainer.theta0_std**2 * dim + float(theta_star @ theta_star)
     empirical = [
-        float(np.sum((initial_model_for_trial(config, k, dim) - theta_star) ** 2))
+        initial_distance2(initial_model_for_trial(config, k, dim), theta_star)
         for k in range(config.trials)
     ]
     delta0 = max(analytic_delta0, float(np.mean(empirical)))

@@ -283,3 +283,42 @@ class TestDatasetArrays:
         # a copy goes through the checks again and solves afresh
         copied = pickle.loads(pickle.dumps(dataset))
         assert copied.whole_optimum(0.5)[1] is not dataset.whole_optimum(0.5)[1]
+
+
+class TestKeptOptimum:
+    LAM = 0.5
+
+    @pytest.mark.parametrize("total", [240, 247, 253])  # 0, 7 and 13 rows dropped
+    @pytest.mark.parametrize("mode", ["iid", "heterogeneous"])
+    def test_kept_rows_optimum_matches_the_shard_pass(self, mode, total):
+        # a partition's objective depends only on the rows it drops: the
+        # dataset's sums less theirs give the per-shard pass's optimum
+        dataset = generate_synthetic(6, total, 1.0, np.random.default_rng(total))
+        for seed in range(3):
+            rows = partition(dataset, PartitionSpec(mode, 20), np.random.default_rng(seed))
+            dropped = dataset.dropped_rows(rows)
+            assert dropped.size == total - rows.size
+            assert np.array_equal(np.sort(np.concatenate([rows.ravel(), dropped])), np.arange(total))
+            theta_star, hess = dataset.kept_optimum(dropped, self.LAM)
+            oracle_star, oracle_hess = grams_optimum(*shard_grams(dataset.shards(rows)), self.LAM)
+            np.testing.assert_allclose(theta_star, oracle_star, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(hess, oracle_hess, rtol=1e-13, atol=0)
+            assert not (theta_star.flags.writeable or hess.flags.writeable)
+
+    def test_no_dropped_row_gives_the_whole_optimum(self):
+        dataset = generate_synthetic(4, 40, 1.0, np.random.default_rng(4))
+        rows = partition(dataset, PartitionSpec("iid", 8), np.random.default_rng(5))
+        dropped = dataset.dropped_rows(rows)
+        assert dropped.size == 0
+        kept, whole = dataset.kept_optimum(dropped, self.LAM), dataset.whole_optimum(self.LAM)
+        assert kept[0] is whole[0] and kept[1] is whole[1]
+
+    @pytest.mark.parametrize(
+        "dropped",
+        [[3, 3], [5, 2], [40], [-1], [0.0], np.arange(40), [[1, 2]]],
+        ids=["repeat", "unsorted", "past", "negative", "float", "all", "2-d"],
+    )
+    def test_rejects_row_ids_that_name_no_partition(self, dropped):
+        dataset = generate_synthetic(4, 40, 1.0, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="row ids"):
+            dataset.kept_optimum(np.asarray(dropped), self.LAM)

@@ -17,6 +17,7 @@ import pytest
 
 from otafl import data as data_mod
 from otafl import harness
+from otafl import objectives as objectives_mod
 from otafl.bounds import (
     bound_final_model,
     bound_weighted_average,
@@ -383,8 +384,9 @@ class TestRunExperiment:
         trial_rows = partition(
             resolved.dataset, config.partition_spec, stream_generator(config.seed, "trial0/partition")
         )
-        shards = resolved.dataset.shards(trial_rows)
-        theta_star, hess = grams_optimum(*shard_grams(shards), config.trainer.ridge_lambda)
+        theta_star, hess = resolved.dataset.kept_optimum(
+            resolved.dataset.dropped_rows(trial_rows), config.trainer.ridge_lambda
+        )
         theta0 = stream_generator(config.seed, "trial0/init").normal(
             0.0, config.trainer.theta0_std, resolved.dataset.feature_dim
         )
@@ -533,7 +535,9 @@ class TestRunExperiment:
                 config.partition_spec,
                 stream_generator(config.seed, f"trial{trial}/partition"),
             )
-            theta_star, hess = grams_optimum(*shard_grams(resolved.dataset.shards(rows)), lam)
+            theta_star, hess = resolved.dataset.kept_optimum(
+                resolved.dataset.dropped_rows(rows), lam
+            )
             theta0 = harness.initial_model_for_trial(config, trial, resolved.dataset.feature_dim)
             diff = theta0 - theta_star
             assert result.theta0_dist2[trial] == diff @ diff
@@ -555,6 +559,84 @@ class TestRunExperiment:
                 assert np.all(run.participants[trial] == k)
                 if scheme == "cotaf_fading":
                     assert k == 3
+
+    def test_trials_share_the_cached_optimum(self, monkeypatch):
+        # with N | D every trial keeps all rows: its optimum is the dataset's
+        # cached one, passed as broadcast views, and no trial makes a shard pass
+        passes, optima = [], []
+
+        def counted_pass(shards):
+            passes.append(shards)
+            return shard_grams(shards)
+
+        def recording(*args, **kwargs):
+            optima.append(args[6])
+            return run_training(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "shard_grams", counted_pass)
+        monkeypatch.setattr(objectives_mod, "shard_grams", counted_pass)
+        monkeypatch.setattr(harness, "run_training", recording)
+        config = tiny_config(trials=4)
+        assert config.alpha.source == "mc_pilot"
+        result = simulate_trials(config, ["cotaf", "noise_free_local_sgd"])
+        assert passes == []
+        theta_star, hess = result.resolved.dataset.whole_optimum(config.trainer.ridge_lambda)
+        ((stars, hessians),) = optima
+        assert stars.shape == (4, *theta_star.shape) and hessians.shape == (4, *hess.shape)
+        assert stars.strides[0] == 0 and hessians.strides[0] == 0
+        assert np.shares_memory(stars, theta_star) and np.shares_memory(hessians, hess)
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 20])
+    def test_dropped_rows_give_each_trial_its_own_optimum(self, monkeypatch, block_bytes):
+        # 123 samples between 4 users drop 3 rows per trial, a different 3 in
+        # each: a trial's results are those of training it alone against the
+        # optimum of the rows it keeps
+        monkeypatch.setattr(harness, "TRIAL_BLOCK_BYTES", block_bytes)
+        dataset = {"kind": "synthetic", "dim": 5, "total_samples": 123, "noise_std": 1.0}
+        config = tiny_config(trials=3, dataset=dataset)
+        result = simulate_trials(config, ["cotaf"])
+        resolved, lam = result.resolved, config.trainer.ridge_lambda
+        seen = set()
+        for trial in range(config.trials):
+            rows = partition(
+                resolved.dataset,
+                config.partition_spec,
+                stream_generator(config.seed, f"trial{trial}/partition"),
+            )
+            dropped = resolved.dataset.dropped_rows(rows)
+            assert dropped.size == 3
+            seen.add(dropped.tobytes())
+            theta_star, hess = resolved.dataset.kept_optimum(dropped, lam)
+            theta0 = harness.initial_model_for_trial(config, trial, resolved.dataset.feature_dim)
+            assert result.theta0_dist2[trial] == harness.initial_distance2(theta0, theta_star)
+            (trace,) = run_training(
+                resolved.dataset,
+                rows[None],
+                theta0[None],
+                [harness._trainer_config(resolved, "cotaf")],
+                resolved.alpha_schedule,
+                [harness.trial_streams(config, trial, ["cotaf"])],
+                (theta_star[None], hess[None]),
+            )
+            np.testing.assert_array_equal(result.schemes["cotaf"].gaps[trial], trace.gaps[0])
+        assert len(seen) == config.trials
+
+    def test_theta0_dist2_is_the_empirical_delta0_distance(self):
+        # simulate_trials records and estimate_bound_inputs averages the same
+        # distances, bit for bit: one helper against the one shared optimum
+        config = tiny_config(trials=5)
+        result = simulate_trials(config, ["cotaf"])
+        dataset, trainer = result.resolved.dataset, config.trainer
+        theta_star, _ = dataset.whole_optimum(trainer.ridge_lambda)
+        dim = dataset.feature_dim
+        expected = [
+            harness.initial_distance2(harness.initial_model_for_trial(config, k, dim), theta_star)
+            for k in range(config.trials)
+        ]
+        assert result.theta0_dist2.tolist() == expected
+        analytic = trainer.theta0_std**2 * dim + float(theta_star @ theta_star)
+        inputs = harness.estimate_bound_inputs(config)
+        assert inputs.delta0 == max(analytic, float(np.mean(result.theta0_dist2)))
 
     @pytest.mark.parametrize("trials", [1, 5, 7, 9, 50])
     def test_tabulate_equals_per_round_reductions(self, trials):
