@@ -58,7 +58,7 @@ from .harness import (
     run_experiment,
     simulate_trials,
 )
-from .localsgd import DEFAULT_THETA0_STD, local_pass
+from .localsgd import DEFAULT_THETA0_STD, KernelBlocks, local_pass
 from .objectives import (
     ProbeBall,
     estimate_constants,

@@ -45,7 +45,7 @@ def fading_channel_error_constant(
     """Fading counterpart: base + 4*d*H^2*G^2*sigma_w2/(P*K^2*h_min^2)."""
     if not (1 <= participants <= c.N):
         raise ValueError(f"participants must lie in [1, N={c.N}]")
-    if h_min <= 0:
+    if not h_min > 0:
         raise ValueError("h_min must be positive")
     return base_error_constant(c) + 4.0 * c.d * c.H**2 * c.G2 * c.sigma_w2 / (
         c.P * participants**2 * h_min**2
@@ -99,7 +99,7 @@ def weight_sum(shift: float, local_steps: int, rounds: int) -> float:
 
     Always at least T^3/(3H) with T = R*H.
     """
-    if shift <= 0:
+    if not shift > 0:
         raise ValueError("shift must be positive")
     r = np.arange(1, rounds + 1, dtype=np.float64)
     return float(np.sum((shift + r * local_steps) ** 2))
@@ -117,12 +117,12 @@ class BoundInputs:
     h_min: float | None = None  # fading bound only
 
     def __post_init__(self):
-        if self.delta0 < 0:
+        if not self.delta0 >= 0:
             raise ValueError("delta0 must be non-negative")
         h = self.constants.H
         if self.total_steps < h or self.total_steps % h != 0:
             raise ValueError(f"total_steps must be a positive multiple of H={h}")
-        if self.shift <= 0:
+        if not self.shift > 0:
             raise ValueError("shift must be positive")
 
 

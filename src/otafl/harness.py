@@ -401,9 +401,6 @@ class ResolvedExperiment:
 
     config: ExperimentConfig
     dataset: Dataset
-    hessian: np.ndarray  # of the global objective on the full dataset
-    mu: float
-    smoothness: float
     schedule: StepSchedule
     sigma_w2: float
     fading_policy: FadingPolicy | None
@@ -525,9 +522,6 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
     return ResolvedExperiment(
         config=config,
         dataset=dataset,
-        hessian=full_hessian,
-        mu=mu,
-        smoothness=smoothness,
         schedule=schedule,
         sigma_w2=sigma_w2,
         fading_policy=fading_policy,
@@ -570,8 +564,8 @@ def initial_model_for_trial(config: ExperimentConfig, trial: int, dim: int) -> n
 
 
 def initial_distance2(theta0: np.ndarray, theta_star: np.ndarray) -> float:
-    """||theta0 - theta*||^2, as simulate_trials records it per trial and the
-    empirical delta0 of estimate_bound_inputs averages it."""
+    """||theta0 - theta*||^2, which the empirical delta0 of
+    estimate_bound_inputs averages over the trials."""
     diff = theta0 - theta_star
     return float(diff @ diff)
 
@@ -605,7 +599,6 @@ class SimulationResult:
     config: ExperimentConfig
     schemes: Mapping[str, SchemeRuns]
     t_grid: np.ndarray  # global step count at each round
-    theta0_dist2: np.ndarray  # per-trial ||theta0 - theta*||^2
     resolved: ResolvedExperiment
 
 
@@ -643,7 +636,6 @@ def simulate_trials(
         for scheme in schemes
     }
     configs = [_trainer_config(resolved, scheme) for scheme in schemes]
-    theta0_dist2 = np.zeros(n_trials)
     # A trial holds its shard row ids and those of its users' R*H sample
     # steps, then in float64 its schemes' iterates, one round's gathered
     # samples and models, and for a chunk of rounds its schemes' channel
@@ -670,7 +662,6 @@ def simulate_trials(
                 optima[key] = dataset.kept_optimum(dropped, lam)
             trial_optima.append(optima[key])
             theta0[t] = initial_model_for_trial(config, trial, dim)
-            theta0_dist2[trial] = initial_distance2(theta0[t], optima[key][0])
         in_block = slice(trials.start, trials.stop)
         traces = run_training(
             dataset,
@@ -689,9 +680,7 @@ def simulate_trials(
             runs[scheme].waits[in_block] = trace.waits
 
     t_grid = trainer.local_steps * np.arange(1, n_rounds + 1)
-    return SimulationResult(
-        config=config, schemes=runs, t_grid=t_grid, theta0_dist2=theta0_dist2, resolved=resolved
-    )
+    return SimulationResult(config=config, schemes=runs, t_grid=t_grid, resolved=resolved)
 
 
 @dataclass(frozen=True)

@@ -22,37 +22,26 @@ def check_steps(etas: Sequence[float] | np.ndarray, lam: float) -> None:
 
 
 class KernelBlocks:
-    """The working blocks of local_pass, made once for the shapes of a run's
-    calls and reused by every call: the call's (H, ..., N) row ids as intp,
-    its gathered (H, ..., N, d) samples and (H, ..., N) targets, the models,
-    the residual, and a step buffer when the models have a leading axis the
-    samples lack (S models sharing each sample block). Otherwise a step
-    overwrites its own sample slab, which the call reads no more.
+    """The working blocks of local_pass, made once per run and reused by every
+    call: the call's (H, T, N) row ids as intp, its gathered (H, T, N, d)
+    samples and (H, T, N) targets, the (S, T, N, d) models of n_models = S
+    models per trial, the residual, and a step buffer when S > 1 (S models
+    share each sample block). With S = 1 a step overwrites its own sample
+    slab, which the call reads no more.
 
-    theta_shape is the shape of the models each call starts from, in one of
-    local_pass's forms, and ids_shape that of each call's (H, ..., N)
-    step-major sample row ids.
+    ids_shape is the (H, T, N) shape of each call's step-major row ids.
     """
 
-    def __init__(self, theta_shape: tuple[int, ...], ids_shape: tuple[int, ...], dim: int):
-        samples = (*ids_shape[1:], dim)
-        # theta takes one of local_pass's forms: the samples' trailing axes,
-        # each equal or 1, after at most one leading model axis S
-        given = tuple(theta_shape)
-        outer = max(len(given) - len(samples), 0)
-        trailing = samples[len(samples) - len(given) + outer :]
-        if outer > 1 or not all(m == n or m == 1 for m, n in zip(given[outer:], trailing)):
-            raise ValueError(f"models of shape {given} do not fit samples {samples}")
-        shape = (*given[:outer], *samples)
+    def __init__(self, n_models: int, ids_shape: tuple[int, int, int], dim: int):
+        shape = (n_models, *ids_shape[1:], dim)
         # Leading unit axes add per-step overhead to every array operation and
         # no work, so the steps run on the broadcast shape without them.
-        lead = 0
-        while lead < len(shape) - 2 and shape[lead] == 1:
-            lead += 1
-        core = shape[lead:]
-        step_shape = samples[max(len(samples) - len(core), 0) :]
-        # A call gathers into the (H, ..., N, d) block and steps on views of
-        # it without the unit axes.
+        core = shape
+        while len(core) > 2 and core[0] == 1:
+            core = core[1:]
+        step_shape = core if n_models == 1 else core[1:]
+        # A call gathers into the (H, T, N, d) block and steps on views of it
+        # without the unit axes.
         self.ids = np.empty(ids_shape, dtype=np.intp)
         self.gathered = np.empty((*ids_shape, dim))
         self.gathered_targets = np.empty(ids_shape)
@@ -63,7 +52,7 @@ class KernelBlocks:
         self.models = np.empty(core)
         self.result = self.models.reshape(shape)
         self.residual = np.empty(core[:-1])
-        self.step = None if core == step_shape else np.empty(core)
+        self.step = None if n_models == 1 else np.empty(core)
 
 
 def local_pass(
@@ -74,48 +63,30 @@ def local_pass(
     rows: np.ndarray,
     lam: float,
     *,
-    blocks: KernelBlocks | None = None,
+    blocks: KernelBlocks,
 ) -> np.ndarray:
-    """Run H = len(etas) ridge SGD steps for all N users at once.
+    """Run H = len(etas) ridge SGD steps for S models of each of the N users
+    of T trials at once.
 
     features is the (D, d) sample matrix and targets (D,). rows holds the
-    (N, H) sample row ids, user n taking sample rows[n, j] at step j, or a
-    (T, N, H) block of them, one (N, H) slab per trial. Step j moves each
-    user's model against the per-sample gradient (x.theta - y) x + lam theta
-    with size etas[j].
+    call's step-major (H, T, N) integer row ids, user n of trial t taking
+    sample rows[j, t, n] at step j. theta holds the (S, T, 1, d) models the
+    users start from (or any shape that broadcasts to (S, T, N, d)). Step j
+    moves each user's model against the per-sample gradient
+    (x.theta - y) x + lam theta with size etas[j]. Returns the (S, T, N, d)
+    models; each (s, t) slice has the bits of a call with S = T = 1 on its
+    own theta and rows.
 
-    theta is what the users start from, broadcast against the (..., N, d)
-    samples of a step: the (d,) model every user starts from, per-user (N, d)
-    models, (T, 1 or N, d) per trial, or a leading axis of S models sharing
-    each row block, (S, 1 or N, d) or (S, T, 1 or N, d). Returns the models
-    in that broadcast shape; each batch slice has the bits of the unbatched
-    call on its own theta and rows.
-
-    A run that calls the kernel round after round passes its KernelBlocks,
-    made for theta's shape and the rows', and then rows are the call's
-    step-major (H, ..., N) integer row ids. The caller has checked the ids
-    against [0, D), since they are gathered with mode "clip", which does not
-    check them, and the step sizes and lam (check_steps). The returned models
-    are the blocks' own, which the next call overwrites.
+    blocks are the run's KernelBlocks, made for S and the rows' shape, and
+    the returned models are their own, which the next call overwrites. The
+    caller has checked the ids against [0, D), since they are gathered with
+    mode "clip", which does not check them, and the step sizes and lam
+    (check_steps).
     """
-    if blocks is None:
-        check_steps(etas, lam)
-        if features.shape[0] == 0:
-            raise ValueError("cannot step on an empty shard")
-        if rows.shape[-1] != len(etas) or rows.ndim not in (2, 3):
-            raise ValueError(
-                f"rows have shape {rows.shape}, expected (N, {len(etas)}) with at most one "
-                "leading trial axis"
-            )
-        ids = np.moveaxis(rows, -1, 0)  # step-major, so each step reads a contiguous slab
-        blocks = KernelBlocks(np.shape(theta), ids.shape, features.shape[1])
-        mode = "raise"
-    else:
-        ids = blocks.ids
-        ids[...] = rows
-        mode = "clip"
-    np.take(features, ids, axis=0, out=blocks.gathered, mode=mode)
-    np.take(targets, ids, axis=0, out=blocks.gathered_targets, mode=mode)
+    ids = blocks.ids
+    ids[...] = rows
+    np.take(features, ids, axis=0, out=blocks.gathered, mode="clip")
+    np.take(targets, ids, axis=0, out=blocks.gathered_targets, mode="clip")
     models, residual, step = blocks.models, blocks.residual, blocks.step
     models[...] = theta
     # each step updates the models in place through one residual and the step

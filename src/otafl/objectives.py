@@ -101,7 +101,7 @@ class ProbeBall:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_model_vector(self.center))
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ValueError("probe radius must be non-negative")
         if self.count < 1:
             raise ValueError("probe count must be >= 1")
@@ -141,7 +141,7 @@ def estimate_constants(
     A caller that already holds shard_grams(shards) passes it as grams.
     The shards are read in one pass, one shard at a time.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("constant estimation requires lam > 0")
     probes = ball.points(rng)
 

@@ -171,15 +171,15 @@ def estimate_alpha_mc(
     # once per chunk and only the chunk is held as intp.
     flat_rows = shard_rows.ravel()
     offsets = np.arange(n_users) * shard_size  # user n's first flat index
-    blocks = KernelBlocks(thetas.shape, (local_steps, pilot_trials, n_users), dim)
+    blocks = KernelBlocks(1, (local_steps, pilot_trials, n_users), dim)
     sums = np.empty((rounds, n_users))
     for lo in range(0, rounds, PILOT_ROUND_CHUNK):
         chunk = flat_rows.take(  # (C, H, T, N)
             draws[:, lo : lo + PILOT_ROUND_CHUNK].transpose(1, 3, 0, 2) + offsets
         )
         for r in range(lo, lo + chunk.shape[0]):
-            local_models = local_pass(
-                thetas, dataset.features, dataset.targets, etas[r], chunk[r - lo], lam,
+            (local_models,) = local_pass(
+                thetas[None], dataset.features, dataset.targets, etas[r], chunk[r - lo], lam,
                 blocks=blocks,
             )
             diff = local_models - thetas
@@ -215,6 +215,6 @@ def alpha_upper_bound_schedule(
     if not power > 0:
         raise ValueError("power must be positive")
     etas = np.asarray([step_fn((r - 1) * local_steps) for r in range(1, rounds + 1)])
-    if np.any(etas <= 0) or np.any(np.diff(etas) > 0):
+    if not np.all(etas > 0) or np.any(np.diff(etas) > 0):
         raise ValueError("step_fn must be positive and non-increasing")
     return AlphaSchedule(power / (local_steps**2 * etas**2 * g2))

@@ -465,7 +465,7 @@ def run_training(
     etas = first.step.eta(np.arange(rounds * h)).reshape(rounds, h)  # each round's H
     check_steps(etas, first.ridge_lambda)
     # one set of kernel blocks, reused by every round
-    blocks = KernelBlocks((n_runs, n_trials, 1, dim), steps.shape[1:], dim)
+    blocks = KernelBlocks(n_runs, steps.shape[1:], dim)
     alphas = alpha_schedule.values.tolist() if any(needs_alpha) else None
     # Each noisy scheme's noise, drawn per trial a chunk of rounds at a time:
     # one sized draw consumes the stream as per-round draws would.

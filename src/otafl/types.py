@@ -56,19 +56,19 @@ class ProblemConstants:
         mn2 = np.ascontiguousarray(self.Mn2, dtype=np.float64)
         if not (self.L >= self.mu > 0):
             raise ValueError(f"need L >= mu > 0, got L={self.L}, mu={self.mu}")
-        if self.G2 < 0:
+        if not self.G2 >= 0:
             raise ValueError("G2 must be non-negative")
-        if mn2.ndim != 1 or np.any(mn2 < 0):
+        if mn2.ndim != 1 or not np.all(mn2 >= 0):
             raise ValueError("Mn2 must be a 1-D array of non-negative entries")
-        if self.Gamma < 0:
+        if not self.Gamma >= 0:
             raise ValueError("Gamma must be non-negative")
         if self.d < 1 or self.N < 1 or self.H < 1:
             raise ValueError("d, N and H must all be >= 1")
         if mn2.shape[0] != self.N:
             raise ValueError(f"Mn2 has {mn2.shape[0]} entries, expected N={self.N}")
-        if self.P <= 0:
+        if not self.P > 0:
             raise ValueError("P must be positive")
-        if self.sigma_w2 < 0:
+        if not self.sigma_w2 >= 0:
             raise ValueError("sigma_w2 must be non-negative")
         object.__setattr__(self, "Mn2", mn2)
         for name in ("L", "mu", "G2", "Gamma", "P", "sigma_w2"):

@@ -9,8 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from otafl.data import Dataset, PartitionSpec, ShardRows, generate_synthetic, partition
-from otafl.localsgd import local_pass
+from otafl.data import (
+    Dataset,
+    PartitionSpec,
+    ShardRows,
+    check_row_ids,
+    generate_synthetic,
+    partition,
+)
+from otafl.localsgd import KernelBlocks, check_steps, local_pass
 from otafl.types import as_model_vector
 
 # The arrays of a run's KernelBlocks that local_pass writes.
@@ -32,10 +39,33 @@ def block_recorder(calls: list):
     return record
 
 
+def checked_pass(theta, features, targets, etas, rows, lam):
+    """local_pass with the checks a run makes once, on fresh blocks, for the
+    layouts the tests start from. rows holds (N, H) sample row ids, user n
+    taking sample rows[n, j] at step j, or a (T, N, H) block of them, one
+    (N, H) slab per trial. theta broadcasts against the (..., N, d) samples
+    of a step: (d,), (N, d) or (T, 1 or N, d), or with a leading axis of S
+    models sharing each row block, (S, 1 or N, d) or (S, T, 1 or N, d).
+    Returns the models in that broadcast shape."""
+    theta, rows = np.asarray(theta), np.asarray(rows)
+    check_steps(etas, lam)
+    check_row_ids(rows, len(features))
+    assert rows.ndim in (2, 3) and rows.shape[-1] == len(etas), rows.shape
+    ids = np.moveaxis(rows, -1, 0).reshape(len(etas), -1, rows.shape[-2])  # (H, T, N)
+    models = ()  # or (S,), a leading axis of S models
+    if theta.ndim > rows.ndim:  # as the kernel's (S, T, 1 or N, d) start models
+        models = theta.shape[:1]
+        theta = theta.reshape(*models, *(1,) * (4 - theta.ndim), *theta.shape[1:])
+    blocks = KernelBlocks(models[0] if models else 1, ids.shape, features.shape[1])
+    out = local_pass(theta, features, targets, etas, ids, lam, blocks=blocks)
+    return out.reshape(*models, *rows.shape[:-1], features.shape[1])
+
+
 def allocating_pass(theta, features, targets, etas, rows, lam, *, blocks):
     """A stand-in for a caller's local_pass that ignores its blocks: the
-    allocating call on the (..., N, H) form of the step-major rows."""
-    return local_pass(theta, features, targets, etas, np.moveaxis(rows, 0, -1), lam)
+    checked call on fresh blocks, on the (T, N, H) form of the step-major
+    rows."""
+    return checked_pass(theta, features, targets, etas, np.moveaxis(rows, 0, -1), lam)
 
 
 def make_shards(

@@ -63,6 +63,31 @@ class TestErrorConstants:
         c = constants(N=4, Mn2=np.ones(4), sigma_w2=2.0)
         assert fading_channel_error_constant(c, 3, 0.5) >= channel_error_constant(c)
 
+    @pytest.mark.parametrize("h_min", [0.0, -0.5, math.nan])
+    def test_fading_constant_needs_positive_h_min(self, h_min):
+        c = constants(N=4, Mn2=np.ones(4), sigma_w2=2.0)
+        with pytest.raises(ValueError, match="h_min must be positive"):
+            fading_channel_error_constant(c, 3, h_min)
+
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"G2": -1.0}, "G2 must be non-negative"),
+            ({"G2": math.nan}, "G2 must be non-negative"),
+            ({"Mn2": np.array([-1.0])}, "Mn2 must be a 1-D array of non-negative"),
+            ({"Mn2": np.array([math.nan])}, "Mn2 must be a 1-D array of non-negative"),
+            ({"Gamma": -1.0}, "Gamma must be non-negative"),
+            ({"Gamma": math.nan}, "Gamma must be non-negative"),
+            ({"P": 0.0}, "P must be positive"),
+            ({"P": math.nan}, "P must be positive"),
+            ({"sigma_w2": -1.0}, "sigma_w2 must be non-negative"),
+            ({"sigma_w2": math.nan}, "sigma_w2 must be non-negative"),
+        ],
+    )
+    def test_negative_or_nan_constants_rejected(self, override, match):
+        with pytest.raises(ValueError, match=match):
+            constants(**override)
+
 
 class TestWeightSum:
     def test_single_round(self):
@@ -78,6 +103,11 @@ class TestWeightSum:
             rounds = int(rng.integers(1, 40))
             t = rounds * h
             assert weight_sum(a, h, rounds) >= t**3 / (3.0 * h)
+
+    @pytest.mark.parametrize("shift", [0.0, -1.0, math.nan])
+    def test_non_positive_or_nan_shift_rejected(self, shift):
+        with pytest.raises(ValueError, match="shift must be positive"):
+            weight_sum(shift, 1, 1)
 
 
 def c_for_bounds(**overrides):
@@ -168,6 +198,19 @@ class TestFinalModelBound:
         c = c_for_bounds()
         with pytest.raises(ValueError, match="shift"):
             bound_final_model(BoundInputs(c, 1.0, shift=c.H / 2, total_steps=40))
+
+    @pytest.mark.parametrize(
+        "delta0, shift, match",
+        [
+            (-1.0, 40.0, "delta0 must be non-negative"),
+            (math.nan, 40.0, "delta0 must be non-negative"),
+            (1.0, 0.0, "shift must be positive"),
+            (1.0, math.nan, "shift must be positive"),
+        ],
+    )
+    def test_negative_or_nan_inputs_rejected(self, delta0, shift, match):
+        with pytest.raises(ValueError, match=match):
+            BoundInputs(c_for_bounds(), delta0, shift, total_steps=40)
 
     def test_halving_rate(self):
         # dominant behaviour ~ 1/T: bound(2T)/bound(T) -> 1/2 for large T

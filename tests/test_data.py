@@ -201,6 +201,11 @@ class TestShardBlock:
                 with pytest.raises(ValueError, match="non-finite"):
                     Dataset(features, spoiled_targets)
 
+    def test_empty_dataset_rejected(self):
+        # an empty shard needs an empty dataset or empty shard rows
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            Dataset(np.zeros((0, 3)), np.zeros(0))
+
     def test_empty_shards_rejected(self):
         dataset = generate_synthetic(3, 8, 1.0, np.random.default_rng(6))
         with pytest.raises(ValueError, match="non-empty"):

@@ -406,14 +406,22 @@ class TestRunExperiment:
         np.testing.assert_array_equal(run.power_per_user, trace.powers)
         np.testing.assert_array_equal(run.waits, trace.waits)
 
-    def test_paired_initial_models_across_schemes(self):
+    def test_paired_initial_models_across_schemes(self, monkeypatch):
+        # pairing: a trial's schemes start from one initial model, the one
+        # the trial's scheme alone starts from
+        starts = []
+
+        def recorded(dataset, rows, theta0, *args, **kwargs):
+            starts.append(theta0.copy())
+            return run_training(dataset, rows, theta0, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_training", recorded)
         config = tiny_config(trials=2)
         result = simulate_trials(config, ["cotaf", "noise_free_local_sgd"])
-        # pairing: with a noiseless channel the gap arrays would match; here we
-        # check stream sharing via the recorded initial distances
-        assert result.theta0_dist2.shape == (2,)
         r1 = simulate_trials(config, ["noise_free_local_sgd"])
-        np.testing.assert_array_equal(result.theta0_dist2, r1.theta0_dist2)
+        paired, alone = starts
+        assert paired.shape == (2, result.resolved.dataset.feature_dim)
+        np.testing.assert_array_equal(paired, alone)
         np.testing.assert_array_equal(
             result.schemes["noise_free_local_sgd"].gaps, r1.schemes["noise_free_local_sgd"].gaps
         )
@@ -539,8 +547,6 @@ class TestRunExperiment:
                 resolved.dataset.dropped_rows(rows), lam
             )
             theta0 = harness.initial_model_for_trial(config, trial, resolved.dataset.feature_dim)
-            diff = theta0 - theta_star
-            assert result.theta0_dist2[trial] == diff @ diff
             for scheme in schemes:
                 (trace,) = run_training(
                     resolved.dataset,
@@ -608,7 +614,6 @@ class TestRunExperiment:
             seen.add(dropped.tobytes())
             theta_star, hess = resolved.dataset.kept_optimum(dropped, lam)
             theta0 = harness.initial_model_for_trial(config, trial, resolved.dataset.feature_dim)
-            assert result.theta0_dist2[trial] == harness.initial_distance2(theta0, theta_star)
             (trace,) = run_training(
                 resolved.dataset,
                 rows[None],
@@ -621,22 +626,19 @@ class TestRunExperiment:
             np.testing.assert_array_equal(result.schemes["cotaf"].gaps[trial], trace.gaps[0])
         assert len(seen) == config.trials
 
-    def test_theta0_dist2_is_the_empirical_delta0_distance(self):
-        # simulate_trials records and estimate_bound_inputs averages the same
-        # distances, bit for bit: one helper against the one shared optimum
+    def test_empirical_delta0_averages_the_trials_initial_distances(self):
+        # estimate_bound_inputs averages each trial's ||theta0 - theta*||^2
+        # against the whole dataset's optimum, bit for bit
         config = tiny_config(trials=5)
-        result = simulate_trials(config, ["cotaf"])
-        dataset, trainer = result.resolved.dataset, config.trainer
+        dataset, trainer = harness.resolve(config, ["cotaf"]).dataset, config.trainer
         theta_star, _ = dataset.whole_optimum(trainer.ridge_lambda)
         dim = dataset.feature_dim
-        expected = [
-            harness.initial_distance2(harness.initial_model_for_trial(config, k, dim), theta_star)
-            for k in range(config.trials)
-        ]
-        assert result.theta0_dist2.tolist() == expected
+        starts = [harness.initial_model_for_trial(config, k, dim) for k in range(config.trials)]
+        distances = [harness.initial_distance2(theta0, theta_star) for theta0 in starts]
+        assert distances == [float((s - theta_star) @ (s - theta_star)) for s in starts]
         analytic = trainer.theta0_std**2 * dim + float(theta_star @ theta_star)
         inputs = harness.estimate_bound_inputs(config)
-        assert inputs.delta0 == max(analytic, float(np.mean(result.theta0_dist2)))
+        assert inputs.delta0 == max(analytic, float(np.mean(distances)))
 
     @pytest.mark.parametrize("trials", [1, 5, 7, 9, 50])
     def test_tabulate_equals_per_round_reductions(self, trials):
@@ -653,7 +655,7 @@ class TestRunExperiment:
         config = tiny_config(trials=trials)
         result = harness.SimulationResult(
             config=config, schemes={"cotaf": run}, t_grid=3 * np.arange(1, rounds + 1),
-            theta0_dist2=np.zeros(trials), resolved=None,
+            resolved=None,
         )
         rows = tabulate(result).rows
         assert len(rows) == rounds
@@ -851,17 +853,18 @@ class TestBoundInputs:
         analytic = config.trainer.theta0_std ** 2 * 5 + float(theta_star @ theta_star)
         assert inputs.delta0 >= analytic - 1e-12
 
-    def test_resolve_keeps_the_full_dataset_hessian(self):
-        # estimate_bound_inputs takes theta* from the same pass instead of a new Gram
+    def test_resolve_reads_the_cached_whole_dataset_hessian(self):
+        # resolve takes mu from the dataset's cached, read-only whole
+        # Hessian, and estimate_bound_inputs takes theta* from the same pass
+        # instead of a new Gram
         config = tiny_config()
         resolved = harness.resolve(config, ["noise_free_local_sgd"])
         whole = resolved.dataset.shards(np.arange(len(resolved.dataset))[None])
         lam = config.trainer.ridge_lambda
-        np.testing.assert_array_equal(resolved.hessian, grams_optimum(*shard_grams(whole), lam)[1])
-        eigs = np.linalg.eigvalsh(resolved.hessian)
-        assert (resolved.mu, resolved.smoothness) == (eigs[0], eigs[-1])
         theta_star, hess = resolved.dataset.whole_optimum(lam)
-        assert hess is resolved.hessian and not hess.flags.writeable
+        np.testing.assert_array_equal(hess, grams_optimum(*shard_grams(whole), lam)[1])
+        assert resolved.schedule.mu == np.linalg.eigvalsh(hess)[0]
+        assert resolved.dataset.whole_optimum(lam)[1] is hess and not hess.flags.writeable
         np.testing.assert_array_equal(theta_star, solve_optimum(whole, lam))
 
     def test_full_dataset_objective_reads_the_dataset_uncopied(self, monkeypatch):

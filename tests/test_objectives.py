@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -280,10 +281,16 @@ class TestEstimateConstants:
                 grads = residuals[:, None] * features + 0.5 * theta
                 assert np.mean(np.sum(grads**2, axis=1)) <= c.G2 * 1.5
 
-    def test_requires_positive_lambda(self, rng):
+    @pytest.mark.parametrize("lam", [0.0, math.nan])
+    def test_requires_positive_lambda(self, rng, lam):
         shards = make_shards(rng)
-        with pytest.raises(ValueError):
-            estimate_constants(shards, 0.0, ProbeBall(np.zeros(5), 1.0), rng, H=1, P=1.0, sigma_w2=0.0)
+        with pytest.raises(ValueError, match="requires lam > 0"):
+            estimate_constants(shards, lam, ProbeBall(np.zeros(5), 1.0), rng, H=1, P=1.0, sigma_w2=0.0)
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan])
+    def test_negative_or_nan_probe_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="probe radius must be non-negative"):
+            ProbeBall(np.zeros(5), radius)
 
 
 def reference_constants(shards, lam, probes, safety=1.1):

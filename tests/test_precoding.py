@@ -7,7 +7,6 @@ import pytest
 import otafl.precoding as precoding_mod
 
 from otafl.channel import fading_mac, sample_noise, sample_rayleigh
-from otafl.localsgd import local_pass
 from otafl.objectives import ProbeBall, estimate_constants
 from otafl.precoding import (
     AlphaSchedule,
@@ -30,6 +29,7 @@ from conftest import (
     RegressionSample,
     allocating_pass,
     block_recorder,
+    checked_pass,
     make_shards,
     one_shard,
     ridge_grad,
@@ -318,7 +318,7 @@ def _per_trial_pilot(shards, lam, rounds, h, power, trials, step_fn, seed):
         for r in range(rounds):
             etas = [step_fn(r * h + j) for j in range(h)]
             rows = np.take_along_axis(shards.rows, draws[r], axis=1)
-            models = local_pass(theta, dataset.features, dataset.targets, etas, rows, lam)
+            models = checked_pass(theta, dataset.features, dataset.targets, etas, rows, lam)
             diff = models - theta
             sums[r] += np.einsum("nd,nd->n", diff, diff)
             theta = models.mean(axis=0)
@@ -448,6 +448,15 @@ class TestEstimateAlphaMc:
                 step_fn=constant_step(0.1),
             )
 
+    @pytest.mark.parametrize("eta", [0.0, math.nan])
+    def test_non_positive_or_nan_step_rejected(self, rng, eta):
+        with pytest.raises(ValueError, match="step size must be positive"):
+            estimate_alpha_mc(
+                make_shards(rng, n_users=2, per_user=5, dim=3), 0.5, rounds=2, local_steps=2,
+                power=1.0, pilot_trials=1, rng=np.random.default_rng(0),
+                step_fn=constant_step(eta),
+            )
+
     def test_zero_updates_error(self):
         shard = one_shard(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="alpha undefined"):
@@ -490,6 +499,11 @@ class TestAlphaUpperBoundSchedule:
     def test_rejects_increasing_steps(self):
         with pytest.raises(ValueError):
             alpha_upper_bound_schedule(2, lambda t: 1.0 + t, 1.0, 1.0, 5)
+
+    @pytest.mark.parametrize("eta", [0.0, math.nan])
+    def test_rejects_non_positive_or_nan_steps(self, eta):
+        with pytest.raises(ValueError, match="step_fn must be positive"):
+            alpha_upper_bound_schedule(2, constant_step(eta), 1.0, 1.0, 5)
 
     def test_inverse_alpha_inequality_under_averaged_model_steps(self, rng):
         # pilot schedules satisfy 1/alpha_t <= 4 H^2 eta_t^2 G^2 / P at every

@@ -7,7 +7,7 @@ import otafl.trainer as trainer_mod
 
 from otafl.channel import sample_noise
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition
-from otafl.localsgd import DEFAULT_THETA0_STD, local_pass
+from otafl.localsgd import DEFAULT_THETA0_STD, check_steps
 from otafl.objectives import grams_optimum, quadratic_gap, shard_grams
 from otafl.precoding import AlphaSchedule, FadingPolicy
 from otafl.trainer import (
@@ -28,6 +28,7 @@ from conftest import (
     RegressionSample,
     allocating_pass,
     block_recorder,
+    checked_pass,
     global_grad,
     make_shards,
     ridge_grad,
@@ -63,7 +64,7 @@ def _round(theta, shards, config, alpha, streams, round_index, optimum, indices,
     dataset, rows = shards.dataset, shards.rows
     t0 = (round_index - 1) * config.local_steps
     etas = [config.step.eta(t0 + j) for j in range(config.local_steps)]
-    local_models = local_pass(
+    local_models = checked_pass(
         theta, dataset.features, dataset.targets, etas,
         np.take_along_axis(rows, indices, axis=1), config.ridge_lambda,
     )
@@ -137,7 +138,7 @@ class TestSgdStep:
     def test_fixed_point_on_zero_data(self, rng):
         theta = rng.standard_normal(3)
         indices = np.zeros((2, 2), dtype=int)
-        out = local_pass(theta, np.zeros((10, 3)), np.zeros(10), [0.1, 0.2], indices, 0.0)
+        out = checked_pass(theta, np.zeros((10, 3)), np.zeros(10), [0.1, 0.2], indices, 0.0)
         np.testing.assert_array_equal(out, np.stack([theta, theta]))
 
     def test_single_sample_deterministic(self, rng):
@@ -147,7 +148,7 @@ class TestSgdStep:
         indices = rng.integers(6, size=(4, 1))
         dataset = shards.dataset
         rows = _rows(shards, indices)
-        out = local_pass(thetas, dataset.features, dataset.targets, [0.1], rows, 0.5)
+        out = checked_pass(thetas, dataset.features, dataset.targets, [0.1], rows, 0.5)
         expected = [
             thetas[n] - 0.1 * ridge_grad(thetas[n], _sample(shards, n, int(indices[n, 0])), 0.5)
             for n in range(4)
@@ -161,7 +162,7 @@ class TestSgdStep:
         theta = rng.standard_normal(3)
         indices = rng.integers(25, size=(n_users, 1))
         dataset = shard.dataset
-        steps = local_pass(theta, dataset.features, dataset.targets, [eta], indices, lam) - theta
+        steps = checked_pass(theta, dataset.features, dataset.targets, [eta], indices, lam) - theta
         expected = -eta * global_grad(theta, shard, lam)
         per_sample = np.stack(
             [-eta * ridge_grad(theta, _sample(shard, 0, i), lam) for i in range(25)]
@@ -169,25 +170,14 @@ class TestSgdStep:
         se = per_sample.std(axis=0) / np.sqrt(n_users)
         assert np.all(np.abs(steps.mean(axis=0) - expected) <= 3 * se + 1e-12)
 
-    def test_invalid_step_size(self, rng):
-        dataset = single_shard(rng).dataset
-        args = (dataset.features, dataset.targets)
-        indices = np.zeros((1, 2), dtype=int)
+    # run_training and estimate_alpha_mc check their settings once per run
+    def test_invalid_step_size(self):
         with pytest.raises(ValueError, match="step size"):
-            local_pass(np.zeros(4), *args, [0.1, 0.0], indices, 0.5)
+            check_steps([0.1, 0.0], 0.5)
 
-    def test_negative_regularization(self, rng):
-        dataset = single_shard(rng).dataset
-        args = (dataset.features, dataset.targets)
-        indices = np.zeros((1, 1), dtype=int)
+    def test_negative_regularization(self):
         with pytest.raises(ValueError, match="non-negative"):
-            local_pass(np.zeros(4), *args, [0.1], indices, -1.0)
-
-    def test_empty_shard(self):
-        indices = np.zeros((2, 1), dtype=int)
-        with pytest.raises(ValueError, match="empty shard"):
-            local_pass(np.zeros(3), np.zeros((0, 3)), np.zeros(0), [0.1], indices, 0.5)
-
+            check_steps([0.1], -1.0)
 
     @pytest.mark.parametrize(
         "etas, lam, match",
@@ -197,11 +187,9 @@ class TestSgdStep:
             ([0.1], math.nan, "regularization weight must be non-negative"),
         ],
     )
-    def test_nan_settings_rejected(self, rng, etas, lam, match):
-        dataset = single_shard(rng).dataset
-        indices = np.zeros((1, len(etas)), dtype=int)
+    def test_nan_settings_rejected(self, etas, lam, match):
         with pytest.raises(ValueError, match=match):
-            local_pass(np.zeros(4), dataset.features, dataset.targets, etas, indices, lam)
+            check_steps(etas, lam)
 
 
 class TestBatchedPass:
@@ -214,11 +202,11 @@ class TestBatchedPass:
         dataset = shards.dataset
         rows = _rows(shards, rng.integers(9, size=(5, 3)))
         etas = [0.1, 0.07, 0.05]
-        out = local_pass(thetas, dataset.features, dataset.targets, etas, rows, 0.5)
+        out = checked_pass(thetas, dataset.features, dataset.targets, etas, rows, 0.5)
         assert out.shape == (3, 5, 4)
         for theta, models in zip(thetas, out):
             start = theta if per_user else theta[0]
-            expected = local_pass(start, dataset.features, dataset.targets, etas, rows, 0.5)
+            expected = checked_pass(start, dataset.features, dataset.targets, etas, rows, 0.5)
             assert np.array_equal(models, expected)
 
     def test_per_row_indices_equal_per_row_calls(self, rng):
@@ -228,10 +216,10 @@ class TestBatchedPass:
         indices = rng.integers(9, size=(4, 5, 2))
         blocks = np.stack([_rows(shards, block) for block in indices]).astype(np.uint8)
         etas = [0.1, 0.07]
-        out = local_pass(thetas, dataset.features, dataset.targets, etas, blocks, 0.5)
+        out = checked_pass(thetas, dataset.features, dataset.targets, etas, blocks, 0.5)
         assert out.shape == (4, 5, 4)
         for theta, rows, models in zip(thetas, blocks, out):
-            expected = local_pass(theta[0], dataset.features, dataset.targets, etas, rows, 0.5)
+            expected = checked_pass(theta[0], dataset.features, dataset.targets, etas, rows, 0.5)
             assert np.array_equal(models, expected)
 
     @pytest.mark.parametrize("n_schemes, n_trials", [(3, 4), (1, 4), (3, 1), (1, 1)])
@@ -243,23 +231,13 @@ class TestBatchedPass:
         thetas = rng.standard_normal((n_schemes, n_trials, 1, 4))
         blocks = rng.integers(45, size=(n_trials, 5, 2)).astype(np.uint8)
         etas = [0.1, 0.07]
-        out = local_pass(thetas, dataset.features, dataset.targets, etas, blocks, 0.5)
+        out = checked_pass(thetas, dataset.features, dataset.targets, etas, blocks, 0.5)
         assert out.shape == (n_schemes, n_trials, 5, 4)
         for s, t in np.ndindex(n_schemes, n_trials):
-            expected = local_pass(
+            expected = checked_pass(
                 thetas[s, t, 0], dataset.features, dataset.targets, etas, blocks[t], 0.5
             )
             assert np.array_equal(out[s, t], expected)
-
-    def test_shapes_checked(self, rng):
-        dataset = make_shards(rng, n_users=2, per_user=5, dim=3).dataset
-        args = (dataset.features, dataset.targets, [0.1])
-        with pytest.raises(ValueError, match="rows have shape"):
-            local_pass(np.zeros(3), *args, np.zeros((3, 2), dtype=int), 0.5)
-        with pytest.raises(ValueError, match=r"models of shape \(4, 3, 3\) do not fit"):
-            local_pass(np.zeros((4, 3, 3)), *args, np.zeros((4, 2, 1), dtype=int), 0.5)
-        with pytest.raises(ValueError, match=r"models of shape \(3, 1, 3\) do not fit"):
-            local_pass(np.zeros((3, 1, 3)), *args, np.zeros((4, 2, 1), dtype=int), 0.5)
 
 
 class TestFusedStep:
@@ -274,7 +252,7 @@ class TestFusedStep:
         theta = rng.standard_normal(theta_shape)
         before = theta.copy()
         rows = rng.integers(45, size=rows_shape)
-        out = local_pass(theta, dataset.features, dataset.targets, [0.1, 0.07, 0.05], rows, 0.5)
+        out = checked_pass(theta, dataset.features, dataset.targets, [0.1, 0.07, 0.05], rows, 0.5)
         assert np.array_equal(theta, before)
         assert not np.shares_memory(out, theta)
 
@@ -288,8 +266,8 @@ class TestFusedStep:
         assert not start.flags.c_contiguous
         rows = rng.integers(45, size=(2, 5, 3))
         args = (dataset.features, dataset.targets, [0.1, 0.07, 0.05], rows, 0.5)
-        out = local_pass(start, *args)
-        assert np.array_equal(out, local_pass(np.ascontiguousarray(start), *args))
+        out = checked_pass(start, *args)
+        assert np.array_equal(out, checked_pass(np.ascontiguousarray(start), *args))
         assert np.array_equal(history, before)
 
     def test_long_pass_matches_per_user_reference(self, rng):
@@ -299,7 +277,7 @@ class TestFusedStep:
         thetas = rng.normal(0.0, DEFAULT_THETA0_STD, (n_trials, 1, 90))
         rows = rng.integers(30, size=(n_trials, n_users, h))
         etas = [0.01 / (1.0 + 0.02 * j) for j in range(h)]
-        out = local_pass(thetas, dataset.features, dataset.targets, etas, rows, lam)
+        out = checked_pass(thetas, dataset.features, dataset.targets, etas, rows, lam)
         for t, n in np.ndindex(n_trials, n_users):
             theta = thetas[t, 0]
             for eta, i in zip(etas, rows[t, n]):
@@ -1043,7 +1021,7 @@ def _per_round_reference(dataset, rows, theta0, config, alpha_schedule, streams,
             [rows[t, n, user.integers(shard_size, size=h)] for n, user in enumerate(trial.users)]
             for t, trial in enumerate(streams)
         ])
-        local_models = local_pass(
+        local_models = checked_pass(
             theta[:, None], dataset.features, dataset.targets, etas, steps, config.ridge_lambda
         )
         noise = np.stack(
