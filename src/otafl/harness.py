@@ -637,14 +637,17 @@ def simulate_trials(
     }
     configs = [_trainer_config(resolved, scheme) for scheme in schemes]
     # A trial holds its shard row ids and those of its users' R*H sample
-    # steps, then in float64 its schemes' iterates, one round's gathered
-    # samples and models, and for a chunk of rounds its schemes' channel
-    # noise and the gap call's two temporaries.
+    # steps, then in float64 its schemes' iterates, the kernel's blocks (one
+    # round's intp row ids, gathered samples and targets, and its schemes'
+    # models, step buffers and residuals), and for a chunk of rounds its
+    # schemes' channel noise and the gap call's two temporaries.
     row_dtype = np.min_scalar_type(len(dataset) - 1)
-    shard_size, h = len(dataset) // n_users, trainer.local_steps
+    shard_size, h, n_schemes = len(dataset) // n_users, trainer.local_steps, len(schemes)
     chunk = min(n_rounds, ROUND_CHUNK)
-    trial_bytes = row_dtype.itemsize * n_users * (shard_size + n_rounds * h) + 8 * dim * (
-        len(schemes) * (n_rounds + n_users + chunk) + h * n_users + 2 * chunk
+    trial_bytes = (
+        row_dtype.itemsize * n_users * (shard_size + n_rounds * h)
+        + 8 * dim * (n_schemes * (n_rounds + 2 * n_users + chunk) + h * n_users + 2 * chunk)
+        + 8 * n_users * (2 * h + n_schemes)
     )
     block = max(1, TRIAL_BLOCK_BYTES // trial_bytes)
 

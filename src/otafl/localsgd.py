@@ -25,9 +25,8 @@ class KernelBlocks:
     """The working blocks of local_pass, made once per run and reused by every
     call: the call's (H, T, N) row ids as intp, its gathered (H, T, N, d)
     samples and (H, T, N) targets, the (S, T, N, d) models of n_models = S
-    models per trial, the residual, and a step buffer when S > 1 (S models
-    share each sample block). With S = 1 a step overwrites its own sample
-    slab, which the call reads no more.
+    models per trial, the (S, T, N) residual and an (S, T, N, d) step
+    buffer. A call leaves the gathered samples as it gathered them.
 
     ids_shape is the (H, T, N) shape of each call's step-major row ids.
     """
@@ -52,7 +51,7 @@ class KernelBlocks:
         self.models = np.empty(core)
         self.result = self.models.reshape(shape)
         self.residual = np.empty(core[:-1])
-        self.step = None if n_models == 1 else np.empty(core)
+        self.step = np.empty(core)
 
 
 def local_pass(
@@ -88,14 +87,18 @@ def local_pass(
     np.take(features, ids, axis=0, out=blocks.gathered, mode="clip")
     np.take(targets, ids, axis=0, out=blocks.gathered_targets, mode="clip")
     models, residual, step = blocks.models, blocks.residual, blocks.step
+    column = residual[..., None]
     models[...] = theta
     # each step updates the models in place through one residual and the step
+    # buffer: vecdot runs one BLAS dot per row, and filling the step buffer
+    # from the residual, then scaling it by the samples in place, costs less
+    # than one broadcast multiply, whose inner loop runs once per row
     for x, y, eta in zip(blocks.samples, blocks.targets, etas):
-        np.einsum("...nd,...nd->...n", x, models, out=residual)
+        np.vecdot(x, models, out=residual)
         residual -= y
         residual *= eta
-        update = x if step is None else step
-        np.multiply(residual[..., None], x, out=update)
+        step[...] = column
+        step *= x
         models *= 1.0 - eta * lam
-        models -= update
+        models -= step
     return blocks.result

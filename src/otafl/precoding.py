@@ -80,7 +80,12 @@ def precode(deltas: np.ndarray, gains: np.ndarray | float) -> np.ndarray:
     A user's transmit energy is its gain squared times ||delta||^2.
     """
     if isinstance(gains, np.ndarray):
-        return gains[..., None] * deltas
+        # filled from the gains, then scaled in place: a broadcast multiply
+        # runs its inner loop once per user row
+        signals = np.empty_like(deltas)
+        np.copyto(signals, gains[..., None])
+        signals *= deltas
+        return signals
     return gains * deltas
 
 

@@ -25,16 +25,22 @@ KERNEL_BLOCKS = ("ids", "gathered", "gathered_targets", "models", "residual", "s
 
 
 def block_recorder(calls: list):
-    """A stand-in for a caller's local_pass that appends the data address of
-    each block it is given to calls, one dict per call, and checks that the
-    models it starts from share no memory with the blocks."""
+    """A stand-in for a caller's local_pass that appends the data address and
+    shape of each block it is given to calls, one dict per call. It checks
+    that the models it starts from share no memory with the blocks, and that
+    the call leaves the gathered samples and targets equal to the rows it
+    gathered."""
 
     def record(theta, features, targets, etas, rows, lam, *, blocks):
         arrays = {name: getattr(blocks, name) for name in KERNEL_BLOCKS}
-        arrays = {name: array for name, array in arrays.items() if array is not None}
         assert not any(np.may_share_memory(theta, array) for array in arrays.values())
-        calls.append({name: array.__array_interface__["data"][0] for name, array in arrays.items()})
-        return local_pass(theta, features, targets, etas, rows, lam, blocks=blocks)
+        calls.append(
+            {name: (array.__array_interface__["data"][0], array.shape) for name, array in arrays.items()}
+        )
+        models = local_pass(theta, features, targets, etas, rows, lam, blocks=blocks)
+        np.testing.assert_array_equal(blocks.gathered, features[blocks.ids])
+        np.testing.assert_array_equal(blocks.gathered_targets, targets[blocks.ids])
+        return models
 
     return record
 

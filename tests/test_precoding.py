@@ -401,8 +401,9 @@ class TestEstimateAlphaMc:
 
     def test_pilot_steps_on_blocks_it_allocates_once(self, rng, monkeypatch):
         # 70 rounds span several PILOT_ROUND_CHUNKs; every round steps on the
-        # same blocks, the kept models alias none of them, and the schedule
-        # has the bits of the allocating kernel's
+        # same blocks, the kept models alias none of them, no round writes
+        # into its gathered samples, and the schedule has the bits of the
+        # allocating kernel's
         shards = make_shards(rng, n_users=4, per_user=12, dim=3)
         args = (shards, 0.5, 70, 2, 1.0, 2)
         kwargs = dict(step_fn=lambda t: 2.0 / (0.8 * (20.0 + t)), theta0_std=1.0)
@@ -410,7 +411,11 @@ class TestEstimateAlphaMc:
         monkeypatch.setattr(precoding_mod, "local_pass", block_recorder(calls))
         reused = estimate_alpha_mc(*args, np.random.default_rng(8), **kwargs)
         assert len(calls) == 70
-        assert "step" not in calls[0]  # the step overwrites the sample slab
+        # (H, T, N) = (2, 2, 4) row ids of d = 3 features; one model per trial
+        assert {name: shape for name, (_, shape) in calls[0].items()} == {
+            "ids": (2, 2, 4), "gathered": (2, 2, 4, 3), "gathered_targets": (2, 2, 4),
+            "models": (2, 4, 3), "residual": (2, 4), "step": (2, 4, 3),
+        }
         for name in calls[0]:
             assert len({call[name] for call in calls}) == 1, name
         monkeypatch.setattr(precoding_mod, "local_pass", allocating_pass)

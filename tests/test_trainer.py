@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,40 @@ class TestBatchedPass:
                 thetas[s, t, 0], dataset.features, dataset.targets, etas, blocks[t], 0.5
             )
             assert np.array_equal(out[s, t], expected)
+
+
+# Runs local_pass at fullscale_synth's block shape (S, H, T, N, d) =
+# (1, 40, 2, 50, 90) and at the desk comparison's (3, 10, 5, 20, 20), and
+# writes the bytes of both results to stdout.
+_KERNEL_SCRIPT = """
+import sys
+import numpy as np
+from otafl.localsgd import KernelBlocks, local_pass
+rng = np.random.default_rng(3)
+for s, h, t, n, d in ((1, 40, 2, 50, 90), (3, 10, 5, 20, 20)):
+    features, targets = rng.standard_normal((500, d)), rng.standard_normal(500)
+    rows = rng.integers(500, size=(h, t, n))
+    theta = rng.standard_normal((s, t, 1, d))
+    etas = [0.5 / (d + j) for j in range(h)]
+    blocks = KernelBlocks(s, rows.shape, d)
+    models = local_pass(theta, features, targets, etas, rows, 0.01, blocks=blocks)
+    sys.stdout.buffer.write(models.tobytes())
+"""
+
+
+def test_kernel_bits_do_not_depend_on_the_blas_thread_count():
+    # the residual is one BLAS dot per row, whose bits must not change with
+    # OpenBLAS's thread count
+    src = str(Path(trainer_mod.__file__).parents[1])
+    results = [
+        subprocess.run(
+            [sys.executable, "-c", _KERNEL_SCRIPT], check=True, capture_output=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(results[0]) == 8 * (2 * 50 * 90 + 3 * 5 * 20 * 20)
+    assert results[0] == results[1]
 
 
 class TestFusedStep:
@@ -1101,8 +1139,13 @@ class TestRunOwnedBlocks:
         monkeypatch.setattr(trainer_mod, "local_pass", block_recorder(calls))
         reused = run()
         assert len(calls) == rounds
-        # S schemes share each sample block, so only they need a step buffer
-        assert ("step" in calls[0]) == (len(schemes) > 1)
+        # (H, T, N) = (2, 2, 6) row ids of d = 4 features; S models per trial,
+        # stepped without the leading unit axis when S = 1
+        models = (len(schemes),) * (len(schemes) > 1) + (n_trials, n_users)
+        assert {name: shape for name, (_, shape) in calls[0].items()} == {
+            "ids": (2, 2, 6), "gathered": (2, 2, 6, 4), "gathered_targets": (2, 2, 6),
+            "models": (*models, 4), "residual": models, "step": (*models, 4),
+        }
         for name in calls[0]:
             assert len({call[name] for call in calls}) == 1, name
         monkeypatch.setattr(trainer_mod, "local_pass", allocating_pass)
