@@ -892,7 +892,7 @@ def estimate_bound_inputs(config: ExperimentConfig, *, kind: str = "final_model"
     delta0 = max(analytic_delta0, float(np.mean(empirical)))
 
     ball = ProbeBall(center=theta_star, radius=2.0 * math.sqrt(delta0), count=BOUND_PROBES)
-    # each draw is read one shard at a time from its row ids
+    # each draw is read from its row ids, one shard per worker at a time
     draws = [
         estimate_constants(
             dataset.shards(

@@ -9,6 +9,7 @@ curvature estimates.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,16 +32,79 @@ def global_loss(theta, shards: ShardRows, lam: float) -> float:
     return float(np.mean([_shard_loss(theta, x, y, lam) for x, y in shards]))
 
 
+# A pass whose gathered samples total at least this many bytes spreads its
+# shards over the CPUs the process may use; a smaller one runs on the
+# calling thread. 8 MiB keeps every desk-scale pass (1.6 MB) serial.
+POOL_BYTES = 8 << 20
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _shard_pass(shards: ShardRows, task, *scratch: tuple[int, ...]) -> None:
+    """Call task(n, features, targets, *buffers) once for every shard n.
+
+    Each worker gathers its shards, one at a time, into its own (D_n, d) and
+    (D_n,) workspace and hands task buffers of the scratch shapes, so a pass
+    holds one shard per worker and never an (N, D_n, ...) stack. A pass that
+    gathers at least POOL_BYTES runs on min(_cpu_count(), N) workers: the
+    calling thread and a thread pool for the rest, shards dealt in turn.
+    Tasks write only their own shard's rows of the caller's outputs, so the
+    results do not depend on the worker count. A worker's exception is
+    raised from here once every worker has ended. Tasks run only numpy
+    calls, which release the GIL.
+    """
+    n_users, size, d = shards.shape
+    features, targets, rows = shards.dataset.features, shards.dataset.targets, shards.rows
+    workers = 1
+    if n_users * size * (d + 1) * features.itemsize >= POOL_BYTES:
+        workers = min(_cpu_count(), n_users)
+
+    def work(first: int) -> None:
+        x, y = np.empty((size, d)), np.empty(size)
+        buffers = [np.empty(shape) for shape in scratch]
+        for n in range(first, n_users, workers):
+            # the shard's row ids were checked when it was built; mode="clip"
+            # gathers straight into the workspace, where "raise" buffers a copy
+            np.take(features, rows[n], axis=0, out=x, mode="clip")
+            np.take(targets, rows[n], out=y, mode="clip")
+            task(n, x, y, *buffers)
+
+    if workers == 1:
+        work(0)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(work, first) for first in range(1, workers)]
+        work(0)
+    for future in futures:
+        future.result()
+
+
+def _gram_moment(features, targets, gram, moment) -> None:
+    """One shard's X^T X / D_n and X^T y / D_n, written into gram and moment."""
+    size = len(targets)
+    np.matmul(features.T, features, out=gram)
+    gram /= size
+    np.matmul(features.T, targets, out=moment)
+    moment /= size
+
+
 def shard_grams(shards: ShardRows) -> tuple[np.ndarray, np.ndarray]:
     """Each shard's Gram X^T X / D_n and moment X^T y / D_n, as (N, d, d) and
     (N, d) stacks, in one pass over the shards; grams_optimum turns them into
-    theta* and the Hessian."""
-    n_users, size, d = shards.shape
+    theta* and the Hessian. A large pass runs on every CPU the process may
+    use (_shard_pass), with the bits of the serial pass."""
+    n_users, _, d = shards.shape
     grams = np.empty((n_users, d, d))
     moments = np.empty((n_users, d))
-    for n, (features, targets) in enumerate(shards):
-        grams[n] = features.T @ features / size
-        moments[n] = features.T @ targets / size
+    _shard_pass(shards, lambda n, x, y: _gram_moment(x, y, grams[n], moments[n]))
     return grams, moments
 
 
@@ -139,7 +203,11 @@ def estimate_constants(
     computed exactly from the per-user closed-form optima. H, P and sigma_w2
     are passed through into the record.
     A caller that already holds shard_grams(shards) passes it as grams.
-    The shards are read in one pass, one shard at a time.
+    The shards are read in one pass, one shard per worker at a time: a
+    large pass runs on every CPU the process may use (_shard_pass). The
+    maxima over the shards and each shard's Mn2 are then taken on the
+    calling thread in shard order, so the record has the bits of the
+    serial pass whatever the worker count.
     """
     if not lam > 0:
         raise ValueError("constant estimation requires lam > 0")
@@ -149,23 +217,28 @@ def estimate_constants(
     held = grams is not None
     grams, moments = grams if held else (np.empty((n_users, d, d)), np.empty((n_users, d)))
     probes_t = probes.T
+    n_probes = len(probes)
     reg_sq = lam * lam * np.einsum("pj,pj->p", probes, probes)
+    second_moments = np.empty((n_users, n_probes))
+
+    # the gathered shard and the (D_n, p) workspace blocks are a worker's
+    # largest arrays, never an (N, D_n, d) or (N, D_n, p) stack
+    def probe(n, features, targets, projections, residuals, sq_feature_norms):
+        if not held:
+            _gram_moment(features, targets, grams[n], moments[n])
+        np.matmul(features, probes_t, out=projections)
+        np.subtract(projections, targets[:, None], out=residuals)
+        np.einsum("ij,ij->i", features, features, out=sq_feature_norms)
+        cross = np.einsum("ip,ip->p", residuals, projections)
+        np.multiply(residuals, residuals, out=residuals)
+        # mean_i || r_i x_i + lam theta ||^2 per probe, expanded to avoid (D, d) temporaries
+        second_moments[n] = (sq_feature_norms @ residuals + 2.0 * lam * cross) / size + reg_sq
+
+    _shard_pass(shards, probe, (size, n_probes), (size, n_probes), (size,))
+
     g2 = 0.0
     mn2 = np.zeros(n_users)
-    # one pass per shard; the shard read and the (D_n, p) blocks below are
-    # the largest temporaries, never an (N, D_n, d) or (N, D_n, p) stack
-    for n, (features, targets) in enumerate(shards):
-        if not held:
-            grams[n] = features.T @ features / size
-            moments[n] = features.T @ targets / size
-        projections = features @ probes_t
-        residuals = projections - targets[:, None]
-        sq_feature_norms = np.einsum("ij,ij->i", features, features)
-        # mean_i || r_i x_i + lam theta ||^2 per probe, expanded to avoid (D, d) temporaries
-        second_moment = (
-            sq_feature_norms @ (residuals * residuals)
-            + 2.0 * lam * np.einsum("ip,ip->p", residuals, projections)
-        ) / size + reg_sq
+    for n, second_moment in enumerate(second_moments):
         mean_grad = grams[n] @ probes_t - moments[n][:, None] + lam * probes_t
         variance = second_moment - np.einsum("jp,jp->p", mean_grad, mean_grad)
         g2 = max(g2, float(second_moment.max()))

@@ -17,6 +17,7 @@ from otafl.data import (
     generate_synthetic,
     partition,
 )
+from otafl import objectives
 from otafl.localsgd import KernelBlocks, check_steps, local_pass
 from otafl.types import as_model_vector
 
@@ -166,6 +167,21 @@ def weighted_average_model(thetas: np.ndarray, a: float, local_steps: int) -> np
         raise ValueError("thetas must be non-empty")
     weights = (a + local_steps * np.arange(1, len(thetas) + 1)) ** 2
     return (weights[:, None] * thetas).sum(axis=0) / weights.sum()
+
+
+@pytest.fixture
+def shard_pool(monkeypatch):
+    """Pins the shard passes of objectives to a worker count and a byte
+    threshold, whatever the machine's CPUs: after shard_pool(workers),
+    every pass that gathers at least threshold bytes (default 0, every
+    pass) runs on min(workers, N) workers, and shard_pool(1) runs every
+    pass on the calling thread."""
+
+    def pin(workers: int, threshold: int = 0) -> None:
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(objectives, "POOL_BYTES", threshold)
+
+    return pin
 
 
 @pytest.fixture
