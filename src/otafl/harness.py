@@ -34,7 +34,7 @@ from .data import (
     partition,
     standardize,
 )
-from .localsgd import DEFAULT_THETA0_STD
+from .localsgd import DEFAULT_THETA0_STD, prefetches
 from .objectives import ProbeBall, estimate_constants, grams_optimum, shard_grams
 from .objectives import solve_optimum  # noqa: F401  (perfbench/spans.py times it here)
 from .precoding import AlphaSchedule, FadingPolicy, alpha_upper_bound_schedule, estimate_alpha_mc
@@ -607,6 +607,32 @@ class SimulationResult:
 TRIAL_BLOCK_BYTES = 16 << 20
 
 
+def trial_block(config: ExperimentConfig, features: np.ndarray, n_schemes: int) -> int:
+    """How many trials train together in one run_training call: as many as
+    TRIAL_BLOCK_BYTES holds, at least one, for n_schemes paired schemes on
+    the config's dataset with these (D, d) features.
+
+    A trial holds its shard row ids and those of its users' R*H sample
+    steps, then in float64 its schemes' iterates, the kernel's blocks (one
+    round's intp row ids, gathered samples and targets, twice over when the
+    run gathers the next round's while stepping one, localsgd.prefetches,
+    and its schemes' models, step buffers and residuals), and for a chunk
+    of rounds its schemes' channel noise and the gap call's two temporaries.
+    """
+    trainer, n_users = config.trainer, config.users
+    n_rounds, h = trainer.rounds, trainer.local_steps
+    n_samples, dim = features.shape
+    row_dtype = np.min_scalar_type(n_samples - 1)
+    chunk = min(n_rounds, ROUND_CHUNK)
+    slots = 1 + prefetches(features)
+    trial_bytes = (
+        row_dtype.itemsize * n_users * (n_samples // n_users + n_rounds * h)
+        + 8 * dim * (n_schemes * (n_rounds + 2 * n_users + chunk) + slots * h * n_users + 2 * chunk)
+        + 8 * n_users * (slots * 2 * h + n_schemes)
+    )
+    return max(1, TRIAL_BLOCK_BYTES // trial_bytes)
+
+
 def simulate_trials(
     config: ExperimentConfig, schemes: Sequence[str] | None = None
 ) -> SimulationResult:
@@ -616,8 +642,8 @@ def simulate_trials(
     that of the rows it keeps, from the dataset's cached sums less those of
     the fewer than N rows it drops (Dataset.kept_optimum), so trials that
     drop the same rows, every trial when N divides D, share one read-only
-    (theta*, H). The trials then train in blocks of up to TRIAL_BLOCK_BYTES,
-    one run_training call each.
+    (theta*, H). The trials then train in blocks of up to TRIAL_BLOCK_BYTES
+    (trial_block), one run_training call each.
     """
     schemes = list(schemes) if schemes is not None else [config.trainer.scheme]
     resolved = resolve(config, schemes)
@@ -636,20 +662,8 @@ def simulate_trials(
         for scheme in schemes
     }
     configs = [_trainer_config(resolved, scheme) for scheme in schemes]
-    # A trial holds its shard row ids and those of its users' R*H sample
-    # steps, then in float64 its schemes' iterates, the kernel's blocks (one
-    # round's intp row ids, gathered samples and targets, and its schemes'
-    # models, step buffers and residuals), and for a chunk of rounds its
-    # schemes' channel noise and the gap call's two temporaries.
-    row_dtype = np.min_scalar_type(len(dataset) - 1)
-    shard_size, h, n_schemes = len(dataset) // n_users, trainer.local_steps, len(schemes)
-    chunk = min(n_rounds, ROUND_CHUNK)
-    trial_bytes = (
-        row_dtype.itemsize * n_users * (shard_size + n_rounds * h)
-        + 8 * dim * (n_schemes * (n_rounds + 2 * n_users + chunk) + h * n_users + 2 * chunk)
-        + 8 * n_users * (2 * h + n_schemes)
-    )
-    block = max(1, TRIAL_BLOCK_BYTES // trial_bytes)
+    row_dtype, shard_size = np.min_scalar_type(len(dataset) - 1), len(dataset) // n_users
+    block = trial_block(config, dataset.features, len(schemes))
 
     for lo in range(0, n_trials, block):
         trials = range(lo, min(lo + block, n_trials))

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import objectives
 
 # Initial models are drawn N(0, 5 I_d) by default.
 DEFAULT_THETA0_STD = math.sqrt(5.0)
@@ -21,6 +24,61 @@ def check_steps(etas: Sequence[float] | np.ndarray, lam: float) -> None:
         raise ValueError("regularization weight must be non-negative")
 
 
+def prefetches(features: np.ndarray) -> bool:
+    """Whether a run on these (D, d) features gathers each round's samples
+    on a worker thread while the calling thread steps the round before:
+    when the features hold at least objectives.POOL_BYTES and the process
+    may use more than one CPU, the rule of the shard passes. On a smaller
+    dataset a round's gather takes less time than handing it to a worker."""
+    return features.nbytes >= objectives.POOL_BYTES and objectives._cpu_count() > 1
+
+
+def _gather(features, targets, ids, samples, sample_targets) -> None:
+    """Gather rows ids of features and targets into samples and
+    sample_targets by the ndarray methods, without np.take's wrapper. Mode
+    "clip" writes straight into out, where "raise" buffers a copy. Only
+    numpy runs here, so the gather worker may run it."""
+    features.take(ids, axis=0, out=samples, mode="clip")
+    targets.take(ids, axis=0, out=sample_targets, mode="clip")
+
+
+class _GatherWorker:
+    """One daemon thread that runs the gathers handed to it in turn. Its
+    loop only takes the next gather and reports how it ended; a handoff
+    and its wait cost a few microseconds on the calling thread."""
+
+    def __init__(self):
+        import queue  # only a run that prefetches imports it
+
+        self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._run, name="otafl-gather", daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        while (args := self._jobs.get()) is not None:
+            try:
+                _gather(*args)
+            except BaseException as exc:  # raised from wait(), unchanged
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+    def submit(self, *args) -> None:
+        """Hand _gather(*args) to the thread."""
+        self._jobs.put(args)
+
+    def wait(self) -> None:
+        """Wait for the oldest gather not yet waited for; raise its exception."""
+        exc = self._done.get()
+        if exc is not None:
+            raise exc
+
+    def close(self) -> None:
+        """End the thread once the gathers handed to it have ended."""
+        self._jobs.put(None)
+        self._thread.join()
+
+
 class KernelBlocks:
     """The working blocks of local_pass, made once per run and reused by every
     call: the call's (H, T, N) row ids as intp, its gathered (H, T, N, d)
@@ -29,9 +87,20 @@ class KernelBlocks:
     buffer. A call leaves the gathered samples as it gathered them.
 
     ids_shape is the (H, T, N) shape of each call's step-major row ids.
+
+    With prefetch (see prefetches), the blocks also hold a spare slot of row
+    ids, samples and targets. A call given the next call's rows hands their
+    gather to one worker thread, which fills the spare slot while the call
+    steps on its own. The next call takes the slot over if it holds that
+    call's rows of the same features and targets, and gathers its own rows
+    otherwise, so no call steps on another's samples. The worker starts
+    with the first such call and ends with close(), which leaving a `with`
+    block of the blocks calls, also when the block raises.
     """
 
-    def __init__(self, n_models: int, ids_shape: tuple[int, int, int], dim: int):
+    def __init__(
+        self, n_models: int, ids_shape: tuple[int, int, int], dim: int, *, prefetch: bool = False
+    ):
         shape = (n_models, *ids_shape[1:], dim)
         # Leading unit axes add per-step overhead to every array operation and
         # no work, so the steps run on the broadcast shape without them.
@@ -39,19 +108,73 @@ class KernelBlocks:
         while len(core) > 2 and core[0] == 1:
             core = core[1:]
         step_shape = core if n_models == 1 else core[1:]
-        # A call gathers into the (H, T, N, d) block and steps on views of it
-        # without the unit axes.
-        self.ids = np.empty(ids_shape, dtype=np.intp)
-        self.gathered = np.empty((*ids_shape, dim))
-        self.gathered_targets = np.empty(ids_shape)
-        self.samples = self.gathered.reshape(ids_shape[0], *step_shape)
-        self.targets = self.gathered_targets.reshape(ids_shape[0], *step_shape[:-1])
+
+        def slot():
+            # A call gathers into the (H, T, N, d) block and steps on views of
+            # it without the unit axes.
+            ids, gathered = np.empty(ids_shape, dtype=np.intp), np.empty((*ids_shape, dim))
+            gathered_targets = np.empty(ids_shape)
+            samples = gathered.reshape(ids_shape[0], *step_shape)
+            targets = gathered_targets.reshape(ids_shape[0], *step_shape[:-1])
+            return ids, gathered, gathered_targets, samples, targets
+
+        self.ids, self.gathered, self.gathered_targets, self.samples, self.targets = slot()
+        self._spare = slot() if prefetch else None
+        self._worker = self._source = None
+        self._pending = False
         # The working models are one C-contiguous block, so every step op runs
         # with the strides of the gathered samples.
         self.models = np.empty(core)
         self.result = self.models.reshape(shape)
         self.residual = np.empty(core[:-1])
         self.step = np.empty(core)
+
+    def __enter__(self) -> KernelBlocks:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """End the gather worker, if one started, once its gather has ended.
+        A gather that no call took over is dropped, with its exception."""
+        worker, self._worker = self._worker, None
+        self._pending, self._source = False, None
+        if worker is not None:
+            worker.close()
+
+    def gather(self, features, targets, rows, next_rows=None) -> None:
+        """Hold the samples and targets of rows, then, with prefetch, start
+        gathering next_rows (if given) into the spare slot. A failed gather
+        of the worker raises its exception here, unchanged."""
+        if not (self._pending and self._take_over(features, targets, rows)):
+            self.ids[...] = rows
+            _gather(features, targets, self.ids, self.gathered, self.gathered_targets)
+        if next_rows is None or self._spare is None:
+            return
+        ids, gathered, gathered_targets = self._spare[:3]
+        ids[...] = next_rows
+        if self._worker is None:
+            self._worker = _GatherWorker()
+        self._worker.submit(features, targets, ids, gathered, gathered_targets)
+        self._pending, self._source = True, (features, targets)
+
+    def _take_over(self, features, targets, rows) -> bool:
+        """Whether the pending gather of the worker was of rows of features
+        and targets; if it was, its spare slot becomes the call's."""
+        self._pending = False
+        self._worker.wait()
+        spare, (source_features, source_targets) = self._spare, self._source
+        if not (
+            source_features is features
+            and source_targets is targets
+            and spare[0].shape == np.shape(rows)
+            and (spare[0] == rows).all()
+        ):
+            return False
+        self._spare = self.ids, self.gathered, self.gathered_targets, self.samples, self.targets
+        self.ids, self.gathered, self.gathered_targets, self.samples, self.targets = spare
+        return True
 
 
 def local_pass(
@@ -63,6 +186,7 @@ def local_pass(
     lam: float,
     *,
     blocks: KernelBlocks,
+    next_rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run H = len(etas) ridge SGD steps for S models of each of the N users
     of T trials at once.
@@ -81,11 +205,12 @@ def local_pass(
     caller has checked the ids against [0, D), since they are gathered with
     mode "clip", which does not check them, and the step sizes and lam
     (check_steps).
+
+    next_rows are the next call's rows, if the caller knows them: blocks
+    made with prefetch gather them on their worker while this call steps.
+    The next call steps on the same bits either way.
     """
-    ids = blocks.ids
-    ids[...] = rows
-    np.take(features, ids, axis=0, out=blocks.gathered, mode="clip")
-    np.take(targets, ids, axis=0, out=blocks.gathered_targets, mode="clip")
+    blocks.gather(features, targets, rows, next_rows)
     models, residual, step = blocks.models, blocks.residual, blocks.step
     column = residual[..., None]
     models[...] = theta

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import RAYLEIGH_UNIT_POWER_SCALE
 from .data import ShardRows
-from .localsgd import DEFAULT_THETA0_STD, KernelBlocks, StepFn, check_steps, local_pass
+from .localsgd import DEFAULT_THETA0_STD, KernelBlocks, StepFn, check_steps, local_pass, prefetches
 
 # Pilot rounds whose dataset row ids are mapped from their draws at once.
 PILOT_ROUND_CHUNK = 16
@@ -173,19 +173,30 @@ def estimate_alpha_mc(
     # round's step-major (H, T, N) shard indices mapped to dataset row ids,
     # as training does, in one set of kernel blocks. The row ids of a chunk
     # of rounds are one take from the flat shard rows, so the draws are cast
-    # once per chunk and only the chunk is held as intp.
+    # once per chunk and only the chunk is held as intp. Each call is given
+    # the next round's row ids, the next chunk mapped before the chunk's
+    # last round, so that on a large dataset the blocks' worker gathers them
+    # while the round steps.
     flat_rows = shard_rows.ravel()
     offsets = np.arange(n_users) * shard_size  # user n's first flat index
-    blocks = KernelBlocks(1, (local_steps, pilot_trials, n_users), dim)
-    sums = np.empty((rounds, n_users))
-    for lo in range(0, rounds, PILOT_ROUND_CHUNK):
-        chunk = flat_rows.take(  # (C, H, T, N)
+
+    def chunk_rows(lo: int) -> np.ndarray:  # (C, H, T, N) from round lo + 1 on
+        return flat_rows.take(
             draws[:, lo : lo + PILOT_ROUND_CHUNK].transpose(1, 3, 0, 2) + offsets
         )
-        for r in range(lo, lo + chunk.shape[0]):
+
+    sums = np.empty((rounds, n_users))
+    with KernelBlocks(
+        1, (local_steps, pilot_trials, n_users), dim, prefetch=prefetches(dataset.features)
+    ) as blocks:
+        chunk = chunk_rows(0)
+        for r in range(rounds):
+            rows, upcoming = chunk[r % PILOT_ROUND_CHUNK], r % PILOT_ROUND_CHUNK + 1
+            if upcoming == len(chunk) and r + 1 < rounds:
+                chunk, upcoming = chunk_rows(r + 1), 0
             (local_models,) = local_pass(
-                thetas[None], dataset.features, dataset.targets, etas[r], chunk[r - lo], lam,
-                blocks=blocks,
+                thetas[None], dataset.features, dataset.targets, etas[r], rows, lam,
+                blocks=blocks, next_rows=chunk[upcoming] if upcoming < len(chunk) else None,
             )
             diff = local_models - thetas
             sq = np.einsum("tnd,tnd->tn", diff, diff)

@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import SCHEDULE_KINDS, check_shift
 from .channel import fading_mac, sample_noise, sample_rayleigh
 from .data import Dataset, check_row_ids
-from .localsgd import KernelBlocks, check_steps, local_pass
+from .localsgd import KernelBlocks, check_steps, local_pass, prefetches
 from .objectives import global_loss  # noqa: F401  (perfbench/spans.py times trainer.global_loss)
 from .objectives import quadratic_gap
 from .precoding import AlphaSchedule, FadingPolicy, decode, precode, select_participants
@@ -464,8 +464,6 @@ def run_training(
             )
     etas = first.step.eta(np.arange(rounds * h)).reshape(rounds, h)  # each round's H
     check_steps(etas, first.ridge_lambda)
-    # one set of kernel blocks, reused by every round
-    blocks = KernelBlocks(n_runs, steps.shape[1:], dim)
     alphas = alpha_schedule.values.tolist() if any(needs_alpha) else None
     # Each noisy scheme's noise, drawn per trial a chunk of rounds at a time:
     # one sized draw consumes the stream as per-round draws would.
@@ -480,42 +478,50 @@ def run_training(
     thetas = np.empty((n_runs, n_trials, rounds, dim))
     last = first_trial + n_trials - 1
     label = f"trial {last}" if n_trials == 1 else f"trials {first_trial}-{last}"
-    for lo in range(0, rounds, ROUND_CHUNK):
-        hi = min(lo + ROUND_CHUNK, rounds)
-        # the chunk's step sizes as Python floats, which the kernel's scalar
-        # arithmetic takes faster than numpy scalars
-        chunk_etas = etas[lo:hi].tolist()
-        plans = [None] * n_runs
-        for s, config in enumerate(configs):
-            if noise[s] is not None:
-                for t, trial in enumerate(streams):
-                    noise[s][t, : hi - lo] = sample_noise(
-                        dim, config.sigma_w2, trial.noise[s], rows=hi - lo
-                    )
-            if fades[s] is not None:
-                out[s][1][:, lo:hi] = 0.0  # the users left out stay silent
-                plans[s] = plan_fading_rounds(fades[s], lo, hi, n_users, config, first_trial)
-        for i in range(lo, hi):
-            local_models = local_pass(
-                theta[:, :, None], dataset.features, dataset.targets, chunk_etas[i - lo], steps[i],
-                first.ridge_lambda, blocks=blocks,
-            )
+    # One set of kernel blocks, reused by every round. On a large dataset
+    # their worker gathers round i + 1's samples while round i steps; it
+    # ends with the rounds, also when one raises.
+    with KernelBlocks(
+        n_runs, steps.shape[1:], dim, prefetch=prefetches(dataset.features)
+    ) as blocks:
+        for lo in range(0, rounds, ROUND_CHUNK):
+            hi = min(lo + ROUND_CHUNK, rounds)
+            # the chunk's step sizes as Python floats, which the kernel's
+            # scalar arithmetic takes faster than numpy scalars
+            chunk_etas = etas[lo:hi].tolist()
+            plans = [None] * n_runs
             for s, config in enumerate(configs):
-                plan, (_, powers) = plans[s], out[s]
-                try:
-                    thetas[s, :, i] = run_round(
-                        theta[s], local_models[s], config, alphas[i] if needs_alpha[s] else None,
-                        None if noise[s] is None else noise[s][:, i - lo],
-                        powers[:, i] if plan is None else powers,
-                        None if plan is None else plan[i - lo],
-                    )
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"{label}, scheme {config.scheme}: round {i + 1}: {exc}"
-                    ) from exc
-            theta = thetas[:, :, i]
-        for s, (gaps, _) in enumerate(out):
-            gaps[:, lo:hi] = quadratic_gap(thetas[s, :, lo:hi], theta_stars, hessians)
+                if noise[s] is not None:
+                    for t, trial in enumerate(streams):
+                        noise[s][t, : hi - lo] = sample_noise(
+                            dim, config.sigma_w2, trial.noise[s], rows=hi - lo
+                        )
+                if fades[s] is not None:
+                    out[s][1][:, lo:hi] = 0.0  # the users left out stay silent
+                    plans[s] = plan_fading_rounds(fades[s], lo, hi, n_users, config, first_trial)
+            for i in range(lo, hi):
+                local_models = local_pass(
+                    theta[:, :, None], dataset.features, dataset.targets, chunk_etas[i - lo],
+                    steps[i], first.ridge_lambda, blocks=blocks,
+                    next_rows=steps[i + 1] if i + 1 < rounds else None,
+                )
+                for s, config in enumerate(configs):
+                    plan, (_, powers) = plans[s], out[s]
+                    try:
+                        thetas[s, :, i] = run_round(
+                            theta[s], local_models[s], config,
+                            alphas[i] if needs_alpha[s] else None,
+                            None if noise[s] is None else noise[s][:, i - lo],
+                            powers[:, i] if plan is None else powers,
+                            None if plan is None else plan[i - lo],
+                        )
+                    except Exception as exc:
+                        raise RuntimeError(
+                            f"{label}, scheme {config.scheme}: round {i + 1}: {exc}"
+                        ) from exc
+                theta = thetas[:, :, i]
+            for s, (gaps, _) in enumerate(out):
+                gaps[:, lo:hi] = quadratic_gap(thetas[s, :, lo:hi], theta_stars, hessians)
     return [
         RunTrace(thetas[s], gaps, powers, None, np.zeros((n_trials, rounds), dtype=np.int64))
         if fade is None

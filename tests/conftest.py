@@ -32,13 +32,15 @@ def block_recorder(calls: list):
     the call leaves the gathered samples and targets equal to the rows it
     gathered."""
 
-    def record(theta, features, targets, etas, rows, lam, *, blocks):
+    def record(theta, features, targets, etas, rows, lam, *, blocks, next_rows=None):
         arrays = {name: getattr(blocks, name) for name in KERNEL_BLOCKS}
         assert not any(np.may_share_memory(theta, array) for array in arrays.values())
         calls.append(
             {name: (array.__array_interface__["data"][0], array.shape) for name, array in arrays.items()}
         )
-        models = local_pass(theta, features, targets, etas, rows, lam, blocks=blocks)
+        models = local_pass(
+            theta, features, targets, etas, rows, lam, blocks=blocks, next_rows=next_rows
+        )
         np.testing.assert_array_equal(blocks.gathered, features[blocks.ids])
         np.testing.assert_array_equal(blocks.gathered_targets, targets[blocks.ids])
         return models
@@ -68,10 +70,10 @@ def checked_pass(theta, features, targets, etas, rows, lam):
     return out.reshape(*models, *rows.shape[:-1], features.shape[1])
 
 
-def allocating_pass(theta, features, targets, etas, rows, lam, *, blocks):
-    """A stand-in for a caller's local_pass that ignores its blocks: the
-    checked call on fresh blocks, on the (T, N, H) form of the step-major
-    rows."""
+def allocating_pass(theta, features, targets, etas, rows, lam, *, blocks, next_rows=None):
+    """A stand-in for a caller's local_pass that ignores its blocks and the
+    next call's rows: the checked call on fresh blocks, on the (T, N, H)
+    form of the step-major rows."""
     return checked_pass(theta, features, targets, etas, np.moveaxis(rows, 0, -1), lam)
 
 
@@ -170,12 +172,15 @@ def weighted_average_model(thetas: np.ndarray, a: float, local_steps: int) -> np
 
 
 @pytest.fixture
-def shard_pool(monkeypatch):
-    """Pins the shard passes of objectives to a worker count and a byte
-    threshold, whatever the machine's CPUs: after shard_pool(workers),
-    every pass that gathers at least threshold bytes (default 0, every
-    pass) runs on min(workers, N) workers, and shard_pool(1) runs every
-    pass on the calling thread."""
+def cpu_pool(monkeypatch):
+    """Pins the CPU count and the byte threshold that the shard passes of
+    objectives and the kernel's gather worker (localsgd.prefetches) read,
+    whatever the machine's CPUs: after cpu_pool(workers), every pass that
+    gathers at least threshold bytes (default 0, every pass) runs on
+    min(workers, N) workers, and with workers > 1 every run on features of
+    at least threshold bytes gathers each round's samples on a worker while
+    the round before steps. cpu_pool(1) runs everything on the calling
+    thread."""
 
     def pin(workers: int, threshold: int = 0) -> None:
         monkeypatch.setattr(objectives, "_cpu_count", lambda: workers)

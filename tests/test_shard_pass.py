@@ -36,10 +36,10 @@ def same_constants(a, b) -> bool:
     return fields_a.pop("Mn2").tobytes() == fields_b.pop("Mn2").tobytes() and fields_a == fields_b
 
 
-def pooled_and_serial(shard_pool, workers, run):
-    shard_pool(1)
+def pooled_and_serial(cpu_pool, workers, run):
+    cpu_pool(1)
     serial = run()
-    shard_pool(workers)
+    cpu_pool(workers)
     return run(), serial
 
 
@@ -49,30 +49,30 @@ class TestBitsDoNotDependOnTheWorkers:
     def shards(self, users):
         return make_shards(np.random.default_rng(users), n_users=users, per_user=37, dim=6)
 
-    def test_shard_grams(self, shard_pool, users, workers):
+    def test_shard_grams(self, cpu_pool, users, workers):
         shards = self.shards(users)
-        pooled, serial = pooled_and_serial(shard_pool, workers, lambda: shard_grams(shards))
+        pooled, serial = pooled_and_serial(cpu_pool, workers, lambda: shard_grams(shards))
         assert [a.tobytes() for a in pooled] == [a.tobytes() for a in serial]
 
-    def test_constants(self, shard_pool, users, workers):
+    def test_constants(self, cpu_pool, users, workers):
         shards = self.shards(users)
-        pooled, serial = pooled_and_serial(shard_pool, workers, lambda: constants(shards))
+        pooled, serial = pooled_and_serial(cpu_pool, workers, lambda: constants(shards))
         assert same_constants(pooled, serial)
         held = constants(shards, grams=shard_grams(shards))
         assert same_constants(held, serial)
 
-    def test_bound_inputs(self, shard_pool, users, workers):
+    def test_bound_inputs(self, cpu_pool, users, workers):
         config = tiny_config(users=users)
         pooled, serial = pooled_and_serial(
-            shard_pool, workers, lambda: harness.estimate_bound_inputs(config)
+            cpu_pool, workers, lambda: harness.estimate_bound_inputs(config)
         )
         assert _same_bound_inputs(pooled, serial)
         assert pooled.constants.Mn2.tobytes() == serial.constants.Mn2.tobytes()
 
-    def test_analytic_alpha(self, shard_pool, users, workers):
+    def test_analytic_alpha(self, cpu_pool, users, workers):
         config = tiny_config(users=users, alpha={"source": "analytic_bound"})
         pooled, serial = pooled_and_serial(
-            shard_pool, workers, lambda: harness.resolve(config).alpha_schedule.values
+            cpu_pool, workers, lambda: harness.resolve(config).alpha_schedule.values
         )
         assert pooled.tobytes() == serial.tobytes()
 
@@ -162,18 +162,18 @@ def threads_per_pass(monkeypatch, shards, expected) -> int:
 
 
 @pytest.mark.parametrize("users, workers, expected", [(1, 3, 1), (2, 3, 2), (5, 3, 3), (5, 1, 1)])
-def test_workers_are_capped_at_the_shard_count(monkeypatch, shard_pool, users, workers, expected):
-    shard_pool(workers)
+def test_workers_are_capped_at_the_shard_count(monkeypatch, cpu_pool, users, workers, expected):
+    cpu_pool(workers)
     shards = make_shards(np.random.default_rng(2), n_users=users, per_user=10, dim=3)
     assert threads_per_pass(monkeypatch, shards, expected) == expected
 
 
-def test_passes_below_the_threshold_stay_serial(monkeypatch, shard_pool):
+def test_passes_below_the_threshold_stay_serial(monkeypatch, cpu_pool):
     shards = make_shards(np.random.default_rng(2), n_users=5, per_user=10, dim=3)
     gathered = 5 * 10 * (3 + 1) * 8  # bytes of features and targets
-    shard_pool(2, threshold=gathered + 1)
+    cpu_pool(2, threshold=gathered + 1)
     assert threads_per_pass(monkeypatch, shards, 1) == 1
-    shard_pool(2, threshold=gathered)
+    cpu_pool(2, threshold=gathered)
     assert threads_per_pass(monkeypatch, shards, 2) == 2
 
 
@@ -189,8 +189,8 @@ class ShardFailure(Exception):
 
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("failing", [0, 3, 4])  # shard 0 is the calling thread's
-def test_a_task_error_is_raised_once_every_worker_ends(monkeypatch, shard_pool, workers, failing):
-    shard_pool(workers)
+def test_a_task_error_is_raised_once_every_worker_ends(monkeypatch, cpu_pool, workers, failing):
+    cpu_pool(workers)
     shards = make_shards(np.random.default_rng(4), n_users=5, per_user=12, dim=4)
     error = ShardFailure(f"shard {failing}")
     real = objectives._shard_pass
@@ -220,8 +220,8 @@ SLACK_BYTES = 512 << 10
 
 
 @pytest.mark.parametrize("workers", WORKERS)
-def test_workers_hold_one_shard_each(shard_pool, workers):
-    shard_pool(workers)
+def test_workers_hold_one_shard_each(cpu_pool, workers):
+    cpu_pool(workers)
     users, size, dim, probes = 20, 4000, 20, 33
     rng = np.random.default_rng(6)
     shards = block_shards(rng.standard_normal((users, size, dim)), rng.standard_normal((users, size)))
