@@ -14,18 +14,58 @@ from typing import Iterator
 
 import numpy as np
 
+from . import localsgd, objectives
 from .objectives import grams_optimum
 
 logger = logging.getLogger(__name__)
 
 PARTITION_MODES = ("iid", "heterogeneous")
 
+NON_FINITE = "dataset contains non-finite values"
+
+# The block pass's blocks hold a multiple of this many rows. OpenBLAS's GEMV
+# takes rows in groups (of 4 in its Haswell kernel), so the products
+# X_k theta of such blocks have the bits of X theta.
+_ROW_GROUP = 64
+
+
+def _row_blocks(n_rows: int, dim: int) -> list[slice]:
+    """The row slices of the block pass over (n_rows, dim) float64
+    features, in order: objectives.POOL_BYTES of features each (read at
+    call time), rounded down to a multiple of _ROW_GROUP rows but no fewer,
+    and the rest. A desk-scale dataset (1.6 MB) is one block."""
+    size = max(objectives.POOL_BYTES // (8 * dim) // _ROW_GROUP, 1) * _ROW_GROUP
+    return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
+
+
+def _scan_block(
+    features, rows: slice, gram=None, theta=None, targets=None, *, check: bool = True
+) -> None:
+    """The block pass's work on the block features[rows]: raise unless it
+    is finite (unless check is False, for features checked before); with
+    theta, write its X_k theta into targets[rows]; with gram, add its
+    X_k^T X_k into gram, which the block at row 0 writes, so X^T X is the
+    ordered sum of the block Grams. Only numpy runs here, so
+    generate_synthetic's worker may run it."""
+    block = features[rows]
+    if check and not np.isfinite(block).all():
+        raise ValueError(NON_FINITE)
+    if theta is not None:
+        np.matmul(block, theta, out=targets[rows])
+    if gram is None:
+        return
+    if rows.start == 0:
+        np.matmul(block.T, block, out=gram)
+    else:
+        gram += block.T @ block
+
 
 @dataclass(frozen=True)
 class Dataset:
     """Immutable regression dataset: all samples share one feature dimension.
 
-    Its arrays are read-only views, checked finite once, here.
+    Its arrays are read-only views, checked finite once, here, the features
+    block by block (_scan_block), with no (D, d) temporary.
     """
 
     features: np.ndarray  # (D, d_f)
@@ -39,14 +79,32 @@ class Dataset:
             raise ValueError(f"features must be a non-empty 2-D array, got {features.shape}")
         if targets.ndim != 1 or targets.shape[0] != features.shape[0]:
             raise ValueError("targets must be 1-D and match the feature rows")
-        if not (np.all(np.isfinite(features)) and np.all(np.isfinite(targets))):
-            raise ValueError("dataset contains non-finite values")
+        for rows in _row_blocks(*features.shape):
+            _scan_block(features, rows)
+        self._hold(features, targets)
+
+    def _hold(self, features: np.ndarray, targets: np.ndarray) -> None:
+        """Check the targets and hold read-only views of both arrays."""
+        if not np.isfinite(targets).all():
+            raise ValueError(NON_FINITE)
         # read-only: every resolve of a config may share one instance
         # (harness.build_dataset), and the shards read from it need no scan
         for name, array in (("features", features), ("targets", targets)):
             view = array.view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+
+    @classmethod
+    def _drawn(cls, features: np.ndarray, targets: np.ndarray, gram: np.ndarray) -> Dataset:
+        """generate_synthetic's dataset of the C-contiguous float64 arrays
+        it drew: it checked the features block by block as it drew them and
+        summed their Grams into gram, so only the targets are checked here
+        and the sums are primed with gram."""
+        dataset = cls.__new__(cls)
+        object.__setattr__(dataset, "_optima", {})
+        dataset._hold(features, targets)
+        dataset.__dict__["_sums"] = (gram, dataset.features.T @ dataset.targets)
+        return dataset
 
     def __reduce__(self):
         # a copy or unpickled instance goes through the checks and is read-only too
@@ -66,9 +124,14 @@ class Dataset:
 
     @cached_property
     def _sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """X^T X and X^T y over every row, formed once on the arrays, uncopied."""
+        """X^T X and X^T y over every row, formed once on the arrays, uncopied:
+        X^T X by the block pass, as generate_synthetic sums it, on the
+        features that __post_init__ checked."""
         x = self.features
-        return x.T @ x, x.T @ self.targets
+        gram = np.empty((x.shape[1], x.shape[1]))
+        for rows in _row_blocks(*x.shape):
+            _scan_block(x, rows, gram, check=False)
+        return gram, x.T @ self.targets
 
     def dropped_rows(self, rows: np.ndarray) -> np.ndarray:
         """The sorted ids of the rows that a partition's (N, D_n) row ids
@@ -108,9 +171,10 @@ class Dataset:
 
     def whole_optimum(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """theta* and the Hessian of the global objective with the whole dataset
-        as one user's shard, with the bits of grams_optimum on its shard_grams:
-        formed from the arrays, uncopied, on the first call for each lam and
-        kept, read-only, with the dataset."""
+        as one user's shard, formed from the arrays, uncopied, on the first
+        call for each lam and kept, read-only, with the dataset. A dataset of
+        one block (_row_blocks) gets the bits of grams_optimum on its
+        shard_grams; a larger one's X^T X sums the block Grams."""
         return self.kept_optimum(np.empty(0, dtype=np.intp), lam)
 
 
@@ -183,15 +247,40 @@ class PartitionSpec:
 def generate_synthetic(
     dim: int, total_samples: int, noise_std: float, rng: np.random.Generator
 ) -> Dataset:
-    """Linear-model data: standard normal features, targets s.theta_true + noise."""
+    """Linear-model data: standard normal features, targets s.theta_true + noise.
+
+    The features are drawn block by block (_row_blocks) into one array, in
+    stream order, so they hold the values of one draw. Each drawn block is
+    checked, its targets X_k theta_true written and its Gram added into
+    X^T X (_scan_block). With localsgd.prefetches(features), a worker
+    thread does that while the calling thread draws the next block; the
+    thread has ended when this returns or raises. The blocks are the same
+    either way, so the bits do not depend on the worker.
+    """
     if dim < 1 or total_samples < 1:
         raise ValueError("dim and total_samples must be >= 1")
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
     theta_true = rng.standard_normal(dim)
-    features = rng.standard_normal((total_samples, dim))
-    targets = features @ theta_true + noise_std * rng.standard_normal(total_samples)
-    return Dataset(features, targets)
+    features, targets = np.empty((total_samples, dim)), np.empty(total_samples)
+    gram = np.empty((dim, dim))
+    blocks = _row_blocks(total_samples, dim)
+    worker = localsgd._Worker() if localsgd.prefetches(features) else None
+    try:
+        for rows in blocks:
+            rng.standard_normal(out=features[rows])
+            if worker is None:
+                _scan_block(features, rows, gram, theta_true, targets)
+            else:
+                worker.submit(_scan_block, features, rows, gram, theta_true, targets)
+        if worker is not None:
+            for _ in blocks:
+                worker.wait()
+    finally:
+        if worker is not None:
+            worker.close()
+    targets += noise_std * rng.standard_normal(total_samples)
+    return Dataset._drawn(features, targets, gram)
 
 
 def load_csv(path, header: bool = False) -> Dataset:
@@ -239,7 +328,12 @@ def standardize(dataset: Dataset) -> Dataset:
     mean = dataset.features.mean(axis=0)
     std = dataset.features.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    return Dataset((dataset.features - mean) / std, dataset.targets)
+    # subtract into a new array and divide it in place: the per-element
+    # operations of (features - mean) / std with one (D, d) array beyond
+    # the input
+    features = np.subtract(dataset.features, mean)
+    features /= std
+    return Dataset(features, dataset.targets)
 
 
 def partition(

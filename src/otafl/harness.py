@@ -35,7 +35,7 @@ from .data import (
     standardize,
 )
 from .localsgd import DEFAULT_THETA0_STD, prefetches
-from .objectives import ProbeBall, estimate_constants, grams_optimum, shard_grams
+from .objectives import ProbeBall, estimate_constants, estimate_g2
 from .objectives import solve_optimum  # noqa: F401  (perfbench/spans.py times it here)
 from .precoding import AlphaSchedule, FadingPolicy, alpha_upper_bound_schedule, estimate_alpha_mc
 from .rng import stream_generator
@@ -430,7 +430,7 @@ def _subsample_rows(rows: np.ndarray, fraction: float, rng: np.random.Generator)
 
 
 def _resolve_alpha(
-    config: ExperimentConfig, dataset: Dataset, schedule: StepSchedule, sigma_w2: float
+    config: ExperimentConfig, dataset: Dataset, schedule: StepSchedule
 ) -> AlphaSchedule:
     trainer, alpha = config.trainer, config.alpha
     if alpha.source == "file":
@@ -461,27 +461,15 @@ def _resolve_alpha(
             theta0_std=trainer.theta0_std,
         )
 
-    # analytic_bound: P / (H^2 eta^2 G^2) with G^2 estimated over a probe ball;
-    # the shard Grams and moments are formed once, for theta* and for the constants
+    # analytic_bound: P / (H^2 eta^2 G^2) with G^2 estimated over a probe ball
+    # around the partition's theta*, which the dataset's cached sums less the
+    # dropped rows give; G^2 takes one pass that forms no Gram
     lam = trainer.ridge_lambda
-    pilot_shards = dataset.shards(rows)
-    grams = shard_grams(pilot_shards)
-    theta_star, _ = grams_optimum(*grams, lam)
+    theta_star, _ = dataset.kept_optimum(dataset.dropped_rows(rows), lam)
     delta0 = trainer.theta0_std**2 * dataset.feature_dim + float(theta_star @ theta_star)
     ball = ProbeBall(center=theta_star, radius=2.0 * math.sqrt(delta0))
-    constants = estimate_constants(
-        pilot_shards,
-        lam,
-        ball,
-        stream_generator(config.seed, "alpha/probe"),
-        H=trainer.local_steps,
-        P=POWER,
-        sigma_w2=sigma_w2,
-        grams=grams,
-    )
-    return alpha_upper_bound_schedule(
-        trainer.local_steps, schedule.eta, constants.G2, POWER, trainer.rounds
-    )
+    g2 = estimate_g2(dataset.shards(rows), lam, ball, stream_generator(config.seed, "alpha/probe"))
+    return alpha_upper_bound_schedule(trainer.local_steps, schedule.eta, g2, POWER, trainer.rounds)
 
 
 def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> ResolvedExperiment:
@@ -517,7 +505,7 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
 
     alpha_schedule = None
     if any(spec.needs_alpha for spec in specs):
-        alpha_schedule = _resolve_alpha(config, dataset, schedule, sigma_w2)
+        alpha_schedule = _resolve_alpha(config, dataset, schedule)
 
     return ResolvedExperiment(
         config=config,

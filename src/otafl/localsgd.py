@@ -25,11 +25,13 @@ def check_steps(etas: Sequence[float] | np.ndarray, lam: float) -> None:
 
 
 def prefetches(features: np.ndarray) -> bool:
-    """Whether a run on these (D, d) features gathers each round's samples
-    on a worker thread while the calling thread steps the round before:
-    when the features hold at least objectives.POOL_BYTES and the process
-    may use more than one CPU, the rule of the shard passes. On a smaller
-    dataset a round's gather takes less time than handing it to a worker."""
+    """Whether work on these (D, d) features goes to a _Worker thread: a
+    run gathers each round's samples there while the calling thread steps
+    the round before, and generate_synthetic checks and sums each drawn
+    block there while the calling thread draws the next. It does when the
+    features hold at least objectives.POOL_BYTES and the process may use
+    more than one CPU, the rule of the shard passes. On a smaller dataset a
+    round's gather takes less time than handing it to a worker."""
     return features.nbytes >= objectives.POOL_BYTES and objectives._cpu_count() > 1
 
 
@@ -42,39 +44,42 @@ def _gather(features, targets, ids, samples, sample_targets) -> None:
     targets.take(ids, axis=0, out=sample_targets, mode="clip")
 
 
-class _GatherWorker:
-    """One daemon thread that runs the gathers handed to it in turn. Its
-    loop only takes the next gather and reports how it ended; a handoff
-    and its wait cost a few microseconds on the calling thread."""
+class _Worker:
+    """One daemon thread that runs the calls handed to it in turn. Its loop
+    only takes the next call and reports how it ended; a handoff and its
+    wait cost a few microseconds on the calling thread. Only numpy runs
+    there (numpy's gathers, fills, BLAS calls and ufuncs release the GIL),
+    never a function that perfbench's single-threaded span recorder wraps."""
 
     def __init__(self):
-        import queue  # only a run that prefetches imports it
+        import queue  # only a run or draw that uses a worker imports it
 
         self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._run, name="otafl-gather", daemon=True)
+        self._thread = threading.Thread(target=self._run, name="otafl-worker", daemon=True)
         self._thread.start()
 
     def _run(self) -> None:
-        while (args := self._jobs.get()) is not None:
+        while (job := self._jobs.get()) is not None:
+            func, args = job
             try:
-                _gather(*args)
+                func(*args)
             except BaseException as exc:  # raised from wait(), unchanged
                 self._done.put(exc)
             else:
                 self._done.put(None)
 
-    def submit(self, *args) -> None:
-        """Hand _gather(*args) to the thread."""
-        self._jobs.put(args)
+    def submit(self, func, *args) -> None:
+        """Hand func(*args) to the thread."""
+        self._jobs.put((func, args))
 
     def wait(self) -> None:
-        """Wait for the oldest gather not yet waited for; raise its exception."""
+        """Wait for the oldest call not yet waited for; raise its exception."""
         exc = self._done.get()
         if exc is not None:
             raise exc
 
     def close(self) -> None:
-        """End the thread once the gathers handed to it have ended."""
+        """End the thread once the calls handed to it have ended."""
         self._jobs.put(None)
         self._thread.join()
 
@@ -155,8 +160,8 @@ class KernelBlocks:
         ids, gathered, gathered_targets = self._spare[:3]
         ids[...] = next_rows
         if self._worker is None:
-            self._worker = _GatherWorker()
-        self._worker.submit(features, targets, ids, gathered, gathered_targets)
+            self._worker = _Worker()
+        self._worker.submit(_gather, features, targets, ids, gathered, gathered_targets)
         self._pending, self._source = True, (features, targets)
 
     def _take_over(self, features, targets, rows) -> bool:

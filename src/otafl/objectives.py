@@ -183,39 +183,15 @@ class ProbeBall:
         return np.vstack([self.center, self.center + radii[:, None] * directions])
 
 
-def estimate_constants(
-    shards: ShardRows,
-    lam: float,
-    ball: ProbeBall,
-    rng: np.random.Generator,
-    *,
-    H: int,
-    P: float,
-    sigma_w2: float,
-    grams: tuple[np.ndarray, np.ndarray] | None = None,
-) -> ProblemConstants:
-    """Estimate the constants entering the convergence bounds.
-
-    L and mu are the extreme eigenvalues of the exact (theta-independent)
-    Hessian. G2 is the largest empirical second moment of per-sample gradients
-    over the ball's points drawn from rng and over the users, inflated by
-    MOMENT_SAFETY; Mn2 is the analogous per-user gradient variance. Gamma is
-    computed exactly from the per-user closed-form optima. H, P and sigma_w2
-    are passed through into the record.
-    A caller that already holds shard_grams(shards) passes it as grams.
-    The shards are read in one pass, one shard per worker at a time: a
-    large pass runs on every CPU the process may use (_shard_pass). The
-    maxima over the shards and each shard's Mn2 are then taken on the
-    calling thread in shard order, so the record has the bits of the
-    serial pass whatever the worker count.
-    """
-    if not lam > 0:
-        raise ValueError("constant estimation requires lam > 0")
-    probes = ball.points(rng)
-
-    n_users, size, d = shards.shape
-    held = grams is not None
-    grams, moments = grams if held else (np.empty((n_users, d, d)), np.empty((n_users, d)))
+def _probe_pass(
+    shards: ShardRows, probes: np.ndarray, lam: float, grams: tuple | None = None
+) -> np.ndarray:
+    """The (N, p) second moments mean_i || (x_i . theta - y_i) x_i + lam theta ||^2
+    of each shard's per-sample gradients at each of the (p, d) probe points,
+    from one pass over the shards (_shard_pass). With grams, a pair of
+    (N, d, d) and (N, d) outputs, the same pass writes each shard's Gram
+    and moment into them too."""
+    n_users, size, _ = shards.shape
     probes_t = probes.T
     n_probes = len(probes)
     reg_sq = lam * lam * np.einsum("pj,pj->p", probes, probes)
@@ -224,8 +200,8 @@ def estimate_constants(
     # the gathered shard and the (D_n, p) workspace blocks are a worker's
     # largest arrays, never an (N, D_n, d) or (N, D_n, p) stack
     def probe(n, features, targets, projections, residuals, sq_feature_norms):
-        if not held:
-            _gram_moment(features, targets, grams[n], moments[n])
+        if grams is not None:
+            _gram_moment(features, targets, grams[0][n], grams[1][n])
         np.matmul(features, probes_t, out=projections)
         np.subtract(projections, targets[:, None], out=residuals)
         np.einsum("ij,ij->i", features, features, out=sq_feature_norms)
@@ -235,13 +211,62 @@ def estimate_constants(
         second_moments[n] = (sq_feature_norms @ residuals + 2.0 * lam * cross) / size + reg_sq
 
     _shard_pass(shards, probe, (size, n_probes), (size, n_probes), (size,))
+    return second_moments
 
-    g2 = 0.0
+
+def _inflated_max(second_moments: np.ndarray) -> float:
+    """G2: the largest of the (N, p) second moments, at least 0, inflated by
+    MOMENT_SAFETY."""
+    return MOMENT_SAFETY * max(float(second_moments.max()), 0.0)
+
+
+def estimate_g2(shards: ShardRows, lam: float, ball: ProbeBall, rng: np.random.Generator) -> float:
+    """G2 as estimate_constants gives it on the same arguments, bit for bit,
+    from one pass that forms only the per-shard probe second moments: no
+    Gram, no optimum, no eigenvalue."""
+    if not lam > 0:
+        raise ValueError("constant estimation requires lam > 0")
+    return _inflated_max(_probe_pass(shards, ball.points(rng), lam))
+
+
+def estimate_constants(
+    shards: ShardRows,
+    lam: float,
+    ball: ProbeBall,
+    rng: np.random.Generator,
+    *,
+    H: int,
+    P: float,
+    sigma_w2: float,
+) -> ProblemConstants:
+    """Estimate the constants entering the convergence bounds.
+
+    L and mu are the extreme eigenvalues of the exact (theta-independent)
+    Hessian. G2 is the largest empirical second moment of per-sample gradients
+    over the ball's points drawn from rng and over the users, inflated by
+    MOMENT_SAFETY; Mn2 is the analogous per-user gradient variance. Gamma is
+    computed exactly from the per-user closed-form optima. H, P and sigma_w2
+    are passed through into the record.
+    The shards are read in one pass that forms the Grams, moments and probe
+    second moments, one shard per worker at a time: a large pass runs on
+    every CPU the process may use (_shard_pass). The maxima over the shards
+    and each shard's Mn2 are then taken on the calling thread in shard
+    order, so the record has the bits of the serial pass whatever the
+    worker count.
+    """
+    if not lam > 0:
+        raise ValueError("constant estimation requires lam > 0")
+    probes = ball.points(rng)
+
+    n_users, _, d = shards.shape
+    grams, moments = np.empty((n_users, d, d)), np.empty((n_users, d))
+    second_moments = _probe_pass(shards, probes, lam, (grams, moments))
+
+    probes_t = probes.T
     mn2 = np.zeros(n_users)
     for n, second_moment in enumerate(second_moments):
         mean_grad = grams[n] @ probes_t - moments[n][:, None] + lam * probes_t
         variance = second_moment - np.einsum("jp,jp->p", mean_grad, mean_grad)
-        g2 = max(g2, float(second_moment.max()))
         mn2[n] = max(float(variance.max()), 0.0)
 
     theta_star, hess = grams_optimum(grams, moments, lam)
@@ -254,14 +279,20 @@ def estimate_constants(
     # Gamma = F(theta*) - mean_n F_n(theta_n*). Each F_n is quadratic, so
     # F_n(theta*) - F_n(theta_n*) is exactly theta*'s gap on F_n, and Gamma
     # is their mean: no pass over the data and no cancellation against F*.
-    local_hessians = grams + lam * np.eye(d)
-    local_optima = np.linalg.solve(local_hessians, moments[:, :, None])[:, :, 0]
-    gamma = max(float(np.mean(quadratic_gap(theta_star, local_optima, local_hessians))), 0.0)
+    # Each shard's Hessian G_n + lam I is its Gram with lam added to the
+    # diagonal in place, solved and gapped one (d, d) slice at a time, so no
+    # (N, d, d) temporary is made.
+    np.einsum("nii->ni", grams)[...] += lam
+    gaps = np.empty(n_users)
+    for n, local_hessian in enumerate(grams):
+        local_optimum = np.linalg.solve(local_hessian, moments[n])
+        gaps[n] = quadratic_gap(theta_star, local_optimum, local_hessian)
+    gamma = max(float(np.mean(gaps)), 0.0)
 
     return ProblemConstants(
         L=smoothness,
         mu=mu,
-        G2=MOMENT_SAFETY * g2,
+        G2=_inflated_max(second_moments),
         Mn2=MOMENT_SAFETY * mn2,
         Gamma=gamma,
         d=d,

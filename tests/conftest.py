@@ -174,13 +174,15 @@ def weighted_average_model(thetas: np.ndarray, a: float, local_steps: int) -> np
 @pytest.fixture
 def cpu_pool(monkeypatch):
     """Pins the CPU count and the byte threshold that the shard passes of
-    objectives and the kernel's gather worker (localsgd.prefetches) read,
-    whatever the machine's CPUs: after cpu_pool(workers), every pass that
-    gathers at least threshold bytes (default 0, every pass) runs on
-    min(workers, N) workers, and with workers > 1 every run on features of
-    at least threshold bytes gathers each round's samples on a worker while
-    the round before steps. cpu_pool(1) runs everything on the calling
-    thread."""
+    objectives, the kernel's gather worker (localsgd.prefetches) and
+    data's block draw read, whatever the machine's CPUs: after
+    cpu_pool(workers), every pass that gathers at least threshold bytes
+    (default 0, every pass) runs on min(workers, N) workers, and with
+    workers > 1 every run on features of at least threshold bytes gathers
+    each round's samples on a worker while the round before steps, and
+    every draw of such features scans its blocks on a worker. The threshold
+    is also the bytes of the block pass's blocks (data._row_blocks; at
+    least 64 rows). cpu_pool(1) runs everything on the calling thread."""
 
     def pin(workers: int, threshold: int = 0) -> None:
         monkeypatch.setattr(objectives, "_cpu_count", lambda: workers)

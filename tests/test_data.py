@@ -100,6 +100,24 @@ def test_standardize_centers_and_scales(rng):
     np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-12)
 
 
+def test_standardize_holds_one_copy_of_the_features():
+    # subtracting into a new array and dividing it in place gives the bits
+    # of (features - mean) / std, which held two (D, d) temporaries: the
+    # peak stays under 1.5 times the features, which two copies exceed
+    dataset = generate_synthetic(30, 20000, 1.0, np.random.default_rng(8))
+    shifted = Dataset(dataset.features * 3.0 + 5.0, dataset.targets)
+    tracemalloc.start()
+    try:
+        out = standardize(shifted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * shifted.features.nbytes
+    mean, std = shifted.features.mean(axis=0), shifted.features.std(axis=0)
+    assert out.features.tobytes() == ((shifted.features - mean) / std).tobytes()
+    assert out.targets.tobytes() == shifted.targets.tobytes()
+
+
 class TestPartition:
     def test_iid_even_sizes(self, rng):
         dataset = generate_synthetic(3, 100, 1.0, rng)

@@ -579,7 +579,6 @@ class TestRunExperiment:
             optima.append(args[6])
             return run_training(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "shard_grams", counted_pass)
         monkeypatch.setattr(objectives_mod, "shard_grams", counted_pass)
         monkeypatch.setattr(harness, "run_training", recording)
         config = tiny_config(trials=4)

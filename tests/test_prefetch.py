@@ -267,7 +267,7 @@ class TestThreads:
             "import sys, threading\n"
             "from otafl import harness, localsgd\n"
             "started = []\n"
-            "localsgd._GatherWorker = lambda: started.append(1)\n"
+            "localsgd._Worker = lambda: started.append(1)\n"
             f"harness.simulate_trials(harness.load_config({str(ROOT / 'configs/desk.json')!r}))\n"
             "print(started, threading.active_count(),\n"
             "      [m for m in ('queue', 'concurrent.futures') if m in sys.modules])\n"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from otafl import harness, objectives
-from otafl.objectives import ProbeBall, estimate_constants, shard_grams
+from otafl.objectives import ProbeBall, estimate_constants, estimate_g2, shard_grams
 
 from conftest import block_shards, make_shards
 from test_harness import _same_bound_inputs, tiny_config
@@ -23,11 +23,19 @@ USERS = (1, 5, 20)  # 5 is no multiple of 2 or 3 workers
 WORKERS = (2, 3)
 
 
-def constants(shards, grams=None):
-    ball = ProbeBall(center=np.full(shards.shape[-1], 0.2), radius=1.5)
+def probe_ball(shards):
+    return ProbeBall(center=np.full(shards.shape[-1], 0.2), radius=1.5)
+
+
+def constants(shards):
     return estimate_constants(
-        shards, 0.05, ball, np.random.default_rng(9), H=3, P=1.0, sigma_w2=0.2, grams=grams
+        shards, 0.05, probe_ball(shards), np.random.default_rng(9), H=3, P=1.0, sigma_w2=0.2
     )
+
+
+def g2(shards):
+    """The analytic alpha's Gram-free G2 on constants' arguments."""
+    return estimate_g2(shards, 0.05, probe_ball(shards), np.random.default_rng(9))
 
 
 def same_constants(a, b) -> bool:
@@ -58,8 +66,8 @@ class TestBitsDoNotDependOnTheWorkers:
         shards = self.shards(users)
         pooled, serial = pooled_and_serial(cpu_pool, workers, lambda: constants(shards))
         assert same_constants(pooled, serial)
-        held = constants(shards, grams=shard_grams(shards))
-        assert same_constants(held, serial)
+        pooled_g2, serial_g2 = pooled_and_serial(cpu_pool, workers, lambda: g2(shards))
+        assert pooled_g2 == serial_g2 == serial.G2
 
     def test_bound_inputs(self, cpu_pool, users, workers):
         config = tiny_config(users=users)
@@ -92,6 +100,8 @@ def run():
         shards, 0.01, ball, np.random.default_rng(1), H=4, P=1.0, sigma_w2=0.1
     )
     grams = objectives.shard_grams(shards)
+    g2 = objectives.estimate_g2(shards, 0.01, ball, np.random.default_rng(1))
+    assert g2 == c.G2
     return b"".join(np.asarray(v).tobytes() for v in (*grams, c.L, c.mu, c.G2, c.Gamma, c.Mn2))
 objectives._cpu_count = lambda: 1
 serial = run()
@@ -232,6 +242,10 @@ def test_workers_hold_one_shard_each(cpu_pool, workers):
     # an (N, D_n, p) block alone would be users * size * probes * 8 = 21 MB
     for bound, run in (
         (workers * shard + outputs, lambda: shard_grams(shards)),
+        (
+            workers * (shard + workspace),
+            lambda: estimate_g2(shards, 0.1, ball, np.random.default_rng(1)),
+        ),
         (
             workers * (shard + workspace) + outputs,
             lambda: estimate_constants(
