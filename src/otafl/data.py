@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from . import localsgd, objectives
+from . import _workers
 from .objectives import grams_optimum
 
 logger = logging.getLogger(__name__)
@@ -22,6 +22,10 @@ logger = logging.getLogger(__name__)
 PARTITION_MODES = ("iid", "heterogeneous")
 
 NON_FINITE = "dataset contains non-finite values"
+
+# The block pass's blocks hold about this many bytes of features; X^T X sums
+# their Grams in order, so the size sets its bits.
+_BLOCK_BYTES = 8 << 20
 
 # The block pass's blocks hold a multiple of this many rows. OpenBLAS's GEMV
 # takes rows in groups (of 4 in its Haswell kernel), so the products
@@ -31,10 +35,10 @@ _ROW_GROUP = 64
 
 def _row_blocks(n_rows: int, dim: int) -> list[slice]:
     """The row slices of the block pass over (n_rows, dim) float64
-    features, in order: objectives.POOL_BYTES of features each (read at
-    call time), rounded down to a multiple of _ROW_GROUP rows but no fewer,
-    and the rest. A desk-scale dataset (1.6 MB) is one block."""
-    size = max(objectives.POOL_BYTES // (8 * dim) // _ROW_GROUP, 1) * _ROW_GROUP
+    features, in order: _BLOCK_BYTES of features each (read at call time),
+    rounded down to a multiple of _ROW_GROUP rows but no fewer, and the
+    rest. A desk-scale dataset (1.6 MB) is one block."""
+    size = max(_BLOCK_BYTES // (8 * dim) // _ROW_GROUP, 1) * _ROW_GROUP
     return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 
 
@@ -252,10 +256,10 @@ def generate_synthetic(
     The features are drawn block by block (_row_blocks) into one array, in
     stream order, so they hold the values of one draw. Each drawn block is
     checked, its targets X_k theta_true written and its Gram added into
-    X^T X (_scan_block). With localsgd.prefetches(features), a worker
-    thread does that while the calling thread draws the next block; the
-    thread has ended when this returns or raises. The blocks are the same
-    either way, so the bits do not depend on the worker.
+    X^T X (_scan_block), by a Worker while the calling thread draws the
+    next block if that offloads (the features' bytes, a block's per
+    handoff). The bits do not depend on the worker, which has ended when
+    this returns or raises.
     """
     if dim < 1 or total_samples < 1:
         raise ValueError("dim and total_samples must be >= 1")
@@ -265,14 +269,13 @@ def generate_synthetic(
     features, targets = np.empty((total_samples, dim)), np.empty(total_samples)
     gram = np.empty((dim, dim))
     blocks = _row_blocks(total_samples, dim)
-    worker = localsgd._Worker() if localsgd.prefetches(features) else None
+    offload = _workers.offloads(features.nbytes, features[blocks[0]].nbytes)
+    worker = _workers.Worker() if offload else None
+    scan = _scan_block if worker is None else partial(worker.submit, _scan_block)
     try:
         for rows in blocks:
             rng.standard_normal(out=features[rows])
-            if worker is None:
-                _scan_block(features, rows, gram, theta_true, targets)
-            else:
-                worker.submit(_scan_block, features, rows, gram, theta_true, targets)
+            scan(features, rows, gram, theta_true, targets)
         if worker is not None:
             for _ in blocks:
                 worker.wait()

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import objectives
+from . import _workers
 
 # Initial models are drawn N(0, 5 I_d) by default.
 DEFAULT_THETA0_STD = math.sqrt(5.0)
@@ -24,64 +23,13 @@ def check_steps(etas: Sequence[float] | np.ndarray, lam: float) -> None:
         raise ValueError("regularization weight must be non-negative")
 
 
-def prefetches(features: np.ndarray) -> bool:
-    """Whether work on these (D, d) features goes to a _Worker thread: a
-    run gathers each round's samples there while the calling thread steps
-    the round before, and generate_synthetic checks and sums each drawn
-    block there while the calling thread draws the next. It does when the
-    features hold at least objectives.POOL_BYTES and the process may use
-    more than one CPU, the rule of the shard passes. On a smaller dataset a
-    round's gather takes less time than handing it to a worker."""
-    return features.nbytes >= objectives.POOL_BYTES and objectives._cpu_count() > 1
-
-
 def _gather(features, targets, ids, samples, sample_targets) -> None:
     """Gather rows ids of features and targets into samples and
     sample_targets by the ndarray methods, without np.take's wrapper. Mode
     "clip" writes straight into out, where "raise" buffers a copy. Only
-    numpy runs here, so the gather worker may run it."""
+    numpy runs here, so a Worker may run it."""
     features.take(ids, axis=0, out=samples, mode="clip")
     targets.take(ids, axis=0, out=sample_targets, mode="clip")
-
-
-class _Worker:
-    """One daemon thread that runs the calls handed to it in turn. Its loop
-    only takes the next call and reports how it ended; a handoff and its
-    wait cost a few microseconds on the calling thread. Only numpy runs
-    there (numpy's gathers, fills, BLAS calls and ufuncs release the GIL),
-    never a function that perfbench's single-threaded span recorder wraps."""
-
-    def __init__(self):
-        import queue  # only a run or draw that uses a worker imports it
-
-        self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._run, name="otafl-worker", daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            func, args = job
-            try:
-                func(*args)
-            except BaseException as exc:  # raised from wait(), unchanged
-                self._done.put(exc)
-            else:
-                self._done.put(None)
-
-    def submit(self, func, *args) -> None:
-        """Hand func(*args) to the thread."""
-        self._jobs.put((func, args))
-
-    def wait(self) -> None:
-        """Wait for the oldest call not yet waited for; raise its exception."""
-        exc = self._done.get()
-        if exc is not None:
-            raise exc
-
-    def close(self) -> None:
-        """End the thread once the calls handed to it have ended."""
-        self._jobs.put(None)
-        self._thread.join()
 
 
 class KernelBlocks:
@@ -91,21 +39,20 @@ class KernelBlocks:
     models per trial, the (S, T, N) residual and an (S, T, N, d) step
     buffer. A call leaves the gathered samples as it gathered them.
 
-    ids_shape is the (H, T, N) shape of each call's step-major row ids.
+    ids_shape is the (H, T, N) shape of each call's step-major row ids into
+    the run's (D, d) features.
 
-    With prefetch (see prefetches), the blocks also hold a spare slot of row
-    ids, samples and targets. A call given the next call's rows hands their
-    gather to one worker thread, which fills the spare slot while the call
-    steps on its own. The next call takes the slot over if it holds that
-    call's rows of the same features and targets, and gathers its own rows
-    otherwise, so no call steps on another's samples. The worker starts
-    with the first such call and ends with close(), which leaving a `with`
-    block of the blocks calls, also when the block raises.
+    If the gathers offload (the features' bytes, a call's gathered samples
+    and targets per handoff), the blocks hold a spare slot, which a Worker
+    fills with the next call's rows while a call steps. The next call takes
+    the slot over if it holds its rows of the same features and targets,
+    and gathers its own otherwise: no call steps on another's samples. The
+    worker starts with the first handoff and ends with close(), which
+    leaving a `with` block of the blocks calls, also when it raises.
     """
 
-    def __init__(
-        self, n_models: int, ids_shape: tuple[int, int, int], dim: int, *, prefetch: bool = False
-    ):
+    def __init__(self, n_models: int, ids_shape: tuple[int, int, int], features: np.ndarray):
+        dim = features.shape[1]
         shape = (n_models, *ids_shape[1:], dim)
         # Leading unit axes add per-step overhead to every array operation and
         # no work, so the steps run on the broadcast shape without them.
@@ -114,25 +61,30 @@ class KernelBlocks:
             core = core[1:]
         step_shape = core if n_models == 1 else core[1:]
 
+        def empty(shape):  # float64 on a 64-byte boundary, see below
+            raw = np.empty(math.prod(shape) + 8)
+            return raw[-raw.ctypes.data % 64 // 8 :][: math.prod(shape)].reshape(shape)
+
         def slot():
             # A call gathers into the (H, T, N, d) block and steps on views of
             # it without the unit axes.
-            ids, gathered = np.empty(ids_shape, dtype=np.intp), np.empty((*ids_shape, dim))
-            gathered_targets = np.empty(ids_shape)
+            ids, gathered = np.empty(ids_shape, dtype=np.intp), empty((*ids_shape, dim))
+            gathered_targets = empty(ids_shape)
             samples = gathered.reshape(ids_shape[0], *step_shape)
             targets = gathered_targets.reshape(ids_shape[0], *step_shape[:-1])
             return ids, gathered, gathered_targets, samples, targets
 
         self.ids, self.gathered, self.gathered_targets, self.samples, self.targets = slot()
-        self._spare = slot() if prefetch else None
-        self._worker = self._source = None
-        self._pending = False
+        moved = self.gathered.nbytes + self.gathered_targets.nbytes
+        self._spare = slot() if _workers.offloads(features.nbytes, moved) else None
+        self._worker = self._source = None  # the pending gather's (features, targets)
         # The working models are one C-contiguous block, so every step op runs
-        # with the strides of the gathered samples.
-        self.models = np.empty(core)
+        # with the strides of the gathered samples. Each float block starts on
+        # a 64-byte boundary: steps ran 3-4% slower on blocks 16 bytes off one.
+        self.models = empty(core)
         self.result = self.models.reshape(shape)
-        self.residual = np.empty(core[:-1])
-        self.step = np.empty(core)
+        self.residual = empty(core[:-1])
+        self.step = empty(core)
 
     def __enter__(self) -> KernelBlocks:
         return self
@@ -143,16 +95,15 @@ class KernelBlocks:
     def close(self) -> None:
         """End the gather worker, if one started, once its gather has ended.
         A gather that no call took over is dropped, with its exception."""
-        worker, self._worker = self._worker, None
-        self._pending, self._source = False, None
+        worker, self._worker, self._source = self._worker, None, None
         if worker is not None:
             worker.close()
 
     def gather(self, features, targets, rows, next_rows=None) -> None:
-        """Hold the samples and targets of rows, then, with prefetch, start
-        gathering next_rows (if given) into the spare slot. A failed gather
+        """Hold the samples and targets of rows, then, with a spare slot,
+        start gathering next_rows (if given) into it. A failed gather
         of the worker raises its exception here, unchanged."""
-        if not (self._pending and self._take_over(features, targets, rows)):
+        if not (self._source is not None and self._take_over(features, targets, rows)):
             self.ids[...] = rows
             _gather(features, targets, self.ids, self.gathered, self.gathered_targets)
         if next_rows is None or self._spare is None:
@@ -160,22 +111,18 @@ class KernelBlocks:
         ids, gathered, gathered_targets = self._spare[:3]
         ids[...] = next_rows
         if self._worker is None:
-            self._worker = _Worker()
+            self._worker = _workers.Worker()
         self._worker.submit(_gather, features, targets, ids, gathered, gathered_targets)
-        self._pending, self._source = True, (features, targets)
+        self._source = features, targets
 
     def _take_over(self, features, targets, rows) -> bool:
         """Whether the pending gather of the worker was of rows of features
         and targets; if it was, its spare slot becomes the call's."""
-        self._pending = False
+        source, self._source = self._source, None
         self._worker.wait()
-        spare, (source_features, source_targets) = self._spare, self._source
-        if not (
-            source_features is features
-            and source_targets is targets
-            and spare[0].shape == np.shape(rows)
-            and (spare[0] == rows).all()
-        ):
+        spare = self._spare
+        same = source[0] is features and source[1] is targets and spare[0].shape == np.shape(rows)
+        if not (same and (spare[0] == rows).all()):
             return False
         self._spare = self.ids, self.gathered, self.gathered_targets, self.samples, self.targets
         self.ids, self.gathered, self.gathered_targets, self.samples, self.targets = spare
@@ -205,14 +152,14 @@ def local_pass(
     models; each (s, t) slice has the bits of a call with S = T = 1 on its
     own theta and rows.
 
-    blocks are the run's KernelBlocks, made for S and the rows' shape, and
-    the returned models are their own, which the next call overwrites. The
-    caller has checked the ids against [0, D), since they are gathered with
-    mode "clip", which does not check them, and the step sizes and lam
-    (check_steps).
+    blocks are the run's KernelBlocks, made for S, the rows' shape and the
+    features, and the returned models are their own, which the next call
+    overwrites. The caller has checked the ids against [0, D), since they
+    are gathered with mode "clip", which does not check them, and the step
+    sizes and lam (check_steps).
 
     next_rows are the next call's rows, if the caller knows them: blocks
-    made with prefetch gather them on their worker while this call steps.
+    with a spare slot gather them on their worker while this call steps.
     The next call steps on the same bits either way.
     """
     blocks.gather(features, targets, rows, next_rows)

@@ -9,12 +9,12 @@ curvature estimates.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _workers
 from .types import ProblemConstants, as_model_vector
 
 if TYPE_CHECKING:  # data imports this module
@@ -32,38 +32,24 @@ def global_loss(theta, shards: ShardRows, lam: float) -> float:
     return float(np.mean([_shard_loss(theta, x, y, lam) for x, y in shards]))
 
 
-# A pass whose gathered samples total at least this many bytes spreads its
-# shards over the CPUs the process may use; a smaller one runs on the
-# calling thread. 8 MiB keeps every desk-scale pass (1.6 MB) serial.
-POOL_BYTES = 8 << 20
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _shard_pass(shards: ShardRows, task, *scratch: tuple[int, ...]) -> None:
     """Call task(n, features, targets, *buffers) once for every shard n.
 
     Each worker gathers its shards, one at a time, into its own (D_n, d) and
     (D_n,) workspace and hands task buffers of the scratch shapes, so a pass
     holds one shard per worker and never an (N, D_n, ...) stack. A pass that
-    gathers at least POOL_BYTES runs on min(_cpu_count(), N) workers: the
-    calling thread and a thread pool for the rest, shards dealt in turn.
-    Tasks write only their own shard's rows of the caller's outputs, so the
-    results do not depend on the worker count. A worker's exception is
-    raised from here once every worker has ended. Tasks run only numpy
-    calls, which release the GIL.
+    offloads (the bytes it gathers, one shard's per handoff) runs on
+    min(cpu_count(), N) workers: the calling thread and a Worker for each
+    of the rest, shards dealt in turn. Tasks write only their own shard's
+    rows of the caller's outputs, so the results do not depend on the
+    worker count. A worker's exception is raised from here once every
+    worker has ended.
     """
     n_users, size, d = shards.shape
     features, targets, rows = shards.dataset.features, shards.dataset.targets, shards.rows
-    workers = 1
-    if n_users * size * (d + 1) * features.itemsize >= POOL_BYTES:
-        workers = min(_cpu_count(), n_users)
+    shard_bytes = size * (d + 1) * features.itemsize
+    offload = _workers.offloads(n_users * shard_bytes, shard_bytes)
+    workers = min(_workers.cpu_count(), n_users) if offload else 1
 
     def work(first: int) -> None:
         x, y = np.empty((size, d)), np.empty(size)
@@ -75,16 +61,16 @@ def _shard_pass(shards: ShardRows, task, *scratch: tuple[int, ...]) -> None:
             np.take(targets, rows[n], out=y, mode="clip")
             task(n, x, y, *buffers)
 
-    if workers == 1:
+    pool = [_workers.Worker() for _ in range(1, workers)]
+    try:
+        for first, worker in enumerate(pool, start=1):
+            worker.submit(work, first)
         work(0)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(work, first) for first in range(1, workers)]
-        work(0)
-    for future in futures:
-        future.result()
+    finally:
+        for worker in pool:
+            worker.close()
+    for worker in pool:
+        worker.wait()
 
 
 def _gram_moment(features, targets, gram, moment) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import RAYLEIGH_UNIT_POWER_SCALE
 from .data import ShardRows
-from .localsgd import DEFAULT_THETA0_STD, KernelBlocks, StepFn, check_steps, local_pass, prefetches
+from .localsgd import DEFAULT_THETA0_STD, KernelBlocks, StepFn, check_steps, local_pass
 
 # Pilot rounds whose dataset row ids are mapped from their draws at once.
 PILOT_ROUND_CHUNK = 16
@@ -175,7 +175,7 @@ def estimate_alpha_mc(
     # of rounds are one take from the flat shard rows, so the draws are cast
     # once per chunk and only the chunk is held as intp. Each call is given
     # the next round's row ids, the next chunk mapped before the chunk's
-    # last round, so that on a large dataset the blocks' worker gathers them
+    # last round, so that the blocks' worker, if they offload, gathers them
     # while the round steps.
     flat_rows = shard_rows.ravel()
     offsets = np.arange(n_users) * shard_size  # user n's first flat index
@@ -186,9 +186,7 @@ def estimate_alpha_mc(
         )
 
     sums = np.empty((rounds, n_users))
-    with KernelBlocks(
-        1, (local_steps, pilot_trials, n_users), dim, prefetch=prefetches(dataset.features)
-    ) as blocks:
+    with KernelBlocks(1, (local_steps, pilot_trials, n_users), dataset.features) as blocks:
         chunk = chunk_rows(0)
         for r in range(rounds):
             rows, upcoming = chunk[r % PILOT_ROUND_CHUNK], r % PILOT_ROUND_CHUNK + 1

@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import SCHEDULE_KINDS, check_shift
 from .channel import fading_mac, sample_noise, sample_rayleigh
 from .data import Dataset, check_row_ids
-from .localsgd import KernelBlocks, check_steps, local_pass, prefetches
+from .localsgd import KernelBlocks, check_steps, local_pass
 from .objectives import global_loss  # noqa: F401  (perfbench/spans.py times trainer.global_loss)
 from .objectives import quadratic_gap
 from .precoding import AlphaSchedule, FadingPolicy, decode, precode, select_participants
@@ -478,12 +478,9 @@ def run_training(
     thetas = np.empty((n_runs, n_trials, rounds, dim))
     last = first_trial + n_trials - 1
     label = f"trial {last}" if n_trials == 1 else f"trials {first_trial}-{last}"
-    # One set of kernel blocks, reused by every round. On a large dataset
-    # their worker gathers round i + 1's samples while round i steps; it
-    # ends with the rounds, also when one raises.
-    with KernelBlocks(
-        n_runs, steps.shape[1:], dim, prefetch=prefetches(dataset.features)
-    ) as blocks:
+    # One set of kernel blocks for every round. If their gathers offload, a
+    # worker gathers round i + 1 while round i steps, and ends with the rounds.
+    with KernelBlocks(n_runs, steps.shape[1:], dataset.features) as blocks:
         for lo in range(0, rounds, ROUND_CHUNK):
             hi = min(lo + ROUND_CHUNK, rounds)
             # the chunk's step sizes as Python floats, which the kernel's

@@ -17,7 +17,7 @@ from otafl.data import (
     generate_synthetic,
     partition,
 )
-from otafl import objectives
+from otafl import _workers
 from otafl.localsgd import KernelBlocks, check_steps, local_pass
 from otafl.types import as_model_vector
 
@@ -65,7 +65,7 @@ def checked_pass(theta, features, targets, etas, rows, lam):
     if theta.ndim > rows.ndim:  # as the kernel's (S, T, 1 or N, d) start models
         models = theta.shape[:1]
         theta = theta.reshape(*models, *(1,) * (4 - theta.ndim), *theta.shape[1:])
-    blocks = KernelBlocks(models[0] if models else 1, ids.shape, features.shape[1])
+    blocks = KernelBlocks(models[0] if models else 1, ids.shape, features)
     out = local_pass(theta, features, targets, etas, ids, lam, blocks=blocks)
     return out.reshape(*models, *rows.shape[:-1], features.shape[1])
 
@@ -173,20 +173,21 @@ def weighted_average_model(thetas: np.ndarray, a: float, local_steps: int) -> np
 
 @pytest.fixture
 def cpu_pool(monkeypatch):
-    """Pins the CPU count and the byte threshold that the shard passes of
-    objectives, the kernel's gather worker (localsgd.prefetches) and
-    data's block draw read, whatever the machine's CPUs: after
+    """Pins the CPU count and the two byte floors of the rule that the shard
+    passes of objectives, the kernel's gather worker and data's block draw
+    ask (_workers.offloads), whatever the machine's CPUs: after
     cpu_pool(workers), every pass that gathers at least threshold bytes
-    (default 0, every pass) runs on min(workers, N) workers, and with
-    workers > 1 every run on features of at least threshold bytes gathers
-    each round's samples on a worker while the round before steps, and
-    every draw of such features scans its blocks on a worker. The threshold
-    is also the bytes of the block pass's blocks (data._row_blocks; at
-    least 64 rows). cpu_pool(1) runs everything on the calling thread."""
+    (default 0, every pass) and at least handoff bytes per shard (default
+    0) runs on min(workers, N) workers, and with workers > 1 every run on
+    features of at least threshold bytes whose calls gather at least
+    handoff bytes gathers each round's samples on a worker while the round
+    before steps, and every such draw scans its blocks on a worker.
+    cpu_pool(1) runs everything on the calling thread."""
 
-    def pin(workers: int, threshold: int = 0) -> None:
-        monkeypatch.setattr(objectives, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(objectives, "POOL_BYTES", threshold)
+    def pin(workers: int, threshold: int = 0, handoff: int = 0) -> None:
+        monkeypatch.setattr(_workers, "cpu_count", lambda: workers)
+        monkeypatch.setattr(_workers, "POOL_BYTES", threshold)
+        monkeypatch.setattr(_workers, "HANDOFF_BYTES", handoff)
 
     return pin
 

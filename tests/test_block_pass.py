@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otafl import data, harness, localsgd, objectives
+from otafl import _workers, data, harness, objectives
 from otafl.data import NON_FINITE, Dataset, generate_synthetic
 from otafl.objectives import ProbeBall, estimate_constants
 from otafl.precoding import alpha_upper_bound_schedule
@@ -38,6 +38,12 @@ def sums_bytes(dataset: Dataset) -> bytes:
 
 
 @pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of BLOCK_BYTES, so that a desk-size dataset spans several."""
+    monkeypatch.setattr(data, "_BLOCK_BYTES", BLOCK_BYTES)
+
+
+@pytest.fixture
 def scans(monkeypatch):
     """Records the thread of every block scan: True for the main thread."""
     threads, real = [], data._scan_block
@@ -50,23 +56,26 @@ def scans(monkeypatch):
     return threads
 
 
-def test_desk_data_spans_several_blocks_of_whole_row_groups(cpu_pool):
-    pool_bytes = objectives.POOL_BYTES
-    cpu_pool(1, BLOCK_BYTES)
+def test_desk_data_spans_several_blocks_of_whole_row_groups(monkeypatch):
+    block_bytes = data._BLOCK_BYTES
+    assert block_bytes == 8 << 20  # fullscale_synth's X^T X sums blocks of this size
+    monkeypatch.setattr(data, "_BLOCK_BYTES", BLOCK_BYTES)
     blocks = data._row_blocks(SAMPLES, DIM)
     size = BLOCK_BYTES // (8 * DIM) // data._ROW_GROUP * data._ROW_GROUP
     assert [b.start for b in blocks] == list(range(0, SAMPLES, size))
     assert blocks[-1].stop == SAMPLES and len(blocks) == math.ceil(SAMPLES / size) > 3
-    cpu_pool(1, 0)  # still whole row groups below one row group's bytes
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 0)  # still whole row groups
     assert data._row_blocks(100, DIM)[0] == slice(0, data._ROW_GROUP)
-    cpu_pool(1, pool_bytes)
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+    # the threading rule's floors do not move the blocks
+    monkeypatch.setattr(_workers, "POOL_BYTES", BLOCK_BYTES)
     assert data._row_blocks(SAMPLES, DIM) == [slice(0, SAMPLES)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("dim", [DIM, 90])  # 90: fullscale_synth's, whose GEMV groups rows
-def test_block_draw_is_one_draw(cpu_pool, scans, workers, dim):
-    cpu_pool(workers, BLOCK_BYTES)
+def test_block_draw_is_one_draw(cpu_pool, small_blocks, scans, workers, dim):
+    cpu_pool(workers)
     dataset = generate_synthetic(dim, SAMPLES, 1.0, np.random.default_rng(3))
     rng = np.random.default_rng(3)
     theta_true = rng.standard_normal(dim)
@@ -84,10 +93,10 @@ def test_block_draw_is_one_draw(cpu_pool, scans, workers, dim):
     assert scans == [workers == 1] * len(blocks)
 
 
-def test_threaded_draw_has_the_serial_bits(cpu_pool):
-    cpu_pool(1, BLOCK_BYTES)
+def test_threaded_draw_has_the_serial_bits(cpu_pool, small_blocks):
+    cpu_pool(1)
     serial = draw()
-    cpu_pool(2, BLOCK_BYTES)
+    cpu_pool(2)
     threaded = draw()
     assert threaded.features.tobytes() == serial.features.tobytes()
     assert threaded.targets.tobytes() == serial.targets.tobytes()
@@ -99,10 +108,11 @@ def test_threaded_draw_has_the_serial_bits(cpu_pool):
 _THREADS_SCRIPT = f"""
 import sys
 import numpy as np
-from otafl import objectives
+from otafl import _workers, data
 from otafl.data import Dataset, generate_synthetic
-objectives.POOL_BYTES = {BLOCK_BYTES}
-objectives._cpu_count = lambda: 2
+data._BLOCK_BYTES = {BLOCK_BYTES}
+_workers.POOL_BYTES = _workers.HANDOFF_BYTES = 0
+_workers.cpu_count = lambda: 2
 dataset = generate_synthetic(90, 3000, 1.0, np.random.default_rng(5))
 copied = Dataset(dataset.features, dataset.targets)
 for array in (dataset.targets, *dataset._sums, *copied._sums):
@@ -140,8 +150,10 @@ class SpoiledGenerator:
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-def test_a_bad_value_in_a_middle_block_raises_and_the_worker_ends(cpu_pool, scans, workers, bad):
-    cpu_pool(workers, BLOCK_BYTES)
+def test_a_bad_value_in_a_middle_block_raises_and_the_worker_ends(
+    cpu_pool, small_blocks, scans, workers, bad
+):
+    cpu_pool(workers)
     middle = len(data._row_blocks(SAMPLES, DIM)) // 2
     before = threading.active_count()
     with pytest.raises(ValueError) as raised:
@@ -151,7 +163,7 @@ def test_a_bad_value_in_a_middle_block_raises_and_the_worker_ends(cpu_pool, scan
     assert False in scans if workers == 2 else all(scans)
 
 
-def test_a_worker_error_is_raised_unchanged(cpu_pool, monkeypatch):
+def test_a_worker_error_is_raised_unchanged(cpu_pool, small_blocks, monkeypatch):
     error, real = RuntimeError("scan failed"), data._scan_block
 
     def scan(features, rows, *args):
@@ -160,7 +172,7 @@ def test_a_worker_error_is_raised_unchanged(cpu_pool, monkeypatch):
         real(features, rows, *args)
 
     monkeypatch.setattr(data, "_scan_block", scan)
-    cpu_pool(2, BLOCK_BYTES)
+    cpu_pool(2)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
         draw()
@@ -171,19 +183,18 @@ def test_a_worker_error_is_raised_unchanged(cpu_pool, monkeypatch):
 def test_desk_draw_starts_no_thread(cpu_pool, monkeypatch):
     # one block below the threshold: scanned on the calling thread
     started = []
-    monkeypatch.setattr(localsgd, "_Worker", lambda: started.append(1))
-    cpu_pool(2, objectives.POOL_BYTES)
-    assert 8 * DIM * SAMPLES < objectives.POOL_BYTES
+    monkeypatch.setattr(_workers, "Worker", lambda: started.append(1))
+    cpu_pool(2, _workers.POOL_BYTES, _workers.HANDOFF_BYTES)
+    assert 8 * DIM * SAMPLES < _workers.POOL_BYTES
     before = threading.active_count()
     draw()
     assert started == [] and threading.active_count() == before
 
 
 @pytest.mark.parametrize("row", [0, 4999, 9999])
-def test_dataset_checks_its_arrays_block_by_block(cpu_pool, row):
+def test_dataset_checks_its_arrays_block_by_block(small_blocks, row):
     # a bad value in the first, a middle or the last block is found, and the
     # check holds one block's temporaries, never a (D, d) one
-    cpu_pool(1, BLOCK_BYTES)
     features = np.random.default_rng(4).standard_normal((SAMPLES, DIM))
     targets = np.zeros(SAMPLES)
     tracemalloc.start()

@@ -16,7 +16,7 @@ import pytest
 
 import otafl.precoding as precoding_mod
 import otafl.trainer as trainer_mod
-from otafl import harness, localsgd, objectives
+from otafl import _workers, harness, localsgd
 from otafl.localsgd import KernelBlocks, local_pass
 from otafl.precoding import PILOT_ROUND_CHUNK, AlphaSchedule, estimate_alpha_mc
 from otafl.trainer import TrainerConfig, run_training
@@ -117,14 +117,15 @@ class TestNoStaleSamples:
     ETAS = [0.1, 0.08, 0.05]
 
     @pytest.fixture
-    def case(self):
+    def case(self, cpu_pool):
+        cpu_pool(2)  # blocks of any size hold a spare slot
         rng = np.random.default_rng(2)
         features, targets = rng.standard_normal((40, 4)), rng.standard_normal(40)
         rows = [rng.integers(40, size=self.SHAPE) for _ in range(3)]
         return features, targets, rows, rng.standard_normal((1, 2, 1, 4))
 
     def serial(self, theta, features, targets, rows):
-        blocks = KernelBlocks(1, self.SHAPE, 4)
+        blocks = KernelBlocks(1, self.SHAPE, features)
         return local_pass(theta, features, targets, self.ETAS, rows, 0.5, blocks=blocks)
 
     def second_call(self, case, second, gathers):
@@ -132,7 +133,7 @@ class TestNoStaleSamples:
         call that handed rows[1] to the worker, and the threads of both
         calls' gathers (True: the main thread)."""
         features, targets, rows, theta = case
-        with KernelBlocks(1, self.SHAPE, 4, prefetch=True) as blocks:
+        with KernelBlocks(1, self.SHAPE, features) as blocks:
             local_pass(
                 theta, features, targets, self.ETAS, rows[0], 0.5, blocks=blocks,
                 next_rows=rows[1],
@@ -173,7 +174,7 @@ class TestNoStaleSamples:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with KernelBlocks(1, self.SHAPE, 4, prefetch=True) as blocks:
+            with KernelBlocks(1, self.SHAPE, features) as blocks:
                 for i, own in enumerate(rows):
                     handed = rows[(i + 1 + (i % 3 == 0)) % len(rows)]
                     models = local_pass(
@@ -196,7 +197,7 @@ class TestNoStaleSamples:
         monkeypatch.setattr(localsgd, "_gather", gather)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as raised:
-            with KernelBlocks(1, self.SHAPE, 4, prefetch=True) as blocks:
+            with KernelBlocks(1, self.SHAPE, features) as blocks:
                 for i in range(2):
                     local_pass(
                         theta, features, targets, self.ETAS, rows[i], 0.5, blocks=blocks,
@@ -262,12 +263,12 @@ class TestThreads:
         # the desk dataset holds less than the threshold, so the run is serial
         doc = json.loads((ROOT / "configs" / "desk.json").read_text())
         dataset = doc["dataset"]
-        assert dataset["total_samples"] * (dataset["dim"] + 1) * 8 < objectives.POOL_BYTES
+        assert dataset["total_samples"] * (dataset["dim"] + 1) * 8 < _workers.POOL_BYTES
         script = (
             "import sys, threading\n"
-            "from otafl import harness, localsgd\n"
+            "from otafl import _workers, harness\n"
             "started = []\n"
-            "localsgd._Worker = lambda: started.append(1)\n"
+            "_workers.Worker = lambda: started.append(1)\n"
             f"harness.simulate_trials(harness.load_config({str(ROOT / 'configs/desk.json')!r}))\n"
             "print(started, threading.active_count(),\n"
             "      [m for m in ('queue', 'concurrent.futures') if m in sys.modules])\n"
@@ -308,11 +309,54 @@ class TestTrialBlocks:
     def test_workloads_keep_their_trial_block_count(self, cpu_pool, name):
         config, n_schemes, shape = _workload_configs()[name]
         features = np.empty(shape)  # never written: only its shape and size count
-        serial_dataset = features.nbytes < objectives.POOL_BYTES
+        serial_dataset = features.nbytes < _workers.POOL_BYTES
+        floors = _workers.POOL_BYTES, _workers.HANDOFF_BYTES
         sizes = []
         for workers in (1, 2):
-            cpu_pool(workers, objectives.POOL_BYTES)
+            cpu_pool(workers, *floors)
             sizes.append(harness.trial_block(config, features, n_schemes))
         assert tuple(sizes) == self.BLOCKS[name]
         assert serial_dataset == (sizes[0] == sizes[1])
         assert [math.ceil(config.trials / size) for size in sizes] == [1, 1]
+        # the block counts the spare slot that the run's kernel blocks hold
+        ids_shape = (config.trainer.local_steps, min(sizes[1], config.trials), config.users)
+        blocks = KernelBlocks(n_schemes, ids_shape, features)
+        assert (blocks._spare is not None) == (sizes[0] != sizes[1])
+
+
+class TestSmallGathersStaySerial:
+    """On a dataset above the byte floor, a call shape whose gather moves
+    less than _workers.HANDOFF_BYTES per round starts no worker."""
+
+    # (S, H, T, N, d) of the workloads' training calls, and whether they
+    # hand the next round's gather to a worker
+    SHAPES = {
+        "fading_h1": ((1, 1, 7, 20, 20), False),  # 23 KiB per call
+        "desk_compare": ((3, 10, 5, 20, 20), False),  # 164 KiB
+        "fullscale_synth": ((1, 40, 1, 50, 90), True),  # 1.39 MiB
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_only_large_gathers_go_to_the_worker(self, cpu_pool, gathers, monkeypatch, name):
+        (s, h, t, n, d), offloads = self.SHAPES[name]
+        cpu_pool(2, _workers.POOL_BYTES, _workers.HANDOFF_BYTES)
+        started, real = [], _workers.Worker
+
+        def worker():
+            started.append(1)
+            return real()
+
+        monkeypatch.setattr(_workers, "Worker", worker)
+        rows = _workers.POOL_BYTES // (8 * d) + 1  # features of at least the floor
+        features, targets = np.zeros((rows, d)), np.zeros(rows)
+        ids = np.random.default_rng(3).integers(rows, size=(3, h, t, n))
+        theta = np.zeros((s, t, 1, d))
+        with KernelBlocks(s, (h, t, n), features) as blocks:
+            for i in range(2):
+                local_pass(
+                    theta, features, targets, [0.1] * h, ids[i], 0.5, blocks=blocks,
+                    next_rows=ids[i + 1],
+                )
+        assert started == [1] * offloads
+        # the worker gathers the second call's rows and the third's, which no call takes
+        assert gathers == ([True, False, False] if offloads else [True, True])

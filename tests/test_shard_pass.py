@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otafl import harness, objectives
+from otafl import _workers, harness, objectives
 from otafl.objectives import ProbeBall, estimate_constants, estimate_g2, shard_grams
 
 from conftest import block_shards, make_shards
 from test_harness import _same_bound_inputs, tiny_config
 
-USERS = (1, 5, 20)  # 5 is no multiple of 2 or 3 workers
+USERS = (1, 5, 20, 50)  # 5 is no multiple of 2 or 3 workers
 WORKERS = (2, 3)
 
 
@@ -88,7 +88,7 @@ class TestBitsDoNotDependOnTheWorkers:
 _THREADS_SCRIPT = """
 import sys
 import numpy as np
-from otafl import objectives
+from otafl import _workers, objectives
 from otafl.data import Dataset
 rng = np.random.default_rng(5)
 users, size, dim = 5, 2000, 90
@@ -103,11 +103,11 @@ def run():
     g2 = objectives.estimate_g2(shards, 0.01, ball, np.random.default_rng(1))
     assert g2 == c.G2
     return b"".join(np.asarray(v).tobytes() for v in (*grams, c.L, c.mu, c.G2, c.Gamma, c.Mn2))
-objectives._cpu_count = lambda: 1
+_workers.cpu_count = lambda: 1
 serial = run()
-objectives.POOL_BYTES = 0
+_workers.POOL_BYTES = 0
 for workers in (2, 3):
-    objectives._cpu_count = lambda: workers
+    _workers.cpu_count = lambda: workers
     assert run() == serial, workers
 print("same")
 """
@@ -127,7 +127,7 @@ def test_pooled_is_serial_under_each_blas_thread_count(threads):
 
 
 def test_small_passes_start_no_thread():
-    # a desk-scale pass stays on the calling thread and imports no pool
+    # a desk-scale pass stays on the calling thread and imports no queue or pool
     src = str(Path(objectives.__file__).parents[1])
     script = (
         "import sys, threading\n"
@@ -139,20 +139,21 @@ def test_small_passes_start_no_thread():
         "    'alpha': {'source': 'analytic_bound'}})\n"
         "harness.resolve(config)\n"
         "harness.estimate_bound_inputs(config)\n"
-        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        "print('concurrent.futures' in sys.modules, 'queue' in sys.modules,\n"
+        "      threading.active_count())\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "1"]
+    assert result.stdout.split() == ["False", "False", "1"]
 
 
 def threads_per_pass(monkeypatch, shards, expected) -> int:
     """The number of threads a shard_grams pass runs its tasks on. Each
     thread's first task waits until expected threads have started one, so
-    that the pool cannot hand two workers to one thread in turn."""
+    that no thread can run two workers' shards in turn."""
     seen = set()
     started = threading.Barrier(expected, timeout=30)
     real = objectives._shard_pass
@@ -185,12 +186,17 @@ def test_passes_below_the_threshold_stay_serial(monkeypatch, cpu_pool):
     assert threads_per_pass(monkeypatch, shards, 1) == 1
     cpu_pool(2, threshold=gathered)
     assert threads_per_pass(monkeypatch, shards, 2) == 2
+    # and below the per-handoff floor: one shard's bytes
+    cpu_pool(2, threshold=gathered, handoff=gathered // 5 + 1)
+    assert threads_per_pass(monkeypatch, shards, 1) == 1
+    cpu_pool(2, threshold=gathered, handoff=gathered // 5)
+    assert threads_per_pass(monkeypatch, shards, 2) == 2
 
 
 def test_worker_count_falls_back_to_cpu_count(monkeypatch):
-    assert objectives._cpu_count() == len(os.sched_getaffinity(0))
+    assert _workers.cpu_count() == len(os.sched_getaffinity(0))
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert objectives._cpu_count() == (os.cpu_count() or 1)
+    assert _workers.cpu_count() == (os.cpu_count() or 1)
 
 
 class ShardFailure(Exception):
@@ -224,8 +230,8 @@ def test_a_task_error_is_raised_once_every_worker_ends(monkeypatch, cpu_pool, wo
 # Beyond the workers' shards and workspaces and the (N, d, d) Grams, a pass
 # allocates the probes, (N, d), (N, p) and (p,)-sized arrays, a 64 KiB ufunc
 # buffer per worker for the broadcast residual subtraction, and on the first
-# pooled pass in a process the import of concurrent.futures (about 170 KiB):
-# under this. A shard-sized copy per worker (672 KB here) breaks it.
+# pooled pass in a process the import of queue: under this. A shard-sized
+# copy per worker (672 KB here) breaks it.
 SLACK_BYTES = 512 << 10
 
 

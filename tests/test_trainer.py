@@ -11,7 +11,7 @@ import otafl.trainer as trainer_mod
 
 from otafl.channel import sample_noise
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition
-from otafl.localsgd import DEFAULT_THETA0_STD, check_steps
+from otafl.localsgd import DEFAULT_THETA0_STD, KernelBlocks, check_steps
 from otafl.objectives import grams_optimum, quadratic_gap, shard_grams
 from otafl.precoding import AlphaSchedule, FadingPolicy
 from otafl.trainer import (
@@ -29,6 +29,7 @@ from otafl.trainer import (
 )
 
 from conftest import (
+    KERNEL_BLOCKS,
     RegressionSample,
     allocating_pass,
     block_recorder,
@@ -257,7 +258,7 @@ for s, h, t, n, d in ((1, 40, 2, 50, 90), (3, 10, 5, 20, 20)):
     rows = rng.integers(500, size=(h, t, n))
     theta = rng.standard_normal((s, t, 1, d))
     etas = [0.5 / (d + j) for j in range(h)]
-    blocks = KernelBlocks(s, rows.shape, d)
+    blocks = KernelBlocks(s, rows.shape, features)
     models = local_pass(theta, features, targets, etas, rows, 0.01, blocks=blocks)
     sys.stdout.buffer.write(models.tobytes())
 """
@@ -276,6 +277,16 @@ def test_kernel_bits_do_not_depend_on_the_blas_thread_count():
     ]
     assert len(results[0]) == 8 * (2 * 50 * 90 + 3 * 5 * 20 * 20)
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("s, h, t, n, d", [(1, 40, 1, 50, 90), (3, 10, 5, 20, 20), (1, 1, 7, 3, 5)])
+def test_kernel_float_blocks_start_on_64_byte_boundaries(cpu_pool, s, h, t, n, d):
+    # the steps' speed must not depend on where the heap puts the blocks
+    cpu_pool(2)  # with the spare slot too
+    blocks = KernelBlocks(s, (h, t, n), np.zeros((8, d)))
+    arrays = [getattr(blocks, name) for name in KERNEL_BLOCKS if name != "ids"]
+    arrays += blocks._spare[1:3]
+    assert all(a.ctypes.data % 64 == 0 and a.flags.c_contiguous for a in arrays)
 
 
 class TestFusedStep:
