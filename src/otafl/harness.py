@@ -34,8 +34,7 @@ from .data import (
     partition,
     standardize,
 )
-from . import _workers
-from .localsgd import DEFAULT_THETA0_STD
+from .localsgd import DEFAULT_THETA0_STD, spare_slot
 from .objectives import ProbeBall, estimate_constants, estimate_g2
 from .objectives import solve_optimum  # noqa: F401  (perfbench/spans.py times it here)
 from .precoding import AlphaSchedule, FadingPolicy, alpha_upper_bound_schedule, estimate_alpha_mc
@@ -604,8 +603,8 @@ def trial_block(config: ExperimentConfig, features: np.ndarray, n_schemes: int) 
     A trial holds its shard row ids and those of its users' R*H sample
     steps, then in float64 its schemes' iterates, the kernel's blocks (one
     round's intp row ids, gathered samples and targets, twice over when the
-    blocks hold a spare slot, and its schemes' models, step buffers and
-    residuals), and for a chunk of rounds its schemes' channel noise and
+    blocks hold a spare slot, localsgd.spare_slot, and its schemes' models,
+    step buffers and residuals), and for a chunk of rounds its schemes' channel noise and
     the gap call's two temporaries.
     """
     trainer, n_users = config.trainer, config.users
@@ -613,8 +612,8 @@ def trial_block(config: ExperimentConfig, features: np.ndarray, n_schemes: int) 
     n_samples, dim = features.shape
     row_dtype = np.min_scalar_type(n_samples - 1)
     chunk = min(n_rounds, ROUND_CHUNK)
-    # a block's gathers offload only if all the trials' would (KernelBlocks)
-    slots = 1 + _workers.offloads(features.nbytes, 8 * h * config.trials * n_users * (dim + 1))
+    # a block's gathers offload only if all the trials' would
+    slots = 1 + spare_slot((h, config.trials, n_users), features)
     trial_bytes = (
         row_dtype.itemsize * n_users * (n_samples // n_users + n_rounds * h)
         + 8 * dim * (n_schemes * (n_rounds + 2 * n_users + chunk) + slots * h * n_users + 2 * chunk)

@@ -32,6 +32,12 @@ def _gather(features, targets, ids, samples, sample_targets) -> None:
     targets.take(ids, axis=0, out=sample_targets, mode="clip")
 
 
+def spare_slot(ids_shape: tuple[int, int, int], features: np.ndarray) -> bool:
+    """Whether KernelBlocks for (H, T, N) row ids into these (D, d) features
+    hold a spare slot: whether gathers of a call's samples and targets offload."""
+    return _workers.offloads(features.nbytes, 8 * math.prod(ids_shape) * (features.shape[1] + 1))
+
+
 class KernelBlocks:
     """The working blocks of local_pass, made once per run and reused by every
     call: the call's (H, T, N) row ids as intp, its gathered (H, T, N, d)
@@ -42,13 +48,13 @@ class KernelBlocks:
     ids_shape is the (H, T, N) shape of each call's step-major row ids into
     the run's (D, d) features.
 
-    If the gathers offload (the features' bytes, a call's gathered samples
-    and targets per handoff), the blocks hold a spare slot, which a Worker
-    fills with the next call's rows while a call steps. The next call takes
-    the slot over if it holds its rows of the same features and targets,
-    and gathers its own otherwise: no call steps on another's samples. The
-    worker starts with the first handoff and ends with close(), which
-    leaving a `with` block of the blocks calls, also when it raises.
+    If the gathers offload (spare_slot), the blocks hold a spare slot, which
+    a Worker fills with the next call's rows while a call steps. The next
+    call takes the slot over if it holds its rows of the same features and
+    targets, and gathers its own otherwise: no call steps on another's
+    samples. The worker starts with the first handoff and ends with
+    close(), which leaving a `with` block of the blocks calls, also when it
+    raises.
     """
 
     def __init__(self, n_models: int, ids_shape: tuple[int, int, int], features: np.ndarray):
@@ -61,30 +67,24 @@ class KernelBlocks:
             core = core[1:]
         step_shape = core if n_models == 1 else core[1:]
 
-        def empty(shape):  # float64 on a 64-byte boundary, see below
-            raw = np.empty(math.prod(shape) + 8)
-            return raw[-raw.ctypes.data % 64 // 8 :][: math.prod(shape)].reshape(shape)
-
         def slot():
             # A call gathers into the (H, T, N, d) block and steps on views of
             # it without the unit axes.
-            ids, gathered = np.empty(ids_shape, dtype=np.intp), empty((*ids_shape, dim))
-            gathered_targets = empty(ids_shape)
+            ids, gathered = np.empty(ids_shape, dtype=np.intp), np.empty((*ids_shape, dim))
+            gathered_targets = np.empty(ids_shape)
             samples = gathered.reshape(ids_shape[0], *step_shape)
             targets = gathered_targets.reshape(ids_shape[0], *step_shape[:-1])
             return ids, gathered, gathered_targets, samples, targets
 
         self.ids, self.gathered, self.gathered_targets, self.samples, self.targets = slot()
-        moved = self.gathered.nbytes + self.gathered_targets.nbytes
-        self._spare = slot() if _workers.offloads(features.nbytes, moved) else None
+        self._spare = slot() if spare_slot(ids_shape, features) else None
         self._worker = self._source = None  # the pending gather's (features, targets)
         # The working models are one C-contiguous block, so every step op runs
-        # with the strides of the gathered samples. Each float block starts on
-        # a 64-byte boundary: steps ran 3-4% slower on blocks 16 bytes off one.
-        self.models = empty(core)
+        # with the strides of the gathered samples.
+        self.models = np.empty(core)
         self.result = self.models.reshape(shape)
-        self.residual = empty(core[:-1])
-        self.step = empty(core)
+        self.residual = np.empty(core[:-1])
+        self.step = np.empty(core)
 
     def __enter__(self) -> KernelBlocks:
         return self

@@ -38,18 +38,19 @@ def _shard_pass(shards: ShardRows, task, *scratch: tuple[int, ...]) -> None:
     Each worker gathers its shards, one at a time, into its own (D_n, d) and
     (D_n,) workspace and hands task buffers of the scratch shapes, so a pass
     holds one shard per worker and never an (N, D_n, ...) stack. A pass that
-    offloads (the bytes it gathers, one shard's per handoff) runs on
-    min(cpu_count(), N) workers: the calling thread and a Worker for each
-    of the rest, shards dealt in turn. Tasks write only their own shard's
+    offloads (the bytes it gathers, a worker's share of them per handoff)
+    runs on min(cpu_count(), N) workers: the calling thread and a Worker for
+    each of the rest, shards dealt in turn. Tasks write only their own shard's
     rows of the caller's outputs, so the results do not depend on the
     worker count. A worker's exception is raised from here once every
     worker has ended.
     """
     n_users, size, d = shards.shape
     features, targets, rows = shards.dataset.features, shards.dataset.targets, shards.rows
-    shard_bytes = size * (d + 1) * features.itemsize
-    offload = _workers.offloads(n_users * shard_bytes, shard_bytes)
-    workers = min(_workers.cpu_count(), n_users) if offload else 1
+    gathered = n_users * size * (d + 1) * features.itemsize
+    workers = min(_workers.cpu_count(), n_users)
+    if not _workers.offloads(gathered, gathered // workers):
+        workers = 1
 
     def work(first: int) -> None:
         x, y = np.empty((size, d)), np.empty(size)
@@ -61,10 +62,11 @@ def _shard_pass(shards: ShardRows, task, *scratch: tuple[int, ...]) -> None:
             np.take(targets, rows[n], out=y, mode="clip")
             task(n, x, y, *buffers)
 
-    pool = [_workers.Worker() for _ in range(1, workers)]
+    pool = []
     try:
-        for first, worker in enumerate(pool, start=1):
-            worker.submit(work, first)
+        for first in range(1, workers):
+            pool.append(_workers.Worker())
+            pool[-1].submit(work, first)
         work(0)
     finally:
         for worker in pool:

@@ -177,8 +177,8 @@ def cpu_pool(monkeypatch):
     passes of objectives, the kernel's gather worker and data's block draw
     ask (_workers.offloads), whatever the machine's CPUs: after
     cpu_pool(workers), every pass that gathers at least threshold bytes
-    (default 0, every pass) and at least handoff bytes per shard (default
-    0) runs on min(workers, N) workers, and with workers > 1 every run on
+    (default 0, every pass) and at least handoff bytes per worker's share
+    of the shards (default 0) runs on min(workers, N) workers, and with workers > 1 every run on
     features of at least threshold bytes whose calls gather at least
     handoff bytes gathers each round's samples on a worker while the round
     before steps, and every such draw scans its blocks on a worker.

@@ -186,11 +186,36 @@ def test_passes_below_the_threshold_stay_serial(monkeypatch, cpu_pool):
     assert threads_per_pass(monkeypatch, shards, 1) == 1
     cpu_pool(2, threshold=gathered)
     assert threads_per_pass(monkeypatch, shards, 2) == 2
-    # and below the per-handoff floor: one shard's bytes
-    cpu_pool(2, threshold=gathered, handoff=gathered // 5 + 1)
+    # and below the per-handoff floor: each worker's share of the shards
+    cpu_pool(2, threshold=gathered, handoff=gathered // 2 + 1)
     assert threads_per_pass(monkeypatch, shards, 1) == 1
-    cpu_pool(2, threshold=gathered, handoff=gathered // 5)
+    cpu_pool(2, threshold=gathered, handoff=gathered // 2)
     assert threads_per_pass(monkeypatch, shards, 2) == 2
+
+
+def test_small_shards_of_a_large_dataset_offload(monkeypatch, cpu_pool):
+    # 100 shards of 300 rows, d = 90: 218 KB a shard, 21.8 MB a pass
+    cpu_pool(2, _workers.POOL_BYTES, _workers.HANDOFF_BYTES)
+    shards = make_shards(np.random.default_rng(2), n_users=100, per_user=300, dim=90)
+    assert 300 * 91 * 8 < _workers.HANDOFF_BYTES
+    assert threads_per_pass(monkeypatch, shards, 2) == 2
+
+
+def test_workers_that_started_are_closed_when_one_fails_to(monkeypatch, cpu_pool):
+    cpu_pool(3)
+    shards = make_shards(np.random.default_rng(2), n_users=5, per_user=10, dim=3)
+    started, real = [], _workers.Worker
+
+    def worker():
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(real())
+        return started[-1]
+
+    monkeypatch.setattr(_workers, "Worker", worker)
+    with pytest.raises(RuntimeError, match="new thread"):
+        shard_grams(shards)
+    assert len(started) == 1 and not started[0]._thread.is_alive()
 
 
 def test_worker_count_falls_back_to_cpu_count(monkeypatch):

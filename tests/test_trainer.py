@@ -279,16 +279,6 @@ def test_kernel_bits_do_not_depend_on_the_blas_thread_count():
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("s, h, t, n, d", [(1, 40, 1, 50, 90), (3, 10, 5, 20, 20), (1, 1, 7, 3, 5)])
-def test_kernel_float_blocks_start_on_64_byte_boundaries(cpu_pool, s, h, t, n, d):
-    # the steps' speed must not depend on where the heap puts the blocks
-    cpu_pool(2)  # with the spare slot too
-    blocks = KernelBlocks(s, (h, t, n), np.zeros((8, d)))
-    arrays = [getattr(blocks, name) for name in KERNEL_BLOCKS if name != "ids"]
-    arrays += blocks._spare[1:3]
-    assert all(a.ctypes.data % 64 == 0 and a.flags.c_contiguous for a in arrays)
-
-
 class TestFusedStep:
     """The kernel steps its own C-contiguous block of models in place."""
 
