@@ -94,15 +94,18 @@ def check_shift(kind: str, shift: float, ratio: float, local_steps: int) -> None
         raise ValueError(f"{kind} schedule needs shift >= {floor:.6g}, got {shift:.6g}")
 
 
-def weight_sum(shift: float, local_steps: int, rounds: int) -> float:
+def weight_sum(shift: float, local_steps: int, rounds: int | np.ndarray) -> float | np.ndarray:
     """Sum of the averaging weights (shift + r*H)^2 over rounds r = 1..R.
 
-    Always at least T^3/(3H) with T = R*H.
+    Always at least T^3/(3H) with T = R*H. A 1-D grid of R gives one sum per
+    entry, each an np.sum over a prefix of one terms array: the scalar bits.
     """
     if not shift > 0:
         raise ValueError("shift must be positive")
-    r = np.arange(1, rounds + 1, dtype=np.float64)
-    return float(np.sum((shift + r * local_steps) ** 2))
+    rounds = np.asarray(rounds)
+    terms = (shift + np.arange(1, rounds.max(initial=0) + 1, dtype=np.float64) * local_steps) ** 2
+    sums = np.array([np.sum(terms[: max(n, 0)]) for n in rounds.ravel()])
+    return float(sums[0]) if rounds.ndim == 0 else sums
 
 
 @dataclass(frozen=True)
@@ -112,24 +115,28 @@ class BoundInputs:
     constants: ProblemConstants
     delta0: float  # (expected) squared distance of the initial model from optimum
     shift: float  # schedule shift: a (averaged-model) or gamma (final-model)
-    total_steps: int  # T = R*H
+    total_steps: int | np.ndarray  # T = R*H, or a 1-D grid of them
     participants: int | None = None  # K, fading bound only
     h_min: float | None = None  # fading bound only
 
     def __post_init__(self):
         if not self.delta0 >= 0:
             raise ValueError("delta0 must be non-negative")
-        h = self.constants.H
-        if self.total_steps < h or self.total_steps % h != 0:
-            raise ValueError(f"total_steps must be a positive multiple of H={h}")
+        steps, h = np.asarray(self.total_steps), self.constants.H
+        if steps.ndim > 1 or steps.dtype.kind not in "iu" or np.any((steps < h) | (steps % h != 0)):
+            raise ValueError(
+                f"total_steps must be a positive multiple of H={h}, or a 1-D grid of them; got {steps}"
+            )
+        if steps.ndim:  # a grid is held as an array, so the bounds broadcast over it
+            object.__setattr__(self, "total_steps", steps)
         if not self.shift > 0:
             raise ValueError("shift must be positive")
 
 
-BoundFn = Callable[[BoundInputs], float]
+BoundFn = Callable[[BoundInputs], float | np.ndarray]
 
 
-def bound_weighted_average(inputs: BoundInputs) -> float:
+def bound_weighted_average(inputs: BoundInputs) -> float | np.ndarray:
     """Bound on the expected gap of the weighted-average model after T steps."""
     c = inputs.constants
     a, t_total = inputs.shift, inputs.total_steps
@@ -152,7 +159,7 @@ def bound_weighted_average(inputs: BoundInputs) -> float:
     return term_drift + term_noise + term_init
 
 
-def _final_model_bound(inputs: BoundInputs, error_constant: float) -> float:
+def _final_model_bound(inputs: BoundInputs, error_constant: float) -> float | np.ndarray:
     c = inputs.constants
     gamma, t_total = inputs.shift, inputs.total_steps
     check_shift("final_model", gamma, c.L / c.mu, c.H)
@@ -160,12 +167,12 @@ def _final_model_bound(inputs: BoundInputs, error_constant: float) -> float:
     return numerator / (c.mu**2 * (t_total + gamma))
 
 
-def bound_final_model(inputs: BoundInputs) -> float:
+def bound_final_model(inputs: BoundInputs) -> float | np.ndarray:
     """Bound on the expected gap of the instantaneous model after T steps."""
     return _final_model_bound(inputs, channel_error_constant(inputs.constants))
 
 
-def bound_final_model_fading(inputs: BoundInputs) -> float:
+def bound_final_model_fading(inputs: BoundInputs) -> float | np.ndarray:
     """Final-model bound when K of N users participate over a fading channel."""
     if inputs.participants is None or inputs.h_min is None:
         raise ValueError("fading bound needs participants and h_min")
@@ -210,14 +217,11 @@ def validate_dominance(
     """Check a per-round Monte Carlo mean-gap curve against a bound.
 
     `round_gaps` is a sequence of (t, mean_gap) pairs with t the global step
-    count at each communication round (a positive multiple of H).
+    count at each communication round (a positive multiple of H); the bound
+    is evaluated once over the whole grid of t.
     """
-    h = inputs.constants.H
-    rows = []
-    for t, gap in round_gaps:
-        t = int(t)
-        if t <= 0 or t % h != 0:
-            raise ValueError(f"round grid entry t={t} is not a positive multiple of H={h}")
-        bound_value = bound_fn(replace(inputs, total_steps=t))
-        rows.append(DominanceRow(t=t, mean_gap=float(gap), bound=bound_value, satisfied=gap <= bound_value))
+    pairs = [(int(t), float(gap)) for t, gap in round_gaps]
+    steps = np.array([t for t, _ in pairs], dtype=np.int64)
+    bounds = bound_fn(replace(inputs, total_steps=steps)).tolist()
+    rows = [DominanceRow(t, gap, bound, gap <= bound) for (t, gap), bound in zip(pairs, bounds)]
     return DominanceReport(rows=tuple(rows))

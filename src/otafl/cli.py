@@ -19,6 +19,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import harness
 from .bounds import (
     base_error_constant,
@@ -105,15 +107,12 @@ def _cmd_bound(args) -> int:
     kind = "averaged_model" if args.theorem == 1 else "final_model"
     inputs = harness.estimate_bound_inputs(config, kind=kind)
     c = inputs.constants
-    h = config.trainer.local_steps
 
-    bound_fn = {
-        1: bound_weighted_average,
-        2: bound_final_model,
-        3: bound_final_model_fading,
-    }[args.theorem]
+    bound_fn = (bound_weighted_average, bound_final_model, bound_final_model_fading)[args.theorem - 1]
     if args.theorem == 3 and (inputs.participants is None or inputs.h_min is None):
         raise ValueError("theorem 3 needs a fading channel config (participants, h_min)")
+    grid = replace(inputs, total_steps=np.array(t_values))
+    keys = [str(t) for t in t_values]
 
     payload = {
         "theorem": args.theorem,
@@ -129,16 +128,11 @@ def _cmd_bound(args) -> int:
             if inputs.participants is not None
             else None
         ),
-        "S_R": {},
-        "bounds": {},
+        "S_R": dict(zip(keys, weight_sum(inputs.shift, c.H, grid.total_steps // c.H).tolist())),
+        "bounds": dict(zip(keys, bound_fn(grid).tolist())),
         "shift": inputs.shift,
         "delta0": inputs.delta0,
     }
-    for t in t_values:
-        if t <= 0 or t % h != 0:
-            raise ValueError(f"t={t} is not a positive multiple of H={h}")
-        payload["S_R"][str(t)] = weight_sum(inputs.shift, h, t // h)
-        payload["bounds"][str(t)] = bound_fn(replace(inputs, total_steps=t))
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -19,6 +19,7 @@ import math
 import numbers
 import weakref
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, NewType, Sequence, get_type_hints
 
@@ -184,8 +185,12 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.users < 1:
             raise ValueError("users must be >= 1")
+        self.partition_spec  # built and checked here, before any dataset is
+        k = self.channel.participants
+        if k is not None and not (1 <= k <= self.users):
+            raise ValueError(f"participants must lie in [1, {self.users}]")
 
-    @property
+    @cached_property
     def partition_spec(self) -> PartitionSpec:
         return PartitionSpec(self.partition_mode, self.users, self.skew_fraction)
 
@@ -494,8 +499,6 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
         k = config.channel.participants
         if k is None:
             k = max(1, min(config.users, round(config.channel.eligibility * config.users)))
-        if not (1 <= k <= config.users):
-            raise ValueError(f"participants must lie in [1, {config.users}]")
         fading_policy = FadingPolicy(
             h_min=calibrated_h_min(config.channel),
             participants=k,
@@ -709,10 +712,12 @@ class MetricsTable:
         return sorted((r for r in self.rows if r.scheme == scheme), key=lambda r: r.round)
 
 
-def _stderr(values: np.ndarray) -> float:
-    if values.shape[0] < 2:
-        return 0.0
-    return float(values.std(ddof=1) / math.sqrt(values.shape[0]))
+def _stderr(values: np.ndarray) -> np.ndarray:
+    """Standard error of the mean along the last axis; 0 with fewer than two values."""
+    n = values.shape[-1]
+    if n < 2:
+        return np.zeros(values.shape[:-1])
+    return values.std(axis=-1, ddof=1) / math.sqrt(n)
 
 
 def tabulate(result: SimulationResult) -> MetricsTable:
@@ -722,14 +727,9 @@ def tabulate(result: SimulationResult) -> MetricsTable:
         # one round per row: the row reductions give the bits of per-round
         # column reductions, which an axis-0 reduction does not once T > 8
         gaps = np.ascontiguousarray(run.gaps.T)
-        n_trials = gaps.shape[1]
-        if n_trials < 2:
-            stderrs = np.zeros(gaps.shape[0])
-        else:
-            stderrs = gaps.std(axis=1, ddof=1) / math.sqrt(n_trials)
         columns = zip(
             gaps.mean(axis=1).tolist(),
-            stderrs.tolist(),
+            _stderr(gaps).tolist(),
             np.ascontiguousarray(run.power_max.T).mean(axis=1).tolist(),
             np.ascontiguousarray(run.participants.T).mean(axis=1).tolist(),
             np.ascontiguousarray(run.waits.T).mean(axis=1).tolist(),
@@ -848,7 +848,7 @@ def analyze_comparison(
     pairs = []
     for first, second in zip(schemes, schemes[1:]):
         diffs = final[second] - final[first]
-        se = _stderr(diffs)
+        se = float(_stderr(diffs))
         mean = float(diffs.mean())
         z = mean / se if se > 0 else math.inf if mean > 0 else (-math.inf if mean < 0 else 0.0)
         pairs.append(PairedComparison(first=first, second=second, mean_diff=mean, se_diff=se, z=z))

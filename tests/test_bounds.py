@@ -6,6 +6,7 @@ import pytest
 
 from otafl.bounds import (
     BoundInputs,
+    DominanceRow,
     base_error_constant,
     bound_final_model,
     bound_final_model_fading,
@@ -117,6 +118,20 @@ def c_for_bounds(**overrides):
     )
     values.update(overrides)
     return ProblemConstants(**values)
+
+
+GRID_BOUNDS = (
+    (bound_weighted_average, "averaged_model"),
+    (bound_final_model, "final_model"),
+    (bound_final_model_fading, "final_model"),
+)
+
+
+def _grid_inputs(kind, steps, delta0=1.0):
+    c = c_for_bounds()
+    _, shift = schedule_shift(kind, c.L / c.mu, c.H)
+    # a shift off the integers, so that weight sums round and summation order shows
+    return BoundInputs(c, delta0, shift * 1.0371, total_steps=steps, participants=1, h_min=0.5)
 
 
 class TestScheduleShift:
@@ -294,6 +309,24 @@ class TestDominanceValidation:
         with pytest.raises(ValueError, match="multiple of H"):
             validate_dominance([(0, 0.1)], bound_final_model, inputs)
 
+    @pytest.mark.parametrize("bound_fn, kind", GRID_BOUNDS)
+    def test_rows_equal_a_per_row_loop(self, bound_fn, kind):
+        # the rows one grid call gives, against the same rows built one bound
+        # call at a time; gaps straddle the bound, so some rows fail
+        inputs = _grid_inputs(kind, 40)
+        rng = np.random.default_rng(5)
+        steps = 4 * np.arange(1, 1001)
+        scalar = [bound_fn(replace(inputs, total_steps=int(t))) for t in steps]
+        gaps = np.array(scalar) * rng.uniform(0.5, 1.5, steps.size)
+        report = validate_dominance(list(zip(steps, gaps)), bound_fn, inputs)
+        expected = tuple(
+            DominanceRow(t=int(t), mean_gap=float(gap), bound=bound, satisfied=gap <= bound)
+            for t, gap, bound in zip(steps, gaps, scalar)
+        )
+        assert report.rows == expected
+        assert 0 < len(report.violations) < len(expected)
+        assert validate_dominance([], bound_fn, inputs).rows == ()
+
     def test_negative_control_halved_error_constant(self):
         # traces sitting just under the true bound must violate the bound
         # recomputed with the error constant halved (delta0 small keeps the
@@ -310,6 +343,55 @@ class TestDominanceValidation:
             grid, bound_final_model, replace(inputs, constants=halved)
         )
         assert not report.passed and len(report.violations) == len(grid)
+
+
+class TestStepGrid:
+    """A 1-D grid of step counts is one call, each entry with the bits of
+    its own scalar call."""
+
+    @pytest.mark.parametrize("bound_fn, kind", GRID_BOUNDS)
+    @pytest.mark.parametrize("delta0", [1e-9, 1e4])  # either arm of the final-model max
+    def test_grid_equals_the_per_step_loop_bit_for_bit(self, bound_fn, kind, delta0):
+        steps = 4 * np.arange(1, 1001)
+        inputs = _grid_inputs(kind, steps, delta0)
+        grid = bound_fn(inputs)
+        loop = [bound_fn(replace(inputs, total_steps=int(t))) for t in steps]
+        assert all(type(value) is float for value in loop)
+        assert grid.shape == (1000,) and grid.tolist() == loop
+
+    def test_weight_sum_grid_equals_the_per_round_loop_bit_for_bit(self):
+        rounds = np.arange(1, 1001)
+        for shift in (33.0, 1e-3, 1234.5678):
+            sums = weight_sum(shift, 4, rounds)
+            assert sums.tolist() == [weight_sum(shift, 4, int(r)) for r in rounds]
+        # a grid need not be sorted, and may repeat an entry
+        assert weight_sum(33.0, 4, np.array([3, 1, 3])).tolist() == [
+            weight_sum(33.0, 4, r) for r in (3, 1, 3)
+        ]
+
+    def test_unsorted_grid_with_repeats(self):
+        steps = np.array([40, 4, 40, 12])
+        for bound_fn, kind in GRID_BOUNDS:
+            inputs = _grid_inputs(kind, steps)
+            assert bound_fn(inputs).tolist() == [
+                bound_fn(replace(inputs, total_steps=int(t))) for t in steps
+            ]
+
+    def test_a_list_is_held_as_an_array(self):
+        inputs = _grid_inputs("final_model", [4, 8])
+        assert isinstance(inputs.total_steps, np.ndarray)
+        assert bound_final_model(inputs).tolist() == [
+            bound_final_model(replace(inputs, total_steps=t)) for t in (4, 8)
+        ]
+
+    @pytest.mark.parametrize(
+        "steps",
+        [np.array([4, 8, 6]), np.array([4, 0]), np.array([-4]), 6, 0, np.array([[4, 8]]),
+         np.array([4.0, 8.0]), 8.0],
+    )
+    def test_every_entry_is_checked_once_in_one_place(self, steps):
+        with pytest.raises(ValueError, match="multiple of H=4"):
+            _grid_inputs("final_model", steps)
 
 
 def test_final_model_bound_matches_independent_script(rng):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from otafl import harness
-from otafl.bounds import bound_final_model, bound_final_model_fading, bound_weighted_average
+from otafl.bounds import (
+    bound_final_model,
+    bound_final_model_fading,
+    bound_weighted_average,
+    weight_sum,
+)
 from otafl.cli import main
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, load_csv, partition, save_csv
 from otafl.harness import estimate_bound_inputs, load_config, load_table
@@ -74,15 +79,16 @@ def test_bound_evaluates_the_library_inputs_at_each_t(config_path, tmp_path, cap
             trainer={"scheme": "cotaf_fading", "local_steps": 2, "rounds": 4},
             channel={"kind": "fading_mac", "snr_db": -6.0, "participants": 2},
         )
-    t_values = (4, 8, 16)
-    argv = ["bound", "--config", str(path), "--theorem", str(theorem), "--t", "4,8,16"]
-    assert main(argv) == 0
+    t_values = (2, 4, 6, 8, 10, 16, 24, 40, 100, 2000, 8)
+    argv = ["bound", "--config", str(path), "--theorem", str(theorem)]
+    assert main([*argv, "--t", ",".join(map(str, t_values))]) == 0
     payload = json.loads(capsys.readouterr().out)
     kind = "averaged_model" if theorem == 1 else "final_model"
     inputs = estimate_bound_inputs(load_config(path), kind=kind)
     bound_fn = {1: bound_weighted_average, 2: bound_final_model, 3: bound_final_model_fading}
     expected = {str(t): bound_fn[theorem](replace(inputs, total_steps=t)) for t in t_values}
     assert payload["bounds"] == expected
+    assert payload["S_R"] == {str(t): weight_sum(inputs.shift, 2, t // 2) for t in t_values}
     assert (payload["shift"], payload["delta0"]) == (inputs.shift, inputs.delta0)
 
 

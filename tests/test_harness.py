@@ -323,6 +323,25 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=rf"^config key {where} must be a finite number, got"):
             parse_config(json.loads(json.dumps(doc)))
 
+    def test_a_bad_partition_is_rejected_as_it_parses(self):
+        # resolve would only meet it after building the dataset
+        doc = _fading_doc()
+        doc["partition"] = {"mode": "bogus", "skew_fraction": 1.5}
+        with pytest.raises(ValueError, match=r"^mode must be one of .*, got 'bogus'$"):
+            parse_config(doc)
+        doc["partition"] = {"mode": "heterogeneous", "skew_fraction": 1.5}
+        with pytest.raises(ValueError, match=r"^skew_fraction must lie in \[0, 1\)$"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("participants", [0, 5])
+    def test_fading_participants_outside_the_users_are_rejected_as_they_parse(self, participants):
+        doc = _fading_doc()
+        doc["channel"]["participants"] = participants
+        with pytest.raises(ValueError, match=r"^participants must lie in \[1, 4\]$"):
+            parse_config(doc)
+        doc["channel"]["participants"] = 4
+        assert parse_config(doc).channel.participants == 4
+
     def test_negative_theta0_std_is_rejected_as_it_parses(self):
         doc = _fading_doc()
         doc["trainer"]["theta0_std"] = -1
@@ -768,6 +787,16 @@ class TestCompare:
         report = analyze_comparison(result, ["noise_free_local_sgd", "cotaf", "non_precoded_ota"])
         for pair in report.pairs:
             assert abs(pair.mean_diff) < 1e-10
+
+    @pytest.mark.parametrize("trials", [1, 2, 9])
+    def test_paired_stderr_is_the_stderr_of_the_final_gap_differences(self, trials):
+        config = tiny_config(trials=trials)
+        schemes = ["noise_free_local_sgd", "cotaf"]
+        result = simulate_trials(config, schemes)
+        report = analyze_comparison(result, schemes)
+        diffs = result.schemes["cotaf"].gaps[:, -1] - result.schemes["noise_free_local_sgd"].gaps[:, -1]
+        se = 0.0 if trials < 2 else float(diffs.std(ddof=1) / math.sqrt(trials))
+        assert type(report.pairs[0].se_diff) is float and report.pairs[0].se_diff == se
 
     def test_needs_two_schemes(self):
         result = simulate_trials(tiny_config(), ["cotaf"])
