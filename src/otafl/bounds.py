@@ -108,6 +108,16 @@ def weight_sum(shift: float, local_steps: int, rounds: int | np.ndarray) -> floa
     return float(sums[0]) if rounds.ndim == 0 else sums
 
 
+def check_total_steps(total_steps, h: int) -> np.ndarray:
+    """total_steps as an array, if it is a positive multiple of H = h or a 1-D grid of them."""
+    steps = np.asarray(total_steps)
+    if steps.ndim > 1 or steps.dtype.kind not in "iu" or np.any((steps < h) | (steps % h != 0)):
+        raise ValueError(
+            f"total_steps must be a positive multiple of H={h}, or a 1-D grid of them; got {steps}"
+        )
+    return steps
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Everything a bound evaluation needs besides the formula itself."""
@@ -122,11 +132,7 @@ class BoundInputs:
     def __post_init__(self):
         if not self.delta0 >= 0:
             raise ValueError("delta0 must be non-negative")
-        steps, h = np.asarray(self.total_steps), self.constants.H
-        if steps.ndim > 1 or steps.dtype.kind not in "iu" or np.any((steps < h) | (steps % h != 0)):
-            raise ValueError(
-                f"total_steps must be a positive multiple of H={h}, or a 1-D grid of them; got {steps}"
-            )
+        steps = check_total_steps(self.total_steps, self.constants.H)
         if steps.ndim:  # a grid is held as an array, so the bounds broadcast over it
             object.__setattr__(self, "total_steps", steps)
         if not self.shift > 0:

@@ -19,8 +19,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import harness
 from .bounds import (
     base_error_constant,
@@ -28,6 +26,7 @@ from .bounds import (
     bound_final_model_fading,
     bound_weighted_average,
     channel_error_constant,
+    check_total_steps,
     fading_channel_error_constant,
     partial_participation_penalty,
     weight_sum,
@@ -104,14 +103,16 @@ def _cmd_bound(args) -> int:
     t_values = [int(v) for v in args.t.replace(",", " ").split()]
     if not t_values:
         raise ValueError("--t needs at least one step count")
+    # the step grid and the channel are checked before the inputs are estimated
+    steps = check_total_steps(t_values, config.trainer.local_steps)
+    if args.theorem == 3 and config.fading_policy is None:
+        raise ValueError("theorem 3 needs a fading channel config (participants, h_min)")
     kind = "averaged_model" if args.theorem == 1 else "final_model"
     inputs = harness.estimate_bound_inputs(config, kind=kind)
     c = inputs.constants
 
     bound_fn = (bound_weighted_average, bound_final_model, bound_final_model_fading)[args.theorem - 1]
-    if args.theorem == 3 and (inputs.participants is None or inputs.h_min is None):
-        raise ValueError("theorem 3 needs a fading channel config (participants, h_min)")
-    grid = replace(inputs, total_steps=np.array(t_values))
+    grid = replace(inputs, total_steps=steps)
     keys = [str(t) for t in t_values]
 
     payload = {

@@ -189,10 +189,27 @@ class ExperimentConfig:
         k = self.channel.participants
         if k is not None and not (1 <= k <= self.users):
             raise ValueError(f"participants must lie in [1, {self.users}]")
+        self.fading_policy  # likewise, once K is known to lie in [1, N]
 
     @cached_property
     def partition_spec(self) -> PartitionSpec:
         return PartitionSpec(self.partition_mode, self.users, self.skew_fraction)
+
+    @cached_property
+    def fading_policy(self) -> FadingPolicy | None:
+        """The fading rounds' policy, None without fading. K defaults to about
+        eligibility * N users, and h_min to the threshold a user clears with
+        probability eligibility under Rayleigh fading."""
+        channel, k, h_min = self.channel, self.channel.participants, self.channel.h_min
+        if channel.kind != "fading_mac":
+            return None
+        if k is None:
+            k = max(1, min(self.users, round(channel.eligibility * self.users)))
+        if h_min is None:
+            h_min = channel.rayleigh_scale * math.sqrt(2.0 * math.log(1.0 / channel.eligibility))
+        policy = FadingPolicy(h_min=h_min, participants=k, rayleigh_scale=channel.rayleigh_scale)
+        check_fading_supply(policy, self.users)
+        return policy
 
 
 def _field_kinds(cls) -> dict:
@@ -341,13 +358,6 @@ def sigma_from_snr(snr_db: float | None, power: float = POWER) -> float:
     return sigma_w2
 
 
-def calibrated_h_min(spec: ChannelSpec) -> float:
-    """Censoring threshold matching the target eligibility under Rayleigh fading."""
-    if spec.h_min is not None:
-        return spec.h_min
-    return spec.rayleigh_scale * math.sqrt(2.0 * math.log(1.0 / spec.eligibility))
-
-
 def check_fading_supply(policy: FadingPolicy, n_users: int) -> None:
     """Reject a fading config whose rounds would starve before drawing any.
 
@@ -494,18 +504,6 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
         config.trainer.schedule, mu, smoothness, config.trainer.local_steps
     )
 
-    fading_policy = None
-    if config.channel.kind == "fading_mac":
-        k = config.channel.participants
-        if k is None:
-            k = max(1, min(config.users, round(config.channel.eligibility * config.users)))
-        fading_policy = FadingPolicy(
-            h_min=calibrated_h_min(config.channel),
-            participants=k,
-            rayleigh_scale=config.channel.rayleigh_scale,
-        )
-        check_fading_supply(fading_policy, config.users)
-
     alpha_schedule = None
     if any(spec.needs_alpha for spec in specs):
         alpha_schedule = _resolve_alpha(config, dataset, schedule)
@@ -515,7 +513,7 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
         dataset=dataset,
         schedule=schedule,
         sigma_w2=sigma_w2,
-        fading_policy=fading_policy,
+        fading_policy=config.fading_policy,
         alpha_schedule=alpha_schedule,
     )
 

@@ -23,9 +23,6 @@ from .channel import RAYLEIGH_UNIT_POWER_SCALE
 from .data import ShardRows
 from .localsgd import DEFAULT_THETA0_STD, KernelBlocks, StepFn, check_steps, local_pass
 
-# Pilot rounds whose dataset row ids are mapped from their draws at once.
-PILOT_ROUND_CHUNK = 16
-
 
 @dataclass(frozen=True)
 class AlphaSchedule:
@@ -160,41 +157,29 @@ def estimate_alpha_mc(
     check_steps(etas, lam)
     # Every trial's draws up front, in the order trial by trial sampling takes
     # them: the initial model, then one draw in round -> user -> step order.
-    # The indices are held in the smallest dtype that fits a shard index.
+    # Each trial's draws are mapped at once to dataset row ids, step-major per
+    # round as the kernel gathers them, in the smallest dtype that fits a row
+    # id of the dataset, as training holds them.
     thetas = np.empty((pilot_trials, 1, dim))
-    draws = np.empty(
-        (pilot_trials, rounds, n_users, local_steps), dtype=np.min_scalar_type(shard_size - 1)
+    steps = np.empty(
+        (rounds, local_steps, pilot_trials, n_users), dtype=np.min_scalar_type(len(dataset) - 1)
     )
+    users = np.arange(n_users)[:, None]  # each draw's user, over rounds and steps
     for t in range(pilot_trials):
         thetas[t, 0] = rng.normal(0.0, theta0_std, dim)
-        draws[t] = rng.integers(shard_size, size=draws[t].size).reshape(draws.shape[1:])
+        draws = rng.integers(shard_size, size=(rounds, n_users, local_steps))
+        steps[:, :, t] = shard_rows[users, draws].transpose(0, 2, 1)
 
-    # All trials advance as one (T, N, d) block per round, stepping on the
-    # round's step-major (H, T, N) shard indices mapped to dataset row ids,
-    # as training does, in one set of kernel blocks. The row ids of a chunk
-    # of rounds are one take from the flat shard rows, so the draws are cast
-    # once per chunk and only the chunk is held as intp. Each call is given
-    # the next round's row ids, the next chunk mapped before the chunk's
-    # last round, so that the blocks' worker, if they offload, gathers them
-    # while the round steps.
-    flat_rows = shard_rows.ravel()
-    offsets = np.arange(n_users) * shard_size  # user n's first flat index
-
-    def chunk_rows(lo: int) -> np.ndarray:  # (C, H, T, N) from round lo + 1 on
-        return flat_rows.take(
-            draws[:, lo : lo + PILOT_ROUND_CHUNK].transpose(1, 3, 0, 2) + offsets
-        )
-
+    # All trials advance as one (T, N, d) block per round in one set of kernel
+    # blocks. Each call is given the next round's row ids, as training does,
+    # so that the blocks' worker, if they offload, gathers them while the
+    # round steps.
     sums = np.empty((rounds, n_users))
-    with KernelBlocks(1, (local_steps, pilot_trials, n_users), dataset.features) as blocks:
-        chunk = chunk_rows(0)
+    with KernelBlocks(1, steps.shape[1:], dataset.features) as blocks:
         for r in range(rounds):
-            rows, upcoming = chunk[r % PILOT_ROUND_CHUNK], r % PILOT_ROUND_CHUNK + 1
-            if upcoming == len(chunk) and r + 1 < rounds:
-                chunk, upcoming = chunk_rows(r + 1), 0
             (local_models,) = local_pass(
-                thetas[None], dataset.features, dataset.targets, etas[r], rows, lam,
-                blocks=blocks, next_rows=chunk[upcoming] if upcoming < len(chunk) else None,
+                thetas[None], dataset.features, dataset.targets, etas[r], steps[r], lam,
+                blocks=blocks, next_rows=steps[r + 1] if r + 1 < rounds else None,
             )
             diff = local_models - thetas
             sq = np.einsum("tnd,tnd->tn", diff, diff)

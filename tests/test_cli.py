@@ -64,8 +64,25 @@ def test_bound_prints_constants(config_path, capsys):
     assert set(payload["S_R"]) == {"4", "8"}
 
 
-def test_bound_rejects_bad_t(config_path, capsys):
+@pytest.fixture
+def no_estimate(monkeypatch):
+    """Fails a test that estimates the bound inputs."""
+
+    def estimate(*args, **kwargs):
+        raise AssertionError("the bound inputs were estimated")
+
+    monkeypatch.setattr(harness, "estimate_bound_inputs", estimate)
+
+
+def test_bound_rejects_bad_t(config_path, capsys, no_estimate):
+    # H = 2: the step counts are checked before the inputs are estimated
     assert main(["bound", "--config", str(config_path), "--theorem", "2", "--t", "3"]) == 1
+    assert "total_steps must be a positive multiple of H=2" in capsys.readouterr().err
+
+
+def test_bound_rejects_theorem_3_without_fading(config_path, capsys, no_estimate):
+    assert main(["bound", "--config", str(config_path), "--theorem", "3", "--t", "4"]) == 1
+    assert "theorem 3 needs a fading channel config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("theorem", [1, 2, 3])

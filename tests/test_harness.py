@@ -1024,31 +1024,36 @@ class TestFadingExperiment:
         assert np.all(run.participants == 3)
         assert np.all(run.gaps[:, -1] >= -1e-9)
 
-    def test_starved_config_fails_at_resolve(self):
+    def test_starved_config_fails_as_it_parses(self):
         # unit-power Rayleigh: one user clears h_min with q = exp(-h_min^2), so
-        # K = N = 4 users do with p_K = q^4
+        # K = N = 4 users do with p_K = q^4; the policy is checked before any
+        # dataset is built
         def config(h_min):
             return tiny_config(
                 channel={"kind": "fading_mac", "snr_db": -6.0, "participants": 4, "h_min": h_min}
             )
 
         # p_K = exp(-9) ~ 1.2e-4: about 8100 redraws per round, served
+        assert config(1.5).fading_policy.h_min == 1.5
         assert harness.resolve(config(1.5), ["cotaf_fading"]).fading_policy.h_min == 1.5
         # p_K = exp(-16) ~ 1.1e-7: about 8.9e6 redraws per round, rejected
         p_k = math.exp(-4.0) ** 4
         with pytest.raises(ValueError, match=rf"starve: .* p_K={p_k:.3g}, .* MAX_WAIT_REDRAWS"):
-            harness.resolve(config(2.0), ["cotaf_fading"])
+            config(2.0)
         with pytest.raises(ValueError, match=r"p_K=0, so a round waits for inf redraws"):
-            harness.resolve(config(50.0), ["noise_free_local_sgd"])
+            config(50.0)
 
     def test_rayleigh_scale_reaches_the_policy(self):
         channel = {"kind": "fading_mac", "snr_db": -6.0, "participants": 3, "rayleigh_scale": 1.3}
         config = tiny_config(channel=channel)
         policy = harness.resolve(config, ["noise_free_local_sgd"]).fading_policy
+        assert policy is config.fading_policy
         assert policy.rayleigh_scale == 1.3
         assert math.exp(-policy.h_min**2 / (2 * 1.3**2)) == pytest.approx(0.8, rel=1e-12)
         with pytest.raises(ValueError, match="rayleigh_scale must be positive"):
-            harness.resolve(tiny_config(channel={**channel, "rayleigh_scale": 0.0}), [])
+            tiny_config(channel={**channel, "rayleigh_scale": 0.0})
+        with pytest.raises(ValueError, match="h_min must be positive"):
+            tiny_config(channel={**channel, "h_min": 0.0})
 
 
 def _same_bound_inputs(a, b) -> bool:

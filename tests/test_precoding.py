@@ -7,6 +7,7 @@ import pytest
 import otafl.precoding as precoding_mod
 
 from otafl.channel import fading_mac, sample_noise, sample_rayleigh
+from otafl.localsgd import local_pass
 from otafl.objectives import ProbeBall, estimate_constants
 from otafl.precoding import (
     AlphaSchedule,
@@ -384,11 +385,9 @@ class TestEstimateAlphaMc:
         np.testing.assert_array_equal(schedule.values, expected)
 
     @pytest.mark.parametrize("n_users", [1, 3])
-    def test_round_chunks_and_one_user_equal_a_per_trial_loop(self, rng, monkeypatch, n_users):
-        # row ids mapped a chunk of rounds at a time, across chunk edges; with
-        # one user and 12 trials a pairwise sum over the trials would move
-        # the last bits, so the trials still add one by one
-        monkeypatch.setattr(precoding_mod, "PILOT_ROUND_CHUNK", 4)
+    def test_round_chunks_and_one_user_equal_a_per_trial_loop(self, rng, n_users):
+        # with one user and 12 trials a pairwise sum over the trials would
+        # move the last bits, so the trials still add one by one
         shards = make_shards(rng, n_users=n_users, per_user=12, dim=3)
         lam, rounds, h, power, trials = 0.5, 9, 2, 1.0, 12
         step_fn = lambda t: 2.0 / (0.8 * (20.0 + t))
@@ -399,9 +398,39 @@ class TestEstimateAlphaMc:
         expected = _per_trial_pilot(shards, lam, rounds, h, power, trials, step_fn, seed=8)
         np.testing.assert_array_equal(schedule.values, expected)
 
+    def test_each_call_is_given_the_next_calls_rows(self, rng, monkeypatch):
+        # as training does: round r steps on its own (H, T, N) row ids, the
+        # pilot shard rows its draws index, and hands round r + 1's to the
+        # blocks; the last round hands none
+        shards = make_shards(rng, n_users=3, per_user=7, dim=3)
+        rounds, h, trials = 5, 2, 4
+        calls = []
+
+        def record(*args, next_rows=None, **kwargs):
+            calls.append((args[4].copy(), None if next_rows is None else next_rows.copy()))
+            return local_pass(*args, next_rows=next_rows, **kwargs)
+
+        monkeypatch.setattr(precoding_mod, "local_pass", record)
+        estimate_alpha_mc(
+            shards, 0.5, rounds, h, 1.0, trials, np.random.default_rng(8),
+            step_fn=constant_step(0.05), theta0_std=1.0,
+        )
+        ref_rng = np.random.default_rng(8)
+        expected = np.empty((rounds, h, trials, 3), dtype=np.int64)
+        for t in range(trials):
+            ref_rng.normal(0.0, 1.0, 3)
+            for r, n, j in itertools.product(range(rounds), range(3), range(h)):
+                expected[r, j, t, n] = shards.rows[n, ref_rng.integers(7)]
+        assert len(calls) == rounds
+        for r, (rows, next_rows) in enumerate(calls):
+            np.testing.assert_array_equal(rows, expected[r])
+            if r + 1 < rounds:
+                np.testing.assert_array_equal(next_rows, calls[r + 1][0])
+            else:
+                assert next_rows is None
+
     def test_pilot_steps_on_blocks_it_allocates_once(self, rng, monkeypatch):
-        # 70 rounds span several PILOT_ROUND_CHUNKs; every round steps on the
-        # same blocks, the kept models alias none of them, no round writes
+        # over 70 rounds every round steps on the same blocks, the kept models alias none of them, no round writes
         # into its gathered samples, and the schedule has the bits of the
         # allocating kernel's
         shards = make_shards(rng, n_users=4, per_user=12, dim=3)

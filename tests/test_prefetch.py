@@ -18,7 +18,7 @@ import otafl.precoding as precoding_mod
 import otafl.trainer as trainer_mod
 from otafl import _workers, harness, localsgd
 from otafl.localsgd import KernelBlocks, local_pass
-from otafl.precoding import PILOT_ROUND_CHUNK, AlphaSchedule, estimate_alpha_mc
+from otafl.precoding import AlphaSchedule, estimate_alpha_mc
 from otafl.trainer import TrainerConfig, run_training
 
 from conftest import make_shards
@@ -93,7 +93,7 @@ class TestTrainingBits:
 
 
 class TestPilotBits:
-    @pytest.mark.parametrize("rounds", [1, 2 * PILOT_ROUND_CHUNK + 3])
+    @pytest.mark.parametrize("rounds", [1, 35])
     def test_prefetched_pilot_has_the_serial_bits(self, cpu_pool, gathers, rounds):
         shards = make_shards(np.random.default_rng(5), n_users=4, per_user=12, dim=3)
 
