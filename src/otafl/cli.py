@@ -171,8 +171,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_partition(args) -> int:
     dataset = load_csv(args.csv, header=args.header)
-    spec = PartitionSpec(args.mode, args.n, args.skew)
-    shards = dataset.shards(partition(dataset, spec, stream_generator(args.seed, "partition")))
+    spec = PartitionSpec(args.mode, args.skew)
+    shards = dataset.shards(
+        partition(dataset, spec, args.n, stream_generator(args.seed, "partition"))
+    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for user, (features, targets) in enumerate(shards, start=1):

@@ -235,15 +235,12 @@ class PartitionSpec:
     distribution shift.
     """
 
-    mode: str
-    n_users: int
+    mode: str = "iid"
     skew_fraction: float = 0.2
 
     def __post_init__(self):
         if self.mode not in PARTITION_MODES:
             raise ValueError(f"mode must be one of {PARTITION_MODES}, got {self.mode!r}")
-        if self.n_users < 1:
-            raise ValueError("n_users must be >= 1")
         if not (0.0 <= self.skew_fraction < 1.0):
             raise ValueError("skew_fraction must lie in [0, 1)")
 
@@ -340,9 +337,9 @@ def standardize(dataset: Dataset) -> Dataset:
 
 
 def partition(
-    dataset: Dataset, spec: PartitionSpec, rng: np.random.Generator
+    dataset: Dataset, spec: PartitionSpec, n_users: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Split the dataset's row ids into disjoint, equal-size user shards.
+    """Split the dataset's row ids into disjoint, equal-size shards of n_users users.
 
     Returns an (N, D_n) block, row n holding user n+1's sample row ids;
     dataset.shards(rows) reads their samples shard by shard. Samples beyond
@@ -350,24 +347,26 @@ def partition(
     holds the same number of samples.
     """
     total = len(dataset)
-    if spec.n_users > total:
-        raise ValueError(f"cannot split {total} samples between {spec.n_users} users")
-    per_user = total // spec.n_users
-    kept = spec.n_users * per_user
+    if n_users < 1:
+        raise ValueError("n_users must be >= 1")
+    if n_users > total:
+        raise ValueError(f"cannot split {total} samples between {n_users} users")
+    per_user = total // n_users
+    kept = n_users * per_user
     if kept < total:
         logger.info("partition: dropping %d remainder samples", total - kept)
 
     perm = rng.permutation(total)[:kept]
     if spec.mode == "iid":
-        return perm.reshape(spec.n_users, per_user)
+        return perm.reshape(n_users, per_user)
     # Sort the kept samples by target and give user n a skewed slice of
     # quantile bin n; everything else is dealt i.i.d. from the pooled rest.
     by_target = perm[np.argsort(dataset.targets[perm], kind="stable")]
-    bins = by_target.reshape(spec.n_users, per_user)
+    bins = by_target.reshape(n_users, per_user)
     n_skewed = int(round(spec.skew_fraction * per_user))
     own: list[np.ndarray] = []
     pool_parts: list[np.ndarray] = []
-    for n in range(spec.n_users):
+    for n in range(n_users):
         order = rng.permutation(per_user)
         own.append(bins[n][order[:n_skewed]])
         pool_parts.append(bins[n][order[n_skewed:]])
@@ -375,5 +374,5 @@ def partition(
     pool = pool[rng.permutation(pool.shape[0])]
     fill = per_user - n_skewed
     return np.stack(
-        [np.concatenate([own[n], pool[n * fill : (n + 1) * fill]]) for n in range(spec.n_users)]
+        [np.concatenate([own[n], pool[n * fill : (n + 1) * fill]]) for n in range(n_users)]
     )

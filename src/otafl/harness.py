@@ -47,6 +47,7 @@ from .trainer import (
     StepSchedule,
     TrainerConfig,
     TrialStreams,
+    check_ridge_and_gains,
     run_training,
     scheme_spec,
 )
@@ -125,6 +126,7 @@ class TrainerSpec:
             raise ValueError("local_steps and rounds must be >= 1")
         if not self.theta0_std >= 0:
             raise ValueError(f"theta0_std must be non-negative, got {self.theta0_std}")
+        check_ridge_and_gains(self.ridge_lambda, POWER, self.non_precoded_gain)
 
 
 # An SNR in dB may be any number: sigma_from_snr rejects one that leaves no
@@ -175,8 +177,7 @@ class ExperimentConfig:
     dataset: DatasetSpec
     trainer: TrainerSpec
     channel: ChannelSpec
-    partition_mode: str = "iid"
-    skew_fraction: float = 0.2
+    partition: PartitionSpec = PartitionSpec()
     alpha: AlphaSpec = AlphaSpec()
     output: str | None = None
 
@@ -185,15 +186,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.users < 1:
             raise ValueError("users must be >= 1")
-        self.partition_spec  # built and checked here, before any dataset is
         k = self.channel.participants
         if k is not None and not (1 <= k <= self.users):
             raise ValueError(f"participants must lie in [1, {self.users}]")
-        self.fading_policy  # likewise, once K is known to lie in [1, N]
-
-    @cached_property
-    def partition_spec(self) -> PartitionSpec:
-        return PartitionSpec(self.partition_mode, self.users, self.skew_fraction)
+        self.fading_policy  # built and checked here, before any dataset is
 
     @cached_property
     def fading_policy(self) -> FadingPolicy | None:
@@ -279,9 +275,6 @@ _COERCE = {
     str | None: _optional(_string),
     float | str: _shift,  # schedule shift: a number or "auto"
 }
-# The partition section's keys, and the ExperimentConfig fields they set.
-_PARTITION_KEYS = {"mode": "partition_mode", "skew_fraction": "skew_fraction"}
-_PARTITION_FIELDS = {name: key for key, name in _PARTITION_KEYS.items()}
 
 
 def _parse_value(kind, value, path: tuple[str, ...]):
@@ -298,8 +291,6 @@ def _parse_value(kind, value, path: tuple[str, ...]):
     try:
         return _COERCE[kind](value)
     except _Mistyped as exc:
-        if path[0] in _PARTITION_FIELDS:  # set from the partition section
-            path = ("partition", _PARTITION_FIELDS[path[0]])
         raise ValueError(f"config key {'.'.join(path)} must be {exc}, got {value!r}") from None
 
 
@@ -320,19 +311,13 @@ def _parse_spec(cls, doc: Mapping, path: tuple[str, ...] = ()):
 
 def parse_config(doc: Mapping) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON document, rejecting unknown keys."""
-    flat = [f.name for f in fields(ExperimentConfig) if f.name not in _PARTITION_KEYS.values()]
-    _check_keys(doc, [*flat, "partition"], "config")
-    partition_doc = doc.get("partition", {})
-    _check_keys(partition_doc, _PARTITION_KEYS, "partition")
-    channel_doc = _section(doc.get("channel", {}), "channel")
+    channel_doc = _section(_section(doc, "config").get("channel", {}), "channel")
     if "kind" in channel_doc and channel_doc["kind"] != "fading_mac":
         for key in _FADING_ONLY_KEYS:
             if key in channel_doc:
                 raise ValueError(
                     f"channel key {key!r} needs kind 'fading_mac', got {channel_doc['kind']!r}"
                 )
-    doc = {key: value for key, value in doc.items() if key != "partition"}
-    doc.update((_PARTITION_KEYS[key], value) for key, value in partition_doc.items())
     return _parse_spec(ExperimentConfig, doc)
 
 
@@ -457,7 +442,7 @@ def _resolve_alpha(
         return loaded
 
     rows = partition(
-        dataset, config.partition_spec, stream_generator(config.seed, "alpha/partition")
+        dataset, config.partition, config.users, stream_generator(config.seed, "alpha/partition")
     )
     if alpha.source == "mc_pilot":
         # the pilot steps on the subsample's row ids; no sample is copied
@@ -630,9 +615,9 @@ def simulate_trials(
 
     Each trial's shards are row ids into the shared dataset. Its optimum is
     that of the rows it keeps, from the dataset's cached sums less those of
-    the fewer than N rows it drops (Dataset.kept_optimum), so trials that
-    drop the same rows, every trial when N divides D, share one read-only
-    (theta*, H). The trials then train in blocks of up to TRIAL_BLOCK_BYTES
+    the fewer than N rows it drops (Dataset.kept_optimum), so when N divides
+    D every trial shares the one read-only (theta*, H) that the dataset
+    keeps. The trials then train in blocks of up to TRIAL_BLOCK_BYTES
     (trial_block), one run_training call each.
     """
     schemes = list(schemes) if schemes is not None else [config.trainer.scheme]
@@ -659,15 +644,11 @@ def simulate_trials(
         trials = range(lo, min(lo + block, n_trials))
         rows = np.empty((len(trials), n_users, shard_size), dtype=row_dtype)
         theta0 = np.empty((len(trials), dim))
-        optima, trial_optima = {}, []  # each dropped row set's optimum
+        trial_optima = []
         for t, trial in enumerate(trials):
             stream = stream_generator(config.seed, f"trial{trial}/partition")
-            rows[t] = partition(dataset, config.partition_spec, stream)
-            dropped = dataset.dropped_rows(rows[t])
-            key = dropped.tobytes()
-            if key not in optima:
-                optima[key] = dataset.kept_optimum(dropped, lam)
-            trial_optima.append(optima[key])
+            rows[t] = partition(dataset, config.partition, n_users, stream)
+            trial_optima.append(dataset.kept_optimum(dataset.dropped_rows(rows[t]), lam))
             theta0[t] = initial_model_for_trial(config, trial, dim)
         in_block = slice(trials.start, trials.stop)
         traces = run_training(
@@ -899,7 +880,8 @@ def estimate_bound_inputs(config: ExperimentConfig, *, kind: str = "final_model"
             dataset.shards(
                 partition(
                     dataset,
-                    config.partition_spec,
+                    config.partition,
+                    config.users,
                     stream_generator(config.seed, f"bound/partition{i}"),
                 )
             ),

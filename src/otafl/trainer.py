@@ -130,6 +130,17 @@ class StepSchedule:
         check_shift(self.kind, self.shift, smoothness / self.mu, local_steps)
 
 
+def check_ridge_and_gains(
+    ridge_lambda: float, power: float, non_precoded_gain: float | None
+) -> None:
+    """Raise unless the ridge weight is non-negative and the power budget and
+    the non-precoded gain, if set, are positive."""
+    if not (ridge_lambda >= 0 and power > 0):
+        raise ValueError("invalid ridge_lambda / power")
+    if non_precoded_gain is not None and not non_precoded_gain > 0:
+        raise ValueError(f"non_precoded_gain must be positive, got {non_precoded_gain}")
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
     """Everything one training run needs besides data, initial models and streams.
@@ -153,12 +164,9 @@ class TrainerConfig:
         spec = scheme_spec(self.scheme)
         if self.local_steps < 1 or self.rounds < 1:
             raise ValueError("local_steps and rounds must be >= 1")
-        if not (self.ridge_lambda >= 0 and self.power > 0):
-            raise ValueError("invalid ridge_lambda / power")
+        check_ridge_and_gains(self.ridge_lambda, self.power, self.non_precoded_gain)
         if not self.sigma_w2 >= 0:
             raise ValueError("sigma_w2 must be non-negative")
-        if self.non_precoded_gain is not None and not self.non_precoded_gain > 0:
-            raise ValueError(f"non_precoded_gain must be positive, got {self.non_precoded_gain}")
         if spec.fading != (self.fading is not None):
             need = "requires a" if spec.fading else "takes no"
             raise ValueError(f"{self.scheme} {need} FadingPolicy")
@@ -258,20 +266,21 @@ def draw_fading_rounds(
 
 def plan_fading_rounds(
     fades: FadingRounds, lo: int, hi: int, n_users: int, config: TrainerConfig, first_trial: int = 0
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Rounds lo+1..hi of T trials' fading runs, as run_round takes them.
 
     fades holds the trials' (T, R, K) selections. Each round's plan is a
-    tuple of (T, K) blocks: the senders' flat row ids t*N + id - 1 into the
-    round's (T*N, d) block of local models, their magnitudes, and the flat
-    slots t*R*N + r*N + id - 1 of their energies in the run's C-contiguous
-    (T, R, N) power block. A magnitude at or below h_min raises, since a
-    censored user does not transmit; the error names the scheme, the round
-    and the trial, numbering the block's trials from first_trial.
+    pair of (T, N) blocks over all users: the magnitudes the MAC applies,
+    and the divisors of the precoding gains. A sender reads its fading
+    magnitude in both; a user left out reads 1.0 and +inf, so its gain
+    (a*h_min)/inf is exactly 0 and it adds nothing to the sum. A magnitude
+    at or below h_min raises, since a censored user does not transmit; the
+    error names the scheme, the round and the trial, numbering the block's
+    trials from first_trial.
     """
-    n_trials, rounds = fades.waits.shape
-    # round-major (C, T, K) blocks, so that each round's rows are contiguous
-    magnitudes = np.ascontiguousarray(fades.magnitudes[:, lo:hi].transpose(1, 0, 2))
+    n_trials = fades.waits.shape[0]
+    # round-major (C, T, K) views, so that the first censored round is named
+    magnitudes = fades.magnitudes[:, lo:hi].transpose(1, 0, 2)
     floor = config.fading.h_min
     censored = np.argwhere(~(magnitudes > floor))  # in round, then trial order
     if censored.size:
@@ -281,13 +290,14 @@ def plan_fading_rounds(
             f"fading magnitude {magnitudes[r, t].min():.6g} is at or below h_min={floor:.6g}: "
             "a censored user does not transmit"
         )
-    ids = fades.participants[:, lo:hi].transpose(1, 0, 2) - 1
-    trial_rows = np.arange(n_trials)[:, None] * n_users
-    senders = np.add(ids, trial_rows, order="C")
-    slots = np.add(
-        ids, trial_rows * rounds + np.arange(lo, hi)[:, None, None] * n_users, order="C"
-    )
-    return list(zip(senders, magnitudes, slots))
+    # each sender's flat slot c*T*N + t*N + id - 1 in the chunk's (C, T, N) blocks
+    rows = np.arange((hi - lo) * n_trials).reshape(hi - lo, n_trials, 1) * n_users
+    slots = fades.participants[:, lo:hi].transpose(1, 0, 2) - 1 + rows
+    received = np.ones((hi - lo, n_trials, n_users))
+    divisors = np.full((hi - lo, n_trials, n_users), np.inf)
+    received.reshape(-1)[slots] = magnitudes
+    divisors.reshape(-1)[slots] = magnitudes
+    return list(zip(received, divisors))
 
 
 def run_round(
@@ -297,28 +307,26 @@ def run_round(
     alpha: float | None,
     noise: np.ndarray | None,
     powers: np.ndarray,
-    fading: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    fading: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Aggregate one round of one scheme over its channel, for T trials at once.
 
     local_models holds each trial's (N, d) models, a (T, N, d) block, which
     the users reached from the trial's broadcast row of the (T, d)
     global_theta by the round's local steps. Returns the new (T, d) global
-    models and writes each transmitter's energy into powers: the round's
-    (T, N) energies, or for a fading round the C-contiguous power block
-    that its plan's flat slots index, whose silent users the caller has
-    set to 0.
+    models and writes each user's transmit energy into the (T, N) powers,
+    0 for a user that stayed silent.
 
     alpha is the round's precoding coefficient, which only the precoded
     schemes use. noise is the (T, d) noise of the scheme's MAC output, one
     row per trial, or None for a noiseless channel. fading is the round's
-    plan from plan_fading_rounds, (T, K) sender rows, magnitudes and power
-    slots, which only the fading scheme uses.
+    plan from plan_fading_rounds, the (T, N) magnitudes and gain divisors,
+    which only the fading scheme uses.
 
-    Every scheme runs the codec of its SCHEME_TABLE row: its K transmitters
-    precode their updates delta_k by c_k = a*b/h_k, the MAC sums
-    h_k*c_k*delta_k plus the noise w, and the decoder adds that sum over
-    K*a*b to global_theta.
+    Every scheme runs the codec of its SCHEME_TABLE row on all N users:
+    each precodes its update delta_n by c_n = a*b/h_n, 0 for a user left
+    out, the MAC sums h_n*c_n*delta_n plus the noise w, and the decoder adds
+    that sum over K*a*b to global_theta.
     """
     spec = SCHEME_TABLE[config.scheme]
     if spec.needs_alpha and not (alpha is not None and alpha > 0):
@@ -327,21 +335,16 @@ def run_round(
     if spec.fading:
         if fading is None:
             raise ValueError(f"{config.scheme} needs the round's fading selection")
-        senders, magnitudes, slots = fading
-        floor = config.fading.h_min
-        deltas = local_models.reshape(-1, local_models.shape[-1]).take(senders, axis=0)
-        deltas -= global_theta[:, None]
+        magnitudes, divisors = fading
+        floor, k = config.fading.h_min, config.fading.participants
     else:  # all N users over the unit channel
-        magnitudes, floor = 1.0, 1.0
-        deltas = local_models - global_theta[:, None]
-    signals = precode(deltas, (amplitude * floor) / magnitudes)
+        magnitudes = divisors = floor = 1.0
+        k = local_models.shape[1]
+    deltas = local_models - global_theta[:, None]
+    signals = precode(deltas, (amplitude * floor) / divisors)
     y = fading_mac(signals, magnitudes, noise)
-    new_theta = decode(y, deltas.shape[1] * amplitude * floor, global_theta)
-    if spec.fading:  # each sender's energy
-        powers.put(slots, np.einsum("tkd,tkd->tk", signals, signals))
-    else:
-        np.einsum("tkd,tkd->tk", signals, signals, out=powers)
-    return new_theta
+    np.einsum("tkd,tkd->tk", signals, signals, out=powers)
+    return decode(y, k * amplitude * floor, global_theta)
 
 
 # Paired runs share the kernel, so their configs must agree on these.
@@ -457,9 +460,9 @@ def run_training(
             (np.empty((n_trials, rounds)), np.empty((n_trials, rounds, n_users))) for _ in configs
         ]
     for _, powers in out:
-        if powers.shape != (n_trials, rounds, n_users) or not powers.flags.c_contiguous:
+        if powers.shape != (n_trials, rounds, n_users):
             raise ValueError(
-                f"need a C-contiguous (T, R, N) = {(n_trials, rounds, n_users)} power block, "
+                f"need a (T, R, N) = {(n_trials, rounds, n_users)} power block, "
                 f"got shape {powers.shape}"
             )
     etas = first.step.eta(np.arange(rounds * h)).reshape(rounds, h)  # each round's H
@@ -494,7 +497,6 @@ def run_training(
                             dim, config.sigma_w2, trial.noise[s], rows=hi - lo
                         )
                 if fades[s] is not None:
-                    out[s][1][:, lo:hi] = 0.0  # the users left out stay silent
                     plans[s] = plan_fading_rounds(fades[s], lo, hi, n_users, config, first_trial)
             for i in range(lo, hi):
                 local_models = local_pass(
@@ -509,7 +511,7 @@ def run_training(
                             theta[s], local_models[s], config,
                             alphas[i] if needs_alpha[s] else None,
                             None if noise[s] is None else noise[s][:, i - lo],
-                            powers[:, i] if plan is None else powers,
+                            powers[:, i],
                             None if plan is None else plan[i - lo],
                         )
                     except Exception as exc:

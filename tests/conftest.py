@@ -85,7 +85,7 @@ def make_shards(
     noise_std: float = 0.5,
 ) -> ShardRows:
     dataset = generate_synthetic(dim, n_users * per_user, noise_std, rng)
-    return dataset.shards(partition(dataset, PartitionSpec("iid", n_users), rng))
+    return dataset.shards(partition(dataset, PartitionSpec("iid"), n_users, rng))
 
 
 def block_shards(features, targets) -> ShardRows:

@@ -85,7 +85,7 @@ def test_criterion_01_noiseless_collapse():
     )
     resolved = harness.resolve(config, ["cotaf"])
     rows = partition(
-        resolved.dataset, config.partition_spec, stream_generator(SEED, "trial0/partition")
+        resolved.dataset, config.partition, config.users, stream_generator(SEED, "trial0/partition")
     )
     shards = resolved.dataset.shards(rows)
     theta_star, hess = grams_optimum(*shard_grams(shards), config.trainer.ridge_lambda)
@@ -181,7 +181,8 @@ def test_weighted_average_bound_final_round():
     for trial in range(config.trials):
         rows = partition(
             resolved.dataset,
-            config.partition_spec,
+            config.partition,
+            config.users,
             stream_generator(SEED, f"trial{trial}/partition"),
         )
         shards = resolved.dataset.shards(rows)
@@ -533,7 +534,7 @@ def test_criterion_10_gradient_and_optimum():
         from otafl.data import PartitionSpec, generate_synthetic
 
         dataset = generate_synthetic(6, 240, 1.0, inst_rng)
-        shards = dataset.shards(partition(dataset, PartitionSpec("iid", 4), inst_rng))
+        shards = dataset.shards(partition(dataset, PartitionSpec("iid"), 4, inst_rng))
         theta_star = solve_optimum(shards, 0.5)
         resid = np.linalg.norm(global_grad(theta_star, shards, 0.5))
         worst_stationarity = max(

@@ -227,7 +227,7 @@ def test_analytic_alpha_takes_theta_star_from_the_sums_and_forms_no_gram(monkeyp
     monkeypatch.undo()
 
     rows = data.partition(
-        dataset, config.partition_spec, stream_generator(config.seed, "alpha/partition")
+        dataset, config.partition, config.users, stream_generator(config.seed, "alpha/partition")
     )
     assert dataset.dropped_rows(rows).size == 3
     theta_star, _ = dataset.kept_optimum(dataset.dropped_rows(rows), lam)

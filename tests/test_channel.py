@@ -93,6 +93,11 @@ class TestWeightedSum:
             k, d = int(rng.integers(1, 40)), int(rng.integers(2, 50))
             inputs = rng.standard_normal((*lead, k, d)) * rng.uniform(0.1, 100.0)
             mags = rng.uniform(0.1, 3.0, (*lead, k))
+            # a user left out of a fading round sends +-0 at magnitude 1.0,
+            # an exact +-0 term that leaves the ordered sum as it is
+            silent = rng.random((*lead, k)) < rng.uniform(0.0, 0.9)
+            inputs[silent] = np.where(rng.random((*lead, k, d)) < 0.5, -0.0, 0.0)[silent]
+            mags[silent] = 1.0
             expected = mags[..., 0, None] * inputs[..., 0, :]
             for j in range(1, k):
                 expected = expected + mags[..., j, None] * inputs[..., j, :]

@@ -217,7 +217,7 @@ def test_partition_command_writes_each_users_rows(tmp_path, capsys, mode):
     ]) == 0
     assert "wrote 4 shards of 10 samples" in capsys.readouterr().out
     dataset = load_csv(csv_in)
-    rows = partition(dataset, PartitionSpec(mode, 4, 0.3), stream_generator(2, "partition"))
+    rows = partition(dataset, PartitionSpec(mode, 0.3), 4, stream_generator(2, "partition"))
     expected = tmp_path / "expected.csv"
     for n, ids in enumerate(rows, start=1):
         save_csv(Dataset(dataset.features[ids], dataset.targets[ids]), expected)

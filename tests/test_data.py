@@ -121,15 +121,14 @@ def test_standardize_holds_one_copy_of_the_features():
 class TestPartition:
     def test_iid_even_sizes(self, rng):
         dataset = generate_synthetic(3, 100, 1.0, rng)
-        rows = partition(dataset, PartitionSpec("iid", 5), rng)
+        rows = partition(dataset, PartitionSpec("iid"), 5, rng)
         assert rows.shape == (5, 20)
 
 
     @pytest.mark.parametrize("mode", ["iid", "heterogeneous"])
     def test_partition_gathers_the_row_ids(self, mode):
         dataset = generate_synthetic(3, 103, 1.0, np.random.default_rng(4))
-        spec = PartitionSpec(mode, 5, 0.3)
-        rows = partition(dataset, spec, np.random.default_rng(9))
+        rows = partition(dataset, PartitionSpec(mode, 0.3), 5, np.random.default_rng(9))
         shards = dataset.shards(rows)
         assert rows.shape == (5, 20) and len(np.unique(rows)) == 100
         assert shards.shape == (5, 20, 3)
@@ -143,30 +142,32 @@ class TestPartition:
 
     def test_remainder_dropped(self, rng):
         dataset = generate_synthetic(2, 103, 1.0, rng)
-        rows = partition(dataset, PartitionSpec("iid", 5), rng)
+        rows = partition(dataset, PartitionSpec("iid"), 5, rng)
         assert rows.shape == (5, 20)
 
     def test_disjoint_cover(self, rng):
         dataset = generate_synthetic(2, 60, 1.0, rng)
-        rows = partition(dataset, PartitionSpec("heterogeneous", 3, 0.3), rng)
+        rows = partition(dataset, PartitionSpec("heterogeneous", 0.3), 3, rng)
         assert rows.shape == (3, 20)
         # every sample appears exactly once
         np.testing.assert_array_equal(np.sort(rows, axis=None), np.arange(60))
 
-    def test_too_many_users(self, rng):
+    def test_user_count_is_checked(self, rng):
         dataset = generate_synthetic(2, 3, 1.0, rng)
-        with pytest.raises(ValueError):
-            partition(dataset, PartitionSpec("iid", 4), rng)
+        with pytest.raises(ValueError, match=r"^cannot split 3 samples between 4 users$"):
+            partition(dataset, PartitionSpec("iid"), 4, rng)
+        with pytest.raises(ValueError, match=r"^n_users must be >= 1$"):
+            partition(dataset, PartitionSpec("iid"), 0, rng)
 
     def test_determinism(self):
         dataset = generate_synthetic(2, 50, 1.0, np.random.default_rng(3))
-        a = partition(dataset, PartitionSpec("heterogeneous", 5, 0.2), np.random.default_rng(9))
-        b = partition(dataset, PartitionSpec("heterogeneous", 5, 0.2), np.random.default_rng(9))
+        a = partition(dataset, PartitionSpec("heterogeneous", 0.2), 5, np.random.default_rng(9))
+        b = partition(dataset, PartitionSpec("heterogeneous", 0.2), 5, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
     def test_zero_skew_matches_iid_statistics(self, rng):
         dataset = generate_synthetic(2, 2000, 1.0, rng)
-        rows = partition(dataset, PartitionSpec("heterogeneous", 10, 0.0), rng)
+        rows = partition(dataset, PartitionSpec("heterogeneous", 0.0), 10, rng)
         assert rows.shape == (10, 200)
         global_mean = dataset.targets.mean()
         global_std = dataset.targets.std()
@@ -184,7 +185,7 @@ class TestPartition:
             gammas = {}
             for mode, skew in (("iid", 0.0), ("heterogeneous", 0.2)):
                 rows = partition(
-                    dataset, PartitionSpec(mode, 10, skew), np.random.default_rng(7 + seed)
+                    dataset, PartitionSpec(mode, skew), 10, np.random.default_rng(7 + seed)
                 )
                 c = estimate_constants(
                     dataset.shards(rows),
@@ -240,7 +241,7 @@ class TestShardBlock:
     def test_hand_built_block_of_dataset_samples_is_still_checked(self):
         # a caller's copy of a partition's samples goes through Dataset's scan
         dataset = generate_synthetic(3, 40, 1.0, np.random.default_rng(6))
-        rows = partition(dataset, PartitionSpec("iid", 4), np.random.default_rng(7))
+        rows = partition(dataset, PartitionSpec("iid"), 4, np.random.default_rng(7))
         features, targets = dataset.features[rows], dataset.targets[rows]
         features[2, 5, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
@@ -318,7 +319,7 @@ class TestKeptOptimum:
         # dataset's sums less theirs give the per-shard pass's optimum
         dataset = generate_synthetic(6, total, 1.0, np.random.default_rng(total))
         for seed in range(3):
-            rows = partition(dataset, PartitionSpec(mode, 20), np.random.default_rng(seed))
+            rows = partition(dataset, PartitionSpec(mode), 20, np.random.default_rng(seed))
             dropped = dataset.dropped_rows(rows)
             assert dropped.size == total - rows.size
             assert np.array_equal(np.sort(np.concatenate([rows.ravel(), dropped])), np.arange(total))
@@ -330,7 +331,7 @@ class TestKeptOptimum:
 
     def test_no_dropped_row_gives_the_whole_optimum(self):
         dataset = generate_synthetic(4, 40, 1.0, np.random.default_rng(4))
-        rows = partition(dataset, PartitionSpec("iid", 8), np.random.default_rng(5))
+        rows = partition(dataset, PartitionSpec("iid"), 8, np.random.default_rng(5))
         dropped = dataset.dropped_rows(rows)
         assert dropped.size == 0
         kept, whole = dataset.kept_optimum(dropped, self.LAM), dataset.whole_optimum(self.LAM)

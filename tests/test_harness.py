@@ -98,7 +98,7 @@ class TestConfigParsing:
 
     def test_defaults_applied(self):
         config = tiny_config()
-        assert config.partition_mode == "iid"
+        assert config.partition == PartitionSpec("iid", 0.2)
         assert config.alpha.source == "mc_pilot"
         assert config.trainer.ridge_lambda == 0.5
 
@@ -170,7 +170,7 @@ class TestConfigParsing:
             trainer=TrainerSpec("cotaf_fading", 4, 30, ScheduleSpec("averaged_model", 12.0), 0.3,
                                 0.1, 0.7),
             channel=ChannelSpec("fading_mac", 3.0, 1.1, 5, 0.6, 0.4),
-            partition_mode="heterogeneous", skew_fraction=0.35,
+            partition=PartitionSpec("heterogeneous", 0.35),
             alpha=AlphaSpec("file", 0.5, 3, "alpha.json"), output="out.csv",
         )
         config = parse_config(doc)
@@ -200,7 +200,7 @@ class TestConfigParsing:
                     assert kind in harness._COERCE, (spec.__name__, name, kind)
         assert seen == {
             ExperimentConfig, SyntheticSpec, CsvSpec, TrainerSpec, ScheduleSpec, ChannelSpec,
-            AlphaSpec,
+            PartitionSpec, AlphaSpec,
         }
 
 
@@ -250,7 +250,7 @@ class TestConfigParsing:
             parse_config(doc)
         section[path[-1]] = 0  # an integer is a number
         config = parse_config(doc)
-        for key in path if path[0] != "partition" else path[1:]:
+        for key in path:
             config = getattr(config, key)
         assert config == 0.0 and type(config) is float
 
@@ -332,6 +332,12 @@ class TestConfigParsing:
         doc["partition"] = {"mode": "heterogeneous", "skew_fraction": 1.5}
         with pytest.raises(ValueError, match=r"^skew_fraction must lie in \[0, 1\)$"):
             parse_config(doc)
+        doc["partition"] = {"mode": "iid", "n_users": 4}
+        with pytest.raises(ValueError, match=r"^unknown config keys in partition: \['n_users'\]$"):
+            parse_config(doc)
+        doc["partition"] = ["iid"]
+        with pytest.raises(ValueError, match=r"^partition must be a JSON object, got \['iid'\]$"):
+            parse_config(doc)
 
     @pytest.mark.parametrize("participants", [0, 5])
     def test_fading_participants_outside_the_users_are_rejected_as_they_parse(self, participants):
@@ -349,6 +355,25 @@ class TestConfigParsing:
             parse_config(doc)
         doc["trainer"]["theta0_std"] = 0
         assert parse_config(doc).trainer.theta0_std == 0.0
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("ridge_lambda", -1, r"^invalid ridge_lambda / power$"),
+            ("non_precoded_gain", 0, r"^non_precoded_gain must be positive, got 0\.0$"),
+            ("non_precoded_gain", -0.5, r"^non_precoded_gain must be positive, got -0\.5$"),
+        ],
+    )
+    def test_bad_codec_settings_are_rejected_as_they_parse(self, monkeypatch, key, value, match):
+        # resolve would meet a negative ridge weight only after building the
+        # dataset, and simulate_trials a zero gain only after the alpha pilot
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "desk.json").read_text())
+        doc["trainer"][key] = value
+        monkeypatch.setattr(harness, "build_dataset", pytest.fail)
+        with pytest.raises(ValueError, match=match):
+            parse_config(doc)
+        doc["trainer"][key] = 0 if key == "ridge_lambda" else 0.7
+        assert getattr(parse_config(doc).trainer, key) == doc["trainer"][key]
 
 
 def _fading_doc() -> dict:
@@ -401,7 +426,8 @@ class TestRunExperiment:
         # hand-rebuild trial 0 with the documented streams and compare
         resolved = harness.resolve(config, ["noise_free_local_sgd"])
         trial_rows = partition(
-            resolved.dataset, config.partition_spec, stream_generator(config.seed, "trial0/partition")
+            resolved.dataset, config.partition, config.users,
+            stream_generator(config.seed, "trial0/partition")
         )
         theta_star, hess = resolved.dataset.kept_optimum(
             resolved.dataset.dropped_rows(trial_rows), config.trainer.ridge_lambda
@@ -559,7 +585,8 @@ class TestRunExperiment:
         for trial in range(config.trials):
             rows = partition(
                 resolved.dataset,
-                config.partition_spec,
+                config.partition,
+                config.users,
                 stream_generator(config.seed, f"trial{trial}/partition"),
             )
             theta_star, hess = resolved.dataset.kept_optimum(
@@ -624,7 +651,8 @@ class TestRunExperiment:
         for trial in range(config.trials):
             rows = partition(
                 resolved.dataset,
-                config.partition_spec,
+                config.partition,
+                config.users,
                 stream_generator(config.seed, f"trial{trial}/partition"),
             )
             dropped = resolved.dataset.dropped_rows(rows)
@@ -848,7 +876,8 @@ class TestBoundInputs:
                 dataset.shards(
                     partition(
                         dataset,
-                        config.partition_spec,
+                        config.partition,
+                        config.users,
                         stream_generator(config.seed, f"bound/partition{i}"),
                     )
                 ),
@@ -932,7 +961,7 @@ class TestShardPasses:
         # row ids one shard at a time: their peak stays under half the dataset,
         # which one gathered (N, D_n, d) copy alone exceeds
         dataset = generate_synthetic(30, 20000, 1.0, np.random.default_rng(12))
-        rows = partition(dataset, PartitionSpec("iid", 40), np.random.default_rng(13))
+        rows = partition(dataset, PartitionSpec("iid"), 40, np.random.default_rng(13))
         limit = (dataset.features.nbytes + dataset.targets.nbytes) / 2
         ball = ProbeBall(np.zeros(30), 2.0)
 
@@ -971,7 +1000,8 @@ class TestShardPasses:
             resolved = harness.resolve(config, ["cotaf"])
             dataset = resolved.dataset
             rows = partition(
-                dataset, config.partition_spec, stream_generator(config.seed, "alpha/partition")
+                dataset, config.partition, config.users,
+                stream_generator(config.seed, "alpha/partition")
             )
             n_users, shard_size = rows.shape
             k = max(1, int(round(fraction * shard_size)))

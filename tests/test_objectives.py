@@ -352,7 +352,7 @@ class TestEstimateConstantsReference:
 
     def test_partition_block(self, rng):
         dataset = generate_synthetic(6, 5 * 40, 0.8, rng)
-        shards = dataset.shards(partition(dataset, PartitionSpec("heterogeneous", 5, 0.5), rng))
+        shards = dataset.shards(partition(dataset, PartitionSpec("heterogeneous", 0.5), 5, rng))
         self.check(shards, 0.5, ProbeBall(np.zeros(6), 3.0), seed=8)
 
 
@@ -376,7 +376,7 @@ class TestRowIdView:
     def instance(self):
         rng = np.random.default_rng(31)
         dataset = generate_synthetic(7, 6 * 50 + 3, 0.7, rng)
-        rows = partition(dataset, PartitionSpec("heterogeneous", 6, 0.4), rng)
+        rows = partition(dataset, PartitionSpec("heterogeneous", 0.4), 6, rng)
         return dataset.shards(rows), block_shards(dataset.features[rows], dataset.targets[rows])
 
     def test_grams_optimum_and_loss_are_bit_equal(self):
@@ -456,7 +456,7 @@ class TestGammaIdentity:
     def test_matches_the_residual_form(self, seed):
         rng = np.random.default_rng(60 + seed)
         dataset = generate_synthetic(4, 5 * 30, 0.9, rng)
-        shards = dataset.shards(partition(dataset, PartitionSpec("heterogeneous", 5, 0.5), rng))
+        shards = dataset.shards(partition(dataset, PartitionSpec("heterogeneous", 0.5), 5, rng))
         ball = ProbeBall(np.zeros(4), 2.0, count=4)
         c = estimate_constants(shards, 0.3, ball, rng, H=1, P=1.0, sigma_w2=0.0)
         _, _, _, _, residual_form = reference_constants(shards, 0.3, ball.points(rng))

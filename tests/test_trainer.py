@@ -9,11 +9,11 @@ import pytest
 
 import otafl.trainer as trainer_mod
 
-from otafl.channel import sample_noise
+from otafl.channel import fading_mac, sample_noise
 from otafl.data import Dataset, PartitionSpec, generate_synthetic, partition
 from otafl.localsgd import DEFAULT_THETA0_STD, KernelBlocks, check_steps
 from otafl.objectives import grams_optimum, quadratic_gap, shard_grams
-from otafl.precoding import AlphaSchedule, FadingPolicy
+from otafl.precoding import AlphaSchedule, FadingPolicy, decode, precode
 from otafl.trainer import (
     FadingRounds,
     RunTrace,
@@ -78,7 +78,6 @@ def _round(theta, shards, config, alpha, streams, round_index, optimum, indices,
         noise = sample_noise(theta.shape[-1], config.sigma_w2, streams.noise[0])[None]
     powers, plan = np.empty((1, rows.shape[0])), None
     if fading is not None:
-        powers[...] = 0.0  # the users left out stay silent
         fades = FadingRounds(
             fading[0][None, None], fading[1][None, None], np.zeros((1, 1), dtype=np.int64)
         )
@@ -623,7 +622,6 @@ class TestAffineUpdate:
             b, senders = self.POLICY.h_min, ids - 1
             fades = FadingRounds(ids[:, None], mags[:, None], np.zeros((n_trials, 1), dtype=int))
             (selection,) = plan_fading_rounds(fades, 0, 1, n_users, config)
-            powers[...] = 0.0  # the users left out stay silent
         else:
             b, mags = 1.0, np.ones((n_trials, n_users))
             senders = np.tile(np.arange(n_users), (n_trials, 1))
@@ -647,6 +645,43 @@ class TestAffineUpdate:
         if scheme == "noise_free_local_sgd":
             # theta + sum_n delta_n / N is the users' mean model up to rounding
             np.testing.assert_allclose(new_theta, local_models.mean(axis=1), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_trials, n_users, k, dim",
+        [(7, 20, 16, 20), (3, 40, 2, 9)],  # fading_h1's shape, and K << N
+    )
+    def test_fading_round_equals_its_k_sender_round(self, n_trials, n_users, k, dim):
+        # the all-user round, in which a user left out sends at gain 0, has
+        # the bits of a round over the K senders alone: each adds an exact
+        # +-0 to the MAC's ordered sum and reads +0.0 energy
+        rng = np.random.default_rng(n_users)
+        policy = FadingPolicy(h_min=0.4, participants=k)
+        config = TrainerConfig(
+            scheme="cotaf_fading", local_steps=1, rounds=1, step=_schedule(), sigma_w2=0.3,
+            fading=policy,
+        )
+        for _ in range(20):
+            theta = rng.standard_normal((n_trials, dim))
+            local_models = theta[:, None] + rng.standard_normal((n_trials, n_users, dim))
+            noise = rng.normal(0.0, 0.5, (n_trials, dim))
+            alpha = float(rng.uniform(0.05, 5.0))
+            picks = np.stack([rng.permutation(n_users)[:k] for _ in range(n_trials)])
+            ids = np.sort(picks, axis=1) + 1
+            mags = rng.uniform(0.41, 3.0, (n_trials, k))
+            fades = FadingRounds(ids[:, None], mags[:, None], np.zeros((n_trials, 1), dtype=int))
+            (plan,) = plan_fading_rounds(fades, 0, 1, n_users, config)
+            powers = np.full((n_trials, n_users), np.nan)
+            new_theta = run_round(theta, local_models, config, alpha, noise, powers, plan)
+
+            scale = math.sqrt(alpha) * policy.h_min
+            deltas = np.take_along_axis(local_models, ids[..., None] - 1, axis=1) - theta[:, None]
+            signals = precode(deltas, scale / mags)
+            y = fading_mac(signals, mags, noise)
+            np.testing.assert_array_equal(new_theta, decode(y, k * scale, theta))
+            sent = np.zeros((n_trials, n_users))
+            np.put_along_axis(sent, ids - 1, np.einsum("tkd,tkd->tk", signals, signals), axis=1)
+            np.testing.assert_array_equal(powers, sent)
+            assert not np.signbit(powers).any()
 
     def test_benchmark_names_are_the_codec_stages(self):
         # the codec and MAC names the benchmark spans time are the one codec's
@@ -801,9 +836,9 @@ def _trial_block(rng, n_trials, n_users, per_user=8, dim=4):
     """A dataset, n_trials iid partitions of it as (T, N, D_n) row ids, and
     each trial's (theta*, Hessian), stacked."""
     dataset = generate_synthetic(dim, n_users * per_user, 0.5, rng)
-    spec = PartitionSpec("iid", n_users)
+    spec = PartitionSpec("iid")
     rows = np.stack(
-        [partition(dataset, spec, np.random.default_rng(100 + t)) for t in range(n_trials)]
+        [partition(dataset, spec, n_users, np.random.default_rng(100 + t)) for t in range(n_trials)]
     )
     optima = [_optimum(dataset.shards(block)) for block in rows]
     return dataset, rows, tuple(np.stack(part) for part in zip(*optima))
@@ -1072,7 +1107,6 @@ def _per_round_reference(dataset, rows, theta0, config, alpha_schedule, streams,
                 *(np.stack([fade[f][i : i + 1] for fade in fades]) for f in range(3))
             )
             (fading,) = plan_fading_rounds(picked, 0, 1, n_users, config)
-            powers[...] = 0.0  # the users left out stay silent
         alpha = None if config.scheme == "non_precoded_ota" else alpha_schedule.values[i]
         theta = run_round(theta, local_models, config, alpha, noise, powers, fading)
         yield theta, quadratic_gap(theta, *optima), powers
@@ -1239,21 +1273,26 @@ class TestPlannedFadingRounds:
         ):
             self._run(np.random.default_rng(4), slice(None), first_trial=5)
 
-    @pytest.mark.parametrize(
-        "powers",
-        [
-            np.zeros((3, 70, 6), order="F"),
-            np.zeros((3, 70, 12))[:, :, ::2],
-            np.zeros((3, 70, 5)),
-            np.zeros((3, 69, 6)),
-        ],
-    )
-    def test_power_block_must_be_c_contiguous_t_r_n(self, powers):
+    @pytest.mark.parametrize("powers", [np.zeros((3, 70, 5)), np.zeros((3, 69, 6))])
+    def test_power_block_must_be_t_r_n(self, powers):
         gaps = np.zeros((3, 70))
         with pytest.raises(
-            ValueError, match=r"need a C-contiguous \(T, R, N\) = \(3, 70, 6\) power block"
+            ValueError,
+            match=rf"^need a \(T, R, N\) = \(3, 70, 6\) power block, got shape "
+            rf"\({powers.shape[0]}, {powers.shape[1]}, {powers.shape[2]}\)$",
         ):
             self._run(np.random.default_rng(5), slice(None), out=[(gaps, powers)])
+
+    @pytest.mark.parametrize(
+        "powers", [np.zeros((3, 70, 6), order="F"), np.zeros((3, 70, 12))[:, :, ::2]]
+    )
+    def test_any_power_block_layout_gets_the_c_blocks_powers(self, powers):
+        expected = self._run(np.random.default_rng(5), slice(None))
+        gaps = np.zeros((3, 70))
+        self._run(np.random.default_rng(5), slice(None), out=[(gaps, powers)])
+        assert expected.powers.flags.c_contiguous and not powers.flags.c_contiguous
+        np.testing.assert_array_equal(powers, expected.powers)
+        np.testing.assert_array_equal(gaps, expected.gaps)
 
 
 class TestWeightedAverageModel:
