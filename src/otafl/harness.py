@@ -43,6 +43,7 @@ from .rng import stream_generator
 from .trainer import (
     CHANNEL_KINDS,
     MAX_WAIT_REDRAWS,
+    POWER,
     ROUND_CHUNK,
     StepSchedule,
     TrainerConfig,
@@ -52,7 +53,6 @@ from .trainer import (
     scheme_spec,
 )
 
-POWER = 1.0
 # The bound inputs take the pessimistic constants of this many partition
 # draws, each probed at this many points of the ball around theta*.
 BOUND_PARTITION_DRAWS = 3
@@ -126,7 +126,7 @@ class TrainerSpec:
             raise ValueError("local_steps and rounds must be >= 1")
         if not self.theta0_std >= 0:
             raise ValueError(f"theta0_std must be non-negative, got {self.theta0_std}")
-        check_ridge_and_gains(self.ridge_lambda, POWER, self.non_precoded_gain)
+        check_ridge_and_gains(self.ridge_lambda, self.non_precoded_gain)
 
 
 # An SNR in dB may be any number: sigma_from_snr rejects one that leaves no
@@ -511,7 +511,6 @@ def _trainer_config(resolved: ResolvedExperiment, scheme: str) -> TrainerConfig:
         rounds=trainer.rounds,
         step=resolved.schedule,
         ridge_lambda=trainer.ridge_lambda,
-        power=POWER,
         non_precoded_gain=trainer.non_precoded_gain,
         sigma_w2=resolved.sigma_w2,
         fading=resolved.fading_policy if scheme_spec(scheme).fading else None,
@@ -662,9 +661,9 @@ def simulate_trials(
             out=[(runs[s].gaps[in_block], runs[s].power_per_user[in_block]) for s in schemes],
             first_trial=lo,
         )
-        for scheme, trace in zip(schemes, traces):
-            participants = n_users if trace.participants is None else trace.participants.shape[-1]
-            runs[scheme].participants[in_block] = participants
+        for scheme, trainer_config, trace in zip(schemes, configs, traces):
+            policy = trainer_config.fading
+            runs[scheme].participants[in_block] = n_users if policy is None else policy.participants
             runs[scheme].waits[in_block] = trace.waits
 
     t_grid = trainer.local_steps * np.arange(1, n_rounds + 1)

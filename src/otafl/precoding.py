@@ -49,7 +49,13 @@ class AlphaSchedule:
 
     @classmethod
     def load(cls, path) -> "AlphaSchedule":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a schedule that save wrote: one JSON array of numbers."""
+        values = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(values, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
+        ):
+            raise ValueError(f"alpha file {path} must hold a JSON array of numbers")
+        return cls(values)
 
 
 @dataclass(frozen=True)
@@ -103,10 +109,10 @@ def select_participants(magnitudes: np.ndarray, policy: FadingPolicy) -> np.ndar
     Users whose magnitude exceeds h_min contend with a backoff decreasing in
     channel quality, so the strongest K eligible users transmit. magnitudes
     holds N fading magnitudes per draw, users on the last axis, for one draw
-    or a block of them; the result is each draw's K strongest users as
-    sorted 1-based ids, shaped (..., K). A draw has K eligible users exactly
-    when the weakest of its K strongest exceeds h_min, which the caller
-    checks (draw_fading_rounds re-draws the round otherwise).
+    or a block of them; the result is the (..., N) boolean mask of each
+    draw's K strongest users, True for a sender. A draw has K eligible users
+    exactly when the weakest of its K strongest exceeds h_min, which the
+    caller checks (draw_fading_rounds re-draws the round otherwise).
     """
     magnitudes = np.asarray(magnitudes)
     n_users, k = magnitudes.shape[-1], policy.participants
@@ -120,7 +126,7 @@ def select_participants(magnitudes: np.ndarray, policy: FadingPolicy) -> np.ndar
     ties = magnitudes == kth
     room = k - np.count_nonzero(chosen, axis=-1, keepdims=True)
     chosen |= ties & (np.cumsum(ties, axis=-1) <= room)
-    return np.nonzero(chosen)[-1].reshape(*magnitudes.shape[:-1], k) + 1
+    return chosen
 
 
 def estimate_alpha_mc(

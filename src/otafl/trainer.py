@@ -85,6 +85,8 @@ def scheme_spec(scheme: str, channel_kind: str | None = None) -> SchemeSpec:
 # A fading round is re-drawn while fewer than K users are eligible; a round
 # that needs more redraws than this is misconfigured (h_min far too high).
 MAX_WAIT_REDRAWS = 100_000
+# The users' transmit power budget P, which alpha normalizes the updates to.
+POWER = 1.0
 # Fading draws are made this many rows at a time, at most; a chunk is freed
 # once its eligible rows are selected.
 FADING_CHUNK_ROWS = 256
@@ -130,13 +132,11 @@ class StepSchedule:
         check_shift(self.kind, self.shift, smoothness / self.mu, local_steps)
 
 
-def check_ridge_and_gains(
-    ridge_lambda: float, power: float, non_precoded_gain: float | None
-) -> None:
-    """Raise unless the ridge weight is non-negative and the power budget and
-    the non-precoded gain, if set, are positive."""
-    if not (ridge_lambda >= 0 and power > 0):
-        raise ValueError("invalid ridge_lambda / power")
+def check_ridge_and_gains(ridge_lambda: float, non_precoded_gain: float | None) -> None:
+    """Raise unless the ridge weight is non-negative and the non-precoded
+    gain, if set, is positive."""
+    if not ridge_lambda >= 0:
+        raise ValueError(f"ridge_lambda must be non-negative, got {ridge_lambda}")
     if non_precoded_gain is not None and not non_precoded_gain > 0:
         raise ValueError(f"non_precoded_gain must be positive, got {non_precoded_gain}")
 
@@ -155,7 +155,6 @@ class TrainerConfig:
     rounds: int
     step: StepSchedule
     ridge_lambda: float = 0.5
-    power: float = 1.0
     non_precoded_gain: float | None = None
     sigma_w2: float = 0.0
     fading: FadingPolicy | None = None
@@ -164,7 +163,7 @@ class TrainerConfig:
         spec = scheme_spec(self.scheme)
         if self.local_steps < 1 or self.rounds < 1:
             raise ValueError("local_steps and rounds must be >= 1")
-        check_ridge_and_gains(self.ridge_lambda, self.power, self.non_precoded_gain)
+        check_ridge_and_gains(self.ridge_lambda, self.non_precoded_gain)
         if not self.sigma_w2 >= 0:
             raise ValueError("sigma_w2 must be non-negative")
         if spec.fading != (self.fading is not None):
@@ -173,8 +172,8 @@ class TrainerConfig:
 
     @property
     def gain(self) -> float:
-        """Amplitude gain of the non-precoded baseline (default sqrt(power))."""
-        return math.sqrt(self.power) if self.non_precoded_gain is None else self.non_precoded_gain
+        """Amplitude gain of the non-precoded baseline (default sqrt(POWER))."""
+        return math.sqrt(POWER) if self.non_precoded_gain is None else self.non_precoded_gain
 
 
 @dataclass(frozen=True)
@@ -192,26 +191,25 @@ class TrialStreams:
 
 
 class FadingRounds(NamedTuple):
-    """Fading rounds selected up front, one row per round: the K participants
-    (sorted 1-based ids), their fading magnitudes, and the redraws the round
-    waited for. A block of trials stacks them on a leading trial axis."""
+    """Fading rounds selected up front, one row per round: the gain divisors
+    of all N users, each sender's fading magnitude and +inf for a user left
+    out, and the redraws the round waited for."""
 
-    participants: np.ndarray  # (R, K)
-    magnitudes: np.ndarray  # (R, K)
+    divisors: np.ndarray  # (R, N)
     waits: np.ndarray  # (R,)
 
 
 class RunTrace(NamedTuple):
     """The training runs of one scheme over T trials, one row per trial and
     round: the global model after the round, its gap F(theta) - F*, each
-    user's transmit energy (0 for a user that stayed silent), the K
-    participants (None when all N users transmit) and the fading redraws the
-    round waited for."""
+    user's transmit energy (0 for a user that stayed silent), each user's
+    fading gain divisor (None when all N users transmit) and the fading
+    redraws the round waited for."""
 
     thetas: np.ndarray  # (T, R, d)
     gaps: np.ndarray  # (T, R)
     powers: np.ndarray  # (T, R, N)
-    participants: np.ndarray | None  # (T, R, K)
+    fading: np.ndarray | None  # (T, R, N)
     waits: np.ndarray  # (T, R)
 
 
@@ -223,11 +221,12 @@ def draw_fading_rounds(
     Round r takes the r-th draw with at least K users above h_min; the short
     draws before it are its waits. This is what re-drawing each round until
     K users are eligible gives, since sized draws consume the stream as
-    one-round draws do (pinned in tests/test_rng.py). Draws come in chunks of
-    at most FADING_CHUNK_ROWS rows, and only the selection from the eligible
-    ones is kept, so memory stays O(rounds * K) however many draws are
-    short. A round that needs more than MAX_WAIT_REDRAWS redraws raises,
-    naming the round.
+    one-round draws do (pinned in tests/test_rng.py). A round's gain
+    divisors are its draw with +inf over the users left out. Draws come in
+    chunks of at most FADING_CHUNK_ROWS rows, and only the eligible ones are
+    kept, so memory stays O(rounds * N) however many draws are short. A
+    round that needs more than MAX_WAIT_REDRAWS redraws raises, naming the
+    round.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -235,7 +234,7 @@ def draw_fading_rounds(
         raise ValueError(f"participants must lie in [1, {n_users}]")
     chunk = min(rounds, FADING_CHUNK_ROWS)
     short = n_users - policy.participants  # a draw's K-th largest magnitude sits here
-    ids, magnitudes, waits = [], [], []
+    divisors, waits = [], []
     run = 0  # short draws since the last eligible one
     while len(waits) < rounds:
         draws = sample_rayleigh(n_users, policy.rayleigh_scale, rng, rows=chunk)
@@ -257,47 +256,8 @@ def draw_fading_rounds(
             )
         run = int(gaps[-1])
         waits.extend(gaps[: rows.size].tolist())
-        ids.append(chosen)
-        magnitudes.append(np.take_along_axis(eligible, chosen - 1, axis=-1))
-    return FadingRounds(
-        np.concatenate(ids), np.concatenate(magnitudes), np.asarray(waits, dtype=np.int64)
-    )
-
-
-def plan_fading_rounds(
-    fades: FadingRounds, lo: int, hi: int, n_users: int, config: TrainerConfig, first_trial: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rounds lo+1..hi of T trials' fading runs, as run_round takes them.
-
-    fades holds the trials' (T, R, K) selections. Each round's plan is a
-    pair of (T, N) blocks over all users: the magnitudes the MAC applies,
-    and the divisors of the precoding gains. A sender reads its fading
-    magnitude in both; a user left out reads 1.0 and +inf, so its gain
-    (a*h_min)/inf is exactly 0 and it adds nothing to the sum. A magnitude
-    at or below h_min raises, since a censored user does not transmit; the
-    error names the scheme, the round and the trial, numbering the block's
-    trials from first_trial.
-    """
-    n_trials = fades.waits.shape[0]
-    # round-major (C, T, K) views, so that the first censored round is named
-    magnitudes = fades.magnitudes[:, lo:hi].transpose(1, 0, 2)
-    floor = config.fading.h_min
-    censored = np.argwhere(~(magnitudes > floor))  # in round, then trial order
-    if censored.size:
-        r, t = censored[0, :2]
-        raise ValueError(
-            f"trial {first_trial + t}, scheme {config.scheme}: round {lo + r + 1}: "
-            f"fading magnitude {magnitudes[r, t].min():.6g} is at or below h_min={floor:.6g}: "
-            "a censored user does not transmit"
-        )
-    # each sender's flat slot c*T*N + t*N + id - 1 in the chunk's (C, T, N) blocks
-    rows = np.arange((hi - lo) * n_trials).reshape(hi - lo, n_trials, 1) * n_users
-    slots = fades.participants[:, lo:hi].transpose(1, 0, 2) - 1 + rows
-    received = np.ones((hi - lo, n_trials, n_users))
-    divisors = np.full((hi - lo, n_trials, n_users), np.inf)
-    received.reshape(-1)[slots] = magnitudes
-    divisors.reshape(-1)[slots] = magnitudes
-    return list(zip(received, divisors))
+        divisors.append(np.where(chosen, eligible, np.inf))
+    return FadingRounds(np.concatenate(divisors), np.asarray(waits, dtype=np.int64))
 
 
 def run_round(
@@ -320,8 +280,10 @@ def run_round(
     alpha is the round's precoding coefficient, which only the precoded
     schemes use. noise is the (T, d) noise of the scheme's MAC output, one
     row per trial, or None for a noiseless channel. fading is the round's
-    plan from plan_fading_rounds, the (T, N) magnitudes and gain divisors,
-    which only the fading scheme uses.
+    (T, N) magnitudes and gain divisors over all users, which only the
+    fading scheme uses: a sender reads its fading magnitude in both, and a
+    user left out reads 1.0 and +inf, so its gain (a*h_min)/inf is exactly
+    0 and it adds nothing to the sum.
 
     Every scheme runs the codec of its SCHEME_TABLE row on all N users:
     each precodes its update delta_n by c_n = a*b/h_n, 0 for a user left
@@ -373,7 +335,10 @@ def run_training(
     (S, T, N, d) block of all models, gathering user n's samples of trial t
     from the dataset by row id rows[t, n, i] into the run's KernelBlocks.
     Each scheme then aggregates its T trials over its own channel, each
-    trial with its own noise and fading stream. optima is the pair of (T, d)
+    trial with its own noise and fading stream. A fading scheme's rounds
+    are drawn before the first, trial by trial, into one (R, T, N) block of
+    gain divisors; a sender at or below h_min raises, naming the first such
+    round. optima is the pair of (T, d)
     optima theta* and (T, d, d) Hessians of the trials' global objectives,
     against which each round's gaps are measured. The rounds run in chunks
     of ROUND_CHUNK: a chunk's channel noise is drawn before it, and its
@@ -433,16 +398,12 @@ def run_training(
         for n, user in enumerate(trial.users):
             steps[:, t, n] = rows[t, n, user.integers(shard_size, size=rounds * h)]
     steps = steps.reshape(rounds, h, n_trials, n_users)  # each round's (H, T, N) ids
+    # each fading scheme's round-major (R, T, N) gain divisors
     fades = [
-        None
-        if config.fading is None
-        else FadingRounds(
-            np.empty((n_trials, rounds, config.fading.participants), dtype=np.int64),
-            np.empty((n_trials, rounds, config.fading.participants)),
-            np.empty((n_trials, rounds), dtype=np.int64),
-        )
+        None if config.fading is None else np.empty((rounds, n_trials, n_users))
         for config in configs
     ]
+    waits = np.zeros((n_runs, n_trials, rounds), dtype=np.int64)
     for t, trial in enumerate(streams):  # trial by trial, so the first failing trial is named
         for s, config in enumerate(configs):
             if fades[s] is None:
@@ -453,8 +414,19 @@ def run_training(
                 raise RuntimeError(
                     f"trial {first_trial + t}, scheme {config.scheme}: {exc}"
                 ) from exc
-            for field, value in zip(fades[s], drawn):
-                field[t] = value
+            fades[s][:, t], waits[s, t] = drawn
+    for config, divisors in zip(configs, fades):
+        if divisors is None:
+            continue
+        floor = config.fading.h_min
+        censored = np.argwhere(~(divisors > floor))  # in round, then trial order
+        if censored.size:
+            r, t = censored[0, :2]
+            raise ValueError(
+                f"trial {first_trial + t}, scheme {config.scheme}: round {r + 1}: "
+                f"fading magnitude {divisors[r, t].min():.6g} is at or below "
+                f"h_min={floor:.6g}: a censored user does not transmit"
+            )
     if out is None:
         out = [
             (np.empty((n_trials, rounds)), np.empty((n_trials, rounds, n_users))) for _ in configs
@@ -497,7 +469,9 @@ def run_training(
                             dim, config.sigma_w2, trial.noise[s], rows=hi - lo
                         )
                 if fades[s] is not None:
-                    plans[s] = plan_fading_rounds(fades[s], lo, hi, n_users, config, first_trial)
+                    # the MAC's magnitudes: 1.0 for a user left out
+                    divisors = fades[s][lo:hi]
+                    plans[s] = list(zip(np.where(divisors < np.inf, divisors, 1.0), divisors))
             for i in range(lo, hi):
                 local_models = local_pass(
                     theta[:, :, None], dataset.features, dataset.targets, chunk_etas[i - lo],
@@ -522,8 +496,8 @@ def run_training(
             for s, (gaps, _) in enumerate(out):
                 gaps[:, lo:hi] = quadratic_gap(thetas[s, :, lo:hi], theta_stars, hessians)
     return [
-        RunTrace(thetas[s], gaps, powers, None, np.zeros((n_trials, rounds), dtype=np.int64))
-        if fade is None
-        else RunTrace(thetas[s], gaps, powers, fade.participants, fade.waits)
+        RunTrace(
+            thetas[s], gaps, powers, None if fade is None else fade.transpose(1, 0, 2), waits[s]
+        )
         for s, (fade, (gaps, powers)) in enumerate(zip(fades, out))
     ]

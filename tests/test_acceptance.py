@@ -266,7 +266,7 @@ def test_criterion_07a_participant_uniformity():
     counts = {c: 0 for c in itertools.combinations(range(1, 7), 3)}
     for _ in range(10_000):
         chosen = select_participants(sample_rayleigh(6, 1.0, rng), policy)
-        counts[tuple(chosen)] += 1
+        counts[tuple(np.flatnonzero(chosen) + 1)] += 1
     chi2, p_value = stats.chisquare(np.array(list(counts.values())))
     report(
         7,

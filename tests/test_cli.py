@@ -162,6 +162,20 @@ def test_simulate_with_alpha_file(config_path, tmp_path):
     assert load_table(out) == load_table(out_ref)
 
 
+@pytest.mark.parametrize("values", [{"alpha": [1, 2, 3, 4]}, [1, 2, "3", 4], [True, 2, 3, 4]])
+def test_simulate_rejects_an_alpha_file_that_is_not_an_array_of_numbers(
+    config_path, tmp_path, capsys, values
+):
+    alpha_path = tmp_path / "alpha.json"
+    alpha_path.write_text(json.dumps(values))
+    doc = json.loads(config_path.read_text())
+    doc["alpha"] = {"source": "file", "path": str(alpha_path)}
+    config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: alpha file {alpha_path} must hold a JSON array of numbers\n"
+
+
 def test_compare_ordering(config_path, capsys, tmp_path):
     code = main([
         "compare", "--config", str(config_path),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import otafl.precoding as precoding_mod
+import otafl.trainer as trainer_mod
 
 from otafl.channel import fading_mac, sample_noise, sample_rayleigh
 from otafl.localsgd import local_pass
@@ -22,8 +23,9 @@ from otafl.trainer import (
     FadingRounds,
     StepSchedule,
     TrainerConfig,
-    plan_fading_rounds,
+    TrialStreams,
     run_round,
+    run_training,
 )
 
 from conftest import (
@@ -37,26 +39,44 @@ from conftest import (
 )
 
 
-def _round(scheme, deltas, alpha, magnitudes=None, h_min=0.5):
-    """The transmit energies of a noiseless round of one trial whose users
-    send the (K, d) deltas; a cotaf_fading round selects all K users at the
-    given magnitudes. The round's plan checks the magnitudes and run_round
-    computes the fading gains, so the fading codec's checks run there."""
-    k, dim = deltas.shape
-    policy = None if magnitudes is None else FadingPolicy(h_min=h_min, participants=k)
-    config = TrainerConfig(
+def _config(scheme, k, h_min):
+    """A one-round config of K users; cotaf_fading takes all K at h_min."""
+    policy = FadingPolicy(h_min=h_min, participants=k) if scheme == "cotaf_fading" else None
+    return TrainerConfig(
         scheme=scheme, local_steps=1, rounds=1,
         step=StepSchedule(kind="final_model", shift=20.0, mu=1.0), fading=policy,
     )
+
+
+def _round(scheme, deltas, alpha, magnitudes=None, h_min=0.5):
+    """The transmit energies of a noiseless round of one trial whose users
+    send the (K, d) deltas; a cotaf_fading round selects all K users at the
+    given magnitudes, which are both the MAC's magnitudes and the gain
+    divisors. run_round computes the fading gains, so the codec's checks
+    run there."""
+    k, dim = deltas.shape
+    config = _config(scheme, k, h_min)
     fading, powers = None, np.empty((1, k))
     if magnitudes is not None:
-        ids = np.arange(1, k + 1)[None, None]
-        mags = np.asarray(magnitudes, dtype=np.float64)[None, None]
-        (fading,) = plan_fading_rounds(
-            FadingRounds(ids, mags, np.zeros((1, 1), dtype=np.int64)), 0, 1, k, config
-        )
+        mags = np.asarray(magnitudes, dtype=np.float64)[None]
+        fading = (mags, mags)
     run_round(np.zeros((1, dim)), deltas[None], config, alpha, None, powers, fading)
     return powers[0]
+
+
+def _drawn_round(monkeypatch, magnitudes, h_min=0.5):
+    """A one-round cotaf_fading run whose draw selects all K users at the
+    given magnitudes, so that run_training's censoring check meets them."""
+    k = len(magnitudes)
+    shards = make_shards(np.random.default_rng(0), n_users=k, per_user=4, dim=3)
+    drawn = FadingRounds(np.array([magnitudes], dtype=np.float64), np.zeros(1, dtype=np.int64))
+    monkeypatch.setattr(trainer_mod, "draw_fading_rounds", lambda *args: drawn)
+    streams = TrialStreams(tuple(np.random.default_rng(n) for n in range(k)), (None,), (None,))
+    run_training(
+        shards.dataset, shards.rows[None], np.zeros((1, 3)),
+        [_config("cotaf_fading", k, h_min)], AlphaSchedule(np.ones(1)), [streams],
+        (np.zeros((1, 3)), np.eye(3)[None]),
+    )
 
 
 class TestPrecodeDecode:
@@ -118,10 +138,10 @@ class TestPrecodeDecode:
 class TestFadingPrecode:
     """The fading gains sqrt(alpha)*h_min/h_k, as run_round applies them."""
 
-    def test_censored_at_threshold(self):
+    def test_censored_at_threshold(self, monkeypatch):
         for magnitude in (0.5, 0.4):
             with pytest.raises(ValueError, match="at or below h_min"):
-                _round("cotaf_fading", np.ones((1, 2)), 1.0, [magnitude], h_min=0.5)
+                _drawn_round(monkeypatch, [magnitude], h_min=0.5)
 
     def test_inverse_magnitude_scaling(self):
         # gain sqrt(1.0)*0.5/1.0 sends 2.0 as 1.0, of energy 1.0
@@ -139,21 +159,21 @@ class TestFadingPrecode:
             (power,) = _round("cotaf_fading", delta, alpha, [h], h_min=h_min)
             assert power <= alpha * (delta[0] @ delta[0]) + 1e-12
 
-    def test_block_equals_rows_and_censors_as_a_whole(self, rng):
+    def test_block_equals_rows_and_censors_as_a_whole(self, rng, monkeypatch):
         deltas = rng.standard_normal((3, 4, 6))
         gains = rng.uniform(0.1, 2.0, (3, 4))
         block = precode(deltas, gains)
         for t, k in itertools.product(range(3), range(4)):
             np.testing.assert_array_equal(block[t, k], gains[t, k] * deltas[t, k])
         # one censored magnitude rejects the whole round
-        _round("cotaf_fading", deltas[0], 0.7, [0.9, 1.4, 0.6, 2.0], h_min=0.5)
+        _drawn_round(monkeypatch, [0.9, 1.4, 0.6, 2.0], h_min=0.5)
         with pytest.raises(ValueError, match="at or below h_min"):
-            _round("cotaf_fading", deltas[0], 0.7, [0.9, 1.4, 0.5, 2.0], h_min=0.5)
+            _drawn_round(monkeypatch, [0.9, 1.4, 0.5, 2.0], h_min=0.5)
 
-    def test_non_positive_magnitude_rejected(self):
+    def test_non_positive_magnitude_rejected(self, monkeypatch):
         # h_min > 0, so the censoring check rejects a zero magnitude too
         with pytest.raises(ValueError, match="a censored user does not transmit"):
-            _round("cotaf_fading", np.ones((2, 3)), 1.0, [1.0, 0.0], h_min=0.5)
+            _drawn_round(monkeypatch, [1.0, 0.0], h_min=0.5)
 
 
 class TestFadingPolicy:
@@ -175,7 +195,7 @@ class TestSelectParticipants:
     def test_two_largest_eligible(self):
         fades = np.array([0.5, 1.2, 0.9])
         chosen = select_participants(fades, FadingPolicy(h_min=0.6, participants=2))
-        assert set(chosen) == {2, 3}
+        assert chosen.tolist() == [False, True, True]
 
     def test_wait_when_too_few_eligible(self):
         # the K strongest of a short draw include a censored user, which is
@@ -183,36 +203,37 @@ class TestSelectParticipants:
         fades = np.array([0.5, 0.55, 0.3])
         policy = FadingPolicy(h_min=0.6, participants=2)
         chosen = select_participants(fades, policy)
-        np.testing.assert_array_equal(chosen, [1, 2])
-        assert fades[chosen - 1].min() <= policy.h_min
+        np.testing.assert_array_equal(chosen, [True, True, False])
+        assert fades[chosen].min() <= policy.h_min
 
     def test_block_of_draws_equals_one_draw_at_a_time(self, rng):
         policy = FadingPolicy(h_min=1.2, participants=3)  # about 1 draw in 4 is short
         draws = sample_rayleigh(7, 1.0, rng, rows=40)
         chosen = select_participants(draws, policy)
-        assert chosen.shape == (40, 3)
-        for row, ids in zip(draws, chosen):
-            np.testing.assert_array_equal(select_participants(row, policy), ids)
-            # the K strongest, in increasing id order
-            assert row[ids - 1].min() >= np.delete(row, ids - 1).max()
-            assert np.all(np.diff(ids) > 0)
-        short = np.take_along_axis(draws, chosen - 1, axis=-1).min(axis=-1) <= policy.h_min
+        assert chosen.shape == (40, 7)
+        assert np.all(np.count_nonzero(chosen, axis=-1) == 3)
+        for row, sending in zip(draws, chosen):
+            np.testing.assert_array_equal(select_participants(row, policy), sending)
+            # the K strongest
+            assert row[sending].min() >= row[~sending].max()
+        short = np.where(chosen, draws, np.inf).min(axis=-1) <= policy.h_min
         assert 0 < short.sum() < 40
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_equals_a_stable_sort_by_decreasing_magnitude(self, rng, ties):
-        # the K first of a stable argsort of -magnitudes, in id order: the
-        # users above the K-th largest magnitude, then the ties at it by id
+        # the K first of a stable argsort of -magnitudes: the users above
+        # the K-th largest magnitude, then the ties at it by id
         for n_users in range(1, 8):
             for k in range(1, n_users + 1):
                 policy = FadingPolicy(h_min=0.5, participants=k)
                 shape = (40, n_users)
                 draws = rng.integers(3, size=shape) / 2.0 if ties else rng.random(shape)
                 order = np.argsort(-draws, axis=-1, kind="stable")
-                expected = np.sort(order[:, :k], axis=-1) + 1
+                expected = np.zeros(shape, dtype=bool)
+                np.put_along_axis(expected, order[:, :k], True, axis=-1)
                 np.testing.assert_array_equal(select_participants(draws, policy), expected)
-                for row, ids in zip(draws[:4], expected):  # one draw as 1-D input
-                    np.testing.assert_array_equal(select_participants(row, policy), ids)
+                for row, sending in zip(draws[:4], expected):  # one draw as 1-D input
+                    np.testing.assert_array_equal(select_participants(row, policy), sending)
 
     def test_fewer_users_than_participants_rejected(self):
         policy = FadingPolicy(h_min=0.5, participants=3)
@@ -232,7 +253,7 @@ class TestSelectParticipants:
         for _ in range(n_draws):
             fades = sample_rayleigh(6, 1.0, rng)
             chosen = select_participants(fades, policy)
-            counts[tuple(chosen)] += 1
+            counts[tuple(np.flatnonzero(chosen) + 1)] += 1
         observed = np.array(list(counts.values()))
         chi2, p_value = stats.chisquare(observed)
         assert p_value >= 0.01, f"chi2={chi2:.1f}, p={p_value:.4f}"

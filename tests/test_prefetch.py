@@ -88,7 +88,7 @@ class TestTrainingBits:
 
         prefetched, serial = prefetched_and_serial(cpu_pool, gathers, run, self.ROUNDS)
         for got, expected in zip(prefetched, serial):
-            for field in ("thetas", "gaps", "powers", "participants", "waits"):
+            for field in ("thetas", "gaps", "powers", "fading", "waits"):
                 assert np.array_equal(getattr(got, field), getattr(expected, field)), field
 
 
@@ -209,19 +209,20 @@ class TestNoStaleSamples:
 
 class TestThreads:
     def test_worker_ends_with_a_run_that_raises(self, cpu_pool, gathers, monkeypatch):
-        # a censored magnitude in round 67 raises from the second chunk of
-        # rounds, after the worker started
-        real = trainer_mod.draw_fading_rounds
+        # round 67 raises from the second chunk of rounds, after the worker
+        # started
+        calls, real = [], trainer_mod.run_round
 
-        def censored(rng, n_users, rounds, policy):
-            fades = real(rng, n_users, rounds, policy)
-            fades.magnitudes[66, 1] = policy.h_min
-            return fades
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 67:
+                raise ValueError("injected")
+            return real(*args)
 
-        monkeypatch.setattr(trainer_mod, "draw_fading_rounds", censored)
+        monkeypatch.setattr(trainer_mod, "run_round", failing)
         cpu_pool(2)
         before = threading.active_count()
-        with pytest.raises(ValueError, match=r"round 67: fading magnitude"):
+        with pytest.raises(RuntimeError, match=r"round 67: injected$"):
             test_trainer.TestPlannedFadingRounds()._run(np.random.default_rng(4), slice(None))
         assert False in gathers  # the worker had started
         assert threading.active_count() == before

@@ -15,13 +15,11 @@ from otafl.localsgd import DEFAULT_THETA0_STD, KernelBlocks, check_steps
 from otafl.objectives import grams_optimum, quadratic_gap, shard_grams
 from otafl.precoding import AlphaSchedule, FadingPolicy, decode, precode
 from otafl.trainer import (
-    FadingRounds,
     RunTrace,
     StepSchedule,
     TrainerConfig,
     TrialStreams,
     draw_fading_rounds,
-    plan_fading_rounds,
     run_round,
     run_training,
     step_averaged_model,
@@ -61,11 +59,26 @@ def _one_trial(optimum):
     return optimum[0][None], optimum[1][None]
 
 
+def _plan(divisors):
+    """A round's fading plan as run_round takes it: the MAC's magnitudes,
+    1.0 for a user left out, and the users' gain divisors."""
+    return np.where(np.isfinite(divisors), divisors, 1.0), divisors
+
+
+def _divisors(ids, mags, n_users):
+    """The (T, N) gain divisors of the K senders of each trial, (T, K) 1-based
+    ids at magnitudes mags: +inf for a user left out."""
+    divisors = np.full((ids.shape[0], n_users), np.inf)
+    np.put_along_axis(divisors, ids - 1, mags, axis=1)
+    return divisors
+
+
 def _round(theta, shards, config, alpha, streams, round_index, optimum, indices, fading=None):
     """One round as run_training makes it: the users' local steps from theta
     on the shards' samples, then run_round's aggregation over the channel
     with one round's noise from the trial's noise stream, for a block of one
-    trial. Returns the new model, its gap and the users' transmit energies."""
+    trial. fading is the round's (N,) gain divisors. Returns the new model,
+    its gap and the users' transmit energies."""
     dataset, rows = shards.dataset, shards.rows
     t0 = (round_index - 1) * config.local_steps
     etas = [config.step.eta(t0 + j) for j in range(config.local_steps)]
@@ -76,12 +89,8 @@ def _round(theta, shards, config, alpha, streams, round_index, optimum, indices,
     noise = None
     if config.sigma_w2 > 0:
         noise = sample_noise(theta.shape[-1], config.sigma_w2, streams.noise[0])[None]
-    powers, plan = np.empty((1, rows.shape[0])), None
-    if fading is not None:
-        fades = FadingRounds(
-            fading[0][None, None], fading[1][None, None], np.zeros((1, 1), dtype=np.int64)
-        )
-        (plan,) = plan_fading_rounds(fades, 0, 1, rows.shape[0], config)
+    powers = np.empty((1, rows.shape[0]))
+    plan = None if fading is None else _plan(fading[None])
     (new_theta,) = run_round(
         theta[None], local_models[None], config, alpha, noise, powers, plan
     )
@@ -376,8 +385,8 @@ class TestTrainerConfig:
     @pytest.mark.parametrize(
         "setting, match",
         [
-            ({"ridge_lambda": math.nan}, "invalid ridge_lambda / power"),
-            ({"power": math.nan}, "invalid ridge_lambda / power"),
+            ({"ridge_lambda": math.nan}, "ridge_lambda must be non-negative, got nan"),
+            ({"ridge_lambda": -1.0}, r"^ridge_lambda must be non-negative, got -1\.0$"),
             ({"sigma_w2": math.nan}, "sigma_w2 must be non-negative"),
         ],
     )
@@ -503,10 +512,10 @@ class TestRunRound:
         theta0 = rng.standard_normal(3)
         streams = _streams(7, 5)
         fades = draw_fading_rounds(streams.fading[0], 5, 1, config.fading)
-        participants = fades.participants[0]
+        participants = np.flatnonzero(np.isfinite(fades.divisors[0])) + 1
         new_theta, _, powers = _round(
             theta0, shards, config, 1.3, streams, 1, _optimum(shards),
-            _indices(7, 5, 10, 2), (participants, fades.magnitudes[0]),
+            _indices(7, 5, 10, 2), fades.divisors[0],
         )
         assert participants.shape == (3,)
         assert np.count_nonzero(powers) == 3 and np.all(powers[participants - 1] > 0)
@@ -620,8 +629,7 @@ class TestAffineUpdate:
             ids = np.sort(picks, axis=1) + 1
             mags = rng.uniform(0.41, 3.0, (n_trials, k))
             b, senders = self.POLICY.h_min, ids - 1
-            fades = FadingRounds(ids[:, None], mags[:, None], np.zeros((n_trials, 1), dtype=int))
-            (selection,) = plan_fading_rounds(fades, 0, 1, n_users, config)
+            selection = _plan(_divisors(ids, mags, n_users))
         else:
             b, mags = 1.0, np.ones((n_trials, n_users))
             senders = np.tile(np.arange(n_users), (n_trials, 1))
@@ -668,8 +676,7 @@ class TestAffineUpdate:
             picks = np.stack([rng.permutation(n_users)[:k] for _ in range(n_trials)])
             ids = np.sort(picks, axis=1) + 1
             mags = rng.uniform(0.41, 3.0, (n_trials, k))
-            fades = FadingRounds(ids[:, None], mags[:, None], np.zeros((n_trials, 1), dtype=int))
-            (plan,) = plan_fading_rounds(fades, 0, 1, n_users, config)
+            plan = _plan(_divisors(ids, mags, n_users))
             powers = np.full((n_trials, n_users), np.nan)
             new_theta = run_round(theta, local_models, config, alpha, noise, powers, plan)
 
@@ -731,7 +738,7 @@ class TestRunTraining:
         np.testing.assert_array_equal(a.thetas, b.thetas)
         np.testing.assert_array_equal(a.gaps, b.gaps)
         np.testing.assert_array_equal(a.powers, b.powers)
-        assert a.participants is None and b.participants is None
+        assert a.fading is None and b.fading is None
         np.testing.assert_array_equal(a.waits, np.zeros(5, dtype=np.int64))
         np.testing.assert_array_equal(b.waits, a.waits)
 
@@ -788,10 +795,10 @@ class TestPairedRuns:
             (alone,) = _train(shards, [config], alpha, streams, optimum, theta0)
             for field in ("thetas", "gaps", "powers", "waits"):
                 assert np.array_equal(getattr(trace, field), getattr(alone, field)), field
-            if alone.participants is None:
-                assert trace.participants is None
+            if alone.fading is None:
+                assert trace.fading is None
             else:
-                assert np.array_equal(trace.participants, alone.participants)
+                assert np.array_equal(trace.fading, alone.fading)
 
     def test_awgn_schemes_equal_separate_runs(self, rng):
         shards = make_shards(rng, n_users=4, per_user=15, dim=5)
@@ -889,7 +896,7 @@ class TestStackedTrials:
                     dataset, rows[t : t + 1], theta0[t : t + 1], [config], alpha, [streams],
                     (optima[0][t : t + 1], optima[1][t : t + 1]),
                 )
-                for field in ("thetas", "gaps", "powers", "participants", "waits"):
+                for field in ("thetas", "gaps", "powers", "fading", "waits"):
                     got, expected = getattr(trace, field), getattr(alone, field)
                     if expected is None:
                         assert got is None, field
@@ -944,8 +951,9 @@ class TestStackedTrials:
 def _reference_fading_run(shards, config, alpha_schedule, streams, optimum, theta0):
     """Per-round fading loop from theta0: draw N magnitudes per attempt,
     redraw while fewer than K users are eligible, then precode, superpose and
-    decode one participant at a time. Yields (participants, waits, theta,
-    gap, powers)."""
+    decode one participant at a time. Yields (divisors, waits, theta, gap,
+    powers), with each participant's magnitude and +inf for a user left out
+    as the round's divisors."""
     policy, lam, h = config.fading, config.ridge_lambda, config.local_steps
     n_users, _, dim = shards.shape
     theta = theta0
@@ -970,7 +978,9 @@ def _reference_fading_run(shards, config, alpha_schedule, streams, optimum, thet
         y = y + streams.noise[0].normal(0.0, math.sqrt(config.sigma_w2), dim)
         theta = y / (len(chosen) * math.sqrt(alpha) * policy.h_min) + theta
         gap = quadratic_gap(theta, *optimum)
-        yield tuple(n + 1 for n in chosen), waits, theta, gap, powers
+        divisors = np.full(n_users, np.inf)
+        divisors[chosen] = mags[chosen]
+        yield divisors, waits, theta, gap, powers
 
 
 class ScriptedFading:
@@ -1020,8 +1030,8 @@ class TestFadingRun:
             _reference_fading_run(shards, config, alpha, _streams(5, 6), optimum, theta0)
         )
         assert len(trace.gaps) == len(reference) == 20
-        for i, (participants, waits, theta, gap, powers) in enumerate(reference):
-            assert tuple(trace.participants[i].tolist()) == participants
+        for i, (divisors, waits, theta, gap, powers) in enumerate(reference):
+            np.testing.assert_array_equal(trace.fading[i], divisors)
             assert trace.waits[i] == waits
             np.testing.assert_allclose(trace.thetas[i], theta, rtol=1e-12)
             assert trace.gaps[i] == pytest.approx(gap, rel=1e-12)
@@ -1035,8 +1045,8 @@ class TestFadingRun:
         policy = FadingPolicy(h_min=0.5, participants=2)
         fades = draw_fading_rounds(stream, 3, 4, policy)
         assert fades.waits.tolist() == [1, 0, 5, 1]
-        assert fades.participants.tolist() == [[1, 2]] * 4
-        np.testing.assert_array_equal(fades.magnitudes, np.full((4, 2), 2.0))
+        # every user draws 2.0: the K = 2 ties are taken in id order
+        np.testing.assert_array_equal(fades.divisors, [[2.0, 2.0, np.inf]] * 4)
         assert stream.shapes == [(4, 3)] * 3
 
     def test_draw_whose_weakest_of_k_is_censored_is_a_wait(self):
@@ -1050,12 +1060,17 @@ class TestFadingRun:
             [0.6, 0.3, 0.8],  # K users eligible: round 1
             [0.5, 0.5, 0.5],  # all at h_min
             [0.7, 0.2, 0.51],  # round 2
-            [0.1, 0.1, 0.1],  # the rest of the last 2-row chunk, unused
+            [0.6, 0.9, 0.6],  # users 1 and 3 tie at the K-th magnitude: round 3
         ]
-        fades = draw_fading_rounds(ScriptedRows(draws), 3, 2, policy)
-        assert fades.waits.tolist() == [2, 1]
-        assert fades.participants.tolist() == [[1, 3], [1, 3]]
-        np.testing.assert_array_equal(fades.magnitudes, [[0.6, 0.8], [0.7, 0.51]])
+        fades = draw_fading_rounds(ScriptedRows(draws), 3, 3, policy)
+        assert fades.waits.tolist() == [2, 1, 0]
+        inf = np.inf
+        np.testing.assert_array_equal(
+            fades.divisors, [[0.6, inf, 0.8], [0.7, inf, 0.51], [0.6, 0.9, inf]]
+        )
+        sending = np.isfinite(fades.divisors)
+        assert np.count_nonzero(sending, axis=1).tolist() == [2, 2, 2]
+        assert np.all(fades.divisors[sending] > policy.h_min)
 
     def test_starved_round_is_named_and_draws_stay_bounded(self, monkeypatch):
         monkeypatch.setattr(trainer_mod, "MAX_WAIT_REDRAWS", 30)
@@ -1103,10 +1118,7 @@ def _per_round_reference(dataset, rows, theta0, config, alpha_schedule, streams,
         )
         fading, powers = None, np.empty((n_trials, n_users))
         if fades is not None:
-            picked = FadingRounds(
-                *(np.stack([fade[f][i : i + 1] for fade in fades]) for f in range(3))
-            )
-            (fading,) = plan_fading_rounds(picked, 0, 1, n_users, config)
+            fading = _plan(np.stack([fade.divisors[i] for fade in fades]))
         alpha = None if config.scheme == "non_precoded_ota" else alpha_schedule.values[i]
         theta = run_round(theta, local_models, config, alpha, noise, powers, fading)
         yield theta, quadratic_gap(theta, *optima), powers
@@ -1185,7 +1197,7 @@ class TestRunOwnedBlocks:
             assert len({call[name] for call in calls}) == 1, name
         monkeypatch.setattr(trainer_mod, "local_pass", allocating_pass)
         for got, expected in zip(reused, run()):
-            for field in ("thetas", "gaps", "powers", "participants", "waits"):
+            for field in ("thetas", "gaps", "powers", "fading", "waits"):
                 assert np.array_equal(getattr(got, field), getattr(expected, field)), field
 
     @pytest.mark.parametrize("bad", [-1, 48])
@@ -1208,8 +1220,8 @@ class TestRunOwnedBlocks:
 
 
 class TestPlannedFadingRounds:
-    """A fading run's rounds are planned a chunk at a time; R = 70 rounds
-    span two chunks."""
+    """A fading run's rounds are drawn up front and their MAC magnitudes
+    formed a chunk at a time; R = 70 rounds span two chunks."""
 
     N_TRIALS, N_USERS, ROUNDS = 3, 6, 70
     SEEDS = (4, 9, 13)
@@ -1238,7 +1250,7 @@ class TestPlannedFadingRounds:
         block = self._run(np.random.default_rng(2), slice(None))
         for t in range(self.N_TRIALS):
             alone = self._run(np.random.default_rng(2), slice(t, t + 1))
-            for field in ("thetas", "gaps", "powers", "participants", "waits"):
+            for field in ("thetas", "gaps", "powers", "fading", "waits"):
                 expected = getattr(alone, field)[0]
                 assert np.array_equal(getattr(block, field)[t], expected), (t, field)
 
@@ -1246,8 +1258,7 @@ class TestPlannedFadingRounds:
         powers = np.full((self.N_TRIALS, self.ROUNDS, self.N_USERS), np.nan)
         gaps = np.empty((self.N_TRIALS, self.ROUNDS))
         trace = self._run(np.random.default_rng(3), slice(None), out=[(gaps, powers)])
-        sending = np.zeros(powers.shape, dtype=bool)
-        np.put_along_axis(sending, trace.participants - 1, True, axis=-1)
+        sending = np.isfinite(trace.fading)
         assert np.all(powers[sending] > 0)
         assert np.all(powers[~sending] == 0.0)
         assert np.count_nonzero(powers, axis=-1).tolist() == [[4] * self.ROUNDS] * self.N_TRIALS
@@ -1260,8 +1271,9 @@ class TestPlannedFadingRounds:
         def censored(rng, n_users, rounds, policy):
             fades = real(rng, n_users, rounds, policy)
             t = next(trials)  # one draw per trial, in trial order
-            if t in (1, 2):
-                fades.magnitudes[68 - t, 1] = policy.h_min
+            if t in (1, 2):  # the round's second sender
+                row = fades.divisors[68 - t]
+                row[np.flatnonzero(np.isfinite(row))[1]] = policy.h_min
             return fades
 
         monkeypatch.setattr(trainer_mod, "draw_fading_rounds", censored)
