@@ -3,7 +3,7 @@
 Subcommands:
   simulate        run a Monte Carlo experiment and export per-round metrics
   bound           evaluate a convergence bound at requested step counts
-  estimate-alpha  build a precoding schedule by noise-free pilot runs
+  estimate-alpha  write the precoding schedule of the config's alpha source
   compare         run several schemes with paired seeds and report ordering
   partition       split a CSV dataset into per-user shard files
 
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--t", required=True, help="comma-separated step counts (multiples of H)")
 
-    p = sub.add_parser("estimate-alpha", help="write a pilot-estimated alpha schedule")
+    p = sub.add_parser("estimate-alpha", help="write the alpha schedule of the config's source")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
 
@@ -103,10 +103,13 @@ def _cmd_bound(args) -> int:
     t_values = [int(v) for v in args.t.replace(",", " ").split()]
     if not t_values:
         raise ValueError("--t needs at least one step count")
-    # the step grid and the channel are checked before the inputs are estimated
+    # the step grid, the channel and the ridge weight are checked before any estimate
     steps = check_total_steps(t_values, config.trainer.local_steps)
     if args.theorem == 3 and config.fading_policy is None:
         raise ValueError("theorem 3 needs a fading channel config (participants, h_min)")
+    lam = config.trainer.ridge_lambda
+    if not lam > 0:  # the constants' estimate needs it
+        raise ValueError(f"bound needs trainer.ridge_lambda > 0, got {lam}")
     kind = "averaged_model" if args.theorem == 1 else "final_model"
     inputs = harness.estimate_bound_inputs(config, kind=kind)
     c = inputs.constants

@@ -189,6 +189,15 @@ class ExperimentConfig:
         k = self.channel.participants
         if k is not None and not (1 <= k <= self.users):
             raise ValueError(f"participants must lie in [1, {self.users}]")
+        # partition checks a CSV's row count, which is known only once it is read
+        n = self.dataset.total_samples if isinstance(self.dataset, SyntheticSpec) else self.users
+        if n < self.users:
+            raise ValueError(f"cannot split {n} samples between {self.users} users")
+        lam = self.trainer.ridge_lambda
+        if self.alpha.source == "analytic_bound" and not lam > 0:  # its G^2 estimate needs it
+            raise ValueError(
+                f"alpha source 'analytic_bound' needs trainer.ridge_lambda > 0, got {lam}"
+            )
         self.fading_policy  # built and checked here, before any dataset is
 
     @cached_property
@@ -397,13 +406,13 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
 
 @dataclass(frozen=True)
 class ResolvedExperiment:
-    """Deterministic byproducts of a config: data, constants, schedule, alpha."""
+    """Deterministic byproducts of a config: data, the paired schemes'
+    TrainerConfig (step schedule, noise variance), fading policy, alpha."""
 
     config: ExperimentConfig
     dataset: Dataset
-    schedule: StepSchedule
-    sigma_w2: float
-    fading_policy: FadingPolicy | None
+    trainer: TrainerConfig
+    fading_policy: FadingPolicy | None  # the channel's, whether or not a fading scheme runs
     alpha_schedule: AlphaSchedule | None
 
 
@@ -473,21 +482,20 @@ def _resolve_alpha(
 
 
 def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> ResolvedExperiment:
-    """Materialize the deterministic parts of an experiment."""
-    schemes = list(schemes) if schemes is not None else [config.trainer.scheme]
+    """Materialize the deterministic parts of an experiment, with one
+    TrainerConfig that holds the paired schemes (default: the config's)."""
+    schemes = tuple(schemes) if schemes is not None else (config.trainer.scheme,)
     specs = [scheme_spec(scheme, config.channel.kind) for scheme in schemes]
     repeated = sorted({scheme for scheme in schemes if schemes.count(scheme) > 1})
     if repeated:
         raise ValueError(f"schemes listed more than once: {repeated}")
 
+    trainer = config.trainer
     dataset = build_dataset(config)
-    sigma_w2 = sigma_from_snr(config.channel.snr_db)
-    _, full_hessian = dataset.whole_optimum(config.trainer.ridge_lambda)
+    _, full_hessian = dataset.whole_optimum(trainer.ridge_lambda)
     eigs = np.linalg.eigvalsh(full_hessian)
     mu, smoothness = float(eigs[0]), float(eigs[-1])
-    schedule = _resolve_schedule(
-        config.trainer.schedule, mu, smoothness, config.trainer.local_steps
-    )
+    schedule = _resolve_schedule(trainer.schedule, mu, smoothness, trainer.local_steps)
 
     alpha_schedule = None
     if any(spec.needs_alpha for spec in specs):
@@ -496,24 +504,18 @@ def resolve(config: ExperimentConfig, schemes: Sequence[str] | None = None) -> R
     return ResolvedExperiment(
         config=config,
         dataset=dataset,
-        schedule=schedule,
-        sigma_w2=sigma_w2,
+        trainer=TrainerConfig(
+            schemes=schemes,
+            local_steps=trainer.local_steps,
+            rounds=trainer.rounds,
+            step=schedule,
+            ridge_lambda=trainer.ridge_lambda,
+            non_precoded_gain=trainer.non_precoded_gain,
+            sigma_w2=sigma_from_snr(config.channel.snr_db),
+            fading=config.fading_policy if any(spec.fading for spec in specs) else None,
+        ),
         fading_policy=config.fading_policy,
         alpha_schedule=alpha_schedule,
-    )
-
-
-def _trainer_config(resolved: ResolvedExperiment, scheme: str) -> TrainerConfig:
-    trainer = resolved.config.trainer
-    return TrainerConfig(
-        scheme=scheme,
-        local_steps=trainer.local_steps,
-        rounds=trainer.rounds,
-        step=resolved.schedule,
-        ridge_lambda=trainer.ridge_lambda,
-        non_precoded_gain=trainer.non_precoded_gain,
-        sigma_w2=resolved.sigma_w2,
-        fading=resolved.fading_policy if scheme_spec(scheme).fading else None,
     )
 
 
@@ -619,10 +621,9 @@ def simulate_trials(
     keeps. The trials then train in blocks of up to TRIAL_BLOCK_BYTES
     (trial_block), one run_training call each.
     """
-    schemes = list(schemes) if schemes is not None else [config.trainer.scheme]
     resolved = resolve(config, schemes)
-    dataset = resolved.dataset
-    trainer = config.trainer
+    dataset, trainer = resolved.dataset, resolved.trainer
+    schemes = trainer.schemes
     n_rounds, n_users, n_trials = trainer.rounds, config.users, config.trials
     lam, dim = trainer.ridge_lambda, dataset.feature_dim
 
@@ -630,12 +631,16 @@ def simulate_trials(
         scheme: SchemeRuns(
             gaps=np.zeros((n_trials, n_rounds)),
             power_per_user=np.zeros((n_trials, n_rounds, n_users)),
-            participants=np.zeros((n_trials, n_rounds), dtype=np.int64),
+            # a fading round's K senders, else all N users
+            participants=np.full(
+                (n_trials, n_rounds),
+                trainer.fading.participants if scheme_spec(scheme).fading else n_users,
+                dtype=np.int64,
+            ),
             waits=np.zeros((n_trials, n_rounds), dtype=np.int64),
         )
         for scheme in schemes
     }
-    configs = [_trainer_config(resolved, scheme) for scheme in schemes]
     row_dtype, shard_size = np.min_scalar_type(len(dataset) - 1), len(dataset) // n_users
     block = trial_block(config, dataset.features, len(schemes))
 
@@ -654,16 +659,14 @@ def simulate_trials(
             dataset,
             rows,
             theta0,
-            configs,
+            trainer,
             resolved.alpha_schedule,
             [trial_streams(config, trial, schemes) for trial in trials],
             tuple(_stacked(arrays) for arrays in zip(*trial_optima)),
             out=[(runs[s].gaps[in_block], runs[s].power_per_user[in_block]) for s in schemes],
             first_trial=lo,
         )
-        for scheme, trainer_config, trace in zip(schemes, configs, traces):
-            policy = trainer_config.fading
-            runs[scheme].participants[in_block] = n_users if policy is None else policy.participants
+        for scheme, trace in zip(schemes, traces):
             runs[scheme].waits[in_block] = trace.waits
 
     t_grid = trainer.local_steps * np.arange(1, n_rounds + 1)
@@ -889,7 +892,7 @@ def estimate_bound_inputs(config: ExperimentConfig, *, kind: str = "final_model"
             stream_generator(config.seed, "bound/probe"),
             H=trainer.local_steps,
             P=POWER,
-            sigma_w2=resolved.sigma_w2,
+            sigma_w2=resolved.trainer.sigma_w2,
         )
         for i in range(BOUND_PARTITION_DRAWS)
     ]
@@ -904,7 +907,7 @@ def estimate_bound_inputs(config: ExperimentConfig, *, kind: str = "final_model"
 
     if config.trainer.schedule.kind == kind:
         # evaluate the bound at the schedule the training actually uses
-        shift = resolved.schedule.shift
+        shift = resolved.trainer.step.shift
     else:
         _, shift = schedule_shift(kind, merged.L / merged.mu, trainer.local_steps)
     policy = resolved.fading_policy

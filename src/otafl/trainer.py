@@ -143,14 +143,15 @@ def check_ridge_and_gains(ridge_lambda: float, non_precoded_gain: float | None) 
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Everything one training run needs besides data, initial models and streams.
+    """Everything paired training runs need besides data, initial models and
+    streams: their schemes, one run each, and the settings they share.
 
-    sigma_w2 is the noise variance per coordinate of the scheme's MAC; the
-    noise-free baseline ignores it. A fading scheme takes a FadingPolicy,
-    which also holds the Rayleigh scale of its channel.
+    sigma_w2 is the noise variance per coordinate of the schemes' MAC; the
+    noise-free baseline ignores it. The FadingPolicy, which also holds the
+    Rayleigh scale of the channel, is given exactly when a scheme fades.
     """
 
-    scheme: str
+    schemes: tuple[str, ...]
     local_steps: int
     rounds: int
     step: StepSchedule
@@ -160,15 +161,17 @@ class TrainerConfig:
     fading: FadingPolicy | None = None
 
     def __post_init__(self):
-        spec = scheme_spec(self.scheme)
+        if not self.schemes:
+            raise ValueError("need at least one scheme")
+        fading = [scheme for scheme in self.schemes if scheme_spec(scheme).fading]
         if self.local_steps < 1 or self.rounds < 1:
             raise ValueError("local_steps and rounds must be >= 1")
         check_ridge_and_gains(self.ridge_lambda, self.non_precoded_gain)
         if not self.sigma_w2 >= 0:
             raise ValueError("sigma_w2 must be non-negative")
-        if spec.fading != (self.fading is not None):
-            need = "requires a" if spec.fading else "takes no"
-            raise ValueError(f"{self.scheme} {need} FadingPolicy")
+        if bool(fading) != (self.fading is not None):
+            need = f"{fading[0]} requires a" if fading else f"{self.schemes[0]} takes no"
+            raise ValueError(f"{need} FadingPolicy")
 
     @property
     def gain(self) -> float:
@@ -182,7 +185,7 @@ class TrialStreams:
 
     `users` holds one generator per user for SGD index sampling, which all
     schemes of the trial share. `noise` and `fading` feed the channel and
-    hold one stream per scheme, in the order of the schemes' configs.
+    hold one stream per scheme, in the order of TrainerConfig.schemes.
     """
 
     users: tuple[np.random.Generator, ...]
@@ -263,6 +266,7 @@ def draw_fading_rounds(
 def run_round(
     global_theta: np.ndarray,
     local_models: np.ndarray,
+    scheme: str,
     config: TrainerConfig,
     alpha: float | None,
     noise: np.ndarray | None,
@@ -290,13 +294,13 @@ def run_round(
     out, the MAC sums h_n*c_n*delta_n plus the noise w, and the decoder adds
     that sum over K*a*b to global_theta.
     """
-    spec = SCHEME_TABLE[config.scheme]
+    spec = SCHEME_TABLE[scheme]
     if spec.needs_alpha and not (alpha is not None and alpha > 0):
-        raise ValueError(f"{config.scheme} needs an alpha coefficient > 0, got {alpha}")
+        raise ValueError(f"{scheme} needs an alpha coefficient > 0, got {alpha}")
     amplitude = spec.amplitude(alpha, config)
     if spec.fading:
         if fading is None:
-            raise ValueError(f"{config.scheme} needs the round's fading selection")
+            raise ValueError(f"{scheme} needs the round's fading selection")
         magnitudes, divisors = fading
         floor, k = config.fading.h_min, config.fading.participants
     else:  # all N users over the unit channel
@@ -309,15 +313,11 @@ def run_round(
     return decode(y, k * amplitude * floor, global_theta)
 
 
-# Paired runs share the kernel, so their configs must agree on these.
-_KERNEL_FIELDS = ("local_steps", "rounds", "step", "ridge_lambda")
-
-
 def run_training(
     dataset: Dataset,
     rows: np.ndarray,
     theta0: np.ndarray,
-    configs: Sequence[TrainerConfig],
+    config: TrainerConfig,
     alpha_schedule: AlphaSchedule | None,
     streams: Sequence[TrialStreams],
     optima: tuple[np.ndarray, np.ndarray],
@@ -325,8 +325,8 @@ def run_training(
     out: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     first_trial: int = 0,
 ) -> list[RunTrace]:
-    """Paired training runs of a block of T trials, one per config: `rounds`
-    communication rounds from each trial's initial model.
+    """Paired training runs of a block of T trials, one per scheme of config:
+    `rounds` communication rounds from each trial's initial model.
 
     rows holds each trial's (N, D_n) shard row ids into dataset, a
     (T, N, D_n) block, theta0 the trials' (T, d) initial models and streams
@@ -345,32 +345,27 @@ def run_training(
     gaps are measured in one call after it, so a round does only the work
     that depends on the models.
 
-    Returns one RunTrace per config; trial t of run s equals a run of
-    configs[s] alone on trial t, bit for bit. out gives each config's
-    (T, R) gap and (T, R, N) power arrays to write into (new ones by
-    default), which spares the caller a copy of them. Errors name the
-    trial, numbering the block's trials from first_trial.
+    Returns one RunTrace per scheme, in the order of config.schemes; trial t
+    of run s equals a run of scheme s alone on trial t, bit for bit. out
+    gives each scheme's (T, R) gap and (T, R, N) power arrays to write into
+    (new ones by default), which spares the caller a copy of them. Errors
+    name the trial, numbering the block's trials from first_trial.
     """
-    configs, streams = list(configs), list(streams)
-    if not configs:
-        raise ValueError("need at least one trainer config")
-    first = configs[0]
-    for name in _KERNEL_FIELDS:
-        if any(getattr(config, name) != getattr(first, name) for config in configs):
-            raise ValueError(f"paired runs must share {name}")
-    needs_alpha = [SCHEME_TABLE[config.scheme].needs_alpha for config in configs]
+    schemes, streams = config.schemes, list(streams)
+    specs = [SCHEME_TABLE[scheme] for scheme in schemes]
+    needs_alpha = [spec.needs_alpha for spec in specs]
     if any(needs_alpha):
         if alpha_schedule is None:
-            raise ValueError(f"{configs[needs_alpha.index(True)].scheme} needs an alpha schedule")
-        if alpha_schedule.rounds < first.rounds:
+            raise ValueError(f"{schemes[needs_alpha.index(True)]} needs an alpha schedule")
+        if alpha_schedule.rounds < config.rounds:
             raise ValueError(
-                f"alpha schedule covers {alpha_schedule.rounds} rounds, need {first.rounds}"
+                f"alpha schedule covers {alpha_schedule.rounds} rounds, need {config.rounds}"
             )
 
     if rows.ndim != 3:
         raise ValueError(f"need a (T, N, D_n) block of shard row ids, got shape {rows.shape}")
     n_trials, n_users, shard_size = rows.shape
-    dim, n_runs = dataset.feature_dim, len(configs)
+    dim, n_runs = dataset.feature_dim, len(schemes)
     check_row_ids(rows, len(dataset))  # the kernel gathers them unchecked
     if len(streams) != n_trials:
         raise ValueError(f"need streams for each of {n_trials} trials, got {len(streams)}")
@@ -386,7 +381,7 @@ def run_training(
         raise ValueError(
             f"need (T, d) initial models for T={n_trials}, d={dim}, got {theta0.shape}"
         )
-    h, rounds = first.local_steps, first.rounds
+    h, rounds = config.local_steps, config.rounds
     theta = np.broadcast_to(theta0, (n_runs, n_trials, dim))
     # The row ids of every trial's R*H sample steps, in the dtype of rows and
     # step-major as the kernel gathers them: user n of trial t takes shard
@@ -399,23 +394,18 @@ def run_training(
             steps[:, t, n] = rows[t, n, user.integers(shard_size, size=rounds * h)]
     steps = steps.reshape(rounds, h, n_trials, n_users)  # each round's (H, T, N) ids
     # each fading scheme's round-major (R, T, N) gain divisors
-    fades = [
-        None if config.fading is None else np.empty((rounds, n_trials, n_users))
-        for config in configs
-    ]
+    fades = [np.empty((rounds, n_trials, n_users)) if spec.fading else None for spec in specs]
     waits = np.zeros((n_runs, n_trials, rounds), dtype=np.int64)
     for t, trial in enumerate(streams):  # trial by trial, so the first failing trial is named
-        for s, config in enumerate(configs):
+        for s, scheme in enumerate(schemes):
             if fades[s] is None:
                 continue
             try:
                 drawn = draw_fading_rounds(trial.fading[s], n_users, rounds, config.fading)
             except Exception as exc:
-                raise RuntimeError(
-                    f"trial {first_trial + t}, scheme {config.scheme}: {exc}"
-                ) from exc
+                raise RuntimeError(f"trial {first_trial + t}, scheme {scheme}: {exc}") from exc
             fades[s][:, t], waits[s, t] = drawn
-    for config, divisors in zip(configs, fades):
+    for scheme, divisors in zip(schemes, fades):
         if divisors is None:
             continue
         floor = config.fading.h_min
@@ -423,13 +413,13 @@ def run_training(
         if censored.size:
             r, t = censored[0, :2]
             raise ValueError(
-                f"trial {first_trial + t}, scheme {config.scheme}: round {r + 1}: "
+                f"trial {first_trial + t}, scheme {scheme}: round {r + 1}: "
                 f"fading magnitude {divisors[r, t].min():.6g} is at or below "
                 f"h_min={floor:.6g}: a censored user does not transmit"
             )
     if out is None:
         out = [
-            (np.empty((n_trials, rounds)), np.empty((n_trials, rounds, n_users))) for _ in configs
+            (np.empty((n_trials, rounds)), np.empty((n_trials, rounds, n_users))) for _ in schemes
         ]
     for _, powers in out:
         if powers.shape != (n_trials, rounds, n_users):
@@ -437,17 +427,13 @@ def run_training(
                 f"need a (T, R, N) = {(n_trials, rounds, n_users)} power block, "
                 f"got shape {powers.shape}"
             )
-    etas = first.step.eta(np.arange(rounds * h)).reshape(rounds, h)  # each round's H
-    check_steps(etas, first.ridge_lambda)
+    etas = config.step.eta(np.arange(rounds * h)).reshape(rounds, h)  # each round's H
+    check_steps(etas, config.ridge_lambda)
     alphas = alpha_schedule.values.tolist() if any(needs_alpha) else None
     # Each noisy scheme's noise, drawn per trial a chunk of rounds at a time:
     # one sized draw consumes the stream as per-round draws would.
-    noise = [
-        np.empty((n_trials, min(rounds, ROUND_CHUNK), dim))
-        if config.sigma_w2 > 0 and SCHEME_TABLE[config.scheme].noisy
-        else None
-        for config in configs
-    ]
+    chunk = (n_trials, min(rounds, ROUND_CHUNK), dim)
+    noise = [np.empty(chunk) if config.sigma_w2 > 0 and spec.noisy else None for spec in specs]
     # each trial's optimum against the trial's chunk of models
     theta_stars, hessians = optima[0][:, None], optima[1][:, None]
     thetas = np.empty((n_runs, n_trials, rounds, dim))
@@ -462,7 +448,7 @@ def run_training(
             # scalar arithmetic takes faster than numpy scalars
             chunk_etas = etas[lo:hi].tolist()
             plans = [None] * n_runs
-            for s, config in enumerate(configs):
+            for s in range(n_runs):
                 if noise[s] is not None:
                     for t, trial in enumerate(streams):
                         noise[s][t, : hi - lo] = sample_noise(
@@ -475,14 +461,14 @@ def run_training(
             for i in range(lo, hi):
                 local_models = local_pass(
                     theta[:, :, None], dataset.features, dataset.targets, chunk_etas[i - lo],
-                    steps[i], first.ridge_lambda, blocks=blocks,
+                    steps[i], config.ridge_lambda, blocks=blocks,
                     next_rows=steps[i + 1] if i + 1 < rounds else None,
                 )
-                for s, config in enumerate(configs):
+                for s, scheme in enumerate(schemes):
                     plan, (_, powers) = plans[s], out[s]
                     try:
                         thetas[s, :, i] = run_round(
-                            theta[s], local_models[s], config,
+                            theta[s], local_models[s], scheme, config,
                             alphas[i] if needs_alpha[s] else None,
                             None if noise[s] is None else noise[s][:, i - lo],
                             powers[:, i],
@@ -490,7 +476,7 @@ def run_training(
                         )
                     except Exception as exc:
                         raise RuntimeError(
-                            f"{label}, scheme {config.scheme}: round {i + 1}: {exc}"
+                            f"{label}, scheme {scheme}: round {i + 1}: {exc}"
                         ) from exc
                 theta = thetas[:, :, i]
             for s, (gaps, _) in enumerate(out):

@@ -96,7 +96,7 @@ def test_criterion_01_noiseless_collapse():
             resolved.dataset,
             rows[None],
             theta0[None],
-            [harness._trainer_config(resolved, scheme)],
+            harness.resolve(config, [scheme]).trainer,
             resolved.alpha_schedule,
             [harness.trial_streams(config, 0, [scheme])],
             (theta_star[None], hess[None]),
@@ -175,7 +175,7 @@ def test_weighted_average_bound_final_round():
     doc["trainer"]["schedule"] = {"kind": "averaged_model", "shift": "auto"}
     config = harness.parse_config(doc)
     resolved = harness.resolve(config, ["cotaf"])
-    a = resolved.schedule.shift
+    a = resolved.trainer.step.shift
     h = config.trainer.local_steps
     gaps = []
     for trial in range(config.trials):
@@ -193,7 +193,7 @@ def test_weighted_average_bound_final_round():
             resolved.dataset,
             rows[None],
             theta0[None],
-            [harness._trainer_config(resolved, "cotaf")],
+            resolved.trainer,
             resolved.alpha_schedule,
             [harness.trial_streams(config, trial, ["cotaf"])],
             (theta_star[None], hess[None]),
@@ -214,7 +214,7 @@ def test_criterion_05_equivalent_noise_law(desk_minus6):
     start = time.time()
     config, result, _ = desk_minus6
     resolved = result.resolved
-    sigma_w2 = resolved.sigma_w2
+    sigma_w2 = resolved.trainer.sigma_w2
     n_users, d = config.users, 20
     rng = np.random.default_rng(555)
     details = []

@@ -235,9 +235,10 @@ def test_analytic_alpha_takes_theta_star_from_the_sums_and_forms_no_gram(monkeyp
     constants = estimate_constants(
         dataset.shards(rows), lam, ProbeBall(theta_star, 2.0 * math.sqrt(delta0)),
         stream_generator(config.seed, "alpha/probe"), H=trainer.local_steps, P=harness.POWER,
-        sigma_w2=resolved.sigma_w2,
+        sigma_w2=resolved.trainer.sigma_w2,
     )
     expected = alpha_upper_bound_schedule(
-        trainer.local_steps, resolved.schedule.eta, constants.G2, harness.POWER, trainer.rounds
+        trainer.local_steps, resolved.trainer.step.eta, constants.G2, harness.POWER,
+        trainer.rounds,
     )
     assert resolved.alpha_schedule.values.tobytes() == expected.values.tobytes()

@@ -85,6 +85,14 @@ def test_bound_rejects_theorem_3_without_fading(config_path, capsys, no_estimate
     assert "theorem 3 needs a fading channel config" in capsys.readouterr().err
 
 
+def test_bound_rejects_a_zero_ridge_weight(config_path, tmp_path, capsys, no_estimate):
+    # the constants need a strongly convex objective, whatever the alpha source
+    doc = json.loads(config_path.read_text())
+    path = _write_variant(config_path, tmp_path, trainer={**doc["trainer"], "ridge_lambda": 0})
+    assert main(["bound", "--config", str(path), "--theorem", "2", "--t", "4"]) == 1
+    assert capsys.readouterr().err == "error: bound needs trainer.ridge_lambda > 0, got 0.0\n"
+
+
 @pytest.mark.parametrize("theorem", [1, 2, 3])
 def test_bound_evaluates_the_library_inputs_at_each_t(config_path, tmp_path, capsys, theorem):
     # each t's bound is the library's on the estimated inputs with T = t
@@ -122,6 +130,15 @@ def _write_variant(config_path, tmp_path, **overrides):
     path = tmp_path / "variant.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_estimate_alpha_writes_the_analytic_schedule(config_path, tmp_path):
+    # the config's alpha source names the schedule, the analytic one included
+    path = _write_variant(config_path, tmp_path, alpha={"source": "analytic_bound"})
+    out = tmp_path / "alpha.json"
+    assert main(["estimate-alpha", "--config", str(path), "--out", str(out)]) == 0
+    expected = harness.resolve(load_config(path), ["cotaf"]).alpha_schedule
+    np.testing.assert_array_equal(AlphaSchedule.load(out).values, expected.values)
 
 
 def test_estimate_alpha_on_fading_config(config_path, tmp_path):

@@ -339,6 +339,11 @@ class TestConfigParsing:
         doc["partition"] = ["iid"]
         with pytest.raises(ValueError, match=r"^partition must be a JSON object, got \['iid'\]$"):
             parse_config(doc)
+        # a synthetic dataset's size is known as it parses, a CSV's only once it is read
+        doc["partition"] = {"mode": "iid"}
+        doc["dataset"]["total_samples"] = 3
+        with pytest.raises(ValueError, match=r"^cannot split 3 samples between 4 users$"):
+            parse_config(doc)
 
     @pytest.mark.parametrize("participants", [0, 5])
     def test_fading_participants_outside_the_users_are_rejected_as_they_parse(self, participants):
@@ -358,22 +363,34 @@ class TestConfigParsing:
         assert parse_config(doc).trainer.theta0_std == 0.0
 
     @pytest.mark.parametrize(
-        "key, value, match",
+        "source, key, value, match",
         [
-            ("ridge_lambda", -1, r"^ridge_lambda must be non-negative, got -1\.0$"),
-            ("non_precoded_gain", 0, r"^non_precoded_gain must be positive, got 0\.0$"),
-            ("non_precoded_gain", -0.5, r"^non_precoded_gain must be positive, got -0\.5$"),
+            ("mc_pilot", "ridge_lambda", -1, r"^ridge_lambda must be non-negative, got -1\.0$"),
+            ("mc_pilot", "non_precoded_gain", 0, r"^non_precoded_gain must be positive, got 0\.0$"),
+            (
+                "mc_pilot", "non_precoded_gain", -0.5,
+                r"^non_precoded_gain must be positive, got -0\.5$",
+            ),
+            (
+                "analytic_bound", "ridge_lambda", 0,
+                r"^alpha source 'analytic_bound' needs trainer\.ridge_lambda > 0, got 0\.0$",
+            ),
         ],
     )
-    def test_bad_codec_settings_are_rejected_as_they_parse(self, monkeypatch, key, value, match):
+    def test_bad_codec_settings_are_rejected_as_they_parse(
+        self, monkeypatch, source, key, value, match
+    ):
         # resolve would meet a negative ridge weight only after building the
-        # dataset, and simulate_trials a zero gain only after the alpha pilot
+        # dataset, simulate_trials a zero gain only after the alpha pilot, and
+        # the analytic schedule a zero ridge weight only after partitioning
         doc = json.loads((Path(__file__).parents[1] / "configs" / "desk.json").read_text())
+        doc["alpha"]["source"] = source
         doc["trainer"][key] = value
         monkeypatch.setattr(harness, "build_dataset", pytest.fail)
         with pytest.raises(ValueError, match=match):
             parse_config(doc)
-        doc["trainer"][key] = 0 if key == "ridge_lambda" else 0.7
+        # a zero ridge weight is valid for the pilot, which needs no G^2
+        doc["trainer"][key] = 0 if key == "ridge_lambda" and source == "mc_pilot" else 0.7
         assert getattr(parse_config(doc).trainer, key) == doc["trainer"][key]
 
 
@@ -440,7 +457,7 @@ class TestRunExperiment:
             resolved.dataset,
             trial_rows[None],
             theta0[None],
-            [harness._trainer_config(resolved, "noise_free_local_sgd")],
+            resolved.trainer,
             None,
             [harness.trial_streams(config, 0, ["noise_free_local_sgd"])],
             (theta_star[None], hess[None]),
@@ -451,6 +468,35 @@ class TestRunExperiment:
         np.testing.assert_array_equal(run.gaps, trace.gaps)
         np.testing.assert_array_equal(run.power_per_user, trace.powers)
         np.testing.assert_array_equal(run.waits, trace.waits)
+
+    @pytest.mark.parametrize(
+        "channel, schemes, fading",
+        [
+            ("awgn_mac", ["noise_free_local_sgd", "cotaf", "non_precoded_ota"], False),
+            ("awgn_mac", None, False),  # the config's scheme
+            ("fading_mac", ["cotaf_fading", "noise_free_local_sgd"], True),
+            ("fading_mac", ["noise_free_local_sgd"], False),
+        ],
+    )
+    def test_trains_with_the_resolved_trainer_config(self, monkeypatch, channel, schemes, fading):
+        # one TrainerConfig holds the paired schemes; it carries the
+        # channel's policy only when one of them fades
+        configs = []
+
+        def recorded(dataset, rows, theta0, config, *args, **kwargs):
+            configs.append(config)
+            return run_training(dataset, rows, theta0, config, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_training", recorded)
+        config = tiny_config(trials=2, channel={"kind": channel, "snr_db": -6.0})
+        result = simulate_trials(config, schemes)
+        (trained,) = configs
+        assert trained is result.resolved.trainer
+        assert trained.schemes == tuple(schemes or [config.trainer.scheme])
+        assert list(result.schemes) == list(trained.schemes)
+        policy = result.resolved.fading_policy
+        assert (policy is not None) == (channel == "fading_mac")
+        assert trained.fading == (policy if fading else None)
 
     def test_paired_initial_models_across_schemes(self, monkeypatch):
         # pairing: a trial's schemes start from one initial model, the one
@@ -583,6 +629,7 @@ class TestRunExperiment:
         assert blocks == ([1, 1, 1, 1] if block_bytes == 1 else [4])
 
         resolved, lam = result.resolved, config.trainer.ridge_lambda
+        alone = {scheme: harness.resolve(config, [scheme]).trainer for scheme in schemes}
         for trial in range(config.trials):
             rows = partition(
                 resolved.dataset,
@@ -599,7 +646,7 @@ class TestRunExperiment:
                     resolved.dataset,
                     rows[None],
                     theta0[None],
-                    [harness._trainer_config(resolved, scheme)],
+                    alone[scheme],
                     resolved.alpha_schedule,
                     [harness.trial_streams(config, trial, [scheme])],
                     (theta_star[None], hess[None]),
@@ -667,7 +714,7 @@ class TestRunExperiment:
                 resolved.dataset,
                 rows[None],
                 theta0[None],
-                [harness._trainer_config(resolved, "cotaf")],
+                resolved.trainer,
                 resolved.alpha_schedule,
                 [harness.trial_streams(config, trial, ["cotaf"])],
                 (theta_star[None], hess[None]),
@@ -906,7 +953,7 @@ class TestBoundInputs:
         c = inputs.constants
         _, auto = schedule_shift("averaged_model", c.L / c.mu, config.trainer.local_steps)
         assert inputs.shift == auto
-        assert inputs.shift != harness.resolve(config, ["noise_free_local_sgd"]).schedule.shift
+        assert inputs.shift != harness.resolve(config, ["noise_free_local_sgd"]).trainer.step.shift
         assert bound_weighted_average(inputs) > 0
 
     def test_draws_merge_field_by_field(self):
@@ -967,7 +1014,7 @@ class TestBoundInputs:
         lam = config.trainer.ridge_lambda
         theta_star, hess = resolved.dataset.whole_optimum(lam)
         np.testing.assert_array_equal(hess, grams_optimum(*shard_grams(whole), lam)[1])
-        assert resolved.schedule.mu == np.linalg.eigvalsh(hess)[0]
+        assert resolved.trainer.step.mu == np.linalg.eigvalsh(hess)[0]
         assert resolved.dataset.whole_optimum(lam)[1] is hess and not hess.flags.writeable
         np.testing.assert_array_equal(theta_star, solve_optimum(whole, lam))
 
@@ -1070,7 +1117,7 @@ class TestShardPasses:
                 harness.POWER,
                 config.alpha.pilot_trials,
                 stream_generator(config.seed, "alpha/run"),
-                step_fn=resolved.schedule.eta,
+                step_fn=resolved.trainer.step.eta,
                 theta0_std=trainer.theta0_std,
             )
             np.testing.assert_array_equal(resolved.alpha_schedule.values, expected.values)

@@ -43,7 +43,7 @@ def _config(scheme, k, h_min):
     """A one-round config of K users; cotaf_fading takes all K at h_min."""
     policy = FadingPolicy(h_min=h_min, participants=k) if scheme == "cotaf_fading" else None
     return TrainerConfig(
-        scheme=scheme, local_steps=1, rounds=1,
+        schemes=(scheme,), local_steps=1, rounds=1,
         step=StepSchedule(kind="final_model", shift=20.0, mu=1.0), fading=policy,
     )
 
@@ -60,7 +60,7 @@ def _round(scheme, deltas, alpha, magnitudes=None, h_min=0.5):
     if magnitudes is not None:
         mags = np.asarray(magnitudes, dtype=np.float64)[None]
         fading = (mags, mags)
-    run_round(np.zeros((1, dim)), deltas[None], config, alpha, None, powers, fading)
+    run_round(np.zeros((1, dim)), deltas[None], scheme, config, alpha, None, powers, fading)
     return powers[0]
 
 
@@ -74,7 +74,7 @@ def _drawn_round(monkeypatch, magnitudes, h_min=0.5):
     streams = TrialStreams(tuple(np.random.default_rng(n) for n in range(k)), (None,), (None,))
     run_training(
         shards.dataset, shards.rows[None], np.zeros((1, 3)),
-        [_config("cotaf_fading", k, h_min)], AlphaSchedule(np.ones(1)), [streams],
+        _config("cotaf_fading", k, h_min), AlphaSchedule(np.ones(1)), [streams],
         (np.zeros((1, 3)), np.eye(3)[None]),
     )
 

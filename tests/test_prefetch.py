@@ -71,20 +71,16 @@ class TestTrainingBits:
         dataset, rows, optima = _trial_block(
             np.random.default_rng(6), self.N_TRIALS, self.N_USERS
         )
-        configs = [
-            TrainerConfig(
-                scheme=scheme, local_steps=2, rounds=self.ROUNDS, step=_schedule(),
-                sigma_w2=0.4,
-                fading=test_trainer.TestStackedTrials.POLICY if scheme == "cotaf_fading" else None,
-            )
-            for scheme in schemes
-        ]
+        config = TrainerConfig(
+            schemes=schemes, local_steps=2, rounds=self.ROUNDS, step=_schedule(), sigma_w2=0.4,
+            fading=test_trainer.TestStackedTrials.POLICY if "cotaf_fading" in schemes else None,
+        )
         theta0 = np.stack([_start(seed, dataset.feature_dim) for seed in (1, 8)])
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, self.ROUNDS))
 
         def run():
             streams = [_paired_streams(seed, self.N_USERS, len(schemes)) for seed in (1, 8)]
-            return run_training(dataset, rows, theta0, configs, alpha, streams, optima)
+            return run_training(dataset, rows, theta0, config, alpha, streams, optima)
 
         prefetched, serial = prefetched_and_serial(cpu_pool, gathers, run, self.ROUNDS)
         for got, expected in zip(prefetched, serial):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from otafl.localsgd import DEFAULT_THETA0_STD, KernelBlocks, check_steps
 from otafl.objectives import grams_optimum, quadratic_gap, shard_grams
 from otafl.precoding import AlphaSchedule, FadingPolicy, decode, precode
 from otafl.trainer import (
+    SCHEME_TABLE,
     RunTrace,
     StepSchedule,
     TrainerConfig,
@@ -74,11 +76,13 @@ def _divisors(ids, mags, n_users):
 
 
 def _round(theta, shards, config, alpha, streams, round_index, optimum, indices, fading=None):
-    """One round as run_training makes it: the users' local steps from theta
-    on the shards' samples, then run_round's aggregation over the channel
-    with one round's noise from the trial's noise stream, for a block of one
-    trial. fading is the round's (N,) gain divisors. Returns the new model,
-    its gap and the users' transmit energies."""
+    """One round of config's one scheme as run_training makes it: the users'
+    local steps from theta on the shards' samples, then run_round's
+    aggregation over the channel with one round's noise from the trial's
+    noise stream, for a block of one trial. fading is the round's (N,) gain
+    divisors. Returns the new model, its gap and the users' transmit
+    energies."""
+    (scheme,) = config.schemes
     dataset, rows = shards.dataset, shards.rows
     t0 = (round_index - 1) * config.local_steps
     etas = [config.step.eta(t0 + j) for j in range(config.local_steps)]
@@ -92,19 +96,26 @@ def _round(theta, shards, config, alpha, streams, round_index, optimum, indices,
     powers = np.empty((1, rows.shape[0]))
     plan = None if fading is None else _plan(fading[None])
     (new_theta,) = run_round(
-        theta[None], local_models[None], config, alpha, noise, powers, plan
+        theta[None], local_models[None], scheme, config, alpha, noise, powers, plan
     )
     return new_theta, quadratic_gap(new_theta, *optimum), powers[0]
 
 
-def _train(shards, configs, alpha_schedule, streams, optimum, theta0):
-    """run_training on one trial's shards from theta0; returns each run's
+def _train(shards, config, alpha_schedule, streams, optimum, theta0):
+    """run_training on one trial's shards from theta0; returns each scheme's
     trial-0 trace."""
     traces = run_training(
-        shards.dataset, shards.rows[None], theta0[None], configs, alpha_schedule, [streams],
+        shards.dataset, shards.rows[None], theta0[None], config, alpha_schedule, [streams],
         _one_trial(optimum),
     )
     return [RunTrace(*(None if field is None else field[0] for field in trace)) for trace in traces]
+
+
+def _alone(config, scheme):
+    """The settings of config for a run of scheme alone."""
+    return replace(
+        config, schemes=(scheme,), fading=config.fading if SCHEME_TABLE[scheme].fading else None
+    )
 
 
 def _rows(shards, indices):
@@ -368,17 +379,21 @@ class TestStepSchedules:
 
 
 class TestTrainerConfig:
+    POLICY = FadingPolicy(h_min=0.2, participants=1)
+
     def test_rounds_and_local_steps_must_be_positive(self):
         for local_steps, rounds in ((1, 0), (0, 1), (1, -1)):
             with pytest.raises(ValueError, match="local_steps and rounds must be >= 1"):
                 TrainerConfig(
-                    scheme="noise_free_local_sgd", local_steps=local_steps, rounds=rounds,
+                    schemes=("noise_free_local_sgd",), local_steps=local_steps, rounds=rounds,
                     step=_schedule(),
                 )
 
     def test_channel_settings_validation(self):
         with pytest.raises(ValueError, match="sigma_w2 must be non-negative"):
-            TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule(), sigma_w2=-1.0)
+            TrainerConfig(
+                schemes=("cotaf",), local_steps=1, rounds=1, step=_schedule(), sigma_w2=-1.0
+            )
         with pytest.raises(ValueError, match="rayleigh_scale must be positive"):
             FadingPolicy(h_min=0.2, participants=1, rayleigh_scale=0.0)
 
@@ -392,25 +407,42 @@ class TestTrainerConfig:
     )
     def test_nan_settings_rejected(self, setting, match):
         with pytest.raises(ValueError, match=match):
-            TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule(), **setting)
+            TrainerConfig(schemes=("cotaf",), local_steps=1, rounds=1, step=_schedule(), **setting)
 
     def test_non_positive_gain_rejected(self):
         for gain in (0.0, -1.5, math.nan):
             with pytest.raises(ValueError, match="non_precoded_gain must be positive"):
                 TrainerConfig(
-                    scheme="non_precoded_ota", local_steps=1, rounds=1, step=_schedule(),
+                    schemes=("non_precoded_ota",), local_steps=1, rounds=1, step=_schedule(),
                     non_precoded_gain=gain,
                 )
+
+    @pytest.mark.parametrize(
+        "schemes, fading, match",
+        [
+            ((), None, r"^need at least one scheme$"),
+            (("cotaf", "nope"), None, r"^unknown scheme 'nope'; expected one of "),
+            # the policy belongs to a fading scheme, and each fading scheme needs it
+            (("cotaf", "noise_free_local_sgd"), POLICY, r"^cotaf takes no FadingPolicy$"),
+            (("noise_free_local_sgd", "cotaf_fading"), None,
+             r"^cotaf_fading requires a FadingPolicy$"),
+        ],
+    )
+    def test_schemes_and_fading_policy_rejected(self, schemes, fading, match):
+        with pytest.raises(ValueError, match=match):
+            TrainerConfig(
+                schemes=schemes, local_steps=1, rounds=1, step=_schedule(), fading=fading
+            )
 
     def test_noise_free_ignores_sigma_w2(self, rng):
         shards = make_shards(rng, n_users=3, per_user=10, dim=3)
         thetas = []
         for sigma_w2 in (0.0, 4.0):
             config = TrainerConfig(
-                scheme="noise_free_local_sgd", local_steps=2, rounds=3, step=_schedule(),
+                schemes=("noise_free_local_sgd",), local_steps=2, rounds=3, step=_schedule(),
                 sigma_w2=sigma_w2,
             )
-            (trace,) = _train(shards, [config], None, _streams(2, 3), _optimum(shards), np.zeros(3))
+            (trace,) = _train(shards, config, None, _streams(2, 3), _optimum(shards), np.zeros(3))
             thetas.append(trace.thetas)
         np.testing.assert_array_equal(thetas[0], thetas[1])
 
@@ -420,7 +452,7 @@ class TestRunRound:
         shards = single_shard(rng, n_samples=20, dim=3)
         schedule = _schedule()
         config = TrainerConfig(
-            scheme="noise_free_local_sgd", local_steps=5, rounds=1, step=schedule
+            schemes=("noise_free_local_sgd",), local_steps=5, rounds=1, step=schedule
         )
         theta0 = rng.standard_normal(3)
         new_theta, gap, powers = _round(
@@ -442,7 +474,7 @@ class TestRunRound:
         theta0 = rng.standard_normal(3)
         out = {}
         for scheme in ("noise_free_local_sgd", "cotaf"):
-            config = TrainerConfig(scheme=scheme, local_steps=4, rounds=1, step=schedule)
+            config = TrainerConfig(schemes=(scheme,), local_steps=4, rounds=1, step=schedule)
             theta, _, _ = _round(
                 theta0, shards, config, 0.37, _streams(5, 4), 1, _optimum(shards),
                 _indices(5, 4, 15, 4),
@@ -459,9 +491,9 @@ class TestRunRound:
         schedule = _schedule()
         theta0 = rng.standard_normal(8)
         alpha, sigma_w2 = 0.9, 2.0
-        clean_config = TrainerConfig(scheme="cotaf", local_steps=2, rounds=1, step=schedule)
+        clean_config = TrainerConfig(schemes=("cotaf",), local_steps=2, rounds=1, step=schedule)
         noisy_config = TrainerConfig(
-            scheme="cotaf", local_steps=2, rounds=1, step=schedule, sigma_w2=sigma_w2
+            schemes=("cotaf",), local_steps=2, rounds=1, step=schedule, sigma_w2=sigma_w2
         )
         optimum = _optimum(shards)
         indices = _indices(9, 3, 10, 2)
@@ -488,14 +520,16 @@ class TestRunRound:
         local_models = theta[:, None] + rng.standard_normal((n_trials, n_users, dim))
         for gain in (None, 0.37, 2.5, *rng.uniform(1e-3, 1e3, 20)):
             config = TrainerConfig(
-                scheme="non_precoded_ota", local_steps=1, rounds=1, step=_schedule(),
+                schemes=("non_precoded_ota",), local_steps=1, rounds=1, step=_schedule(),
                 non_precoded_gain=gain, sigma_w2=sigma_w2,
             )
             noise = np.stack(
                 [sample_noise(dim, sigma_w2, np.random.default_rng(s)) for s in range(n_trials)]
             )
             powers = np.empty((n_trials, n_users))
-            new_theta = run_round(theta, local_models, config, None, noise, powers)
+            new_theta = run_round(
+                theta, local_models, "non_precoded_ota", config, None, noise, powers
+            )
             g = 1.0 if gain is None else gain
             signals = g * (local_models - theta[:, None])
             y = signals.sum(axis=1) + noise
@@ -506,7 +540,7 @@ class TestRunRound:
         shards = make_shards(rng, n_users=5, per_user=10, dim=3)
         schedule = _schedule()
         config = TrainerConfig(
-            scheme="cotaf_fading", local_steps=2, rounds=1, step=schedule,
+            schemes=("cotaf_fading",), local_steps=2, rounds=1, step=schedule,
             fading=FadingPolicy(h_min=0.2, participants=3),
         )
         theta0 = rng.standard_normal(3)
@@ -532,13 +566,15 @@ class TestRunRound:
         # FadingPolicy belongs to the fading MAC
         policy = FadingPolicy(h_min=0.2, participants=1)
         with pytest.raises(ValueError, match="cotaf takes no FadingPolicy"):
-            TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule(), fading=policy)
+            TrainerConfig(
+                schemes=("cotaf",), local_steps=1, rounds=1, step=_schedule(), fading=policy
+            )
         with pytest.raises(ValueError, match="cotaf_fading requires a FadingPolicy"):
-            TrainerConfig(scheme="cotaf_fading", local_steps=1, rounds=1, step=_schedule())
+            TrainerConfig(schemes=("cotaf_fading",), local_steps=1, rounds=1, step=_schedule())
 
     def test_missing_alpha_rejected(self, rng):
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)
-        config = TrainerConfig(scheme="cotaf", local_steps=1, rounds=1, step=_schedule())
+        config = TrainerConfig(schemes=("cotaf",), local_steps=1, rounds=1, step=_schedule())
         with pytest.raises(ValueError, match="cotaf needs an alpha coefficient"):
             _round(
                 np.zeros(3), shards, config, None, _streams(1, 2), 1,
@@ -548,7 +584,7 @@ class TestRunRound:
     def test_missing_fading_selection_rejected(self, rng):
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)
         config = TrainerConfig(
-            scheme="cotaf_fading", local_steps=1, rounds=1, step=_schedule(),
+            schemes=("cotaf_fading",), local_steps=1, rounds=1, step=_schedule(),
             fading=FadingPolicy(h_min=0.2, participants=1),
         )
         with pytest.raises(ValueError, match="cotaf_fading needs the round's fading selection"):
@@ -561,12 +597,12 @@ class TestRunRound:
         # training takes equal-size shards as a (T, N, D_n) row-id block
         dataset = Dataset(np.zeros((22, 3)), np.zeros(22))
         config = TrainerConfig(
-            scheme="noise_free_local_sgd", local_steps=1, rounds=2, step=_schedule()
+            schemes=("noise_free_local_sgd",), local_steps=1, rounds=2, step=_schedule()
         )
         ragged = np.array([np.arange(10), np.arange(10, 22)], dtype=object)
         with pytest.raises(ValueError, match=r"need a \(T, N, D_n\) block"):
             run_training(
-                dataset, ragged, np.zeros((1, 3)), [config], None, [_streams(1, 2)],
+                dataset, ragged, np.zeros((1, 3)), config, None, [_streams(1, 2)],
                 (np.zeros((1, 3)), np.eye(3)[None]),
             )
 
@@ -611,7 +647,7 @@ class TestAffineUpdate:
         n_trials, n_users, dim = self.N_TRIALS, self.N_USERS, self.DIM
         fading = scheme == "cotaf_fading"
         config = TrainerConfig(
-            scheme=scheme, local_steps=1, rounds=1, step=_schedule(), sigma_w2=0.3,
+            schemes=(scheme,), local_steps=1, rounds=1, step=_schedule(), sigma_w2=0.3,
             non_precoded_gain=gain, fading=self.POLICY if fading else None,
         )
         theta = rng.standard_normal((n_trials, dim))
@@ -633,7 +669,9 @@ class TestAffineUpdate:
         else:
             b, mags = 1.0, np.ones((n_trials, n_users))
             senders = np.tile(np.arange(n_users), (n_trials, 1))
-        new_theta = run_round(theta, local_models, config, alpha, noise, powers, selection)
+        new_theta = run_round(
+            theta, local_models, scheme, config, alpha, noise, powers, selection
+        )
 
         np.testing.assert_array_equal(
             new_theta, self._update(theta, local_models, a, b, senders, mags, noise)
@@ -665,7 +703,7 @@ class TestAffineUpdate:
         rng = np.random.default_rng(n_users)
         policy = FadingPolicy(h_min=0.4, participants=k)
         config = TrainerConfig(
-            scheme="cotaf_fading", local_steps=1, rounds=1, step=_schedule(), sigma_w2=0.3,
+            schemes=("cotaf_fading",), local_steps=1, rounds=1, step=_schedule(), sigma_w2=0.3,
             fading=policy,
         )
         for _ in range(20):
@@ -678,7 +716,9 @@ class TestAffineUpdate:
             mags = rng.uniform(0.41, 3.0, (n_trials, k))
             plan = _plan(_divisors(ids, mags, n_users))
             powers = np.full((n_trials, n_users), np.nan)
-            new_theta = run_round(theta, local_models, config, alpha, noise, powers, plan)
+            new_theta = run_round(
+                theta, local_models, "cotaf_fading", config, alpha, noise, powers, plan
+            )
 
             scale = math.sqrt(alpha) * policy.h_min
             deltas = np.take_along_axis(local_models, ids[..., None] - 1, axis=1) - theta[:, None]
@@ -703,10 +743,10 @@ class TestRunTraining:
     def test_user_stream_count_checked(self, rng):
         shards = make_shards(rng, n_users=3, per_user=10, dim=3)
         config = TrainerConfig(
-            scheme="noise_free_local_sgd", local_steps=1, rounds=1, step=_schedule()
+            schemes=("noise_free_local_sgd",), local_steps=1, rounds=1, step=_schedule()
         )
         with pytest.raises(ValueError, match="need 3 user streams, got 2"):
-            _train(shards, [config], None, _streams(1, 2), _optimum(shards), _start(1, 3))
+            _train(shards, config, None, _streams(1, 2), _optimum(shards), _start(1, 3))
 
     def test_noise_free_run_equals_per_sample_reference(self, rng):
         # the run's up-front index draws give each round the indices that
@@ -714,10 +754,10 @@ class TestRunTraining:
         shards = make_shards(rng, n_users=3, per_user=15, dim=4)
         schedule = _schedule()
         config = TrainerConfig(
-            scheme="noise_free_local_sgd", local_steps=4, rounds=3, step=schedule
+            schemes=("noise_free_local_sgd",), local_steps=4, rounds=3, step=schedule
         )
         theta = _start(6, 4)
-        (trace,) = _train(shards, [config], None, _streams(6, 3), _optimum(shards), theta)
+        (trace,) = _train(shards, config, None, _streams(6, 3), _optimum(shards), theta)
         users = _streams(6, 3).users
         for r, run_theta in enumerate(trace.thetas):
             etas = [schedule.eta(r * 4 + j) for j in range(4)]
@@ -728,11 +768,11 @@ class TestRunTraining:
     def test_deterministic_replay(self, rng):
         shards = make_shards(rng, n_users=3, per_user=12, dim=4)
         config = TrainerConfig(
-            scheme="cotaf", local_steps=3, rounds=5, step=_schedule(), sigma_w2=1.0
+            schemes=("cotaf",), local_steps=3, rounds=5, step=_schedule(), sigma_w2=1.0
         )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 5))
         a, b = (
-            _train(shards, [config], alpha, _streams(6, 3), _optimum(shards), _start(6, 4))[0]
+            _train(shards, config, alpha, _streams(6, 3), _optimum(shards), _start(6, 4))[0]
             for _ in range(2)
         )
         np.testing.assert_array_equal(a.thetas, b.thetas)
@@ -744,10 +784,10 @@ class TestRunTraining:
 
     def test_alpha_schedule_coverage_checked(self, rng):
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)
-        config = TrainerConfig(scheme="cotaf", local_steps=2, rounds=5, step=_schedule())
+        config = TrainerConfig(schemes=("cotaf",), local_steps=2, rounds=5, step=_schedule())
         with pytest.raises(ValueError, match="covers"):
             _train(
-                shards, [config], AlphaSchedule(np.ones(3)), _streams(2, 2), _optimum(shards),
+                shards, config, AlphaSchedule(np.ones(3)), _streams(2, 2), _optimum(shards),
                 _start(2, 3),
             )
 
@@ -759,13 +799,13 @@ class TestRunTraining:
         eigs = np.linalg.eigvalsh(grams_optimum(*shard_grams(shards), lam)[1])
         mu, smoothness = float(eigs[0]), float(eigs[-1])
         config = TrainerConfig(
-            scheme="noise_free_local_sgd", local_steps=10, rounds=25,
+            schemes=("noise_free_local_sgd",), local_steps=10, rounds=25,
             step=StepSchedule("final_model", shift=max(8 * smoothness / mu, 10.0), mu=mu),
             ridge_lambda=lam,
         )
         theta0 = np.random.default_rng(8).normal(0.0, 5.0, 6)
         gaps = _train(
-            shards, [config], None, _streams(8, 8), _optimum(shards, lam), theta0
+            shards, config, None, _streams(8, 8), _optimum(shards, lam), theta0
         )[0].gaps
         assert np.all(gaps >= -1e-9)
         frac_decreasing = np.mean(np.diff(gaps) <= 0)
@@ -784,15 +824,16 @@ def _paired_streams(seed, n_users, n_schemes):
 
 
 class TestPairedRuns:
-    def _assert_runs_equal(self, shards, configs, alpha):
+    def _assert_runs_equal(self, shards, config, alpha):
         optimum, theta0 = _optimum(shards), _start(3, shards.shape[-1])
+        n_schemes = len(config.schemes)
         paired = _train(
-            shards, configs, alpha, _paired_streams(3, 4, len(configs)), optimum, theta0
+            shards, config, alpha, _paired_streams(3, 4, n_schemes), optimum, theta0
         )
-        assert len(paired) == len(configs)
-        for s, (config, trace) in enumerate(zip(configs, paired)):
+        assert len(paired) == n_schemes
+        for s, (scheme, trace) in enumerate(zip(config.schemes, paired)):
             streams = _streams(3, 4, noise_seed=3 + 10 + s, fading_seed=3 + 20 + s)
-            (alone,) = _train(shards, [config], alpha, streams, optimum, theta0)
+            (alone,) = _train(shards, _alone(config, scheme), alpha, streams, optimum, theta0)
             for field in ("thetas", "gaps", "powers", "waits"):
                 assert np.array_equal(getattr(trace, field), getattr(alone, field)), field
             if alone.fading is None:
@@ -802,41 +843,31 @@ class TestPairedRuns:
 
     def test_awgn_schemes_equal_separate_runs(self, rng):
         shards = make_shards(rng, n_users=4, per_user=15, dim=5)
-        configs = [
-            TrainerConfig(
-                scheme=scheme, local_steps=3, rounds=8, step=_schedule(), sigma_w2=0.4
-            )
-            for scheme in ("noise_free_local_sgd", "cotaf", "non_precoded_ota")
-        ]
-        self._assert_runs_equal(shards, configs, AlphaSchedule(np.linspace(0.5, 2.0, 8)))
+        config = TrainerConfig(
+            schemes=("noise_free_local_sgd", "cotaf", "non_precoded_ota"), local_steps=3,
+            rounds=8, step=_schedule(), sigma_w2=0.4,
+        )
+        self._assert_runs_equal(shards, config, AlphaSchedule(np.linspace(0.5, 2.0, 8)))
 
     def test_fading_and_noise_free_equal_separate_runs(self, rng):
         shards = make_shards(rng, n_users=4, per_user=15, dim=5)
         policy = FadingPolicy(h_min=math.sqrt(math.log(1 / 0.7)), participants=3)
-        configs = [
-            TrainerConfig(
-                scheme="cotaf_fading", local_steps=2, rounds=10, step=_schedule(),
-                sigma_w2=0.4, fading=policy,
-            ),
-            TrainerConfig(
-                scheme="noise_free_local_sgd", local_steps=2, rounds=10, step=_schedule()
-            ),
-        ]
-        self._assert_runs_equal(shards, configs, AlphaSchedule(np.linspace(0.5, 2.0, 10)))
+        config = TrainerConfig(
+            schemes=("cotaf_fading", "noise_free_local_sgd"), local_steps=2, rounds=10,
+            step=_schedule(), sigma_w2=0.4, fading=policy,
+        )
+        self._assert_runs_equal(shards, config, AlphaSchedule(np.linspace(0.5, 2.0, 10)))
 
     def test_kernel_settings_and_streams_must_match(self, rng):
         shards = make_shards(rng, n_users=2, per_user=10, dim=3)
-        base, other = (
-            TrainerConfig(scheme="noise_free_local_sgd", local_steps=h, rounds=3, step=_schedule())
-            for h in (2, 1)
+        base = TrainerConfig(
+            schemes=("noise_free_local_sgd",) * 2, local_steps=2, rounds=3, step=_schedule()
         )
         optimum, theta0 = _optimum(shards), _start(1, 3)
-        with pytest.raises(ValueError, match="paired runs must share local_steps"):
-            _train(shards, [base, other], None, _paired_streams(1, 2, 2), optimum, theta0)
         with pytest.raises(ValueError, match="one noise and one fading stream for each of 2"):
-            _train(shards, [base, base], None, _streams(1, 2), optimum, theta0)
-        with pytest.raises(ValueError, match="at least one trainer config"):
-            _train(shards, [], None, _streams(1, 2), optimum, theta0)
+            _train(shards, base, None, _streams(1, 2), optimum, theta0)
+        with pytest.raises(ValueError, match="need at least one scheme"):
+            _train(shards, replace(base, schemes=()), None, _streams(1, 2), optimum, theta0)
 
 
 def _trial_block(rng, n_trials, n_users, per_user=8, dim=4):
@@ -870,80 +901,77 @@ class TestStackedTrials:
     def test_stacked_run_equals_per_trial_loop(self, rng, n_trials, schemes):
         n_users, rounds = 6, 8
         dataset, rows, optima = _trial_block(rng, n_trials, n_users)
-        configs = [
-            TrainerConfig(
-                scheme=scheme, local_steps=2, rounds=rounds, step=_schedule(), sigma_w2=0.4,
-                fading=self.POLICY if scheme == "cotaf_fading" else None,
-            )
-            for scheme in schemes
-        ]
+        config = TrainerConfig(
+            schemes=schemes, local_steps=2, rounds=rounds, step=_schedule(), sigma_w2=0.4,
+            fading=self.POLICY if "cotaf_fading" in schemes else None,
+        )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, rounds))
         seeds = [7 * t + 1 for t in range(n_trials)]
         theta0 = np.stack([_start(seed, dataset.feature_dim) for seed in seeds])
         stacked = run_training(
-            dataset, rows, theta0, configs, alpha,
-            [_paired_streams(seed, n_users, len(configs)) for seed in seeds], optima,
+            dataset, rows, theta0, config, alpha,
+            [_paired_streams(seed, n_users, len(schemes)) for seed in seeds], optima,
         )
-        assert len(stacked) == len(configs)
+        assert len(stacked) == len(schemes)
         # the loop: each trial's runs one at a time, scheme s of trial t on
         # the streams _paired_streams gives it
         for t, seed in enumerate(seeds):
-            for s, (config, trace) in enumerate(zip(configs, stacked)):
+            for s, (scheme, trace) in enumerate(zip(schemes, stacked)):
                 streams = _streams(
                     seed, n_users, noise_seed=seed + 10 + s, fading_seed=seed + 20 + s
                 )
                 (alone,) = run_training(
-                    dataset, rows[t : t + 1], theta0[t : t + 1], [config], alpha, [streams],
-                    (optima[0][t : t + 1], optima[1][t : t + 1]),
+                    dataset, rows[t : t + 1], theta0[t : t + 1], _alone(config, scheme), alpha,
+                    [streams], (optima[0][t : t + 1], optima[1][t : t + 1]),
                 )
                 for field in ("thetas", "gaps", "powers", "fading", "waits"):
                     got, expected = getattr(trace, field), getattr(alone, field)
                     if expected is None:
                         assert got is None, field
                     else:
-                        assert np.array_equal(got[t], expected[0]), (t, config.scheme, field)
-        for config, trace in zip(configs, stacked):
+                        assert np.array_equal(got[t], expected[0]), (t, scheme, field)
+        for scheme, trace in zip(schemes, stacked):
             assert trace.gaps.shape == (n_trials, rounds)
-            if config.fading is not None:
+            if scheme == "cotaf_fading":
                 assert trace.waits.sum() > 0
 
     def test_writes_into_the_given_arrays_and_checks_shapes(self, rng):
         dataset, rows, optima = _trial_block(rng, 3, n_users=4)
         config = TrainerConfig(
-            scheme="noise_free_local_sgd", local_steps=2, rounds=5, step=_schedule()
+            schemes=("noise_free_local_sgd",), local_steps=2, rounds=5, step=_schedule()
         )
         streams = [_streams(seed, 4) for seed in (1, 2, 3)]
         theta0 = np.stack([_start(seed, 4) for seed in (1, 2, 3)])
         gaps, powers = np.zeros((3, 5)), np.zeros((3, 5, 4))
         (trace,) = run_training(
-            dataset, rows, theta0, [config], None, streams, optima, out=[(gaps, powers)]
+            dataset, rows, theta0, config, None, streams, optima, out=[(gaps, powers)]
         )
         assert trace.gaps is gaps and trace.powers is powers
         assert np.all(gaps > 0) and np.all(powers > 0)
         with pytest.raises(ValueError, match=r"need a \(T, N, D_n\) block of shard row ids"):
-            run_training(dataset, rows[0], theta0[:1], [config], None, streams[:1], optima)
+            run_training(dataset, rows[0], theta0[:1], config, None, streams[:1], optima)
         with pytest.raises(ValueError, match="need streams for each of 3 trials, got 2"):
-            run_training(dataset, rows, theta0, [config], None, streams[:2], optima)
+            run_training(dataset, rows, theta0, config, None, streams[:2], optima)
         with pytest.raises(ValueError, match=r"need \(T, d\) optima"):
             run_training(
-                dataset, rows, theta0, [config], None, streams, (optima[0][:2], optima[1][:2])
+                dataset, rows, theta0, config, None, streams, (optima[0][:2], optima[1][:2])
             )
         with pytest.raises(ValueError, match=r"need \(T, d\) initial models for T=3, d=4"):
-            run_training(dataset, rows, theta0[:2], [config], None, streams, optima)
+            run_training(dataset, rows, theta0[:2], config, None, streams, optima)
 
     def test_starved_trial_is_named(self, rng, monkeypatch):
         # only the fading stream of the block's second trial starves
         monkeypatch.setattr(trainer_mod, "MAX_WAIT_REDRAWS", 20)
         dataset, rows, optima = _trial_block(rng, 3, n_users=4)
         config = TrainerConfig(
-            scheme="cotaf_fading", local_steps=1, rounds=4, step=_schedule(),
+            schemes=("cotaf_fading",), local_steps=1, rounds=4, step=_schedule(),
             fading=FadingPolicy(h_min=0.5, participants=2),
         )
         streams = [_streams(seed, 4) for seed in (1, 2, 3)]
         streams[1] = TrialStreams(streams[1].users, streams[1].noise, (ScriptedFading([]),))
         with pytest.raises(RuntimeError, match=r"^trial 6, scheme cotaf_fading: round 1: "):
             run_training(
-                dataset, rows, np.zeros((3, 4)), [config], AlphaSchedule(np.ones(4)), streams,
+                dataset, rows, np.zeros((3, 4)), config, AlphaSchedule(np.ones(4)), streams,
                 optima, first_trial=5,
             )
 
@@ -1020,12 +1048,12 @@ class TestFadingRun:
         shards = make_shards(rng, n_users=6, per_user=12, dim=4)
         policy = FadingPolicy(h_min=math.sqrt(math.log(1 / 0.6)), participants=4)
         config = TrainerConfig(
-            scheme="cotaf_fading", local_steps=2, rounds=20, step=_schedule(),
+            schemes=("cotaf_fading",), local_steps=2, rounds=20, step=_schedule(),
             sigma_w2=0.3, fading=policy,
         )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, 20))
         optimum, theta0 = _optimum(shards), _start(5, 4)
-        (trace,) = _train(shards, [config], alpha, _streams(5, 6), optimum, theta0)
+        (trace,) = _train(shards, config, alpha, _streams(5, 6), optimum, theta0)
         reference = list(
             _reference_fading_run(shards, config, alpha, _streams(5, 6), optimum, theta0)
         )
@@ -1097,6 +1125,7 @@ def _per_round_reference(dataset, rows, theta0, config, alpha_schedule, streams,
     powers) per round."""
     n_trials, n_users, shard_size = rows.shape
     h, dim = config.local_steps, dataset.feature_dim
+    (scheme,) = config.schemes
     fades = None
     if config.fading is not None:
         fades = [
@@ -1119,8 +1148,8 @@ def _per_round_reference(dataset, rows, theta0, config, alpha_schedule, streams,
         fading, powers = None, np.empty((n_trials, n_users))
         if fades is not None:
             fading = _plan(np.stack([fade.divisors[i] for fade in fades]))
-        alpha = None if config.scheme == "non_precoded_ota" else alpha_schedule.values[i]
-        theta = run_round(theta, local_models, config, alpha, noise, powers, fading)
+        alpha = None if scheme == "non_precoded_ota" else alpha_schedule.values[i]
+        theta = run_round(theta, local_models, scheme, config, alpha, noise, powers, fading)
         yield theta, quadratic_gap(theta, *optima), powers
 
 
@@ -1134,14 +1163,14 @@ class TestRoundChunks:
         n_trials, n_users, rounds = 3, 6, 20
         dataset, rows, optima = _trial_block(rng, n_trials, n_users)
         config = TrainerConfig(
-            scheme=scheme, local_steps=2, rounds=rounds, step=_schedule(), sigma_w2=0.4,
+            schemes=(scheme,), local_steps=2, rounds=rounds, step=_schedule(), sigma_w2=0.4,
             fading=TestStackedTrials.POLICY if scheme == "cotaf_fading" else None,
         )
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, rounds))
         seeds = [3 * t + 2 for t in range(n_trials)]
         theta0 = np.stack([_start(seed, dataset.feature_dim) for seed in seeds])
         (trace,) = run_training(
-            dataset, rows, theta0, [config], alpha, [_streams(seed, n_users) for seed in seeds],
+            dataset, rows, theta0, config, alpha, [_streams(seed, n_users) for seed in seeds],
             optima,
         )
         reference = _per_round_reference(
@@ -1168,19 +1197,16 @@ class TestRunOwnedBlocks:
         rounds, n_trials, n_users = 70, 2, 6
         assert trainer_mod.ROUND_CHUNK < rounds < 2 * trainer_mod.ROUND_CHUNK
         dataset, rows, optima = _trial_block(np.random.default_rng(6), n_trials, n_users)
-        configs = [
-            TrainerConfig(
-                scheme=scheme, local_steps=2, rounds=rounds, step=_schedule(), sigma_w2=0.4,
-                fading=TestStackedTrials.POLICY if scheme == "cotaf_fading" else None,
-            )
-            for scheme in schemes
-        ]
+        config = TrainerConfig(
+            schemes=schemes, local_steps=2, rounds=rounds, step=_schedule(), sigma_w2=0.4,
+            fading=TestStackedTrials.POLICY if "cotaf_fading" in schemes else None,
+        )
         theta0 = np.stack([_start(seed, dataset.feature_dim) for seed in (1, 8)])
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, rounds))
 
         def run():
             streams = [_paired_streams(seed, n_users, len(schemes)) for seed in (1, 8)]
-            return run_training(dataset, rows, theta0, configs, alpha, streams, optima)
+            return run_training(dataset, rows, theta0, config, alpha, streams, optima)
 
         calls = []
         monkeypatch.setattr(trainer_mod, "local_pass", block_recorder(calls))
@@ -1209,12 +1235,12 @@ class TestRunOwnedBlocks:
         rows = rows.astype(np.int64)
         rows[1, 2, 3] = bad
         config = TrainerConfig(
-            scheme="noise_free_local_sgd", local_steps=2, rounds=3, step=_schedule()
+            schemes=("noise_free_local_sgd",), local_steps=2, rounds=3, step=_schedule()
         )
         monkeypatch.setattr(trainer_mod, "local_pass", pytest.fail)
         with pytest.raises(ValueError, match=r"^row ids must be integers in \[0, 48\)$"):
             run_training(
-                dataset, rows, np.zeros((2, 4)), [config], None,
+                dataset, rows, np.zeros((2, 4)), config, None,
                 [_streams(seed, 6) for seed in (1, 8)], optima,
             )
 
@@ -1228,7 +1254,7 @@ class TestPlannedFadingRounds:
 
     def _config(self):
         return TrainerConfig(
-            scheme="cotaf_fading", local_steps=1, rounds=self.ROUNDS, step=_schedule(),
+            schemes=("cotaf_fading",), local_steps=1, rounds=self.ROUNDS, step=_schedule(),
             sigma_w2=0.4, fading=TestStackedTrials.POLICY,
         )
 
@@ -1239,7 +1265,7 @@ class TestPlannedFadingRounds:
         theta0 = np.stack([_start(seed, dataset.feature_dim) for seed in self.SEEDS])
         alpha = AlphaSchedule(np.linspace(0.5, 2.0, self.ROUNDS))
         (trace,) = run_training(
-            dataset, rows[trials], theta0[trials], [self._config()], alpha,
+            dataset, rows[trials], theta0[trials], self._config(), alpha,
             [_streams(self.SEEDS[t], self.N_USERS) for t in range(self.N_TRIALS)[trials]],
             (optima[0][trials], optima[1][trials]), **kwargs,
         )
